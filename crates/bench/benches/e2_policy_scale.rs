@@ -5,7 +5,7 @@
 //! flat "access list" shape and (b) the indexed PolicyDb, plus the
 //! retrieval join.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mws_bench::Bench;
 use mws_store::{PolicyDb, StorageKind};
 
 /// The flat access-list the Perl prototype used: a Vec scanned linearly.
@@ -37,36 +37,27 @@ fn populate(n_identities: usize, attrs_per_identity: usize) -> (PolicyDb, FlatAc
     (db, FlatAccessList { rows: flat })
 }
 
-fn bench_policy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e2_policy_scale");
+fn main() {
+    let mut bench = Bench::new("e2_policy_scale");
     for n in [100usize, 1_000, 10_000] {
         let (db, flat) = populate(n, 4);
         // Probe an identity in the middle of the population.
         let probe = format!("IDRC{:05}", n / 2);
 
-        group.bench_function(BenchmarkId::new("indexed_lookup", n), |b| {
-            b.iter(|| {
-                let got = db.attributes_for(&probe);
-                assert_eq!(got.len(), 4);
-                got
-            });
+        bench.run(format!("indexed_lookup/{n}"), || {
+            let got = db.attributes_for(&probe);
+            assert_eq!(got.len(), 4);
+            got
         });
 
-        group.bench_function(BenchmarkId::new("flat_scan_lookup", n), |b| {
-            b.iter(|| {
-                let got = flat.attributes_for(&probe);
-                assert_eq!(got.len(), 4);
-                got
-            });
+        bench.run(format!("flat_scan_lookup/{n}"), || {
+            let got = flat.attributes_for(&probe);
+            assert_eq!(got.len(), 4);
+            got
         });
 
-        group.bench_function(BenchmarkId::new("has_access", n), |b| {
-            let attr = format!("ATTR-{:03}-0", (n / 2) % 97);
-            b.iter(|| db.has_access(&probe, &attr));
-        });
+        let attr = format!("ATTR-{:03}-0", (n / 2) % 97);
+        bench.run(format!("has_access/{n}"), || db.has_access(&probe, &attr));
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_policy);
-criterion_main!(benches);

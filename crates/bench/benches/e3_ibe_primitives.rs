@@ -5,14 +5,13 @@
 //! the D2 (BasicIdent vs FullIdent) and D5 (pairing vs scalar-mult cost)
 //! ablations.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mws_bench::Bench;
 use mws_crypto::HmacDrbg;
 use mws_ibe::bf::IbeSystem;
 use mws_pairing::SecurityLevel;
 
-fn bench_primitives(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e3_ibe_primitives");
-    group.sample_size(10);
+fn main() {
+    let mut bench = Bench::new("e3_ibe_primitives");
 
     for (name, level) in [
         ("toy_q80_p160", SecurityLevel::Toy),
@@ -25,38 +24,36 @@ fn bench_primitives(c: &mut Criterion) {
         let (msk, mpk) = ibe.setup(&mut rng);
         let msg = vec![0x5au8; 64];
 
-        group.bench_function(BenchmarkId::new("setup", name), |b| {
-            let mut rng = HmacDrbg::from_u64(2);
-            b.iter(|| ibe.setup(&mut rng));
+        let mut rng = HmacDrbg::from_u64(2);
+        bench.run(format!("setup/{name}"), || ibe.setup(&mut rng));
+
+        bench.run(format!("extract/{name}"), || {
+            ibe.extract(&msk, b"ELECTRIC-APT9|nonce")
         });
 
-        group.bench_function(BenchmarkId::new("extract", name), |b| {
-            b.iter(|| ibe.extract(&msk, b"ELECTRIC-APT9|nonce"));
+        let mut rng = HmacDrbg::from_u64(3);
+        bench.run(format!("encrypt_basic/{name}"), || {
+            ibe.encrypt_basic(&mut rng, &mpk, b"id", &msg)
         });
 
-        group.bench_function(BenchmarkId::new("encrypt_basic", name), |b| {
-            let mut rng = HmacDrbg::from_u64(3);
-            b.iter(|| ibe.encrypt_basic(&mut rng, &mpk, b"id", &msg));
-        });
-
-        group.bench_function(BenchmarkId::new("decrypt_basic", name), |b| {
-            let mut rng = HmacDrbg::from_u64(4);
-            let ct = ibe.encrypt_basic(&mut rng, &mpk, b"id", &msg);
-            let sk = ibe.extract(&msk, b"id");
-            b.iter(|| ibe.decrypt_basic(&sk, &ct).unwrap());
+        let mut rng = HmacDrbg::from_u64(4);
+        let ct = ibe.encrypt_basic(&mut rng, &mpk, b"id", &msg);
+        let sk = ibe.extract(&msk, b"id");
+        bench.run(format!("decrypt_basic/{name}"), || {
+            ibe.decrypt_basic(&sk, &ct).unwrap()
         });
 
         // D2 ablation: the CCA-secure variant.
-        group.bench_function(BenchmarkId::new("encrypt_full", name), |b| {
-            let mut rng = HmacDrbg::from_u64(5);
-            b.iter(|| ibe.encrypt_full(&mut rng, &mpk, b"id", &msg));
+        let mut rng = HmacDrbg::from_u64(5);
+        bench.run(format!("encrypt_full/{name}"), || {
+            ibe.encrypt_full(&mut rng, &mpk, b"id", &msg)
         });
 
-        group.bench_function(BenchmarkId::new("decrypt_full", name), |b| {
-            let mut rng = HmacDrbg::from_u64(6);
-            let ct = ibe.encrypt_full(&mut rng, &mpk, b"id", &msg);
-            let sk = ibe.extract(&msk, b"id");
-            b.iter(|| ibe.decrypt_full(&sk, &ct).unwrap());
+        let mut rng = HmacDrbg::from_u64(6);
+        let ct = ibe.encrypt_full(&mut rng, &mpk, b"id", &msg);
+        let sk = ibe.extract(&msk, b"id");
+        bench.run(format!("decrypt_full/{name}"), || {
+            ibe.decrypt_full(&sk, &ct).unwrap()
         });
 
         // D5 view: raw pairing vs its building blocks.
@@ -65,30 +62,23 @@ fn bench_primitives(c: &mut Criterion) {
         let a = ctx.random_scalar(&mut rng2);
         let pa = ctx.mul(&g, &a);
 
-        group.bench_function(BenchmarkId::new("pairing", name), |b| {
-            b.iter(|| ctx.pairing(&pa, &g));
-        });
+        bench.run(format!("pairing/{name}"), || ctx.pairing(&pa, &g));
 
         // D5 ablation: the projective (inversion-free) Miller loop.
-        group.bench_function(BenchmarkId::new("pairing_projective", name), |b| {
-            b.iter(|| ctx.pairing_projective(&pa, &g));
+        bench.run(format!("pairing_projective/{name}"), || {
+            ctx.pairing_projective(&pa, &g)
         });
 
-        group.bench_function(BenchmarkId::new("scalar_mul", name), |b| {
-            b.iter(|| ctx.mul(&g, &a));
+        bench.run(format!("scalar_mul/{name}"), || ctx.mul(&g, &a));
+
+        bench.run(format!("hash_to_point/{name}"), || {
+            ctx.hash_to_point(b"ELECTRIC-APT9|nonce-42")
         });
 
-        group.bench_function(BenchmarkId::new("hash_to_point", name), |b| {
-            b.iter(|| ctx.hash_to_point(b"ELECTRIC-APT9|nonce-42"));
-        });
-
-        group.bench_function(BenchmarkId::new("gt_exponentiation", name), |b| {
-            let e = ctx.pairing(&g, &g);
-            b.iter(|| ctx.field().fp2_pow(&e, &a));
+        let e = ctx.pairing(&g, &g);
+        bench.run(format!("gt_exponentiation/{name}"), || {
+            ctx.field().fp2_pow(&e, &a)
         });
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_primitives);
-criterion_main!(benches);

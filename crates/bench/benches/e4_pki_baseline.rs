@@ -13,12 +13,11 @@
 //! Regenerates: the cost-vs-recipients series whose crossover at N=1 is the
 //! paper's central motivation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mws_crypto::{seal, Aes128, HmacDrbg, RsaKeyPair, RsaPublicKey};
+use mws_bench::Bench;
+use mws_crypto::{seal, Aes128, HmacDrbg, Rng, RsaKeyPair, RsaPublicKey};
 use mws_ibe::bf::IbeSystem;
 use mws_ibe::CipherAlgo;
 use mws_pairing::SecurityLevel;
-use rand::RngCore;
 
 /// The RSA-PKI baseline: hybrid-encrypt `msg` to every recipient key.
 fn pki_encrypt_to_all(rng: &mut HmacDrbg, recipients: &[RsaPublicKey], msg: &[u8]) -> Vec<Vec<u8>> {
@@ -41,9 +40,8 @@ fn pki_encrypt_to_all(rng: &mut HmacDrbg, recipients: &[RsaPublicKey], msg: &[u8
     out
 }
 
-fn bench_baseline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e4_pki_baseline");
-    group.sample_size(10);
+fn main() {
+    let mut bench = Bench::new("e4_pki_baseline");
 
     let ibe = IbeSystem::named(SecurityLevel::Light);
     let mut rng = HmacDrbg::from_u64(1);
@@ -58,29 +56,24 @@ fn bench_baseline(c: &mut Criterion) {
     // IBE: flat in N (encrypt once; shown for each N to make the series
     // explicit in the report).
     for n in [1usize, 2, 4, 8, 16] {
-        group.bench_function(BenchmarkId::new("ibe_attribute", n), |b| {
-            let mut rng = HmacDrbg::from_u64(2);
-            b.iter(|| {
-                ibe.encrypt_attr(
-                    &mut rng,
-                    &mpk,
-                    "ELECTRIC-APT9-SV-CA",
-                    b"nonce",
-                    CipherAlgo::Aes128,
-                    b"",
-                    &msg,
-                )
-            });
+        let mut rng = HmacDrbg::from_u64(2);
+        bench.run(format!("ibe_attribute/{n}"), || {
+            ibe.encrypt_attr(
+                &mut rng,
+                &mpk,
+                "ELECTRIC-APT9-SV-CA",
+                b"nonce",
+                CipherAlgo::Aes128,
+                b"",
+                &msg,
+            )
         });
 
-        group.bench_function(BenchmarkId::new("rsa_pki_per_recipient", n), |b| {
-            let mut rng = HmacDrbg::from_u64(3);
-            let recipients = &recipient_keys[..n];
-            b.iter(|| pki_encrypt_to_all(&mut rng, recipients, &msg));
+        let mut rng = HmacDrbg::from_u64(3);
+        let recipients = &recipient_keys[..n];
+        bench.run(format!("rsa_pki_per_recipient/{n}"), || {
+            pki_encrypt_to_all(&mut rng, recipients, &msg)
         });
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_baseline);
-criterion_main!(benches);

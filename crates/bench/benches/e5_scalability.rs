@@ -1,19 +1,17 @@
 //! E5 — requirement iv (scalability): deposit throughput vs. fleet size
 //! and retrieval latency vs. warehouse size.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mws_bench::populated_deployment;
+use mws_bench::Bench;
 use mws_core::clock::ReplayPolicy;
 use mws_core::{Deployment, DeploymentConfig};
 
-fn bench_scalability(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e5_scalability");
-    group.sample_size(10);
+fn main() {
+    let mut bench = Bench::new("e5_scalability");
 
     // Deposit throughput: one round across a fleet of N devices.
     for n_devices in [1usize, 8, 32] {
-        group.throughput(Throughput::Elements(n_devices as u64));
-        group.bench_function(BenchmarkId::new("fleet_deposit_round", n_devices), |b| {
+        {
             let mut dep = Deployment::new(DeploymentConfig {
                 replay: ReplayPolicy::Off,
                 ..DeploymentConfig::test_default()
@@ -25,12 +23,12 @@ fn bench_scalability(c: &mut Criterion) {
                 dep.register_device(&id);
                 handles.push(dep.device(&id));
             }
-            b.iter(|| {
+            bench.run(format!("fleet_deposit_round/{n_devices}"), || {
                 for h in handles.iter_mut() {
                     h.deposit("A", b"kWh=1.00").unwrap();
                 }
             });
-        });
+        }
     }
 
     // Retrieval (wire + policy join + token) vs warehouse size; the
@@ -41,24 +39,18 @@ fn bench_scalability(c: &mut Criterion) {
         let total = per_device * 4; // exact count actually deposited
         let mut dep = populated_deployment(4, per_device);
         let mut rc = dep.client("rc", "pw");
-        group.throughput(Throughput::Elements(total as u64));
-        group.bench_function(BenchmarkId::new("retrieve_headers", warehouse), |b| {
-            b.iter(|| {
-                let (_, messages) = rc.retrieve(0).unwrap();
-                assert_eq!(messages.len(), total);
-            });
+        bench.run(format!("retrieve_headers/{warehouse}"), || {
+            let (_, messages) = rc.retrieve(0).unwrap();
+            assert_eq!(messages.len(), total);
         });
         // Incremental poll that matches nothing: the "steady state" cost.
-        group.bench_function(BenchmarkId::new("retrieve_empty_poll", warehouse), |b| {
+        {
             let horizon = dep.clock().now() + 1_000;
-            b.iter(|| {
+            bench.run(format!("retrieve_empty_poll/{warehouse}"), || {
                 let (_, messages) = rc.retrieve(horizon).unwrap();
                 assert!(messages.is_empty());
             });
-        });
+        }
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_scalability);
-criterion_main!(benches);

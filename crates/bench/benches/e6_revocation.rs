@@ -2,28 +2,25 @@
 //! ablation (the per-message nonce that makes revocation work vs. a
 //! hypothetical shared attribute key).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mws_bench::Bench;
 use mws_core::{Deployment, DeploymentConfig};
 use mws_crypto::HmacDrbg;
 use mws_ibe::bf::IbeSystem;
 use mws_ibe::CipherAlgo;
 use mws_pairing::SecurityLevel;
 
-fn bench_revocation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e6_revocation");
-    group.sample_size(10);
+fn main() {
+    let mut bench = Bench::new("e6_revocation");
 
     // Administrative cost: revoke + re-grant one row in a populated table.
-    // (Deployment built once, outside the routine Criterion re-invokes.)
+    // (Deployment built once, outside the timed routine.)
     let mut dep = Deployment::new(DeploymentConfig::test_default());
     for i in 0..200 {
         dep.register_client(&format!("rc{i}"), "pw", &[&format!("A{i}")]);
     }
-    group.bench_function("revoke_and_regrant", |b| {
-        b.iter(|| {
-            dep.mws().revoke("rc100", "A100").unwrap();
-            dep.mws().grant("rc100", "A100").unwrap();
-        });
+    bench.run("revoke_and_regrant", || {
+        dep.mws().revoke("rc100", "A100").unwrap();
+        dep.mws().grant("rc100", "A100").unwrap();
     });
 
     // D4 ablation, crypto-level: with per-message nonces every message
@@ -52,16 +49,14 @@ fn bench_revocation(c: &mut Criterion) {
         })
         .collect();
 
-    group.bench_function(
-        BenchmarkId::new("decrypt_with_per_message_keys", n_messages),
-        |b| {
-            b.iter(|| {
-                for (nonce, ct) in &fresh {
-                    let i_pt = ibe.attribute_point("ATTR", nonce.as_bytes());
-                    let sk = ibe.extract_point(&msk, &i_pt);
-                    ibe.decrypt_attr(&sk, ct, b"").unwrap();
-                }
-            });
+    bench.run(
+        format!("decrypt_with_per_message_keys/{n_messages}"),
+        || {
+            for (nonce, ct) in &fresh {
+                let i_pt = ibe.attribute_point("ATTR", nonce.as_bytes());
+                let sk = ibe.extract_point(&msk, &i_pt);
+                ibe.decrypt_attr(&sk, ct, b"").unwrap();
+            }
         },
     );
 
@@ -81,19 +76,11 @@ fn bench_revocation(c: &mut Criterion) {
         .collect();
     let shared_key = ibe.extract_point(&msk, &ibe.attribute_point("ATTR", b"shared-nonce"));
 
-    group.bench_function(
-        BenchmarkId::new("decrypt_with_shared_key", n_messages),
-        |b| {
-            b.iter(|| {
-                for ct in &shared {
-                    ibe.decrypt_attr(&shared_key, ct, b"").unwrap();
-                }
-            });
-        },
-    );
+    bench.run(format!("decrypt_with_shared_key/{n_messages}"), || {
+        for ct in &shared {
+            ibe.decrypt_attr(&shared_key, ct, b"").unwrap();
+        }
+    });
 
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_revocation);
-criterion_main!(benches);

@@ -4,50 +4,46 @@
 //! Regenerates: throughput rows for DES / 3DES / AES-128 / AES-256 /
 //! ChaCha20 in CTR-style modes at 64 B, 1 KiB and 64 KiB.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use mws_bench::Bench;
 use mws_bench::WorkloadGen;
 use mws_crypto::{gcm_seal, Aes128, Aes256, ChaCha20, CtrMode, Des, TripleDes};
 
-fn bench_symmetric(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e7_symmetric");
+fn main() {
+    let mut bench = Bench::new("e7_symmetric");
     let mut generator = WorkloadGen::new(1);
 
     for size in [64usize, 1024, 65_536] {
         let payload = generator.payload(size);
-        group.throughput(Throughput::Bytes(size as u64));
 
-        group.bench_function(BenchmarkId::new("des_ctr", size), |b| {
-            let cipher = Des::new(&[1; 8]).unwrap();
-            b.iter(|| CtrMode::encrypt(&cipher, &[2; 4], &payload).unwrap());
+        let cipher = Des::new(&[1; 8]).unwrap();
+        bench.run(format!("des_ctr/{size}"), || {
+            CtrMode::encrypt(&cipher, &[2; 4], &payload).unwrap()
         });
 
-        group.bench_function(BenchmarkId::new("3des_ctr", size), |b| {
-            let cipher = TripleDes::new(&[1; 24]).unwrap();
-            b.iter(|| CtrMode::encrypt(&cipher, &[2; 4], &payload).unwrap());
+        let cipher = TripleDes::new(&[1; 24]).unwrap();
+        bench.run(format!("3des_ctr/{size}"), || {
+            CtrMode::encrypt(&cipher, &[2; 4], &payload).unwrap()
         });
 
-        group.bench_function(BenchmarkId::new("aes128_ctr", size), |b| {
-            let cipher = Aes128::new(&[1; 16]).unwrap();
-            b.iter(|| CtrMode::encrypt(&cipher, &[2; 8], &payload).unwrap());
+        let cipher = Aes128::new(&[1; 16]).unwrap();
+        bench.run(format!("aes128_ctr/{size}"), || {
+            CtrMode::encrypt(&cipher, &[2; 8], &payload).unwrap()
         });
 
-        group.bench_function(BenchmarkId::new("aes256_ctr", size), |b| {
-            let cipher = Aes256::new(&[1; 32]).unwrap();
-            b.iter(|| CtrMode::encrypt(&cipher, &[2; 8], &payload).unwrap());
+        let cipher = Aes256::new(&[1; 32]).unwrap();
+        bench.run(format!("aes256_ctr/{size}"), || {
+            CtrMode::encrypt(&cipher, &[2; 8], &payload).unwrap()
         });
 
-        group.bench_function(BenchmarkId::new("chacha20", size), |b| {
-            b.iter(|| ChaCha20::encrypt(&[1; 32], &[2; 12], &payload).unwrap());
+        bench.run(format!("chacha20/{size}"), || {
+            ChaCha20::encrypt(&[1; 32], &[2; 12], &payload).unwrap()
         });
 
         // AEAD comparison point: AES-128-GCM (authenticated, single pass).
-        group.bench_function(BenchmarkId::new("aes128_gcm", size), |b| {
-            let cipher = Aes128::new(&[1; 16]).unwrap();
-            b.iter(|| gcm_seal(&cipher, &[2; 12], b"", &payload).unwrap());
+        let cipher = Aes128::new(&[1; 16]).unwrap();
+        bench.run(format!("aes128_gcm/{size}"), || {
+            gcm_seal(&cipher, &[2; 12], b"", &payload).unwrap()
         });
     }
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_symmetric);
-criterion_main!(benches);

@@ -12,7 +12,7 @@
 //!   constant factors win. Included for honesty: a DBMS is *not* free when
 //!   every query returns a constant fraction of the data.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mws_bench::Bench;
 use mws_store::{FlatFileStore, MessageDb, StorageKind};
 
 /// Narrow shape: one attribute per ~10 messages (per-meter attributes).
@@ -45,67 +45,56 @@ fn populate_broad(n: usize) -> (FlatFileStore, MessageDb, String) {
     (flat, db, "FLEET-05".to_string())
 }
 
-fn bench_store(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e8_store");
+fn main() {
+    let mut bench = Bench::new("e8_store");
 
     for n in [100usize, 1_000, 10_000, 100_000] {
         let (flat, db, probe) = populate_narrow(n);
         let expect = db.by_attribute(&probe).unwrap().len();
         assert!(expect >= 10, "narrow probe has ≥10 rows");
 
-        group.bench_function(BenchmarkId::new("narrow_flatfile_scan", n), |b| {
-            b.iter(|| {
-                let got = flat.find_by_attribute(&probe).unwrap();
-                assert_eq!(got.len(), expect);
-                got
-            });
+        bench.run(format!("narrow_flatfile_scan/{n}"), || {
+            let got = flat.find_by_attribute(&probe).unwrap();
+            assert_eq!(got.len(), expect);
+            got
         });
 
-        group.bench_function(BenchmarkId::new("narrow_indexed_lookup", n), |b| {
-            b.iter(|| {
-                let got = db.by_attribute(&probe).unwrap();
-                assert_eq!(got.len(), expect);
-                got
-            });
+        bench.run(format!("narrow_indexed_lookup/{n}"), || {
+            let got = db.by_attribute(&probe).unwrap();
+            assert_eq!(got.len(), expect);
+            got
         });
     }
 
     for n in [1_000usize, 10_000] {
         let (flat, db, probe) = populate_broad(n);
-        group.bench_function(BenchmarkId::new("broad_flatfile_scan", n), |b| {
-            b.iter(|| flat.find_by_attribute(&probe).unwrap());
+        bench.run(format!("broad_flatfile_scan/{n}"), || {
+            flat.find_by_attribute(&probe).unwrap()
         });
-        group.bench_function(BenchmarkId::new("broad_indexed_lookup", n), |b| {
-            b.iter(|| db.by_attribute(&probe).unwrap());
+        bench.run(format!("broad_indexed_lookup/{n}"), || {
+            db.by_attribute(&probe).unwrap()
         });
         // The incremental-poll shape retrieval actually uses.
-        group.bench_function(BenchmarkId::new("broad_indexed_since_tail", n), |b| {
-            b.iter(|| db.by_attribute_since(&probe, (n - 10) as u64).unwrap());
+        bench.run(format!("broad_indexed_since_tail/{n}"), || {
+            db.by_attribute_since(&probe, (n - 10) as u64).unwrap()
         });
     }
 
     // Write side: append throughput for both layouts.
-    group.bench_function("flatfile_append", |b| {
-        let mut s = FlatFileStore::memory();
-        let mut i = 0u64;
-        b.iter(|| {
-            s.append("ELECTRIC-A", &i.to_be_bytes()).unwrap();
-            i += 1;
-        });
+    let mut s = FlatFileStore::memory();
+    let mut i = 0u64;
+    bench.run("flatfile_append", || {
+        s.append("ELECTRIC-A", &i.to_be_bytes()).unwrap();
+        i += 1;
     });
 
-    group.bench_function("messagedb_insert", |b| {
-        let mut db = MessageDb::open(StorageKind::Memory).unwrap();
-        let mut i = 0u64;
-        b.iter(|| {
-            db.insert("ELECTRIC-A", b"n", b"u", 3, &i.to_be_bytes(), "sd", i)
-                .unwrap();
-            i += 1;
-        });
+    let mut db = MessageDb::open(StorageKind::Memory).unwrap();
+    let mut i = 0u64;
+    bench.run("messagedb_insert", || {
+        db.insert("ELECTRIC-A", b"n", b"u", 3, &i.to_be_bytes(), "sd", i)
+            .unwrap();
+        i += 1;
     });
 
-    group.finish();
+    bench.finish();
 }
-
-criterion_group!(benches, bench_store);
-criterion_main!(benches);

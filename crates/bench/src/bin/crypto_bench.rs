@@ -12,41 +12,11 @@
 //! * default — pinned iteration counts, writes `BENCH_crypto.json`
 //! * `--smoke` — few iterations, no file output; asserts the fast paths are
 //!   bit-identical to the reference paths (used by `scripts/tier1.sh`)
-//!
-//! JSON is hand-written: this binary must compile against the offline serde
-//! stub, so it cannot use derive macros.
 
+use mws_bench::{time_op, timings_json, Json, Timing};
 use mws_crypto::HmacDrbg;
 use mws_ibe::bf::IbeSystem;
 use mws_pairing::SecurityLevel;
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// One timed primitive: median-of-runs nanoseconds per operation.
-struct Timing {
-    name: &'static str,
-    ns_per_op: f64,
-    iters: u32,
-}
-
-/// Times `f` over `iters` iterations, repeated 5 times; keeps the median
-/// run so a stray scheduler hiccup cannot skew a row.
-fn time_op<F: FnMut()>(name: &'static str, iters: u32, mut f: F) -> Timing {
-    let mut runs = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        runs.push(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    runs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    Timing {
-        name,
-        ns_per_op: runs[runs.len() / 2],
-        iters,
-    }
-}
 
 struct LevelReport {
     level: &'static str,
@@ -189,38 +159,21 @@ fn bench_obs(iters: u32) -> Vec<Timing> {
 }
 
 fn render_json(reports: &[LevelReport], obs: &[Timing]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"crypto_bench\",\n  \"unit\": \"ns/op\",\n  \"levels\": {\n",
-    );
-    for (i, rep) in reports.iter().enumerate() {
-        let _ = write!(out, "    \"{}\": {{\n      \"timings\": {{\n", rep.level);
-        for (j, t) in rep.timings.iter().enumerate() {
-            let comma = if j + 1 == rep.timings.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "        \"{}\": {{ \"ns_per_op\": {:.1}, \"iters\": {} }}{}",
-                t.name, t.ns_per_op, t.iters, comma
-            );
-        }
-        let _ = write!(
-            out,
-            "      }},\n      \"encrypt_basic_speedup\": {:.2},\n      \"decrypt_basic_speedup\": {:.2}\n    }}{}\n",
-            rep.encrypt_speedup,
-            rep.decrypt_speedup,
-            if i + 1 == reports.len() { "" } else { "," }
-        );
-    }
-    out.push_str("  },\n  \"obs\": {\n    \"timings\": {\n");
-    for (j, t) in obs.iter().enumerate() {
-        let comma = if j + 1 == obs.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "      \"{}\": {{ \"ns_per_op\": {:.1}, \"iters\": {} }}{}",
-            t.name, t.ns_per_op, t.iters, comma
-        );
-    }
-    out.push_str("    }\n  }\n}\n");
-    out
+    let levels = reports.iter().map(|rep| {
+        let level = [
+            ("timings", timings_json(&rep.timings)),
+            ("encrypt_basic_speedup", Json::fixed(rep.encrypt_speedup, 2)),
+            ("decrypt_basic_speedup", Json::fixed(rep.decrypt_speedup, 2)),
+        ];
+        (rep.level, Json::obj(level))
+    });
+    Json::obj([
+        ("bench", Json::Str("crypto_bench".into())),
+        ("unit", Json::Str("ns/op".into())),
+        ("levels", Json::obj(levels)),
+        ("obs", Json::obj([("timings", timings_json(obs))])),
+    ])
+    .pretty()
 }
 
 fn main() {
@@ -240,24 +193,14 @@ fn main() {
 
     for rep in &reports {
         eprintln!("== {} ==", rep.level);
-        for t in &rep.timings {
-            eprintln!(
-                "  {:<26} {:>12.1} ns/op  ({} iters)",
-                t.name, t.ns_per_op, t.iters
-            );
-        }
+        rep.timings.iter().for_each(|t| eprintln!("  {t}"));
         eprintln!(
             "  encrypt_basic speedup: {:.2}x   decrypt_basic speedup: {:.2}x",
             rep.encrypt_speedup, rep.decrypt_speedup
         );
     }
     eprintln!("== obs ==");
-    for t in &obs_timings {
-        eprintln!(
-            "  {:<26} {:>12.1} ns/op  ({} iters)",
-            t.name, t.ns_per_op, t.iters
-        );
-    }
+    obs_timings.iter().for_each(|t| eprintln!("  {t}"));
 
     if smoke {
         eprintln!("crypto_bench --smoke: fast paths bit-identical to reference");

@@ -55,9 +55,6 @@
 //! * `--secure --smoke` — tiny run, no file output; asserts every
 //!   handshake establishes and every sealed deposit is acked (the gate
 //!   `scripts/tier1.sh` runs)
-//!
-//! JSON is hand-written: this binary must compile against the offline
-//! serde stub, so it cannot use derive macros.
 
 use mws_core::clock::{LogicalClock, ReplayPolicy};
 use mws_core::protocol::{Deployment, DeploymentConfig, MwsService};
@@ -852,6 +849,21 @@ fn bench_read_modes(iters: usize, deposits: usize) -> ReadModeRow {
     }
 }
 
+/// `BENCH_server.json` up to (not including) its `key` section — or a fresh
+/// document if there is no file yet — followed by `block` as the final
+/// section. Each mode owns one section and rewrites only that.
+fn splice_section(key: &str, block: &str) -> String {
+    let marker = format!(",\n  \"{key}\": {{");
+    let base = std::fs::read_to_string("BENCH_server.json")
+        .ok()
+        .map(|s| match s.find(&marker) {
+            Some(at) => s[..at].to_string(),
+            None => s.trim_end().trim_end_matches('}').trim_end().to_string(),
+        })
+        .unwrap_or_else(|| String::from("{\n  \"bench\": \"load_bench\""));
+    format!("{base},\n{block}}}\n")
+}
+
 /// Renders the rebalance row and splices it into `BENCH_server.json` as
 /// its final `"rebalance"` key, preserving the shard and cluster sections
 /// earlier runs wrote.
@@ -888,15 +900,7 @@ fn splice_rebalance_json(row: &RebalanceRow, reads: &ReadModeRow, w: &Workload) 
     block.push_str("    \"all_acked_rows_on_all_grown_ring_replicas\": true,\n");
     block.push_str("    \"exactly_r_copies_after_evict\": true\n  }");
 
-    const MARKER: &str = ",\n  \"rebalance\": {";
-    let base = std::fs::read_to_string("BENCH_server.json")
-        .ok()
-        .map(|s| match s.find(MARKER) {
-            Some(at) => s[..at].to_string(),
-            None => s.trim_end().trim_end_matches('}').trim_end().to_string(),
-        })
-        .unwrap_or_else(|| String::from("{\n  \"bench\": \"load_bench\""));
-    format!("{base},\n{block}\n}}\n")
+    splice_section("rebalance", &(block + "\n"))
 }
 
 /// `--rebalance` entry: one live join under load. Smoke keeps it tiny and
@@ -997,15 +1001,7 @@ fn splice_cluster_json(rows: &[ClusterRow], w: &Workload) -> String {
         "    \"scaleout_4_nodes_over_2\": {scaleout:.2},\n    \"replication_2_nodes_over_1\": {overhead:.2}\n  }}"
     );
 
-    const MARKER: &str = ",\n  \"cluster\": {";
-    let base = std::fs::read_to_string("BENCH_server.json")
-        .ok()
-        .map(|s| match s.find(MARKER) {
-            Some(at) => s[..at].to_string(),
-            None => s.trim_end().trim_end_matches('}').trim_end().to_string(),
-        })
-        .unwrap_or_else(|| String::from("{\n  \"bench\": \"load_bench\""));
-    format!("{base},\n{block}}}\n")
+    splice_section("cluster", &block)
 }
 
 fn render_mode(out: &mut String, name: &str, m: &ModeReport, trailing_comma: bool) {
@@ -1523,15 +1519,7 @@ fn splice_connections_json(rows: &[ConnectionsRow]) -> String {
         "    \"idle_connection_ceiling\": {ceiling},\n    \"zero_dropped_acked_deposits\": true,\n    \"ab_rss_threads_over_epoll_at_512\": {ab:.2}\n  }}"
     );
 
-    const MARKER: &str = ",\n  \"connections\": {";
-    let base = std::fs::read_to_string("BENCH_server.json")
-        .ok()
-        .map(|s| match s.find(MARKER) {
-            Some(at) => s[..at].to_string(),
-            None => s.trim_end().trim_end_matches('}').trim_end().to_string(),
-        })
-        .unwrap_or_else(|| String::from("{\n  \"bench\": \"load_bench\""));
-    format!("{base},\n{block}}}\n")
+    splice_section("connections", &block)
 }
 
 /// `--connections` entry: the smart-device fleet shape. The full run
@@ -1836,15 +1824,7 @@ fn splice_secure_json(r: &SecureRow, w: &Workload) -> String {
         r.secure.p50_us.saturating_sub(r.plain.p50_us)
     );
 
-    const MARKER: &str = ",\n  \"secure\": {";
-    let base = std::fs::read_to_string("BENCH_server.json")
-        .ok()
-        .map(|s| match s.find(MARKER) {
-            Some(at) => s[..at].to_string(),
-            None => s.trim_end().trim_end_matches('}').trim_end().to_string(),
-        })
-        .unwrap_or_else(|| String::from("{\n  \"bench\": \"load_bench\""));
-    format!("{base},\n{block}}}\n")
+    splice_section("secure", &block)
 }
 
 /// `--secure` entry: handshake latency + sealed-vs-plain throughput.

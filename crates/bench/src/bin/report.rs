@@ -1,49 +1,17 @@
-//! Experiment report generator: measures the non-Criterion series
+//! Experiment report generator: measures the untimed series
 //! (wire sizes, message counts, E4 byte costs, figure artifacts) and emits
 //! both a human-readable report and machine-readable JSON for
 //! EXPERIMENTS.md.
 //!
 //! Run with: `cargo run --release -p mws-bench --bin report`
 
+use mws_bench::Json;
 use mws_core::{Deployment, DeploymentConfig};
 use mws_crypto::{HmacDrbg, RsaKeyPair};
 use mws_ibe::bf::IbeSystem;
 use mws_ibe::CipherAlgo;
 use mws_pairing::SecurityLevel;
 use mws_wire::encode_envelope;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Report {
-    f2_f4_protocol: ProtocolReport,
-    e4_wire_bytes: Vec<E4Row>,
-    t1_rows: usize,
-    deposit_frame_bytes: DepositSizes,
-}
-
-#[derive(Serialize)]
-struct ProtocolReport {
-    deposits: usize,
-    retrieved: usize,
-    mws_requests: u64,
-    mws_bytes: u64,
-    pkg_requests: u64,
-    pkg_bytes: u64,
-}
-
-#[derive(Serialize)]
-struct E4Row {
-    recipients: usize,
-    ibe_bytes: usize,
-    pki_bytes: usize,
-}
-
-#[derive(Serialize)]
-struct DepositSizes {
-    payload_bytes: usize,
-    frame_bytes_toy: usize,
-    frame_bytes_light: usize,
-}
 
 fn deposit_frame_size(level: SecurityLevel, payload: &[u8]) -> usize {
     let mut dep = Deployment::new(DeploymentConfig {
@@ -71,14 +39,7 @@ fn main() {
     let retrieved = rc.retrieve_and_decrypt(0).unwrap();
     let mws_m = dep.network().metrics("mws").unwrap();
     let pkg_m = dep.network().metrics("pkg").unwrap();
-    let protocol = ProtocolReport {
-        deposits: 5,
-        retrieved: retrieved.len(),
-        mws_requests: mws_m.requests,
-        mws_bytes: mws_m.bytes_total(),
-        pkg_requests: pkg_m.requests,
-        pkg_bytes: pkg_m.bytes_total(),
-    };
+    let (mws_bytes, pkg_bytes) = (mws_m.bytes_total(), pkg_m.bytes_total());
 
     // --- E4: bytes leaving the device, IBE vs RSA-PKI, vs recipients ---
     let ibe = IbeSystem::named(SecurityLevel::Light);
@@ -100,11 +61,9 @@ fn main() {
     let sym_body = msg.len() + 32; // ct + tag
     let mut e4 = Vec::new();
     for n in [1usize, 2, 4, 8, 16, 64, 256] {
-        e4.push(E4Row {
-            recipients: n,
-            ibe_bytes, // constant: one ciphertext serves any number of RCs
-            pki_bytes: sym_body + n * wrapped_key_len,
-        });
+        // (recipients, PKI bytes); the IBE side is constant: one ciphertext
+        // serves any number of RCs.
+        e4.push((n, sym_body + n * wrapped_key_len));
     }
 
     // --- T1 ---
@@ -117,73 +76,79 @@ fn main() {
 
     // --- Deposit frame sizes per security level ---
     let payload = b"kWh=42.70";
-    let sizes = DepositSizes {
-        payload_bytes: payload.len(),
-        frame_bytes_toy: deposit_frame_size(SecurityLevel::Toy, payload),
-        frame_bytes_light: deposit_frame_size(SecurityLevel::Light, payload),
-    };
-
-    let report = Report {
-        f2_f4_protocol: protocol,
-        e4_wire_bytes: e4,
-        t1_rows,
-        deposit_frame_bytes: sizes,
-    };
+    let frame_toy = deposit_frame_size(SecurityLevel::Toy, payload);
+    let frame_light = deposit_frame_size(SecurityLevel::Light, payload);
 
     println!("== MWS experiment report ==\n");
     println!(
-        "F2/F4 protocol: {} deposits -> {} retrieved+decrypted; \
-         MWS {} reqs / {} B; PKG {} reqs / {} B",
-        report.f2_f4_protocol.deposits,
-        report.f2_f4_protocol.retrieved,
-        report.f2_f4_protocol.mws_requests,
-        report.f2_f4_protocol.mws_bytes,
-        report.f2_f4_protocol.pkg_requests,
-        report.f2_f4_protocol.pkg_bytes,
+        "F2/F4 protocol: 5 deposits -> {} retrieved+decrypted; \
+         MWS {} reqs / {mws_bytes} B; PKG {} reqs / {pkg_bytes} B",
+        retrieved.len(),
+        mws_m.requests,
+        pkg_m.requests,
     );
     println!("\nE4 device wire cost (bytes) vs recipients:");
     println!(
         "{:>10} {:>12} {:>12} {:>8}",
         "recipients", "IBE", "RSA-PKI", "winner"
     );
-    for row in &report.e4_wire_bytes {
-        println!(
-            "{:>10} {:>12} {:>12} {:>8}",
-            row.recipients,
-            row.ibe_bytes,
-            row.pki_bytes,
-            if row.ibe_bytes <= row.pki_bytes {
-                "IBE"
-            } else {
-                "PKI"
-            }
-        );
+    for &(recipients, pki_bytes) in &e4 {
+        let winner = if ibe_bytes <= pki_bytes { "IBE" } else { "PKI" };
+        println!("{recipients:>10} {ibe_bytes:>12} {pki_bytes:>12} {winner:>8}");
     }
+    println!("\nT1: {t1_rows} policy rows (matches the paper's 5)");
     println!(
-        "\nT1: {} policy rows (matches the paper's 5)",
-        report.t1_rows
-    );
-    println!(
-        "\ndeposit frame: {} B payload -> {} B (toy) / {} B (light) on the wire",
-        report.deposit_frame_bytes.payload_bytes,
-        report.deposit_frame_bytes.frame_bytes_toy,
-        report.deposit_frame_bytes.frame_bytes_light,
+        "\ndeposit frame: {} B payload -> {frame_toy} B (toy) / {frame_light} B (light) on the wire",
+        payload.len(),
     );
 
-    let json = serde_json::to_string_pretty(&report).expect("serializable");
+    let n = |v: usize| Json::int(v as u64);
+    let json = Json::obj([
+        (
+            "f2_f4_protocol",
+            Json::obj([
+                ("deposits", n(5)),
+                ("retrieved", n(retrieved.len())),
+                ("mws_requests", Json::int(mws_m.requests)),
+                ("mws_bytes", Json::int(mws_bytes)),
+                ("pkg_requests", Json::int(pkg_m.requests)),
+                ("pkg_bytes", Json::int(pkg_bytes)),
+            ]),
+        ),
+        (
+            "e4_wire_bytes",
+            Json::Arr(
+                e4.iter()
+                    .map(|&(recipients, pki_bytes)| {
+                        Json::obj([
+                            ("recipients", n(recipients)),
+                            ("ibe_bytes", n(ibe_bytes)),
+                            ("pki_bytes", n(pki_bytes)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("t1_rows", n(t1_rows)),
+        (
+            "deposit_frame_bytes",
+            Json::obj([
+                ("payload_bytes", n(payload.len())),
+                ("frame_bytes_toy", n(frame_toy)),
+                ("frame_bytes_light", n(frame_light)),
+            ]),
+        ),
+    ])
+    .pretty();
     let path = "target/experiment_report.json";
     std::fs::write(path, &json).expect("write report");
     println!("\nJSON written to {path}");
 
     // Sanity gates: the shapes EXPERIMENTS.md claims.
-    assert_eq!(report.f2_f4_protocol.retrieved, 5);
-    assert_eq!(report.t1_rows, 5);
-    assert!(report
-        .e4_wire_bytes
-        .iter()
-        .all(|r| r.ibe_bytes == ibe_bytes));
+    assert_eq!(retrieved.len(), 5);
+    assert_eq!(t1_rows, 5);
     assert!(
-        report.e4_wire_bytes.last().unwrap().pki_bytes > 10 * ibe_bytes,
+        e4.last().unwrap().1 > 10 * ibe_bytes,
         "PKI cost must blow past IBE at high recipient counts"
     );
 }

@@ -1,5 +1,6 @@
-//! Shared workload generation and deployment builders for the experiment
-//! harness (benches `e1`–`e8` and the report binaries).
+//! Shared workload generation, deployment builders, the median timer and
+//! JSON output for the experiment harness (benches `e1`–`e8` and the report
+//! binaries).
 //!
 //! Everything is seeded and deterministic so any experiment row can be
 //! regenerated bit-for-bit.
@@ -7,8 +8,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
+pub mod timing;
 pub mod workload;
 
+pub use json::Json;
+pub use timing::{time_op, timings_json, Bench, Timing};
 pub use workload::{MeterClass, Reading, WorkloadGen};
 
 use mws_core::{Deployment, DeploymentConfig};

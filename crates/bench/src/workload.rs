@@ -4,8 +4,7 @@
 //! seeded readings with the message shapes §II describes (consumption
 //! values, error notifications, events).
 
-use mws_crypto::HmacDrbg;
-use rand::RngCore;
+use mws_crypto::{HmacDrbg, Rng};
 
 /// The meter classes of the Figure 1 scenario.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

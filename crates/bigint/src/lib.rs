@@ -36,6 +36,7 @@ mod hex;
 mod mont;
 mod prime;
 mod randint;
+mod rng;
 // Limb kernels use indexed loops deliberately: the index arithmetic mirrors
 // the textbook algorithms (carry chains, shifts) they implement.
 #[allow(clippy::needless_range_loop)]
@@ -45,6 +46,7 @@ pub use barrett::Barrett;
 pub use mont::Mont;
 pub use prime::{gen_prime, gen_safe_prime, is_prime, MillerRabinRounds};
 pub use randint::{random_below, random_bits, random_nonzero_below};
+pub use rng::Rng;
 pub use uint::Uint;
 
 /// 128-bit unsigned integer (2 limbs).

@@ -1,7 +1,7 @@
 //! Miller–Rabin primality testing and random prime generation.
 
+use crate::Rng;
 use crate::{random_bits, random_nonzero_below, Mont, Uint};
-use rand::RngCore;
 
 /// Number of Miller–Rabin rounds to run for a probabilistic test.
 ///
@@ -24,7 +24,7 @@ const SMALL_PRIMES: [u64; 46] = [
 ];
 
 /// Probabilistic primality test (trial division + Miller–Rabin).
-pub fn is_prime<const L: usize, R: RngCore + ?Sized>(
+pub fn is_prime<const L: usize, R: Rng + ?Sized>(
     n: &Uint<L>,
     rounds: MillerRabinRounds,
     rng: &mut R,
@@ -81,7 +81,7 @@ pub fn is_prime<const L: usize, R: RngCore + ?Sized>(
 /// # Panics
 ///
 /// Panics if `bits < 3` or `bits > Uint::<L>::BITS`.
-pub fn gen_prime<const L: usize, R: RngCore + ?Sized>(
+pub fn gen_prime<const L: usize, R: Rng + ?Sized>(
     rng: &mut R,
     bits: u32,
     rounds: MillerRabinRounds,
@@ -104,7 +104,7 @@ pub fn gen_prime<const L: usize, R: RngCore + ?Sized>(
 /// Generates a safe prime `p = 2q + 1` (both `p` and `q` prime) with exactly
 /// `bits` bits in `p`. Used by tests exercising subgroup structure; safe
 /// primes are slow to find at large sizes, so keep `bits` modest.
-pub fn gen_safe_prime<const L: usize, R: RngCore + ?Sized>(
+pub fn gen_safe_prime<const L: usize, R: Rng + ?Sized>(
     rng: &mut R,
     bits: u32,
     rounds: MillerRabinRounds,
@@ -128,12 +128,11 @@ pub fn gen_safe_prime<const L: usize, R: RngCore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::TestRng;
     use crate::{U256, U512};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> TestRng {
+        TestRng(42)
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Uniform random `Uint` generation.
 
+use crate::Rng;
 use crate::Uint;
-use rand::RngCore;
 
 /// Uniformly random value in `[0, 2^bits)`.
 ///
 /// # Panics
 ///
 /// Panics if `bits > Uint::<L>::BITS`.
-pub fn random_bits<const L: usize, R: RngCore + ?Sized>(rng: &mut R, bits: u32) -> Uint<L> {
+pub fn random_bits<const L: usize, R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Uint<L> {
     assert!(
         bits <= Uint::<L>::BITS,
         "requested more bits than the width holds"
@@ -30,7 +30,7 @@ pub fn random_bits<const L: usize, R: RngCore + ?Sized>(rng: &mut R, bits: u32) 
 /// # Panics
 ///
 /// Panics if `bound` is zero.
-pub fn random_below<const L: usize, R: RngCore + ?Sized>(rng: &mut R, bound: &Uint<L>) -> Uint<L> {
+pub fn random_below<const L: usize, R: Rng + ?Sized>(rng: &mut R, bound: &Uint<L>) -> Uint<L> {
     assert!(!bound.is_zero(), "bound must be positive");
     let bits = bound.bits();
     loop {
@@ -46,7 +46,7 @@ pub fn random_below<const L: usize, R: RngCore + ?Sized>(rng: &mut R, bound: &Ui
 /// # Panics
 ///
 /// Panics if `bound < 2`.
-pub fn random_nonzero_below<const L: usize, R: RngCore + ?Sized>(
+pub fn random_nonzero_below<const L: usize, R: Rng + ?Sized>(
     rng: &mut R,
     bound: &Uint<L>,
 ) -> Uint<L> {
@@ -62,13 +62,12 @@ pub fn random_nonzero_below<const L: usize, R: RngCore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::TestRng;
     use crate::U256;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn random_bits_respects_width() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = TestRng(1);
         for bits in [0u32, 1, 63, 64, 65, 128, 255, 256] {
             for _ in 0..20 {
                 let v: U256 = random_bits(&mut rng, bits);
@@ -79,7 +78,7 @@ mod tests {
 
     #[test]
     fn random_below_in_range() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = TestRng(2);
         let bound = U256::from_u64(1000);
         for _ in 0..200 {
             let v = random_below(&mut rng, &bound);
@@ -89,7 +88,7 @@ mod tests {
 
     #[test]
     fn random_nonzero_excludes_zero() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = TestRng(3);
         let bound = U256::from_u64(2);
         for _ in 0..50 {
             assert_eq!(random_nonzero_below(&mut rng, &bound), U256::ONE);
@@ -98,7 +97,7 @@ mod tests {
 
     #[test]
     fn random_covers_high_limbs() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = TestRng(4);
         let v: U256 = random_bits(&mut rng, 256);
         // Overwhelmingly likely to touch the top limb.
         assert!(v.bits() > 192);

@@ -13,13 +13,13 @@
 //! makes "every acked row ends at exactly R copies" a checkable
 //! invariant (the chaos suite checks it).
 
+use mws_obs::sync::lock;
 use mws_obs::{metric_name, Counter, Gauge};
 use mws_store::{HintQueue, StorageKind};
 use mws_wire::fnv1a64;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Per-target hint queues. `dir = None` keeps queues in memory (tests,
 /// or operators who accept losing hints on a router crash); a directory
@@ -45,7 +45,7 @@ impl HintBoard {
     }
 
     fn slot(&self, node: &str) -> Arc<Mutex<Slot>> {
-        let mut slots = self.slots.lock();
+        let mut slots = lock(&self.slots);
         if let Some(slot) = slots.get(node) {
             return slot.clone();
         }
@@ -75,7 +75,7 @@ impl HintBoard {
     /// write quorum, it just lost the fast-convergence promise.
     pub fn queue(&self, node: &str, payload: &[u8]) -> bool {
         let slot = self.slot(node);
-        let mut slot = slot.lock();
+        let mut slot = lock(&slot);
         match slot.queue.push(payload) {
             Ok(()) => {
                 slot.depth.set(slot.queue.pending() as i64);
@@ -94,13 +94,13 @@ impl HintBoard {
     /// Hints waiting for `node`. Opens the slot if need be, so hints
     /// queued by a previous process (the WAL file on disk) are found.
     pub fn pending(&self, node: &str) -> usize {
-        self.slot(node).lock().queue.pending()
+        lock(&self.slot(node)).queue.pending()
     }
 
     /// Hints waiting across all targets.
     pub fn total_pending(&self) -> usize {
-        let slots: Vec<_> = self.slots.lock().values().cloned().collect();
-        slots.iter().map(|s| s.lock().queue.pending()).sum()
+        let slots: Vec<_> = lock(&self.slots).values().cloned().collect();
+        slots.iter().map(|s| lock(s).queue.pending()).sum()
     }
 
     /// Replays `node`'s queue in FIFO order: `deliver` is called per hint
@@ -110,13 +110,13 @@ impl HintBoard {
     /// Returns the number of hints replayed.
     pub fn drain(&self, node: &str, mut deliver: impl FnMut(&[u8]) -> bool) -> usize {
         let slot = {
-            let slots = self.slots.lock();
+            let slots = lock(&self.slots);
             match slots.get(node) {
                 Some(slot) => slot.clone(),
                 None => return 0,
             }
         };
-        let mut slot = slot.lock();
+        let mut slot = lock(&slot);
         let mut replayed = 0;
         while let Some(payload) = slot.queue.peek() {
             if !deliver(payload) {

@@ -14,7 +14,8 @@
 //!
 //! Placement hashes with the same [`fnv1a64`] the shard router uses, so
 //! the whole placement story — attribute → node → shard — rests on one
-//! stable function that never differs between builds or processes.
+//! stable function that never differs between builds or processes. The
+//! ring passes it through a finalizer first; see [`position`].
 
 use mws_wire::fnv1a64;
 
@@ -25,8 +26,23 @@ use mws_wire::fnv1a64;
 /// membership change (it is just a sorted `Vec`).
 pub const DEFAULT_VNODES: usize = 128;
 
+/// Where a byte string sits on the circle: [`fnv1a64`] through the
+/// SplitMix64 finalizer. The circle is ordered by the *high* bits, and
+/// FNV-1a's last multiply carries a trailing-byte difference no higher
+/// than the middle of the word — so `"{name}#0"` … `"{name}#127"` (and
+/// attribute strings that differ in their last characters) landed in a
+/// handful of tight clusters. Measured on the bare hash: 4 nodes × 128
+/// points owned 55 % / 2 % / 13 % / 29 % of the circle. The finalizer
+/// spreads every input bit over the whole word.
+fn position(bytes: &[u8]) -> u64 {
+    let z = fnv1a64(bytes);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// A consistent-hash ring over `n` nodes, each projected as `vnodes`
-/// points keyed `fnv1a64("{name}#{v}")`.
+/// points keyed `position("{name}#{v}")`.
 ///
 /// The ring is immutable: membership changes build a new ring (cheap — a
 /// sort of `n * vnodes` points) and swap it in, so lookups never lock.
@@ -61,7 +77,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(names.len() * vnodes);
         for (idx, name) in names.iter().enumerate() {
             for v in 0..vnodes {
-                points.push((fnv1a64(format!("{name}#{v}").as_bytes()), idx));
+                points.push((position(format!("{name}#{v}").as_bytes()), idx));
             }
         }
         // Ties (two vnodes hashing identically) resolve to the lower node
@@ -91,7 +107,7 @@ impl HashRing {
     /// is the prefix, and the continuation is the sloppy-quorum overflow
     /// order — where writes spill when a preferred replica is down.
     pub fn preference(&self, key: &str) -> Vec<usize> {
-        let h = fnv1a64(key.as_bytes());
+        let h = position(key.as_bytes());
         let start = self.points.partition_point(|&(p, _)| p < h);
         let mut seen = vec![false; self.nodes];
         let mut order = Vec::with_capacity(self.nodes);
@@ -129,6 +145,28 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), 3, "replicas are distinct nodes");
             assert_eq!(reps, ring.replicas(&key, 3), "stable across lookups");
+        }
+    }
+
+    #[test]
+    fn every_node_owns_about_its_share_of_the_circle() {
+        // The defect the balance property found the first time it ran
+        // (`thousand_vnode_ring_balances_within_tolerance`, case 0: one of
+        // four nodes owned 111 of 293 keys): on the bare hash these shares
+        // were 42 % / 6 % / 22 % / 30 % at 256 points per node.
+        let names: Vec<String> = (0..4)
+            .map(|i| format!("warehouse-{i}.example:7101"))
+            .collect();
+        for vnodes in [DEFAULT_VNODES, 256] {
+            let points = HashRing::new(&names, vnodes).points;
+            let mut share = [0.0; 4];
+            let mut prev = points[points.len() - 1].0;
+            for &(at, idx) in &points {
+                share[idx] += at.wrapping_sub(prev) as f64 / 2f64.powi(64);
+                prev = at;
+            }
+            let balanced = share.iter().all(|s| (0.15..0.35).contains(s));
+            assert!(balanced, "{vnodes} points per node: {share:?}");
         }
     }
 

@@ -31,6 +31,7 @@ use crate::rebalance::{plan_transfers, ArcTransfer};
 use crate::ring::HashRing;
 use mws_crypto::{ct_eq, Hmac, Sha256};
 use mws_net::{Client, NetError, Service};
+use mws_obs::sync::{lock, read_lock, write_lock};
 use mws_obs::{metric_name, Counter, Gauge, Histogram};
 use mws_wire::pdu::{
     cluster_admin_bytes, replica_evict_bytes, replica_push_bytes, replica_rows_bytes,
@@ -39,11 +40,10 @@ use mws_wire::{
     DepositItem, DepositOutcome, MemberState, Pdu, RelayEntry, WireMessage, MEMBER_ACTIVE,
     MEMBER_DRAINING, MEMBER_JOINING,
 };
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
 
 /// Per-forward retry budget against one node (transient socket faults;
@@ -339,6 +339,11 @@ impl ClusterRouter {
         })
     }
 
+    /// A snapshot of the current topology (lookups never hold the lock).
+    fn topo(&self) -> Arc<Topology> {
+        read_lock(&self.topo).clone()
+    }
+
     /// The replication shape.
     pub fn config(&self) -> ClusterConfig {
         self.cfg
@@ -346,26 +351,26 @@ impl ClusterRouter {
 
     /// The current ring epoch (bumped by every membership change).
     pub fn epoch(&self) -> u64 {
-        self.topo.read().epoch
+        self.topo().epoch
     }
 
     /// Turns hinted handoff on: deposits missing a down write-wave
     /// replica are queued (durably, when `dir` is given) and replayed by
     /// the prober once the replica is back.
     pub fn enable_hints(&self, dir: Option<PathBuf>) {
-        *self.hints.write() = Some(Arc::new(HintBoard::new(dir)));
+        *write_lock(&self.hints) = Some(Arc::new(HintBoard::new(dir)));
     }
 
     /// The hint board, if hinting is enabled (observability surface).
     pub fn hint_board(&self) -> Option<Arc<HintBoard>> {
-        self.hints.read().clone()
+        read_lock(&self.hints).clone()
     }
 
     /// Teaches the router how to build a node handle from a bare name,
     /// which is what lets a `ClusterJoin` order grow the cluster without
     /// a restart.
     pub fn set_node_factory(&self, factory: impl Fn(&str) -> ClusterNode + Send + Sync + 'static) {
-        *self.factory.write() = Some(Box::new(factory));
+        *write_lock(&self.factory) = Some(Box::new(factory));
     }
 
     /// Hot-swaps the member list. Nodes whose name survives keep their
@@ -374,7 +379,7 @@ impl ClusterRouter {
     /// survivors. The ring rebuilds with minimal remapping (see `ring`).
     pub fn set_nodes(&self, nodes: Vec<ClusterNode>) {
         assert!(!nodes.is_empty(), "a cluster needs at least one node");
-        let mut topo = self.topo.write();
+        let mut topo = write_lock(&self.topo);
         let arcs: Vec<Arc<ClusterNode>> = nodes
             .into_iter()
             .map(|n| {
@@ -398,12 +403,12 @@ impl ClusterRouter {
     /// Teaches the router the AID → attribute mapping read-repair routes
     /// by. Extends (never clears), so incremental grants just re-feed.
     pub fn set_attribute_names<I: IntoIterator<Item = (u64, String)>>(&self, pairs: I) {
-        self.aid_attrs.write().extend(pairs);
+        write_lock(&self.aid_attrs).extend(pairs);
     }
 
     /// Node names in member order, with liveness (observability surface).
     pub fn node_states(&self) -> Vec<(String, bool)> {
-        let topo = self.topo.read().clone();
+        let topo = self.topo();
         topo.nodes
             .iter()
             .map(|n| (n.name.clone(), n.is_up()))
@@ -434,7 +439,7 @@ impl ClusterRouter {
             }
             Pdu::RetrieveRequest { .. } => self.fan_retrieve(&req),
             Pdu::HealthRequest => {
-                let topo = self.topo.read().clone();
+                let topo = self.topo();
                 let up = topo.up_count();
                 Pdu::HealthResponse {
                     role: "cluster".into(),
@@ -490,18 +495,18 @@ impl ClusterRouter {
         if let Some(reject) = self.verify_admin(0x64, node, epoch, mac) {
             return reject;
         }
-        let mut rebal = self.rebal.lock();
+        let mut rebal = lock(&self.rebal);
         if rebal.transferring {
             return err(409, "membership change already in progress");
         }
         if let Some(worker) = rebal.worker.take() {
             let _ = worker.join(); // finished; reap it
         }
-        let factory = self.factory.read();
+        let factory = read_lock(&self.factory);
         let Some(factory) = factory.as_ref() else {
             return err(501, "no node factory configured; cannot join");
         };
-        let mut topo = self.topo.write();
+        let mut topo = write_lock(&self.topo);
         if topo.by_name(node).is_some() {
             return err(409, "node is already a member");
         }
@@ -519,7 +524,7 @@ impl ClusterRouter {
             epoch,
         });
         drop(topo);
-        let attributes: Vec<String> = self.aid_attrs.read().values().cloned().collect();
+        let attributes: Vec<String> = read_lock(&self.aid_attrs).values().cloned().collect();
         let plan = plan_transfers(
             &old_names,
             &new_names,
@@ -547,14 +552,14 @@ impl ClusterRouter {
         if let Some(reject) = self.verify_admin(0x65, node, epoch, mac) {
             return reject;
         }
-        let mut rebal = self.rebal.lock();
+        let mut rebal = lock(&self.rebal);
         if rebal.transferring {
             return err(409, "membership change already in progress");
         }
         if let Some(worker) = rebal.worker.take() {
             let _ = worker.join(); // finished; reap it
         }
-        let mut topo = self.topo.write();
+        let mut topo = write_lock(&self.topo);
         let Some(leaving) = topo.by_name(node).cloned() else {
             return err(404, "node is not a member");
         };
@@ -582,7 +587,7 @@ impl ClusterRouter {
         });
         drop(topo);
         rebal.leaving = Some(leaving);
-        let attributes: Vec<String> = self.aid_attrs.read().values().cloned().collect();
+        let attributes: Vec<String> = read_lock(&self.aid_attrs).values().cloned().collect();
         let plan = plan_transfers(
             &old_names,
             &new_names,
@@ -614,7 +619,7 @@ impl ClusterRouter {
         rebal.rows_moved = 0;
         if plan.is_empty() {
             if let Some(name) = &joining {
-                if let Some(node) = self.topo.read().by_name(name) {
+                if let Some(node) = self.topo().by_name(name) {
                     node.set_member_state(MEMBER_ACTIVE);
                 }
             }
@@ -636,8 +641,8 @@ impl ClusterRouter {
     /// not its only custodian.
     fn run_transfers(self: Arc<Self>, plan: Vec<ArcTransfer>, joining: Option<String>) {
         for arc in plan {
-            let topo = self.topo.read().clone();
-            let leaving = self.rebal.lock().leaving.clone();
+            let topo = self.topo();
+            let leaving = lock(&self.rebal).leaving.clone();
             let by_name = |name: &String| {
                 topo.by_name(name)
                     .cloned()
@@ -717,17 +722,17 @@ impl ClusterRouter {
             }
             stats().rebalance_arcs.inc();
             stats().rebalance_rows.add(moved);
-            let mut rebal = self.rebal.lock();
+            let mut rebal = lock(&self.rebal);
             rebal.arcs_done += 1;
             rebal.rows_moved += moved;
         }
-        let topo = self.topo.read().clone();
+        let topo = self.topo();
         if let Some(name) = &joining {
             if let Some(node) = topo.by_name(name) {
                 node.set_member_state(MEMBER_ACTIVE);
             }
         }
-        let mut rebal = self.rebal.lock();
+        let mut rebal = lock(&self.rebal);
         rebal.leaving = None;
         rebal.transferring = false;
         mws_obs::info!(target: "mws_cluster", "rebalance complete",
@@ -739,8 +744,8 @@ impl ClusterRouter {
     /// ring). Unauthenticated — it names nodes and counts rows, which the
     /// Stats exposition already does.
     fn rebalance_report(&self) -> Pdu {
-        let rebal = self.rebal.lock();
-        let topo = self.topo.read().clone();
+        let rebal = lock(&self.rebal);
+        let topo = self.topo();
         let mut members: Vec<MemberState> = topo
             .nodes
             .iter()
@@ -773,7 +778,7 @@ impl ClusterRouter {
         let deadline = Instant::now() + timeout;
         loop {
             let (done, worker) = {
-                let mut rebal = self.rebal.lock();
+                let mut rebal = lock(&self.rebal);
                 if rebal.transferring {
                     (false, None)
                 } else {
@@ -815,8 +820,8 @@ impl ClusterRouter {
     /// Hints are queued only on the ack path: a rejected or quorum-failed
     /// deposit leaves no hint.
     fn forward_deposit(&self, attribute: &str, req: &Pdu) -> Pdu {
-        let topo = self.topo.read().clone();
-        let hints = self.hints.read().clone();
+        let topo = self.topo();
+        let hints = read_lock(&self.hints).clone();
         let pref = topo.ring.preference(attribute);
         let preferred: Vec<usize> = pref.iter().copied().take(self.cfg.replicas).collect();
         let mut durable: Vec<(usize, Pdu)> = Vec::new(); // (node idx, reply)
@@ -916,7 +921,7 @@ impl ClusterRouter {
     /// commit on every node still sees the whole group. Outcomes merge
     /// per item under the same W rule as single deposits.
     fn forward_batch(&self, sd_id: String, items: Vec<DepositItem>) -> Pdu {
-        let topo = self.topo.read().clone();
+        let topo = self.topo();
         let mut results = vec![
             DepositOutcome {
                 status: DepositOutcome::STORAGE_ERROR,
@@ -932,7 +937,7 @@ impl ClusterRouter {
                 .or_default()
                 .push(i);
         }
-        let hints = self.hints.read().clone();
+        let hints = read_lock(&self.hints).clone();
         for (pref, member_idx) in groups {
             let sub: Vec<DepositItem> = member_idx.iter().map(|&i| items[i].clone()).collect();
             let req = Pdu::DepositBatch {
@@ -1052,7 +1057,7 @@ impl ClusterRouter {
     /// passes everywhere), and each assigns its own message ids — so the
     /// merged view keys rows by nonce and namespaces ids by node index.
     fn fan_retrieve(&self, req: &Pdu) -> Pdu {
-        let topo = self.topo.read().clone();
+        let topo = self.topo();
         if self.cfg.read == ReadConsistency::Fastest {
             return self.fastest_retrieve(&topo, req);
         }
@@ -1147,7 +1152,7 @@ impl ClusterRouter {
         successes: &[(usize, Vec<u8>, Vec<WireMessage>)],
         union: &BTreeSet<Vec<u8>>,
     ) {
-        let aid_attrs = self.aid_attrs.read();
+        let aid_attrs = read_lock(&self.aid_attrs);
         // (laggard, attribute) → donor holding the attribute's rows.
         let mut repairs: BTreeMap<(usize, String), usize> = BTreeMap::new();
         for (idx, _, messages) in successes {
@@ -1239,7 +1244,7 @@ impl ClusterRouter {
     /// places on it. Any node that is up and owes hints gets its queue
     /// replayed. Returns the up count.
     pub fn probe_once(&self) -> usize {
-        let topo = self.topo.read().clone();
+        let topo = self.topo();
         let mut recovered = Vec::new();
         for (idx, node) in topo.nodes.iter().enumerate() {
             let healthy = matches!(
@@ -1257,7 +1262,7 @@ impl ClusterRouter {
         for idx in recovered {
             self.catch_up(&topo, idx);
         }
-        if let Some(hints) = self.hints.read().clone() {
+        if let Some(hints) = read_lock(&self.hints).clone() {
             for node in topo.nodes.iter().filter(|n| n.is_up()) {
                 if hints.pending(node.name()) > 0 {
                     self.replay_hints(&hints, node);
@@ -1486,7 +1491,6 @@ mod tests {
     use super::*;
     use mws_net::Network;
     use mws_wire::fnv1a64;
-    use parking_lot::Mutex;
 
     /// A toy warehouse faithful to the router-visible contract: dedup by
     /// nonce, 409 on replayed nonces, retrieve listing, and the MAC'd
@@ -1502,7 +1506,7 @@ mod tests {
 
     fn toy_service(store: Arc<Mutex<ToyStore>>) -> impl Service + 'static {
         move |req: Pdu| {
-            let mut s = store.lock();
+            let mut s = lock(&store);
             match req {
                 Pdu::DepositRequest {
                     sd_id,
@@ -1695,7 +1699,7 @@ mod tests {
 
     fn holders(c: &Cluster, nonce: &[u8]) -> Vec<usize> {
         (0..c.stores.len())
-            .filter(|&i| c.stores[i].lock().rows.contains_key(nonce))
+            .filter(|&i| lock(&c.stores[i]).rows.contains_key(nonce))
             .collect()
     }
 
@@ -1706,7 +1710,7 @@ mod tests {
             let attr = format!("ATTR-{i}");
             let reply = c.router.handle(deposit(&attr, &[i]));
             assert!(matches!(reply, Pdu::DepositAck { .. }), "{reply:?}");
-            let mut expect = c.router.topo.read().ring.replicas(&attr, 2);
+            let mut expect = c.router.topo().ring.replicas(&attr, 2);
             expect.sort_unstable();
             assert_eq!(holders(&c, &[i]), expect);
         }
@@ -1727,7 +1731,7 @@ mod tests {
     fn sloppy_quorum_survives_a_dead_primary() {
         let c = cluster(3, 2, 2);
         // Find an attribute whose primary is node 0, then kill node 0.
-        let topo = c.router.topo.read().clone();
+        let topo = c.router.topo();
         let attr = (0..)
             .map(|i| format!("K{i}"))
             .find(|a| topo.ring.replicas(a, 1)[0] == 0)
@@ -1738,7 +1742,7 @@ mod tests {
         assert!(matches!(reply, Pdu::DepositAck { .. }), "{reply:?}");
         let have = holders(&c, b"nx");
         assert_eq!(have, vec![1, 2], "walk spilled past the dead primary");
-        assert!(!c.router.topo.read().nodes[0].is_up(), "failure marked");
+        assert!(!c.router.topo().nodes[0].is_up(), "failure marked");
     }
 
     #[test]
@@ -1800,10 +1804,10 @@ mod tests {
         let c = cluster(3, 2, 2);
         let reply = c.router.handle(deposit("A", b"n1"));
         assert!(matches!(reply, Pdu::DepositAck { .. }));
-        let reps = c.router.topo.read().ring.replicas("A", 2);
+        let reps = c.router.topo().ring.replicas("A", 2);
         // Simulate a lost row on one replica (torn disk, rolled-back WAL).
         let laggard = reps[1];
-        c.stores[laggard].lock().rows.clear();
+        lock(&c.stores[laggard]).rows.clear();
         c.router
             .set_attribute_names([(fnv1a64(b"A"), "A".to_string())]);
         let Pdu::RetrieveResponse { messages, .. } = c.router.handle(retrieve()) else {
@@ -1811,7 +1815,7 @@ mod tests {
         };
         assert_eq!(messages.len(), 1, "survivor still serves the row");
         assert!(
-            c.stores[laggard].lock().rows.contains_key(b"n1".as_slice()),
+            lock(&c.stores[laggard]).rows.contains_key(b"n1".as_slice()),
             "divergent replica repaired from the donor"
         );
     }
@@ -1826,7 +1830,7 @@ mod tests {
             let attr = format!("ATTR-{i}");
             let reply = c.router.handle(deposit(&attr, &[i]));
             assert!(matches!(reply, Pdu::DepositAck { .. }));
-            if c.router.topo.read().ring.replicas(&attr, 2).contains(&0) {
+            if c.router.topo().ring.replicas(&attr, 2).contains(&0) {
                 mine.push(i);
             }
         }
@@ -1835,10 +1839,10 @@ mod tests {
         // Restart: rebind the same store (its pre-crash rows intact).
         c.net.bind("node-0", toy_service(c.stores[0].clone()));
         c.router.probe_once(); // notice recovery + catch up
-        assert!(c.router.topo.read().nodes[0].is_up());
+        assert!(c.router.topo().nodes[0].is_up());
         for i in mine {
             assert!(
-                c.stores[0].lock().rows.contains_key(&vec![i]),
+                lock(&c.stores[0]).rows.contains_key(&vec![i]),
                 "row {i} pushed during catch-up"
             );
         }
@@ -1889,7 +1893,7 @@ mod tests {
         let c = cluster(3, 2, 1);
         c.router.enable_hints(None);
         // Find an attribute with node-0 in its replica set, then kill it.
-        let topo = c.router.topo.read().clone();
+        let topo = c.router.topo();
         let attr = (0..)
             .map(|i| format!("H{i}"))
             .find(|a| topo.ring.replicas(a, 2).contains(&0))
@@ -1945,7 +1949,7 @@ mod tests {
         assert!(results.iter().all(|o| o.status == DepositOutcome::STORED));
         c.net.bind("node-1", toy_service(c.stores[1].clone()));
         c.router.probe_once();
-        let topo = c.router.topo.read().clone();
+        let topo = c.router.topo();
         for i in 0..6u8 {
             let mut reps = topo.ring.replicas(&format!("ATTR-{i}"), 2);
             reps.sort_unstable();
@@ -1970,14 +1974,14 @@ mod tests {
         let reply = router.handle(deposit("A", b"f1"));
         assert!(matches!(reply, Pdu::DepositAck { .. }));
         router.set_attribute_names([(fnv1a64(b"A"), "A".to_string())]);
-        let laggard = router.topo.read().ring.replicas("A", 2)[1];
-        stores[laggard].lock().rows.clear();
+        let laggard = router.topo().ring.replicas("A", 2)[1];
+        lock(&stores[laggard]).rows.clear();
         for _ in 0..6 {
             let reply = router.handle(retrieve());
             assert!(matches!(reply, Pdu::RetrieveResponse { .. }), "{reply:?}");
         }
         assert!(
-            stores[laggard].lock().rows.is_empty(),
+            lock(&stores[laggard]).rows.is_empty(),
             "fastest reads never trigger read-repair"
         );
     }
@@ -2003,7 +2007,7 @@ mod tests {
         };
         assert_eq!(epoch, 1, "join bumped the ring epoch");
         assert!(c.router.wait_rebalance(WAIT), "transfer finished");
-        let topo = c.router.topo.read().clone();
+        let topo = c.router.topo();
         assert_eq!(topo.nodes.len(), 4);
         let node3 = topo.by_name("node-3").unwrap();
         assert_eq!(node3.member_state(), MEMBER_ACTIVE, "joining → active");
@@ -2012,7 +2016,7 @@ mod tests {
             if topo.ring.replicas(attr, 2).contains(&3) {
                 streamed += 1;
                 assert!(
-                    store3.lock().rows.contains_key(&vec![i as u8]),
+                    lock(&store3).rows.contains_key(&vec![i as u8]),
                     "remapped arc {attr} reached the newcomer"
                 );
             }
@@ -2047,7 +2051,7 @@ mod tests {
             "{reply:?}"
         );
         assert!(c.router.wait_rebalance(WAIT), "transfer finished");
-        let topo = c.router.topo.read().clone();
+        let topo = c.router.topo();
         assert_eq!(topo.nodes.len(), 2, "leaving node out of the ring");
         assert!(topo.by_name("node-2").is_none());
         // R=2 over 2 survivors: every acked row on both remaining nodes.
@@ -2098,14 +2102,14 @@ mod tests {
         let router = ClusterRouter::new(nodes, cfg, KEY.to_vec());
         net.unbind("node-0");
         router.probe_once();
-        assert!(router.topo.read().nodes[0].is_up(), "one miss is not down");
+        assert!(router.topo().nodes[0].is_up(), "one miss is not down");
         router.probe_once();
-        assert!(!router.topo.read().nodes[0].is_up(), "two misses are");
+        assert!(!router.topo().nodes[0].is_up(), "two misses are");
         net.bind("node-0", toy_service(store));
         router.probe_once();
-        assert!(!router.topo.read().nodes[0].is_up(), "one hit is not up");
+        assert!(!router.topo().nodes[0].is_up(), "one hit is not up");
         router.probe_once();
-        assert!(router.topo.read().nodes[0].is_up(), "two hits are");
+        assert!(router.topo().nodes[0].is_up(), "two hits are");
     }
 
     #[test]

@@ -12,12 +12,11 @@
 use crate::clock::LogicalClock;
 use crate::errors::CoreError;
 use crate::sda::{deposit_auth_bytes, deposit_mac, encode_ibs_signature, SD_IDENTITY_PREFIX};
-use mws_crypto::HmacDrbg;
+use mws_crypto::{HmacDrbg, Rng};
 use mws_ibe::{CipherAlgo, IbeSystem, MasterPublic, UserPrivateKey};
 use mws_net::Client;
 use mws_pairing::{PairingCtx, PairingParams};
 use mws_wire::Pdu;
-use rand::RngCore;
 
 /// What a device holds to authenticate its deposits.
 #[derive(Clone)]

@@ -9,9 +9,9 @@
 
 use crate::clock::{ReplayGuard, ReplayPolicy};
 use crate::sealed::{open_blob, seal_blob};
+use mws_crypto::Rng;
 use mws_store::{Result as StoreResult, StorageKind, UserDb, UserRecord};
 use mws_wire::{WireReader, WireWriter};
-use rand::RngCore;
 
 const AUTH_LABEL: &str = "mws-rc-auth";
 
@@ -37,7 +37,7 @@ impl core::fmt::Display for GkReject {
 }
 
 /// Builds the RC-side authentication blob `E(HashPassword, ID ‖ T ‖ N)`.
-pub fn compose_rc_auth<R: RngCore + ?Sized>(
+pub fn compose_rc_auth<R: Rng + ?Sized>(
     rng: &mut R,
     hash_password: &[u8],
     rc_id: &str,

@@ -19,10 +19,10 @@ use mws_crypto::{Digest, HmacDrbg, Sha256};
 use mws_ibe::threshold::MasterShare;
 use mws_ibe::{IbeSystem, MasterPublic, MasterSecret};
 use mws_net::Service;
+use mws_obs::sync::lock;
 use mws_wire::{Pdu, WireReader, WireWriter};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Label for the RC → PKG authenticator blob.
 pub const AUTHENTICATOR_LABEL: &str = "rc-pkg-authenticator";
@@ -47,7 +47,7 @@ pub enum PkgMaster {
 }
 
 /// Builds the RC authenticator `E(SecK_RC-PKG, ID_RC ‖ T)` (§V.D).
-pub fn compose_authenticator<R: rand::RngCore + ?Sized>(
+pub fn compose_authenticator<R: mws_crypto::Rng + ?Sized>(
     rng: &mut R,
     session_key: &[u8],
     rc_id: &str,
@@ -126,17 +126,17 @@ impl PkgService {
     /// A [`Service`] facade for binding onto a network.
     pub fn as_service(&self) -> impl Service + 'static {
         let inner = self.inner.clone();
-        move |req: Pdu| inner.lock().handle(req)
+        move |req: Pdu| lock(&inner).handle(req)
     }
 
     /// Snapshot of audit rejections (test/ops hook).
     pub fn rejection_count(&self) -> usize {
-        self.inner.lock().audit.rejection_count()
+        lock(&self.inner).audit.rejection_count()
     }
 
     /// Number of live sessions.
     pub fn session_count(&self) -> usize {
-        self.inner.lock().sessions.len()
+        lock(&self.inner).sessions.len()
     }
 }
 

@@ -18,17 +18,16 @@ use crate::policy::AttrPattern;
 use crate::registry::DeviceRegistry;
 use crate::sda::{DeviceAuthVerifier, SdAuthenticator, SD_IDENTITY_PREFIX};
 use crate::token::{TicketContent, TokenGenerator};
-use mws_crypto::{ct_eq, Hmac, HmacDrbg, RsaKeyPair, RsaPublicKey, Sha256};
+use mws_crypto::{ct_eq, Hmac, HmacDrbg, Rng, RsaKeyPair, RsaPublicKey, Sha256};
 use mws_ibe::{CipherAlgo, IbeSystem};
 use mws_net::{Client, FaultConfig, Network};
+use mws_obs::sync::lock;
 use mws_pairing::SecurityLevel;
 use mws_store::{FaultPlan, PendingDeposit, PolicyRow, ShardedMessageDb, StorageKind};
 use mws_wire::pdu::{replica_evict_bytes, replica_push_bytes, replica_rows_bytes};
 use mws_wire::{DepositItem, DepositOutcome, Pdu, RelayEntry, WireMessage};
-use parking_lot::Mutex;
-use rand::RngCore;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 pub use crate::client::{ReceivingClient, RetrievedMessage};
 
@@ -186,7 +185,7 @@ impl MwsService {
                 epoch,
                 mac,
             } => self.handle_replica_evict(&attribute, epoch, &mac),
-            other => self.inner.lock().handle(other),
+            other => lock(&self.inner).handle(other),
         }
     }
 
@@ -315,7 +314,7 @@ impl MwsService {
     fn handle_deposit(&self, row: PendingDeposit, mac: Vec<u8>) -> Pdu {
         let now = self.clock.now();
         {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             if let Err(reject) = inner.sda.verify_fresh(
                 now,
                 &row.sd_id,
@@ -336,7 +335,7 @@ impl MwsService {
                 return err(500, "storage failure");
             }
         };
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.sda.record_deposit(&row.sd_id, &row.nonce);
         if stored {
             stats().deposit_accepted.inc();
@@ -378,7 +377,7 @@ impl MwsService {
         ];
         let mut verified: Vec<(usize, PendingDeposit)> = Vec::with_capacity(items.len());
         {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             for (i, item) in items.into_iter().enumerate() {
                 match inner.sda.verify_fresh(
                     now,
@@ -410,7 +409,7 @@ impl MwsService {
         }
         let rows: Vec<PendingDeposit> = verified.iter().map(|(_, row)| row.clone()).collect();
         let outcomes = self.store.deposit_batch(&rows);
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         for ((i, row), outcome) in verified.into_iter().zip(outcomes) {
             match outcome {
                 Some((message_id, fresh)) => {
@@ -454,8 +453,7 @@ impl MwsService {
 
     /// Registers a device MAC key (SDA key management).
     pub fn register_device(&self, sd_id: &str, mac_key: &[u8]) {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .sda
             .registry_mut()
             .register(sd_id, mac_key);
@@ -463,7 +461,7 @@ impl MwsService {
 
     /// Disables a device.
     pub fn disable_device(&self, sd_id: &str) -> bool {
-        self.inner.lock().sda.registry_mut().disable(sd_id)
+        lock(&self.inner).sda.registry_mut().disable(sd_id)
     }
 
     /// Registers an RC.
@@ -473,17 +471,14 @@ impl MwsService {
         password: &str,
         public_key: &[u8],
     ) -> Result<(), CoreError> {
-        Ok(self
-            .inner
-            .lock()
+        Ok(lock(&self.inner)
             .gatekeeper
             .register(rc_id, password, public_key)?)
     }
 
     /// The stored RSA public key of a registered RC (None if unknown).
     pub fn client_public_key(&self, rc_id: &str) -> Option<Vec<u8>> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .gatekeeper
             .user(rc_id)
             .ok()
@@ -492,7 +487,7 @@ impl MwsService {
 
     /// Grants a literal attribute.
     pub fn grant(&self, rc_id: &str, attribute: &str) -> Result<(), CoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.mms.grant(rc_id, attribute)?;
         let now = inner.clock.now();
         inner.audit.record(
@@ -509,13 +504,13 @@ impl MwsService {
     pub fn grant_pattern(&self, rc_id: &str, pattern: &str) -> Result<(), CoreError> {
         let parsed =
             AttrPattern::parse(pattern).map_err(|_| CoreError::Crypto("invalid pattern"))?;
-        self.inner.lock().mms.grant_pattern(rc_id, parsed)?;
+        lock(&self.inner).mms.grant_pattern(rc_id, parsed)?;
         Ok(())
     }
 
     /// Revokes one attribute (requirement iii).
     pub fn revoke(&self, rc_id: &str, attribute: &str) -> Result<(), CoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.mms.revoke(rc_id, attribute)?;
         let now = inner.clock.now();
         inner.audit.record(
@@ -530,7 +525,7 @@ impl MwsService {
 
     /// Revokes an identity entirely.
     pub fn revoke_identity(&self, rc_id: &str) -> Result<usize, CoreError> {
-        Ok(self.inner.lock().mms.revoke_identity(rc_id)?)
+        Ok(lock(&self.inner).mms.revoke_identity(rc_id)?)
     }
 
     /// Applies a batch of edge-verified deposits pulled from a distribution
@@ -538,7 +533,7 @@ impl MwsService {
     /// entries go straight into the Message Database. Returns the assigned
     /// warehouse ids.
     pub fn store_relayed(&self, entries: &[mws_wire::RelayEntry]) -> Result<Vec<u64>, CoreError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let now = inner.clock.now();
         let mut ids = Vec::with_capacity(entries.len());
         for e in entries {
@@ -566,17 +561,17 @@ impl MwsService {
     /// Retention sweep: drops every warehoused message older than `before`
     /// (ciphertexts only — nothing about them is recoverable afterwards).
     pub fn purge_messages_before(&self, before: u64) -> Result<usize, CoreError> {
-        Ok(self.inner.lock().mms.purge_before(before)?)
+        Ok(lock(&self.inner).mms.purge_before(before)?)
     }
 
     /// The current Table 1 rows.
     pub fn policy_table(&self) -> Vec<PolicyRow> {
-        self.inner.lock().mms.policy().table()
+        lock(&self.inner).mms.policy().table()
     }
 
     /// Messages currently warehoused.
     pub fn message_count(&self) -> usize {
-        self.inner.lock().mms.messages().len()
+        lock(&self.inner).mms.messages().len()
     }
 
     /// A shared handle to the sharded message warehouse, for inspecting
@@ -587,12 +582,12 @@ impl MwsService {
 
     /// Audit rejections so far.
     pub fn rejection_count(&self) -> usize {
-        self.inner.lock().audit.rejection_count()
+        lock(&self.inner).audit.rejection_count()
     }
 
     /// Snapshot of all audit records.
     pub fn audit_events(&self) -> Vec<AuditRecord> {
-        self.inner.lock().audit.events().cloned().collect()
+        lock(&self.inner).audit.events().cloned().collect()
     }
 }
 
@@ -1163,6 +1158,25 @@ mod tests {
 
     fn deployment() -> Deployment {
         Deployment::new(DeploymentConfig::test_default())
+    }
+
+    #[test]
+    fn seed_to_master_key_derivation_is_pinned() {
+        // Captured at e1e27ef. Daemons, `mws-clusterctl` and seeded
+        // provisioning agree on keys only because every build derives the
+        // same ones from a seed; a moved DRBG stream would show up here.
+        use mws_crypto::Digest;
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let dep = deployment();
+        let mpk = dep.ibe().mpk_to_bytes(dep.master_public());
+        assert_eq!(
+            hex(&Sha256::digest(&mpk)),
+            "dc4acaee14b8a5055480d60a972bb3e638463651bf69fde32ff25d8793954a6b"
+        );
+        assert_eq!(
+            hex(&dep.replica_key()),
+            "c7bbff815ea9333aa95e30619b07a1c1570070ed7418454442a83cc091558ddb"
+        );
     }
 
     #[test]

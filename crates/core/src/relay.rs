@@ -20,10 +20,10 @@ use crate::registry::DeviceRegistry;
 use crate::sda::{DeviceAuthVerifier, SdAuthenticator};
 use mws_crypto::{Hmac, Sha256};
 use mws_net::{Client, Service};
+use mws_obs::sync::lock;
 use mws_wire::{Pdu, RelayEntry};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Maximum entries an ingest point buffers before shedding oldest
 /// (sites are expected to be drained far more often).
@@ -98,13 +98,12 @@ impl IngestPoint {
     /// A bindable service facade.
     pub fn as_service(&self) -> impl Service + 'static {
         let inner = self.inner.clone();
-        move |req: Pdu| inner.lock().handle(req)
+        move |req: Pdu| lock(&inner).handle(req)
     }
 
     /// Registers a device at this site.
     pub fn register_device(&self, sd_id: &str, mac_key: &[u8]) {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .sda
             .registry_mut()
             .register(sd_id, mac_key);
@@ -112,12 +111,12 @@ impl IngestPoint {
 
     /// Entries currently buffered (not yet known to be applied centrally).
     pub fn buffered(&self) -> usize {
-        self.inner.lock().buffer.len()
+        lock(&self.inner).buffer.len()
     }
 
     /// The site name.
     pub fn site(&self) -> String {
-        self.inner.lock().site.clone()
+        lock(&self.inner).site.clone()
     }
 }
 

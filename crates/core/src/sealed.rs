@@ -10,13 +10,12 @@
 //!
 //! Layout: `nonce(8) ‖ ciphertext ‖ tag(32)`.
 
-use mws_crypto::{kdf, open, seal, Aes128, Sha256};
-use rand::RngCore;
+use mws_crypto::{kdf, open, seal, Aes128, Rng, Sha256};
 
 const NONCE_LEN: usize = 8;
 
 /// Seals `plaintext` under a shared secret and a domain label.
-pub fn seal_blob<R: RngCore + ?Sized>(
+pub fn seal_blob<R: Rng + ?Sized>(
     rng: &mut R,
     shared_secret: &[u8],
     label: &str,

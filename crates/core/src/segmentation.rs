@@ -13,8 +13,8 @@
 //! to only one attribute learns nothing about the others (each segment is
 //! encrypted under its own attribute key).
 
+use mws_crypto::Rng;
 use mws_wire::{WireReader, WireWriter};
-use rand::RngCore;
 
 /// Identifies one multi-segment message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub struct SegmentFrame {
 
 impl SegmentGroup {
     /// Starts a new group of `total` segments.
-    pub fn new<R: RngCore + ?Sized>(rng: &mut R, sd_id: &str, total: usize) -> Self {
+    pub fn new<R: Rng + ?Sized>(rng: &mut R, sd_id: &str, total: usize) -> Self {
         let mut group_id = [0u8; 12];
         rng.fill_bytes(&mut group_id);
         Self {

@@ -14,9 +14,8 @@
 //! Documented as a substitution in DESIGN.md §3.
 
 use crate::sealed::{open_blob, seal_blob};
-use mws_crypto::{RsaPrivateKey, RsaPublicKey};
+use mws_crypto::{Rng, RsaPrivateKey, RsaPublicKey};
 use mws_wire::{WireReader, WireWriter};
-use rand::RngCore;
 
 /// What the MWS locks inside a ticket for the PKG's eyes only.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,18 +48,14 @@ impl TokenGenerator {
     }
 
     /// Draws a fresh session key.
-    pub fn fresh_session_key<R: RngCore + ?Sized>(rng: &mut R) -> Vec<u8> {
+    pub fn fresh_session_key<R: Rng + ?Sized>(rng: &mut R) -> Vec<u8> {
         let mut k = vec![0u8; SESSION_KEY_LEN];
         rng.fill_bytes(&mut k);
         k
     }
 
     /// Seals a ticket for the PKG.
-    pub fn build_ticket<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        content: &TicketContent,
-    ) -> Vec<u8> {
+    pub fn build_ticket<R: Rng + ?Sized>(&self, rng: &mut R, content: &TicketContent) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.string(&content.rc_id)
             .bytes(&content.session_key)
@@ -99,7 +94,7 @@ impl TokenGenerator {
     }
 
     /// Builds the RC-facing token: `RSA(PubK_RC, session_key) ‖ ticket`.
-    pub fn build_token<R: RngCore + ?Sized>(
+    pub fn build_token<R: Rng + ?Sized>(
         rng: &mut R,
         rc_public: &RsaPublicKey,
         session_key: &[u8],

@@ -2,11 +2,11 @@
 //!
 //! Smart devices in the simulation are seeded deterministically so that every
 //! experiment is reproducible; the DRBG also backs nonce generation in
-//! `mws-core`. It implements [`rand::RngCore`] so it can be used anywhere a
+//! `mws-core`. It implements [`Rng`] so it can be used anywhere a
 //! random source is expected (e.g. prime generation).
 
 use crate::{Digest, Hmac, Sha256};
-use rand::{CryptoRng, RngCore};
+use mws_bigint::Rng;
 
 /// HMAC-SHA256 deterministic random bit generator.
 pub struct HmacDrbg {
@@ -80,7 +80,7 @@ impl HmacDrbg {
     }
 }
 
-impl RngCore for HmacDrbg {
+impl Rng for HmacDrbg {
     fn next_u32(&mut self) -> u32 {
         let mut b = [0u8; 4];
         self.generate(&mut b);
@@ -96,14 +96,7 @@ impl RngCore for HmacDrbg {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         self.generate(dest);
     }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.generate(dest);
-        Ok(())
-    }
 }
-
-impl CryptoRng for HmacDrbg {}
 
 #[cfg(test)]
 mod tests {
@@ -161,15 +154,20 @@ mod tests {
     }
 
     #[test]
-    fn rngcore_integration() {
-        use rand::RngCore;
-        let mut drbg = HmacDrbg::from_u64(99);
-        let x = drbg.next_u64();
-        let y = drbg.next_u64();
-        assert_ne!(x, y);
-        let mut buf = [0u8; 17];
+    fn rng_stream_is_pinned() {
+        // Captured at e1e27ef, when these were `rand::RngCore` methods:
+        // daemons, `mws-clusterctl` and seeded provisioning all derive keys
+        // from this stream, so it must never move.
+        let mut drbg = HmacDrbg::from_u64(1);
+        assert_eq!(drbg.next_u32(), 0x58fe_5fe3);
+        assert_eq!(drbg.next_u64(), 0x6655_1432_2aae_51f1);
+        let mut buf = [0u8; 40];
         drbg.fill_bytes(&mut buf);
-        assert_ne!(buf, [0u8; 17]);
+        assert_eq!(
+            hex(&buf),
+            "fdaa074157a37f1923c8cca2285ccb956b53a9f76bfa014b951769d93eb83d48\
+             cde351a47b2153de"
+        );
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub use hkdf::{hkdf_expand, hkdf_extract, kdf};
 pub use hmac::Hmac;
 pub use md5::Md5;
 pub use modes::{CbcMode, CtrMode, EcbMode};
+pub use mws_bigint::Rng;
 pub use pad::{pkcs7_pad, pkcs7_unpad, PadError};
 pub use rsa::{RsaError, RsaKeyPair, RsaPrivateKey, RsaPublicKey};
 pub use sha1::Sha1;

@@ -9,8 +9,7 @@
 //! generated properly.
 
 use crate::{Digest, Sha256};
-use mws_bigint::{gen_prime, MillerRabinRounds, Mont, U2048};
-use rand::RngCore;
+use mws_bigint::{gen_prime, MillerRabinRounds, Mont, Rng, U2048};
 
 /// Maximum modulus width supported (bits).
 pub const MAX_MODULUS_BITS: u32 = 2048;
@@ -78,7 +77,7 @@ pub struct RsaKeyPair {
 impl RsaKeyPair {
     /// Generates a keypair with a modulus of `bits` (512 for fast tests,
     /// 1024/2048 for benchmarks). Public exponent is 65537.
-    pub fn generate<R: RngCore + ?Sized>(rng: &mut R, bits: u32) -> Result<Self, RsaError> {
+    pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Result<Self, RsaError> {
         if !(512..=MAX_MODULUS_BITS).contains(&bits) || !bits.is_multiple_of(2) {
             return Err(RsaError::BadKeySize);
         }
@@ -184,7 +183,7 @@ impl RsaPublicKey {
     }
 
     /// PKCS#1 v1.5 encryption (EME-PKCS1-v1_5). Message limit is `k − 11`.
-    pub fn encrypt_pkcs1<R: RngCore + ?Sized>(
+    pub fn encrypt_pkcs1<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         msg: &[u8],
@@ -319,11 +318,10 @@ fn emsa_pkcs1_sha256(msg: &[u8], k: usize) -> Result<Vec<u8>, RsaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::HmacDrbg;
 
     fn keypair() -> RsaKeyPair {
-        let mut rng = StdRng::seed_from_u64(1234);
+        let mut rng = HmacDrbg::from_u64(1234);
         RsaKeyPair::generate(&mut rng, 512).unwrap()
     }
 
@@ -338,7 +336,7 @@ mod tests {
     #[test]
     fn encrypt_decrypt_roundtrip() {
         let kp = keypair();
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = HmacDrbg::from_u64(5);
         for msg in [&b""[..], b"x", b"meter reading 42kWh", &[0u8; 53]] {
             let ct = kp.public.encrypt_pkcs1(&mut rng, msg).unwrap();
             assert_eq!(ct.len(), 64);
@@ -349,7 +347,7 @@ mod tests {
     #[test]
     fn encryption_is_randomized() {
         let kp = keypair();
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = HmacDrbg::from_u64(6);
         let c1 = kp.public.encrypt_pkcs1(&mut rng, b"same").unwrap();
         let c2 = kp.public.encrypt_pkcs1(&mut rng, b"same").unwrap();
         assert_ne!(c1, c2);
@@ -358,7 +356,7 @@ mod tests {
     #[test]
     fn message_length_limit() {
         let kp = keypair();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = HmacDrbg::from_u64(7);
         let max = kp.public.modulus_len() - 11;
         assert!(kp.public.encrypt_pkcs1(&mut rng, &vec![1u8; max]).is_ok());
         assert_eq!(
@@ -372,7 +370,7 @@ mod tests {
     #[test]
     fn tampered_ciphertext_fails() {
         let kp = keypair();
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = HmacDrbg::from_u64(8);
         let mut ct = kp.public.encrypt_pkcs1(&mut rng, b"secret").unwrap();
         ct[10] ^= 1;
         // Either padding failure or garbage output — must not return the
@@ -401,7 +399,7 @@ mod tests {
     #[test]
     fn cross_key_rejection() {
         let kp1 = keypair();
-        let mut rng = StdRng::seed_from_u64(99);
+        let mut rng = HmacDrbg::from_u64(99);
         let kp2 = RsaKeyPair::generate(&mut rng, 512).unwrap();
         let sig = kp1.private.sign_pkcs1_sha256(b"msg").unwrap();
         assert!(kp2.public.verify_pkcs1_sha256(b"msg", &sig).is_err());
@@ -414,7 +412,7 @@ mod tests {
         let parsed = RsaPublicKey::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, kp.public);
         // Parsed key encrypts; original private key decrypts.
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = HmacDrbg::from_u64(11);
         let ct = parsed.encrypt_pkcs1(&mut rng, b"via parsed key").unwrap();
         assert_eq!(kp.private.decrypt_pkcs1(&ct).unwrap(), b"via parsed key");
         // Corruption rejected.
@@ -430,7 +428,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_key_sizes() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = HmacDrbg::from_u64(1);
         assert!(matches!(
             RsaKeyPair::generate(&mut rng, 100),
             Err(RsaError::BadKeySize)

@@ -4,133 +4,165 @@ use mws_crypto::{
     gcm_open, gcm_seal, open, pkcs7_pad, pkcs7_unpad, seal, Aes128, Aes256, BlockCipher, CbcMode,
     ChaCha20, CtrMode, Des, Digest, Hmac, Md5, Sha1, Sha256, TripleDes,
 };
-use proptest::prelude::*;
+use mws_prop::cases;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn sha256_incremental_any_split(data in prop::collection::vec(any::<u8>(), 0..512), split in 0usize..512) {
+fn incremental_any_split<D: Digest>() {
+    cases(128, |g| (g.bytes(0..512), g.size(0..512))).check(|(data, split)| {
         let split = split.min(data.len());
-        let mut h = Sha256::new();
+        let mut h = D::new();
         h.update(&data[..split]);
         h.update(&data[split..]);
-        prop_assert_eq!(h.finalize(), Sha256::digest(&data));
-    }
+        assert_eq!(h.finalize(), D::digest(&data));
+    });
+}
 
-    #[test]
-    fn sha1_incremental_any_split(data in prop::collection::vec(any::<u8>(), 0..512), split in 0usize..512) {
-        let split = split.min(data.len());
-        let mut h = Sha1::new();
-        h.update(&data[..split]);
-        h.update(&data[split..]);
-        prop_assert_eq!(h.finalize(), Sha1::digest(&data));
-    }
+#[test]
+fn sha256_incremental_any_split() {
+    incremental_any_split::<Sha256>();
+}
 
-    #[test]
-    fn md5_incremental_any_split(data in prop::collection::vec(any::<u8>(), 0..512), split in 0usize..512) {
-        let split = split.min(data.len());
-        let mut h = Md5::new();
-        h.update(&data[..split]);
-        h.update(&data[split..]);
-        prop_assert_eq!(h.finalize(), Md5::digest(&data));
-    }
+#[test]
+fn sha1_incremental_any_split() {
+    incremental_any_split::<Sha1>();
+}
 
-    #[test]
-    fn hmac_key_sensitivity(key in prop::collection::vec(any::<u8>(), 1..100), data in prop::collection::vec(any::<u8>(), 0..100)) {
+#[test]
+fn md5_incremental_any_split() {
+    incremental_any_split::<Md5>();
+}
+
+#[test]
+fn hmac_key_sensitivity() {
+    cases(128, |g| (g.bytes(1..100), g.bytes(0..100))).check(|(key, data)| {
         let t1 = Hmac::<Sha256>::mac(&key, &data);
         let mut key2 = key.clone();
         key2[0] ^= 1;
         let t2 = Hmac::<Sha256>::mac(&key2, &data);
-        prop_assert_ne!(t1, t2);
-    }
+        assert_ne!(t1, t2);
+    });
+}
 
-    #[test]
-    fn pkcs7_roundtrip(data in prop::collection::vec(any::<u8>(), 0..200), bs in 1usize..=32) {
+#[test]
+fn pkcs7_roundtrip() {
+    cases(128, |g| (g.bytes(0..200), g.size(1..33))).check(|(data, bs)| {
         let padded = pkcs7_pad(&data, bs);
-        prop_assert_eq!(padded.len() % bs, 0);
-        prop_assert_eq!(pkcs7_unpad(&padded, bs).unwrap(), data);
-    }
+        assert_eq!(padded.len() % bs, 0);
+        assert_eq!(pkcs7_unpad(&padded, bs).unwrap(), data);
+    });
+}
 
-    #[test]
-    fn des_block_roundtrip(key in prop::array::uniform8(any::<u8>()), block in prop::array::uniform8(any::<u8>())) {
+#[test]
+fn des_block_roundtrip() {
+    cases(128, |g| (g.array::<8>(), g.array::<8>())).check(|(key, block)| {
         let des = Des::new(&key).unwrap();
         let mut b = block;
         des.encrypt_block(&mut b);
         des.decrypt_block(&mut b);
-        prop_assert_eq!(b, block);
-    }
+        assert_eq!(b, block);
+    });
+}
 
-    #[test]
-    fn tdes_block_roundtrip(key in prop::collection::vec(any::<u8>(), 24..=24), block in prop::array::uniform8(any::<u8>())) {
+#[test]
+fn tdes_block_roundtrip() {
+    cases(128, |g| (g.bytes(24..25), g.array::<8>())).check(|(key, block)| {
         let tdes = TripleDes::new(&key).unwrap();
         let mut b = block;
         tdes.encrypt_block(&mut b);
         tdes.decrypt_block(&mut b);
-        prop_assert_eq!(b, block);
-    }
+        assert_eq!(b, block);
+    });
+}
 
-    #[test]
-    fn aes128_block_roundtrip(key in prop::array::uniform16(any::<u8>()), block in prop::array::uniform16(any::<u8>())) {
+#[test]
+fn aes128_block_roundtrip() {
+    cases(128, |g| (g.array::<16>(), g.array::<16>())).check(|(key, block)| {
         let aes = Aes128::new(&key).unwrap();
         let mut b = block;
         aes.encrypt_block(&mut b);
         aes.decrypt_block(&mut b);
-        prop_assert_eq!(b, block);
-    }
+        assert_eq!(b, block);
+    });
+}
 
-    #[test]
-    fn aes256_block_roundtrip(key in prop::collection::vec(any::<u8>(), 32..=32), block in prop::array::uniform16(any::<u8>())) {
+#[test]
+fn aes256_block_roundtrip() {
+    cases(128, |g| (g.bytes(32..33), g.array::<16>())).check(|(key, block)| {
         let aes = Aes256::new(&key).unwrap();
         let mut b = block;
         aes.encrypt_block(&mut b);
         aes.decrypt_block(&mut b);
-        prop_assert_eq!(b, block);
-    }
+        assert_eq!(b, block);
+    });
+}
 
-    #[test]
-    fn cbc_roundtrip_any_message(key in prop::array::uniform16(any::<u8>()), iv in prop::array::uniform16(any::<u8>()), msg in prop::collection::vec(any::<u8>(), 0..300)) {
+#[test]
+fn cbc_roundtrip_any_message() {
+    cases(128, |g| (g.array::<16>(), g.array::<16>(), g.bytes(0..300))).check(|(key, iv, msg)| {
         let aes = Aes128::new(&key).unwrap();
         let ct = CbcMode::encrypt(&aes, &iv, &msg).unwrap();
-        prop_assert_eq!(CbcMode::decrypt(&aes, &iv, &ct).unwrap(), msg);
-    }
+        assert_eq!(CbcMode::decrypt(&aes, &iv, &ct).unwrap(), msg);
+    });
+}
 
-    #[test]
-    fn ctr_roundtrip_any_message(key in prop::array::uniform16(any::<u8>()), nonce in prop::array::uniform8(any::<u8>()), msg in prop::collection::vec(any::<u8>(), 0..300)) {
-        let aes = Aes128::new(&key).unwrap();
-        let ct = CtrMode::encrypt(&aes, &nonce, &msg).unwrap();
-        prop_assert_eq!(ct.len(), msg.len());
-        prop_assert_eq!(CtrMode::decrypt(&aes, &nonce, &ct).unwrap(), msg);
-    }
+#[test]
+fn ctr_roundtrip_any_message() {
+    cases(128, |g| (g.array::<16>(), g.array::<8>(), g.bytes(0..300))).check(
+        |(key, nonce, msg)| {
+            let aes = Aes128::new(&key).unwrap();
+            let ct = CtrMode::encrypt(&aes, &nonce, &msg).unwrap();
+            assert_eq!(ct.len(), msg.len());
+            assert_eq!(CtrMode::decrypt(&aes, &nonce, &ct).unwrap(), msg);
+        },
+    );
+}
 
-    #[test]
-    fn chacha_roundtrip_any_message(key in prop::collection::vec(any::<u8>(), 32..=32), nonce in prop::collection::vec(any::<u8>(), 12..=12), msg in prop::collection::vec(any::<u8>(), 0..300)) {
-        let ct = ChaCha20::encrypt(&key, &nonce, &msg).unwrap();
-        prop_assert_eq!(ChaCha20::decrypt(&key, &nonce, &ct).unwrap(), msg);
-    }
+#[test]
+fn chacha_roundtrip_any_message() {
+    cases(128, |g| (g.bytes(32..33), g.bytes(12..13), g.bytes(0..300))).check(
+        |(key, nonce, msg)| {
+            let ct = ChaCha20::encrypt(&key, &nonce, &msg).unwrap();
+            assert_eq!(ChaCha20::decrypt(&key, &nonce, &ct).unwrap(), msg);
+        },
+    );
+}
 
-    #[test]
-    fn gcm_roundtrip_and_tamper(key in prop::array::uniform16(any::<u8>()), iv in prop::collection::vec(any::<u8>(), 1..32), msg in prop::collection::vec(any::<u8>(), 0..200), aad in prop::collection::vec(any::<u8>(), 0..50), flip in any::<u16>()) {
+#[test]
+fn gcm_roundtrip_and_tamper() {
+    cases(128, |g| {
+        (
+            g.array::<16>(),
+            g.bytes(1..32),
+            g.bytes(0..200),
+            g.bytes(0..50),
+            g.u16(),
+        )
+    })
+    .check(|(key, iv, msg, aad, flip)| {
         let cipher = Aes128::new(&key).unwrap();
         let sealed = gcm_seal(&cipher, &iv, &aad, &msg).unwrap();
-        prop_assert_eq!(gcm_open(&cipher, &iv, &aad, &sealed).unwrap(), msg);
+        assert_eq!(gcm_open(&cipher, &iv, &aad, &sealed).unwrap(), msg);
         let pos = (flip as usize) % (sealed.len() * 8);
         let mut bad = sealed.clone();
         bad[pos / 8] ^= 1 << (pos % 8);
-        prop_assert!(gcm_open(&cipher, &iv, &aad, &bad).is_err());
-    }
+        assert!(gcm_open(&cipher, &iv, &aad, &bad).is_err());
+    });
+}
 
-    #[test]
-    fn aead_roundtrip_and_tamper(key in prop::array::uniform16(any::<u8>()), msg in prop::collection::vec(any::<u8>(), 0..200), aad in prop::collection::vec(any::<u8>(), 0..50), flip in any::<u16>()) {
+#[test]
+fn aead_roundtrip_and_tamper() {
+    cases(128, |g| {
+        (g.array::<16>(), g.bytes(0..200), g.bytes(0..50), g.u16())
+    })
+    .check(|(key, msg, aad, flip)| {
         let cipher = Aes128::new(&key).unwrap();
         let mac_key = [7u8; 32];
         let nonce = [5u8; 8];
         let sealed = seal(&cipher, &mac_key, &nonce, &aad, &msg).unwrap();
-        prop_assert_eq!(open(&cipher, &mac_key, &nonce, &aad, &sealed).unwrap(), msg);
+        assert_eq!(open(&cipher, &mac_key, &nonce, &aad, &sealed).unwrap(), msg);
         // Random single-bit corruption always detected.
         let pos = (flip as usize) % (sealed.len() * 8);
         let mut bad = sealed.clone();
         bad[pos / 8] ^= 1 << (pos % 8);
-        prop_assert!(open(&cipher, &mac_key, &nonce, &aad, &bad).is_err());
-    }
+        assert!(open(&cipher, &mac_key, &nonce, &aad, &bad).is_err());
+    });
 }

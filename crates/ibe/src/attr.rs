@@ -16,10 +16,9 @@ use crate::bf::{IbeSystem, MasterPublic, UserPrivateKey};
 use crate::kdf::derive_from_gt;
 use crate::IbeError;
 use mws_crypto::{
-    ct_eq, Aes128, Aes256, ChaCha20, CtrMode, Des, Digest, Hmac, Sha1, Sha256, TripleDes,
+    ct_eq, Aes128, Aes256, ChaCha20, CtrMode, Des, Digest, Hmac, Rng, Sha1, Sha256, TripleDes,
 };
 use mws_pairing::Point;
-use rand::RngCore;
 
 /// Symmetric cipher choices for the hybrid layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -160,7 +159,7 @@ impl IbeSystem {
     /// `A ‖ Nonce ‖ ID_SD ‖ T` here so the stored header is tamper-evident
     /// end-to-end, not just on the SD–MWS hop).
     #[allow(clippy::too_many_arguments)] // mirrors the protocol field list
-    pub fn encrypt_attr<R: RngCore + ?Sized>(
+    pub fn encrypt_attr<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         mpk: &MasterPublic,

@@ -3,8 +3,8 @@
 
 use crate::kdf::{xor_into, xor_pad};
 use crate::IbeError;
+use mws_crypto::Rng;
 use mws_pairing::{FpW, PairingCtx, PairingError, Point, PreparedPoint, SecurityLevel};
-use rand::RngCore;
 use std::sync::{Arc, OnceLock};
 
 /// An IBE system instance: pairing parameters shared by every party.
@@ -121,7 +121,7 @@ impl IbeSystem {
 
     /// `Setup`: draws the master secret `s` and publishes `P_pub = sP`
     /// (fixed-base comb multiplication of the generator).
-    pub fn setup<R: RngCore + ?Sized>(&self, rng: &mut R) -> (MasterSecret, MasterPublic) {
+    pub fn setup<R: Rng + ?Sized>(&self, rng: &mut R) -> (MasterSecret, MasterPublic) {
         let s = self.ctx.random_scalar(rng);
         let ppub = self.ctx.mul_generator(&s);
         (MasterSecret(s), MasterPublic::from_point(ppub))
@@ -154,7 +154,7 @@ impl IbeSystem {
     }
 
     /// BasicIdent encryption of an arbitrary-length message.
-    pub fn encrypt_basic<R: RngCore + ?Sized>(
+    pub fn encrypt_basic<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         mpk: &MasterPublic,
@@ -172,7 +172,7 @@ impl IbeSystem {
     /// symmetric) against the key's cached Miller tape, then a windowed
     /// `g^r`. Produces the same distribution — and for a fixed `r`, the
     /// same bits — as [`Self::encrypt_basic_point_reference`].
-    pub fn encrypt_basic_point<R: RngCore + ?Sized>(
+    pub fn encrypt_basic_point<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         mpk: &MasterPublic,
@@ -193,7 +193,7 @@ impl IbeSystem {
     /// BasicIdent encryption via the pre-optimization reference path
     /// (binary ladder, affine pairing, plain square-and-multiply) — kept
     /// callable for cross-checks and the benchmark baseline.
-    pub fn encrypt_basic_point_reference<R: RngCore + ?Sized>(
+    pub fn encrypt_basic_point_reference<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         mpk: &MasterPublic,

@@ -16,9 +16,8 @@ use crate::bf::{IbeSystem, MasterPublic, UserPrivateKey};
 use crate::kdf::{xor_into, xor_pad};
 use crate::IbeError;
 use mws_bigint::Uint;
-use mws_crypto::{kdf, Sha256};
+use mws_crypto::{kdf, Rng, Sha256};
 use mws_pairing::{FpW, Point};
-use rand::RngCore;
 
 /// FullIdent ciphertext `(U, V, W)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,7 +56,7 @@ fn h4(sigma: &[u8; 32], len: usize) -> Vec<u8> {
 
 impl IbeSystem {
     /// FullIdent encryption.
-    pub fn encrypt_full<R: RngCore + ?Sized>(
+    pub fn encrypt_full<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         mpk: &MasterPublic,
@@ -69,7 +68,7 @@ impl IbeSystem {
     }
 
     /// FullIdent encryption to a pre-mapped identity point.
-    pub fn encrypt_full_point<R: RngCore + ?Sized>(
+    pub fn encrypt_full_point<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         mpk: &MasterPublic,

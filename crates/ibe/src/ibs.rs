@@ -15,9 +15,8 @@
 use crate::bf::{IbeSystem, MasterPublic, UserPrivateKey};
 use crate::IbeError;
 use mws_bigint::Uint;
-use mws_crypto::{kdf, Sha256};
+use mws_crypto::{kdf, Rng, Sha256};
 use mws_pairing::{FpW, Point};
-use rand::RngCore;
 
 /// A BLS keypair `(x, xP)`.
 #[derive(Clone)]
@@ -61,7 +60,7 @@ fn h_scalar(ibe: &IbeSystem, msg: &[u8], u: &Point) -> FpW {
 
 impl IbeSystem {
     /// Generates a BLS keypair (fixed-base comb multiplication).
-    pub fn bls_keygen<R: RngCore + ?Sized>(&self, rng: &mut R) -> BlsKeyPair {
+    pub fn bls_keygen<R: Rng + ?Sized>(&self, rng: &mut R) -> BlsKeyPair {
         let sk = self.pairing().random_scalar(rng);
         let pk = self.pairing().mul_generator(&sk);
         BlsKeyPair { sk, pk }
@@ -91,7 +90,7 @@ impl IbeSystem {
     }
 
     /// Cha–Cheon identity-based signing with an extracted key `d_ID`.
-    pub fn ibs_sign<R: RngCore + ?Sized>(
+    pub fn ibs_sign<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         id: &[u8],

@@ -14,8 +14,8 @@
 
 use crate::bf::{IbeSystem, MasterSecret, UserPrivateKey};
 use crate::IbeError;
+use mws_crypto::Rng;
 use mws_pairing::{FpW, Point};
-use rand::RngCore;
 
 /// One server's share of the master secret: `(x, f(x))` with `x ≠ 0`.
 #[derive(Clone)]
@@ -43,7 +43,7 @@ pub struct PartialKey {
 impl IbeSystem {
     /// Splits a master secret into `n` shares with reconstruction
     /// threshold `t` (`1 ≤ t ≤ n`, `n` servers indexed `1..=n`).
-    pub fn share_master<R: RngCore + ?Sized>(
+    pub fn share_master<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         msk: &MasterSecret,

@@ -5,12 +5,12 @@ use crate::metrics::LinkMetrics;
 use crate::transport::{BusTransport, Transport};
 use crate::NetError;
 use mws_obs::metric_name;
+use mws_obs::sync::lock;
 use mws_wire::{
     decode_envelope, decode_envelope_traced, encode_envelope, encode_envelope_traced, Pdu,
 };
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A request handler bound to an endpoint name.
 ///
@@ -87,7 +87,7 @@ impl Network {
 
     /// Binds a service with an explicit fault/latency configuration.
     pub fn bind_with<S: Service + 'static>(&self, name: &str, service: S, cfg: FaultConfig) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         state.endpoints.insert(
             name.to_string(),
             Endpoint {
@@ -102,7 +102,7 @@ impl Network {
 
     /// Removes an endpoint (server shutdown).
     pub fn unbind(&self, name: &str) -> bool {
-        self.state.lock().endpoints.remove(name).is_some()
+        lock(&self.state).endpoints.remove(name).is_some()
     }
 
     /// A client handle for the named endpoint.
@@ -112,12 +112,12 @@ impl Network {
 
     /// Snapshot of an endpoint's metrics.
     pub fn metrics(&self, name: &str) -> Option<LinkMetrics> {
-        self.state.lock().endpoints.get(name).map(|e| e.metrics)
+        lock(&self.state).endpoints.get(name).map(|e| e.metrics)
     }
 
     /// Dispatches one framed request; internal to [`BusTransport`].
     pub(crate) fn dispatch(&self, target: &str, frame: &[u8]) -> Result<Vec<u8>, NetError> {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let ep = state
             .endpoints
             .get_mut(target)
@@ -386,21 +386,21 @@ mod tests {
         let seen: Arc<Mutex<Option<mws_obs::trace::TraceContext>>> = Arc::new(Mutex::new(None));
         let seen_in_handler = seen.clone();
         net.bind("traced-probe", move |req: Pdu| {
-            *seen_in_handler.lock() = mws_obs::trace::current();
+            *lock(&seen_in_handler) = mws_obs::trace::current();
             req
         });
         let client = net.client("traced-probe");
 
         // Without a scope: the handler runs untraced.
         client.call(&Pdu::ParamsRequest).unwrap();
-        assert_eq!(*seen.lock(), None);
+        assert_eq!(*lock(&seen), None);
 
         // With a scope: the handler sees the same trace id on a fresh
         // hop span, and the caller's own scope is restored afterwards.
         let ctx = mws_obs::trace::mint();
         let guard = mws_obs::trace::enter(ctx);
         client.call(&Pdu::ParamsRequest).unwrap();
-        let inside = seen.lock().expect("handler ran inside a scope");
+        let inside = lock(&seen).expect("handler ran inside a scope");
         assert_eq!(inside.trace_id, ctx.trace_id, "trace id crosses the hop");
         assert_ne!(inside.span_id, ctx.span_id, "each hop gets its own span");
         assert_eq!(mws_obs::trace::current(), Some(ctx));

@@ -1,15 +1,15 @@
 //! Threaded endpoints — the "four servers" deployment shape.
 //!
 //! [`ThreadedEndpoint`] runs a [`Service`] on its own OS thread behind
-//! crossbeam channels and exposes a [`Service`] facade, so a thread-backed
+//! `std::sync::mpsc` channels and exposes a [`Service`] facade, so a thread-backed
 //! server can be bound onto a [`crate::Network`] exactly like an in-process
 //! one. This mirrors the prototype's process-per-component layout while
 //! keeping tests deterministic.
 
 use crate::bus::Service;
 use crate::NetError;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mws_wire::Pdu;
+use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 
 enum Envelope {
@@ -26,7 +26,7 @@ pub struct ThreadedEndpoint {
 impl ThreadedEndpoint {
     /// Spawns `service` onto a worker thread.
     pub fn spawn<S: Service + 'static>(mut service: S) -> Self {
-        let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
+        let (tx, rx) = channel::<Envelope>();
         let handle = std::thread::spawn(move || {
             while let Ok(env) = rx.recv() {
                 match env {
@@ -47,7 +47,7 @@ impl ThreadedEndpoint {
 
     /// Sends one request and blocks for the reply.
     pub fn call(&self, request: Pdu) -> Result<Pdu, NetError> {
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         self.tx
             .send(Envelope::Request(request, reply_tx))
             .map_err(|_| NetError::Disconnected)?;
@@ -59,7 +59,7 @@ impl ThreadedEndpoint {
     pub fn as_service(&self) -> impl Service + 'static {
         let tx = self.tx.clone();
         move |req: Pdu| {
-            let (reply_tx, reply_rx) = unbounded();
+            let (reply_tx, reply_rx) = channel();
             if tx.send(Envelope::Request(req, reply_tx)).is_err() {
                 return Pdu::Error {
                     code: 503,

@@ -15,7 +15,7 @@
 //!   benches separate compute cost from modeled network cost.
 //!
 //! For the multi-process flavor of the original deployment, [`endpoint`]
-//! runs a service on its own thread behind crossbeam channels.
+//! runs a service on its own thread behind `std::sync::mpsc` channels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

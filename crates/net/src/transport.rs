@@ -14,8 +14,8 @@
 use crate::fault::{FaultAction, FaultConfig, FaultState};
 use crate::metrics::LinkMetrics;
 use crate::{NetError, Network};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use mws_obs::sync::lock;
+use std::sync::{Arc, Mutex};
 
 /// Moves one encoded envelope frame to a peer and returns the reply frame.
 ///
@@ -103,14 +103,14 @@ impl FaultyTransport {
 
     /// Snapshot of the link's fault/traffic counters.
     pub fn metrics(&self) -> LinkMetrics {
-        *self.metrics.lock()
+        *lock(&self.metrics)
     }
 }
 
 impl Transport for FaultyTransport {
     fn round_trip(&self, frame: &[u8]) -> Result<Vec<u8>, NetError> {
-        let action = self.state.lock().next_action();
-        let mut m = self.metrics.lock();
+        let action = lock(&self.state).next_action();
+        let mut m = lock(&self.metrics);
         m.virtual_us += self.latency.cost_us(frame.len());
         match action {
             FaultAction::Drop => {
@@ -135,7 +135,7 @@ impl Transport for FaultyTransport {
                 // The late retransmission: the peer handles it, but its
                 // reply never reaches anyone.
                 let _ = self.inner.round_trip(frame);
-                let mut m = self.metrics.lock();
+                let mut m = lock(&self.metrics);
                 m.virtual_us += self.latency.cost_us(reply.len());
                 m.bytes_out += reply.len() as u64;
                 Ok(reply)
@@ -145,7 +145,7 @@ impl Transport for FaultyTransport {
                 m.bytes_in += frame.len() as u64;
                 drop(m);
                 let reply = self.inner.round_trip(frame)?;
-                let mut m = self.metrics.lock();
+                let mut m = lock(&self.metrics);
                 m.virtual_us += self.latency.cost_us(reply.len());
                 m.bytes_out += reply.len() as u64;
                 Ok(reply)

@@ -3,22 +3,23 @@
 //! reproducible.
 
 use mws_net::{FaultConfig, Network, Service};
+use mws_prop::cases;
 use mws_wire::{encode_envelope, Pdu};
-use proptest::prelude::*;
 
 fn echo() -> impl Service {
     |req: Pdu| req
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn any_pdu_survives_the_bus(
-        sd_id in "[a-z0-9\\-]{1,20}",
-        payload in prop::collection::vec(any::<u8>(), 0..300),
-        ts in any::<u64>(),
-    ) {
+#[test]
+fn any_pdu_survives_the_bus() {
+    cases(64, |g| {
+        (
+            g.string("abcdefghijklmnopqrstuvwxyz0123456789-", 1..21),
+            g.bytes(0..300),
+            g.u64(),
+        )
+    })
+    .check(|(sd_id, payload, ts)| {
         let net = Network::new();
         net.bind("echo", echo());
         let pdu = Pdu::DepositRequest {
@@ -32,29 +33,35 @@ proptest! {
             mac: vec![9; 32],
         };
         let reply = net.client("echo").call(&pdu).unwrap();
-        prop_assert_eq!(reply, pdu);
-    }
+        assert_eq!(reply, pdu);
+    });
+}
 
-    #[test]
-    fn metrics_account_every_byte(msgs in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..100), 1..10)) {
+#[test]
+fn metrics_account_every_byte() {
+    cases(64, |g| g.vec(1..10, |g| g.bytes(0..100))).check(|msgs| {
         let net = Network::new();
         net.bind("echo", echo());
         let client = net.client("echo");
         let mut expect_bytes = 0u64;
         for m in &msgs {
-            let pdu = Pdu::KeyResponse { encrypted_key: m.clone() };
+            let pdu = Pdu::KeyResponse {
+                encrypted_key: m.clone(),
+            };
             expect_bytes += encode_envelope(&pdu).len() as u64;
             client.call(&pdu).unwrap();
         }
         let metrics = net.metrics("echo").unwrap();
-        prop_assert_eq!(metrics.requests, msgs.len() as u64);
-        prop_assert_eq!(metrics.bytes_in, expect_bytes);
-        prop_assert_eq!(metrics.bytes_out, expect_bytes); // echo
-        prop_assert_eq!(metrics.dropped, 0);
-    }
+        assert_eq!(metrics.requests, msgs.len() as u64);
+        assert_eq!(metrics.bytes_in, expect_bytes);
+        assert_eq!(metrics.bytes_out, expect_bytes); // echo
+        assert_eq!(metrics.dropped, 0);
+    });
+}
 
-    #[test]
-    fn fault_injection_is_reproducible(seed in any::<u64>(), rate_pct in 1u32..100) {
+#[test]
+fn fault_injection_is_reproducible() {
+    cases(64, |g| (g.u64(), g.int(1..100) as u32)).check(|(seed, rate_pct)| {
         let run = || {
             let net = Network::new();
             net.bind_with(
@@ -71,6 +78,6 @@ proptest! {
                 .map(|_| client.call(&Pdu::ParamsRequest).is_ok())
                 .collect::<Vec<_>>()
         };
-        prop_assert_eq!(run(), run());
-    }
+        assert_eq!(run(), run());
+    });
 }

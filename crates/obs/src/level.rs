@@ -107,7 +107,7 @@ pub fn max_level() -> Option<Level> {
 #[cfg(test)]
 pub(crate) fn gate_guard() -> std::sync::MutexGuard<'static, ()> {
     static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
+    crate::sync::lock(&GATE)
 }
 
 #[cfg(test)]

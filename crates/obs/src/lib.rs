@@ -27,9 +27,10 @@
 //! only what the paper already concedes to the warehouse operator:
 //! traffic shape and timing.
 //!
-//! This crate depends on `std` alone — no external crates — so it can
-//! sit below `mws-wire` without joining any dependency cycle and builds
-//! unchanged under the offline stub patch.
+//! This crate depends on `std` alone, so it can sit below `mws-wire`
+//! without joining any dependency cycle. [`sync`] holds the workspace's
+//! lock-poisoning policy for the same reason: every crate that locks
+//! anything already depends on this one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +38,7 @@
 mod level;
 mod log;
 mod metrics;
+pub mod sync;
 pub mod trace;
 
 pub use level::{enabled, max_level, set_max_level, Level, ParseLevelError};

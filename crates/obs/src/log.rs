@@ -7,6 +7,7 @@
 //! test ([`RingSink`]); dispatch takes a read lock only.
 
 use crate::level::Level;
+use crate::sync::{lock, read_lock, write_lock};
 use crate::trace::TraceContext;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -155,12 +156,12 @@ static SINKS: RwLock<Vec<Arc<dyn Sink>>> = RwLock::new(Vec::new());
 
 /// Installs an additional sink (daemon stderr, test ring buffer, ...).
 pub fn add_sink(sink: Arc<dyn Sink>) {
-    SINKS.write().unwrap_or_else(|e| e.into_inner()).push(sink);
+    write_lock(&SINKS).push(sink);
 }
 
 /// Removes every installed sink (test isolation).
 pub fn clear_sinks() {
-    SINKS.write().unwrap_or_else(|e| e.into_inner()).clear();
+    write_lock(&SINKS).clear();
 }
 
 /// Fans a record out to every installed sink.
@@ -168,7 +169,7 @@ pub fn clear_sinks() {
 /// Callers normally go through the [`event!`](crate::event!) macros,
 /// which check [`enabled`](crate::enabled) first.
 pub fn dispatch(record: Record) {
-    for sink in SINKS.read().unwrap_or_else(|e| e.into_inner()).iter() {
+    for sink in read_lock(&SINKS).iter() {
         sink.accept(&record);
     }
 }
@@ -235,7 +236,7 @@ impl RingSink {
         let mut held: Vec<(u64, Record)> = self
             .slots
             .iter()
-            .filter_map(|slot| slot.lock().unwrap_or_else(|e| e.into_inner()).clone())
+            .filter_map(|slot| lock(slot).clone())
             .collect();
         held.sort_by_key(|(seq, _)| *seq);
         held.into_iter().map(|(_, record)| record).collect()
@@ -249,7 +250,7 @@ impl RingSink {
     /// Drops every held record (the sequence counter keeps running).
     pub fn clear(&self) {
         for slot in &self.slots {
-            *slot.lock().unwrap_or_else(|e| e.into_inner()) = None;
+            *lock(slot) = None;
         }
     }
 }
@@ -258,7 +259,7 @@ impl Sink for RingSink {
     fn accept(&self, record: &Record) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let idx = (seq % self.slots.len() as u64) as usize;
-        *self.slots[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some((seq, record.clone()));
+        *lock(&self.slots[idx]) = Some((seq, record.clone()));
     }
 }
 

@@ -7,6 +7,7 @@
 //! so a 257-slot table covers the full `u64` range with ≤ ~19% relative
 //! quantile error, which is plenty to tell a 200µs fsync from a 2ms one.
 
+use crate::sync::{read_lock, write_lock};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -315,11 +316,11 @@ impl Registry {
     }
 
     fn read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, Metric>> {
-        self.metrics.read().unwrap_or_else(|e| e.into_inner())
+        read_lock(&self.metrics)
     }
 
     fn write(&self) -> std::sync::RwLockWriteGuard<'_, BTreeMap<String, Metric>> {
-        self.metrics.write().unwrap_or_else(|e| e.into_inner())
+        write_lock(&self.metrics)
     }
 
     /// Prometheus-style text exposition, sorted by metric name.

@@ -6,7 +6,7 @@
 
 use crate::fp::{Fp, FpCtx};
 use crate::{FpW, PairingError};
-use rand::RngCore;
+use mws_crypto::Rng;
 
 /// A point on `E(F_p)` in affine form.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -421,7 +421,7 @@ impl FpCtx {
     }
 
     /// A uniformly random point of the full group `E(F_p)` (order `p+1`).
-    pub fn random_curve_point<R: RngCore + ?Sized>(&self, rng: &mut R) -> Point {
+    pub fn random_curve_point<R: Rng + ?Sized>(&self, rng: &mut R) -> Point {
         loop {
             let x = self.random(rng);
             let rhs = self.add(&self.mul(&self.sqr(&x), &x), &x);

@@ -5,8 +5,7 @@
 //! global state and two parameter sets can coexist in one process.
 
 use crate::{FpW, FP_LIMBS};
-use mws_bigint::{random_below, Mont, Uint};
-use rand::RngCore;
+use mws_bigint::{random_below, Mont, Rng, Uint};
 
 /// A field element, stored in Montgomery form.
 ///
@@ -191,7 +190,7 @@ impl FpCtx {
     }
 
     /// Uniformly random field element.
-    pub fn random<R: RngCore + ?Sized>(&self, rng: &mut R) -> Fp {
+    pub fn random<R: Rng + ?Sized>(&self, rng: &mut R) -> Fp {
         let v = random_below(rng, &self.p);
         self.from_uint(&v)
     }

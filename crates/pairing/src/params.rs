@@ -8,8 +8,7 @@ use crate::pairing::TatePairing;
 use crate::prepared::PreparedPoint;
 use crate::{FpW, PairingError};
 use mws_bigint::{gen_prime, is_prime, random_below, random_nonzero_below, MillerRabinRounds};
-use mws_crypto::HmacDrbg;
-use rand::RngCore;
+use mws_crypto::{HmacDrbg, Rng};
 use std::sync::{Arc, OnceLock};
 
 /// Raw curve parameters: `p + 1 = q·h`, `E : y² = x³ + x` over `F_p`,
@@ -110,7 +109,7 @@ impl PairingCtx {
 
     /// Generates fresh parameters: a `qbits`-bit prime subgroup inside a
     /// `pbits`-bit field with `p = q·h − 1`, `12 | h`.
-    pub fn generate<R: RngCore + ?Sized>(
+    pub fn generate<R: Rng + ?Sized>(
         rng: &mut R,
         qbits: u32,
         pbits: u32,
@@ -222,7 +221,7 @@ impl PairingCtx {
     }
 
     /// Uniformly random nonzero scalar in `[1, q)`.
-    pub fn random_scalar<R: RngCore + ?Sized>(&self, rng: &mut R) -> FpW {
+    pub fn random_scalar<R: Rng + ?Sized>(&self, rng: &mut R) -> FpW {
         random_nonzero_below(rng, &self.tate.q)
     }
 

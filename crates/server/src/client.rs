@@ -23,10 +23,10 @@ use crate::framing::{read_raw_frame, write_raw_frame};
 use crate::secure::SecureClientSettings;
 use mws_crypto::HmacDrbg;
 use mws_net::{NetError, Transport};
+use mws_obs::sync::lock;
 use mws_wire::secure::{Opened, SecureChannel, SecureSession};
-use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Timeouts, retry budget and degradation policy for a [`TcpClient`].
@@ -159,7 +159,7 @@ impl TcpClient {
     /// `io_timeout` is this attempt's socket deadline (the per-exchange
     /// timeout already clamped to the remaining request deadline).
     fn attempt(&self, frame: &[u8], io_timeout: Duration) -> Result<Vec<u8>, NetError> {
-        let mut guard = self.conn.lock();
+        let mut guard = lock(&self.conn);
         if guard.is_none() {
             let connect = self.config.connect_timeout.min(io_timeout);
             let mut stream = TcpStream::connect_timeout(&self.addr, connect)
@@ -240,7 +240,7 @@ impl TcpClient {
         if self.config.breaker_threshold == 0 {
             return Ok(());
         }
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if let Breaker::Open { until, cooldown } = st.breaker {
             if Instant::now() < until {
                 return Err(NetError::CircuitOpen);
@@ -254,7 +254,7 @@ impl TcpClient {
     }
 
     fn record_success(&self) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if !matches!(st.breaker, Breaker::Closed { failures: 0 }) {
             if matches!(st.breaker, Breaker::HalfOpen { .. }) {
                 crate::stats::stats().breaker_closed.inc();
@@ -271,7 +271,7 @@ impl TcpClient {
         if threshold == 0 {
             return;
         }
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let base = self.config.breaker_cooldown.max(Duration::from_millis(1));
         let reopen_from = match st.breaker {
             Breaker::Closed { ref mut failures } => {
@@ -297,7 +297,7 @@ impl TcpClient {
 
     /// The next decorrelated-jitter backoff sleep.
     fn next_backoff(&self) -> Duration {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let base = self.config.backoff;
         let prev = if st.last_backoff.is_zero() {
             base
@@ -321,7 +321,7 @@ impl Drop for TcpClient {
         // Best-effort authenticated `CLOSE` so the server can tell a
         // clean shutdown from truncation. Broken connections were
         // already dropped without ceremony when they poisoned the cache.
-        let mut guard = self.conn.lock();
+        let mut guard = lock(&self.conn);
         if let Some(conn) = guard.as_mut() {
             if let Some(session) = conn.session.as_mut() {
                 let _ = conn
@@ -570,7 +570,7 @@ mod tests {
                     Ok(_) => unreachable!("dead port cannot answer"),
                 }
             }
-            let st = client.state.lock();
+            let st = lock(&client.state);
             if let Breaker::Open { cooldown, .. } = st.breaker {
                 cooldowns.push(cooldown);
             }

@@ -19,10 +19,10 @@ use mws_cluster::{ClusterRouter, HealthProber};
 use mws_core::clock::{LogicalClock, ReplayPolicy};
 use mws_core::gatekeeper::{Gatekeeper, GkReject};
 use mws_net::Service;
+use mws_obs::sync::lock;
 use mws_store::StorageKind;
 use mws_wire::Pdu;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 struct AuthInner {
@@ -57,8 +57,7 @@ impl ClusterFrontdoor {
     /// provisioned on every warehouse node (seed-deterministic daemons
     /// guarantee this when started with identical flags).
     pub fn register(&self, rc_id: &str, password: &str, public_key: &[u8]) {
-        self.auth
-            .lock()
+        lock(&self.auth)
             .gatekeeper
             .register(rc_id, password, public_key)
             .expect("memory storage cannot fail");
@@ -67,7 +66,7 @@ impl ClusterFrontdoor {
     /// Starts the background health prober (idempotent; the handle lives
     /// as long as any clone of this front door).
     pub fn start_prober(&self, every: Duration) {
-        let mut slot = self.prober.lock();
+        let mut slot = lock(&self.prober);
         if slot.is_none() {
             *slot = Some(HealthProber::spawn(self.router.clone(), every));
         }
@@ -95,7 +94,7 @@ impl ClusterFrontdoor {
             ..
         } = request
         {
-            let mut inner = self.auth.lock();
+            let mut inner = lock(&self.auth);
             let now = inner.clock.now();
             if let Err(reject) = inner.gatekeeper.verify(now, rc_id, auth) {
                 let code = match reject {

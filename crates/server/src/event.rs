@@ -34,11 +34,11 @@
 //! [`pipeline_depth`]: crate::ServerConfig::pipeline_depth
 //! [`ServerConfig::idle_timeout`]: crate::ServerConfig::idle_timeout
 
+use crate::queue;
 use crate::secure::SecureSettings;
 use crate::server::{over_capacity_close, ServerConfig};
 use crate::stats::{handle_us, stats};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crossbeam::channel;
 use mws_net::Service;
 use mws_obs::trace::TraceContext;
 use mws_wire::secure::{Handshaker, Opened, RecordDecoder, RecvHalf, SecureError, SendHalf};
@@ -49,7 +49,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -84,8 +84,8 @@ struct Completion {
 /// injects sockets, where workers post completions, and the pipe that
 /// wakes the loop out of `epoll_wait` after either.
 pub(crate) struct LoopHandle {
-    injector: channel::Sender<TcpStream>,
-    completions: channel::Sender<Completion>,
+    injector: mpsc::Sender<TcpStream>,
+    completions: mpsc::Sender<Completion>,
     waker: UnixStream,
 }
 
@@ -188,9 +188,9 @@ struct EventLoop {
     id: usize,
     epoll: Epoll,
     waker_rx: UnixStream,
-    injector: channel::Receiver<TcpStream>,
-    completions: channel::Receiver<Completion>,
-    jobs: channel::Sender<Job>,
+    injector: mpsc::Receiver<TcpStream>,
+    completions: mpsc::Receiver<Completion>,
+    jobs: Arc<queue::Sender<Job>>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     pipeline_depth: usize,
@@ -676,8 +676,8 @@ fn accept_loop(
 /// scope wraps both handling and encoding, so handler events and the
 /// reply envelope itself carry the caller's trace id — exactly the
 /// threaded core's behaviour.
-fn worker_loop<S: Service>(jobs: channel::Receiver<Job>, handles: &[LoopHandle], service: &mut S) {
-    while let Ok(job) = jobs.recv() {
+fn worker_loop<S: Service>(jobs: &queue::Receiver<Job>, handles: &[LoopHandle], service: &mut S) {
+    while let Some(job) = jobs.recv() {
         let frame = {
             let _span = job.trace.map(mws_obs::trace::enter);
             let pdu = job.pdu.type_name();
@@ -713,7 +713,7 @@ where
 {
     let local_addr = listener.local_addr()?;
     let n_loops = cfg.event_loops.max(1);
-    let (jobs_tx, jobs_rx) = channel::unbounded::<Job>();
+    let (jobs_tx, jobs_rx) = queue::channel::<Job>(usize::MAX);
     let open = Arc::new(AtomicUsize::new(0));
 
     let mut handles = Vec::with_capacity(n_loops);
@@ -724,8 +724,8 @@ where
         waker_rx.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
         epoll.add(waker_rx.as_raw_fd(), EPOLLIN, WAKER_TOKEN)?;
-        let (injector_tx, injector_rx) = channel::unbounded();
-        let (completions_tx, completions_rx) = channel::unbounded();
+        let (injector_tx, injector_rx) = mpsc::channel();
+        let (completions_tx, completions_rx) = mpsc::channel();
         handles.push(LoopHandle {
             injector: injector_tx,
             completions: completions_tx,
@@ -781,7 +781,7 @@ where
         workers.push(
             std::thread::Builder::new()
                 .name(format!("mws-worker-{i}"))
-                .spawn(move || worker_loop(jobs, &handles, &mut service))?,
+                .spawn(move || worker_loop(&jobs, &handles, &mut service))?,
         );
     }
 

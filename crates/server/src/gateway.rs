@@ -15,10 +15,10 @@
 use mws_core::clock::{LogicalClock, ReplayPolicy};
 use mws_core::gatekeeper::{Gatekeeper, GkReject};
 use mws_net::{Client, Service};
+use mws_obs::sync::lock;
 use mws_store::StorageKind;
 use mws_wire::Pdu;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Upstream relay retry budget (transient socket failures only).
 const UPSTREAM_ATTEMPTS: u32 = 3;
@@ -53,8 +53,7 @@ impl GatekeeperFrontdoor {
     /// Registers an RC at the front door. The same identity must also be
     /// registered at the warehouse, which issues the actual token.
     pub fn register(&self, rc_id: &str, password: &str, public_key: &[u8]) {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .gatekeeper
             .register(rc_id, password, public_key)
             .expect("memory storage cannot fail");
@@ -64,7 +63,7 @@ impl GatekeeperFrontdoor {
     /// upstream connection).
     pub fn as_service(&self) -> impl Service + 'static {
         let inner = self.inner.clone();
-        move |req: Pdu| inner.lock().handle(req)
+        move |req: Pdu| lock(&inner).handle(req)
     }
 }
 

@@ -58,6 +58,7 @@ pub mod daemon;
 pub(crate) mod event;
 pub mod framing;
 pub mod gateway;
+pub(crate) mod queue;
 pub mod secure;
 pub mod server;
 pub(crate) mod stats;

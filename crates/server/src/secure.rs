@@ -16,10 +16,10 @@ use mws_core::Deployment;
 use mws_crypto::HmacDrbg;
 use mws_ibe::ibs::IbsSignature;
 use mws_ibe::{IbeSystem, MasterPublic, UserPrivateKey};
+use mws_obs::sync::lock;
 use mws_wire::secure::{ChannelAuth, SecureError, SessionConfig};
 use mws_wire::{fnv1a64, WireReader, WireWriter};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Transport identity every MMS warehouse daemon proves.
@@ -140,7 +140,7 @@ impl ChannelAuth for IbsAuth {
     fn eph_keypair(&self) -> (Vec<u8>, Vec<u8>) {
         let ctx = self.ibe.pairing();
         let a = {
-            let mut rng = self.rng.lock();
+            let mut rng = lock(&self.rng);
             ctx.random_scalar(&mut *rng)
         };
         let public = ctx.field().point_to_bytes(&ctx.mul_generator(&a));
@@ -165,7 +165,7 @@ impl ChannelAuth for IbsAuth {
 
     fn sign(&self, transcript_hash: &[u8]) -> Vec<u8> {
         let sig = {
-            let mut rng = self.rng.lock();
+            let mut rng = lock(&self.rng);
             self.ibe.ibs_sign(
                 &mut *rng,
                 self.identity.as_bytes(),

@@ -29,9 +29,9 @@
 //! [`TcpServer::shutdown`] returns.
 
 use crate::framing::{is_timeout, write_frame};
+use crate::queue;
 use crate::secure::SecureSettings;
 use crate::stats::{handle_us, stats};
-use crossbeam::channel;
 use mws_net::Service;
 use mws_wire::secure::{
     io_secure_error, Opened, RecordDecoder, RecvHalf, SecureChannel, SecureError, SendHalf,
@@ -40,7 +40,7 @@ use mws_wire::{Pdu, StreamDecoder};
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -157,7 +157,7 @@ impl ServerConfig {
 /// The running threads of whichever core was spawned.
 enum Core {
     Threaded {
-        conn_tx: Option<channel::Sender<TcpStream>>,
+        conn_tx: Option<Arc<queue::Sender<TcpStream>>>,
         accept: Option<JoinHandle<()>>,
         workers: Vec<JoinHandle<()>>,
     },
@@ -301,7 +301,7 @@ where
     F: FnMut() -> S,
 {
     let local_addr = listener.local_addr()?;
-    let (tx, rx) = channel::bounded::<TcpStream>(cfg.queue_depth.max(1));
+    let (tx, rx) = queue::channel::<TcpStream>(cfg.queue_depth.max(1));
     let open = Arc::new(AtomicUsize::new(0));
 
     let accept = {
@@ -328,7 +328,7 @@ where
             std::thread::Builder::new()
                 .name(format!("mws-worker-{i}"))
                 .spawn(move || {
-                    while let Ok(stream) = rx.recv() {
+                    while let Some(stream) = rx.recv() {
                         if shutdown.load(Ordering::SeqCst) {
                             break;
                         }
@@ -357,7 +357,7 @@ where
 
 fn accept_loop(
     listener: TcpListener,
-    tx: channel::Sender<TcpStream>,
+    tx: Arc<queue::Sender<TcpStream>>,
     shutdown: &AtomicBool,
     open: &AtomicUsize,
     max_connections: Option<usize>,
@@ -440,15 +440,19 @@ fn serve_conn<S: Service>(
         Some((s, r)) => (Some(s), Some(r)),
     };
     let done = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = channel::bounded::<Inbound>(pipeline_depth.max(1));
+    let (tx, rx) = mpsc::sync_channel::<Inbound>(pipeline_depth.max(1));
+    // `mpsc` has no `len`: the occupancy behind the pipeline-depth statistic
+    // is counted alongside, up before each send, down at each receive.
+    let queued = Arc::new(AtomicUsize::new(0));
     let reader = {
+        let queued = queued.clone();
         let done = done.clone();
         let shutdown = shutdown.clone();
         std::thread::Builder::new()
             .name("mws-conn-reader".into())
             .spawn(move || match recv_half {
-                None => read_loop(reader_stream, &tx, &done, &shutdown),
-                Some(recv) => read_loop_secure(reader_stream, recv, &tx, &done, &shutdown),
+                None => read_loop(reader_stream, &tx, &queued, &done, &shutdown),
+                Some(recv) => read_loop_secure(reader_stream, recv, &tx, &queued, &done, &shutdown),
             })
     };
     let Ok(reader) = reader else { return };
@@ -458,6 +462,7 @@ fn serve_conn<S: Service>(
         service,
         shutdown,
         &rx,
+        &queued,
         read_poll,
         &mut send_half,
     );
@@ -525,7 +530,8 @@ pub(crate) fn accept_handshake(
 /// Reader half of a pipelined connection: socket bytes → decoded PDUs.
 fn read_loop(
     mut stream: TcpStream,
-    tx: &channel::Sender<Inbound>,
+    tx: &mpsc::SyncSender<Inbound>,
+    queued: &AtomicUsize,
     done: &AtomicBool,
     shutdown: &AtomicBool,
 ) {
@@ -537,6 +543,7 @@ fn read_loop(
                 Ok(Some((request, trace))) => {
                     // A full queue blocks here, which stops the socket
                     // reads below — TCP backpressure is the flow control.
+                    queued.fetch_add(1, Ordering::Relaxed);
                     if tx.send(Inbound::Req(request, trace)).is_err() {
                         return;
                     }
@@ -568,7 +575,8 @@ fn read_loop(
 fn read_loop_secure(
     mut stream: TcpStream,
     mut recv: RecvHalf,
-    tx: &channel::Sender<Inbound>,
+    tx: &mpsc::SyncSender<Inbound>,
+    queued: &AtomicUsize,
     done: &AtomicBool,
     shutdown: &AtomicBool,
 ) {
@@ -588,6 +596,7 @@ fn read_loop_secure(
                     };
                     match mws_wire::decode_envelope_traced(&frame) {
                         Ok((request, consumed, trace)) if consumed == frame.len() => {
+                            queued.fetch_add(1, Ordering::Relaxed);
                             if tx.send(Inbound::Req(request, trace)).is_err() {
                                 return;
                             }
@@ -627,7 +636,8 @@ fn serve_replies<S: Service>(
     stream: &mut TcpStream,
     service: &mut S,
     shutdown: &AtomicBool,
-    rx: &channel::Receiver<Inbound>,
+    rx: &mpsc::Receiver<Inbound>,
+    queued: &AtomicUsize,
     poll: Duration,
     send: &mut Option<SendHalf>,
 ) {
@@ -637,15 +647,16 @@ fn serve_replies<S: Service>(
         }
         let inbound = match rx.recv_timeout(poll) {
             Ok(inbound) => inbound,
-            Err(channel::RecvTimeoutError::Timeout) => continue, // poll the flag
-            Err(channel::RecvTimeoutError::Disconnected) => return, // reader gone
+            Err(mpsc::RecvTimeoutError::Timeout) => continue, // poll the flag
+            Err(mpsc::RecvTimeoutError::Disconnected) => return, // reader gone
         };
         match inbound {
             Inbound::Req(request, trace) => {
                 stats().requests.inc();
                 // How far the reader ran ahead — queue occupancy at
                 // dequeue time, 0 when decode isn't the bottleneck.
-                stats().pipeline_depth.record(rx.len() as u64);
+                let behind = queued.fetch_sub(1, Ordering::Relaxed) - 1;
+                stats().pipeline_depth.record(behind as u64);
                 // Re-enter the caller's trace scope for the whole
                 // handle + reply, so every event the handler emits —
                 // and the reply frame itself — carries the trace id.
@@ -932,12 +943,12 @@ mod tests {
 
     #[test]
     fn stateful_worker_services_share_state_via_clones() {
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
         let counter = Arc::new(Mutex::new(0u64));
         let server = TcpServer::spawn(ServerConfig::default(), || {
             let counter = counter.clone();
             move |_req: Pdu| {
-                let mut c = counter.lock();
+                let mut c = counter.lock().unwrap();
                 *c += 1;
                 Pdu::DepositAck { message_id: *c }
             }

@@ -11,6 +11,7 @@
 //! The handle stays shared after attachment: tests keep a clone to steer
 //! the schedule and read the operation counters while the engine runs.
 
+use mws_obs::sync::lock;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -48,7 +49,7 @@ impl FaultPlan {
 
     fn lock(&self) -> MutexGuard<'_, PlanState> {
         // A panicking test must not wedge the shared plan for its peers.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.state)
     }
 
     /// Schedules the `nth` append (0-based, counted across the segment's

@@ -9,8 +9,6 @@
 //! * [`engine`] — [`KvEngine`]: a log-structured key-value store with an
 //!   in-memory index rebuilt by replay, tombstone deletes, prefix scans and
 //!   compaction.
-//! * [`tables`] — a tiny length-prefixed record codec shared by the typed
-//!   tables.
 //! * [`fault`] — deterministic fault injection ([`FaultPlan`]): fail or
 //!   tear the Nth append, fail the Nth fsync — so WAL recovery is
 //!   exercised by injection rather than hand-crafted files.
@@ -50,7 +48,6 @@ pub mod policy_db;
 pub mod segment;
 pub mod shard;
 pub(crate) mod stats;
-pub mod tables;
 pub mod user_db;
 
 pub use engine::{KvEngine, StorageKind};
@@ -97,6 +94,17 @@ impl std::error::Error for StoreError {}
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+/// Rows at rest use the wire protocol's field codec (`u32 len ‖ bytes`,
+/// little-endian integers); a row that fails to decode is a codec error.
+impl From<mws_wire::WireError> for StoreError {
+    fn from(e: mws_wire::WireError) -> Self {
+        StoreError::Codec(match e {
+            mws_wire::WireError::BadField(what) => what,
+            _ => "truncated row",
+        })
     }
 }
 

@@ -9,8 +9,8 @@
 //! against the flat-file baseline).
 
 use crate::engine::{KvEngine, StorageKind};
-use crate::tables::{RowReader, RowWriter};
 use crate::{Result, StoreError};
+use mws_wire::{WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Message identifier (monotonically increasing).
@@ -92,7 +92,7 @@ fn origin_key(sd_id: &str, nonce: &[u8]) -> Vec<u8> {
 }
 
 fn encode(msg: &StoredMessage) -> Vec<u8> {
-    let mut w = RowWriter::new();
+    let mut w = WireWriter::new();
     w.u64(msg.id)
         .string(&msg.attribute)
         .bytes(&msg.nonce)
@@ -105,7 +105,7 @@ fn encode(msg: &StoredMessage) -> Vec<u8> {
 }
 
 fn decode(row: &[u8]) -> Result<StoredMessage> {
-    let mut r = RowReader::new(row);
+    let mut r = WireReader::new(row);
     let msg = StoredMessage {
         id: r.u64()?,
         attribute: r.string()?,

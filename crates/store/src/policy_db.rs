@@ -11,8 +11,8 @@
 //! inside the ticket.
 
 use crate::engine::{KvEngine, StorageKind};
-use crate::tables::{RowReader, RowWriter};
 use crate::{Result, StoreError};
+use mws_wire::{WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Row identifier — the paper's "Attribute ID".
@@ -45,7 +45,7 @@ fn key_of(aid: AttributeId) -> Vec<u8> {
 }
 
 fn encode(row: &PolicyRow) -> Vec<u8> {
-    let mut w = RowWriter::new();
+    let mut w = WireWriter::new();
     w.u64(row.attribute_id)
         .string(&row.identity)
         .string(&row.attribute);
@@ -53,7 +53,7 @@ fn encode(row: &PolicyRow) -> Vec<u8> {
 }
 
 fn decode(bytes: &[u8]) -> Result<PolicyRow> {
-    let mut r = RowReader::new(bytes);
+    let mut r = WireReader::new(bytes);
     let row = PolicyRow {
         attribute_id: r.u64()?,
         identity: r.string()?,

@@ -8,9 +8,9 @@
 //! the RC's RSA public key (`PubK_RC`), which the prototype hardcoded.
 
 use crate::engine::{KvEngine, StorageKind};
-use crate::tables::{RowReader, RowWriter};
 use crate::{Result, StoreError};
 use mws_crypto::{ct_eq, Digest, Sha256};
+use mws_wire::{WireReader, WireWriter};
 
 /// One registered receiving client.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,7 +99,7 @@ impl UserDb {
 }
 
 fn encode(rec: &UserRecord) -> Vec<u8> {
-    let mut w = RowWriter::new();
+    let mut w = WireWriter::new();
     w.string(&rec.identity)
         .bytes(&rec.hash_password)
         .bytes(&rec.public_key);
@@ -107,7 +107,7 @@ fn encode(rec: &UserRecord) -> Vec<u8> {
 }
 
 fn decode(row: &[u8]) -> Result<UserRecord> {
-    let mut r = RowReader::new(row);
+    let mut r = WireReader::new(row);
     let rec = UserRecord {
         identity: r.string()?,
         hash_password: r.bytes()?,

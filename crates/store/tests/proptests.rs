@@ -1,8 +1,8 @@
 //! Property-based tests: the KvEngine must behave exactly like a model
 //! `BTreeMap` under any operation sequence, including across reopen.
 
+use mws_prop::{cases, Gen};
 use mws_store::{KvEngine, StorageKind};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
@@ -12,20 +12,18 @@ enum Op {
     Compact,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (prop::collection::vec(any::<u8>(), 1..8), prop::collection::vec(any::<u8>(), 0..24))
-            .prop_map(|(k, v)| Op::Put(k, v)),
-        2 => prop::collection::vec(any::<u8>(), 1..8).prop_map(Op::Del),
-        1 => Just(Op::Compact),
-    ]
+/// Puts, deletes and compactions weighted 4 : 2 : 1.
+fn arb_op(g: &mut Gen) -> Op {
+    match g.size(0..7) {
+        0..=3 => Op::Put(g.bytes(1..8), g.bytes(0..24)),
+        4..=5 => Op::Del(g.bytes(1..8)),
+        _ => Op::Compact,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn engine_matches_model(ops in prop::collection::vec(arb_op(), 0..60)) {
+#[test]
+fn engine_matches_model() {
+    cases(64, |g| g.vec(0..60, arb_op)).check(|ops| {
         let mut kv = KvEngine::open(StorageKind::Memory).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for op in &ops {
@@ -40,24 +38,23 @@ proptest! {
                 }
                 Op::Compact => kv.compact().unwrap(),
             }
-            prop_assert_eq!(kv.len(), model.len());
+            assert_eq!(kv.len(), model.len());
         }
         for (k, v) in &model {
-            prop_assert_eq!(kv.get(k).unwrap(), Some(v.clone()));
+            assert_eq!(kv.get(k).unwrap(), Some(v.clone()));
         }
         // Full iteration agrees.
         let got: Vec<_> = kv.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want);
+    });
+}
 
-    #[test]
-    fn file_engine_reopen_matches_model(ops in prop::collection::vec(arb_op(), 0..40), reopen_at in 0usize..40) {
-        let path = std::env::temp_dir().join(format!(
-            "mws-prop-{}-{:x}.wal",
-            std::process::id(),
-            rand::random::<u64>()
-        ));
+#[test]
+fn file_engine_reopen_matches_model() {
+    cases(64, |g| (g.vec(0..40, arb_op), g.size(0..40))).check(|(ops, reopen_at)| {
+        // Cases run one after another, so one path per process does.
+        let path = std::env::temp_dir().join(format!("mws-prop-{}-reopen.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut kv = KvEngine::open(StorageKind::File(path.clone())).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -82,18 +79,23 @@ proptest! {
         kv.sync().unwrap();
         drop(kv);
         let kv = KvEngine::open(StorageKind::File(path.clone())).unwrap();
-        prop_assert_eq!(kv.len(), model.len());
+        assert_eq!(kv.len(), model.len());
         for (k, v) in &model {
-            prop_assert_eq!(kv.get(k).unwrap(), Some(v.clone()));
+            assert_eq!(kv.get(k).unwrap(), Some(v.clone()));
         }
         std::fs::remove_file(&path).unwrap();
-    }
+    });
+}
 
-    #[test]
-    fn prefix_scan_matches_model(
-        keys in prop::collection::vec(prop::collection::vec(0u8..4, 1..5), 0..30),
-        prefix in prop::collection::vec(0u8..4, 0..3),
-    ) {
+#[test]
+fn prefix_scan_matches_model() {
+    cases(64, |g| {
+        (
+            g.vec(0..30, |g| g.vec(1..5, |g| g.int(0..4) as u8)),
+            g.vec(0..3, |g| g.int(0..4) as u8),
+        )
+    })
+    .check(|(keys, prefix)| {
         let mut kv = KvEngine::open(StorageKind::Memory).unwrap();
         let mut model = BTreeMap::new();
         for (i, k) in keys.iter().enumerate() {
@@ -106,6 +108,6 @@ proptest! {
             .filter(|(k, _)| k.starts_with(&prefix))
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want);
+    });
 }

@@ -2,12 +2,11 @@
 //! byte fields.
 
 use crate::WireError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Field writer.
 #[derive(Debug, Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
@@ -18,8 +17,8 @@ impl WireWriter {
 
     /// Length-prefixed bytes.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
-        self.buf.put_u32_le(v.len() as u32);
-        self.buf.put_slice(v);
+        self.u32(v.len() as u32);
+        self.buf.extend_from_slice(v);
         self
     }
 
@@ -30,58 +29,65 @@ impl WireWriter {
 
     /// Fixed `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Fixed `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Fixed `u16`.
     pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.put_u16_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Single byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
+        self.buf.push(v);
         self
     }
 
     /// Finishes and returns the encoded body.
     pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf
     }
 }
 
-/// Field reader.
+/// Field reader: a cursor over an encoded body.
 #[derive(Debug)]
-pub struct WireReader {
-    buf: Bytes,
+pub struct WireReader<'a> {
+    rest: &'a [u8],
 }
 
-impl WireReader {
+impl<'a> WireReader<'a> {
     /// Wraps an encoded body.
-    pub fn new(data: &[u8]) -> Self {
-        Self {
-            buf: Bytes::copy_from_slice(data),
+    pub fn new(data: &'a [u8]) -> Self {
+        Self { rest: data }
+    }
+
+    /// Takes the next `n` bytes; a declared length is checked against what
+    /// is actually there before anything is allocated for it.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if self.rest.len() < n {
+            return Err(WireError::Truncated);
         }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn fixed<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
     /// Length-prefixed bytes.
     pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        if self.buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let len = self.buf.get_u32_le() as usize;
-        if len > crate::MAX_BODY || self.buf.remaining() < len {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.copy_to_bytes(len).to_vec())
+        let len = self.u32()? as usize;
+        Ok(self.take(len)?.to_vec())
     }
 
     /// Length-prefixed UTF-8 string.
@@ -91,42 +97,30 @@ impl WireReader {
 
     /// Fixed `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        if self.buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u64_le())
+        self.fixed().map(u64::from_le_bytes)
     }
 
     /// Fixed `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        if self.buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u32_le())
+        self.fixed().map(u32::from_le_bytes)
     }
 
     /// Fixed `u16`.
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        if self.buf.remaining() < 2 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u16_le())
+        self.fixed().map(u16::from_le_bytes)
     }
 
     /// Single byte.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        if self.buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        Ok(self.buf.get_u8())
+        self.fixed().map(|[b]| b)
     }
 
     /// Asserts full consumption (rejects trailing bytes).
     pub fn finish(self) -> Result<(), WireError> {
-        if self.buf.has_remaining() {
-            Err(WireError::BadField("trailing bytes"))
-        } else {
+        if self.rest.is_empty() {
             Ok(())
+        } else {
+            Err(WireError::BadField("trailing bytes"))
         }
     }
 }
@@ -168,6 +162,17 @@ mod tests {
         body.extend_from_slice(&[0; 16]);
         let mut r = WireReader::new(&body);
         assert_eq!(r.bytes().unwrap_err(), WireError::Truncated);
+    }
+
+    #[test]
+    fn invalid_utf8_rejected() {
+        let mut w = WireWriter::new();
+        w.bytes(&[0xff, 0xfe]);
+        let body = w.finish();
+        assert_eq!(
+            WireReader::new(&body).string().unwrap_err(),
+            WireError::BadField("utf-8")
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! arbitrary bytes never panic the decoder, and the incremental decoder
 //! agrees with one-shot decoding under adversarial socket behaviour.
 
+use mws_prop::{cases, Gen};
 use mws_wire::secure::{ChannelAuth, Handshaker, Opened, PskAuth, RecordDecoder, SessionConfig};
 use mws_wire::{decode_envelope, encode_envelope, Pdu, StreamDecoder, WireMessage};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 /// A reader that misbehaves the way a nonblocking socket can: each call
@@ -39,159 +39,144 @@ impl std::io::Read for AdversarialReader<'_> {
     }
 }
 
-fn arb_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(any::<u8>(), 0..max)
-}
-
-fn arb_string() -> impl Strategy<Value = String> {
-    "[a-zA-Z0-9\\-\\.]{0,40}"
-}
-
-fn arb_wire_message() -> impl Strategy<Value = WireMessage> {
+/// A PSK-authenticated client/server handshaker pair.
+fn handshakers(seed: u64) -> (Handshaker, Handshaker) {
+    let psk = b"proptest transport psk";
+    let client: Arc<dyn ChannelAuth> = Arc::new(PskAuth::new(psk, "mws/client", seed));
+    let server: Arc<dyn ChannelAuth> =
+        Arc::new(PskAuth::new(psk, "mws/warehouse", seed.wrapping_add(1)));
+    let cfg = SessionConfig::default();
     (
-        any::<u64>(),
-        arb_bytes(80),
-        any::<u8>(),
-        arb_bytes(120),
-        any::<u64>(),
-        arb_bytes(24),
-        any::<u64>(),
-        arb_bytes(60),
+        Handshaker::client(client, Some("mws/warehouse".into()), cfg.clone()),
+        Handshaker::server(server, cfg),
     )
-        .prop_map(
-            |(message_id, u, algo, sealed, aid, nonce, timestamp, aad)| WireMessage {
-                message_id,
-                u,
-                algo,
-                sealed,
-                aid,
-                nonce,
-                timestamp,
-                aad,
-            },
-        )
 }
 
-fn arb_pdu() -> impl Strategy<Value = Pdu> {
-    prop_oneof![
-        (
-            arb_string(),
-            any::<u64>(),
-            arb_bytes(80),
-            any::<u8>(),
-            arb_bytes(200),
-            arb_string(),
-            arb_bytes(24),
-            arb_bytes(32),
-        )
-            .prop_map(
-                |(sd_id, timestamp, u, algo, sealed, attribute, nonce, mac)| {
-                    Pdu::DepositRequest {
-                        sd_id,
-                        timestamp,
-                        u,
-                        algo,
-                        sealed,
-                        attribute,
-                        nonce,
-                        mac,
-                    }
-                }
-            ),
-        any::<u64>().prop_map(|message_id| Pdu::DepositAck { message_id }),
-        (arb_string(), arb_bytes(100), any::<u64>(), any::<u32>()).prop_map(
-            |(rc_id, auth, since, limit)| Pdu::RetrieveRequest {
-                rc_id,
-                auth,
-                since,
-                limit,
-            }
-        ),
-        (
-            arb_bytes(150),
-            prop::collection::vec(arb_wire_message(), 0..5)
-        )
-            .prop_map(|(token, messages)| Pdu::RetrieveResponse { token, messages }),
-        (arb_string(), arb_bytes(120), arb_bytes(60)).prop_map(|(rc_id, ticket, authenticator)| {
-            Pdu::PkgAuthRequest {
-                rc_id,
-                ticket,
-                authenticator,
-            }
-        }),
-        (any::<u64>(), arb_bytes(40)).prop_map(|(session_id, confirmation)| {
-            Pdu::PkgAuthResponse {
-                session_id,
-                confirmation,
-            }
-        }),
-        (any::<u64>(), any::<u64>(), arb_bytes(24)).prop_map(|(session_id, aid, nonce)| {
-            Pdu::KeyRequest {
-                session_id,
-                aid,
-                nonce,
-            }
-        }),
-        arb_bytes(100).prop_map(|encrypted_key| Pdu::KeyResponse { encrypted_key }),
-        Just(Pdu::ParamsRequest),
-        (
-            arb_bytes(64),
-            arb_bytes(64),
-            arb_bytes(64),
-            arb_bytes(65),
-            arb_bytes(65)
-        )
-            .prop_map(|(p, q, h, generator, mpk)| Pdu::ParamsResponse {
-                p,
-                q,
-                h,
-                generator,
-                mpk
-            }),
-        (any::<u16>(), arb_string()).prop_map(|(code, detail)| Pdu::Error { code, detail }),
-    ]
+fn arb_bytes(g: &mut Gen, max: usize) -> Vec<u8> {
+    g.bytes(0..max)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+fn arb_string(g: &mut Gen) -> String {
+    const ALPHABET: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-.";
+    g.string(ALPHABET, 0..41)
+}
 
-    #[test]
-    fn every_pdu_roundtrips(pdu in arb_pdu()) {
+fn arb_wire_message(g: &mut Gen) -> WireMessage {
+    WireMessage {
+        message_id: g.u64(),
+        u: arb_bytes(g, 80),
+        algo: g.u8(),
+        sealed: arb_bytes(g, 120),
+        aid: g.u64(),
+        nonce: arb_bytes(g, 24),
+        timestamp: g.u64(),
+        aad: arb_bytes(g, 60),
+    }
+}
+
+fn arb_pdu(g: &mut Gen) -> Pdu {
+    match g.size(0..11) {
+        0 => Pdu::DepositRequest {
+            sd_id: arb_string(g),
+            timestamp: g.u64(),
+            u: arb_bytes(g, 80),
+            algo: g.u8(),
+            sealed: arb_bytes(g, 200),
+            attribute: arb_string(g),
+            nonce: arb_bytes(g, 24),
+            mac: arb_bytes(g, 32),
+        },
+        1 => Pdu::DepositAck {
+            message_id: g.u64(),
+        },
+        2 => Pdu::RetrieveRequest {
+            rc_id: arb_string(g),
+            auth: arb_bytes(g, 100),
+            since: g.u64(),
+            limit: g.u32(),
+        },
+        3 => Pdu::RetrieveResponse {
+            token: arb_bytes(g, 150),
+            messages: g.vec(0..5, arb_wire_message),
+        },
+        4 => Pdu::PkgAuthRequest {
+            rc_id: arb_string(g),
+            ticket: arb_bytes(g, 120),
+            authenticator: arb_bytes(g, 60),
+        },
+        5 => Pdu::PkgAuthResponse {
+            session_id: g.u64(),
+            confirmation: arb_bytes(g, 40),
+        },
+        6 => Pdu::KeyRequest {
+            session_id: g.u64(),
+            aid: g.u64(),
+            nonce: arb_bytes(g, 24),
+        },
+        7 => Pdu::KeyResponse {
+            encrypted_key: arb_bytes(g, 100),
+        },
+        8 => Pdu::ParamsRequest,
+        9 => Pdu::ParamsResponse {
+            p: arb_bytes(g, 64),
+            q: arb_bytes(g, 64),
+            h: arb_bytes(g, 64),
+            generator: arb_bytes(g, 65),
+            mpk: arb_bytes(g, 65),
+        },
+        _ => Pdu::Error {
+            code: g.u16(),
+            detail: arb_string(g),
+        },
+    }
+}
+
+#[test]
+fn every_pdu_roundtrips() {
+    cases(256, arb_pdu).check(|pdu| {
         let framed = encode_envelope(&pdu);
         let (decoded, consumed) = decode_envelope(&framed).unwrap();
-        prop_assert_eq!(decoded, pdu);
-        prop_assert_eq!(consumed, framed.len());
-    }
+        assert_eq!(decoded, pdu);
+        assert_eq!(consumed, framed.len());
+    });
+}
 
-    #[test]
-    fn arbitrary_bytes_never_panic(bytes in arb_bytes(512)) {
+#[test]
+fn arbitrary_bytes_never_panic() {
+    cases(256, |g| arb_bytes(g, 512)).check(|bytes| {
         let _ = decode_envelope(&bytes);
-    }
+    });
+}
 
-    #[test]
-    fn truncated_frames_error_cleanly(pdu in arb_pdu(), cut_fraction in 0.0f64..1.0) {
+#[test]
+fn truncated_frames_error_cleanly() {
+    cases(256, |g| (arb_pdu(g), g.unit_f64())).check(|(pdu, cut_fraction)| {
         let framed = encode_envelope(&pdu);
         let cut = ((framed.len() as f64) * cut_fraction) as usize;
         if cut < framed.len() {
-            prop_assert!(decode_envelope(&framed[..cut]).is_err());
+            assert!(decode_envelope(&framed[..cut]).is_err());
         }
-    }
+    });
+}
 
-    #[test]
-    fn bit_flips_never_panic(pdu in arb_pdu(), pos in any::<u32>(), bit in 0u8..8) {
+#[test]
+fn bit_flips_never_panic() {
+    cases(256, |g| (arb_pdu(g), g.u32(), g.int(0..8) as u8)).check(|(pdu, pos, bit)| {
         let mut framed = encode_envelope(&pdu);
         let n = framed.len();
         framed[(pos as usize) % n] ^= 1 << bit;
         // May decode to a different valid PDU (payload bytes) or error —
         // but must never panic or over-read.
         let _ = decode_envelope(&framed);
-    }
+    });
+}
 
-    #[test]
-    fn pdu_sequences_survive_arbitrary_stream_chunking(
-        pdus in prop::collection::vec(arb_pdu(), 1..8),
-        chunk_sizes in prop::collection::vec(1usize..17, 1..48),
-    ) {
+#[test]
+fn pdu_sequences_survive_arbitrary_stream_chunking() {
+    cases(256, |g| {
+        (g.vec(1..8, arb_pdu), g.vec(1..48, |g| g.size(1..17)))
+    })
+    .check(|(pdus, chunk_sizes)| {
         // Concatenate the framed PDUs into one byte stream, then deliver it
         // to the incremental decoder in arbitrary chunks — the splits land
         // anywhere, including mid-header and mid-body — the way a TCP
@@ -212,20 +197,25 @@ proptest! {
             }
         }
 
-        prop_assert_eq!(decoded, pdus);
+        assert_eq!(decoded, pdus);
         // The stream ended on a frame boundary, so nothing may linger.
-        prop_assert_eq!(decoder.buffered(), 0);
-        prop_assert_eq!(decoder.next_pdu().unwrap(), None);
-    }
+        assert_eq!(decoder.buffered(), 0);
+        assert_eq!(decoder.next_pdu().unwrap(), None);
+    });
+}
 
-    #[test]
-    fn adversarial_short_reads_match_one_shot_decode(
-        pdus in prop::collection::vec(arb_pdu(), 1..8),
-        script_head in prop::collection::vec(0u8..18, 0..47),
-        // At least one delivering step, so all-failure scripts still make
-        // progress each cycle and the loop terminates.
-        script_tail in 2u8..18,
-    ) {
+#[test]
+fn adversarial_short_reads_match_one_shot_decode() {
+    // The script ends on at least one delivering step, so all-failure
+    // scripts still make progress each cycle and the loop terminates.
+    cases(256, |g| {
+        (
+            g.vec(1..8, arb_pdu),
+            g.vec(0..47, |g| g.int(0..18) as u8),
+            g.int(2..18) as u8,
+        )
+    })
+    .check(|(pdus, script_head, script_tail)| {
         // The event loop's read path (`fill_from` + `next_pdu`) against a
         // socket returning 1-byte reads, random short reads, EAGAIN
         // mid-envelope and EINTR, in a seeded adversarial order — it must
@@ -234,7 +224,12 @@ proptest! {
         let stream: Vec<u8> = pdus.iter().flat_map(encode_envelope).collect();
         let mut script = script_head;
         script.push(script_tail);
-        let mut reader = AdversarialReader { data: &stream, pos: 0, script: &script, turn: 0 };
+        let mut reader = AdversarialReader {
+            data: &stream,
+            pos: 0,
+            script: &script,
+            turn: 0,
+        };
 
         let mut decoder = StreamDecoder::new();
         let mut decoded = Vec::new();
@@ -248,14 +243,15 @@ proptest! {
                     }
                 }
                 Err(e) => {
-                    prop_assert!(
+                    assert!(
                         matches!(
                             e.kind(),
                             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
                         ),
-                        "unexpected error kind: {:?}", e.kind()
+                        "unexpected error kind: {:?}",
+                        e.kind()
                     );
-                    prop_assert_eq!(
+                    assert_eq!(
                         decoder.buffered(),
                         buffered_before,
                         "a failed read consumed bytes"
@@ -271,45 +267,35 @@ proptest! {
             one_shot.push(pdu);
             offset += consumed;
         }
-        prop_assert_eq!(decoded, one_shot);
-        prop_assert_eq!(decoder.buffered(), 0);
-        prop_assert_eq!(decoder.next_pdu().unwrap(), None);
-    }
+        assert_eq!(decoded, one_shot);
+        assert_eq!(decoder.buffered(), 0);
+        assert_eq!(decoder.next_pdu().unwrap(), None);
+    });
+}
 
-    #[test]
-    fn secure_handshake_survives_arbitrary_fragmentation(
-        chunk_sizes in prop::collection::vec(1usize..23, 1..64),
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn secure_handshake_survives_arbitrary_fragmentation() {
+    cases(256, |g| (g.vec(1..64, |g| g.size(1..23)), g.u64())).check(|(chunk_sizes, seed)| {
         // The sans-io handshake driver against a transport delivering
         // its three flights in arbitrary fragments — splits land
         // mid-header, mid-signature, anywhere. Both sides must still
         // complete and derive byte-identical directional keys (proved
         // by sealing/opening in both directions), exactly as if each
         // flight had arrived whole.
-        let psk = b"proptest transport psk";
-        let client_auth: Arc<dyn ChannelAuth> =
-            Arc::new(PskAuth::new(psk, "mws/client", seed));
-        let server_auth: Arc<dyn ChannelAuth> =
-            Arc::new(PskAuth::new(psk, "mws/warehouse", seed.wrapping_add(1)));
-        let cfg = SessionConfig::default();
-        let mut c = Handshaker::client(client_auth, Some("mws/warehouse".into()), cfg.clone());
-        let mut s = Handshaker::server(server_auth, cfg);
+        let (mut c, mut s) = handshakers(seed);
         let mut c_est = None;
         let mut s_est = None;
         let mut to_server: Vec<u8> = Vec::new();
         let mut to_client: Vec<u8> = Vec::new();
-        let mut turn = 0;
         // Generous bound: the whole exchange is a few KB of one-byte
         // fragments at worst; a stall would mean lost handshake bytes.
-        for _ in 0..20_000 {
+        for turn in 0..20_000 {
             to_server.extend(c.take_output());
             to_client.extend(s.take_output());
             if c_est.is_some() && s_est.is_some() {
                 break;
             }
             let take = chunk_sizes[turn % chunk_sizes.len()];
-            turn += 1;
             if s_est.is_none() && !to_server.is_empty() {
                 let n = take.min(to_server.len());
                 let bytes: Vec<u8> = to_server.drain(..n).collect();
@@ -326,10 +312,10 @@ proptest! {
         }
         let mut c_est = c_est.expect("client handshake completed");
         let mut s_est = s_est.expect("server handshake completed");
-        prop_assert_eq!(&c_est.peer, "mws/warehouse");
-        prop_assert_eq!(&s_est.peer, "mws/client");
-        prop_assert!(c_est.leftover.is_empty());
-        prop_assert!(s_est.leftover.is_empty());
+        assert_eq!(&c_est.peer, "mws/warehouse");
+        assert_eq!(&s_est.peer, "mws/client");
+        assert!(c_est.leftover.is_empty());
+        assert!(s_est.leftover.is_empty());
 
         // Same keys both ways: client→server and server→client frames
         // seal under one side's schedule and open under the other's.
@@ -337,7 +323,7 @@ proptest! {
         let mut rd = RecordDecoder::new();
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             s_est.session.open_record(rt, &pl).unwrap(),
             Opened::Frame(b"client frame".to_vec())
         );
@@ -345,36 +331,27 @@ proptest! {
         let mut rd = RecordDecoder::new();
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             c_est.session.open_record(rt, &pl).unwrap(),
             Opened::Frame(b"server frame".to_vec())
         );
-    }
+    });
+}
 
-    #[test]
-    fn tampered_handshake_bytes_never_panic_or_establish_mismatched_keys(
-        pos in any::<u32>(),
-        bit in 0u8..8,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn tampered_handshake_bytes_never_panic_or_establish_mismatched_keys() {
+    cases(256, |g| (g.u32(), g.int(0..8) as u8, g.u64())).check(|(pos, bit, seed)| {
         // A random bit flip anywhere in the client's first flight. The
         // server may error (typed), may wait for more bytes (a flip in
         // a length field), but must never panic — and if it somehow
         // answers, the client must not complete against a transcript
         // that differs from its own.
-        let psk = b"proptest transport psk";
-        let client_auth: Arc<dyn ChannelAuth> =
-            Arc::new(PskAuth::new(psk, "mws/client", seed));
-        let server_auth: Arc<dyn ChannelAuth> =
-            Arc::new(PskAuth::new(psk, "mws/warehouse", seed.wrapping_add(1)));
-        let cfg = SessionConfig::default();
-        let mut c = Handshaker::client(client_auth, Some("mws/warehouse".into()), cfg.clone());
-        let mut s = Handshaker::server(server_auth, cfg);
+        let (mut c, mut s) = handshakers(seed);
         let mut hello = c.take_output();
         let n = hello.len();
         hello[(pos as usize) % n] ^= 1 << bit;
         match s.feed(&hello) {
-            Err(_) => {}       // typed rejection: the common case
+            Err(_) => {} // typed rejection: the common case
             Ok(Some(_)) => unreachable!("server cannot establish on its first flight"),
             Ok(None) => {
                 // Flip landed in framing: the server either waits for
@@ -383,33 +360,30 @@ proptest! {
                 // must refuse the ACCEPT.
                 let accept = s.take_output();
                 if !accept.is_empty() {
-                    prop_assert!(c.feed(&accept).is_err());
+                    assert!(c.feed(&accept).is_err());
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn tampered_data_records_never_open(
-        pos in any::<u32>(),
-        bit in 0u8..8,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn tampered_data_records_never_open() {
+    cases(256, |g| (g.u32(), g.int(0..8) as u8, g.u64())).check(|(pos, bit, seed)| {
         // Establish a real session, then flip one bit anywhere in a
         // sealed record — header, ciphertext or tag. The receiver may
         // reject the record stream or keep waiting (length flip), but a
         // flipped record must never open as a frame.
-        let psk = b"proptest transport psk";
-        let client_auth: Arc<dyn ChannelAuth> =
-            Arc::new(PskAuth::new(psk, "mws/client", seed));
-        let server_auth: Arc<dyn ChannelAuth> =
-            Arc::new(PskAuth::new(psk, "mws/warehouse", seed.wrapping_add(1)));
-        let cfg = SessionConfig::default();
-        let mut c = Handshaker::client(client_auth, Some("mws/warehouse".into()), cfg.clone());
-        let mut s = Handshaker::server(server_auth, cfg);
+        let (mut c, mut s) = handshakers(seed);
         assert!(s.feed(&c.take_output()).unwrap().is_none());
-        let mut c_est = c.feed(&s.take_output()).unwrap().expect("client established");
-        let mut s_est = s.feed(&c.take_output()).unwrap().expect("server established");
+        let mut c_est = c
+            .feed(&s.take_output())
+            .unwrap()
+            .expect("client established");
+        let mut s_est = s
+            .feed(&c.take_output())
+            .unwrap()
+            .expect("server established");
 
         let mut rec = c_est.session.seal_frame(b"meter reading 42").unwrap();
         let n = rec.len();
@@ -420,8 +394,8 @@ proptest! {
             Err(_) => {}   // framing rejected (version/type/length flip)
             Ok(None) => {} // length flip: waits forever, never opens
             Ok(Some((rt, pl))) => {
-                prop_assert!(s_est.session.open_record(rt, &pl).is_err());
+                assert!(s_est.session.open_record(rt, &pl).is_err());
             }
         }
-    }
+    });
 }

@@ -116,3 +116,48 @@ fn deployment_exposes_every_figure3_component() {
     assert_eq!(dep.mws().message_count(), 0);
     assert_eq!(dep.mws().rejection_count(), 0);
 }
+
+/// The build has one dependency universe: this workspace. A registry crate
+/// cannot resolve in the containers this builds in, and the stand-in crates
+/// that used to be patched over the registry names are gone — this keeps
+/// either from growing back.
+#[test]
+fn every_dependency_is_a_workspace_crate() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |p: &std::path::Path| std::fs::read_to_string(p).unwrap();
+
+    let lock = read(&root.join("Cargo.lock"));
+    assert!(
+        !lock.lines().any(|l| l.trim_start().starts_with("source =")),
+        "Cargo.lock names a package from outside the workspace"
+    );
+
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
+        manifests.push(entry.unwrap().path().join("Cargo.toml"));
+    }
+    assert!(manifests.len() > 10, "found the member crates");
+    for manifest in manifests {
+        let mut section = "";
+        for line in read(&manifest).lines().map(str::trim) {
+            // A dependency is a line of a `[…dependencies]` table, or the
+            // last segment of a `[…dependencies.name]` header.
+            let dependency = match line.strip_prefix('[') {
+                Some(header) => {
+                    section = header.trim_end_matches(']');
+                    let named = section.rsplit_once('.');
+                    named.and_then(|(table, name)| table.ends_with("dependencies").then_some(name))
+                }
+                None if line.is_empty() || line.starts_with('#') => None,
+                None => section.ends_with("dependencies").then_some(line),
+            };
+            if let Some(dependency) = dependency {
+                let manifest = manifest.display();
+                assert!(
+                    dependency.starts_with("mws-"),
+                    "{manifest}: [{section}] {dependency}"
+                );
+            }
+        }
+    }
+}
