@@ -4,17 +4,25 @@
 //! `fp2_pow` — and writes `BENCH_crypto.json` at the repository root. An
 //! `obs` section records the observability hot-path overhead (disabled log
 //! event, counter increment, histogram sample) so instrumentation-cost
-//! regressions surface next to the crypto numbers they would pollute.
+//! regressions surface next to the crypto numbers they would pollute. A
+//! `symmetric` section times the record cipher — AES block, AES-CTR, GHASH
+//! and AES-GCM at three sizes — next to the same rows as measured at the
+//! commit before the constant-time word-parallel core replaced the
+//! byte-wise one ([`SYMMETRIC_BEFORE`]).
 //!
 //! Run with: `cargo run --release -p mws-bench --bin crypto_bench`
 //!
 //! Modes:
 //! * default — pinned iteration counts, writes `BENCH_crypto.json`
 //! * `--smoke` — few iterations, no file output; asserts the fast paths are
-//!   bit-identical to the reference paths (used by `scripts/tier1.sh`)
+//!   bit-identical to the reference paths and that the release build's
+//!   AES-GCM still produces the SP 800-38D vectors and one pinned seal
+//!   (used by `scripts/tier1.sh`)
 
 use mws_bench::{time_op, timings_json, Json, Timing};
-use mws_crypto::HmacDrbg;
+use mws_crypto::{
+    gcm_open, gcm_seal, Aes128, Aes256, BlockCipher, CtrMode, Digest, HmacDrbg, Rng, Sha256,
+};
 use mws_ibe::bf::IbeSystem;
 use mws_pairing::SecurityLevel;
 
@@ -158,7 +166,142 @@ fn bench_obs(iters: u32) -> Vec<Timing> {
     timings
 }
 
-fn render_json(reports: &[LevelReport], obs: &[Timing]) -> String {
+/// The `symmetric` rows at the parent commit 17a353b (byte-wise AES,
+/// bit-by-bit GHASH), in ns/op: medians of five runs of this same function
+/// built against that commit, alternated with five runs of this tree on
+/// the same box (this tree's medians in that session: 302, 4841, 3823,
+/// 1268, 8726, 127416, 8686, 1245). They are the "before" that
+/// `BENCH_crypto.json` keeps beside every fresh "after". Two rows rise by
+/// design: one block still costs a whole four-lane pass, and the key
+/// schedule now runs `SubWord` through the circuit and stores bit-planes.
+const SYMMETRIC_BEFORE: [(&str, f64); 8] = [
+    ("aes128_block", 241.0),
+    ("aes128_ctr/1024", 16584.7),
+    ("ghash/1024", 15442.5),
+    ("aes128_gcm_seal/64", 3003.2),
+    ("aes128_gcm_seal/1024", 32608.6),
+    ("aes128_gcm_seal/16384", 497056.6),
+    ("aes128_gcm_open/1024", 31898.9),
+    ("aes128_new", 500.9),
+];
+
+/// A source of byte strings drawn from `HmacDrbg::from_u64(seed)`.
+fn seeded_bytes(seed: u64) -> impl FnMut(usize) -> Vec<u8> {
+    let mut rng = HmacDrbg::from_u64(seed);
+    move |n| {
+        let mut v = vec![0u8; n];
+        rng.fill_bytes(&mut v);
+        v
+    }
+}
+
+/// The record cipher, through the public functions the rest of the
+/// workspace calls. `ghash/1024` is a GMAC — 1024 bytes of AAD, no
+/// plaintext — so GHASH is all of it but one cipher block.
+fn bench_symmetric(scale: u32) -> Vec<Timing> {
+    let mut bytes = seeded_bytes(0x5e41);
+    let key = bytes(16);
+    let cipher = Aes128::new(&key).expect("16-byte key");
+    let (iv, aad) = (bytes(12), bytes(13));
+    let mut timings = Vec::new();
+
+    let mut block = bytes(16);
+    timings.push(time_op("aes128_block", 4000 * scale, || {
+        cipher.encrypt_block(std::hint::black_box(&mut block));
+    }));
+    let mut buf = bytes(1024);
+    timings.push(time_op("aes128_ctr/1024", 200 * scale, || {
+        CtrMode::apply(&cipher, &iv[..8], std::hint::black_box(&mut buf)).expect("ctr");
+    }));
+    let long_aad = bytes(1024);
+    timings.push(time_op("ghash/1024", 200 * scale, || {
+        std::hint::black_box(gcm_seal(&cipher, &iv, &long_aad, b"").expect("seal"));
+    }));
+    for len in [64usize, 1024, 16384] {
+        let pt = bytes(len);
+        let iters = (200_000 / len as u32).max(4) * scale;
+        timings.push(time_op(format!("aes128_gcm_seal/{len}"), iters, || {
+            std::hint::black_box(gcm_seal(&cipher, &iv, &aad, &pt).expect("seal"));
+        }));
+    }
+    let sealed = gcm_seal(&cipher, &iv, &aad, &bytes(1024)).expect("seal");
+    timings.push(time_op("aes128_gcm_open/1024", 200 * scale, || {
+        std::hint::black_box(gcm_open(&cipher, &iv, &aad, &sealed).expect("open"));
+    }));
+    timings.push(time_op("aes128_new", 2000 * scale, || {
+        std::hint::black_box(Aes128::new(std::hint::black_box(&key)).expect("key"));
+    }));
+    timings
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
+        .collect()
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// SHA-256 of `gcm_seal` over a 4 KiB plaintext, 13-byte AAD, key and IV
+/// all drawn from `HmacDrbg::from_u64(0x4b1b)`; captured at commit 17a353b,
+/// before the cipher core was replaced.
+const PINNED_SEAL_SHA256: &str = "afb2e660e141fc2895928edf101a77e7b8132d4abe861f55d8a32eaf404a3db2";
+
+/// Release-profile gate on the record cipher: `cargo test` checks the
+/// vectors in the test profile, this checks the optimised build that
+/// actually serves — the SP 800-38D cases with a partial tail block and
+/// AAD for both key sizes, the one-block cases, and one long pinned seal.
+fn symmetric_smoke() {
+    let zero128 = Aes128::new(&[0; 16]).expect("key");
+    let zero256 = Aes256::new(&[0; 32]).expect("key");
+    assert_eq!(
+        hex(&gcm_seal(&zero128, &[0; 12], b"", &[0; 16]).expect("seal")),
+        "0388dace60b6a392f328c2b971b2fe78ab6e47d42cec13bdf53a67b21257bddf",
+        "SP 800-38D test case 2"
+    );
+    assert_eq!(
+        hex(&gcm_seal(&zero256, &[0; 12], b"", &[0; 16]).expect("seal")),
+        "cea7403d4d606b6e074ec5d3baf39d18d0d1c8a799996bf0265b98b5d48ab919",
+        "SP 800-38D test case 14"
+    );
+    let key = unhex("feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308");
+    let iv = unhex("cafebabefacedbaddecaf888");
+    let aad = unhex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+    let pt = unhex(
+        "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+         1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+    );
+    let sealed = gcm_seal(&Aes128::new(&key[..16]).expect("key"), &iv, &aad, &pt).expect("seal");
+    assert_eq!(
+        hex(&sealed[pt.len()..]),
+        "5bc94fbc3221a5db94fae95ae7121a47",
+        "SP 800-38D test case 4"
+    );
+    let aes256 = Aes256::new(&key).expect("key");
+    let sealed = gcm_seal(&aes256, &iv, &aad, &pt).expect("seal");
+    assert_eq!(
+        hex(&sealed[pt.len()..]),
+        "76fc6ece0f4e1768cddf8853bb2d551b",
+        "SP 800-38D test case 16"
+    );
+    assert_eq!(gcm_open(&aes256, &iv, &aad, &sealed).expect("open"), pt);
+
+    let mut bytes = seeded_bytes(0x4b1b);
+    let cipher = Aes128::new(&bytes(16)).expect("key");
+    let (iv, aad, pt) = (bytes(12), bytes(13), bytes(4096));
+    let sealed = gcm_seal(&cipher, &iv, &aad, &pt).expect("seal");
+    assert_eq!(
+        hex(&Sha256::digest(&sealed)),
+        PINNED_SEAL_SHA256,
+        "pinned 4 KiB seal"
+    );
+    assert_eq!(gcm_open(&cipher, &iv, &aad, &sealed).expect("open"), pt);
+}
+
+fn render_json(reports: &[LevelReport], obs: &[Timing], symmetric: &[Timing]) -> String {
     let levels = reports.iter().map(|rep| {
         let level = [
             ("timings", timings_json(&rep.timings)),
@@ -172,6 +315,16 @@ fn render_json(reports: &[LevelReport], obs: &[Timing]) -> String {
         ("unit", Json::Str("ns/op".into())),
         ("levels", Json::obj(levels)),
         ("obs", Json::obj([("timings", timings_json(obs))])),
+        (
+            "symmetric",
+            Json::obj([
+                ("timings", timings_json(symmetric)),
+                (
+                    "before_17a353b_ns_per_op",
+                    Json::obj(SYMMETRIC_BEFORE.map(|(name, ns)| (name, Json::fixed(ns, 1)))),
+                ),
+            ]),
+        ),
     ])
     .pretty()
 }
@@ -191,6 +344,8 @@ fn main() {
     // afford enough iterations for a stable median.
     let obs_timings = bench_obs(if smoke { 100_000 } else { 2_000_000 });
 
+    let symmetric_timings = bench_symmetric(if smoke { 1 } else { 10 });
+
     for rep in &reports {
         eprintln!("== {} ==", rep.level);
         rep.timings.iter().for_each(|t| eprintln!("  {t}"));
@@ -201,13 +356,16 @@ fn main() {
     }
     eprintln!("== obs ==");
     obs_timings.iter().for_each(|t| eprintln!("  {t}"));
+    eprintln!("== symmetric ==");
+    symmetric_timings.iter().for_each(|t| eprintln!("  {t}"));
 
     if smoke {
+        symmetric_smoke();
         eprintln!("crypto_bench --smoke: fast paths bit-identical to reference");
         return;
     }
 
-    let json = render_json(&reports, &obs_timings);
+    let json = render_json(&reports, &obs_timings, &symmetric_timings);
     std::fs::write("BENCH_crypto.json", &json).expect("write BENCH_crypto.json");
     println!("{json}");
     eprintln!("wrote BENCH_crypto.json");

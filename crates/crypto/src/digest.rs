@@ -43,6 +43,34 @@ pub trait BlockCipher {
     /// [`Self::BLOCK_SIZE`].
     fn encrypt_block(&self, block: &mut [u8]);
 
+    /// Encrypts `blocks.len() / BLOCK_SIZE` independent blocks in place —
+    /// what CTR and GCM call with a run of counter blocks. The default is
+    /// the per-block loop; a cipher that is faster on several blocks at
+    /// once (bitsliced AES) overrides it.
+    fn encrypt_blocks(&self, blocks: &mut [u8]) {
+        for block in blocks.chunks_exact_mut(Self::BLOCK_SIZE) {
+            self.encrypt_block(block);
+        }
+    }
+
     /// Decrypts one block in place.
     fn decrypt_block(&self, block: &mut [u8]);
+}
+
+/// A borrowed cipher is a cipher, so a keyed context ([`crate::Gcm`]) can
+/// either own its cipher or wrap a caller's for one call.
+impl<C: BlockCipher> BlockCipher for &C {
+    const BLOCK_SIZE: usize = C::BLOCK_SIZE;
+
+    fn encrypt_block(&self, block: &mut [u8]) {
+        (**self).encrypt_block(block);
+    }
+
+    fn encrypt_blocks(&self, blocks: &mut [u8]) {
+        (**self).encrypt_blocks(blocks);
+    }
+
+    fn decrypt_block(&self, block: &mut [u8]) {
+        (**self).decrypt_block(block);
+    }
 }

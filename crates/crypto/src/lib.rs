@@ -13,7 +13,8 @@
 //!   [`CbcMode`]/[`CtrMode`] modes and PKCS#7 padding.
 //! * **Stream cipher** — [`ChaCha20`] (RFC 8439).
 //! * **AEAD** — [`seal`]/[`open`] encrypt-then-MAC and [`gcm_seal`]/[`gcm_open`]
-//!   (AES-GCM, NIST SP 800-38D).
+//!   (AES-GCM, NIST SP 800-38D), or a [`Gcm`] context keyed once for many
+//!   records.
 //! * **RSA** — key generation and PKCS#1 v1.5 encryption/signature, the
 //!   certificate-PKI baseline the paper's introduction argues against
 //!   (experiment E4).
@@ -22,7 +23,9 @@
 //! # Security status
 //!
 //! Primitives are test-vector-validated but not constant-time throughout and
-//! unaudited; see `DESIGN.md §5`. DES and MD5 are implemented for fidelity to
+//! unaudited; see `DESIGN.md §5`. AES encryption, CTR and GCM *are*
+//! constant-time (bitsliced AES, multiply-based GHASH: `aes.rs`, `gcm.rs`,
+//! `DESIGN.md §12.6`). DES and MD5 are implemented for fidelity to
 //! the paper and are *deliberately* marked deprecated-for-new-designs in
 //! their module docs.
 
@@ -55,7 +58,7 @@ pub use ct::ct_eq;
 pub use des::{Des, TripleDes};
 pub use digest::{BlockCipher, Digest};
 pub use drbg::HmacDrbg;
-pub use gcm::{gcm_open, gcm_seal, GCM_TAG_LEN};
+pub use gcm::{gcm_open, gcm_seal, Gcm, GCM_TAG_LEN};
 pub use hkdf::{hkdf_expand, hkdf_extract, kdf};
 pub use hmac::Hmac;
 pub use md5::Md5;

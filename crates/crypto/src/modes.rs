@@ -104,26 +104,30 @@ impl CtrMode {
         // nonce is never overwritten regardless of block size. For 64-bit
         // blocks the counter is 32-bit: 2³² blocks = 32 GiB, far above any
         // protocol message.
-        let mut counter = 0u64;
         let counter_max = if half >= 8 {
             u64::MAX
         } else {
             (1u64 << (8 * half)) - 1
         };
-        #[allow(clippy::explicit_counter_loop)] // counter has width-checked overflow semantics
-        for chunk in data.chunks_mut(C::BLOCK_SIZE) {
-            let mut block = vec![0u8; C::BLOCK_SIZE];
-            block[..half].copy_from_slice(nonce);
-            let ctr_bytes = counter.to_be_bytes();
-            block[half..].copy_from_slice(&ctr_bytes[8 - half.min(8)..]);
-            cipher.encrypt_block(&mut block);
-            for (d, k) in chunk.iter_mut().zip(block.iter()) {
+        if data.len().div_ceil(C::BLOCK_SIZE) as u64 > counter_max {
+            return Err(CipherError::BadLength);
+        }
+        // Counter blocks go to the cipher a stack buffer at a time, so a
+        // multi-block cipher (bitsliced AES) fills its lanes.
+        let mut run = [0u8; 128];
+        let run_len = run.len() / C::BLOCK_SIZE * C::BLOCK_SIZE;
+        let mut counter = 0u64;
+        for chunk in data.chunks_mut(run_len) {
+            let used = chunk.len().next_multiple_of(C::BLOCK_SIZE);
+            for block in run[..used].chunks_exact_mut(C::BLOCK_SIZE) {
+                block[..half].copy_from_slice(nonce);
+                block[half..].copy_from_slice(&counter.to_be_bytes()[8 - half.min(8)..]);
+                counter = counter.wrapping_add(1);
+            }
+            cipher.encrypt_blocks(&mut run[..used]);
+            for (d, k) in chunk.iter_mut().zip(&run) {
                 *d ^= k;
             }
-            if counter == counter_max {
-                return Err(CipherError::BadLength);
-            }
-            counter += 1;
         }
         Ok(())
     }
@@ -238,6 +242,23 @@ mod tests {
         assert_ne!(ct, msg);
         assert_eq!(ct.len(), msg.len(), "CTR adds no padding");
         assert_eq!(CtrMode::decrypt(&aes, &nonce, &ct).unwrap(), msg);
+    }
+
+    #[test]
+    fn ctr_multi_block_runs_match_per_block_oracle() {
+        // Every length across two stack runs: the bitsliced AES fed runs
+        // of counter blocks against the byte-wise cipher fed one at a time.
+        let key = [0x3c; 16];
+        let fast = Aes128::new(&key).unwrap();
+        let oracle = crate::aes::OracleAes128(Aes128::new(&key).unwrap());
+        let msg: Vec<u8> = (0..=255u8).chain(0..=44).collect();
+        for len in 0..=msg.len() {
+            assert_eq!(
+                CtrMode::encrypt(&fast, &[7; 8], &msg[..len]).unwrap(),
+                CtrMode::encrypt(&oracle, &[7; 8], &msg[..len]).unwrap(),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

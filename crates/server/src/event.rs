@@ -385,7 +385,7 @@ impl EventLoop {
                     return Ok(Decoded::Idle);
                 };
                 match recv
-                    .open_record(rtype, &payload)
+                    .open_record(rtype, payload)
                     .map_err(|e| e.to_string())?
                 {
                     Opened::Close => Ok(Decoded::Close),

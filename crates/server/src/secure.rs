@@ -315,7 +315,7 @@ mod tests {
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
         assert_eq!(
-            s.session.open_record(rt, &pl).unwrap(),
+            s.session.open_record(rt, pl).unwrap(),
             Opened::Frame(b"deposit frame".to_vec())
         );
     }

@@ -586,7 +586,7 @@ fn read_loop_secure(
         loop {
             match records.next_record() {
                 Ok(Some((rtype, payload))) => {
-                    let frame = match recv.open_record(rtype, &payload) {
+                    let frame = match recv.open_record(rtype, payload) {
                         Ok(Opened::Frame(frame)) => frame,
                         Ok(Opened::Close) => return, // clean, authenticated close
                         Err(e) => {

@@ -32,7 +32,7 @@
 
 use crate::{WireError, WireReader, WireWriter, MAX_BODY};
 use mws_crypto::{
-    ct_eq, gcm_open, gcm_seal, hkdf_expand, hkdf_extract, Aes128, Digest, Hmac, Sha256, GCM_TAG_LEN,
+    ct_eq, hkdf_expand, hkdf_extract, Aes128, Digest, Gcm, Hmac, Sha256, GCM_TAG_LEN,
 };
 
 /// Envelope version byte that marks a secure record rather than a
@@ -283,12 +283,19 @@ impl Default for SessionConfig {
     }
 }
 
-/// Encodes one secure record: `0x03 ‖ rtype ‖ len(4 LE) ‖ payload`.
-pub fn encode_record(rtype: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
+/// Starts a record of `payload_len` payload bytes: a buffer sized for the
+/// whole record, holding the header `0x03 ‖ rtype ‖ len(4 LE)`.
+fn begin_record(rtype: u8, payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(RECORD_HEADER + payload_len);
     out.push(WIRE_VERSION_SECURE);
     out.push(rtype);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    out
+}
+
+/// Encodes one secure record: `0x03 ‖ rtype ‖ len(4 LE) ‖ payload`.
+pub fn encode_record(rtype: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = begin_record(rtype, payload.len());
     out.extend_from_slice(payload);
     out
 }
@@ -348,10 +355,12 @@ impl RecordDecoder {
     }
 
     /// Pulls the next complete record, `Ok(None)` if more bytes are
-    /// needed. The version byte is validated here, so a plaintext peer is
-    /// reported as [`SecureError::PlaintextPeer`] before any length is
-    /// trusted.
-    pub fn next_record(&mut self) -> Result<Option<(u8, Vec<u8>)>, SecureError> {
+    /// needed. The payload is lent from the decoder's buffer (valid until
+    /// the next [`RecordDecoder::feed`]): opening a record copies it once,
+    /// into the plaintext. The version byte is validated here, so a
+    /// plaintext peer is reported as [`SecureError::PlaintextPeer`] before
+    /// any length is trusted.
+    pub fn next_record(&mut self) -> Result<Option<(u8, &[u8])>, SecureError> {
         let avail = &self.buf[self.pos..];
         if avail.is_empty() {
             return Ok(None);
@@ -375,9 +384,9 @@ impl RecordDecoder {
         if avail.len() < RECORD_HEADER + len {
             return Ok(None);
         }
-        let payload = avail[RECORD_HEADER..RECORD_HEADER + len].to_vec();
-        self.pos += RECORD_HEADER + len;
-        Ok(Some((rtype, payload)))
+        let start = self.pos + RECORD_HEADER;
+        self.pos = start + len;
+        Ok(Some((rtype, &self.buf[start..start + len])))
     }
 }
 
@@ -406,11 +415,12 @@ impl Transcript {
     }
 }
 
-/// One direction's record crypto: AES-128-GCM key + IV derived from a
-/// ratcheting direction secret, with an implicit sequence number.
+/// One direction's record crypto: the AES-128-GCM context (key schedule
+/// and hash subkey `H`) and IV of the current key generation, derived from
+/// a ratcheting direction secret, with an implicit sequence number.
 struct DirectionState {
     secret: Vec<u8>,
-    cipher: Aes128,
+    gcm: Gcm<Aes128>,
     iv: [u8; 12],
     seq: u64,
     generation: u32,
@@ -420,10 +430,10 @@ struct DirectionState {
 
 impl DirectionState {
     fn new(secret: Vec<u8>, rekey_every: u64) -> Self {
-        let (cipher, iv) = Self::derive(&secret);
+        let (gcm, iv) = Self::derive(&secret);
         Self {
             secret,
-            cipher,
+            gcm,
             iv,
             seq: 0,
             generation: 0,
@@ -432,13 +442,13 @@ impl DirectionState {
         }
     }
 
-    fn derive(secret: &[u8]) -> (Aes128, [u8; 12]) {
+    fn derive(secret: &[u8]) -> (Gcm<Aes128>, [u8; 12]) {
         let key = hkdf_expand::<Sha256>(secret, b"mws-sec key", 16);
         let ivv = hkdf_expand::<Sha256>(secret, b"mws-sec iv", 12);
-        let cipher = Aes128::new(&key).expect("16-byte key");
+        let gcm = Gcm::new(Aes128::new(&key).expect("16-byte key")).expect("128-bit block");
         let mut iv = [0u8; 12];
         iv.copy_from_slice(&ivv);
-        (cipher, iv)
+        (gcm, iv)
     }
 
     fn nonce(&self) -> [u8; 12] {
@@ -465,9 +475,8 @@ impl DirectionState {
         self.seq += 1;
         if self.seq >= self.rekey_every {
             self.secret = Hmac::<Sha256>::mac(&self.secret, b"mws-sec rekey");
-            let (cipher, iv) = Self::derive(&self.secret);
-            self.cipher = cipher;
-            self.iv = iv;
+            // The old generation's key schedule and `H` are dropped here.
+            (self.gcm, self.iv) = Self::derive(&self.secret);
             self.seq = 0;
             self.generation = self.generation.wrapping_add(1);
             self.rekeys += 1;
@@ -477,15 +486,25 @@ impl DirectionState {
         }
     }
 
+    /// Seals `plaintext` into one record, written once into one buffer:
+    /// header, then the plaintext encrypted where it lies, then the tag.
     fn seal(&mut self, rtype: u8, plaintext: &[u8]) -> Vec<u8> {
-        let sealed = gcm_seal(&self.cipher, &self.nonce(), &self.aad(rtype), plaintext)
+        let mut out = begin_record(rtype, plaintext.len() + GCM_TAG_LEN);
+        out.extend_from_slice(plaintext);
+        let tag = self
+            .gcm
+            .seal_in_place(&self.nonce(), &self.aad(rtype), &mut out[RECORD_HEADER..])
             .expect("12-byte nonce");
+        out.extend_from_slice(&tag);
         self.advance();
-        encode_record(rtype, &sealed)
+        out
     }
 
+    /// Opens a record payload into one fresh buffer, the plaintext.
     fn open(&mut self, rtype: u8, payload: &[u8]) -> Result<Vec<u8>, SecureError> {
-        let pt = gcm_open(&self.cipher, &self.nonce(), &self.aad(rtype), payload)
+        let pt = self
+            .gcm
+            .open(&self.nonce(), &self.aad(rtype), payload)
             .map_err(|_| SecureError::Aead)?;
         self.advance();
         Ok(pt)
@@ -728,9 +747,12 @@ impl Handshaker {
             if matches!(self.state, HsState::Done) {
                 return Err(SecureError::Closed);
             }
+            // Handshake records are copied out: `step` needs the whole
+            // driver, decoder included.
             let Some((rtype, payload)) = self.records.next_record()? else {
                 return Ok(None);
             };
+            let payload = payload.to_vec();
             if let Some(est) = self.step(rtype, &payload)? {
                 return Ok(Some(est));
             }
@@ -1068,7 +1090,7 @@ mod tests {
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
         assert_eq!(
-            s.session.open_record(rt, &pl).unwrap(),
+            s.session.open_record(rt, pl).unwrap(),
             Opened::Frame(b"deposit".to_vec())
         );
 
@@ -1078,7 +1100,7 @@ mod tests {
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
         assert_eq!(
-            c.session.open_record(rt, &pl).unwrap(),
+            c.session.open_record(rt, pl).unwrap(),
             Opened::Frame(b"ack".to_vec())
         );
     }
@@ -1093,9 +1115,9 @@ mod tests {
         let mut rd = RecordDecoder::new();
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
-        assert_eq!(c.session.open_record(rt, &pl), Err(SecureError::Aead));
+        assert_eq!(c.session.open_record(rt, pl), Err(SecureError::Aead));
         // Fresh session state on the server side still opens it.
-        drop(s.session.open_record(rt, &pl));
+        drop(s.session.open_record(rt, pl));
     }
 
     #[test]
@@ -1108,7 +1130,7 @@ mod tests {
         let mut rd = RecordDecoder::new();
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
-        assert_eq!(s.session.open_record(rt, &pl), Err(SecureError::Aead));
+        assert_eq!(s.session.open_record(rt, pl), Err(SecureError::Aead));
     }
 
     #[test]
@@ -1120,10 +1142,10 @@ mod tests {
         rd.feed(&rec);
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
-        assert!(s.session.open_record(rt, &pl).is_ok());
+        assert!(s.session.open_record(rt, pl).is_ok());
         let (rt, pl) = rd.next_record().unwrap().unwrap();
         // Same bytes, advanced sequence → tag mismatch.
-        assert_eq!(s.session.open_record(rt, &pl), Err(SecureError::Aead));
+        assert_eq!(s.session.open_record(rt, pl), Err(SecureError::Aead));
     }
 
     #[test]
@@ -1215,12 +1237,67 @@ mod tests {
             rd.feed(&rec);
             let (rt, pl) = rd.next_record().unwrap().unwrap();
             assert_eq!(
-                est_s.session.open_record(rt, &pl).unwrap(),
+                est_s.session.open_record(rt, pl).unwrap(),
                 Opened::Frame(msg.into_bytes())
             );
         }
         assert_eq!(est_c.session.send.rekeys(), 16);
         assert_eq!(est_s.session.recv.rekeys(), 16);
+    }
+
+    /// Three records as the parent commit (17a353b: byte-wise AES, bitwise
+    /// GHASH, copy-then-frame sealing) put them on the wire, for the fixed
+    /// PSK handshake of `pair()` with `rekey_every = 2`: sequence 0,
+    /// sequence 1, and the first record under the ratcheted key. A daemon
+    /// built from this tree must produce and accept exactly these bytes, or
+    /// it cannot talk to a peer that has not been upgraded yet.
+    #[test]
+    fn golden_records_interoperate_with_parent_commit() {
+        const GOLDEN: [(&[u8], &str); 3] = [
+            (
+                b"golden frame, sequence 0",
+                "030428000000ba0bfbbae7a597ac2a9d444366645eb6e4703613727b2da74c3a\
+                 e33ffcc3b635f303722f6fabb122",
+            ),
+            (
+                b"golden frame, sequence 1 -- long enough to cross two AES blocks and a tail",
+                "03045a0000002382f3a7ce167635f2bdea0e26e1bdabf42bc41ade3d5fd13550\
+                 72fa73c35c551f1be3777645edad511f0b9d328b6ec90f9ab663592e4068a6b2\
+                 ad43090b327d66b8fdd6d5f0df1b029852f0b22c1589294dd06ad2b48b825577",
+            ),
+            (b"", "0304100000009e55da01ae13e19d5369416a64beabfc"),
+        ];
+        let unhex = |s: &str| -> Vec<u8> {
+            (0..s.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        let (ca, sa) = pair();
+        let cfg = SessionConfig { rekey_every: 2 };
+        let mut c = Handshaker::client(ca, None, cfg.clone());
+        let mut s = Handshaker::server(sa, cfg);
+        let hello = c.take_output();
+        s.feed(&hello).unwrap();
+        let accept = s.take_output();
+        let mut est_c = c.feed(&accept).unwrap().unwrap();
+        let finish = c.take_output();
+        let mut est_s = s.feed(&finish).unwrap().unwrap();
+
+        let mut rd = RecordDecoder::new();
+        for (frame, record) in GOLDEN {
+            let record = unhex(record);
+            assert_eq!(est_c.session.seal_frame(frame).unwrap(), record);
+            // The receiver is fed the parent's bytes, not ours.
+            rd.feed(&record);
+            let (rt, pl) = rd.next_record().unwrap().unwrap();
+            assert_eq!(
+                est_s.session.open_record(rt, pl).unwrap(),
+                Opened::Frame(frame.to_vec())
+            );
+        }
+        assert_eq!(est_c.session.send.rekeys(), 1);
+        assert_eq!(est_s.session.recv.rekeys(), 1);
     }
 
     #[test]
@@ -1231,7 +1308,7 @@ mod tests {
         let mut rd = RecordDecoder::new();
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
-        assert_eq!(s.session.open_record(rt, &pl).unwrap(), Opened::Close);
+        assert_eq!(s.session.open_record(rt, pl).unwrap(), Opened::Close);
         // Both halves refuse further traffic.
         assert_eq!(c.session.seal_frame(b"late"), Err(SecureError::Closed));
         assert_eq!(
@@ -1259,7 +1336,7 @@ mod tests {
         rd.feed(&est_s.leftover);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
         assert_eq!(
-            est_s.session.open_record(rt, &pl).unwrap(),
+            est_s.session.open_record(rt, pl).unwrap(),
             Opened::Frame(b"early data".to_vec())
         );
     }

@@ -324,7 +324,7 @@ fn secure_handshake_survives_arbitrary_fragmentation() {
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
         assert_eq!(
-            s_est.session.open_record(rt, &pl).unwrap(),
+            s_est.session.open_record(rt, pl).unwrap(),
             Opened::Frame(b"client frame".to_vec())
         );
         let rec = s_est.session.seal_frame(b"server frame").unwrap();
@@ -332,7 +332,7 @@ fn secure_handshake_survives_arbitrary_fragmentation() {
         rd.feed(&rec);
         let (rt, pl) = rd.next_record().unwrap().unwrap();
         assert_eq!(
-            c_est.session.open_record(rt, &pl).unwrap(),
+            c_est.session.open_record(rt, pl).unwrap(),
             Opened::Frame(b"server frame".to_vec())
         );
     });
@@ -394,7 +394,7 @@ fn tampered_data_records_never_open() {
             Err(_) => {}   // framing rejected (version/type/length flip)
             Ok(None) => {} // length flip: waits forever, never opens
             Ok(Some((rt, pl))) => {
-                assert!(s_est.session.open_record(rt, &pl).is_err());
+                assert!(s_est.session.open_record(rt, pl).is_err());
             }
         }
     });
