@@ -8,7 +8,9 @@
 //! `symmetric` section times the record cipher — AES block, AES-CTR, GHASH
 //! and AES-GCM at three sizes — next to the same rows as measured at the
 //! commit before the constant-time word-parallel core replaced the
-//! byte-wise one ([`SYMMETRIC_BEFORE`]).
+//! byte-wise one ([`SYMMETRIC_BEFORE`]). A `bigint` section times Montgomery
+//! arithmetic at the widths production runs, next to the same rows from the
+//! commit before it was sized to the modulus ([`BIGINT_BEFORE`]).
 //!
 //! Run with: `cargo run --release -p mws-bench --bin crypto_bench`
 //!
@@ -16,12 +18,15 @@
 //! * default — pinned iteration counts, writes `BENCH_crypto.json`
 //! * `--smoke` — few iterations, no file output; asserts the fast paths are
 //!   bit-identical to the reference paths and that the release build's
-//!   AES-GCM still produces the SP 800-38D vectors and one pinned seal
-//!   (used by `scripts/tier1.sh`)
+//!   AES-GCM still produces the SP 800-38D vectors and one pinned seal, and
+//!   that Montgomery arithmetic agrees across container widths (used by
+//!   `scripts/tier1.sh`)
 
 use mws_bench::{time_op, timings_json, Json, Timing};
+use mws_bigint::{random_bits, Mont, Uint, U256};
 use mws_crypto::{
-    gcm_open, gcm_seal, Aes128, Aes256, BlockCipher, CtrMode, Digest, HmacDrbg, Rng, Sha256,
+    gcm_open, gcm_seal, Aes128, Aes256, BlockCipher, CtrMode, Digest, HmacDrbg, Rng, RsaKeyPair,
+    Sha256,
 };
 use mws_ibe::bf::IbeSystem;
 use mws_pairing::SecurityLevel;
@@ -234,6 +239,100 @@ fn bench_symmetric(scale: u32) -> Vec<Timing> {
     timings
 }
 
+/// The `bigint` rows at the parent commit 87f3e7c (CIOS over the whole
+/// container: 8 limbs for every field, 32 for RSA, contexts rebuilt per RSA
+/// call), in ns/op: medians of ten runs of this same function built against
+/// that commit, alternated with ten runs of this tree on the same box (this
+/// tree's medians in that session: 22.2, 22.1, 31.5, 33.2, 84.0, 85.3, 4107,
+/// 168606, 24249; `mont_sqr` is `mont_mul(a, a)`, so its rows only show that
+/// the two track each other). `rsa512_encrypt` is 44 DRBG draws for the
+/// PKCS#1 padding plus 17 multiplies; the context build was the other half.
+const BIGINT_BEFORE: [(&str, f64); 9] = [
+    ("mont_mul/160_in_u512", 91.5),
+    ("mont_sqr/160_in_u512", 90.8),
+    ("mont_mul/256_in_u512", 89.8),
+    ("mont_sqr/256_in_u512", 90.0),
+    ("mont_mul/512_in_u512", 89.5),
+    ("mont_sqr/512_in_u512", 92.0),
+    ("mont_new_512_in_u2048", 111657.9),
+    ("rsa512_encrypt", 332406.5),
+    ("rsa512_decrypt", 1288701.1),
+];
+
+/// An odd modulus of exactly `bits` bits and two residues below it.
+fn modulus_and_residues<const L: usize>(rng: &mut HmacDrbg, bits: u32) -> [Uint<L>; 3] {
+    let mut n: Uint<L> = random_bits(rng, bits);
+    n.set_bit(bits - 1, true);
+    n.set_bit(0, true);
+    [n, random_bits(rng, bits - 1), random_bits(rng, bits - 1)]
+}
+
+/// Montgomery arithmetic at the widths production runs: the three field
+/// sizes inside the pairing's one `Uint<8>` container (Toy, Light, Standard)
+/// and the RSA-512 token key inside `U2048`.
+fn bench_bigint(scale: u32) -> Vec<Timing> {
+    let mut rng = HmacDrbg::from_u64(0xb161);
+    let mut timings = Vec::new();
+    for bits in [160u32, 256, 512] {
+        let [n, a, b] = modulus_and_residues::<8>(&mut rng, bits);
+        let mont = Mont::new(&n).expect("odd modulus");
+        let (mut x, y) = (mont.to_mont(&a), mont.to_mont(&b));
+        let name = format!("mont_mul/{bits}_in_u512");
+        timings.push(time_op(name, 20_000 * scale, || {
+            x = mont.mont_mul(std::hint::black_box(&x), &y);
+        }));
+        let name = format!("mont_sqr/{bits}_in_u512");
+        timings.push(time_op(name, 20_000 * scale, || {
+            x = mont.mont_sqr(std::hint::black_box(&x));
+        }));
+        std::hint::black_box(x);
+    }
+    let [n, _, _] = modulus_and_residues::<32>(&mut rng, 512);
+    timings.push(time_op("mont_new_512_in_u2048", 20 * scale, || {
+        std::hint::black_box(Mont::<32>::new(std::hint::black_box(&n)).expect("odd modulus"));
+    }));
+    let kp = RsaKeyPair::generate(&mut rng, 512).expect("512-bit key");
+    let mut ct = Vec::new();
+    timings.push(time_op("rsa512_encrypt", 20 * scale, || {
+        ct = kp
+            .public
+            .encrypt_pkcs1(&mut rng, b"token session key")
+            .expect("fits");
+    }));
+    timings.push(time_op("rsa512_decrypt", 20 * scale, || {
+        std::hint::black_box(kp.private.decrypt_pkcs1(&ct).expect("own ciphertext"));
+    }));
+    timings
+}
+
+/// Release-profile gate on the Montgomery kernel: the same modulus in 4-, 8-
+/// and 32-limb containers (each its own instantiation of the width dispatch)
+/// gives the same residues and the same canonical product, square and power,
+/// and those match the division-based oracle.
+fn bigint_smoke() {
+    fn run<const L: usize>([n, a, b]: [U256; 3]) -> [U256; 4] {
+        let m = Mont::<L>::new(&n.widen()).expect("odd modulus");
+        let (am, bm) = (m.to_mont(&a.widen()), m.to_mont(&b.widen()));
+        [
+            am,
+            m.from_mont(&m.mont_mul(&am, &bm)),
+            m.from_mont(&m.mont_sqr(&am)),
+            m.pow(&a.widen(), &b.widen()),
+        ]
+        .map(|v| v.narrow().expect("results are below the modulus"))
+    }
+    let mut rng = HmacDrbg::from_u64(0xb161);
+    for bits in [160u32, 256] {
+        let input = modulus_and_residues::<4>(&mut rng, bits);
+        let [n, a, b] = input;
+        let narrow = run::<4>(input);
+        assert_eq!(run::<8>(input), narrow, "{bits} bits: Mont<8> != Mont<4>");
+        assert_eq!(run::<32>(input), narrow, "{bits} bits: Mont<32> != Mont<4>");
+        let oracle = [a.mul_mod(&b, &n), a.mul_mod(&a, &n), a.pow_mod(&b, &n)];
+        assert_eq!(narrow[1..], oracle, "{bits} bits: Mont != division");
+    }
+}
+
 fn unhex(s: &str) -> Vec<u8> {
     (0..s.len())
         .step_by(2)
@@ -301,7 +400,12 @@ fn symmetric_smoke() {
     assert_eq!(gcm_open(&cipher, &iv, &aad, &sealed).expect("open"), pt);
 }
 
-fn render_json(reports: &[LevelReport], obs: &[Timing], symmetric: &[Timing]) -> String {
+fn render_json(
+    reports: &[LevelReport],
+    obs: &[Timing],
+    symmetric: &[Timing],
+    bigint: &[Timing],
+) -> String {
     let levels = reports.iter().map(|rep| {
         let level = [
             ("timings", timings_json(&rep.timings)),
@@ -325,6 +429,16 @@ fn render_json(reports: &[LevelReport], obs: &[Timing], symmetric: &[Timing]) ->
                 ),
             ]),
         ),
+        (
+            "bigint",
+            Json::obj([
+                ("timings", timings_json(bigint)),
+                (
+                    "before_87f3e7c_ns_per_op",
+                    Json::obj(BIGINT_BEFORE.map(|(name, ns)| (name, Json::fixed(ns, 1)))),
+                ),
+            ]),
+        ),
     ])
     .pretty()
 }
@@ -345,6 +459,7 @@ fn main() {
     let obs_timings = bench_obs(if smoke { 100_000 } else { 2_000_000 });
 
     let symmetric_timings = bench_symmetric(if smoke { 1 } else { 10 });
+    let bigint_timings = bench_bigint(if smoke { 1 } else { 10 });
 
     for rep in &reports {
         eprintln!("== {} ==", rep.level);
@@ -358,14 +473,17 @@ fn main() {
     obs_timings.iter().for_each(|t| eprintln!("  {t}"));
     eprintln!("== symmetric ==");
     symmetric_timings.iter().for_each(|t| eprintln!("  {t}"));
+    eprintln!("== bigint ==");
+    bigint_timings.iter().for_each(|t| eprintln!("  {t}"));
 
     if smoke {
         symmetric_smoke();
+        bigint_smoke();
         eprintln!("crypto_bench --smoke: fast paths bit-identical to reference");
         return;
     }
 
-    let json = render_json(&reports, &obs_timings, &symmetric_timings);
+    let json = render_json(&reports, &obs_timings, &symmetric_timings, &bigint_timings);
     std::fs::write("BENCH_crypto.json", &json).expect("write BENCH_crypto.json");
     println!("{json}");
     eprintln!("wrote BENCH_crypto.json");

@@ -1,4 +1,15 @@
-//! Montgomery modular multiplication (CIOS) for odd moduli.
+//! Montgomery modular arithmetic for odd moduli, sized to the modulus.
+//!
+//! A [`Mont<L>`] lives in an `L`-limb container but works on the modulus's
+//! *active* limbs `k = ⌈bits(n)/64⌉` with `R = 2^(64·k)`: a 256-bit field in
+//! a `Uint<8>` or a 256-bit CRT prime in a `U2048` costs a 4-limb multiply,
+//! not an 8- or 32-limb one. Every value the context returns is `< n`, so its
+//! limbs at index `≥ k` are zero — the kernels never write them.
+//!
+//! Montgomery form (`a·R mod n`) is therefore a function of the modulus, not
+//! of the container, and it is internal: nothing in the workspace serialises
+//! a Montgomery residue. Only canonical values (`from_mont`) leave the
+//! process.
 
 use crate::{BigIntError, Uint};
 
@@ -6,20 +17,137 @@ use crate::{BigIntError, Uint};
 ///
 /// Values are converted into the Montgomery domain once and multiplied there
 /// without per-operation division. This is the workhorse behind the pairing
-/// field arithmetic and Miller–Rabin exponentiation.
+/// field arithmetic, RSA and Miller–Rabin exponentiation.
+///
+/// Operands must already be `< n` ([`Mont::reduce`] brings anything else
+/// there): the kernels read only the active limbs, so an unreduced operand is
+/// truncated, not tolerated. Debug builds assert it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Mont<const L: usize> {
     n: Uint<L>,
     /// `-n^{-1} mod 2^64`.
     n0: u64,
-    /// `R mod n`, where `R = 2^(64·L)` (the Montgomery form of 1).
+    /// Active limbs `⌈bits(n)/64⌉`; `R = 2^(64·k)`.
+    k: usize,
+    /// `R mod n` (the Montgomery form of 1).
     r1: Uint<L>,
     /// `R² mod n` (used for conversion into the domain).
     r2: Uint<L>,
 }
 
+/// Evaluates `$body` with `$k` bound to the active width — as a literal for
+/// the widths the workspace runs hot (160-bit Toy = 3, 256-bit fields and
+/// RSA-512 halves = 4, 512-bit fields and RSA-1024 halves = 8), so the
+/// `#[inline(always)]` kernel bodies get constant trip counts; any other
+/// width runs the same body with a runtime bound.
+macro_rules! with_width {
+    ($width:expr, |$k:ident| $body:expr) => {
+        match $width {
+            3 if L >= 3 => {
+                let $k = 3;
+                $body
+            }
+            4 if L >= 4 => {
+                let $k = 4;
+                $body
+            }
+            8 if L >= 8 => {
+                let $k = 8;
+                $body
+            }
+            $k => $body,
+        }
+    };
+}
+
+/// `a ≥ b` over equal-length limb slices.
+#[inline(always)]
+fn ge(a: &[u64], b: &[u64]) -> bool {
+    for i in (0..a.len()).rev() {
+        if a[i] != b[i] {
+            return a[i] > b[i];
+        }
+    }
+    true
+}
+
+/// `a += b` over equal-length limb slices; returns the carry out.
+#[inline(always)]
+fn add_assign(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for i in 0..a.len() {
+        let (s, c1) = a[i].overflowing_add(b[i]);
+        let (s, c2) = s.overflowing_add(carry as u64);
+        a[i] = s;
+        carry = c1 | c2;
+    }
+    carry
+}
+
+/// `a -= b` over equal-length limb slices; returns the borrow out.
+#[inline(always)]
+fn sub_assign(a: &mut [u64], b: &[u64]) -> bool {
+    let mut borrow = false;
+    for i in 0..a.len() {
+        let (d, b1) = a[i].overflowing_sub(b[i]);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        a[i] = d;
+        borrow = b1 | b2;
+    }
+    borrow
+}
+
+/// Brings `t + over·2^(64·len) < 2n` into `[0, n)`.
+#[inline(always)]
+fn reduce_once(t: &mut [u64], over: bool, n: &[u64]) {
+    if over || ge(t, n) {
+        sub_assign(t, n);
+    }
+}
+
+/// `a · b · R^{-1} mod n` over `k` limbs (CIOS: the partial product and the
+/// reduction alternate limb by limb, so the accumulator never exceeds `k + 1`
+/// limbs and a carry bit). Reads only the low `k` limbs of its operands and
+/// needs `a·b < n·R`; operands `< n` give both.
+#[inline(always)]
+fn cios<const L: usize>(k: usize, a: &[u64; L], b: &[u64; L], n: &[u64; L], n0: u64) -> [u64; L] {
+    let (a, b, n) = (&a[..k], &b[..k], &n[..k]);
+    let mut out = [0u64; L];
+    let t = &mut out[..k];
+    let mut t_k = 0u64; // limb k of the accumulator
+    for &ai in a {
+        // t += a[i] · b
+        let ai = ai as u128;
+        let mut carry = 0u64;
+        for j in 0..k {
+            let s = ai * b[j] as u128 + t[j] as u128 + carry as u128;
+            t[j] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let (hi, over) = t_k.overflowing_add(carry);
+
+        // m makes the low limb vanish: t = (t + m · n) / 2^64
+        let m = t[0].wrapping_mul(n0) as u128;
+        let mut carry = ((m * n[0] as u128 + t[0] as u128) >> 64) as u64;
+        for j in 1..k {
+            let s = m * n[j] as u128 + t[j] as u128 + carry as u128;
+            t[j - 1] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let (hi, over2) = hi.overflowing_add(carry);
+        t[k - 1] = hi;
+        t_k = over as u64 + over2 as u64;
+    }
+    reduce_once(t, t_k != 0, n);
+    out
+}
+
 impl<const L: usize> Mont<L> {
     /// Creates a context for the odd modulus `n > 1`.
+    ///
+    /// Every width the container can hold is served: the kernels' scratch is
+    /// `L`-limb arrays, so there is no modulus this accepts and a later
+    /// multiply cannot handle.
     pub fn new(n: &Uint<L>) -> Result<Self, BigIntError> {
         if n.is_even() || *n <= Uint::ONE {
             return Err(BigIntError::BadModulus);
@@ -32,10 +160,33 @@ impl<const L: usize> Mont<L> {
         }
         let n0 = inv.wrapping_neg();
 
-        // R mod n: reduce the (L+1)-limb value 2^(64·L) by n.
-        let r1 = reduce_pow2::<L>(n, 64 * L as u32);
-        let r2 = r1.mul_mod(&r1, n);
-        Ok(Self { n: *n, n0, r1, r2 })
+        // 2^(bits−1) < n is already reduced; doubling it modulo n up to
+        // 2^(64·k) gives R mod n, and 64·k further doublings R² mod n.
+        let bits = n.bits();
+        let k = bits.div_ceil(64) as usize;
+        let nk = &n.limbs[..k];
+        let mut acc = Uint::<L>::ZERO;
+        acc.set_bit(bits - 1, true);
+        let double = |acc: &mut Uint<L>, times: u32| {
+            let t = &mut acc.limbs[..k];
+            for _ in 0..times {
+                let mut top = 0u64;
+                for limb in t.iter_mut() {
+                    (*limb, top) = ((*limb << 1) | top, *limb >> 63);
+                }
+                reduce_once(t, top != 0, nk);
+            }
+        };
+        double(&mut acc, 64 * k as u32 - (bits - 1));
+        let r1 = acc;
+        double(&mut acc, 64 * k as u32);
+        Ok(Self {
+            n: *n,
+            n0,
+            k,
+            r1,
+            r2: acc,
+        })
     }
 
     /// The modulus.
@@ -48,74 +199,81 @@ impl<const L: usize> Mont<L> {
         self.r1
     }
 
+    /// `a mod n`, dividing only when `a ≥ n`.
+    pub fn reduce(&self, a: &Uint<L>) -> Uint<L> {
+        if *a < self.n {
+            *a
+        } else {
+            a.rem(&self.n)
+        }
+    }
+
     /// Converts `a` (must be `< n`) into the Montgomery domain.
     pub fn to_mont(&self, a: &Uint<L>) -> Uint<L> {
         debug_assert!(a < &self.n);
         self.mont_mul(a, &self.r2)
     }
 
-    /// Converts out of the Montgomery domain.
+    /// Converts `a` (must be `< n`) out of the Montgomery domain.
     pub fn from_mont(&self, a: &Uint<L>) -> Uint<L> {
         self.mont_mul(a, &Uint::ONE)
     }
 
-    /// Montgomery product: `a · b · R^{-1} mod n` (CIOS).
+    /// Montgomery product: `a · b · R^{-1} mod n`. Operands must be `< n`.
     pub fn mont_mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
-        let n = &self.n.limbs;
-        let bl = &b.limbs;
-        // t has L+2 limbs: t[L] and an extra carry bit in t_hi.
-        let mut t = [0u64; 64]; // max L = 32 supported; only first L+2 used
-        debug_assert!(L + 2 <= 64, "limb count exceeds CIOS scratch space");
-        let mut t_top = 0u64; // t[L+1] equivalent (0 or 1)
-
-        for i in 0..L {
-            // t += a[i] * b
-            let ai = a.limbs[i] as u128;
-            let mut carry = 0u64;
-            for j in 0..L {
-                let s = ai * bl[j] as u128 + t[j] as u128 + carry as u128;
-                t[j] = s as u64;
-                carry = (s >> 64) as u64;
-            }
-            let (s, c) = t[L].overflowing_add(carry);
-            t[L] = s;
-            t_top += c as u64;
-
-            // m = t[0] * n0 mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n0) as u128;
-            let s0 = m * n[0] as u128 + t[0] as u128;
-            debug_assert_eq!(s0 as u64, 0);
-            let mut carry = (s0 >> 64) as u64;
-            for j in 1..L {
-                let s = m * n[j] as u128 + t[j] as u128 + carry as u128;
-                t[j - 1] = s as u64;
-                carry = (s >> 64) as u64;
-            }
-            let (s, c) = t[L].overflowing_add(carry);
-            t[L - 1] = s;
-            t[L] = t_top + c as u64;
-            t_top = 0;
-        }
-
-        let mut out = [0u64; L];
-        out.copy_from_slice(&t[..L]);
-        let mut r = Uint::from_limbs(out);
-        // Final conditional subtraction: result < 2n is guaranteed.
-        if t[L] != 0 || r >= self.n {
-            r = r.wrapping_sub(&self.n);
-        }
-        r
+        debug_assert!(a < &self.n && b < &self.n);
+        Uint::from_limbs(with_width!(self.k, |k| cios(
+            k,
+            &a.limbs,
+            &b.limbs,
+            &self.n.limbs,
+            self.n0
+        )))
     }
 
-    /// Montgomery squaring.
+    /// Montgomery squaring: `a² · R^{-1} mod n`. The operand must be `< n`.
     pub fn mont_sqr(&self, a: &Uint<L>) -> Uint<L> {
         self.mont_mul(a, a)
+    }
+
+    /// `a + b mod n` for `a, b < n` (either domain).
+    pub fn add(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+        debug_assert!(a < &self.n && b < &self.n);
+        let mut out = *a;
+        with_width!(self.k, |k| {
+            let t = &mut out.limbs[..k];
+            let over = add_assign(t, &b.limbs[..k]);
+            reduce_once(t, over, &self.n.limbs[..k]);
+        });
+        out
+    }
+
+    /// `a − b mod n` for `a, b < n` (either domain).
+    pub fn sub(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+        debug_assert!(a < &self.n && b < &self.n);
+        let mut out = *a;
+        with_width!(self.k, |k| {
+            let t = &mut out.limbs[..k];
+            if sub_assign(t, &b.limbs[..k]) {
+                add_assign(t, &self.n.limbs[..k]);
+            }
+        });
+        out
+    }
+
+    /// `−a mod n` for `a < n` (either domain).
+    pub fn neg(&self, a: &Uint<L>) -> Uint<L> {
+        if a.is_zero() {
+            *a
+        } else {
+            self.sub(&Uint::ZERO, a)
+        }
     }
 
     /// Modular exponentiation `base^exp mod n` with 4-bit fixed windows.
     /// `base` and the result are in the *plain* (non-Montgomery) domain.
     pub fn pow(&self, base: &Uint<L>, exp: &Uint<L>) -> Uint<L> {
-        let b = self.to_mont(&base.rem(&self.n));
+        let b = self.to_mont(&self.reduce(base));
         let r = self.pow_mont(&b, exp);
         self.from_mont(&r)
     }
@@ -133,34 +291,19 @@ impl<const L: usize> Mont<L> {
         for i in 2..16 {
             table[i] = self.mont_mul(&table[i - 1], base);
         }
-        let nwindows = bits.div_ceil(4);
-        let mut acc = self.r1;
-        let mut started = false;
-        for w in (0..nwindows).rev() {
-            if started {
-                acc = self.mont_sqr(&acc);
-                acc = self.mont_sqr(&acc);
-                acc = self.mont_sqr(&acc);
+        let window =
+            |w: u32| (0..4).fold(0usize, |idx, b| idx | (exp.bit(w * 4 + b) as usize) << b);
+        // The top window holds the top set bit, so it is never empty.
+        let top = bits.div_ceil(4) - 1;
+        let mut acc = table[window(top)];
+        for w in (0..top).rev() {
+            for _ in 0..4 {
                 acc = self.mont_sqr(&acc);
             }
-            let mut idx = 0usize;
-            for b in 0..4u32 {
-                let bit = w * 4 + b;
-                if bit < bits && exp.bit(bit) {
-                    idx |= 1 << b;
-                }
-            }
+            let idx = window(w);
             if idx != 0 {
                 acc = self.mont_mul(&acc, &table[idx]);
-                started = true;
-            } else if started {
-                // acc already squared; nothing to multiply.
             }
-        }
-        if !started {
-            // exp was zero (all windows empty) — cannot happen since bits>0
-            // implies at least one set bit, but keep the invariant explicit.
-            return self.r1;
         }
         acc
     }
@@ -168,29 +311,13 @@ impl<const L: usize> Mont<L> {
     /// Modular inverse for prime `n` via Fermat's little theorem:
     /// `a^{n-2} mod n`. The caller must guarantee primality.
     pub fn inv_prime(&self, a: &Uint<L>) -> Result<Uint<L>, BigIntError> {
-        if a.rem(&self.n).is_zero() {
+        let a = self.reduce(a);
+        if a.is_zero() {
             return Err(BigIntError::NotInvertible);
         }
         let e = self.n.wrapping_sub(&Uint::from_u64(2));
-        Ok(self.pow(a, &e))
+        Ok(self.pow(&a, &e))
     }
-}
-
-/// Computes `2^k mod n` for `k ≥ 0` without requiring a wider type.
-fn reduce_pow2<const L: usize>(n: &Uint<L>, k: u32) -> Uint<L> {
-    // Start from 2^(bits-1) < n ≤ 2^bits … actually simpler: repeated doubling
-    // of 1, reducing as we go. k is at most 64·L so this is ≤ 2048 iterations,
-    // only run at context construction.
-    let mut acc = Uint::<L>::ONE.rem(n);
-    for _ in 0..k {
-        let (sum, carry) = acc.overflowing_add(&acc);
-        acc = if carry || sum >= *n {
-            sum.wrapping_sub(n)
-        } else {
-            sum
-        };
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -278,6 +405,51 @@ mod tests {
         let bm = m.to_mont(&b.rem(&n));
         let got = m.from_mont(&m.mont_mul(&am, &bm));
         assert_eq!(got, a.rem(&n).mul_mod(&b.rem(&n), &n));
+    }
+
+    #[test]
+    fn r_is_sized_to_the_modulus_not_the_container() {
+        // A 160-bit modulus has three active limbs in any container:
+        // R = 2^192, and nothing the context hands out reaches limb 3.
+        let mut n = U512::ZERO;
+        n.set_bit(159, true);
+        let n = n.wrapping_add(&U512::from_u64(0x2f));
+        let m = Mont::new(&n).unwrap();
+        let mut r = U512::ZERO;
+        r.set_bit(192, true);
+        assert_eq!(m.one_mont(), r.rem(&n));
+        assert_eq!(m.to_mont(&U512::ONE), r.rem(&n));
+        assert_eq!(m.to_mont(&r.rem(&n)), r.mul_mod(&r, &n));
+        let a = m.to_mont(&n.wrapping_sub(&U512::ONE));
+        for v in [a, m.mont_sqr(&a), m.add(&a, &a), m.sub(&a, &r.rem(&n))] {
+            assert!(v < n);
+        }
+        // The same modulus in a wider container has the same residues.
+        let wide = Mont::new(&n.widen::<32>()).unwrap();
+        assert_eq!(wide.one_mont(), m.one_mont().widen());
+    }
+
+    #[test]
+    fn reduce_divides_only_when_needed() {
+        let n = modulus();
+        let m = Mont::new(&n).unwrap();
+        let below = n.wrapping_sub(&U256::ONE);
+        assert_eq!(m.reduce(&below), below);
+        assert_eq!(m.reduce(&n), U256::ZERO);
+        assert_eq!(m.reduce(&U256::MAX), U256::MAX.rem(&n));
+        assert_eq!(m.pow(&U256::MAX, &U256::ONE), U256::MAX.rem(&n));
+    }
+
+    #[test]
+    fn add_sub_neg_wrap_at_the_modulus() {
+        let n = modulus();
+        let m = Mont::new(&n).unwrap();
+        let top = n.wrapping_sub(&U256::ONE);
+        assert_eq!(m.add(&top, &U256::ONE), U256::ZERO);
+        assert_eq!(m.add(&top, &top), n.wrapping_sub(&U256::from_u64(2)));
+        assert_eq!(m.sub(&U256::ZERO, &U256::ONE), top);
+        assert_eq!(m.neg(&U256::ONE), top);
+        assert_eq!(m.neg(&U256::ZERO), U256::ZERO);
     }
 
     #[test]

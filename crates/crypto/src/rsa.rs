@@ -47,7 +47,8 @@ impl std::error::Error for RsaError {}
 /// RSA public key `(n, e)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RsaPublicKey {
-    n: U2048,
+    /// Montgomery context of the modulus `n`, built once per key.
+    n: Mont<32>,
     e: U2048,
     k: usize, // modulus length in bytes
 }
@@ -55,13 +56,16 @@ pub struct RsaPublicKey {
 /// RSA private key with CRT parameters.
 #[derive(Clone)]
 pub struct RsaPrivateKey {
-    n: U2048,
+    /// Montgomery contexts of `n`, `p` and `q`, built once per key.
+    n: Mont<32>,
+    p: Mont<32>,
+    q: Mont<32>,
     d: U2048,
-    p: U2048,
-    q: U2048,
     dp: U2048,
     dq: U2048,
-    qinv: U2048,
+    /// `q⁻¹ mod p` in `p`'s Montgomery form: one Montgomery product with a
+    /// plain residue gives their plain product.
+    qinv_m: U2048,
     k: usize,
 }
 
@@ -114,16 +118,18 @@ impl RsaKeyPair {
                 Err(_) => continue,
             };
             let k = (bits as usize) / 8;
+            let n = Mont::new(&n).expect("product of odd primes");
+            let p = Mont::new(&p).expect("odd prime");
             return Ok(Self {
-                public: RsaPublicKey { n, e, k },
+                public: RsaPublicKey { n: n.clone(), e, k },
                 private: RsaPrivateKey {
                     n,
+                    q: Mont::new(&q).expect("odd prime"),
                     d,
-                    p,
-                    q,
                     dp,
                     dq,
-                    qinv,
+                    qinv_m: p.to_mont(&qinv),
+                    p,
                     k,
                 },
             });
@@ -141,7 +147,7 @@ impl RsaPublicKey {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + self.k + 8);
         out.extend_from_slice(&(self.k as u32).to_le_bytes());
-        out.extend_from_slice(&i2osp(&self.n, self.k));
+        out.extend_from_slice(&i2osp(self.n.modulus(), self.k));
         out.extend_from_slice(
             &self
                 .e
@@ -167,7 +173,7 @@ impl RsaPublicKey {
             return Err(RsaError::OutOfRange);
         }
         Ok(Self {
-            n,
+            n: Mont::new(&n).map_err(|_| RsaError::OutOfRange)?, // even modulus
             e: U2048::from_u64(e_raw),
             k,
         })
@@ -175,11 +181,10 @@ impl RsaPublicKey {
 
     /// Raw RSA: `m^e mod n`.
     fn raw(&self, m: &U2048) -> Result<U2048, RsaError> {
-        if m >= &self.n {
+        if m >= self.n.modulus() {
             return Err(RsaError::OutOfRange);
         }
-        let mont = Mont::new(&self.n).expect("odd RSA modulus");
-        Ok(mont.pow(m, &self.e))
+        Ok(self.n.pow(m, &self.e))
     }
 
     /// PKCS#1 v1.5 encryption (EME-PKCS1-v1_5). Message limit is `k − 11`.
@@ -234,29 +239,28 @@ impl RsaPrivateKey {
 
     /// Raw private-key operation via CRT.
     fn raw(&self, c: &U2048) -> Result<U2048, RsaError> {
-        if c >= &self.n {
+        if c >= self.n.modulus() {
             return Err(RsaError::OutOfRange);
         }
-        let mp = Mont::new(&self.p).expect("odd prime");
-        let mq = Mont::new(&self.q).expect("odd prime");
-        let m1 = mp.pow(&c.rem(&self.p), &self.dp);
-        let m2 = mq.pow(&c.rem(&self.q), &self.dq);
+        let m1 = self.p.pow(c, &self.dp);
+        let m2 = self.q.pow(c, &self.dq);
         // h = qinv * (m1 - m2) mod p
-        let diff = m1.sub_mod(&m2.rem(&self.p), &self.p);
-        let h = self.qinv.mul_mod(&diff, &self.p);
+        let diff = self.p.sub(&m1, &self.p.reduce(&m2));
+        let h = self.p.mont_mul(&self.qinv_m, &diff);
         // m = m2 + h * q  (< p*q = n, no overflow within 2048 bits as long as
         // p and q are half-width)
-        let hq = h.checked_mul(&self.q).ok_or(RsaError::OutOfRange)?;
+        let hq = h
+            .checked_mul(self.q.modulus())
+            .ok_or(RsaError::OutOfRange)?;
         Ok(m2.wrapping_add(&hq))
     }
 
     /// Raw private-key operation without CRT (for cross-checking).
     fn raw_nocrt(&self, c: &U2048) -> Result<U2048, RsaError> {
-        if c >= &self.n {
+        if c >= self.n.modulus() {
             return Err(RsaError::OutOfRange);
         }
-        let mont = Mont::new(&self.n).expect("odd RSA modulus");
-        Ok(mont.pow(c, &self.d))
+        Ok(self.n.pow(c, &self.d))
     }
 
     /// PKCS#1 v1.5 decryption.
@@ -330,7 +334,7 @@ mod tests {
         let kp = keypair();
         assert_eq!(kp.public.modulus_len(), 64);
         assert_eq!(kp.public.n, kp.private.n);
-        assert_eq!(kp.public.n.bits(), 512);
+        assert_eq!(kp.public.n.modulus().bits(), 512);
     }
 
     #[test]
@@ -421,8 +425,11 @@ mod tests {
         bad[0] ^= 0xff; // absurd k
         assert!(RsaPublicKey::from_bytes(&bad).is_err());
         let n = bytes.len();
-        let mut bad = bytes;
+        let mut bad = bytes.clone();
         bad[n - 1] ^= 1; // even exponent
+        assert!(RsaPublicKey::from_bytes(&bad).is_err());
+        let mut bad = bytes;
+        bad[n - 9] ^= 1; // even modulus
         assert!(RsaPublicKey::from_bytes(&bad).is_err());
     }
 

@@ -60,7 +60,10 @@ pub use prepared::PreparedPoint;
 
 use mws_bigint::Uint;
 
-/// Limb width of the base field (8 × 64 = up to 512-bit primes).
+/// Limb width of the base field's container (8 × 64 = up to 512-bit
+/// primes). One container serves every [`SecurityLevel`]; the arithmetic
+/// runs on the limbs the prime actually has (3 at Toy, 4 at Light, 8 at
+/// Standard — see [`mws_bigint::Mont`]).
 pub const FP_LIMBS: usize = 8;
 
 /// The integer type backing field elements and scalars.

@@ -20,7 +20,7 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> crypto_bench --smoke (fast-path bit-identity gate; release-build AES-GCM vectors + pinned seal)"
+echo "==> crypto_bench --smoke (fast-path bit-identity gate; release-build AES-GCM vectors + pinned seal; Montgomery cross-width agreement)"
 cargo run --release -p mws-bench --bin crypto_bench -- --smoke
 
 echo "==> load_bench --smoke (durable-before-ack + dedup under socket load)"
