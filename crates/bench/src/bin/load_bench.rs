@@ -39,14 +39,13 @@
 //!   gate `scripts/tier1.sh` runs)
 //! * `--connections` — the smart-device fleet shape (DESIGN.md §11):
 //!   thousands of mostly-idle persistent connections into one warehouse,
-//!   with bursty low-duty-cycle deposits over a rotating subset. Rows
-//!   A/B the epoll event-loop core against the thread-per-connection
-//!   fallback at equal connection counts, then push the event core to
-//!   its 10k+ ceiling; spliced into `BENCH_server.json` as the
-//!   `connections` key with connect rate, burst p50/p99 and process RSS
-//! * `--connections --smoke` — a few hundred connections on the event
-//!   core plus a threaded A/B row, no file output; asserts every burst
-//!   deposit is acked and warehoused (the gate `scripts/tier1.sh` runs)
+//!   with bursty low-duty-cycle deposits over a rotating subset, at 512
+//!   connections and then the 10k+ ceiling; spliced into
+//!   `BENCH_server.json` as the `connections` key with connect rate,
+//!   burst p50/p99 and process RSS
+//! * `--connections --smoke` — a few hundred connections, no file
+//!   output; asserts every burst deposit is acked and warehoused (the
+//!   gate `scripts/tier1.sh` runs)
 //! * `--secure` — transport-security overhead (DESIGN.md §12, E13): the
 //!   IBS-authenticated handshake's fresh-connection latency p50/p99, and
 //!   the same single-deposit workload over plaintext framing vs
@@ -61,8 +60,8 @@ use mws_core::protocol::{Deployment, DeploymentConfig, MwsService};
 use mws_core::registry::DeviceRegistry;
 use mws_core::sda::{deposit_mac, DeviceAuthVerifier};
 use mws_server::{
-    ClientConfig, IbsAuth, SecureClientSettings, SecureSettings, ServerConfig, ServerCore,
-    TcpClient, TcpServer, ID_CLIENT, ID_MMS,
+    ClientConfig, IbsAuth, SecureClientSettings, SecureSettings, ServerConfig, TcpClient,
+    TcpServer, ID_CLIENT, ID_MMS,
 };
 use mws_store::{ShardRouter, StorageKind};
 use mws_wire::secure::{SessionConfig, RECORD_OVERHEAD};
@@ -1106,11 +1105,10 @@ fn run_cluster(smoke: bool) {
     eprintln!("wrote BENCH_server.json (cluster section)");
 }
 
-/// One server-core row of the `--connections` fleet shape: `connections`
-/// persistent sockets held open against a single warehouse while a
-/// rotating subset fires one-deposit bursts.
+/// One row of the `--connections` fleet shape: `connections` persistent
+/// sockets held open against a single warehouse while a rotating subset
+/// fires one-deposit bursts.
 struct ConnectionsRow {
-    core: &'static str,
     connections: usize,
     workers: usize,
     event_loops: usize,
@@ -1131,8 +1129,6 @@ struct ConnectionsRow {
 
 /// Shape knobs for one [`bench_connections`] row.
 struct ConnShape {
-    core: ServerCore,
-    name: &'static str,
     conns: usize,
     /// Threads driving the burst (each owns one registered device).
     drivers: usize,
@@ -1300,8 +1296,8 @@ fn run_conn_fleet(argv: &[String]) {
     assert_eq!(line.trim(), "EXIT", "unexpected fleet command");
 }
 
-/// Holds `shape.conns` persistent connections against one warehouse on
-/// the given core, then drives a one-deposit burst over every
+/// Holds `shape.conns` persistent connections against one warehouse,
+/// then drives a one-deposit burst over every
 /// `burst_div`-th connection with raw frames, asserting every deposit is
 /// acked and warehoused (zero dropped acked deposits).
 ///
@@ -1333,20 +1329,14 @@ fn bench_connections(shape: &ConnShape, dir: &std::path::Path) -> ConnectionsRow
         mws.register_device(sd_id, mac_key);
     }
 
-    // The threaded core needs one worker per held connection; the event
-    // core serves any number of connections from a handful of workers —
-    // that asymmetry is the row's whole point.
-    let workers = match shape.core {
-        ServerCore::Threaded => shape.conns,
-        ServerCore::EventLoop => 4,
-    };
+    // The event loop serves any number of connections from a handful of
+    // workers — that is the row's whole point.
+    let workers = 4;
     let event_loops = 1;
     let mut server = TcpServer::spawn(
         ServerConfig {
-            core: shape.core,
             workers,
             event_loops,
-            queue_depth: shape.conns.max(64),
             ..ServerConfig::default()
         },
         || mws.as_service(),
@@ -1457,13 +1447,9 @@ fn bench_connections(shape: &ConnShape, dir: &std::path::Path) -> ConnectionsRow
     server.shutdown();
     std::fs::remove_dir_all(dir).ok();
     ConnectionsRow {
-        core: shape.name,
         connections: conns,
         workers,
-        event_loops: match shape.core {
-            ServerCore::EventLoop => event_loops,
-            ServerCore::Threaded => 0,
-        },
+        event_loops,
         connect_secs,
         deposits,
         burst_secs,
@@ -1481,8 +1467,7 @@ fn splice_connections_json(rows: &[ConnectionsRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             block,
-            "      {{ \"core\": \"{}\", \"connections\": {}, \"workers\": {}, \"event_loops\": {}, \"connect_secs\": {:.3}, \"deposits\": {}, \"burst_secs\": {:.3}, \"deposits_per_sec\": {:.1}, \"burst_p50_us\": {}, \"burst_p99_us\": {}, \"rss_mb\": {:.1}, \"rss_delta_mb\": {:.1} }}{}",
-            r.core,
+            "      {{ \"connections\": {}, \"workers\": {}, \"event_loops\": {}, \"connect_secs\": {:.3}, \"deposits\": {}, \"burst_secs\": {:.3}, \"deposits_per_sec\": {:.1}, \"burst_p50_us\": {}, \"burst_p99_us\": {}, \"rss_mb\": {:.1}, \"rss_delta_mb\": {:.1} }}{}",
             r.connections,
             r.workers,
             r.event_loops,
@@ -1498,81 +1483,28 @@ fn splice_connections_json(rows: &[ConnectionsRow]) -> String {
         );
     }
     block.push_str("    ],\n");
-    let ceiling = rows
-        .iter()
-        .filter(|r| r.core == "epoll")
-        .map(|r| r.connections)
-        .max()
-        .unwrap_or(0);
-    // The A/B headline at equal fleet size: how much more memory the
-    // thread-per-connection core burns per held connection.
-    let find = |core: &str, conns: usize| {
-        rows.iter()
-            .find(|r| r.core == core && r.connections == conns)
-    };
-    let ab = match (find("threads", 512), find("epoll", 512)) {
-        (Some(t), Some(e)) if e.rss_delta_mb > 0.0 => t.rss_delta_mb / e.rss_delta_mb,
-        _ => 0.0,
-    };
+    let ceiling = rows.iter().map(|r| r.connections).max().unwrap_or(0);
     let _ = writeln!(
         block,
-        "    \"idle_connection_ceiling\": {ceiling},\n    \"zero_dropped_acked_deposits\": true,\n    \"ab_rss_threads_over_epoll_at_512\": {ab:.2}\n  }}"
+        "    \"idle_connection_ceiling\": {ceiling},\n    \"zero_dropped_acked_deposits\": true\n  }}"
     );
 
     splice_section("connections", &block)
 }
 
 /// `--connections` entry: the smart-device fleet shape. The full run
-/// A/Bs both cores at 512 held connections, then pushes the event core
-/// to 10k. Smoke holds a few hundred on the event core (plus a threaded
-/// sanity row) with no file output — the fleet-shape tier-1 gate.
+/// holds 512 and then 10k connections; smoke holds a few hundred with no
+/// file output — the fleet-shape tier-1 gate.
 fn run_connections(smoke: bool) {
-    // Off Linux the event core silently falls back to threaded with only
-    // 4 workers, which would wedge the burst — keep threaded rows only.
-    let linux = cfg!(target_os = "linux");
-    let shapes: Vec<ConnShape> = if smoke {
-        let mut v = vec![ConnShape {
-            core: ServerCore::Threaded,
-            name: "threads",
-            conns: 32,
-            drivers: 4,
-            burst_div: 4,
-        }];
-        if linux {
-            v.push(ConnShape {
-                core: ServerCore::EventLoop,
-                name: "epoll",
-                conns: 256,
-                drivers: 4,
-                burst_div: 4,
-            });
-        }
-        v
+    let shape = |conns, drivers| ConnShape {
+        conns,
+        drivers,
+        burst_div: 4,
+    };
+    let shapes = if smoke {
+        vec![shape(256, 4)]
     } else {
-        let mut v = vec![ConnShape {
-            core: ServerCore::Threaded,
-            name: "threads",
-            conns: 512,
-            drivers: 8,
-            burst_div: 4,
-        }];
-        if linux {
-            v.push(ConnShape {
-                core: ServerCore::EventLoop,
-                name: "epoll",
-                conns: 512,
-                drivers: 8,
-                burst_div: 4,
-            });
-            v.push(ConnShape {
-                core: ServerCore::EventLoop,
-                name: "epoll",
-                conns: 10_000,
-                drivers: 8,
-                burst_div: 4,
-            });
-        }
-        v
+        vec![shape(512, 8), shape(10_000, 8)]
     };
 
     let base = std::env::temp_dir().join(format!("mws-conn-bench-{}", std::process::id()));
@@ -1580,8 +1512,7 @@ fn run_connections(smoke: bool) {
     for (k, shape) in shapes.iter().enumerate() {
         let row = bench_connections(shape, &base.join(format!("row-{k}")));
         eprintln!(
-            "core={:<7} conns={:>6} (connect {:>5.1}s)  burst: {:>6} deposits, {:>7.0} dep/s (p50 {:>5}µs, p99 {:>6}µs)  rss {:>6.1} MB (+{:.1})",
-            row.core,
+            "conns={:>6} (connect {:>5.1}s)  burst: {:>6} deposits, {:>7.0} dep/s (p50 {:>5}µs, p99 {:>6}µs)  rss {:>6.1} MB (+{:.1})",
             row.connections,
             row.connect_secs,
             row.deposits,

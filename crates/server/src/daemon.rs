@@ -13,7 +13,7 @@
 use crate::client::{ClientConfig, TcpClient};
 use crate::gateway::GatekeeperFrontdoor;
 use crate::secure::{SecureClientSettings, SecureSettings, TransportMode, ID_GATEKEEPER, ID_MMS};
-use crate::server::{ServerConfig, ServerCore, TcpServer};
+use crate::server::{ServerConfig, TcpServer};
 use mws_core::protocol::{Deployment, DeploymentConfig};
 use std::sync::Arc;
 
@@ -112,13 +112,11 @@ pub struct DaemonOpts {
     pub seed: u64,
     /// Worker pool size.
     pub workers: usize,
-    /// Connection engine (`--core epoll|threads`; DESIGN.md §11).
-    pub core: ServerCore,
-    /// Event-loop thread count (`--core epoll` only).
+    /// Event-loop thread count (Linux; DESIGN.md §11).
     pub event_loops: usize,
     /// Open-connection ceiling; over-capacity peers get a 503 close.
     pub max_connections: Option<usize>,
-    /// Idle-connection reaping window in milliseconds (event core).
+    /// Idle-connection reaping window in milliseconds.
     pub idle_timeout_ms: Option<u64>,
     /// Wire protocol: plaintext envelopes or IBS-authenticated AES-GCM
     /// sessions (`--transport secure`; DESIGN.md §12).
@@ -160,7 +158,6 @@ impl DaemonOpts {
             listen: format!("127.0.0.1:{}", role.default_port()),
             seed: 42,
             workers: 4,
-            core: ServerCore::default(),
             event_loops: 1,
             max_connections: None,
             idle_timeout_ms: None,
@@ -212,10 +209,9 @@ pub fn usage(role: Role) -> String {
          \x20 --listen <addr>         listen address (default 127.0.0.1:{port})\n\
          \x20 --seed <u64>            deployment master seed, identical across daemons (default 42)\n\
          \x20 --workers <n>           worker threads (default 4)\n\
-         \x20 --core <engine>         connection engine: 'epoll' (event loop, default on Linux) or 'threads' (A/B fallback)\n\
-         \x20 --event-loops <n>       event-loop threads under --core epoll (default 1)\n\
+         \x20 --event-loops <n>       event-loop threads, Linux (default 1)\n\
          \x20 --max-connections <n>   open-connection ceiling; extra peers get an explicit 503 close (default: unlimited)\n\
-         \x20 --idle-timeout-ms <n>   reap connections idle this long, epoll core only (default: never)\n\
+         \x20 --idle-timeout-ms <n>   reap connections idle this long (default: never)\n\
          \x20 --transport <mode>      wire protocol: 'plain' (default) or 'secure' (IBS handshake + AES-GCM records; env MWS_TRANSPORT=secure also selects it)\n\
          \x20 --shards <n>            message-warehouse shards (default 1)\n\
          \x20 --device <sd_id>        provision a smart device (repeatable, order matters)\n\
@@ -258,18 +254,6 @@ where
                 opts.shards = v.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(|| {
                     FlagError::Bad(format!("--shards expects a count >= 1, got '{v}'"))
                 })?;
-            }
-            "--core" => {
-                let v = value("--core")?;
-                opts.core = match v.as_str() {
-                    "epoll" => ServerCore::EventLoop,
-                    "threads" => ServerCore::Threaded,
-                    _ => {
-                        return Err(FlagError::Bad(format!(
-                            "--core expects 'epoll' or 'threads', got '{v}'"
-                        )))
-                    }
-                };
             }
             "--event-loops" => {
                 let v = value("--event-loops")?;
@@ -419,7 +403,6 @@ pub fn serve(role: Role, dep: &Deployment, opts: &DaemonOpts) -> std::io::Result
     let cfg = ServerConfig {
         addr: opts.listen.clone(),
         workers: opts.workers,
-        core: opts.core,
         event_loops: opts.event_loops,
         max_connections: opts.max_connections,
         idle_timeout: opts.idle_timeout_ms.map(std::time::Duration::from_millis),
@@ -652,8 +635,6 @@ mod tests {
         let opts = parse_args(
             Role::Mms,
             argv(&[
-                "--core",
-                "epoll",
                 "--event-loops",
                 "2",
                 "--max-connections",
@@ -663,21 +644,15 @@ mod tests {
             ]),
         )
         .unwrap();
-        assert_eq!(opts.core, ServerCore::EventLoop);
         assert_eq!(opts.event_loops, 2);
         assert_eq!(opts.max_connections, Some(10000));
         assert_eq!(opts.idle_timeout_ms, Some(30000));
-        // The A/B fallback spells itself 'threads'.
-        let threaded = parse_args(Role::Pkg, argv(&["--core", "threads"])).unwrap();
-        assert_eq!(threaded.core, ServerCore::Threaded);
-        // Defaults: platform core, one loop, no ceiling, no reaping.
+        // Defaults: one loop, no ceiling, no reaping.
         let plain = parse_args(Role::Gatekeeper, argv(&[])).unwrap();
-        assert_eq!(plain.core, ServerCore::default());
         assert_eq!(plain.event_loops, 1);
         assert!(plain.max_connections.is_none());
         assert!(plain.idle_timeout_ms.is_none());
-        // Rejects: unknown engine, zero loops/ceiling/window.
-        assert!(parse_args(Role::Mms, argv(&["--core", "tokio"])).is_err());
+        // Rejects: zero loops/ceiling/window.
         assert!(parse_args(Role::Mms, argv(&["--event-loops", "0"])).is_err());
         assert!(parse_args(Role::Mms, argv(&["--max-connections", "0"])).is_err());
         assert!(parse_args(Role::Mms, argv(&["--idle-timeout-ms", "0"])).is_err());

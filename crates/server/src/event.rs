@@ -1,66 +1,52 @@
-//! The readiness-based (epoll) server core — DESIGN.md §11.
+//! The epoll driver (Linux) — DESIGN.md §11.
 //!
-//! Thread-per-connection caps concurrent smart devices at thread-pool
-//! size; a utility fleet is thousands of mostly-idle meters holding one
-//! persistent connection each. This core inverts the shape: a small,
-//! fixed set of **event-loop threads** owns every connection as a state
-//! machine over nonblocking sockets, and the existing worker pool only
-//! ever sees decoded PDUs, so crypto/storage work never blocks the loop
-//! and an idle connection costs one fd plus a few hundred bytes.
+//! A utility fleet is thousands of mostly-idle meters holding one
+//! persistent connection each, so a small, fixed set of **event-loop
+//! threads** accepts and owns every connection (a [`Conn`] over a
+//! nonblocking socket) and the worker pool only ever sees decoded PDUs:
+//! crypto/storage work never blocks a loop, and an idle connection costs
+//! one fd plus a few hundred bytes.
 //!
-//! Per-connection invariants, identical to the threaded core:
+//! What the loop adds to [`Conn`] is I/O and hand-offs:
 //!
-//! * **FIFO replies.** At most one request per connection is in flight
-//!   at a worker; further decoded requests queue in arrival order and
-//!   dispatch one-by-one as completions return, so reply order always
-//!   equals request order.
-//! * **Bounded pipeline.** At most [`pipeline_depth`] requests may be
-//!   decoded-but-unanswered; past that the loop drops `EPOLLIN`
-//!   interest and TCP backpressure reaches the client.
-//! * **Write backpressure.** Replies append to a per-connection write
-//!   queue flushed opportunistically; `EAGAIN` parks the queue behind
-//!   `EPOLLOUT` interest instead of blocking the loop.
-//! * **Desync closes.** Every request decoded before a framing error is
-//!   answered, then a `400` error frame, then close — byte-for-byte the
-//!   threaded core's sequence.
+//! * **Accept in the loop.** Every loop registers the shared listener
+//!   with `EPOLLEXCLUSIVE` and accepts nonblocking on readiness.
+//! * **Write backpressure.** A connection's output is written
+//!   opportunistically; `EAGAIN` parks it behind `EPOLLOUT` interest
+//!   instead of blocking the loop.
+//! * **Read backpressure.** Read interest follows [`Conn::wants_read`], so
+//!   a full pipeline leaves bytes in the kernel and TCP backpressure
+//!   reaches the client.
 //!
-//! The loop wakes for socket readiness, for worker completions and for
-//! newly accepted connections (the accept thread stays blocking and
-//! round-robins sockets across loops); both cross-thread signals ride a
-//! [`UnixStream`] pair registered in the same epoll set, so there is no
-//! polling hot loop. A periodic sweep reaps connections idle past
-//! [`ServerConfig::idle_timeout`].
-//!
-//! [`pipeline_depth`]: crate::ServerConfig::pipeline_depth
-//! [`ServerConfig::idle_timeout`]: crate::ServerConfig::idle_timeout
+//! The loop wakes for socket readiness, new connections and worker
+//! completions; completions ride a [`UnixStream`] waker registered in the
+//! same epoll set, so there is no polling hot loop. A periodic sweep runs
+//! every connection's deadlines ([`Conn::on_tick`]).
 
+use crate::conn::{Conn, Request};
 use crate::queue;
-use crate::secure::SecureSettings;
-use crate::server::{over_capacity_close, ServerConfig};
-use crate::stats::{handle_us, stats};
-use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::server::{admit, handle, over_capacity_close, release, Running, ServerConfig};
+use crate::sys::{
+    Epoll, EpollEvent, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 use mws_net::Service;
-use mws_obs::trace::TraceContext;
-use mws_wire::secure::{Handshaker, Opened, RecordDecoder, RecvHalf, SecureError, SendHalf};
-use mws_wire::{decode_envelope_traced, encode_envelope, encode_envelope_auto, Pdu, StreamDecoder};
-use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Token reserved for the loop's waker pipe; connections start at 1.
+/// Token reserved for the loop's waker pipe.
 const WAKER_TOKEN: u64 = 0;
-/// Bytes per nonblocking read. Also the decoder buffer's resting
-/// capacity after a burst, so it bounds per-connection memory: 10k
-/// connections hold ~40 MB of read buffers, not 80+.
+/// Token of the shared listener; connections start after it.
+const LISTENER_TOKEN: u64 = 1;
+/// Bytes per nonblocking read.
 const READ_CHUNK: usize = 4 * 1024;
-/// Reads drained per readiness event before yielding back to the loop,
-/// so one firehose connection cannot starve thousands of idle ones
+/// Reads (or accepts) per readiness event before yielding back to the
+/// loop, so one firehose connection cannot starve thousands of idle ones
 /// (level-triggered epoll re-reports whatever is left).
 const READS_PER_EVENT: usize = 16;
 /// Readiness events pulled per `epoll_wait`.
@@ -70,8 +56,7 @@ const EVENTS_PER_TICK: usize = 1024;
 struct Job {
     loop_id: usize,
     token: u64,
-    pdu: Pdu,
-    trace: Option<TraceContext>,
+    request: Request,
 }
 
 /// A handled request on its way back: the encoded reply frame.
@@ -80,11 +65,9 @@ struct Completion {
     frame: Vec<u8>,
 }
 
-/// The cross-thread face of one event loop: where the accept thread
-/// injects sockets, where workers post completions, and the pipe that
-/// wakes the loop out of `epoll_wait` after either.
-pub(crate) struct LoopHandle {
-    injector: mpsc::Sender<TcpStream>,
+/// The cross-thread face of one event loop: where workers post
+/// completions, and the pipe that wakes the loop out of `epoll_wait`.
+struct LoopHandle {
     completions: mpsc::Sender<Completion>,
     waker: UnixStream,
 }
@@ -93,118 +76,41 @@ impl LoopHandle {
     /// Kicks the loop out of `epoll_wait`. The pipe is nonblocking and
     /// a full pipe already guarantees a pending wakeup, so the result
     /// is ignorable by construction.
-    pub(crate) fn wake(&self) {
+    fn wake(&self) {
         let _ = (&self.waker).write(&[1u8]);
     }
 }
 
-/// Join handles plus wake handles for a running event core; owned by
-/// [`TcpServer`](crate::TcpServer).
-pub(crate) struct EventCore {
-    pub(crate) handles: Arc<Vec<LoopHandle>>,
-    pub(crate) accept: Option<JoinHandle<()>>,
-    pub(crate) loops: Vec<JoinHandle<()>>,
-    pub(crate) workers: Vec<JoinHandle<()>>,
-}
-
-/// Secure-transport state for one connection (`None` = plaintext).
-/// On a secure listener every connection is born HANDSHAKING and only
-/// reaches the decoded-PDU path once the handshake proves the peer and
-/// derives session keys — the epoll analogue of the threaded core's
-/// handshake-first `serve_conn`.
-// `Open` is the steady state touched on every record, so its halves stay
-// inline; only the transient handshake driver is boxed.
-#[allow(clippy::large_enum_variant)]
-enum SecState {
-    /// Handshake in progress; `since` enforces the handshake deadline
-    /// via the idle sweep. Boxed: the driver's transcript state would
-    /// otherwise bloat every established connection's inline `Conn`.
-    Handshaking { hs: Box<Handshaker>, since: Instant },
-    /// Keys established: inbound bytes split into records, open through
-    /// `recv`; replies seal through `send`.
-    Open {
-        send: SendHalf,
-        recv: RecvHalf,
-        records: RecordDecoder,
-    },
-}
-
-/// One step of the secure decode loop (see [`EventLoop::next_request`]).
-enum Decoded {
-    /// No complete request buffered.
-    Idle,
-    /// One decoded request.
-    Req(Pdu, Option<TraceContext>),
-    /// The peer sent the authenticated CLOSE record.
-    Close,
-}
-
-/// One connection's entire state machine. Owned by exactly one loop
-/// thread; nothing here is shared or locked.
-struct Conn {
+/// One registered connection, owned by exactly one loop thread.
+struct Socket {
     stream: TcpStream,
-    decoder: StreamDecoder,
-    /// Secure-transport state; `None` on a plaintext listener.
-    sec: Option<SecState>,
-    /// Decoded-but-undispatched requests, in arrival order.
-    pending: VecDeque<(Pdu, Option<TraceContext>)>,
-    /// One request is at a worker; its completion dispatches the next.
-    busy: bool,
-    /// Encoded reply frames not yet fully written.
-    out: VecDeque<Vec<u8>>,
-    /// Bytes of `out.front()` already written (partial-write cursor).
-    out_pos: usize,
+    conn: Conn,
     /// Current epoll interest mask (avoid redundant `EPOLL_CTL_MOD`s).
     interest: u32,
-    last_activity: Instant,
-    /// EOF or read error: no further bytes will arrive.
-    read_done: bool,
-    /// Framing error detail, reported as a 400 after `pending` drains.
-    desync: Option<String>,
-    /// Close as soon as `out` drains.
-    closing: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, interest: u32, sec: Option<SecState>) -> Self {
-        Self {
-            stream,
-            decoder: StreamDecoder::new(),
-            sec,
-            pending: VecDeque::new(),
-            busy: false,
-            out: VecDeque::new(),
-            out_pos: 0,
-            interest,
-            last_activity: Instant::now(),
-            read_done: false,
-            desync: None,
-            closing: false,
-        }
-    }
 }
 
 struct EventLoop {
     id: usize,
     epoll: Epoll,
     waker_rx: UnixStream,
-    injector: mpsc::Receiver<TcpStream>,
+    listener: Arc<TcpListener>,
     completions: mpsc::Receiver<Completion>,
     jobs: Arc<queue::Sender<Job>>,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Socket>,
     next_token: u64,
-    pipeline_depth: usize,
-    idle_timeout: Option<Duration>,
-    secure: Option<Arc<SecureSettings>>,
-    tick: Duration,
+    cfg: ServerConfig,
+    /// How often to run the connections' deadlines; `None` when there
+    /// are none.
+    sweep_every: Option<Duration>,
     shutdown: Arc<AtomicBool>,
     open: Arc<AtomicUsize>,
+    read_buf: Vec<u8>,
 }
 
 impl EventLoop {
     fn run(mut self) {
         let mut events = vec![EpollEvent::empty(); EVENTS_PER_TICK];
-        let tick_ms = self.tick.as_millis().clamp(1, 1000) as i32;
+        let tick_ms = self.cfg.read_poll.as_millis().clamp(1, 1000) as i32;
         let mut last_sweep = Instant::now();
         loop {
             let n = self.epoll.wait(&mut events, tick_ms).unwrap_or(0);
@@ -214,15 +120,14 @@ impl EventLoop {
             for ev in events.iter().take(n) {
                 let ev = *ev;
                 let (token, bits) = ({ ev.token }, { ev.events });
-                if token == WAKER_TOKEN {
-                    self.drain_waker();
-                } else {
-                    self.handle_io(token, bits);
+                match token {
+                    WAKER_TOKEN => self.drain_waker(),
+                    LISTENER_TOKEN => self.accept(),
+                    _ => self.handle_io(token, bits),
                 }
             }
             self.drain_completions();
-            self.drain_injector();
-            self.sweep_idle(&mut last_sweep);
+            self.sweep(&mut last_sweep);
         }
         // Teardown closes every owned connection so the shared
         // open-connection accounting stays truthful across restarts.
@@ -238,285 +143,98 @@ impl EventLoop {
             match (&self.waker_rx).read(&mut buf) {
                 Ok(0) => break, // peer gone: shutdown path
                 Ok(_) => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
     }
 
-    fn handle_io(&mut self, token: u64, bits: u32) {
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            // ERR/HUP/RDHUP all surface through the read path as an
-            // error or EOF, which preserves the drain-then-close
-            // sequencing; there is no separate teardown branch to get
-            // subtly out of order.
-            if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
-                Self::pump_read(conn);
-            }
-        }
-        self.service_conn(token);
-    }
-
-    /// Nonblocking reads until `EAGAIN`, EOF, or the per-event fairness
-    /// cap. Plaintext bytes go straight into the envelope decoder;
-    /// secure bytes route through the handshake driver or record
-    /// decoder via [`Self::feed_secure`].
-    fn pump_read(conn: &mut Conn) {
-        if conn.read_done {
-            return;
-        }
-        if conn.sec.is_none() {
-            for _ in 0..READS_PER_EVENT {
-                match conn.decoder.fill_from(&mut conn.stream, READ_CHUNK) {
-                    Ok(0) => {
-                        conn.read_done = true;
-                        return;
-                    }
-                    Ok(_) => conn.last_activity = Instant::now(),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.read_done = true;
-                        return;
-                    }
-                }
-            }
-            return;
-        }
-        let mut buf = [0u8; READ_CHUNK];
+    fn accept(&mut self) {
         for _ in 0..READS_PER_EVENT {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.read_done = true;
-                    return;
-                }
-                Ok(n) => {
-                    conn.last_activity = Instant::now();
-                    Self::feed_secure(conn, &buf[..n]);
-                    if conn.read_done || conn.closing {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.read_done = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Routes freshly read bytes through the connection's secure state.
-    /// Handshake completion swaps HANDSHAKING for OPEN in place and
-    /// carries buffered post-handshake records over; handshake failure
-    /// closes (after a plaintext 426 when the peer never spoke the
-    /// secure protocol at all).
-    fn feed_secure(conn: &mut Conn, bytes: &[u8]) {
-        match &mut conn.sec {
-            Some(SecState::Handshaking { hs, since }) => {
-                let fed = hs.feed(bytes);
-                let out = hs.take_output();
-                if !out.is_empty() {
-                    conn.out.push_back(out);
-                }
-                match fed {
-                    Ok(None) => {}
-                    Ok(Some(est)) => {
-                        stats().secure_handshakes.inc();
-                        stats().handshake_us.record_duration(since.elapsed());
-                        mws_obs::debug!(target: "mws_server", "secure session established",
-                            peer_identity = est.peer.clone(),);
-                        let (send, recv) = est.session.into_halves();
-                        let mut records = RecordDecoder::new();
-                        records.feed(&est.leftover);
-                        conn.sec = Some(SecState::Open {
-                            send,
-                            recv,
-                            records,
-                        });
-                    }
-                    Err(e) => {
-                        stats().secure_handshake_failures.inc();
-                        conn.out.clear();
-                        if matches!(e, SecureError::PlaintextPeer(_)) {
-                            // A plaintext client dialed a secure
-                            // listener: answer in its own protocol so
-                            // the operator sees the misconfiguration.
-                            stats().secure_downgrades.inc();
-                            conn.out.push_back(encode_envelope(&Pdu::Error {
-                                code: 426,
-                                detail: "secure transport required (--transport secure)".into(),
-                            }));
-                        }
-                        mws_obs::warn!(target: "mws_server", "secure handshake failed",
-                            error = e.to_string(),);
-                        conn.read_done = true;
-                        conn.closing = true;
-                    }
-                }
-            }
-            Some(SecState::Open { records, .. }) => records.feed(bytes),
-            None => {}
-        }
-    }
-
-    /// Decodes the next complete request, routing through the secure
-    /// record layer when the connection has one. `Err` is a desync: the
-    /// stream (or record sequence) can no longer be trusted.
-    fn next_request(conn: &mut Conn) -> Result<Decoded, String> {
-        match &mut conn.sec {
-            None => match conn.decoder.next_traced() {
-                Ok(Some((pdu, trace))) => Ok(Decoded::Req(pdu, trace)),
-                Ok(None) => Ok(Decoded::Idle),
-                Err(e) => Err(e.to_string()),
-            },
-            // No requests exist before the handshake proves the peer.
-            Some(SecState::Handshaking { .. }) => Ok(Decoded::Idle),
-            // One record per call; the pipeline loop in `service_conn`
-            // keeps calling until `Idle`, draining everything buffered.
-            Some(SecState::Open { recv, records, .. }) => {
-                let Some((rtype, payload)) = records.next_record().map_err(|e| e.to_string())?
-                else {
-                    return Ok(Decoded::Idle);
-                };
-                match recv
-                    .open_record(rtype, payload)
-                    .map_err(|e| e.to_string())?
-                {
-                    Opened::Close => Ok(Decoded::Close),
-                    Opened::Frame(frame) => match decode_envelope_traced(&frame) {
-                        Ok((pdu, consumed, trace)) if consumed == frame.len() => {
-                            Ok(Decoded::Req(pdu, trace))
-                        }
-                        Ok(_) => Err("trailing bytes in record".into()),
-                        Err(e) => Err(e.to_string()),
-                    },
-                }
-            }
-        }
-    }
-
-    /// Queues one reply frame, sealing it first on a secure connection.
-    /// A seal failure is unrecoverable for the session: abandon the
-    /// reply and close.
-    fn push_reply(conn: &mut Conn, frame: Vec<u8>) {
-        match &mut conn.sec {
-            Some(SecState::Open { send, .. }) => match send.seal_frame(&frame) {
-                Ok(rec) => conn.out.push_back(rec),
-                Err(_) => conn.closing = true,
-            },
-            // Unreachable (no request decodes before keys), but closing
-            // beats leaking plaintext if it ever were.
-            Some(SecState::Handshaking { .. }) => conn.closing = true,
-            None => conn.out.push_back(frame),
-        }
-    }
-
-    /// Flushes the write queue until empty or `EAGAIN`. Returns `true`
-    /// when the socket is dead for writing (reply undeliverable).
-    fn flush(conn: &mut Conn) -> bool {
-        while let Some(front) = conn.out.front() {
-            match conn.stream.write(&front[conn.out_pos..]) {
-                Ok(0) => return true,
-                Ok(n) => {
-                    conn.out_pos += n;
-                    conn.last_activity = Instant::now();
-                    if conn.out_pos == front.len() {
-                        conn.out.pop_front();
-                        conn.out_pos = 0;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return true,
-            }
-        }
-        false
-    }
-
-    /// The connection state machine's single advance step: decode under
-    /// the pipeline bound, dispatch at most one job, render a pending
-    /// desync once the queue drains, flush, then either close or
-    /// reconcile epoll interest. Every path that changes a connection
-    /// funnels through here, so the invariants live in one place.
-    fn service_conn(&mut self, token: u64) {
-        let mut must_close = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                // Transient accept failures (EMFILE, aborted handshake)
+                // must not kill the listener.
+                Err(_) => continue,
             };
-            while conn.desync.is_none()
-                && (conn.busy as usize) + conn.pending.len() < self.pipeline_depth
+            if !admit(&self.open, self.cfg.max_connections) {
+                over_capacity_close(stream);
+                continue;
+            }
+            let token = self.next_token;
+            self.next_token += 1;
+            let mask = EPOLLIN | EPOLLRDHUP;
+            if stream.set_nonblocking(true).is_err()
+                || self.epoll.add(stream.as_raw_fd(), mask, token).is_err()
             {
-                match Self::next_request(conn) {
-                    Ok(Decoded::Req(pdu, trace)) => conn.pending.push_back((pdu, trace)),
-                    Ok(Decoded::Idle) => break,
-                    Ok(Decoded::Close) => {
-                        // Authenticated session close: same
-                        // drain-then-close sequencing as EOF.
-                        conn.read_done = true;
-                        break;
-                    }
-                    Err(e) => conn.desync = Some(e),
-                }
+                release(&self.open);
+                continue;
             }
-            if !conn.busy {
-                if let Some((pdu, trace)) = conn.pending.pop_front() {
-                    conn.busy = true;
-                    stats().requests.inc();
-                    // Occupancy behind the dispatched request — same
-                    // signal the threaded core records at dequeue.
-                    stats().pipeline_depth.record(conn.pending.len() as u64);
-                    let _ = self.jobs.send(Job {
-                        loop_id: self.id,
-                        token,
-                        pdu,
-                        trace,
-                    });
+            let _ = stream.set_nodelay(true);
+            let conn = Conn::new(&self.cfg);
+            self.conns.insert(
+                token,
+                Socket {
+                    stream,
+                    conn,
+                    interest: mask,
+                },
+            );
+        }
+    }
+
+    fn handle_io(&mut self, token: u64, bits: u32) {
+        let Some(s) = self.conns.get_mut(&token) else {
+            return;
+        };
+        // ERR/HUP/RDHUP all surface through the read path as an error or
+        // EOF, which keeps the drain-then-close sequencing in one place.
+        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 {
+            for _ in 0..READS_PER_EVENT {
+                if !s.conn.wants_read() {
+                    break;
                 }
-            }
-            if conn.desync.is_some() && !conn.busy && conn.pending.is_empty() && !conn.closing {
-                let detail = conn.desync.take().expect("guarded by is_some");
-                stats().wire_errors.inc();
-                mws_obs::warn!(target: "mws_server", "stream desynchronized, dropping connection",
-                    error = detail.clone(),);
-                Self::push_reply(conn, encode_envelope(&Pdu::Error { code: 400, detail }));
-                conn.closing = true;
-            }
-            let write_dead = Self::flush(conn);
-            let quiescent = !conn.busy && conn.pending.is_empty() && conn.out.is_empty();
-            if write_dead || (conn.closing && conn.out.is_empty()) || (conn.read_done && quiescent)
-            {
-                must_close = true;
-            } else {
-                let want_read = !conn.read_done
-                    && conn.desync.is_none()
-                    && !conn.closing
-                    && (conn.busy as usize) + conn.pending.len() < self.pipeline_depth;
-                let mut mask = EPOLLRDHUP;
-                if want_read {
-                    mask |= EPOLLIN;
-                }
-                if !conn.out.is_empty() {
-                    mask |= EPOLLOUT;
-                }
-                if mask != conn.interest
-                    && self
-                        .epoll
-                        .modify(conn.stream.as_raw_fd(), mask, token)
-                        .is_ok()
-                {
-                    conn.interest = mask;
+                match s.stream.read(&mut self.read_buf) {
+                    Ok(0) => s.conn.on_eof(),
+                    Ok(n) => s.conn.feed(&self.read_buf[..n]),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => s.conn.on_eof(),
                 }
             }
         }
-        if must_close {
+        self.service(token);
+    }
+
+    /// One advance of a connection after anything changed it: dispatch
+    /// its next request, write what it has, then close it or reconcile
+    /// its epoll interest.
+    fn service(&mut self, token: u64) {
+        let Some(s) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if let Some(request) = s.conn.next_job() {
+            let loop_id = self.id;
+            let _ = self.jobs.send(Job {
+                loop_id,
+                token,
+                request,
+            });
+        }
+        if !flush(s) || s.conn.should_close() {
             self.close(token);
+            return;
+        }
+        let mut mask = 0;
+        if s.conn.wants_read() {
+            mask |= EPOLLIN | EPOLLRDHUP;
+        }
+        if !s.conn.output().is_empty() {
+            mask |= EPOLLOUT;
+        }
+        if mask != s.interest && self.epoll.modify(s.stream.as_raw_fd(), mask, token).is_ok() {
+            s.interest = mask;
         }
     }
 
@@ -525,167 +243,68 @@ impl EventLoop {
             // Completions for already-closed connections drop silently;
             // tokens are never reused, so a late reply cannot land on a
             // different client's socket.
-            let live = match self.conns.get_mut(&c.token) {
-                Some(conn) => {
-                    conn.busy = false;
-                    Self::push_reply(conn, c.frame);
-                    true
-                }
-                None => false,
-            };
-            if live {
-                self.service_conn(c.token);
+            if let Some(s) = self.conns.get_mut(&c.token) {
+                s.conn.complete(c.frame);
+                self.service(c.token);
             }
         }
     }
 
-    fn drain_injector(&mut self) {
-        while let Ok(stream) = self.injector.try_recv() {
-            if stream.set_nonblocking(true).is_err() {
-                self.release_one();
-                continue;
-            }
-            let _ = stream.set_nodelay(true);
-            let token = self.next_token;
-            self.next_token += 1;
-            let mask = EPOLLIN | EPOLLRDHUP;
-            if self.epoll.add(stream.as_raw_fd(), mask, token).is_err() {
-                self.release_one();
-                continue;
-            }
-            // On a secure listener the connection is born HANDSHAKING;
-            // the server speaks second, so there is no initial output.
-            let sec = self.secure.as_ref().map(|s| SecState::Handshaking {
-                hs: Box::new(Handshaker::server(s.auth.clone(), s.session.clone())),
-                since: Instant::now(),
-            });
-            self.conns.insert(token, Conn::new(stream, mask, sec));
-            stats().connections.inc();
-        }
-    }
-
-    fn sweep_idle(&mut self, last_sweep: &mut Instant) {
-        let idle = self.idle_timeout;
-        let hs_timeout = self.secure.as_ref().map(|s| s.handshake_timeout);
-        let Some(shortest) = [idle, hs_timeout].into_iter().flatten().min() else {
+    fn sweep(&mut self, last_sweep: &mut Instant) {
+        let Some(every) = self.sweep_every else {
             return;
         };
-        // Sweeping is O(connections); amortize it to a fraction of the
-        // shortest deadline instead of every tick.
-        let granularity = (shortest / 4).max(Duration::from_millis(10));
-        if last_sweep.elapsed() < granularity {
+        if last_sweep.elapsed() < every {
             return;
         }
-        *last_sweep = Instant::now();
         let now = Instant::now();
-        let mut hs_expired = Vec::new();
-        let mut stale = Vec::new();
-        for (t, c) in &self.conns {
-            // A connection stuck mid-handshake is dropped on its own
-            // (shorter) deadline, so a slowloris peer cannot park in
-            // HANDSHAKING forever.
-            if let (Some(limit), Some(SecState::Handshaking { since, .. })) = (hs_timeout, &c.sec) {
-                if now.duration_since(*since) >= limit {
-                    hs_expired.push(*t);
-                }
-                continue;
-            }
-            // Only truly quiet connections reap: in-flight work or
-            // unflushed replies both count as activity.
-            if let Some(timeout) = idle {
-                if !c.busy
-                    && c.pending.is_empty()
-                    && c.out.is_empty()
-                    && now.duration_since(c.last_activity) >= timeout
-                {
-                    stale.push(*t);
-                }
-            }
-        }
-        for t in hs_expired {
-            stats().secure_handshake_failures.inc();
-            self.close(t);
-        }
-        for t in stale {
-            stats().idle_reaped.inc();
-            self.close(t);
+        *last_sweep = now;
+        let expired: Vec<u64> = self
+            .conns
+            .iter_mut()
+            .filter_map(|(token, s)| {
+                s.conn.on_tick(now);
+                s.conn.should_close().then_some(*token)
+            })
+            .collect();
+        for token in expired {
+            self.close(token);
         }
     }
 
     fn close(&mut self, token: u64) {
-        if let Some(mut conn) = self.conns.remove(&token) {
-            // A secure session announces its end with an authenticated
-            // CLOSE record so the peer can tell shutdown from
-            // truncation (best-effort: a nonblocking short write or
-            // dead socket just drops it).
-            if let Some(SecState::Open { send, .. }) = &mut conn.sec {
-                if let Ok(rec) = send.seal_close() {
-                    let _ = conn.stream.write(&rec);
-                }
+        if let Some(mut s) = self.conns.remove(&token) {
+            // Best-effort: a short write or a dead socket just drops it.
+            if let Some(rec) = s.conn.close_record() {
+                let _ = s.stream.write(&rec);
             }
-            let _ = self.epoll.delete(conn.stream.as_raw_fd());
-            self.release_one();
+            let _ = self.epoll.delete(s.stream.as_raw_fd());
+            release(&self.open);
         }
-    }
-
-    /// Gives one connection slot back to the accept thread's limit.
-    fn release_one(&self) {
-        self.open.fetch_sub(1, Ordering::SeqCst);
-        stats().open_connections.add(-1);
     }
 }
 
-/// Blocking accept, enforcing `max_connections` with an explicit `503`
-/// close, then round-robin handoff to the event loops.
-fn accept_loop(
-    listener: TcpListener,
-    handles: &[LoopHandle],
-    shutdown: &AtomicBool,
-    open: &AtomicUsize,
-    max_connections: Option<usize>,
-) {
-    let mut next = 0usize;
-    for conn in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
+/// Writes a connection's output until it is empty or the socket would
+/// block. `false` when the socket is dead for writing.
+fn flush(s: &mut Socket) -> bool {
+    while !s.conn.output().is_empty() {
+        match s.stream.write(s.conn.output()) {
+            Ok(0) => return false,
+            Ok(n) => s.conn.consume(n),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return false,
         }
-        let stream = match conn {
-            Ok(stream) => stream,
-            // Transient accept failures (EMFILE, aborted handshake) must
-            // not kill the listener.
-            Err(_) => continue,
-        };
-        if max_connections.is_some_and(|max| open.load(Ordering::SeqCst) >= max) {
-            over_capacity_close(stream);
-            continue;
-        }
-        open.fetch_add(1, Ordering::SeqCst);
-        stats().open_connections.add(1);
-        let h = &handles[next % handles.len()];
-        next = next.wrapping_add(1);
-        if h.injector.send(stream).is_err() {
-            open.fetch_sub(1, Ordering::SeqCst);
-            stats().open_connections.add(-1);
-            break;
-        }
-        h.wake();
     }
+    true
 }
 
-/// Worker side: decoded request in, encoded reply frame out. The trace
-/// scope wraps both handling and encoding, so handler events and the
-/// reply envelope itself carry the caller's trace id — exactly the
-/// threaded core's behaviour.
+/// Worker side: decoded request in, encoded reply frame out, back to the
+/// loop that owns the connection.
 fn worker_loop<S: Service>(jobs: &queue::Receiver<Job>, handles: &[LoopHandle], service: &mut S) {
     while let Some(job) = jobs.recv() {
-        let frame = {
-            let _span = job.trace.map(mws_obs::trace::enter);
-            let pdu = job.pdu.type_name();
-            let started = Instant::now();
-            let reply = service.handle(job.pdu);
-            handle_us(pdu).record_duration(started.elapsed());
-            encode_envelope_auto(&reply)
-        };
+        let (pdu, trace) = job.request;
+        let frame = handle(service, pdu, trace);
         let h = &handles[job.loop_id];
         if h.completions
             .send(Completion {
@@ -699,96 +318,83 @@ fn worker_loop<S: Service>(jobs: &queue::Receiver<Job>, handles: &[LoopHandle], 
     }
 }
 
-/// Builds and starts the full event core: `event_loops` loop threads,
-/// one blocking accept thread, and `workers` service threads.
+/// Starts `event_loops` loop threads sharing `listener`, then `workers`
+/// service threads.
 pub(crate) fn spawn<S, F>(
     cfg: &ServerConfig,
     factory: &mut F,
     listener: TcpListener,
     shutdown: &Arc<AtomicBool>,
-) -> std::io::Result<EventCore>
+) -> std::io::Result<Running>
 where
     S: Service + 'static,
     F: FnMut() -> S,
 {
-    let local_addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let listener = Arc::new(listener);
     let n_loops = cfg.event_loops.max(1);
-    let (jobs_tx, jobs_rx) = queue::channel::<Job>(usize::MAX);
+    let (jobs_tx, jobs_rx) = queue::channel::<Job>();
     let open = Arc::new(AtomicUsize::new(0));
+    // Sweeping is O(connections); amortize it to a fraction of the
+    // shortest deadline instead of every tick.
+    let hs_timeout = cfg.secure.as_ref().map(|s| s.handshake_timeout);
+    let sweep_every = [cfg.idle_timeout, hs_timeout]
+        .into_iter()
+        .flatten()
+        .min()
+        .map(|d| (d / 4).max(Duration::from_millis(10)));
 
     let mut handles = Vec::with_capacity(n_loops);
-    let mut parts = Vec::with_capacity(n_loops);
-    for _ in 0..n_loops {
-        let (waker_tx, waker_rx) = UnixStream::pair()?;
-        waker_tx.set_nonblocking(true)?;
+    let mut threads = Vec::with_capacity(n_loops + cfg.workers.max(1));
+    for id in 0..n_loops {
+        let (waker, waker_rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
         waker_rx.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
         epoll.add(waker_rx.as_raw_fd(), EPOLLIN, WAKER_TOKEN)?;
-        let (injector_tx, injector_rx) = mpsc::channel();
-        let (completions_tx, completions_rx) = mpsc::channel();
-        handles.push(LoopHandle {
-            injector: injector_tx,
-            completions: completions_tx,
-            waker: waker_tx,
-        });
-        parts.push((epoll, waker_rx, injector_rx, completions_rx));
-    }
-    let handles = Arc::new(handles);
-
-    let mut loops = Vec::with_capacity(n_loops);
-    for (id, (epoll, waker_rx, injector, completions)) in parts.into_iter().enumerate() {
+        let shared = EPOLLIN | EPOLLEXCLUSIVE;
+        epoll.add(listener.as_raw_fd(), shared, LISTENER_TOKEN)?;
+        let (completions, completions_rx) = mpsc::channel();
+        handles.push(LoopHandle { completions, waker });
         let el = EventLoop {
             id,
             epoll,
             waker_rx,
-            injector,
-            completions,
+            listener: listener.clone(),
+            completions: completions_rx,
             jobs: jobs_tx.clone(),
             conns: HashMap::new(),
-            next_token: WAKER_TOKEN + 1,
-            pipeline_depth: cfg.pipeline_depth.max(1),
-            idle_timeout: cfg.idle_timeout,
-            secure: cfg.secure.clone(),
-            tick: cfg.read_poll,
+            next_token: LISTENER_TOKEN + 1,
+            cfg: cfg.clone(),
+            sweep_every,
             shutdown: shutdown.clone(),
             open: open.clone(),
+            read_buf: vec![0; READ_CHUNK],
         };
-        loops.push(
+        threads.push(
             std::thread::Builder::new()
                 .name(format!("mws-loop-{id}"))
                 .spawn(move || el.run())?,
         );
     }
+    let handles = Arc::new(handles);
     // Loop threads own the only job senders: when they exit, workers'
     // recv() disconnects and the pool drains without a poison message.
     drop(jobs_tx);
 
-    let accept = {
-        let handles = handles.clone();
-        let shutdown = shutdown.clone();
-        let open = open.clone();
-        let max_connections = cfg.max_connections;
-        std::thread::Builder::new()
-            .name(format!("mws-accept-{local_addr}"))
-            .spawn(move || accept_loop(listener, &handles, &shutdown, &open, max_connections))?
-    };
-
-    let mut workers = Vec::with_capacity(cfg.workers.max(1));
     for i in 0..cfg.workers.max(1) {
         let jobs = jobs_rx.clone();
         let handles = handles.clone();
         let mut service = factory();
-        workers.push(
+        threads.push(
             std::thread::Builder::new()
                 .name(format!("mws-worker-{i}"))
                 .spawn(move || worker_loop(&jobs, &handles, &mut service))?,
         );
     }
 
-    Ok(EventCore {
-        handles,
-        accept: Some(accept),
-        loops,
-        workers,
-    })
+    // Each loop re-checks the flag after any wakeup; the tick bounds the
+    // worst case even if a waker write is lost.
+    let wake = Box::new(move || handles.iter().for_each(LoopHandle::wake));
+    Ok(Running { threads, wake })
 }

@@ -9,20 +9,18 @@
 //! * [`framing`] — envelope frames on byte streams (the `mws-wire` envelope
 //!   is self-delimiting, so stream framing is just concatenated frames),
 //!   tolerant of arbitrary split reads via `mws_wire::StreamDecoder`.
-//! * [`server`] — [`TcpServer`]: one listening socket, two
-//!   interchangeable cores behind [`ServerConfig`]. The default on Linux
-//!   is a readiness-based **epoll event loop** ([`event`], DESIGN.md
-//!   §11) whose loop threads own every connection as a nonblocking
-//!   state machine — 10k+ mostly-idle smart devices per process — while
-//!   the worker pool handles decoded PDUs. The original
-//!   thread-per-connection core remains as
-//!   [`ServerCore::Threaded`](server::ServerCore::Threaded) for A/B
-//!   benchmarking and non-Linux hosts. Both cores pipeline each
-//!   connection (bounded decode-ahead, replies in request order),
-//!   enforce `max_connections` with an explicit 503 close, and join
-//!   every thread on shutdown.
+//! * [`server`] — [`TcpServer`]: one listening socket behind
+//!   [`ServerConfig`] (DESIGN.md §11). Each connection is one sans-io
+//!   state machine (`conn`: framing, secure handshake and records,
+//!   bounded decode-ahead, replies in request order, deadlines). On Linux
+//!   a few **epoll event loops** (`event`) accept and own every
+//!   connection — 10k+ mostly-idle smart devices per process — while the
+//!   worker pool handles decoded PDUs; elsewhere a blocking driver
+//!   (`blocking`) serves one connection per worker thread. Both enforce
+//!   `max_connections` with an explicit 503 close and join every thread
+//!   on shutdown.
 //! * [`sys`] — the thin zero-dependency epoll/rlimit syscall shim the
-//!   event core is built on (the workspace's only `unsafe`).
+//!   epoll driver is built on (the workspace's only `unsafe`).
 //! * [`client`] — [`TcpClient`]: a persistent-connection socket
 //!   implementation of the `mws-net` [`Transport`](mws_net::Transport)
 //!   trait with connect/request timeouts, seeded decorrelated-jitter
@@ -50,15 +48,20 @@
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
+// Off Linux this is the only driver; on Linux only the tests run it.
+#[cfg_attr(all(target_os = "linux", not(test)), allow(dead_code))]
+mod blocking;
 pub mod chaos;
 pub mod client;
 pub mod cluster;
+mod conn;
 pub mod daemon;
 #[cfg(target_os = "linux")]
-pub(crate) mod event;
+mod event;
 pub mod framing;
 pub mod gateway;
-pub(crate) mod queue;
+#[cfg(target_os = "linux")]
+mod queue;
 pub mod secure;
 pub mod server;
 pub(crate) mod stats;
@@ -74,12 +77,12 @@ pub use secure::{
     IbsAuth, SecureClientSettings, SecureSettings, TransportMode, ID_CLIENT, ID_GATEKEEPER, ID_MMS,
     ID_OPS, ID_PKG,
 };
-pub use server::{ServerConfig, ServerCore, TcpServer};
+pub use server::{ServerConfig, TcpServer};
 #[cfg(target_os = "linux")]
 pub use sys::raise_nofile_limit;
 
 /// Best-effort raise of the open-file limit (no-op stub off Linux, where
-/// the event core and its syscall shim are unavailable).
+/// the epoll driver and its syscall shim are unavailable).
 #[cfg(not(target_os = "linux"))]
 pub fn raise_nofile_limit(_want: u64) -> u64 {
     u64::MAX

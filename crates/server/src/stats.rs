@@ -9,12 +9,11 @@ use mws_obs::{metric_name, Counter, Gauge, Histogram};
 use std::sync::OnceLock;
 
 pub(crate) struct ServerStats {
-    /// Connections handed to a worker (threaded core) or registered
-    /// with an event loop (event core).
+    /// Connections a driver accepted and started serving.
     pub connections: Counter,
     /// Currently open connections across every server in this process.
     pub open_connections: Gauge,
-    /// Connections closed by the idle sweep (event core).
+    /// Connections closed at their idle deadline.
     pub idle_reaped: Counter,
     /// Connections refused with a 503 because the server was at
     /// `max_connections`.

@@ -1,6 +1,6 @@
 //! Thin zero-dependency Linux syscall shim: `epoll` and `RLIMIT_NOFILE`.
 //!
-//! The event-loop server core (DESIGN.md §11) needs readiness
+//! The epoll driver (DESIGN.md §11) needs readiness
 //! notification, which `std` does not expose. Rather than pull in the
 //! `libc` crate (the workspace's dependency policy, DESIGN.md §5), this
 //! module declares the four C entry points it needs directly — `std`
@@ -32,6 +32,10 @@ pub const EPOLLHUP: u32 = 0x010;
 /// Peer closed its write half — a clean FIN while replies may still be
 /// owed.
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Wake one of the epoll instances waiting on a shared fd, not all of
+/// them (registration only): the loops sharing one listener do not all
+/// stampede on each new connection.
+pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;

@@ -27,8 +27,8 @@
 //!
 //! The handshake driver ([`Handshaker`]) is sans-io: callers feed it raw
 //! bytes in arbitrary fragments and write out whatever it produces, which
-//! is what lets the same state machine serve the blocking client, the
-//! threaded server core, and the epoll event loop.
+//! is what lets the same state machine serve the blocking client and the
+//! server's sans-io connection state machine under either of its drivers.
 
 use crate::{WireError, WireReader, WireWriter, MAX_BODY};
 use mws_crypto::{
@@ -511,9 +511,8 @@ impl DirectionState {
     }
 }
 
-/// Sending half of an established session. [`Send`]-safe so the threaded
-/// server core can hand it to the reply writer while the reader thread
-/// holds the [`RecvHalf`].
+/// Sending half of an established session, owned apart from the
+/// [`RecvHalf`].
 pub struct SendHalf {
     dir: DirectionState,
     closed: bool,
@@ -619,7 +618,7 @@ impl SecureSession {
         )
     }
 
-    /// Splits into independently owned halves (two-thread servers).
+    /// Splits into independently owned halves.
     pub fn into_halves(self) -> (SendHalf, RecvHalf) {
         (self.send, self.recv)
     }

@@ -32,7 +32,7 @@ cargo run --release -p mws-bench --bin load_bench -- --cluster --smoke
 echo "==> load_bench --rebalance --smoke (live join mid-load, exactly R copies after evict)"
 cargo run --release -p mws-bench --bin load_bench -- --rebalance --smoke
 
-echo "==> load_bench --connections --smoke (idle fleet on the event core, bursts all acked)"
+echo "==> load_bench --connections --smoke (256 idle connections on the epoll driver, bursts all acked)"
 cargo run --release -p mws-bench --bin load_bench -- --connections --smoke
 
 echo "==> load_bench --secure --smoke (IBS handshake + sealed deposits all acked)"

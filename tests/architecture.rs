@@ -117,6 +117,46 @@ fn deployment_exposes_every_figure3_component() {
     assert_eq!(dep.mws().rejection_count(), 0);
 }
 
+/// The server has one connection state machine: framing, the handshake and
+/// the record layer are driven from `conn.rs` alone, and the drivers move
+/// bytes. (The client's `SecureChannel::connect` side is not a server
+/// connection.)
+#[test]
+fn one_connection_state_machine_in_the_server() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/server/src");
+    let mut files = vec![src];
+    let mut seen = 0;
+    while let Some(path) = files.pop() {
+        if path.is_dir() {
+            for entry in std::fs::read_dir(&path).unwrap() {
+                files.push(entry.unwrap().path());
+            }
+            continue;
+        }
+        if path.extension().is_none_or(|e| e != "rs") || path.ends_with("conn.rs") {
+            continue;
+        }
+        seen += 1;
+        let text = std::fs::read_to_string(&path).unwrap();
+        let code = text.split("\n#[cfg(test)]").next().unwrap();
+        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            for owned in [
+                "StreamDecoder",
+                "RecordDecoder",
+                "Handshaker",
+                "SecureChannel::accept",
+            ] {
+                assert!(
+                    !line.contains(owned),
+                    "{}: `{owned}` outside conn.rs: {line}",
+                    path.display()
+                );
+            }
+        }
+    }
+    assert!(seen > 10, "found the server sources");
+}
+
 /// The build has one dependency universe: this workspace. A registry crate
 /// cannot resolve in the containers this builds in, and the stand-in crates
 /// that used to be patched over the registry names are gone — this keeps

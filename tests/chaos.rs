@@ -22,7 +22,7 @@ use mws_core::protocol::{Deployment, DeploymentConfig, MwsService};
 use mws_net::{BusTransport, Client, FaultConfig, FaultyTransport, NetError};
 use mws_server::{
     ChaosConfig, ChaosProxy, ClientConfig, IbsAuth, SecureClientSettings, SecureSettings,
-    ServerConfig, ServerCore, TcpClient, TcpServer, ID_CLIENT, ID_MMS,
+    ServerConfig, TcpClient, TcpServer, ID_CLIENT, ID_MMS,
 };
 use mws_store::FaultPlan;
 use mws_wire::secure::SessionConfig;
@@ -210,31 +210,18 @@ fn bus_faults_lose_no_acked_deposit() {
 
 // ---------------------------------------------------------------------------
 // Scenario B: real sockets through the chaos proxy — stalls, truncation,
-// resets between a TcpClient and a live daemon. Runs against BOTH server
-// cores explicitly: the epoll event loop must survive mid-frame
-// truncation and stalled writes exactly like the threaded core.
+// resets between a TcpClient and a live daemon: the server must survive
+// mid-frame truncation and stalled writes.
 // ---------------------------------------------------------------------------
-
-/// Both cores on Linux, threaded only elsewhere (where `EventLoop`
-/// would silently alias it).
-fn chaos_cores() -> &'static [ServerCore] {
-    if cfg!(target_os = "linux") {
-        &[ServerCore::EventLoop, ServerCore::Threaded]
-    } else {
-        &[ServerCore::Threaded]
-    }
-}
 
 #[test]
 fn tcp_chaos_proxy_loses_no_acked_deposit() {
-    for core in chaos_cores() {
-        for seed in seeds() {
-            tcp_chaos_proxy_scenario(*core, seed);
-        }
+    for seed in seeds() {
+        tcp_chaos_proxy_scenario(seed);
     }
 }
 
-fn tcp_chaos_proxy_scenario(core: ServerCore, seed: u64) {
+fn tcp_chaos_proxy_scenario(seed: u64) {
     {
         let _dump = StatsDumpGuard {
             scenario: "tcp-chaos-proxy",
@@ -248,14 +235,7 @@ fn tcp_chaos_proxy_scenario(core: ServerCore, seed: u64) {
         dep.register_client("rc", "pw", &["A"]);
         let mms = {
             let service = dep.mws().clone();
-            TcpServer::spawn(
-                ServerConfig {
-                    core,
-                    ..ServerConfig::default()
-                },
-                || service.as_service(),
-            )
-            .expect("bind mms")
+            TcpServer::spawn(ServerConfig::default(), || service.as_service()).expect("bind mms")
         };
         let mut proxy = ChaosProxy::spawn(
             mms.local_addr(),
@@ -298,7 +278,7 @@ fn tcp_chaos_proxy_scenario(core: ServerCore, seed: u64) {
 // ---------------------------------------------------------------------------
 // Scenario S: secure sessions through the chaos proxy — the IBS-authenticated
 // handshake and the AES-GCM record stream (DESIGN.md §12) under truncation,
-// resets and stalls, on BOTH cores. Faults land anywhere, including inside
+// resets and stalls. Faults land anywhere, including inside
 // the three-message handshake itself (a truncated HELLO/ACCEPT/FINISH must
 // surface as a clean transport error the client retries through, never a
 // hang or a half-established session), and a tiny rekey interval forces
@@ -307,14 +287,12 @@ fn tcp_chaos_proxy_scenario(core: ServerCore, seed: u64) {
 
 #[test]
 fn secure_session_chaos_loses_no_acked_deposit() {
-    for core in chaos_cores() {
-        for seed in seeds() {
-            secure_chaos_scenario(*core, seed);
-        }
+    for seed in seeds() {
+        secure_chaos_scenario(seed);
     }
 }
 
-fn secure_chaos_scenario(core: ServerCore, seed: u64) {
+fn secure_chaos_scenario(seed: u64) {
     let _dump = StatsDumpGuard {
         scenario: "secure-chaos",
         seed,
@@ -332,7 +310,6 @@ fn secure_chaos_scenario(core: ServerCore, seed: u64) {
     let service = dep.mws().clone();
     let mms = TcpServer::spawn(
         ServerConfig {
-            core,
             secure: Some(Arc::new(SecureSettings {
                 auth: Arc::new(IbsAuth::from_deployment(&dep, ID_MMS)),
                 session: session.clone(),
@@ -892,7 +869,6 @@ fn event_core_kill_mid_burst_with_idle_fleet_loses_no_acked_deposit() {
         let service = dep.mws().clone();
         let mut mms = TcpServer::spawn(
             ServerConfig {
-                core: ServerCore::EventLoop,
                 workers: 2,
                 read_poll: Duration::from_millis(5),
                 ..ServerConfig::default()

@@ -10,14 +10,14 @@
 //! The whole suite honors `MWS_TRANSPORT=secure`: every link then runs
 //! the IBS-authenticated handshake + AES-GCM record layer of DESIGN.md
 //! §12, with no change to a single assertion. Dedicated tests below also
-//! pin the secure flow (on both cores), the downgrade paths, and rekey
-//! under load regardless of the environment.
+//! pin the secure flow, the downgrade paths, and rekey under load
+//! regardless of the environment.
 
 use mws_core::clock::ReplayPolicy;
 use mws_core::protocol::{Deployment, DeploymentConfig};
 use mws_server::{
     ClientConfig, GatekeeperFrontdoor, IbsAuth, SecureClientSettings, SecureSettings, ServerConfig,
-    ServerCore, TcpClient, TcpServer, TransportMode, ID_CLIENT, ID_GATEKEEPER, ID_MMS, ID_PKG,
+    TcpClient, TcpServer, TransportMode, ID_CLIENT, ID_GATEKEEPER, ID_MMS, ID_PKG,
 };
 use mws_wire::secure::SessionConfig;
 use std::net::SocketAddr;
@@ -103,16 +103,15 @@ impl TcpTopology {
 }
 
 fn spawn_topology() -> TcpTopology {
-    spawn_topology_with(TransportMode::from_env(), ServerCore::default())
+    spawn_topology_with(TransportMode::from_env())
 }
 
-fn spawn_topology_with(mode: TransportMode, core: ServerCore) -> TcpTopology {
+fn spawn_topology_with(mode: TransportMode) -> TcpTopology {
     let mut dep = Deployment::new(DeploymentConfig::test_default());
     dep.register_device("meter-1");
     dep.register_client("utility", "pw", &["ELECTRIC-APT9"]);
 
     let cfg = |dep: &Deployment, identity: &str| ServerConfig {
-        core,
         secure: mode.is_secure().then(|| secure_settings(dep, identity)),
         ..ServerConfig::default()
     };
@@ -145,15 +144,6 @@ fn spawn_topology_with(mode: TransportMode, core: ServerCore) -> TcpTopology {
         mms,
         pkg,
         gatekeeper,
-    }
-}
-
-/// Both cores available on this platform (epoll is Linux-only).
-fn cores() -> Vec<ServerCore> {
-    if cfg!(target_os = "linux") {
-        vec![ServerCore::EventLoop, ServerCore::Threaded]
-    } else {
-        vec![ServerCore::Threaded]
     }
 }
 
@@ -194,15 +184,14 @@ fn four_server_flow_over_real_sockets() {
     ));
     assert_eq!(topo.dep.mws().rejection_count(), 0);
 
-    // Graceful shutdown joins every thread of every server — accept loop +
-    // event loops + workers on the default epoll core, accept loop +
-    // workers on the threaded fallback — even with the clients' persistent
-    // connections still open.
+    // Graceful shutdown joins every thread of every server — event loops
+    // + workers on Linux, workers elsewhere — even with the clients'
+    // persistent connections still open.
     let cfg = ServerConfig::default();
-    let expected = if cfg!(target_os = "linux") && cfg.core == ServerCore::EventLoop {
-        1 + cfg.event_loops + cfg.workers
+    let expected = if cfg!(target_os = "linux") {
+        cfg.event_loops + cfg.workers
     } else {
-        1 + cfg.workers
+        cfg.workers
     };
     assert_eq!(topo.mms.shutdown(), expected);
     assert_eq!(topo.pkg.shutdown(), expected);
@@ -228,58 +217,50 @@ fn deposit_replay_rejected_over_tcp() {
 }
 
 #[test]
-fn secure_transport_full_flow_on_both_cores() {
+fn secure_transport_full_flow() {
     // The end-to-end deposit → ticket → key-issue → retrieve flow with
-    // every link handshaked and sealed, on each connection engine — the
-    // epoll core's HANDSHAKING→OPEN state machine and the threaded
-    // core's handshake-first reader must be behaviorally identical.
-    for core in cores() {
-        let mut topo = spawn_topology_with(TransportMode::Secure, core);
-        let (mms_c, pkg_c) = (topo.mms_client(), topo.pkg_client());
-        let mut meter = topo
-            .dep
-            .device_with("meter-1", mms_c, &pkg_c)
-            .expect("bootstrap over secure sessions");
-        meter.deposit("ELECTRIC-APT9", b"kwh=7.7").unwrap();
-        let (gk_c, pkg_c) = (topo.gatekeeper_client(), topo.pkg_client());
-        let mut rc = topo.dep.client_with("utility", "pw", gk_c, pkg_c);
-        let msgs = rc.retrieve_and_decrypt(0).unwrap();
-        assert_eq!(msgs.len(), 1, "core {core:?}");
-        assert_eq!(msgs[0].plaintext, b"kwh=7.7");
-    }
+    // every link handshaked and sealed, whatever the environment says.
+    let mut topo = spawn_topology_with(TransportMode::Secure);
+    let (mms_c, pkg_c) = (topo.mms_client(), topo.pkg_client());
+    let mut meter = topo
+        .dep
+        .device_with("meter-1", mms_c, &pkg_c)
+        .expect("bootstrap over secure sessions");
+    meter.deposit("ELECTRIC-APT9", b"kwh=7.7").unwrap();
+    let (gk_c, pkg_c) = (topo.gatekeeper_client(), topo.pkg_client());
+    let mut rc = topo.dep.client_with("utility", "pw", gk_c, pkg_c);
+    let msgs = rc.retrieve_and_decrypt(0).unwrap();
+    assert_eq!(msgs.len(), 1);
+    assert_eq!(msgs[0].plaintext, b"kwh=7.7");
 }
 
 #[test]
 fn plaintext_client_refused_with_426_by_secure_server() {
     // A legacy plaintext client dialing a secure listener must get an
-    // explicit 426 in its own protocol — not a hang, not a reset — on
-    // both cores.
-    for core in cores() {
-        let dep = Deployment::new(DeploymentConfig::test_default());
-        let service = dep.mws().clone();
-        let server = TcpServer::spawn(
-            ServerConfig {
-                core,
-                secure: Some(secure_settings(&dep, ID_MMS)),
-                ..ServerConfig::default()
-            },
-            || service.as_service(),
-        )
-        .unwrap();
-        let plain = TcpClient::with_config(
-            server.local_addr(),
-            ClientConfig {
-                attempts: 1,
-                ..ClientConfig::default()
-            },
-        )
-        .into_client();
-        match plain.call(&mws_wire::Pdu::StatsRequest) {
-            Ok(mws_wire::Pdu::Error { code: 426, detail }) => {
-                assert!(detail.contains("secure"), "core {core:?}: {detail}")
-            }
-            other => panic!("core {core:?}: expected 426, got {other:?}"),
+    // explicit 426 in its own protocol — not a hang, not a reset.
+    let dep = Deployment::new(DeploymentConfig::test_default());
+    let service = dep.mws().clone();
+    let server = TcpServer::spawn(
+        ServerConfig {
+            secure: Some(secure_settings(&dep, ID_MMS)),
+            ..ServerConfig::default()
+        },
+        || service.as_service(),
+    )
+    .unwrap();
+    let plain = TcpClient::with_config(
+        server.local_addr(),
+        ClientConfig {
+            attempts: 1,
+            ..ClientConfig::default()
+        },
+    )
+    .into_client();
+    match plain.call(&mws_wire::Pdu::StatsRequest) {
+        Ok(mws_wire::Pdu::Error { code: 426, detail }) => {
+            assert!(detail.contains("secure"), "{detail}")
         }
+        other => panic!("expected 426, got {other:?}"),
     }
 }
 
@@ -328,45 +309,42 @@ fn wrong_peer_identity_refused_end_to_end() {
 }
 
 #[test]
-fn rekey_under_load_on_both_cores() {
+fn rekey_under_load() {
     // A tiny rekey interval forces many mid-session key ratchets in
     // both directions; every exchange must still round-trip because
     // both ends count records in lockstep. 64 calls at rekey_every=4 is
     // ~16 generations per direction.
-    for core in cores() {
-        let dep = Deployment::new(DeploymentConfig::test_default());
-        let session = SessionConfig { rekey_every: 4 };
-        let service = dep.mws().clone();
-        let server = TcpServer::spawn(
-            ServerConfig {
-                core,
-                secure: Some(Arc::new(SecureSettings {
-                    auth: Arc::new(IbsAuth::from_deployment(&dep, ID_MMS)),
-                    session: session.clone(),
-                    handshake_timeout: Duration::from_secs(5),
-                })),
-                ..ServerConfig::default()
-            },
-            || service.as_service(),
-        )
-        .unwrap();
-        let client = TcpClient::with_config(
-            server.local_addr(),
-            ClientConfig {
-                secure: Some(Arc::new(SecureClientSettings {
-                    auth: Arc::new(IbsAuth::from_deployment(&dep, ID_CLIENT)),
-                    expect_peer: Some(ID_MMS.into()),
-                    session,
-                })),
-                ..ClientConfig::default()
-            },
-        )
-        .into_client();
-        for i in 0..64 {
-            match client.call(&mws_wire::Pdu::StatsRequest) {
-                Ok(mws_wire::Pdu::StatsResponse { .. }) => {}
-                other => panic!("core {core:?}, call {i}: {other:?}"),
-            }
+    let dep = Deployment::new(DeploymentConfig::test_default());
+    let session = SessionConfig { rekey_every: 4 };
+    let service = dep.mws().clone();
+    let server = TcpServer::spawn(
+        ServerConfig {
+            secure: Some(Arc::new(SecureSettings {
+                auth: Arc::new(IbsAuth::from_deployment(&dep, ID_MMS)),
+                session: session.clone(),
+                handshake_timeout: Duration::from_secs(5),
+            })),
+            ..ServerConfig::default()
+        },
+        || service.as_service(),
+    )
+    .unwrap();
+    let client = TcpClient::with_config(
+        server.local_addr(),
+        ClientConfig {
+            secure: Some(Arc::new(SecureClientSettings {
+                auth: Arc::new(IbsAuth::from_deployment(&dep, ID_CLIENT)),
+                expect_peer: Some(ID_MMS.into()),
+                session,
+            })),
+            ..ClientConfig::default()
+        },
+    )
+    .into_client();
+    for i in 0..64 {
+        match client.call(&mws_wire::Pdu::StatsRequest) {
+            Ok(mws_wire::Pdu::StatsResponse { .. }) => {}
+            other => panic!("call {i}: {other:?}"),
         }
     }
 }
