@@ -1,12 +1,13 @@
 //! E7 — design decision D1: the paper fixed DES; how much does the
 //! symmetric cipher choice cost on meter-sized payloads?
 //!
-//! Regenerates: throughput rows for DES / 3DES / AES-128 / AES-256 /
-//! ChaCha20 in CTR-style modes at 64 B, 1 KiB and 64 KiB.
+//! Regenerates: throughput rows for the two hybrid-layer ciphers, DES and
+//! AES-128 in CTR mode, and AES-128-GCM (the sealed transport's record
+//! cipher) at 64 B, 1 KiB and 64 KiB.
 
 use mws_bench::Bench;
 use mws_bench::WorkloadGen;
-use mws_crypto::{gcm_seal, Aes128, Aes256, ChaCha20, CtrMode, Des, TripleDes};
+use mws_crypto::{gcm_seal, Aes128, CtrMode, Des};
 
 fn main() {
     let mut bench = Bench::new("e7_symmetric");
@@ -20,27 +21,12 @@ fn main() {
             CtrMode::encrypt(&cipher, &[2; 4], &payload).unwrap()
         });
 
-        let cipher = TripleDes::new(&[1; 24]).unwrap();
-        bench.run(format!("3des_ctr/{size}"), || {
-            CtrMode::encrypt(&cipher, &[2; 4], &payload).unwrap()
-        });
-
         let cipher = Aes128::new(&[1; 16]).unwrap();
         bench.run(format!("aes128_ctr/{size}"), || {
             CtrMode::encrypt(&cipher, &[2; 8], &payload).unwrap()
         });
 
-        let cipher = Aes256::new(&[1; 32]).unwrap();
-        bench.run(format!("aes256_ctr/{size}"), || {
-            CtrMode::encrypt(&cipher, &[2; 8], &payload).unwrap()
-        });
-
-        bench.run(format!("chacha20/{size}"), || {
-            ChaCha20::encrypt(&[1; 32], &[2; 12], &payload).unwrap()
-        });
-
         // AEAD comparison point: AES-128-GCM (authenticated, single pass).
-        let cipher = Aes128::new(&[1; 16]).unwrap();
         bench.run(format!("aes128_gcm/{size}"), || {
             gcm_seal(&cipher, &[2; 12], b"", &payload).unwrap()
         });

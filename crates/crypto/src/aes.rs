@@ -1,9 +1,10 @@
-//! AES-128 / AES-256 (FIPS 197).
+//! AES-128 (FIPS 197).
 //!
 //! The modern replacement for the paper's DES (benchmark E7/D1), and the
-//! cipher under every sealed transport record (`mws-wire::secure`).
+//! cipher under every sealed transport record (`mws-wire::secure`), every
+//! ticket and key-delivery blob, and the hybrid IBE layer by default.
 //!
-//! # Encryption: one constant-time bitsliced core
+//! # One constant-time bitsliced core, forward only
 //!
 //! `encrypt_block` and `encrypt_blocks` run on a single table-free core
 //! that encrypts four blocks at once in eight `u64` bit-planes (plane `i`
@@ -15,26 +16,20 @@
 //! same circuit. Nothing on this path branches on, or indexes memory by,
 //! key or data: its running time depends only on the number of blocks.
 //! CTR and GCM fill the four lanes with consecutive counter blocks and
-//! never decrypt a block.
-//!
-//! # Decryption: byte-wise, table-driven, not constant-time
-//!
-//! `decrypt_block` is the straightforward FIPS 197 inverse cipher with an
-//! inverse S-box lookup. Only ECB/CBC decryption reaches it, which no
-//! protocol path uses with AES; it is not optimised and its lookups are
-//! key- and data-dependent.
+//! never decrypt a block, so there is no inverse cipher.
 //!
 //! # Oracle
 //!
 //! The byte-wise forward cipher the fast core replaced survives as
 //! `AesEngine::encrypt_oracle`, compiled only under `#[cfg(test)]`; the
-//! property tests below hold the bitsliced core bit-identical to it for
-//! both key sizes, on top of the FIPS 197 appendix vectors.
+//! property tests below hold the bitsliced core bit-identical to it, on
+//! top of the FIPS 197 appendix vectors.
 
 use crate::{BlockCipher, CipherError};
 
-/// The AES S-box. Only `INV_SBOX` and the test oracle read it; the
-/// encrypt path computes SubBytes as a circuit.
+/// The AES S-box, for the test oracle; the encrypt path computes SubBytes
+/// as a circuit.
+#[cfg(test)]
 const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
     0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
@@ -54,21 +49,10 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// Inverse S-box for the byte-wise decrypt path.
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
-
 /// Blocks one pass of the bitsliced core encrypts.
 const LANES: usize = 4;
-/// Round keys of the largest schedule (AES-256: 14 rounds + whitening).
-const MAX_ROUND_KEYS: usize = 15;
+/// AES-128's rounds; the schedule holds one more key for whitening.
+const ROUNDS: usize = 10;
 
 /// Four blocks as eight bit-planes: bit `16·row + 4·col + lane` of plane
 /// `i` is bit `i` of state byte (row, col) of block `lane`.
@@ -327,6 +311,7 @@ fn xtime(b: u8) -> u8 {
 }
 
 /// GF(2^8) multiplication.
+#[cfg(test)]
 fn gmul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
     for _ in 0..8 {
@@ -339,41 +324,37 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
-/// AES engine over an expanded key: byte-wise round keys for the inverse
-/// cipher, and the same keys as pre-shifted bit-planes for the forward one.
+/// AES-128 engine over an expanded key: the round keys as pre-shifted
+/// bit-planes for the bitsliced core, and byte-wise for the test oracle.
 #[derive(Clone)]
 struct AesEngine {
-    rounds: usize,
-    round_keys: [[u8; 16]; MAX_ROUND_KEYS],
-    plane_keys: [Planes; MAX_ROUND_KEYS],
+    plane_keys: [Planes; ROUNDS + 1],
+    #[cfg(test)]
+    round_keys: [[u8; 16]; ROUNDS + 1],
 }
 
 impl AesEngine {
-    fn new(key: &[u8]) -> Self {
-        let nk = key.len() / 4; // 4 or 8
-        let rounds = nk + 6; // 10 or 14
-        let mut w = [[0u8; 4]; 4 * MAX_ROUND_KEYS];
+    fn new(key: &[u8; 16]) -> Self {
+        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
         for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
             word.copy_from_slice(bytes);
         }
         let mut rcon = 1u8;
-        for i in nk..4 * (rounds + 1) {
+        for i in 4..w.len() {
             let mut temp = w[i - 1];
-            if i % nk == 0 {
+            if i % 4 == 0 {
                 temp.rotate_left(1);
                 temp = sub_word(temp);
                 temp[0] ^= rcon;
                 rcon = xtime(rcon);
-            } else if nk > 6 && i % nk == 4 {
-                temp = sub_word(temp);
             }
             for j in 0..4 {
-                w[i][j] = w[i - nk][j] ^ temp[j];
+                w[i][j] = w[i - 4][j] ^ temp[j];
             }
         }
-        let mut round_keys = [[0u8; 16]; MAX_ROUND_KEYS];
-        let mut plane_keys = [[0u64; 8]; MAX_ROUND_KEYS];
-        for r in 0..=rounds {
+        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
+        let mut plane_keys = [[0u64; 8]; ROUNDS + 1];
+        for r in 0..=ROUNDS {
             for c in 0..4 {
                 round_keys[r][4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
             }
@@ -381,10 +362,8 @@ impl AesEngine {
             // ShiftRows behind, so its key is shifted back r times; the
             // last key meets a state `finish` has put right again.
             let mut shifted = round_keys[r];
-            if r < rounds {
-                for _ in 0..r % 4 {
-                    inv_shift_rows(&mut shifted);
-                }
+            if r < ROUNDS {
+                shift_rows(&mut shifted, 4 - r % 4);
             }
             let mut lanes = [0u8; 16 * LANES];
             for lane in lanes.chunks_exact_mut(16) {
@@ -393,16 +372,16 @@ impl AesEngine {
             plane_keys[r] = pack(&lanes);
         }
         Self {
-            rounds,
-            round_keys,
             plane_keys,
+            #[cfg(test)]
+            round_keys,
         }
     }
 
     /// Encrypts four blocks held as bit-planes.
     fn encrypt_planes(&self, q: &mut Planes) {
         xor_planes(q, &self.plane_keys[0]);
-        for round in 1..self.rounds {
+        for round in 1..ROUNDS {
             sub_bytes(q);
             match round % 4 {
                 1 => mix_columns::<1>(q),
@@ -413,13 +392,13 @@ impl AesEngine {
             xor_planes(q, &self.plane_keys[round]);
         }
         sub_bytes(q);
-        // Ten and fourteen rounds are both 2 mod 4: the state is two
-        // ShiftRows behind, i.e. rows 1 and 3 are off by two columns.
+        // Ten rounds are 2 mod 4: the state is two ShiftRows behind, i.e.
+        // rows 1 and 3 are off by two columns.
         for plane in q.iter_mut() {
             let odd_rows = *plane & 0xffff_0000_ffff_0000;
             *plane = (*plane & 0x0000_ffff_0000_ffff) | rotate_rows(odd_rows, 8);
         }
-        xor_planes(q, &self.plane_keys[self.rounds]);
+        xor_planes(q, &self.plane_keys[ROUNDS]);
     }
 
     /// Encrypts `blocks.len() / 16` independent blocks in place, four per
@@ -450,32 +429,19 @@ impl AesEngine {
     fn encrypt_oracle(&self, block: &mut [u8]) {
         assert_eq!(block.len(), 16);
         add_round_key(block, &self.round_keys[0]);
-        for round in 1..self.rounds {
+        for round in 1..ROUNDS {
             sub_bytes_oracle(block);
-            shift_rows(block);
+            shift_rows(block, 1);
             mix_columns_oracle(block);
             add_round_key(block, &self.round_keys[round]);
         }
         sub_bytes_oracle(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[self.rounds]);
-    }
-
-    fn decrypt(&self, block: &mut [u8]) {
-        debug_assert_eq!(block.len(), 16);
-        add_round_key(block, &self.round_keys[self.rounds]);
-        for round in (1..self.rounds).rev() {
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        add_round_key(block, &self.round_keys[0]);
+        shift_rows(block, 1);
+        add_round_key(block, &self.round_keys[ROUNDS]);
     }
 }
 
+#[cfg(test)]
 fn add_round_key(state: &mut [u8], rk: &[u8; 16]) {
     for (s, k) in state.iter_mut().zip(rk.iter()) {
         *s ^= k;
@@ -489,31 +455,14 @@ fn sub_bytes_oracle(state: &mut [u8]) {
     }
 }
 
-fn inv_sub_bytes(state: &mut [u8]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-// State layout: column-major — state[4*c + r] is row r, column c.
-#[cfg(test)]
-fn shift_rows(state: &mut [u8]) {
+/// ShiftRows applied `times` times (4 − n undoes n). State layout:
+/// column-major — state[4*c + r] is row r, column c.
+fn shift_rows(state: &mut [u8], times: usize) {
     let s = |r: usize, c: usize| state[4 * c + r];
     let mut out = [0u8; 16];
     for r in 0..4 {
         for c in 0..4 {
-            out[4 * c + r] = s(r, (c + r) % 4);
-        }
-    }
-    state.copy_from_slice(&out);
-}
-
-fn inv_shift_rows(state: &mut [u8]) {
-    let s = |r: usize, c: usize| state[4 * c + r];
-    let mut out = [0u8; 16];
-    for r in 0..4 {
-        for c in 0..4 {
-            out[4 * c + r] = s(r, (c + 4 - r) % 4);
+            out[4 * c + r] = s(r, (c + times * r) % 4);
         }
     }
     state.copy_from_slice(&out);
@@ -535,21 +484,6 @@ fn mix_columns_oracle(state: &mut [u8]) {
     }
 }
 
-fn inv_mix_columns(state: &mut [u8]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        state[4 * c + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        state[4 * c + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        state[4 * c + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-    }
-}
-
 /// AES with a 128-bit key.
 #[derive(Clone)]
 pub struct Aes128 {
@@ -559,9 +493,7 @@ pub struct Aes128 {
 impl Aes128 {
     /// Creates an AES-128 instance from a 16-byte key.
     pub fn new(key: &[u8]) -> Result<Self, CipherError> {
-        if key.len() != 16 {
-            return Err(CipherError::BadKey);
-        }
+        let key = key.try_into().map_err(|_| CipherError::BadKey)?;
         Ok(Self {
             engine: AesEngine::new(key),
         })
@@ -578,10 +510,6 @@ impl BlockCipher for Aes128 {
     fn encrypt_blocks(&self, blocks: &mut [u8]) {
         self.engine.encrypt_blocks(blocks);
     }
-
-    fn decrypt_block(&self, block: &mut [u8]) {
-        self.engine.decrypt(block);
-    }
 }
 
 /// [`Aes128`] with the byte-wise oracle as its forward cipher and the
@@ -596,44 +524,6 @@ impl BlockCipher for OracleAes128 {
 
     fn encrypt_block(&self, block: &mut [u8]) {
         self.0.engine.encrypt_oracle(block);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8]) {
-        self.0.engine.decrypt(block);
-    }
-}
-
-/// AES with a 256-bit key.
-#[derive(Clone)]
-pub struct Aes256 {
-    engine: AesEngine,
-}
-
-impl Aes256 {
-    /// Creates an AES-256 instance from a 32-byte key.
-    pub fn new(key: &[u8]) -> Result<Self, CipherError> {
-        if key.len() != 32 {
-            return Err(CipherError::BadKey);
-        }
-        Ok(Self {
-            engine: AesEngine::new(key),
-        })
-    }
-}
-
-impl BlockCipher for Aes256 {
-    const BLOCK_SIZE: usize = 16;
-
-    fn encrypt_block(&self, block: &mut [u8]) {
-        self.engine.encrypt_blocks(block);
-    }
-
-    fn encrypt_blocks(&self, blocks: &mut [u8]) {
-        self.engine.encrypt_blocks(blocks);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8]) {
-        self.engine.decrypt(block);
     }
 }
 
@@ -654,8 +544,6 @@ mod tests {
         let mut block = unhex("3243f6a8885a308d313198a2e0370734");
         aes.encrypt_block(&mut block);
         assert_eq!(block, unhex("3925841d02dc09fbdc118597196a0b32"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block, unhex("3243f6a8885a308d313198a2e0370734"));
     }
 
     #[test]
@@ -664,19 +552,6 @@ mod tests {
         let mut block = unhex("00112233445566778899aabbccddeeff");
         aes.encrypt_block(&mut block);
         assert_eq!(block, unhex("69c4e0d86a7b0430d8cdb78070b4c55a"));
-    }
-
-    #[test]
-    fn fips197_appendix_c3_aes256() {
-        let aes = Aes256::new(&unhex(
-            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
-        ))
-        .unwrap();
-        let mut block = unhex("00112233445566778899aabbccddeeff");
-        aes.encrypt_block(&mut block);
-        assert_eq!(block, unhex("8ea2b7ca516745bfeafc49904b496089"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block, unhex("00112233445566778899aabbccddeeff"));
     }
 
     #[test]
@@ -707,29 +582,16 @@ mod tests {
         });
     }
 
-    /// The bitsliced core against the byte-wise oracle, and the byte-wise
-    /// inverse cipher against the bitsliced core.
-    fn fast_matches_oracle(engine: &AesEngine, block: [u8; 16]) {
-        let mut fast = block;
-        engine.encrypt_blocks(&mut fast);
-        let mut slow = block;
-        engine.encrypt_oracle(&mut slow);
-        assert_eq!(fast, slow);
-        engine.decrypt(&mut fast);
-        assert_eq!(fast, block);
-    }
-
+    /// The bitsliced core against the byte-wise oracle.
     #[test]
     fn aes128_fast_matches_bytewise_oracle() {
         mws_prop::cases(256, |g| (g.array::<16>(), g.array::<16>())).check(|(key, block)| {
-            fast_matches_oracle(&Aes128::new(&key).unwrap().engine, block);
-        });
-    }
-
-    #[test]
-    fn aes256_fast_matches_bytewise_oracle() {
-        mws_prop::cases(256, |g| (g.array::<32>(), g.array::<16>())).check(|(key, block)| {
-            fast_matches_oracle(&Aes256::new(&key).unwrap().engine, block);
+            let engine = AesEngine::new(&key);
+            let mut fast = block;
+            engine.encrypt_blocks(&mut fast);
+            let mut slow = block;
+            engine.encrypt_oracle(&mut slow);
+            assert_eq!(fast, slow);
         });
     }
 
@@ -753,19 +615,5 @@ mod tests {
     fn rejects_bad_key_lengths() {
         assert!(Aes128::new(&[0; 15]).is_err());
         assert!(Aes128::new(&[0; 32]).is_err());
-        assert!(Aes256::new(&[0; 16]).is_err());
-    }
-
-    #[test]
-    fn roundtrip_random_blocks() {
-        let aes = Aes128::new(&[7u8; 16]).unwrap();
-        for seed in 0u8..16 {
-            let original: Vec<u8> = (0..16).map(|i| i as u8 ^ seed.wrapping_mul(31)).collect();
-            let mut block = original.clone();
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, original);
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, original);
-        }
     }
 }

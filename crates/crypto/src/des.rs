@@ -1,10 +1,11 @@
-//! DES and Triple-DES (FIPS 46-3).
+//! DES (FIPS 46-3), encryption direction only.
 //!
 //! DES is the cipher the paper's protocol actually names ("We have used DES
 //! encryption method throughout this protocol", §V.C). Its 56-bit key is far
-//! below modern standards; the reproduction keeps it for fidelity and
-//! benchmarks it against AES/ChaCha20 in experiment E7. [`TripleDes`]
-//! (EDE, three-key) is provided as the drop-in hardened variant.
+//! below modern standards; the reproduction keeps it for fidelity
+//! (`CipherAlgo::Des` in `mws-ibe`) and benchmarks it against AES-128 in
+//! experiment E7. It only ever runs forward, as a CTR keystream, so the
+//! decryption key schedule is not implemented.
 
 use crate::{BlockCipher, CipherError};
 
@@ -164,19 +165,18 @@ impl Des {
         }
         Ok(Self { subkeys })
     }
+}
 
-    fn crypt(&self, block: &mut [u8], decrypt: bool) {
+impl BlockCipher for Des {
+    const BLOCK_SIZE: usize = 8;
+
+    fn encrypt_block(&self, block: &mut [u8]) {
         debug_assert_eq!(block.len(), 8);
         let input = u64::from_be_bytes(block.try_into().expect("8-byte block"));
         let permuted = permute(input, &IP, 64);
         let mut l = (permuted >> 32) as u32;
         let mut r = permuted as u32;
-        for round in 0..16 {
-            let k = if decrypt {
-                self.subkeys[15 - round]
-            } else {
-                self.subkeys[round]
-            };
+        for &k in &self.subkeys {
             let next_r = l ^ feistel(r, k);
             l = r;
             r = next_r;
@@ -185,56 +185,6 @@ impl Des {
         let pre_output = ((r as u64) << 32) | l as u64;
         let output = permute(pre_output, &FP, 64);
         block.copy_from_slice(&output.to_be_bytes());
-    }
-}
-
-impl BlockCipher for Des {
-    const BLOCK_SIZE: usize = 8;
-
-    fn encrypt_block(&self, block: &mut [u8]) {
-        self.crypt(block, false);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8]) {
-        self.crypt(block, true);
-    }
-}
-
-/// Triple-DES in EDE mode with a 24-byte (three-key) key.
-#[derive(Clone, Debug)]
-pub struct TripleDes {
-    k1: Des,
-    k2: Des,
-    k3: Des,
-}
-
-impl TripleDes {
-    /// Creates a 3DES instance from a 24-byte key (K1 ‖ K2 ‖ K3).
-    pub fn new(key: &[u8]) -> Result<Self, CipherError> {
-        if key.len() != 24 {
-            return Err(CipherError::BadKey);
-        }
-        Ok(Self {
-            k1: Des::new(&key[..8])?,
-            k2: Des::new(&key[8..16])?,
-            k3: Des::new(&key[16..])?,
-        })
-    }
-}
-
-impl BlockCipher for TripleDes {
-    const BLOCK_SIZE: usize = 8;
-
-    fn encrypt_block(&self, block: &mut [u8]) {
-        self.k1.encrypt_block(block);
-        self.k2.decrypt_block(block);
-        self.k3.encrypt_block(block);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8]) {
-        self.k3.decrypt_block(block);
-        self.k2.encrypt_block(block);
-        self.k1.decrypt_block(block);
     }
 }
 
@@ -256,8 +206,6 @@ mod tests {
         let mut block = unhex("0123456789abcdef");
         des.encrypt_block(&mut block);
         assert_eq!(block, unhex("85e813540f0ab405"));
-        des.decrypt_block(&mut block);
-        assert_eq!(block, unhex("0123456789abcdef"));
     }
 
     #[test]
@@ -296,34 +244,5 @@ mod tests {
     fn rejects_bad_key_lengths() {
         assert_eq!(Des::new(&[0; 7]).unwrap_err(), CipherError::BadKey);
         assert_eq!(Des::new(&[0; 9]).unwrap_err(), CipherError::BadKey);
-        assert_eq!(TripleDes::new(&[0; 16]).unwrap_err(), CipherError::BadKey);
-    }
-
-    #[test]
-    fn triple_des_degenerates_to_des() {
-        // With K1 = K2 = K3, EDE collapses to single DES.
-        let key8 = unhex("133457799bbcdff1");
-        let mut key24 = key8.clone();
-        key24.extend_from_slice(&key8);
-        key24.extend_from_slice(&key8);
-        let tdes = TripleDes::new(&key24).unwrap();
-        let des = Des::new(&key8).unwrap();
-        let mut a = unhex("0123456789abcdef");
-        let mut b = a.clone();
-        tdes.encrypt_block(&mut a);
-        des.encrypt_block(&mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn triple_des_roundtrip_distinct_keys() {
-        let key = unhex("0123456789abcdef23456789abcdef01456789abcdef0123");
-        let tdes = TripleDes::new(&key).unwrap();
-        let original = unhex("fedcba9876543210");
-        let mut block = original.clone();
-        tdes.encrypt_block(&mut block);
-        assert_ne!(block, original);
-        tdes.decrypt_block(&mut block);
-        assert_eq!(block, original);
     }
 }

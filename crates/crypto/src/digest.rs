@@ -34,7 +34,8 @@ pub trait Digest: Sized + Clone {
     }
 }
 
-/// A block cipher with a fixed block size.
+/// A block cipher with a fixed block size, run forward only: CTR and GCM
+/// decrypt by encrypting counter blocks.
 pub trait BlockCipher {
     /// Block size in bytes.
     const BLOCK_SIZE: usize;
@@ -52,9 +53,6 @@ pub trait BlockCipher {
             self.encrypt_block(block);
         }
     }
-
-    /// Decrypts one block in place.
-    fn decrypt_block(&self, block: &mut [u8]);
 }
 
 /// A borrowed cipher is a cipher, so a keyed context ([`crate::Gcm`]) can
@@ -68,9 +66,5 @@ impl<C: BlockCipher> BlockCipher for &C {
 
     fn encrypt_blocks(&self, blocks: &mut [u8]) {
         (**self).encrypt_blocks(blocks);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8]) {
-        (**self).decrypt_block(block);
     }
 }

@@ -72,13 +72,13 @@ impl<D: Digest> Hmac<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Md5, Sha1, Sha256};
+    use crate::{Sha1, Sha256};
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    // RFC 2202 (HMAC-MD5 / HMAC-SHA1) and RFC 4231 (HMAC-SHA256) vectors.
+    // RFC 2202 (HMAC-SHA1) and RFC 4231 (HMAC-SHA256) vectors.
 
     #[test]
     fn rfc2202_sha1() {
@@ -93,18 +93,6 @@ mod tests {
         assert_eq!(
             hex(&Hmac::<Sha1>::mac(&[0xaa; 20], &[0xdd; 50])),
             "125d7342b9ac11cd91a39af48aa17b4f63f175d3"
-        );
-    }
-
-    #[test]
-    fn rfc2202_md5() {
-        assert_eq!(
-            hex(&Hmac::<Md5>::mac(&[0x0b; 16], b"Hi There")),
-            "9294727a3638bb1c13f48ef8158bfc9d"
-        );
-        assert_eq!(
-            hex(&Hmac::<Md5>::mac(b"Jefe", b"what do ya want for nothing?")),
-            "750c783e6ab0b503eaa86e310a5db738"
         );
     }
 

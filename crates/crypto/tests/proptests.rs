@@ -1,8 +1,7 @@
 //! Property-based tests for the crypto substrate.
 
 use mws_crypto::{
-    gcm_open, gcm_seal, open, pkcs7_pad, pkcs7_unpad, seal, Aes128, Aes256, BlockCipher, CbcMode,
-    ChaCha20, CtrMode, Des, Digest, Hmac, Md5, Sha1, Sha256, TripleDes,
+    gcm_open, gcm_seal, open, seal, Aes128, CtrMode, Des, Digest, Hmac, Sha1, Sha256,
 };
 use mws_prop::cases;
 
@@ -27,11 +26,6 @@ fn sha1_incremental_any_split() {
 }
 
 #[test]
-fn md5_incremental_any_split() {
-    incremental_any_split::<Md5>();
-}
-
-#[test]
 fn hmac_key_sensitivity() {
     cases(128, |g| (g.bytes(1..100), g.bytes(0..100))).check(|(key, data)| {
         let t1 = Hmac::<Sha256>::mac(&key, &data);
@@ -43,68 +37,6 @@ fn hmac_key_sensitivity() {
 }
 
 #[test]
-fn pkcs7_roundtrip() {
-    cases(128, |g| (g.bytes(0..200), g.size(1..33))).check(|(data, bs)| {
-        let padded = pkcs7_pad(&data, bs);
-        assert_eq!(padded.len() % bs, 0);
-        assert_eq!(pkcs7_unpad(&padded, bs).unwrap(), data);
-    });
-}
-
-#[test]
-fn des_block_roundtrip() {
-    cases(128, |g| (g.array::<8>(), g.array::<8>())).check(|(key, block)| {
-        let des = Des::new(&key).unwrap();
-        let mut b = block;
-        des.encrypt_block(&mut b);
-        des.decrypt_block(&mut b);
-        assert_eq!(b, block);
-    });
-}
-
-#[test]
-fn tdes_block_roundtrip() {
-    cases(128, |g| (g.bytes(24..25), g.array::<8>())).check(|(key, block)| {
-        let tdes = TripleDes::new(&key).unwrap();
-        let mut b = block;
-        tdes.encrypt_block(&mut b);
-        tdes.decrypt_block(&mut b);
-        assert_eq!(b, block);
-    });
-}
-
-#[test]
-fn aes128_block_roundtrip() {
-    cases(128, |g| (g.array::<16>(), g.array::<16>())).check(|(key, block)| {
-        let aes = Aes128::new(&key).unwrap();
-        let mut b = block;
-        aes.encrypt_block(&mut b);
-        aes.decrypt_block(&mut b);
-        assert_eq!(b, block);
-    });
-}
-
-#[test]
-fn aes256_block_roundtrip() {
-    cases(128, |g| (g.bytes(32..33), g.array::<16>())).check(|(key, block)| {
-        let aes = Aes256::new(&key).unwrap();
-        let mut b = block;
-        aes.encrypt_block(&mut b);
-        aes.decrypt_block(&mut b);
-        assert_eq!(b, block);
-    });
-}
-
-#[test]
-fn cbc_roundtrip_any_message() {
-    cases(128, |g| (g.array::<16>(), g.array::<16>(), g.bytes(0..300))).check(|(key, iv, msg)| {
-        let aes = Aes128::new(&key).unwrap();
-        let ct = CbcMode::encrypt(&aes, &iv, &msg).unwrap();
-        assert_eq!(CbcMode::decrypt(&aes, &iv, &ct).unwrap(), msg);
-    });
-}
-
-#[test]
 fn ctr_roundtrip_any_message() {
     cases(128, |g| (g.array::<16>(), g.array::<8>(), g.bytes(0..300))).check(
         |(key, nonce, msg)| {
@@ -112,16 +44,10 @@ fn ctr_roundtrip_any_message() {
             let ct = CtrMode::encrypt(&aes, &nonce, &msg).unwrap();
             assert_eq!(ct.len(), msg.len());
             assert_eq!(CtrMode::decrypt(&aes, &nonce, &ct).unwrap(), msg);
-        },
-    );
-}
-
-#[test]
-fn chacha_roundtrip_any_message() {
-    cases(128, |g| (g.bytes(32..33), g.bytes(12..13), g.bytes(0..300))).check(
-        |(key, nonce, msg)| {
-            let ct = ChaCha20::encrypt(&key, &nonce, &msg).unwrap();
-            assert_eq!(ChaCha20::decrypt(&key, &nonce, &ct).unwrap(), msg);
+            // The paper's cipher: 64-bit blocks, a half-block nonce of 4.
+            let des = Des::new(&key[..8]).unwrap();
+            let ct = CtrMode::encrypt(&des, &nonce[..4], &msg).unwrap();
+            assert_eq!(CtrMode::decrypt(&des, &nonce[..4], &ct).unwrap(), msg);
         },
     );
 }

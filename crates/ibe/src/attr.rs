@@ -7,17 +7,16 @@
 //! RC can never obtain `sI` for any future nonce.
 //!
 //! The IBE value keys a symmetric cipher. The paper fixed DES; this
-//! implementation parameterizes the cipher ([`CipherAlgo`], design decision
-//! D1) and hardens the symmetric layer to encrypt-then-MAC (the paper's raw
-//! DES-CBC offers no integrity; §VIII lists end-to-end integrity as future
-//! work — implemented here).
+//! implementation keeps DES for fidelity and defaults to AES-128
+//! ([`CipherAlgo`], design decision D1), and hardens the symmetric layer to
+//! the workspace's one encrypt-then-MAC composition, [`mws_crypto::seal`]
+//! (the paper's raw DES offers no integrity; §VIII lists end-to-end
+//! integrity as future work — implemented here).
 
 use crate::bf::{IbeSystem, MasterPublic, UserPrivateKey};
 use crate::kdf::derive_from_gt;
 use crate::IbeError;
-use mws_crypto::{
-    ct_eq, Aes128, Aes256, ChaCha20, CtrMode, Des, Digest, Hmac, Rng, Sha1, Sha256, TripleDes,
-};
+use mws_crypto::{open, seal, AeadError, Aes128, BlockCipher, Des, Digest, Rng, Sha1};
 use mws_pairing::Point;
 
 /// Symmetric cipher choices for the hybrid layer.
@@ -25,14 +24,8 @@ use mws_pairing::Point;
 pub enum CipherAlgo {
     /// DES — the paper's cipher (kept for fidelity; 56-bit key).
     Des,
-    /// Triple-DES EDE.
-    TripleDes,
-    /// AES-128 (the recommended default).
+    /// AES-128 (the default).
     Aes128,
-    /// AES-256.
-    Aes256,
-    /// ChaCha20 stream cipher.
-    ChaCha20,
 }
 
 impl CipherAlgo {
@@ -40,19 +33,15 @@ impl CipherAlgo {
     pub fn key_len(self) -> usize {
         match self {
             CipherAlgo::Des => 8,
-            CipherAlgo::TripleDes => 24,
             CipherAlgo::Aes128 => 16,
-            CipherAlgo::Aes256 => 32,
-            CipherAlgo::ChaCha20 => 32,
         }
     }
 
-    /// Nonce length for the chosen mode.
+    /// CTR nonce length: half a block.
     fn nonce_len(self) -> usize {
         match self {
-            CipherAlgo::Des | CipherAlgo::TripleDes => 4, // CTR: half block
-            CipherAlgo::Aes128 | CipherAlgo::Aes256 => 8,
-            CipherAlgo::ChaCha20 => 12,
+            CipherAlgo::Des => 4,
+            CipherAlgo::Aes128 => 8,
         }
     }
 
@@ -60,33 +49,27 @@ impl CipherAlgo {
     pub fn wire_id(self) -> u8 {
         match self {
             CipherAlgo::Des => 1,
-            CipherAlgo::TripleDes => 2,
             CipherAlgo::Aes128 => 3,
-            CipherAlgo::Aes256 => 4,
-            CipherAlgo::ChaCha20 => 5,
         }
     }
 
-    /// Parses a wire identifier.
+    /// Parses a wire identifier; ids 2, 4 and 5 (retired ciphers) are
+    /// unknown like any other.
     pub fn from_wire_id(id: u8) -> Option<Self> {
-        Some(match id {
-            1 => CipherAlgo::Des,
-            2 => CipherAlgo::TripleDes,
-            3 => CipherAlgo::Aes128,
-            4 => CipherAlgo::Aes256,
-            5 => CipherAlgo::ChaCha20,
-            _ => return None,
-        })
+        match id {
+            1 => Some(CipherAlgo::Des),
+            3 => Some(CipherAlgo::Aes128),
+            _ => None,
+        }
     }
 }
 
 const MAC_KEY_LEN: usize = 32;
-const TAG_LEN: usize = 32;
 
 /// Hybrid attribute ciphertext: `(U, algo, ct ‖ tag)`.
 ///
 /// `U = rP` is the paper's first ciphertext component; the symmetric part is
-/// encrypt-then-MAC over `aad ‖ ct`.
+/// encrypt-then-MAC over `aad ‖ nonce ‖ ct`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttrCiphertext {
     /// `U = r·P`.
@@ -97,47 +80,47 @@ pub struct AttrCiphertext {
     pub sealed: Vec<u8>,
 }
 
-/// Derived key material for one message.
-struct Keys {
-    enc: Vec<u8>,
-    mac: Vec<u8>,
-    nonce: Vec<u8>,
+/// Which half of the EtM composition to run: [`seal`] and [`open`] share a
+/// signature, so one key derivation serves both.
+#[derive(Clone, Copy)]
+enum Etm {
+    Seal,
+    Open,
 }
 
-fn derive_keys(ibe: &IbeSystem, gt: &mws_pairing::Fp2, algo: CipherAlgo) -> Keys {
+impl Etm {
+    fn run<C: BlockCipher>(
+        self,
+        cipher: &C,
+        mac: &[u8],
+        nonce: &[u8],
+        aad: &[u8],
+        data: &[u8],
+    ) -> Result<Vec<u8>, AeadError> {
+        match self {
+            Etm::Seal => seal(cipher, mac, nonce, aad, data),
+            Etm::Open => open(cipher, mac, nonce, aad, data),
+        }
+    }
+}
+
+/// Seals or opens `data` under the key `K` agreed through the pairing: the
+/// `enc ‖ mac ‖ nonce` split of `derive_from_gt(K, "mws-attr-hybrid")`.
+fn hybrid(
+    ibe: &IbeSystem,
+    gt: &mws_pairing::Fp2,
+    algo: CipherAlgo,
+    etm: Etm,
+    aad: &[u8],
+    data: &[u8],
+) -> Result<Vec<u8>, AeadError> {
     let total = algo.key_len() + MAC_KEY_LEN + algo.nonce_len();
     let okm = derive_from_gt(ibe.pairing(), gt, "mws-attr-hybrid", total);
     let (enc, rest) = okm.split_at(algo.key_len());
     let (mac, nonce) = rest.split_at(MAC_KEY_LEN);
-    Keys {
-        enc: enc.to_vec(),
-        mac: mac.to_vec(),
-        nonce: nonce.to_vec(),
-    }
-}
-
-fn ctr_apply(algo: CipherAlgo, keys: &Keys, data: &mut [u8]) {
     match algo {
-        CipherAlgo::Des => {
-            let c = Des::new(&keys.enc).expect("derived key length");
-            CtrMode::apply(&c, &keys.nonce, data).expect("derived nonce length");
-        }
-        CipherAlgo::TripleDes => {
-            let c = TripleDes::new(&keys.enc).expect("derived key length");
-            CtrMode::apply(&c, &keys.nonce, data).expect("derived nonce length");
-        }
-        CipherAlgo::Aes128 => {
-            let c = Aes128::new(&keys.enc).expect("derived key length");
-            CtrMode::apply(&c, &keys.nonce, data).expect("derived nonce length");
-        }
-        CipherAlgo::Aes256 => {
-            let c = Aes256::new(&keys.enc).expect("derived key length");
-            CtrMode::apply(&c, &keys.nonce, data).expect("derived nonce length");
-        }
-        CipherAlgo::ChaCha20 => {
-            let mut c = ChaCha20::new(&keys.enc, &keys.nonce, 1).expect("derived lengths");
-            c.apply_keystream(data);
-        }
+        CipherAlgo::Des => etm.run(&Des::new(enc)?, mac, nonce, aad, data),
+        CipherAlgo::Aes128 => etm.run(&Aes128::new(enc)?, mac, nonce, aad, data),
     }
 }
 
@@ -177,11 +160,7 @@ impl IbeSystem {
         // prepared Miller tape by symmetry.
         let g = ctx.pairing_with(mpk.prepared(ctx), &i_pt);
         let gr = ctx.field().fp2_pow(&g, &r);
-        let keys = derive_keys(self, &gr, algo);
-        let mut sealed = msg.to_vec();
-        ctr_apply(algo, &keys, &mut sealed);
-        let tag = Hmac::<Sha256>::mac_parts(&keys.mac, &[aad, &keys.nonce, &sealed]);
-        sealed.extend_from_slice(&tag);
+        let sealed = hybrid(self, &gr, algo, Etm::Seal, aad, msg).expect("derived key lengths");
         AttrCiphertext { u, algo, sealed }
     }
 
@@ -223,26 +202,16 @@ impl IbeSystem {
         self.decrypt_attr_tail(&g, ct, aad)
     }
 
-    /// Key derivation, MAC verification, and payload decryption shared by
-    /// the plain and prepared decrypt paths.
+    /// Key derivation and [`open`], shared by the plain and prepared
+    /// decrypt paths.
     fn decrypt_attr_tail(
         &self,
         g: &mws_pairing::Fp2,
         ct: &AttrCiphertext,
         aad: &[u8],
     ) -> Result<Vec<u8>, IbeError> {
-        if ct.sealed.len() < TAG_LEN {
-            return Err(IbeError::InvalidCiphertext);
-        }
-        let keys = derive_keys(self, g, ct.algo);
-        let (body, tag) = ct.sealed.split_at(ct.sealed.len() - TAG_LEN);
-        let expect = Hmac::<Sha256>::mac_parts(&keys.mac, &[aad, &keys.nonce, body]);
-        if !ct_eq(&expect, tag) {
-            return Err(IbeError::InvalidCiphertext);
-        }
-        let mut msg = body.to_vec();
-        ctr_apply(ct.algo, &keys, &mut msg);
-        Ok(msg)
+        hybrid(self, g, ct.algo, Etm::Open, aad, &ct.sealed)
+            .map_err(|_| IbeError::InvalidCiphertext)
     }
 }
 
@@ -256,13 +225,7 @@ mod tests {
         IbeSystem::named(SecurityLevel::Toy)
     }
 
-    const ALGOS: [CipherAlgo; 5] = [
-        CipherAlgo::Des,
-        CipherAlgo::TripleDes,
-        CipherAlgo::Aes128,
-        CipherAlgo::Aes256,
-        CipherAlgo::ChaCha20,
-    ];
+    const ALGOS: [CipherAlgo; 2] = [CipherAlgo::Des, CipherAlgo::Aes128];
 
     #[test]
     fn roundtrip_every_cipher() {
@@ -398,8 +361,11 @@ mod tests {
         for algo in ALGOS {
             assert_eq!(CipherAlgo::from_wire_id(algo.wire_id()), Some(algo));
         }
-        assert_eq!(CipherAlgo::from_wire_id(0), None);
-        assert_eq!(CipherAlgo::from_wire_id(99), None);
+        assert_eq!(CipherAlgo::Des.wire_id(), 1);
+        assert_eq!(CipherAlgo::Aes128.wire_id(), 3);
+        for retired_or_unknown in [0, 2, 4, 5, 99, 255] {
+            assert_eq!(CipherAlgo::from_wire_id(retired_or_unknown), None);
+        }
     }
 
     #[test]
@@ -407,7 +373,7 @@ mod tests {
         let ibe = system();
         let mut rng = HmacDrbg::from_u64(6);
         let (msk, mpk) = ibe.setup(&mut rng);
-        let ct = ibe.encrypt_attr(&mut rng, &mpk, "A", b"n", CipherAlgo::ChaCha20, b"h", b"");
+        let ct = ibe.encrypt_attr(&mut rng, &mpk, "A", b"n", CipherAlgo::Des, b"h", b"");
         let sk = ibe.extract_point(&msk, &ibe.attribute_point("A", b"n"));
         assert_eq!(ibe.decrypt_attr(&sk, &ct, b"h").unwrap(), b"");
     }

@@ -69,17 +69,11 @@ fn attr_scheme_roundtrip() {
             g.bytes(0..300),
             g.string("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-", 1..31),
             g.bytes(1..24),
-            g.size(0..5),
+            g.size(0..2),
         )
     })
     .check(|(msg, attr, nonce, algo_idx)| {
-        let algos = [
-            CipherAlgo::Des,
-            CipherAlgo::TripleDes,
-            CipherAlgo::Aes128,
-            CipherAlgo::Aes256,
-            CipherAlgo::ChaCha20,
-        ];
+        let algos = [CipherAlgo::Des, CipherAlgo::Aes128];
         let ibe = system();
         let mut rng = HmacDrbg::from_u64(2);
         let (msk, mpk) = ibe.setup(&mut rng);

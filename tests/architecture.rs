@@ -201,3 +201,61 @@ fn every_dependency_is_a_workspace_crate() {
         }
     }
 }
+
+/// `mws-crypto` holds what the protocol runs and nothing else: every name
+/// `crates/crypto/src/lib.rs` re-exports is named by some code outside the
+/// crate (the workspace, `examples/`, `tests/`, `benchmark/src`), so a
+/// primitive only its own unit tests reach cannot grow back. `*Error` types
+/// are exempt — they are named through signatures.
+#[test]
+fn every_crypto_export_has_a_caller_outside_the_crate() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lib = std::fs::read_to_string(root.join("crates/crypto/src/lib.rs")).unwrap();
+    let mut exports = Vec::new();
+    for stmt in lib.split("pub use ").skip(1) {
+        let path = stmt.split(';').next().unwrap();
+        let names = match path.split_once('{') {
+            Some((_, group)) => group.trim_end_matches('}'),
+            None => path.rsplit("::").next().unwrap(),
+        };
+        exports.extend(names.split(',').map(str::trim).filter(|n| !n.is_empty()));
+    }
+    assert!(exports.len() > 10, "parsed the re-exports: {exports:?}");
+
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let names = |line: &str, name: &str| {
+        line.match_indices(name).any(|(at, _)| {
+            let before = line[..at].chars().next_back();
+            let after = line[at + name.len()..].chars().next();
+            !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+        })
+    };
+    let mut code = Vec::new();
+    let mut dirs: Vec<_> = ["src", "tests", "examples", "crates", "benchmark/src"]
+        .iter()
+        .map(|d| root.join(d))
+        .collect();
+    while let Some(path) = dirs.pop() {
+        if path.is_dir() {
+            if !path.ends_with("crates/crypto") && !path.ends_with("target") {
+                dirs.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            code.extend(
+                text.lines()
+                    .filter(|l| !l.trim_start().starts_with("//"))
+                    .map(str::to_owned),
+            );
+        }
+    }
+    let unused: Vec<_> = exports
+        .iter()
+        .filter(|name| !name.ends_with("Error"))
+        .filter(|name| !code.iter().any(|line| names(line, name)))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "mws-crypto exports no caller outside the crate names: {unused:?}"
+    );
+}
