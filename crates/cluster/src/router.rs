@@ -1373,35 +1373,17 @@ impl ClusterRouter {
     }
 }
 
-/// Forwards `req` to each target in parallel, pairing replies with the
-/// node index. One OS thread per in-flight forward — replica sets are
-/// small (R, or the live node count on reads), so a scoped spawn per wave
-/// costs far less than the quorum wait it overlaps.
+/// Forwards `req` to every target, one call after another on the calling
+/// thread, and pairs each reply with its node index in the order of
+/// `targets` (the first durable deposit reply names the id the device
+/// sees). The wave's latency is the sum of its round trips; a scoped
+/// thread per forward overlapped them but cost more than it saved on a
+/// loopback cluster (DESIGN §10).
 fn fan_out(topo: &Topology, targets: &[usize], req: &Pdu) -> Vec<(usize, Result<Pdu, NetError>)> {
-    if targets.len() == 1 {
-        let idx = targets[0];
-        return vec![(idx, topo.nodes[idx].call(req))];
-    }
-    // The caller's thread takes the last target itself: an R-replica
-    // fan-out costs R-1 spawns, not R, and the common R=2 write path
-    // spawns exactly once per deposit.
-    let (&last, rest) = targets.split_last().expect("targets checked non-empty");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = rest
-            .iter()
-            .map(|&idx| {
-                let node = &topo.nodes[idx];
-                (idx, scope.spawn(move || node.call(req)))
-            })
-            .collect();
-        let own = (last, topo.nodes[last].call(req));
-        let mut replies: Vec<_> = handles
-            .into_iter()
-            .map(|(idx, h)| (idx, h.join().expect("forward thread panicked")))
-            .collect();
-        replies.push(own);
-        replies
-    })
+    targets
+        .iter()
+        .map(|&idx| (idx, topo.nodes[idx].call(req)))
+        .collect()
 }
 
 /// Does this reply prove the node holds the row durably? An ack is
@@ -1714,6 +1696,28 @@ mod tests {
             expect.sort_unstable();
             assert_eq!(holders(&c, &[i]), expect);
         }
+    }
+
+    #[test]
+    fn deposit_answers_with_the_first_preferred_replicas_id() {
+        let c = cluster(3, 2, 2);
+        let topo = c.router.topo();
+        let mut against_node_order = 0;
+        for i in 0..16u8 {
+            let attr = format!("ORDER-{i}");
+            let pref = topo.ring.preference(&attr);
+            against_node_order += usize::from(pref[0] > pref[1]);
+            let reply = c.router.handle(deposit(&attr, &[i]));
+            let id = lock(&c.stores[pref[0]]).rows[&vec![i]].seq;
+            assert_eq!(
+                reply,
+                Pdu::DepositAck {
+                    message_id: remap_id(pref[0], id)
+                },
+                "{attr}"
+            );
+        }
+        assert!(against_node_order > 0, "some waves run against node order");
     }
 
     #[test]

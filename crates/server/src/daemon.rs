@@ -178,8 +178,10 @@ impl DaemonOpts {
     }
 }
 
-/// TCP connections per cluster node (replica fan-out runs one thread per
-/// target; a couple of pooled sockets keeps them from serializing).
+/// TCP connections per cluster node. A forward holds one of a node's
+/// connections from its request to its reply, so a couple of pooled
+/// sockets let the front door's concurrent waves to the same node overlap
+/// instead of queueing for one.
 const CLUSTER_POOL: usize = 2;
 
 /// Default cluster health-probe cadence (`--probe-interval-ms`).
@@ -431,8 +433,8 @@ pub fn serve(role: Role, dep: &Deployment, opts: &DaemonOpts) -> std::io::Result
         Role::Gatekeeper if !opts.cluster_nodes.is_empty() => {
             // Cluster mode: the front door fans out over the member
             // warehouses instead of relaying to one upstream. Each node
-            // gets a small connection pool so replica fan-out threads
-            // never serialize on one socket.
+            // gets a small connection pool so the door workers' concurrent
+            // waves to one node overlap instead of queueing on one socket.
             let mut nodes = Vec::new();
             for addr in &opts.cluster_nodes {
                 let sock: std::net::SocketAddr = addr.parse().map_err(|e| {

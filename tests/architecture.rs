@@ -157,6 +157,36 @@ fn one_connection_state_machine_in_the_server() {
     assert!(seen > 10, "found the server sources");
 }
 
+/// The cluster's write path runs on the router's calling thread: a replica
+/// wave forwards to its targets one after another, with no thread per
+/// wave. The one thread the router starts on its own is the background
+/// arc-transfer worker of a membership change (the health prober is built
+/// with `thread::Builder` and named).
+#[test]
+fn cluster_write_path_spawns_no_threads() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/cluster/src");
+    let mut spawns = Vec::new();
+    for entry in std::fs::read_dir(&src).unwrap() {
+        let path = entry.unwrap().path();
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut in_fn = String::new();
+        for line in text.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            if let Some((_, rest)) = line.split_once("fn ") {
+                in_fn = rest.split(['(', '<']).next().unwrap().to_string();
+            }
+            assert!(
+                !line.contains("thread::scope"),
+                "{file}: scoped threads in the cluster: {line}"
+            );
+            if line.contains("thread::spawn") {
+                spawns.push(format!("{file}::{in_fn}"));
+            }
+        }
+    }
+    assert_eq!(spawns, ["router.rs::start_transfers"]);
+}
+
 /// The build has one dependency universe: this workspace. A registry crate
 /// cannot resolve in the containers this builds in, and the stand-in crates
 /// that used to be patched over the registry names are gone — this keeps
