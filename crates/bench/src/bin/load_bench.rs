@@ -1,156 +1,244 @@
-//! Server-side load benchmark (DESIGN.md §9): M concurrent smart-device
-//! clients driving deposits over real TCP sockets into one warehouse
-//! process, at shard counts {1, 4, 16}. Writes `BENCH_server.json` at the
-//! repository root.
+//! Server-side load scenarios the repository benchmark (`benchmark/`, all
+//! memory shards) cannot see, as one table over one harness (DESIGN.md
+//! §9–§11, EXPERIMENTS.md E9, E11, E12):
 //!
-//! Each row measures two traffic shapes against a file-backed, fsync-per-
-//! commit warehouse:
+//! * `shards` — one client per device deposits over TCP into {1, 4, 16}
+//!   file-backed, fsync-per-commit shards, one `DepositRequest` per
+//!   deposit and then in group-committed `DepositBatch`es.
+//! * `rebalance` — quorum deposits through a `ClusterRouter` over three
+//!   nodes at R = 2 with a fourth joining between the two halves of the
+//!   load; an audit of exactly-R placement on the grown ring; one retrieve
+//!   under `--read-quorum quorum` against `fastest`.
+//! * `connections` — 512 and then 10,000 mostly idle connections into one
+//!   warehouse, with a one-deposit burst over every fourth.
 //!
-//! * **single** — every deposit is its own `DepositRequest`, so every
-//!   deposit pays one WAL append + one fsync on its shard. Shard scaling
-//!   shows up directly: fsyncs on different shards overlap.
-//! * **batch** — clients send `DepositBatch` PDUs; items landing on the
-//!   same shard group-commit into one append + one fsync.
+//! Deposits carry junk `u`/`sealed` under a *valid* deposit MAC: these
+//! scenarios time the warehouse, not device crypto (E1/E3).
 //!
-//! Clients skip the IBE encryption on purpose — `u`/`sealed` are junk
-//! bytes under a *valid* deposit MAC — because this benchmark isolates the
-//! warehouse (authenticate → append → fsync → ack); device-side crypto
-//! cost is E1/E3's subject. Each client is pinned to one shard by mining
-//! its attribute string against [`ShardRouter`], so N clients spread
-//! evenly over N shards.
-//!
-//! Run with: `cargo run --release -p mws-bench --bin load_bench`
-//!
-//! Modes:
-//! * default — pinned workload, writes `BENCH_server.json`
-//! * `--smoke` — tiny run, no file output; asserts every deposit is acked
-//!   STORED and that duplicates dedup (used by `scripts/tier1.sh`)
-//! * `--cluster` — N ∈ {1, 2, 4} warehouse nodes behind a
-//!   `ClusterRouter` at R = min(2, N): quorum-ack p50/p99 and scale-out
-//!   throughput, spliced into `BENCH_server.json` as the `cluster` key
-//! * `--cluster --smoke` — one 3-node row, no file output; asserts every
-//!   deposit quorum-acks and lands exactly R copies
-//! * `--rebalance` — a live `ClusterJoin` fired mid-load against a
-//!   3-node ring: quorum latency while arcs stream to the newcomer, the
-//!   transfer's own duration/row throughput, and an end check that every
-//!   acked row sits on all R replicas of the *grown* ring; spliced into
-//!   `BENCH_server.json` as the `rebalance` key
-//! * `--rebalance --smoke` — tiny run, no file output (the membership
-//!   gate `scripts/tier1.sh` runs)
-//! * `--connections` — the smart-device fleet shape (DESIGN.md §11):
-//!   thousands of mostly-idle persistent connections into one warehouse,
-//!   with bursty low-duty-cycle deposits over a rotating subset, at 512
-//!   connections and then the 10k+ ceiling; spliced into
-//!   `BENCH_server.json` as the `connections` key with connect rate,
-//!   burst p50/p99 and process RSS
-//! * `--connections --smoke` — a few hundred connections, no file
-//!   output; asserts every burst deposit is acked and warehoused (the
-//!   gate `scripts/tier1.sh` runs)
-//! * `--secure` — transport-security overhead (DESIGN.md §12, E13): the
-//!   IBS-authenticated handshake's fresh-connection latency p50/p99, and
-//!   the same single-deposit workload over plaintext framing vs
-//!   AES-GCM-sealed sessions on a memory-backed warehouse; spliced into
-//!   `BENCH_server.json` as the `secure` key
-//! * `--secure --smoke` — tiny run, no file output; asserts every
-//!   handshake establishes and every sealed deposit is acked (the gate
-//!   `scripts/tier1.sh` runs)
+//! `cargo run --release -p mws-bench --bin load_bench` runs the table at
+//! full size (tens of seconds) and writes `BENCH_server.json` in the working
+//! directory in one write; `-- --smoke` runs it at smoke size and writes
+//! nothing. The test module runs the smoke table under `cargo test`.
 
+use mws_bench::Json;
+use mws_cluster::{
+    ClusterConfig, ClusterNode, ClusterRouter, HashRing, ReadConsistency, DEFAULT_VNODES,
+};
 use mws_core::clock::{LogicalClock, ReplayPolicy};
-use mws_core::protocol::{Deployment, DeploymentConfig, MwsService};
+use mws_core::protocol::{replica_key, Deployment, DeploymentConfig, MwsService};
 use mws_core::registry::DeviceRegistry;
 use mws_core::sda::{deposit_mac, DeviceAuthVerifier};
-use mws_server::{
-    ClientConfig, IbsAuth, SecureClientSettings, SecureSettings, ServerConfig, TcpClient,
-    TcpServer, ID_CLIENT, ID_MMS,
-};
+use mws_net::Client;
+use mws_server::{ClusterFrontdoor, ServerConfig, TcpClient, TcpServer};
 use mws_store::{ShardRouter, StorageKind};
-use mws_wire::secure::{SessionConfig, RECORD_OVERHEAD};
 use mws_wire::{DepositItem, DepositOutcome, Pdu};
-use std::fmt::Write as _;
-use std::net::SocketAddr;
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// One traffic shape's results for one shard count.
+const SECRET: &[u8] = b"load-bench-secret";
+
+/// Every scenario's knobs at one size. [`FULL`] is pinned so that runs on
+/// two machines produce comparable rows.
+struct Size {
+    /// `shards`: shard counts swept, one client per registered device,
+    /// single deposits per client, then batches of `batch_size` per client.
+    shard_counts: &'static [usize],
+    clients: usize,
+    per_client: usize,
+    batches: usize,
+    batch_size: usize,
+    /// `rebalance`: quorum clients and deposits per client (half before the
+    /// join, half during the arc transfer), then retrieves timed per read
+    /// mode over `read_rows` deposits.
+    cluster_clients: usize,
+    cluster_per_client: usize,
+    read_iters: usize,
+    read_rows: usize,
+    /// `connections`: fleet sizes held, and threads driving the burst.
+    fleets: &'static [usize],
+    drivers: usize,
+}
+
+const FULL: Size = Size {
+    shard_counts: &[1, 4, 16],
+    clients: 16,
+    per_client: 400,
+    batches: 80,
+    batch_size: 8,
+    cluster_clients: 8,
+    cluster_per_client: 150,
+    read_iters: 60,
+    read_rows: 48,
+    fleets: &[512, 10_000],
+    drivers: 8,
+};
+
+const SMOKE: Size = Size {
+    shard_counts: &[2],
+    clients: 2,
+    per_client: 10,
+    batches: 3,
+    batch_size: 4,
+    cluster_clients: 2,
+    cluster_per_client: 10,
+    read_iters: 8,
+    read_rows: 12,
+    fleets: &[256],
+    drivers: 4,
+};
+
+/// A scenario runs under its own scratch directory and returns its section
+/// of `BENCH_server.json`.
+type Scenario = fn(&Size, &Path) -> Json;
+
+const SCENARIOS: [(&str, Scenario); 3] = [
+    ("shards", shards),
+    ("rebalance", rebalance),
+    ("connections", connections),
+];
+
+fn run(size: &Size) -> Json {
+    let base = std::env::temp_dir().join(format!("mws-load-bench-{}", std::process::id()));
+    let doc = Json::obj(SCENARIOS.map(|(name, scenario)| (name, scenario(size, &base.join(name)))));
+    std::fs::remove_dir_all(&base).ok();
+    doc
+}
+
+/// One closed loop's throughput and round-trip quantiles.
 struct ModeReport {
     deposits: u64,
     secs: f64,
-    deposits_per_sec: f64,
     p50_us: u64,
     p99_us: u64,
 }
 
-/// One shard count's results.
-struct Row {
-    shards: usize,
-    single: ModeReport,
-    batch: ModeReport,
-}
-
-/// Workload knobs (pinned in the default run so rows are comparable).
-struct Workload {
-    clients: usize,
-    /// Single-mode deposits per client.
-    per_client: usize,
-    /// Batch-mode batches per client.
-    batches: usize,
-    batch_size: usize,
-    smoke: bool,
-}
-
-/// Mines an attribute string that [`ShardRouter`] routes to `target`, so
-/// each client's deposits land on exactly one known shard.
-fn attr_for(router: &ShardRouter, n: usize, target: usize) -> String {
-    for salt in 0u32.. {
-        let attr = format!("LOAD-{n}-{target}-{salt}");
-        if router.route(&attr) == target {
-            return attr;
-        }
+impl ModeReport {
+    fn deposits_per_sec(&self) -> f64 {
+        self.deposits as f64 / self.secs
     }
-    unreachable!("router covers all residues")
-}
 
-/// A 16-byte nonce unique across clients, rows and modes.
-fn nonce_bytes(tag: u8, shards: u16, client: u16, seq: u64) -> Vec<u8> {
-    let mut nonce = Vec::with_capacity(16);
-    nonce.push(tag);
-    nonce.extend_from_slice(&shards.to_be_bytes());
-    nonce.extend_from_slice(&client.to_be_bytes());
-    nonce.extend_from_slice(&seq.to_be_bytes());
-    nonce.extend_from_slice(&[0u8; 3]);
-    nonce
-}
-
-/// One deposit's wire fields under a valid MAC (junk ciphertext).
-#[allow(clippy::too_many_arguments)]
-fn craft_item(
-    mac_key: &[u8],
-    sd_id: &str,
-    attribute: &str,
-    timestamp: u64,
-    tag: u8,
-    shards: u16,
-    client: u16,
-    seq: u64,
-) -> DepositItem {
-    let u = vec![0x42u8; 32];
-    let sealed = vec![0x5au8; 64];
-    let nonce = nonce_bytes(tag, shards, client, seq);
-    let mac = deposit_mac(mac_key, &u, &sealed, attribute, &nonce, sd_id, timestamp);
-    DepositItem {
-        timestamp,
-        u,
-        algo: 1,
-        sealed,
-        attribute: attribute.to_string(),
-        nonce,
-        mac,
+    fn json(&self) -> Json {
+        Json::obj([
+            ("deposits", Json::int(self.deposits)),
+            ("secs", Json::fixed(self.secs, 3)),
+            ("deposits_per_sec", Json::fixed(self.deposits_per_sec(), 1)),
+            ("p50_us", Json::int(self.p50_us)),
+            ("p99_us", Json::int(self.p99_us)),
+        ])
     }
 }
 
-fn item_to_request(sd_id: &str, item: DepositItem) -> Pdu {
+impl std::fmt::Display for ModeReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (rate, p50, p99) = (self.deposits_per_sec(), self.p50_us, self.p99_us);
+        write!(f, "{rate:>8.0} dep/s (p50 {p50:>5}µs, p99 {p99:>6}µs)")
+    }
+}
+
+/// The closed loop every scenario times: one scoped thread per lane, each
+/// sending its pre-built requests back to back through `call` and timing
+/// every round trip. `call` asserts the reply; each request carries
+/// `per_request` deposits.
+fn closed_loop<Q: Send>(
+    lanes: Vec<Vec<Q>>,
+    per_request: usize,
+    call: impl Fn(Q) + Sync,
+) -> ModeReport {
+    let timed = |q| {
+        let t0 = Instant::now();
+        call(q);
+        t0.elapsed().as_micros() as u64
+    };
+    let started = Instant::now();
+    let mut lat: Vec<u64> = std::thread::scope(|scope| {
+        let lane = |lane: Vec<Q>| scope.spawn(|| lane.into_iter().map(&timed).collect::<Vec<_>>());
+        let lanes: Vec<_> = lanes.into_iter().map(lane).collect();
+        let joined = lanes.into_iter().map(|h| h.join().expect("client lane"));
+        joined.flatten().collect()
+    });
+    let secs = started.elapsed().as_secs_f64();
+    lat.sort_unstable();
+    let deposits = (lat.len() * per_request) as u64;
+    let (p50_us, p99_us) = (percentile(&lat, 50), percentile(&lat, 99));
+    ModeReport {
+        deposits,
+        secs,
+        p50_us,
+        p99_us,
+    }
+}
+
+/// The `p`th percentile of ascending `sorted` samples.
+fn percentile(sorted: &[u64], p: usize) -> u64 {
+    sorted[(sorted.len() * p / 100).min(sorted.len() - 1)]
+}
+
+/// A registered device. `index` keeps nonces unique across devices.
+struct Device {
+    index: u16,
+    sd_id: String,
+    mac_key: Vec<u8>,
+    attribute: String,
+}
+
+fn devices(n: usize, attribute: impl Fn(usize) -> String) -> Vec<Device> {
+    (0..n)
+        .map(|i| Device {
+            index: i as u16,
+            sd_id: format!("bench-sd-{i}"),
+            mac_key: vec![i as u8 + 1; 32],
+            attribute: attribute(i),
+        })
+        .collect()
+}
+
+/// Devices whose attributes [`ShardRouter`] routes to shard `i % shards`,
+/// so N clients spread evenly over N shards. Deterministic: a
+/// `--conn-fleet` child recomputes exactly this table.
+fn shard_pinned_devices(n: usize, shards: usize) -> Vec<Device> {
+    let router = ShardRouter::new(shards);
+    devices(n, |i| {
+        let target = i % shards;
+        (0u32..)
+            .map(|salt| format!("LOAD-{shards}-{target}-{salt}"))
+            .find(|attr| router.route(attr) == target)
+            .expect("router covers all residues")
+    })
+}
+
+/// `count` deposits from `device`, numbered from `seq`, as one
+/// `DepositRequest` (count 1) or one `DepositBatch`. The nonce is unique
+/// per (`tag`, device, number), so each scenario shape has its own tag.
+fn deposit(device: &Device, tag: u8, seq: u64, count: usize) -> Pdu {
+    let mut items: Vec<DepositItem> = (seq..seq + count as u64)
+        .map(|seq| {
+            let (u, sealed) = (vec![0x42u8; 32], vec![0x5au8; 64]);
+            let mut nonce = vec![tag];
+            nonce.extend_from_slice(&device.index.to_be_bytes());
+            nonce.extend_from_slice(&seq.to_be_bytes());
+            nonce.resize(16, 0);
+            let (attribute, sd_id) = (&device.attribute, &device.sd_id);
+            let mac = deposit_mac(&device.mac_key, &u, &sealed, attribute, &nonce, sd_id, 0);
+            DepositItem {
+                timestamp: 0,
+                u,
+                algo: 1,
+                sealed,
+                attribute: attribute.clone(),
+                nonce,
+                mac,
+            }
+        })
+        .collect();
+    let sd_id = device.sd_id.clone();
+    if count > 1 {
+        return Pdu::DepositBatch { sd_id, items };
+    }
+    let item = items.pop().expect("one deposit");
     Pdu::DepositRequest {
-        sd_id: sd_id.to_string(),
+        sd_id,
         timestamp: item.timestamp,
         u: item.u,
         algo: item.algo,
@@ -161,592 +249,244 @@ fn item_to_request(sd_id: &str, item: DepositItem) -> Pdu {
     }
 }
 
-/// Merges per-client latency samples into p50/p99 (µs).
-fn quantiles(mut samples: Vec<u64>) -> (u64, u64) {
-    samples.sort_unstable();
-    let p = |q: usize| samples[(samples.len() * q / 100).min(samples.len() - 1)];
-    (p(50), p(99))
+/// Panics unless `reply` acknowledges all `count` deposits as stored.
+fn assert_stored(reply: &Pdu, count: usize) {
+    match reply {
+        Pdu::DepositAck { .. } if count == 1 => {}
+        Pdu::DepositBatchAck { results }
+            if results.len() == count
+                && results.iter().all(|r| r.status == DepositOutcome::STORED) => {}
+        other => panic!("{count} deposit(s) not all stored: {other:?}"),
+    }
 }
 
-/// Spawns the warehouse on an ephemeral port over `n` file-backed shards
-/// rooted at `dir`, runs both traffic shapes, tears everything down.
-fn bench_shards(n: usize, dir: &std::path::Path, w: &Workload) -> Row {
+/// One warehouse on an ephemeral port over `shards` file-backed,
+/// fsync-per-commit shards under `dir`, with every device registered.
+fn spawn_warehouse(
+    dir: &Path,
+    shards: usize,
+    devices: &[Device],
+    workers: usize,
+) -> (MwsService, TcpServer) {
     std::fs::create_dir_all(dir).expect("bench dir");
-    let kinds = mws_store::shard_kinds(&StorageKind::File(dir.join("messages.wal")), n);
-    let clock = LogicalClock::new();
     let mws = MwsService::new_sharded(
         DeviceRegistry::new(),
-        kinds,
+        mws_store::shard_kinds(&StorageKind::File(dir.join("messages.wal")), shards),
         StorageKind::Memory,
         StorageKind::Memory,
-        b"load-bench-secret",
-        clock,
+        SECRET,
+        LogicalClock::new(),
         ReplayPolicy::standard(),
         7,
         DeviceAuthVerifier::Mac,
     )
     .expect("service open");
-
-    let router = ShardRouter::new(n);
-    let mut devices = Vec::with_capacity(w.clients);
-    for i in 0..w.clients {
-        let sd_id = format!("bench-sd-{i}");
-        let mac_key = vec![i as u8 + 1; 32];
-        let attribute = attr_for(&router, n, i % n);
-        mws.register_device(&sd_id, &mac_key);
-        devices.push((sd_id, mac_key, attribute));
+    for d in devices {
+        mws.register_device(&d.sd_id, &d.mac_key);
     }
-
-    let mut server = TcpServer::spawn(
-        ServerConfig {
-            workers: w.clients,
-            ..ServerConfig::default()
-        },
-        || mws.as_service(),
-    )
-    .expect("server spawn");
-    let addr = server.local_addr();
-
-    // -- single-deposit shape: one fsync per deposit --------------------
-    let started = Instant::now();
-    let single_lat: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = devices
-            .iter()
-            .enumerate()
-            .map(|(i, (sd_id, mac_key, attribute))| {
-                scope.spawn(move || {
-                    let client = mws_server::TcpClient::new(addr).into_client();
-                    let mut lat = Vec::with_capacity(w.per_client);
-                    for seq in 0..w.per_client {
-                        let item = craft_item(
-                            mac_key, sd_id, attribute, 0, 1, n as u16, i as u16, seq as u64,
-                        );
-                        let req = item_to_request(sd_id, item);
-                        let t0 = Instant::now();
-                        let reply = client.call(&req).expect("deposit rtt");
-                        lat.push(t0.elapsed().as_micros() as u64);
-                        assert!(
-                            matches!(reply, Pdu::DepositAck { .. }),
-                            "single deposit not acked: {reply:?}"
-                        );
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let single_secs = started.elapsed().as_secs_f64();
-    let single_n = (w.clients * w.per_client) as u64;
-    let (p50, p99) = quantiles(single_lat.into_iter().flatten().collect());
-    let single = ModeReport {
-        deposits: single_n,
-        secs: single_secs,
-        deposits_per_sec: single_n as f64 / single_secs,
-        p50_us: p50,
-        p99_us: p99,
+    let config = ServerConfig {
+        workers,
+        ..ServerConfig::default()
     };
-
-    // -- batched shape: group commit, one fsync per batch per shard -----
-    let started = Instant::now();
-    let batch_lat: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = devices
-            .iter()
-            .enumerate()
-            .map(|(i, (sd_id, mac_key, attribute))| {
-                scope.spawn(move || {
-                    let client = mws_server::TcpClient::new(addr).into_client();
-                    let mut lat = Vec::with_capacity(w.batches);
-                    for b in 0..w.batches {
-                        let items: Vec<DepositItem> = (0..w.batch_size)
-                            .map(|k| {
-                                let seq = (b * w.batch_size + k) as u64;
-                                craft_item(mac_key, sd_id, attribute, 0, 2, n as u16, i as u16, seq)
-                            })
-                            .collect();
-                        let req = Pdu::DepositBatch {
-                            sd_id: sd_id.clone(),
-                            items,
-                        };
-                        let t0 = Instant::now();
-                        let reply = client.call(&req).expect("batch rtt");
-                        lat.push(t0.elapsed().as_micros() as u64);
-                        match reply {
-                            Pdu::DepositBatchAck { results } => {
-                                assert_eq!(results.len(), w.batch_size);
-                                assert!(
-                                    results.iter().all(|r| r.status == DepositOutcome::STORED),
-                                    "batch item not stored"
-                                );
-                            }
-                            other => panic!("batch not acked: {other:?}"),
-                        }
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let batch_secs = started.elapsed().as_secs_f64();
-    let batch_n = (w.clients * w.batches * w.batch_size) as u64;
-    let (p50, p99) = quantiles(batch_lat.into_iter().flatten().collect());
-    let batch = ModeReport {
-        deposits: batch_n,
-        secs: batch_secs,
-        deposits_per_sec: batch_n as f64 / batch_secs,
-        p50_us: p50,
-        p99_us: p99,
-    };
-
-    if w.smoke {
-        // Durability + dedup gate: a retransmitted single deposit must come
-        // back as a dedup hit (same warehoused row), not a second row.
-        let (sd_id, mac_key, attribute) = &devices[0];
-        let item = craft_item(mac_key, sd_id, attribute, 0, 1, n as u16, 0, 0);
-        let client = mws_server::TcpClient::new(addr).into_client();
-        let reply = client
-            .call(&item_to_request(sd_id, item))
-            .expect("dedup rtt");
-        match reply {
-            // 409 Replay is the nonce-cache answer; a DepositAck would be
-            // the origin-dedup answer. Either proves no double store.
-            Pdu::Error { code: 409, .. } | Pdu::DepositAck { .. } => {}
-            other => panic!("retransmission neither deduped nor replay-rejected: {other:?}"),
-        }
-    }
-
-    server.shutdown();
-    std::fs::remove_dir_all(dir).ok();
-    Row {
-        shards: n,
-        single,
-        batch,
-    }
+    let server = TcpServer::spawn(config, || mws.as_service()).expect("server spawn");
+    (mws, server)
 }
 
-/// One cluster size's results (DESIGN.md §10): quorum-acked deposits
-/// through a [`ClusterRouter`] over `nodes` warehouse processes.
-struct ClusterRow {
-    nodes: usize,
-    replicas: usize,
-    write_quorum: usize,
-    quorum: ModeReport,
-}
-
-/// Spawns `n` warehouse nodes on ephemeral ports — every device
-/// registered identically on each, the multi-process analogue of
-/// seed-deterministic provisioning — and drives the quorum write path.
-fn bench_cluster(n: usize, dir: &std::path::Path, w: &Workload) -> ClusterRow {
-    use mws_cluster::{ClusterConfig, ClusterNode, ClusterRouter};
-
-    // R = 2 everywhere a second node exists; N = 1 is the no-replication
-    // baseline the scaling rows are read against.
-    let replicas = n.min(2);
-    let write_quorum = replicas;
-    let mut devices = Vec::with_capacity(w.clients);
-    for i in 0..w.clients {
-        // No shard mining here: the ring, not the shard router, decides
-        // placement, and it hashes the whole attribute string.
-        devices.push((
-            format!("bench-sd-{i}"),
-            vec![i as u8 + 1; 32],
-            format!("LOAD-CL-{i}"),
-        ));
-    }
-    let mut services = Vec::with_capacity(n);
-    let mut servers = Vec::with_capacity(n);
-    for k in 0..n {
-        let node_dir = dir.join(format!("node-{k}"));
-        std::fs::create_dir_all(&node_dir).expect("bench dir");
-        let kinds = mws_store::shard_kinds(&StorageKind::File(node_dir.join("messages.wal")), 2);
-        let mws = MwsService::new_sharded(
-            DeviceRegistry::new(),
-            kinds,
-            StorageKind::Memory,
-            StorageKind::Memory,
-            b"load-bench-secret",
-            LogicalClock::new(),
-            ReplayPolicy::standard(),
-            7,
-            DeviceAuthVerifier::Mac,
-        )
-        .expect("service open");
-        for (sd_id, mac_key, _) in &devices {
-            mws.register_device(sd_id, mac_key);
-        }
-        let server = TcpServer::spawn(
-            ServerConfig {
-                workers: w.clients,
-                ..ServerConfig::default()
-            },
-            || mws.as_service(),
-        )
-        .expect("server spawn");
-        services.push(mws);
-        servers.push(server);
-    }
-    let nodes: Vec<ClusterNode> = servers
+/// `shards`: per shard count, the single-deposit shape, the batched shape,
+/// then a retransmission that must not store a second row.
+fn shards(size: &Size, dir: &Path) -> Json {
+    let rows: Vec<(usize, ModeReport, ModeReport)> = size
+        .shard_counts
         .iter()
-        .enumerate()
-        .map(|(k, s)| {
-            // One pooled connection per driving client: the round-robin
-            // pool must never cap in-flight quorum writes below the
-            // offered concurrency.
-            let pool = (0..w.clients)
-                .map(|_| mws_server::TcpClient::new(s.local_addr()).into_client())
+        .map(|&n| {
+            let devices = shard_pinned_devices(size.clients, n);
+            let dir = dir.join(format!("shards-{n}"));
+            let (mws, server) = spawn_warehouse(&dir, n, &devices, size.clients);
+            let clients: Vec<Client> = (0..size.clients)
+                .map(|_| TcpClient::new(server.local_addr()).into_client())
                 .collect();
-            ClusterNode::new(format!("node-{k}"), pool)
+            let lanes = |tag, rounds: usize, count: usize| {
+                let lane = |(d, c)| {
+                    let round = |r: usize| (c, deposit(d, tag, (r * count) as u64, count));
+                    (0..rounds).map(round).collect()
+                };
+                devices.iter().zip(&clients).map(lane).collect()
+            };
+            let call = |count| {
+                move |(c, req): (&Client, Pdu)| {
+                    assert_stored(&c.call(&req).expect("deposit round trip"), count)
+                }
+            };
+            let single = closed_loop(lanes(1, size.per_client, 1), 1, call(1));
+            let (b, k) = (size.batches, size.batch_size);
+            let batch = closed_loop(lanes(2, b, k), k, call(k));
+
+            // 409 Replay is the nonce cache's answer, a DepositAck the
+            // origin dedup's; either way no second row.
+            match clients[0].call(&deposit(&devices[0], 1, 0, 1)) {
+                Ok(Pdu::Error { code: 409, .. } | Pdu::DepositAck { .. }) => {}
+                other => panic!("retransmission neither deduped nor replay-rejected: {other:?}"),
+            }
+            let acked = single.deposits + batch.deposits;
+            assert_eq!(mws.message_count() as u64, acked, "rows != acked deposits");
+            eprintln!("shards={n:>2}  single: {single}   batch[{k}]: {batch}");
+            drop(server);
+            std::fs::remove_dir_all(&dir).ok();
+            (n, single, batch)
         })
         .collect();
-    let router = ClusterRouter::new(
-        nodes,
-        ClusterConfig::new(replicas, write_quorum),
-        mws_core::protocol::replica_key(b"load-bench-secret"),
-    );
 
-    let started = Instant::now();
-    let lat: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = devices
-            .iter()
-            .enumerate()
-            .map(|(i, (sd_id, mac_key, attribute))| {
-                let router = &router;
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(w.per_client);
-                    for seq in 0..w.per_client {
-                        let item = craft_item(
-                            mac_key, sd_id, attribute, 0, 3, n as u16, i as u16, seq as u64,
-                        );
-                        let req = item_to_request(sd_id, item);
-                        let t0 = Instant::now();
-                        let reply = router.handle(req);
-                        lat.push(t0.elapsed().as_micros() as u64);
-                        assert!(
-                            matches!(reply, Pdu::DepositAck { .. }),
-                            "quorum deposit not acked: {reply:?}"
-                        );
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let secs = started.elapsed().as_secs_f64();
-    let deposits = (w.clients * w.per_client) as u64;
-
-    // Replication accounting: every acked deposit must be durable on
-    // exactly R nodes (all nodes stayed up, so no sloppy-walk extras).
-    let total: usize = services.iter().map(|s| s.message_count()).sum();
-    assert_eq!(
-        total,
-        deposits as usize * replicas,
-        "acked rows must have exactly R copies"
-    );
-
-    let (p50, p99) = quantiles(lat.into_iter().flatten().collect());
-    for mut s in servers {
-        s.shutdown();
-    }
-    std::fs::remove_dir_all(dir).ok();
-    ClusterRow {
-        nodes: n,
-        replicas,
-        write_quorum,
-        quorum: ModeReport {
-            deposits,
-            secs,
-            deposits_per_sec: deposits as f64 / secs,
-            p50_us: p50,
-            p99_us: p99,
-        },
-    }
+    let row = |(n, single, batch): &(usize, ModeReport, ModeReport)| {
+        let shards = Json::int(*n as u64);
+        Json::obj([
+            ("shards", shards),
+            ("single", single.json()),
+            ("batch", batch.json()),
+        ])
+    };
+    // Speedups of the most-shards row over the fewest-shards row. Each
+    // shape's isolates one lever; the pipeline figure is both at once (most
+    // shards, group commit) against one shard with an fsync per deposit.
+    let (_, lo_single, lo_batch) = &rows[0];
+    let (_, hi_single, hi_batch) = &rows[rows.len() - 1];
+    let speedup = |fast: &ModeReport, base: &ModeReport| {
+        Json::fixed(fast.deposits_per_sec() / base.deposits_per_sec(), 2)
+    };
+    Json::obj([
+        ("clients", Json::int(size.clients as u64)),
+        ("per_client", Json::int(size.per_client as u64)),
+        ("batches", Json::int(size.batches as u64)),
+        ("batch_size", Json::int(size.batch_size as u64)),
+        ("rows", Json::Arr(rows.iter().map(row).collect())),
+        ("speedup_single", speedup(hi_single, lo_single)),
+        ("speedup_batch", speedup(hi_batch, lo_batch)),
+        ("speedup_pipeline", speedup(hi_batch, lo_single)),
+    ])
 }
 
-/// One mid-load membership change's results (DESIGN.md §10).
-struct RebalanceRow {
-    nodes_before: usize,
-    nodes_after: usize,
-    replicas: usize,
-    quorum: ModeReport,
-    transfer_secs: f64,
-    arcs_moved: u64,
-    rows_moved: u64,
-}
-
-/// Counts the rows a warehouse holds for `attribute` over the replica
-/// plane (the pull request is open; only the reply is MAC'd).
-fn attribute_rows(client: &mws_net::Client, attribute: &str) -> usize {
-    let mut after = 0u64;
-    let mut count = 0;
-    loop {
-        match client.call(&Pdu::ReplicaPull {
-            attribute: attribute.to_string(),
-            after,
-            max: 0,
-        }) {
-            Ok(Pdu::ReplicaRows { rows, done, .. }) => {
-                count += rows.len();
-                let Some(last) = rows.last() else {
-                    return count;
-                };
-                if done {
-                    return count;
-                }
-                after = last.seq + 1;
-            }
-            other => panic!("replica pull failed: {other:?}"),
-        }
-    }
-}
-
-/// Spawns four warehouse nodes, routes over the first three, then orders
-/// `node-3` to join while the deposit load is running. The load pauses at
-/// a barrier only for the join *order* itself (so every pre-join deposit
-/// is durable before the ring swaps — the same quiesce a real operator
-/// gets from the epoch-gated MAC), then runs concurrently with the arc
-/// transfer. Ends by auditing placement against the grown ring.
-fn bench_rebalance(dir: &std::path::Path, w: &Workload) -> RebalanceRow {
-    use mws_cluster::{ClusterConfig, ClusterNode, ClusterRouter, HashRing, DEFAULT_VNODES};
-
-    let replicas = 2;
-    let mut devices = Vec::with_capacity(w.clients);
-    for i in 0..w.clients {
-        devices.push((
-            format!("bench-sd-{i}"),
-            vec![i as u8 + 1; 32],
-            format!("LOAD-RB-{i}"),
-        ));
-    }
-    let mut services = Vec::with_capacity(4);
-    let mut servers = Vec::with_capacity(4);
-    for k in 0..4 {
-        let node_dir = dir.join(format!("node-{k}"));
-        std::fs::create_dir_all(&node_dir).expect("bench dir");
-        let kinds = mws_store::shard_kinds(&StorageKind::File(node_dir.join("messages.wal")), 2);
-        let mws = MwsService::new_sharded(
-            DeviceRegistry::new(),
-            kinds,
-            StorageKind::Memory,
-            StorageKind::Memory,
-            b"load-bench-secret",
-            LogicalClock::new(),
-            ReplayPolicy::standard(),
-            7,
-            DeviceAuthVerifier::Mac,
-        )
-        .expect("service open");
-        for (sd_id, mac_key, _) in &devices {
-            mws.register_device(sd_id, mac_key);
-        }
-        let server = TcpServer::spawn(
-            ServerConfig {
-                // Headroom beyond the router's pool: the transfer worker
-                // and the end-of-run placement audit need slots too.
-                workers: w.clients + 2,
-                ..ServerConfig::default()
-            },
-            || mws.as_service(),
-        )
-        .expect("server spawn");
-        services.push(mws);
-        servers.push(server);
-    }
-    let addrs: Vec<std::net::SocketAddr> = servers.iter().map(|s| s.local_addr()).collect();
-    let clients = w.clients;
-    let pool = move |addr: std::net::SocketAddr| -> Vec<mws_net::Client> {
+/// `rebalance`: four warehouse nodes, a router over the first three at
+/// R = W = 2, and a join of `node-3` between the two halves of the load.
+/// The join order lands with no deposit in flight, so every pre-join
+/// deposit is durable before the ring swaps (the quiesce an operator gets
+/// from the epoch-gated MAC); the second half races the arc transfer.
+fn rebalance(size: &Size, dir: &Path) -> Json {
+    const R: usize = 2;
+    let (clients, per_client) = (size.cluster_clients, size.cluster_per_client);
+    let devices = devices(clients, |i| format!("LOAD-RB-{i}"));
+    // Workers beyond the router's pool: the arc transfer needs its own.
+    let nodes: Vec<(MwsService, TcpServer)> = (0..4)
+        .map(|k| spawn_warehouse(&dir.join(format!("node-{k}")), 2, &devices, clients + 2))
+        .collect();
+    let addrs: Vec<SocketAddr> = nodes.iter().map(|(_, s)| s.local_addr()).collect();
+    // One pooled connection per client, so the pool never caps in-flight
+    // quorum writes below the offered concurrency.
+    let pool = move |addr: SocketAddr| -> Vec<Client> {
         (0..clients)
-            .map(|_| mws_server::TcpClient::new(addr).into_client())
+            .map(|_| TcpClient::new(addr).into_client())
             .collect()
     };
-    let nodes: Vec<ClusterNode> = addrs[..3]
-        .iter()
-        .enumerate()
-        .map(|(k, addr)| ClusterNode::new(format!("node-{k}"), pool(*addr)))
-        .collect();
-    let replica_key = mws_core::protocol::replica_key(b"load-bench-secret");
+    let node = |k: usize| ClusterNode::new(format!("node-{k}"), pool(addrs[k]));
+    let key = replica_key(SECRET);
     let router = ClusterRouter::new(
-        nodes,
-        ClusterConfig::new(replicas, replicas),
-        replica_key.clone(),
+        (0..3).map(node).collect(),
+        ClusterConfig::new(R, R),
+        key.clone(),
     );
-    // The ring plans arc transfers from the attribute universe, which a
-    // daemon learns from the policy table; the bench hands it over
-    // directly.
-    router.set_attribute_names(
-        devices
-            .iter()
-            .enumerate()
-            .map(|(i, (_, _, attr))| (i as u64, attr.clone())),
-    );
-    let addr3 = addrs[3];
-    router.set_node_factory(move |_| ClusterNode::new("node-3", pool(addr3)));
+    // A daemon learns the attribute universe (which plans the arc
+    // transfer) from its policy table; here the bench hands it over.
+    let universe = devices
+        .iter()
+        .map(|d| (d.index as u64, d.attribute.clone()));
+    router.set_attribute_names(universe);
+    let newcomer = addrs[3];
+    router.set_node_factory(move |_| ClusterNode::new("node-3", pool(newcomer)));
 
-    // Each client deposits the first half, waits at the barrier while the
-    // join order lands, then races the arc transfer with its second half.
-    let half = w.per_client / 2;
-    let barrier = std::sync::Barrier::new(clients + 1);
-    let started = Instant::now();
-    let mut transfer_secs = 0.0;
-    let lat: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = devices
-            .iter()
-            .enumerate()
-            .map(|(i, (sd_id, mac_key, attribute))| {
-                let router = &router;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(w.per_client);
-                    for seq in 0..w.per_client {
-                        if seq == half {
-                            barrier.wait(); // pre-join deposits durable
-                            barrier.wait(); // ring swapped, transfer live
-                        }
-                        let item =
-                            craft_item(mac_key, sd_id, attribute, 0, 4, 4, i as u16, seq as u64);
-                        let req = item_to_request(sd_id, item);
-                        let t0 = Instant::now();
-                        let reply = router.handle(req);
-                        lat.push(t0.elapsed().as_micros() as u64);
-                        assert!(
-                            matches!(reply, Pdu::DepositAck { .. }),
-                            "quorum deposit not acked mid-rebalance: {reply:?}"
-                        );
-                    }
-                    lat
-                })
-            })
-            .collect();
-        barrier.wait();
-        let epoch = router.epoch();
-        let join = Pdu::ClusterJoin {
-            node: "node-3".into(),
-            epoch,
-            mac: mws_crypto::Hmac::<mws_crypto::Sha256>::mac(
-                &replica_key,
-                &mws_wire::cluster_join_bytes("node-3", epoch),
-            ),
-        };
-        let t0 = Instant::now();
-        let reply = router.handle(join);
-        assert!(
-            matches!(reply, Pdu::ClusterAdminAck { .. }),
-            "join refused: {reply:?}"
-        );
-        barrier.wait();
-        assert!(
-            router.wait_rebalance(std::time::Duration::from_secs(120)),
-            "arc transfer never finished"
-        );
-        transfer_secs = t0.elapsed().as_secs_f64();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let lanes = |seqs: std::ops::Range<u64>| {
+        let lane = |d| seqs.clone().map(|s| deposit(d, 4, s, 1)).collect();
+        devices.iter().map(lane).collect::<Vec<_>>()
+    };
+    let call = |req: Pdu| assert_stored(&router.handle(req), 1);
+    let half = per_client as u64 / 2;
+    let before = closed_loop(lanes(0..half), 1, call);
+    let epoch = router.epoch();
+    let join_bytes = mws_wire::cluster_join_bytes("node-3", epoch);
+    let mac = mws_crypto::Hmac::<mws_crypto::Sha256>::mac(&key, &join_bytes);
+    let t0 = Instant::now();
+    match router.handle(Pdu::ClusterJoin {
+        node: "node-3".into(),
+        epoch,
+        mac,
+    }) {
+        Pdu::ClusterAdminAck { .. } => {}
+        other => panic!("join refused: {other:?}"),
+    }
+    let (during, transfer_secs) = std::thread::scope(|scope| {
+        let transfer = scope.spawn(|| {
+            let done = router.wait_rebalance(Duration::from_secs(120));
+            assert!(done, "arc transfer never finished");
+            t0.elapsed().as_secs_f64()
+        });
+        let during = closed_loop(lanes(half..per_client as u64), 1, call);
+        (during, transfer.join().expect("transfer waiter"))
     });
-    let secs = started.elapsed().as_secs_f64();
-    let deposits = (w.clients * w.per_client) as u64;
     let (arcs_moved, rows_moved) = match router.handle(Pdu::RebalanceStatus) {
         Pdu::RebalanceReport {
             arcs_done,
             rows_moved,
-            transferring,
+            transferring: false,
             members,
             ..
-        } => {
-            assert!(!transferring);
-            assert_eq!(members.len(), 4, "node-3 must be a member");
-            (arcs_done, rows_moved)
-        }
-        other => panic!("no rebalance report: {other:?}"),
+        } if members.len() == 4 => (arcs_done, rows_moved),
+        other => panic!("join did not settle: {other:?}"),
     };
 
-    // Placement audit against the grown ring: every acked row must sit on
-    // all R replicas the 4-node ring assigns its attribute, and *only*
-    // there — the evict finalizer drops the departed donor's copy, so the
-    // cluster ends at exactly R copies per row, not R-plus-stale. Dropping
-    // the router first releases its connection pools back to the servers.
-    drop(router);
+    // Placement audit against the grown ring: every acked row sits on the
+    // R replicas the 4-node ring assigns its attribute and nowhere else,
+    // because the evict finalizer drops the departed donor's copy.
     let names: Vec<String> = (0..4).map(|k| format!("node-{k}")).collect();
     let ring = HashRing::new(&names, DEFAULT_VNODES);
-    let auditors: Vec<mws_net::Client> = addrs
-        .iter()
-        .map(|a| mws_server::TcpClient::new(*a).into_client())
-        .collect();
-    for (_, _, attribute) in &devices {
-        let home = ring.replicas(attribute, replicas);
-        let mut total = 0;
-        for (idx, auditor) in auditors.iter().enumerate() {
-            let held = attribute_rows(auditor, attribute);
-            if home.contains(&idx) {
-                assert_eq!(
-                    held, w.per_client,
-                    "node-{idx} is missing rows for {attribute} after the join"
-                );
-            } else {
-                assert_eq!(
-                    held, 0,
-                    "node-{idx} kept a stale copy of {attribute} past the handover"
-                );
-            }
-            total += held;
+    for d in &devices {
+        let home = ring.replicas(&d.attribute, R);
+        assert_eq!(home.len(), R);
+        for (k, (mws, _)) in nodes.iter().enumerate() {
+            let want = if home.contains(&k) { per_client } else { 0 };
+            let rows = mws.store_handle().by_attribute(&d.attribute);
+            let held = rows.expect("rows").len();
+            assert_eq!(held, want, "node-{k} holds {held} rows of {}", d.attribute);
         }
-        assert_eq!(
-            total,
-            replicas * w.per_client,
-            "exactly R copies of {attribute}"
-        );
     }
-
-    let (p50, p99) = quantiles(lat.into_iter().flatten().collect());
-    for mut s in servers {
-        s.shutdown();
-    }
+    drop((router, nodes));
     std::fs::remove_dir_all(dir).ok();
-    RebalanceRow {
-        nodes_before: 3,
-        nodes_after: 4,
-        replicas,
-        quorum: ModeReport {
-            deposits,
-            secs,
-            deposits_per_sec: deposits as f64 / secs,
-            p50_us: p50,
-            p99_us: p99,
-        },
-        transfer_secs,
-        arcs_moved,
-        rows_moved,
-    }
+    eprintln!("join 3→4 nodes R={R}  quorum before: {before}  during transfer: {during}");
+    eprintln!("arc transfer: {arcs_moved} arcs, {rows_moved} rows in {transfer_secs:.3}s");
+
+    Json::obj([
+        ("clients", Json::int(clients as u64)),
+        ("per_client", Json::int(per_client as u64)),
+        ("nodes_before", Json::int(3)),
+        ("nodes_after", Json::int(4)),
+        ("replicas", Json::int(R as u64)),
+        ("quorum_before_join", before.json()),
+        ("quorum_during_transfer", during.json()),
+        ("transfer_secs", Json::fixed(transfer_secs, 3)),
+        ("arcs_moved", Json::int(arcs_moved)),
+        ("rows_moved", Json::int(rows_moved)),
+        ("read_modes", read_modes(size.read_iters, size.read_rows)),
+    ])
 }
 
-/// p50/p99 of the same merged retrieve under each read-consistency mode
-/// (`--read-quorum quorum` vs `fastest`), over identical replicated data.
-struct ReadModeRow {
-    rows: usize,
-    quorum_p50_us: u64,
-    quorum_p99_us: u64,
-    fastest_p50_us: u64,
-    fastest_p99_us: u64,
-}
-
-/// Measures the read-consistency knob: a full client retrieve (password
-/// auth at the front door, replica fan-out, id-merge — no IBE
-/// decryption, which would swamp the network delta) against a
-/// quorum-merge router and a fastest-replica router over the same
-/// converged data. Two nodes at R = 2 means full replication, so both
-/// modes return the complete set and the delta is purely protocol cost
-/// (fan-out + nonce-merge vs a single forwarded hop).
-fn bench_read_modes(iters: usize, deposits: usize) -> ReadModeRow {
-    use mws_cluster::{ClusterConfig, ClusterNode, ClusterRouter, ReadConsistency};
-    use mws_core::protocol::{Deployment, DeploymentConfig};
-
+/// The `--read-quorum` probe: one client retrieve (password auth at a
+/// front door, replica fan-out, id merge; no IBE decryption, which would
+/// swamp the delta) through a quorum-merge router and a fastest-replica
+/// router over the same data. Two nodes at R = 2 replicate fully, so both
+/// modes return every row and the delta is protocol cost alone: fan-out
+/// and merge against one forwarded hop.
+fn read_modes(iters: usize, rows: usize) -> Json {
     let attrs: Vec<String> = (0..4).map(|i| format!("LOAD-RM-{i}")).collect();
-    let attr_refs: Vec<&str> = attrs.iter().map(|s| s.as_str()).collect();
+    let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
     let mut deps: Vec<Deployment> = (0..2)
         .map(|_| {
-            let mut dep = Deployment::new(DeploymentConfig {
-                seed: 42,
-                ..DeploymentConfig::test_default()
-            });
+            let mut dep = Deployment::new(DeploymentConfig::test_default());
             dep.register_device("bench-sd");
             dep.register_client("rc", "pw", &attr_refs);
             dep
@@ -754,15 +494,10 @@ fn bench_read_modes(iters: usize, deposits: usize) -> ReadModeRow {
         .collect();
     let servers: Vec<TcpServer> = deps
         .iter()
-        .map(|d| {
-            let mws = d.mws().clone();
-            TcpServer::spawn(ServerConfig::default(), move || mws.as_service()).expect("node")
-        })
+        .map(|d| TcpServer::spawn(ServerConfig::default(), || d.mws().as_service()).expect("node"))
         .collect();
-    let addrs: Vec<std::net::SocketAddr> = servers.iter().map(|s| s.local_addr()).collect();
-    // Immutable snapshots of everything a front door needs, so the door
-    // builder does not hold `deps` borrowed while meters and collectors
-    // take it mutably.
+    // Snapshots of what a front door needs, so building one does not hold
+    // `deps` borrowed while the meter and the collector take it mutably.
     let replica_key = deps[0].replica_key();
     let policy: Vec<(u64, String)> = deps[0]
         .mws()
@@ -772,1116 +507,285 @@ fn bench_read_modes(iters: usize, deposits: usize) -> ReadModeRow {
         .collect();
     let clock = deps[0].clock().clone();
     let rc_pub = deps[0].mws().client_public_key("rc").expect("registered");
-    let front_with = |read: ReadConsistency| {
-        let nodes = addrs
-            .iter()
-            .enumerate()
-            .map(|(k, a)| {
-                let pool = (0..2)
-                    .map(|_| mws_server::TcpClient::new(*a).into_client())
-                    .collect();
-                ClusterNode::new(format!("node-{k}"), pool)
-            })
-            .collect();
-        let router = ClusterRouter::new(
-            nodes,
-            ClusterConfig::new(2, 2).with_read(read),
-            replica_key.clone(),
-        );
+    let front_door = |read: ReadConsistency| {
+        let nodes = servers.iter().enumerate().map(|(k, s)| {
+            let pool = (0..2).map(|_| TcpClient::new(s.local_addr()).into_client());
+            ClusterNode::new(format!("node-{k}"), pool.collect())
+        });
+        let config = ClusterConfig::new(2, 2).with_read(read);
+        let router = ClusterRouter::new(nodes.collect(), config, replica_key.clone());
         router.set_attribute_names(policy.iter().cloned());
-        let front =
-            mws_server::ClusterFrontdoor::new(clock.clone(), ReplayPolicy::standard(), router);
+        let front = ClusterFrontdoor::new(clock.clone(), ReplayPolicy::standard(), router);
         front.register("rc", "pw", &rc_pub);
-        let f = front.clone();
-        TcpServer::spawn(ServerConfig::default(), move || f.as_service()).expect("front door")
+        TcpServer::spawn(ServerConfig::default(), || front.as_service()).expect("front door")
     };
+    let client_of = |door: &TcpServer| TcpClient::new(door.local_addr()).into_client();
 
     // Seed the replicas once through the quorum write path.
     {
-        let door = front_with(ReadConsistency::Quorum);
+        let door = front_door(ReadConsistency::Quorum);
         let pkg = deps[0].network().client("pkg");
         let mut meter = deps[0]
-            .device_with(
-                "bench-sd",
-                mws_server::TcpClient::new(door.local_addr()).into_client(),
-                &pkg,
-            )
+            .device_with("bench-sd", client_of(&door), &pkg)
             .expect("device bootstrap");
-        for i in 0..deposits {
+        for i in 0..rows {
+            let payload = format!("rm-{i}");
             meter
-                .deposit_reliable(&attrs[i % attrs.len()], format!("rm-{i}").as_bytes(), 64)
+                .deposit_reliable(&attrs[i % attrs.len()], payload.as_bytes(), 64)
                 .expect("quorum ack");
         }
     }
 
-    let mut measure = |read: ReadConsistency| {
-        let door = front_with(read);
+    let mut measure = |name: &'static str, read: ReadConsistency| {
+        let door = front_door(read);
         let pkg = deps[0].network().client("pkg");
-        let mut rc = deps[0].client_with(
-            "rc",
-            "pw",
-            mws_server::TcpClient::new(door.local_addr()).into_client(),
-            pkg,
-        );
-        let mut lat = Vec::with_capacity(iters);
-        for warm in 0..iters + 3 {
-            let t0 = Instant::now();
-            let (_, msgs) = rc.retrieve(0).expect("retrieve");
-            let us = t0.elapsed().as_micros() as u64;
-            // Both modes must see the full converged set — fastest trades
-            // staleness tolerance, not rows, once replicas agree.
-            assert_eq!(msgs.len(), deposits, "short read under {read:?}");
-            if warm >= 3 {
-                lat.push(us);
-            }
-        }
-        quantiles(lat)
+        let mut rc = deps[0].client_with("rc", "pw", client_of(&door), pkg);
+        let mut lat: Vec<u64> = (0..iters + 3)
+            .map(|_| {
+                let t0 = Instant::now();
+                let (_, msgs) = rc.retrieve(0).expect("retrieve");
+                // Once replicas agree, fastest trades staleness tolerance,
+                // not rows: both modes must see every deposit.
+                assert_eq!(msgs.len(), rows, "short read under {read:?}");
+                t0.elapsed().as_micros() as u64
+            })
+            .skip(3)
+            .collect();
+        lat.sort_unstable();
+        let (p50, p99) = (percentile(&lat, 50), percentile(&lat, 99));
+        eprintln!("read {name:<7} over {rows} rows: p50 {p50:>5}µs p99 {p99:>6}µs");
+        let json = Json::obj([("p50_us", Json::int(p50)), ("p99_us", Json::int(p99))]);
+        (name, json)
     };
-    let (quorum_p50_us, quorum_p99_us) = measure(ReadConsistency::Quorum);
-    let (fastest_p50_us, fastest_p99_us) = measure(ReadConsistency::Fastest);
-    ReadModeRow {
-        rows: deposits,
-        quorum_p50_us,
-        quorum_p99_us,
-        fastest_p50_us,
-        fastest_p99_us,
-    }
+    let modes = [
+        measure("quorum", ReadConsistency::Quorum),
+        measure("fastest", ReadConsistency::Fastest),
+    ];
+    Json::obj([("rows", Json::int(rows as u64))].into_iter().chain(modes))
 }
 
-/// `BENCH_server.json` up to (not including) its `key` section — or a fresh
-/// document if there is no file yet — followed by `block` as the final
-/// section. Each mode owns one section and rewrites only that.
-fn splice_section(key: &str, block: &str) -> String {
-    let marker = format!(",\n  \"{key}\": {{");
-    let base = std::fs::read_to_string("BENCH_server.json")
-        .ok()
-        .map(|s| match s.find(&marker) {
-            Some(at) => s[..at].to_string(),
-            None => s.trim_end().trim_end_matches('}').trim_end().to_string(),
-        })
-        .unwrap_or_else(|| String::from("{\n  \"bench\": \"load_bench\""));
-    format!("{base},\n{block}}}\n")
-}
+/// Shards behind the `connections` warehouse.
+const CONN_SHARDS: usize = 4;
+/// One in `BURST_EVERY` fleet connections deposits during the burst; the
+/// rest stay idle for the row's whole life.
+const BURST_EVERY: usize = 4;
+/// Warehouse workers under the fleet: the event loop serves any number of
+/// connections from a handful of workers, which is the row's point.
+const FLEET_WORKERS: usize = 4;
 
-/// Renders the rebalance row and splices it into `BENCH_server.json` as
-/// its final `"rebalance"` key, preserving the shard and cluster sections
-/// earlier runs wrote.
-fn splice_rebalance_json(row: &RebalanceRow, reads: &ReadModeRow, w: &Workload) -> String {
-    let m = &row.quorum;
-    let mut block = String::from("  \"rebalance\": {\n");
-    let _ = writeln!(
-        block,
-        "    \"clients\": {}, \"per_client\": {}, \"nodes_before\": {}, \"nodes_after\": {}, \"replicas\": {},",
-        w.clients, w.per_client, row.nodes_before, row.nodes_after, row.replicas
-    );
-    let _ = writeln!(
-        block,
-        "    \"deposits\": {}, \"secs\": {:.3}, \"deposits_per_sec\": {:.1}, \"quorum_p50_us\": {}, \"quorum_p99_us\": {},",
-        m.deposits, m.secs, m.deposits_per_sec, m.p50_us, m.p99_us
-    );
-    let _ = writeln!(
-        block,
-        "    \"transfer_secs\": {:.3}, \"arcs_moved\": {}, \"rows_moved\": {}, \"rows_per_sec\": {:.1},",
-        row.transfer_secs,
-        row.arcs_moved,
-        row.rows_moved,
-        row.rows_moved as f64 / row.transfer_secs.max(1e-9)
-    );
-    let _ = writeln!(
-        block,
-        "    \"read_rows\": {}, \"read_quorum_p50_us\": {}, \"read_quorum_p99_us\": {}, \"read_fastest_p50_us\": {}, \"read_fastest_p99_us\": {},",
-        reads.rows,
-        reads.quorum_p50_us,
-        reads.quorum_p99_us,
-        reads.fastest_p50_us,
-        reads.fastest_p99_us
-    );
-    block.push_str("    \"all_acked_rows_on_all_grown_ring_replicas\": true,\n");
-    block.push_str("    \"exactly_r_copies_after_evict\": true\n  }");
-
-    splice_section("rebalance", &(block + "\n"))
-}
-
-/// `--rebalance` entry: one live join under load. Smoke keeps it tiny and
-/// writes nothing; the placement audit runs either way.
-fn run_rebalance(smoke: bool) {
-    let w = if smoke {
-        Workload {
-            clients: 2,
-            per_client: 10,
-            batches: 0,
-            batch_size: 0,
-            smoke: true,
-        }
-    } else {
-        Workload {
-            clients: 8,
-            per_client: 150,
-            batches: 0,
-            batch_size: 0,
-            smoke: false,
-        }
-    };
-    let base = std::env::temp_dir().join(format!("mws-rebalance-bench-{}", std::process::id()));
-    let row = bench_rebalance(&base, &w);
-    std::fs::remove_dir_all(&base).ok();
-    eprintln!(
-        "join 3→4 nodes  R={}  quorum under rebalance: {:>8.0} dep/s (p50 {:>5}µs, p99 {:>6}µs)",
-        row.replicas, row.quorum.deposits_per_sec, row.quorum.p50_us, row.quorum.p99_us,
-    );
-    eprintln!(
-        "arc transfer: {} arcs, {} rows in {:.3}s",
-        row.arcs_moved, row.rows_moved, row.transfer_secs,
-    );
-    let reads = if smoke {
-        bench_read_modes(8, 12)
-    } else {
-        bench_read_modes(60, 48)
-    };
-    eprintln!(
-        "read modes over {} rows: quorum p50 {:>5}µs p99 {:>6}µs | fastest p50 {:>5}µs p99 {:>6}µs",
-        reads.rows,
-        reads.quorum_p50_us,
-        reads.quorum_p99_us,
-        reads.fastest_p50_us,
-        reads.fastest_p99_us,
-    );
-    if smoke {
-        eprintln!("load_bench --rebalance --smoke: every acked row on all R grown-ring replicas");
-        return;
-    }
-    let json = splice_rebalance_json(&row, &reads, &w);
-    std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_server.json (rebalance section)");
-}
-
-/// Renders the cluster rows and splices them into `BENCH_server.json` as
-/// its final `"cluster"` key — replacing any previous cluster section,
-/// preserving the shard rows a prior default run wrote.
-fn splice_cluster_json(rows: &[ClusterRow], w: &Workload) -> String {
-    let mut block = String::from("  \"cluster\": {\n");
-    let _ = writeln!(
-        block,
-        "    \"clients\": {}, \"per_client\": {},",
-        w.clients, w.per_client
-    );
-    block.push_str("    \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let m = &row.quorum;
-        let _ = writeln!(
-            block,
-            "      {{ \"nodes\": {}, \"replicas\": {}, \"write_quorum\": {}, \"deposits\": {}, \"secs\": {:.3}, \"deposits_per_sec\": {:.1}, \"quorum_p50_us\": {}, \"quorum_p99_us\": {} }}{}",
-            row.nodes,
-            row.replicas,
-            row.write_quorum,
-            m.deposits,
-            m.secs,
-            m.deposits_per_sec,
-            m.p50_us,
-            m.p99_us,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    block.push_str("    ],\n");
-    // The scale-out headline compares equal replication cost: 4 nodes vs
-    // 2 nodes, both writing R = 2 copies per deposit.
-    let find = |n: usize| rows.iter().find(|r| r.nodes == n);
-    let scaleout = match (find(4), find(2)) {
-        (Some(hi), Some(lo)) => hi.quorum.deposits_per_sec / lo.quorum.deposits_per_sec,
-        _ => 0.0,
-    };
-    let overhead = match (find(2), find(1)) {
-        (Some(r2), Some(r1)) => r2.quorum.deposits_per_sec / r1.quorum.deposits_per_sec,
-        _ => 0.0,
-    };
-    let _ = writeln!(
-        block,
-        "    \"scaleout_4_nodes_over_2\": {scaleout:.2},\n    \"replication_2_nodes_over_1\": {overhead:.2}\n  }}"
-    );
-
-    splice_section("cluster", &block)
-}
-
-fn render_mode(out: &mut String, name: &str, m: &ModeReport, trailing_comma: bool) {
-    let _ = writeln!(
-        out,
-        "      \"{name}\": {{ \"deposits\": {}, \"secs\": {:.3}, \"deposits_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {} }}{}",
-        m.deposits,
-        m.secs,
-        m.deposits_per_sec,
-        m.p50_us,
-        m.p99_us,
-        if trailing_comma { "," } else { "" }
-    );
-}
-
-fn render_json(rows: &[Row], w: &Workload) -> String {
-    let find = |n: usize| rows.iter().find(|r| r.shards == n);
-    let speedup = match (find(16), find(1)) {
-        (Some(hi), Some(lo)) => hi.single.deposits_per_sec / lo.single.deposits_per_sec,
-        _ => 0.0,
-    };
-    let batch_speedup = match (find(16), find(1)) {
-        (Some(hi), Some(lo)) => hi.batch.deposits_per_sec / lo.batch.deposits_per_sec,
-        _ => 0.0,
-    };
-    // The headline: everything this PR adds (16 shards + batched group
-    // commit) against everything it replaces (1 shard, one fsync per
-    // deposit). Per-mode speedups above isolate each lever; on a
-    // single-core host they saturate at the CPU ceiling once fsync is
-    // off the critical path (see EXPERIMENTS.md).
-    let pipeline_speedup = match (find(16), find(1)) {
-        (Some(hi), Some(lo)) => hi.batch.deposits_per_sec / lo.single.deposits_per_sec,
-        _ => 0.0,
-    };
-    let mut out = String::from("{\n  \"bench\": \"load_bench\",\n");
-    let _ = writeln!(
-        out,
-        "  \"clients\": {}, \"per_client\": {}, \"batches\": {}, \"batch_size\": {},",
-        w.clients, w.per_client, w.batches, w.batch_size
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{\n      \"shards\": {},", row.shards);
-        render_mode(&mut out, "single", &row.single, true);
-        render_mode(&mut out, "batch", &row.batch, false);
-        let _ = writeln!(out, "    }}{}", if i + 1 == rows.len() { "" } else { "," });
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"speedup_single_16x_over_1x\": {speedup:.2},\n  \"speedup_batch_16x_over_1x\": {batch_speedup:.2},\n  \"speedup_pipeline_16x_over_baseline_1x\": {pipeline_speedup:.2}"
-    );
-    out.push_str("}\n");
-    out
-}
-
-/// `--cluster` entry: N ∈ {1, 2, 4} warehouse nodes at R = min(2, N).
-/// Smoke mode runs one 3-node row with no file output — the quorum-path
-/// equivalent of the single-warehouse smoke gate.
-fn run_cluster(smoke: bool) {
-    let w = if smoke {
-        Workload {
-            clients: 2,
-            per_client: 10,
-            batches: 0,
-            batch_size: 0,
-            smoke: true,
-        }
-    } else {
-        Workload {
-            clients: 8,
-            per_client: 150,
-            batches: 0,
-            batch_size: 0,
-            smoke: false,
-        }
-    };
-    let node_counts: &[usize] = if smoke { &[3] } else { &[1, 2, 4] };
-    let base = std::env::temp_dir().join(format!("mws-cluster-bench-{}", std::process::id()));
-    let mut rows = Vec::new();
-    for &n in node_counts {
-        let row = bench_cluster(n, &base.join(format!("nodes-{n}")), &w);
-        eprintln!(
-            "nodes={}  R={} W={}  quorum: {:>8.0} dep/s (p50 {:>5}µs, p99 {:>6}µs)",
-            row.nodes,
-            row.replicas,
-            row.write_quorum,
-            row.quorum.deposits_per_sec,
-            row.quorum.p50_us,
-            row.quorum.p99_us,
-        );
-        rows.push(row);
-    }
-    std::fs::remove_dir_all(&base).ok();
-    if smoke {
-        eprintln!("load_bench --cluster --smoke: every deposit quorum-acked with exactly R copies");
-        return;
-    }
-    let json = splice_cluster_json(&rows, &w);
-    std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_server.json (cluster section)");
-}
-
-/// One row of the `--connections` fleet shape: `connections` persistent
-/// sockets held open against a single warehouse while a rotating subset
-/// fires one-deposit bursts.
-struct ConnectionsRow {
-    connections: usize,
-    workers: usize,
-    event_loops: usize,
-    connect_secs: f64,
-    deposits: u64,
-    burst_secs: f64,
-    deposits_per_sec: f64,
-    p50_us: u64,
-    p99_us: u64,
-    /// Process RSS while every connection is held (server + client ends —
-    /// both live in this process, so this is an upper bound on the server
-    /// side alone).
-    rss_mb: f64,
-    /// RSS growth of this row over its own start (the comparable number:
-    /// absolute RSS accumulates allocator pools across rows).
-    rss_delta_mb: f64,
-}
-
-/// Shape knobs for one [`bench_connections`] row.
-struct ConnShape {
-    conns: usize,
-    /// Threads driving the burst (each owns one registered device).
-    drivers: usize,
-    /// One in `burst_div` connections deposits during the burst; the rest
-    /// stay idle for the row's whole lifetime.
-    burst_div: usize,
+/// `connections`: one row per fleet size, on one event loop.
+fn connections(size: &Size, dir: &Path) -> Json {
+    let row = |&conns: &usize| fleet_row(conns, size.drivers, &dir.join(format!("fleet-{conns}")));
+    Json::obj([
+        ("workers", Json::int(FLEET_WORKERS as u64)),
+        ("burst_every", Json::int(BURST_EVERY as u64)),
+        ("rows", Json::Arr(size.fleets.iter().map(row).collect())),
+    ])
 }
 
 /// Process RSS in MB from `/proc/self/status` (0.0 where unavailable).
 fn rss_mb() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmRSS:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<f64>().ok())
-        })
-        .map(|kb| kb / 1024.0)
-        .unwrap_or(0.0)
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|kb| kb.split_whitespace().next()?.parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Waits until the process-wide open-connection gauge reaches `want`,
-/// proving the server really registered (not just backlogged) every
-/// socket the clients opened.
-fn await_open_connections(want: i64) {
-    let gauge = mws_obs::registry().gauge("mws_server_open_connections");
-    let deadline = Instant::now() + std::time::Duration::from_secs(60);
-    while gauge.get() < want {
-        assert!(
-            Instant::now() < deadline,
-            "server registered only {} of {want} connections",
-            gauge.get()
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
+/// Holds up to `conns` connections against one warehouse, bursts, and
+/// checks every acked burst deposit is warehoused while the fleet is still
+/// held. A loopback fleet costs two fds per connection; when that exceeds
+/// the process's fd budget the client half runs in a `--conn-fleet` child,
+/// so this process pays one.
+fn fleet_row(conns: usize, drivers: usize, dir: &Path) -> Json {
+    let devices = shard_pinned_devices(drivers, CONN_SHARDS);
+    let (mws, server) = spawn_warehouse(dir, CONN_SHARDS, &devices, FLEET_WORKERS);
+    let addr = server.local_addr();
+    let both_ends = conns as u64 * 2 + 512;
+    let granted = mws_server::raise_nofile_limit(both_ends);
+    let in_process = granted >= both_ends;
+    let held = conns.min(granted.saturating_sub(512) as usize);
+    if held < conns {
+        eprintln!("fd limit {granted} caps the row at {held} connections (wanted {conns})");
     }
+    let gauge = mws_obs::registry().gauge("mws_server_open_connections");
+    let (open_before, rss_before) = (gauge.get(), rss_mb());
+
+    let started = Instant::now();
+    let (connect_secs, burst, rss) = std::thread::scope(|scope| {
+        let (mut to_fleet, mut from_fleet, child): (Box<dyn Write>, Box<dyn BufRead>, _) =
+            if in_process {
+                let (cmd_rx, cmd_tx) = std::io::pipe().expect("pipe");
+                let (out_rx, out_tx) = std::io::pipe().expect("pipe");
+                let input = BufReader::new(cmd_rx);
+                scope.spawn(move || conn_fleet(addr, held, BURST_EVERY, drivers, input, out_tx));
+                (Box::new(cmd_tx), Box::new(BufReader::new(out_rx)), None)
+            } else {
+                let argv = [held, BURST_EVERY, drivers].map(|n| n.to_string());
+                let mut child = std::process::Command::new(std::env::current_exe().expect("exe"))
+                    .args(["--conn-fleet".to_string(), addr.to_string()])
+                    .args(argv)
+                    .stdin(std::process::Stdio::piped())
+                    .stdout(std::process::Stdio::piped())
+                    .spawn()
+                    .expect("spawn fleet child");
+                let stdin = child.stdin.take().expect("fleet stdin");
+                let stdout = BufReader::new(child.stdout.take().expect("fleet stdout"));
+                (Box::new(stdin), Box::new(stdout), Some(child))
+            };
+        // Sends `command` (none for the first answer) and splits the reply.
+        let mut ask = |command: &str| -> Vec<String> {
+            to_fleet.write_all(command.as_bytes()).expect("fleet");
+            let mut line = String::new();
+            from_fleet.read_line(&mut line).expect("fleet answer");
+            line.split_whitespace().map(String::from).collect()
+        };
+
+        let connected = ask("");
+        assert_eq!(connected.first().map(String::as_str), Some("CONNECTED"));
+        // The open-connection gauge proves the server registered every
+        // socket, not just backlogged it.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while gauge.get() < open_before + held as i64 {
+            assert!(Instant::now() < deadline, "server stalled");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let connect_secs = started.elapsed().as_secs_f64();
+
+        let done = ask("BURST\n");
+        assert_eq!(done.first().map(String::as_str), Some("DONE"), "{done:?}");
+        let field = |i: usize| done[i].parse::<f64>().expect("DONE field");
+        let burst = ModeReport {
+            deposits: field(1) as u64,
+            p50_us: field(2) as u64,
+            p99_us: field(3) as u64,
+            secs: field(4),
+        };
+        // Zero dropped acked deposits, counted with the fleet still held.
+        let rows = mws.message_count() as u64;
+        assert_eq!(rows, burst.deposits, "acked deposits lost");
+        let rss = rss_mb();
+        to_fleet.write_all(b"EXIT\n").expect("fleet EXIT");
+        if let Some(mut child) = child {
+            assert!(child.wait().expect("fleet child").success(), "fleet child");
+        }
+        (connect_secs, burst, rss)
+    });
+    drop(server);
+    std::fs::remove_dir_all(dir).ok();
+    let client_half = if in_process { "in-process" } else { "child" };
+    let rss_delta = rss - rss_before;
+    eprintln!(
+        "conns={held:>6} ({client_half}, connect {connect_secs:>5.1}s)  burst: {burst}  rss {rss:>5.1} MB (+{rss_delta:.1})"
+    );
+    Json::obj([
+        ("connections", Json::int(held as u64)),
+        ("client_half", Json::Str(client_half.into())),
+        ("connect_secs", Json::fixed(connect_secs, 3)),
+        ("burst", burst.json()),
+        ("rss_mb", Json::fixed(rss, 1)),
+        ("rss_delta_mb", Json::fixed(rss_delta, 1)),
+    ])
 }
 
-/// Shards behind the `--connections` warehouse (shared by the driving
-/// side so device → attribute mining is reproducible in the fleet child).
-const CONN_SHARDS: usize = 4;
-
-/// The deterministic device table for the `--connections` shape — the
-/// fleet child process recomputes exactly this, so parent and child agree
-/// on MAC keys and shard-pinned attributes without any handshake.
-fn conn_devices(drivers: usize) -> Vec<(String, Vec<u8>, String)> {
-    let router = ShardRouter::new(CONN_SHARDS);
-    (0..drivers)
-        .map(|i| {
-            (
-                format!("bench-sd-{i}"),
-                vec![i as u8 + 1; 32],
-                attr_for(&router, CONN_SHARDS, i % CONN_SHARDS),
-            )
-        })
-        .collect()
-}
-
-/// Connects `conns` persistent sockets to `addr`, splitting off every
-/// `burst_div`-th one (with a read timeout) as a burster.
-fn conn_fleet_connect(
-    addr: std::net::SocketAddr,
+/// The client half of a connection fleet, sequenced by a line protocol:
+/// connect `conns` sockets and answer `CONNECTED n`; on `BURST`, send one
+/// deposit over every `burst_every`-th from `drivers` threads and answer
+/// `DONE deposits p50_us p99_us secs`; on `EXIT`, close them all. Runs on a
+/// thread for fleets that fit the fd budget, else in the hidden
+/// `--conn-fleet <addr> <conns> <burst_every> <drivers>` child over
+/// stdin/stdout.
+fn conn_fleet(
+    addr: SocketAddr,
     conns: usize,
-    burst_div: usize,
-) -> (Vec<std::net::TcpStream>, Vec<std::net::TcpStream>) {
-    let mut burst = Vec::with_capacity(conns / burst_div + 1);
-    let mut idle = Vec::with_capacity(conns);
+    burst_every: usize,
+    drivers: usize,
+    mut input: impl BufRead,
+    mut output: impl Write,
+) {
+    let mut expect = |command: &str| {
+        let mut line = String::new();
+        input.read_line(&mut line).expect("fleet command");
+        assert_eq!(line.trim(), command, "unexpected fleet command");
+    };
+    mws_server::raise_nofile_limit(conns as u64 + 512);
+    let (mut burst, mut idle) = (Vec::new(), Vec::new());
+    let timeout = Some(Duration::from_secs(60));
     for i in 0..conns {
-        let s = std::net::TcpStream::connect(addr).expect("connect");
-        if i % burst_div == 0 {
-            s.set_read_timeout(Some(std::time::Duration::from_secs(60)))
-                .expect("read timeout");
+        let s = TcpStream::connect(addr).expect("connect");
+        if i % burst_every == 0 {
+            s.set_read_timeout(timeout).expect("timeout");
             burst.push(s);
         } else {
             idle.push(s);
         }
     }
-    (burst, idle)
-}
+    writeln!(output, "CONNECTED {conns}").expect("fleet answer");
+    output.flush().expect("fleet answer");
 
-/// One-deposit-per-connection burst over raw frames, swept by
-/// `drivers` threads. Returns `(deposits, p50_us, p99_us, secs)`; panics
-/// unless every deposit is acked.
-fn drive_burst(
-    burst: &mut [std::net::TcpStream],
-    devices: &[(String, Vec<u8>, String)],
-    drivers: usize,
-) -> (u64, u64, u64, f64) {
-    use std::io::Write as _;
-
+    expect("BURST");
+    let devices = shard_pinned_devices(drivers, CONN_SHARDS);
     let chunk = burst.len().div_ceil(drivers).max(1);
-    let started = Instant::now();
-    let lat: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = burst
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(t, slice)| {
-                let (sd_id, mac_key, attribute) = &devices[t % drivers];
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(slice.len());
-                    for (j, s) in slice.iter_mut().enumerate() {
-                        let item = craft_item(
-                            mac_key,
-                            sd_id,
-                            attribute,
-                            0,
-                            5,
-                            CONN_SHARDS as u16,
-                            t as u16,
-                            j as u64,
-                        );
-                        let frame = mws_wire::encode_envelope(&item_to_request(sd_id, item));
-                        let t0 = Instant::now();
-                        s.write_all(&frame).expect("burst write");
-                        let raw = mws_server::framing::read_raw_frame(s).expect("burst reply");
-                        lat.push(t0.elapsed().as_micros() as u64);
-                        let (reply, _) = mws_wire::decode_envelope(&raw).expect("reply decodes");
-                        assert!(
-                            matches!(reply, Pdu::DepositAck { .. }),
-                            "burst deposit not acked: {reply:?}"
-                        );
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let secs = started.elapsed().as_secs_f64();
-    let deposits: u64 = lat.iter().map(|v| v.len() as u64).sum();
-    let (p50, p99) = quantiles(lat.into_iter().flatten().collect());
-    (deposits, p50, p99, secs)
-}
-
-/// Hidden `--conn-fleet <addr> <conns> <burst_div> <drivers>` child mode:
-/// the client half of a fleet too large for one process's fd budget
-/// (each loopback connection costs two fds; this container's hard
-/// `RLIMIT_NOFILE` cannot be raised). The parent holds the server end,
-/// this child holds the client end, and a line protocol on
-/// stdin/stdout sequences connect → burst → teardown.
-fn run_conn_fleet(argv: &[String]) {
-    use std::io::BufRead as _;
-
-    let addr: std::net::SocketAddr = argv[0].parse().expect("fleet addr");
-    let conns: usize = argv[1].parse().expect("fleet conns");
-    let burst_div: usize = argv[2].parse().expect("fleet burst_div");
-    let drivers: usize = argv[3].parse().expect("fleet drivers");
-    mws_server::raise_nofile_limit(conns as u64 + 512);
-    let devices = conn_devices(drivers);
-
-    let (mut burst, idle) = conn_fleet_connect(addr, conns, burst_div);
-    println!("CONNECTED {}", burst.len() + idle.len());
-
-    let stdin = std::io::stdin();
-    let mut line = String::new();
-    stdin.lock().read_line(&mut line).expect("fleet stdin");
-    assert_eq!(line.trim(), "BURST", "unexpected fleet command");
-    let (deposits, p50, p99, secs) = drive_burst(&mut burst, &devices, drivers);
-    println!("DONE {deposits} {p50} {p99} {secs:.6}");
-
-    // Keep every connection held until the parent has read the server's
-    // RSS and the open-connection gauge with the fleet still resident.
-    line.clear();
-    stdin.lock().read_line(&mut line).expect("fleet stdin");
-    assert_eq!(line.trim(), "EXIT", "unexpected fleet command");
-}
-
-/// Holds `shape.conns` persistent connections against one warehouse,
-/// then drives a one-deposit burst over every
-/// `burst_div`-th connection with raw frames, asserting every deposit is
-/// acked and warehoused (zero dropped acked deposits).
-///
-/// Small fleets run in-process; fleets whose two-fds-per-connection cost
-/// exceeds the process fd budget fork the client half into a
-/// [`run_conn_fleet`] child so the server side only pays one fd per
-/// connection.
-fn bench_connections(shape: &ConnShape, dir: &std::path::Path) -> ConnectionsRow {
-    use std::io::{BufRead as _, Write as _};
-
-    const SHARDS: usize = CONN_SHARDS;
-    std::fs::create_dir_all(dir).expect("bench dir");
-    let kinds = mws_store::shard_kinds(&StorageKind::File(dir.join("messages.wal")), SHARDS);
-    let mws = MwsService::new_sharded(
-        DeviceRegistry::new(),
-        kinds,
-        StorageKind::Memory,
-        StorageKind::Memory,
-        b"load-bench-secret",
-        LogicalClock::new(),
-        ReplayPolicy::standard(),
-        7,
-        DeviceAuthVerifier::Mac,
-    )
-    .expect("service open");
-
-    let devices = conn_devices(shape.drivers);
-    for (sd_id, mac_key, _) in &devices {
-        mws.register_device(sd_id, mac_key);
-    }
-
-    // The event loop serves any number of connections from a handful of
-    // workers — that is the row's whole point.
-    let workers = 4;
-    let event_loops = 1;
-    let mut server = TcpServer::spawn(
-        ServerConfig {
-            workers,
-            event_loops,
-            ..ServerConfig::default()
-        },
-        || mws.as_service(),
-    )
-    .expect("server spawn");
-    let addr = server.local_addr();
-
-    // An in-process loopback fleet burns two fds per connection; with the
-    // client half forked out, the server side pays one. Prefer in-process
-    // (simpler, no child) whenever the budget allows.
-    let both_ends = (shape.conns as u64) * 2 + 512;
-    let server_end = (shape.conns as u64) + 512;
-    let granted = mws_server::raise_nofile_limit(both_ends);
-    let (forked, conns) = if granted >= both_ends {
-        (false, shape.conns)
-    } else if granted >= server_end {
-        (true, shape.conns)
-    } else {
-        let fit = (granted.saturating_sub(512)) as usize;
-        eprintln!(
-            "fd limit {granted} caps the row at {fit} connections (wanted {})",
-            shape.conns
-        );
-        (true, fit.min(shape.conns))
-    };
-
-    let rss_before = rss_mb();
-    let open_before = mws_obs::registry()
-        .gauge("mws_server_open_connections")
-        .get();
-
-    let (connect_secs, deposits, p50, p99, burst_secs, rss, fleet) = if forked {
-        // Client half in a child process with its own fd budget; this
-        // process keeps only the server ends.
-        let exe = std::env::current_exe().expect("own path");
-        let started = Instant::now();
-        let mut child = std::process::Command::new(exe)
-            .arg("--conn-fleet")
-            .arg(addr.to_string())
-            .arg(conns.to_string())
-            .arg(shape.burst_div.to_string())
-            .arg(shape.drivers.to_string())
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .expect("spawn fleet child");
-        let mut child_in = child.stdin.take().expect("fleet stdin");
-        let mut child_out = std::io::BufReader::new(child.stdout.take().expect("fleet stdout"));
-        let mut line = String::new();
-        child_out.read_line(&mut line).expect("fleet CONNECTED");
-        assert!(
-            line.starts_with("CONNECTED"),
-            "fleet child failed to connect: {line:?}"
-        );
-        await_open_connections(open_before + conns as i64);
-        let connect_secs = started.elapsed().as_secs_f64();
-
-        child_in.write_all(b"BURST\n").expect("fleet BURST");
-        line.clear();
-        child_out.read_line(&mut line).expect("fleet DONE");
-        let f: Vec<&str> = line.split_whitespace().collect();
-        assert_eq!(f.first(), Some(&"DONE"), "fleet burst failed: {line:?}");
-        let deposits: u64 = f[1].parse().expect("fleet deposits");
-        let p50: u64 = f[2].parse().expect("fleet p50");
-        let p99: u64 = f[3].parse().expect("fleet p99");
-        let burst_secs: f64 = f[4].parse().expect("fleet secs");
-
-        // Zero dropped acked deposits, counted while the whole fleet is
-        // still resident; RSS here is the server process alone.
-        assert_eq!(
-            mws.message_count() as u64,
-            deposits,
-            "acked deposits missing from the warehouse"
-        );
-        let rss = rss_mb();
-        (
-            connect_secs,
-            deposits,
-            p50,
-            p99,
-            burst_secs,
-            rss,
-            Some((child, child_in)),
-        )
-    } else {
-        let started = Instant::now();
-        let (mut burst, idle) = conn_fleet_connect(addr, conns, shape.burst_div);
-        await_open_connections(open_before + conns as i64);
-        let connect_secs = started.elapsed().as_secs_f64();
-
-        let (deposits, p50, p99, burst_secs) = drive_burst(&mut burst, &devices, shape.drivers);
-        assert_eq!(
-            mws.message_count() as u64,
-            deposits,
-            "acked deposits missing from the warehouse"
-        );
-        let rss = rss_mb();
-        drop(burst);
-        drop(idle);
-        (connect_secs, deposits, p50, p99, burst_secs, rss, None)
-    };
-
-    if let Some((mut child, mut child_in)) = fleet {
-        child_in.write_all(b"EXIT\n").expect("fleet EXIT");
-        drop(child_in);
-        child.wait().expect("fleet child exit");
-    }
-    server.shutdown();
-    std::fs::remove_dir_all(dir).ok();
-    ConnectionsRow {
-        connections: conns,
-        workers,
-        event_loops,
-        connect_secs,
-        deposits,
-        burst_secs,
-        deposits_per_sec: deposits as f64 / burst_secs,
-        p50_us: p50,
-        p99_us: p99,
-        rss_mb: rss,
-        rss_delta_mb: rss - rss_before,
-    }
-}
-
-fn splice_connections_json(rows: &[ConnectionsRow]) -> String {
-    let mut block = String::from("  \"connections\": {\n");
-    block.push_str("    \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            block,
-            "      {{ \"connections\": {}, \"workers\": {}, \"event_loops\": {}, \"connect_secs\": {:.3}, \"deposits\": {}, \"burst_secs\": {:.3}, \"deposits_per_sec\": {:.1}, \"burst_p50_us\": {}, \"burst_p99_us\": {}, \"rss_mb\": {:.1}, \"rss_delta_mb\": {:.1} }}{}",
-            r.connections,
-            r.workers,
-            r.event_loops,
-            r.connect_secs,
-            r.deposits,
-            r.burst_secs,
-            r.deposits_per_sec,
-            r.p50_us,
-            r.p99_us,
-            r.rss_mb,
-            r.rss_delta_mb,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    block.push_str("    ],\n");
-    let ceiling = rows.iter().map(|r| r.connections).max().unwrap_or(0);
-    let _ = writeln!(
-        block,
-        "    \"idle_connection_ceiling\": {ceiling},\n    \"zero_dropped_acked_deposits\": true\n  }}"
-    );
-
-    splice_section("connections", &block)
-}
-
-/// `--connections` entry: the smart-device fleet shape. The full run
-/// holds 512 and then 10k connections; smoke holds a few hundred with no
-/// file output — the fleet-shape tier-1 gate.
-fn run_connections(smoke: bool) {
-    let shape = |conns, drivers| ConnShape {
-        conns,
-        drivers,
-        burst_div: 4,
-    };
-    let shapes = if smoke {
-        vec![shape(256, 4)]
-    } else {
-        vec![shape(512, 8), shape(10_000, 8)]
-    };
-
-    let base = std::env::temp_dir().join(format!("mws-conn-bench-{}", std::process::id()));
-    let mut rows = Vec::new();
-    for (k, shape) in shapes.iter().enumerate() {
-        let row = bench_connections(shape, &base.join(format!("row-{k}")));
-        eprintln!(
-            "conns={:>6} (connect {:>5.1}s)  burst: {:>6} deposits, {:>7.0} dep/s (p50 {:>5}µs, p99 {:>6}µs)  rss {:>6.1} MB (+{:.1})",
-            row.connections,
-            row.connect_secs,
-            row.deposits,
-            row.deposits_per_sec,
-            row.p50_us,
-            row.p99_us,
-            row.rss_mb,
-            row.rss_delta_mb,
-        );
-        rows.push(row);
-    }
-    std::fs::remove_dir_all(&base).ok();
-    if smoke {
-        eprintln!("load_bench --connections --smoke: every burst deposit acked and warehoused");
-        return;
-    }
-    let json = splice_connections_json(&rows);
-    std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_server.json (connections section)");
-}
-
-// ---------------------------------------------------------------------------
-// --secure: transport-security overhead (DESIGN.md §12). The warehouse is
-// memory-backed on purpose: an fsync-per-commit store hides the
-// microsecond-scale costs of AES-GCM sealing behind millisecond-scale
-// durability, and durability scaling already has its own rows above.
-// ---------------------------------------------------------------------------
-
-/// The `--secure` A/B: fresh-connection handshake latency plus identical
-/// plaintext vs sealed single-deposit runs.
-struct SecureRow {
-    handshakes: usize,
-    hs_p50_us: u64,
-    hs_p99_us: u64,
-    /// Plain fresh-connection first call — the same probe without the
-    /// handshake, so the difference is the handshake's own cost.
-    plain_first_call_p50_us: u64,
-    plain: ModeReport,
-    secure: ModeReport,
-}
-
-/// One memory-backed warehouse with `devices` registered, listening with
-/// the given transport settings.
-fn spawn_secure_warehouse(
-    devices: &[(String, Vec<u8>, String)],
-    workers: usize,
-    secure: Option<Arc<SecureSettings>>,
-) -> (MwsService, TcpServer) {
-    let mws = MwsService::new_sharded(
-        DeviceRegistry::new(),
-        mws_store::shard_kinds(&StorageKind::Memory, 1),
-        StorageKind::Memory,
-        StorageKind::Memory,
-        b"load-bench-secret",
-        LogicalClock::new(),
-        ReplayPolicy::standard(),
-        7,
-        DeviceAuthVerifier::Mac,
-    )
-    .expect("service open");
-    for (sd_id, mac_key, _) in devices {
-        mws.register_device(sd_id, mac_key);
-    }
-    let service = mws.clone();
-    let server = TcpServer::spawn(
-        ServerConfig {
-            workers,
-            secure,
-            ..ServerConfig::default()
-        },
-        move || service.as_service(),
-    )
-    .expect("server spawn");
-    (mws, server)
-}
-
-/// Drives the single-deposit shape with one persistent connection per
-/// client, plaintext or sealed depending on `secure`.
-fn drive_single_deposits(
-    addr: SocketAddr,
-    devices: &[(String, Vec<u8>, String)],
-    w: &Workload,
-    secure: &Option<Arc<SecureClientSettings>>,
-    tag: u8,
-) -> ModeReport {
-    let started = Instant::now();
-    let lat: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = devices
-            .iter()
-            .enumerate()
-            .map(|(i, (sd_id, mac_key, attribute))| {
-                scope.spawn(move || {
-                    let client = TcpClient::with_config(
-                        addr,
-                        ClientConfig {
-                            secure: secure.clone(),
-                            ..ClientConfig::default()
-                        },
-                    )
-                    .into_client();
-                    // Establish the connection (and session, when secure)
-                    // before the clock starts: the handshake is measured
-                    // on its own, this shape measures per-frame cost.
-                    client.call(&Pdu::HealthRequest).expect("warmup");
-                    let mut lat = Vec::with_capacity(w.per_client);
-                    for seq in 0..w.per_client {
-                        let item =
-                            craft_item(mac_key, sd_id, attribute, 0, tag, 1, i as u16, seq as u64);
-                        let req = item_to_request(sd_id, item);
-                        let t0 = Instant::now();
-                        let reply = client.call(&req).expect("deposit rtt");
-                        lat.push(t0.elapsed().as_micros() as u64);
-                        assert!(
-                            matches!(reply, Pdu::DepositAck { .. }),
-                            "deposit not acked: {reply:?}"
-                        );
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let secs = started.elapsed().as_secs_f64();
-    let n = (w.clients * w.per_client) as u64;
-    let (p50, p99) = quantiles(lat.into_iter().flatten().collect());
-    ModeReport {
-        deposits: n,
-        secs,
-        deposits_per_sec: n as f64 / secs,
-        p50_us: p50,
-        p99_us: p99,
-    }
-}
-
-/// Times fresh-connection first calls: connect (+ handshake when `secure`)
-/// + one HealthRequest round trip, one sample per brand-new client.
-fn first_call_samples(
-    addr: SocketAddr,
-    n: usize,
-    secure: &Option<Arc<SecureClientSettings>>,
-) -> Vec<u64> {
-    (0..n)
-        .map(|_| {
-            let client = TcpClient::with_config(
-                addr,
-                ClientConfig {
-                    secure: secure.clone(),
-                    ..ClientConfig::default()
-                },
-            )
-            .into_client();
-            let t0 = Instant::now();
-            match client.call(&Pdu::HealthRequest).expect("handshake probe") {
-                Pdu::HealthResponse { .. } => t0.elapsed().as_micros() as u64,
-                other => panic!("unexpected health reply: {other:?}"),
-            }
+    let lanes = burst
+        .chunks_mut(chunk)
+        .zip(&devices)
+        .map(|(streams, d)| {
+            let frame = |(j, s)| (s, mws_wire::encode_envelope(&deposit(d, 5, j as u64, 1)));
+            streams.iter_mut().enumerate().map(frame).collect()
         })
-        .collect()
-}
-
-fn bench_secure(w: &Workload) -> SecureRow {
-    // The deployment is only the transport trust root here (master secret
-    // → per-identity signing keys); the warehouse's own device MACs stay
-    // the app-layer concern they are in every other mode.
-    let dep = Deployment::new(DeploymentConfig::test_default());
-    let server_sec = Arc::new(SecureSettings {
-        auth: Arc::new(IbsAuth::from_deployment(&dep, ID_MMS)),
-        session: SessionConfig::default(),
-        handshake_timeout: Duration::from_secs(5),
+        .collect();
+    let r = closed_loop(lanes, 1, |(s, frame): (&mut TcpStream, Vec<u8>)| {
+        s.write_all(&frame).expect("burst write");
+        let raw = mws_server::framing::read_raw_frame(s).expect("burst reply");
+        assert_stored(&mws_wire::decode_envelope(&raw).expect("reply").0, 1);
     });
-    let client_sec = Some(Arc::new(SecureClientSettings::new(
-        &dep,
-        ID_CLIENT,
-        Some(ID_MMS),
-    )));
-    let plain_sec: Option<Arc<SecureClientSettings>> = None;
+    let (n, p50, p99, secs) = (r.deposits, r.p50_us, r.p99_us, r.secs);
+    writeln!(output, "DONE {n} {p50} {p99} {secs:.6}").expect("fleet answer");
+    output.flush().expect("fleet answer");
 
-    let mut devices = Vec::with_capacity(w.clients);
-    for i in 0..w.clients {
-        devices.push((
-            format!("bench-sd-{i}"),
-            vec![i as u8 + 1; 32],
-            format!("LOAD-SEC-{i}"),
-        ));
-    }
-
-    let (_mws_p, mut plain_srv) = spawn_secure_warehouse(&devices, w.clients, None);
-    let (_mws_s, mut sec_srv) = spawn_secure_warehouse(&devices, w.clients, Some(server_sec));
-
-    let handshakes = if w.smoke { 8 } else { 100 };
-    let hs = first_call_samples(sec_srv.local_addr(), handshakes, &client_sec);
-    let plain_first = first_call_samples(plain_srv.local_addr(), handshakes, &plain_sec);
-    let (hs_p50, hs_p99) = quantiles(hs);
-    let (pf_p50, _) = quantiles(plain_first);
-
-    let plain = drive_single_deposits(plain_srv.local_addr(), &devices, w, &plain_sec, 7);
-    let secure = drive_single_deposits(sec_srv.local_addr(), &devices, w, &client_sec, 8);
-
-    plain_srv.shutdown();
-    sec_srv.shutdown();
-    SecureRow {
-        handshakes,
-        hs_p50_us: hs_p50,
-        hs_p99_us: hs_p99,
-        plain_first_call_p50_us: pf_p50,
-        plain,
-        secure,
-    }
-}
-
-/// Renders the secure row and splices it into `BENCH_server.json` as the
-/// `secure` key (idempotently, like the other mode splices).
-fn splice_secure_json(r: &SecureRow, w: &Workload) -> String {
-    let mut block = String::from("  \"secure\": {\n");
-    let _ = writeln!(
-        block,
-        "    \"clients\": {}, \"per_client\": {},",
-        w.clients, w.per_client
-    );
-    let _ = writeln!(
-        block,
-        "    \"handshakes\": {}, \"handshake_p50_us\": {}, \"handshake_p99_us\": {}, \"plain_first_call_p50_us\": {},",
-        r.handshakes, r.hs_p50_us, r.hs_p99_us, r.plain_first_call_p50_us
-    );
-    let _ = writeln!(block, "    \"record_overhead_bytes\": {RECORD_OVERHEAD},");
-    let mode = |m: &ModeReport| {
-        format!(
-            "{{ \"deposits\": {}, \"secs\": {:.3}, \"deposits_per_sec\": {:.1}, \"p50_us\": {}, \"p99_us\": {} }}",
-            m.deposits, m.secs, m.deposits_per_sec, m.p50_us, m.p99_us
-        )
-    };
-    let _ = writeln!(block, "    \"plain\": {},", mode(&r.plain));
-    let _ = writeln!(block, "    \"sealed\": {},", mode(&r.secure));
-    let _ = writeln!(
-        block,
-        "    \"throughput_ratio_sealed_over_plain\": {:.3},\n    \"per_frame_added_us_p50\": {}\n  }}",
-        r.secure.deposits_per_sec / r.plain.deposits_per_sec,
-        r.secure.p50_us.saturating_sub(r.plain.p50_us)
-    );
-
-    splice_section("secure", &block)
-}
-
-/// `--secure` entry: handshake latency + sealed-vs-plain throughput.
-/// Smoke keeps it tiny with no file output — the transport-security gate
-/// `scripts/tier1.sh` runs.
-fn run_secure(smoke: bool) {
-    let w = if smoke {
-        Workload {
-            clients: 2,
-            per_client: 10,
-            batches: 0,
-            batch_size: 0,
-            smoke: true,
-        }
-    } else {
-        Workload {
-            clients: 8,
-            per_client: 400,
-            batches: 0,
-            batch_size: 0,
-            smoke: false,
-        }
-    };
-    let row = bench_secure(&w);
-    eprintln!(
-        "secure: handshake p50 {:>5}µs p99 {:>6}µs over {} fresh conns (plain first call p50 {}µs)",
-        row.hs_p50_us, row.hs_p99_us, row.handshakes, row.plain_first_call_p50_us
-    );
-    eprintln!(
-        "secure: single-deposit plain {:>7.0} dep/s (p50 {:>4}µs) vs sealed {:>7.0} dep/s (p50 {:>4}µs)  +{}B/record, +{}µs p50",
-        row.plain.deposits_per_sec,
-        row.plain.p50_us,
-        row.secure.deposits_per_sec,
-        row.secure.p50_us,
-        RECORD_OVERHEAD,
-        row.secure.p50_us.saturating_sub(row.plain.p50_us),
-    );
-    if smoke {
-        eprintln!(
-            "load_bench --secure --smoke: every handshake established, every sealed deposit acked"
-        );
-        return;
-    }
-    let json = splice_secure_json(&row, &w);
-    std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_server.json (secure section)");
+    // Every connection stays open until the parent has read the server's
+    // RSS and row count with the fleet still resident.
+    expect("EXIT");
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    if argv.get(1).map(String::as_str) == Some("--conn-fleet") {
-        run_conn_fleet(&argv[2..]);
-        return;
-    }
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if std::env::args().any(|a| a == "--secure") {
-        run_secure(smoke);
-        return;
-    }
-    if std::env::args().any(|a| a == "--connections") {
-        run_connections(smoke);
-        return;
-    }
-    if std::env::args().any(|a| a == "--rebalance") {
-        run_rebalance(smoke);
-        return;
-    }
-    if std::env::args().any(|a| a == "--cluster") {
-        run_cluster(smoke);
-        return;
-    }
-    let w = if smoke {
-        Workload {
-            clients: 2,
-            per_client: 10,
-            batches: 3,
-            batch_size: 4,
-            smoke: true,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args[..] {
+        [] => {
+            let doc = run(&FULL).pretty();
+            std::fs::write("BENCH_server.json", &doc).expect("write BENCH_server.json");
+            print!("{doc}");
+            eprintln!("wrote BENCH_server.json");
         }
-    } else {
-        Workload {
-            clients: 16,
-            per_client: 400,
-            batches: 80,
-            batch_size: 8,
-            smoke: false,
+        ["--smoke"] => {
+            run(&SMOKE);
+            eprintln!("load_bench --smoke: every scenario's invariants held");
         }
-    };
-    let shard_counts: &[usize] = if smoke { &[2] } else { &[1, 4, 16] };
-
-    let base = std::env::temp_dir().join(format!("mws-load-bench-{}", std::process::id()));
-    let mut rows = Vec::new();
-    for &n in shard_counts {
-        let row = bench_shards(n, &base.join(format!("shards-{n}")), &w);
-        eprintln!(
-            "shards={:>2}  single: {:>8.0} dep/s (p50 {:>5}µs, p99 {:>6}µs)   batch[{}]: {:>8.0} dep/s (p50 {:>5}µs, p99 {:>6}µs)",
-            row.shards,
-            row.single.deposits_per_sec,
-            row.single.p50_us,
-            row.single.p99_us,
-            w.batch_size,
-            row.batch.deposits_per_sec,
-            row.batch.p50_us,
-            row.batch.p99_us,
-        );
-        rows.push(row);
+        ["--conn-fleet", addr, conns, burst_every, drivers] => {
+            let n = |s: &str| s.parse().expect("fleet argument");
+            let (input, output) = (std::io::stdin().lock(), std::io::stdout());
+            let addr = addr.parse().expect("fleet addr");
+            conn_fleet(addr, n(conns), n(burst_every), n(drivers), input, output);
+        }
+        _ => {
+            eprintln!("usage: load_bench [--smoke]");
+            std::process::exit(2);
+        }
     }
-    std::fs::remove_dir_all(&base).ok();
+}
 
-    if smoke {
-        eprintln!("load_bench --smoke: every deposit acked, retransmission deduped");
-        return;
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let json = render_json(&rows, &w);
-    std::fs::write("BENCH_server.json", &json).expect("write BENCH_server.json");
-    println!("{json}");
-    if let (Some(hi), Some(lo)) = (
-        rows.iter().find(|r| r.shards == 16),
-        rows.iter().find(|r| r.shards == 1),
-    ) {
-        eprintln!(
-            "pipeline speedup (16-shard batched vs 1-shard per-deposit): {:.2}x",
-            hi.batch.deposits_per_sec / lo.single.deposits_per_sec
-        );
+    #[test]
+    fn smoke_table_holds_every_scenario_invariant() {
+        let Json::Obj(sections) = run(&SMOKE) else {
+            panic!("the document is an object");
+        };
+        let keys: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["shards", "rebalance", "connections"]);
     }
-    eprintln!("wrote BENCH_server.json");
 }

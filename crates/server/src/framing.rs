@@ -8,7 +8,7 @@
 //! retryable.
 
 use mws_net::NetError;
-use mws_wire::{encode_envelope_auto, header_len, Pdu, WireError, MAX_BODY};
+use mws_wire::{header_len, WireError, MAX_BODY};
 use std::io::{self, Read, Write};
 
 /// Smallest envelope header (v1): `version(1) ‖ type(1) ‖ len(4)`. The
@@ -59,12 +59,6 @@ fn classify(e: io::Error) -> FrameError {
     }
 }
 
-/// Writes one PDU as an envelope frame, stamping the thread's current
-/// trace scope (v2 envelope) when one is active.
-pub fn write_frame<W: Write>(stream: &mut W, pdu: &Pdu) -> Result<(), FrameError> {
-    write_raw_frame(stream, &encode_envelope_auto(pdu))
-}
-
 /// Writes one pre-encoded envelope frame.
 pub fn write_raw_frame<W: Write>(stream: &mut W, frame: &[u8]) -> Result<(), FrameError> {
     stream.write_all(frame).map_err(classify)?;
@@ -96,7 +90,7 @@ pub fn read_raw_frame<R: Read>(stream: &mut R) -> Result<Vec<u8>, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mws_wire::decode_envelope;
+    use mws_wire::{decode_envelope, encode_envelope_auto, Pdu};
 
     #[test]
     fn frame_roundtrip_through_buffer() {
@@ -105,7 +99,7 @@ mod tests {
             detail: "framing".into(),
         };
         let mut wire = Vec::new();
-        write_frame(&mut wire, &pdu).unwrap();
+        write_raw_frame(&mut wire, &encode_envelope_auto(&pdu)).unwrap();
         let frame = read_raw_frame(&mut wire.as_slice()).unwrap();
         assert_eq!(decode_envelope(&frame).unwrap().0, pdu);
     }
@@ -113,7 +107,7 @@ mod tests {
     #[test]
     fn truncated_stream_reports_closed() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Pdu::ParamsRequest).unwrap();
+        write_raw_frame(&mut wire, &encode_envelope_auto(&Pdu::ParamsRequest)).unwrap();
         wire.pop();
         assert!(matches!(
             read_raw_frame(&mut wire.as_slice()),
@@ -131,7 +125,7 @@ mod tests {
         let mut wire = Vec::new();
         {
             let _span = mws_obs::trace::enter(ctx);
-            write_frame(&mut wire, &pdu).unwrap();
+            write_raw_frame(&mut wire, &encode_envelope_auto(&pdu)).unwrap();
         }
         let frame = read_raw_frame(&mut wire.as_slice()).unwrap();
         let (decoded, consumed, trace) = mws_wire::decode_envelope_traced(&frame).unwrap();

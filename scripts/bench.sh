@@ -2,19 +2,14 @@
 # Benchmark baselines, regenerated at the repo root.
 #
 # Targets:
-#   scripts/bench.sh             # crypto microbenches  -> BENCH_crypto.json
-#   scripts/bench.sh --server    # socket load benchmark -> BENCH_server.json
-#   scripts/bench.sh --cluster   # N-node quorum benchmark -> cluster key in BENCH_server.json
-#   scripts/bench.sh --rebalance # live-join benchmark -> rebalance key in BENCH_server.json
-#   scripts/bench.sh --connections # 10k-connection fleet benchmark -> connections key in BENCH_server.json
-#   scripts/bench.sh --secure    # transport-security overhead -> secure key in BENCH_server.json
-#   scripts/bench.sh --all       # all of the above
+#   scripts/bench.sh             # crypto microbenches -> BENCH_crypto.json
+#   scripts/bench.sh --server    # load scenarios (shards, rebalance, connections) -> BENCH_server.json
+#   scripts/bench.sh --all       # both
 #
 # Iteration counts are pinned inside the binaries (crypto: 200 @ Toy,
-# 40 @ Light, median of 5 runs per row; server: 16 clients, 6,400 single +
-# 10,240 batched deposits per shard count) so two machines produce
-# comparable JSON shapes and any row can be diffed against a committed
-# baseline.
+# 40 @ Light, median of 5 runs per row; server: the FULL scenario sizes in
+# crates/bench/src/bin/load_bench.rs) so two machines produce comparable
+# JSON shapes and any row can be diffed against a committed baseline.
 #
 # Run from the repository root.
 set -euo pipefail
@@ -30,41 +25,13 @@ run_crypto() {
 
 run_server() {
   echo "==> cargo run --release -p mws-bench --bin load_bench"
-  cargo run --release -p mws-bench --bin load_bench
+  cargo run --release -p mws-bench --bin load_bench >/dev/null
   echo "==> BENCH_server.json written"
 }
 
-run_cluster() {
-  echo "==> cargo run --release -p mws-bench --bin load_bench -- --cluster"
-  cargo run --release -p mws-bench --bin load_bench -- --cluster
-  echo "==> BENCH_server.json cluster section written"
-}
-
-run_rebalance() {
-  echo "==> cargo run --release -p mws-bench --bin load_bench -- --rebalance"
-  cargo run --release -p mws-bench --bin load_bench -- --rebalance
-  echo "==> BENCH_server.json rebalance section written"
-}
-
-run_connections() {
-  echo "==> cargo run --release -p mws-bench --bin load_bench -- --connections"
-  cargo run --release -p mws-bench --bin load_bench -- --connections
-  echo "==> BENCH_server.json connections section written"
-}
-
-run_secure() {
-  echo "==> cargo run --release -p mws-bench --bin load_bench -- --secure"
-  cargo run --release -p mws-bench --bin load_bench -- --secure
-  echo "==> BENCH_server.json secure section written"
-}
-
 case "${target}" in
-  crypto)        run_crypto ;;
-  --server)      run_server ;;
-  --cluster)     run_cluster ;;
-  --rebalance)   run_rebalance ;;
-  --connections) run_connections ;;
-  --secure)      run_secure ;;
-  --all)         run_crypto; run_server; run_cluster; run_rebalance; run_connections; run_secure ;;
-  *)             echo "usage: scripts/bench.sh [--server|--cluster|--rebalance|--connections|--secure|--all]" >&2; exit 2 ;;
+  crypto)   run_crypto ;;
+  --server) run_server ;;
+  --all)    run_crypto; run_server ;;
+  *)        echo "usage: scripts/bench.sh [--server|--all]" >&2; exit 2 ;;
 esac

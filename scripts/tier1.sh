@@ -23,21 +23,6 @@ cargo clippy --all-targets -- -D warnings
 echo "==> crypto_bench --smoke (fast-path bit-identity gate; release-build AES-128-GCM SP 800-38D cases 2-4 + pinned seal; Montgomery cross-width agreement)"
 cargo run --release -p mws-bench --bin crypto_bench -- --smoke
 
-echo "==> load_bench --smoke (durable-before-ack + dedup under socket load)"
-cargo run --release -p mws-bench --bin load_bench -- --smoke
-
-echo "==> load_bench --cluster --smoke (3-node R=2 quorum acks, exactly R copies)"
-cargo run --release -p mws-bench --bin load_bench -- --cluster --smoke
-
-echo "==> load_bench --rebalance --smoke (live join mid-load, exactly R copies after evict)"
-cargo run --release -p mws-bench --bin load_bench -- --rebalance --smoke
-
-echo "==> load_bench --connections --smoke (256 idle connections on the epoll driver, bursts all acked)"
-cargo run --release -p mws-bench --bin load_bench -- --connections --smoke
-
-echo "==> load_bench --secure --smoke (IBS handshake + sealed deposits all acked)"
-cargo run --release -p mws-bench --bin load_bench -- --secure --smoke
-
 echo "==> MWS_TRANSPORT=secure loopback deployment (every link handshaked + sealed)"
 MWS_TRANSPORT=secure cargo test -q -p mws --test tcp_deployment
 
