@@ -69,6 +69,32 @@ pub struct MwsService {
     /// MAC key for the cluster replica plane ([`Pdu::ReplicaPull`] /
     /// [`Pdu::ReplicaPush`]), derived from the MWS–PKG secret.
     replica_key: Vec<u8>,
+    /// Every message shard is plain memory and devices authenticate by
+    /// MAC: a deposit neither fsyncs nor pairs, so it may run on the
+    /// server's event loop (see [`Warehouse::runs_inline`]).
+    cheap_deposits: bool,
+}
+
+/// The server-facing face of an [`MwsService`]: dispatches requests and
+/// says which of them may run on the event loop.
+struct Warehouse(MwsService);
+
+impl mws_net::Service for Warehouse {
+    fn handle(&mut self, req: Pdu) -> Pdu {
+        self.0.dispatch(req)
+    }
+
+    /// Deposits and health checks, when deposits touch neither a disk nor
+    /// a pairing. `File` shards fsync, `Faulty` shards are chaos fixtures
+    /// and IBS-authenticated deposits verify a signature with pairings, so
+    /// all of those stay on the worker pool, as does everything else.
+    fn runs_inline(&self, req: &Pdu) -> bool {
+        self.0.cheap_deposits
+            && matches!(
+                req,
+                Pdu::DepositRequest { .. } | Pdu::DepositBatch { .. } | Pdu::HealthRequest
+            )
+    }
 }
 
 impl MwsService {
@@ -113,6 +139,10 @@ impl MwsService {
         rng_seed: u64,
         device_auth: DeviceAuthVerifier,
     ) -> Result<Self, CoreError> {
+        let cheap_deposits = message_storages
+            .iter()
+            .all(|kind| matches!(kind, StorageKind::Memory))
+            && matches!(device_auth, DeviceAuthVerifier::Mac);
         let mms = MessageManagementSystem::open_sharded(message_storages, policy_storage)?;
         let store = mms.store_handle();
         let replica_key = replica_key(mws_pkg_secret);
@@ -129,13 +159,13 @@ impl MwsService {
             store,
             clock,
             replica_key,
+            cheap_deposits,
         })
     }
 
     /// A bindable service facade.
     pub fn as_service(&self) -> impl mws_net::Service + 'static {
-        let this = self.clone();
-        move |req: Pdu| this.dispatch(req)
+        Warehouse(self.clone())
     }
 
     /// Routes one request. Deposits take the split-lock path; everything
@@ -1776,5 +1806,104 @@ mod tests {
         }
         assert_eq!(seen.len(), 5);
         assert!(seen.windows(2).all(|w| w[0].seq < w[1].seq), "id order");
+    }
+
+    #[test]
+    fn only_memory_warehouse_deposits_run_inline() {
+        use mws_net::Service;
+        let dir = std::env::temp_dir().join(format!("mws-inline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let warehouse = |shards: Vec<StorageKind>, auth: DeviceAuthVerifier| {
+            let mws = MwsService::new_sharded(
+                DeviceRegistry::new(),
+                shards,
+                StorageKind::Memory,
+                StorageKind::Memory,
+                b"secret",
+                LogicalClock::new(),
+                ReplayPolicy::standard(),
+                1,
+                auth,
+            )
+            .unwrap();
+            mws.as_service()
+        };
+        let memory = || vec![StorageKind::Memory; 2];
+        let deposit = Pdu::DepositRequest {
+            sd_id: "m".into(),
+            timestamp: 1,
+            u: vec![1],
+            algo: 0,
+            sealed: vec![2],
+            attribute: "A".into(),
+            nonce: vec![3],
+            mac: vec![4],
+        };
+        let batch = Pdu::DepositBatch {
+            sd_id: "m".into(),
+            items: Vec::new(),
+        };
+        let cheap = [deposit, batch, Pdu::HealthRequest];
+        let pooled = [
+            Pdu::RetrieveRequest {
+                rc_id: "rc".into(),
+                auth: vec![1],
+                since: 0,
+                limit: 8,
+            },
+            Pdu::ReplicaPull {
+                attribute: "A".into(),
+                after: 0,
+                max: 8,
+            },
+            Pdu::ReplicaPush {
+                rows: Vec::new(),
+                mac: vec![1],
+            },
+            Pdu::ReplicaEvict {
+                attribute: "A".into(),
+                epoch: 1,
+                mac: vec![1],
+            },
+            Pdu::StatsRequest,
+        ];
+
+        let on_memory = warehouse(memory(), DeviceAuthVerifier::Mac);
+        assert!(cheap.iter().all(|req| on_memory.runs_inline(req)));
+        assert!(!pooled.iter().any(|req| on_memory.runs_inline(req)));
+
+        let dep = deployment();
+        let ibs = DeviceAuthVerifier::Ibs {
+            ibe: dep.ibe().clone(),
+            mpk: dep.master_public().clone(),
+        };
+        let on_file = warehouse(
+            mws_store::shard_kinds(&StorageKind::File(dir.join("messages.wal")), 2),
+            DeviceAuthVerifier::Mac,
+        );
+        let one_faulty = {
+            let mut kinds = memory();
+            kinds[1] = StorageKind::Memory.with_faults(FaultPlan::new());
+            kinds
+        };
+        for (why, service) in [
+            ("file shards fsync", on_file),
+            (
+                "faulty shards are chaos fixtures",
+                warehouse(one_faulty, DeviceAuthVerifier::Mac),
+            ),
+            (
+                "IBS deposits verify with pairings",
+                warehouse(memory(), ibs),
+            ),
+        ] {
+            let inline: Vec<_> = cheap
+                .iter()
+                .chain(&pooled)
+                .filter(|r| service.runs_inline(r))
+                .collect();
+            assert!(inline.is_empty(), "{why}: {inline:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,6 +19,15 @@ use std::sync::{Arc, Mutex};
 pub trait Service: Send {
     /// Handles one request.
     fn handle(&mut self, request: Pdu) -> Pdu;
+
+    /// Whether `request` is cheap enough to run on the TCP server's event
+    /// loop thread instead of its worker pool: no fsync, no pairing, no
+    /// network call, only short lock holds. While it runs, every other
+    /// connection on that loop waits, so the default is `false`; only the
+    /// memory-backed warehouse's deposits say otherwise (DESIGN.md §11).
+    fn runs_inline(&self, _request: &Pdu) -> bool {
+        false
+    }
 }
 
 impl<F: FnMut(Pdu) -> Pdu + Send> Service for F {

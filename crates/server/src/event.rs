@@ -3,12 +3,18 @@
 //! A utility fleet is thousands of mostly-idle meters holding one
 //! persistent connection each, so a small, fixed set of **event-loop
 //! threads** accepts and owns every connection (a [`Conn`] over a
-//! nonblocking socket) and the worker pool only ever sees decoded PDUs:
-//! crypto/storage work never blocks a loop, and an idle connection costs
-//! one fd plus a few hundred bytes.
+//! nonblocking socket) and an idle connection costs one fd plus a few
+//! hundred bytes.
 //!
 //! What the loop adds to [`Conn`] is I/O and hand-offs:
 //!
+//! * **Cheap requests run on the loop.** Each loop holds its own service;
+//!   a request that [`Service::runs_inline`] admits (a memory-warehouse
+//!   deposit) is handled right there, with no queue, wake-up or waker
+//!   write. Everything else — fsync, pairing, RSA, network calls — goes
+//!   to the worker pool as a decoded PDU, so that work never blocks a
+//!   loop. Either way [`Conn`] hands out one request at a time, so reply
+//!   order does not depend on where a request ran.
 //! * **Accept in the loop.** Every loop registers the shared listener
 //!   with `EPOLLEXCLUSIVE` and accepts nonblocking on readiness.
 //! * **Write backpressure.** A connection's output is written
@@ -30,6 +36,7 @@ use crate::sys::{
     Epoll, EpollEvent, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use mws_net::Service;
+use mws_wire::{encode_envelope, Pdu};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -89,8 +96,10 @@ struct Socket {
     interest: u32,
 }
 
-struct EventLoop {
+struct EventLoop<S> {
     id: usize,
+    /// Runs the requests [`Service::runs_inline`] admits, on this thread.
+    service: S,
     epoll: Epoll,
     waker_rx: UnixStream,
     listener: Arc<TcpListener>,
@@ -107,7 +116,7 @@ struct EventLoop {
     read_buf: Vec<u8>,
 }
 
-impl EventLoop {
+impl<S: Service> EventLoop<S> {
     fn run(mut self) {
         let mut events = vec![EpollEvent::empty(); EVENTS_PER_TICK];
         let tick_ms = self.cfg.read_poll.as_millis().clamp(1, 1000) as i32;
@@ -207,20 +216,33 @@ impl EventLoop {
         self.service(token);
     }
 
-    /// One advance of a connection after anything changed it: dispatch
-    /// its next request, write what it has, then close it or reconcile
-    /// its epoll interest.
+    /// One advance of a connection after anything changed it: run its
+    /// cheap requests to completion and hand the next other one to the
+    /// pool, write what it has, then close it or reconcile its epoll
+    /// interest.
     fn service(&mut self, token: u64) {
         let Some(s) = self.conns.get_mut(&token) else {
             return;
         };
-        if let Some(request) = s.conn.next_job() {
-            let loop_id = self.id;
-            let _ = self.jobs.send(Job {
-                loop_id,
+        while let Some((pdu, trace)) = s.conn.next_job() {
+            if self.service.runs_inline(&pdu) {
+                s.conn.complete(handle(&mut self.service, pdu, trace));
+                continue;
+            }
+            let job = Job {
+                loop_id: self.id,
                 token,
-                request,
-            });
+                request: (pdu, trace),
+            };
+            if self.jobs.send(job).is_ok() {
+                break;
+            }
+            // Every worker is gone: answer rather than leave the
+            // connection waiting for a completion that cannot come.
+            s.conn.complete(encode_envelope(&Pdu::Error {
+                code: 503,
+                detail: "worker pool unavailable".into(),
+            }));
         }
         if !flush(s) || s.conn.should_close() {
             self.close(token);
@@ -319,7 +341,7 @@ fn worker_loop<S: Service>(jobs: &queue::Receiver<Job>, handles: &[LoopHandle], 
 }
 
 /// Starts `event_loops` loop threads sharing `listener`, then `workers`
-/// service threads.
+/// service threads; each of them takes one service from `factory`.
 pub(crate) fn spawn<S, F>(
     cfg: &ServerConfig,
     factory: &mut F,
@@ -358,6 +380,7 @@ where
         handles.push(LoopHandle { completions, waker });
         let el = EventLoop {
             id,
+            service: factory(),
             epoll,
             waker_rx,
             listener: listener.clone(),

@@ -8,8 +8,9 @@
 //! them and the service (DESIGN.md §11):
 //!
 //! * on Linux, a few epoll loop threads (`event`) accept and own every
-//!   connection and hand decoded PDUs to the worker pool, so one process
-//!   holds tens of thousands of mostly-idle smart devices;
+//!   connection, run cheap requests themselves and hand the rest to the
+//!   worker pool, so one process holds tens of thousands of mostly-idle
+//!   smart devices;
 //! * elsewhere, the blocking driver (`blocking`): each worker thread
 //!   accepts and serves one connection at a time.
 //!
@@ -47,13 +48,15 @@ pub struct ServerConfig {
     /// Listen address; port 0 binds an ephemeral port (tests).
     pub addr: String,
     /// Worker threads handling PDUs. On Linux connections are owned by
-    /// the event loops, so this is only handling parallelism; elsewhere
-    /// each worker serves one connection at a time, so it also caps the
-    /// concurrently served connections.
+    /// the event loops, so this is only the parallelism of the requests
+    /// that may block (those [`Service::runs_inline`] turns away);
+    /// elsewhere each worker serves one connection at a time, so it also
+    /// caps the concurrently served connections.
     pub workers: usize,
     /// Event-loop threads (Linux). One loop comfortably owns tens of
-    /// thousands of mostly-idle connections; add more when readiness
-    /// processing itself saturates a core.
+    /// thousands of mostly-idle connections. Loops also run the requests
+    /// [`Service::runs_inline`] admits, so on a multi-core host this, not
+    /// `workers`, is what scales memory-warehouse deposits.
     pub event_loops: usize,
     /// Open-connection ceiling. Connections beyond it are answered with
     /// an `Error {{ code: 503 }}` frame and closed immediately instead
@@ -119,8 +122,9 @@ pub struct TcpServer {
 
 impl TcpServer {
     /// Binds the listener and starts the platform's driver. `factory` is
-    /// called once per worker; the returned services typically share
-    /// state internally (e.g. clones of one `MwsService`).
+    /// called once per worker and, on Linux, once more per event loop; the
+    /// returned services typically share state internally (e.g. clones of
+    /// one `MwsService`).
     pub fn spawn<S, F>(cfg: ServerConfig, mut factory: F) -> std::io::Result<Self>
     where
         S: Service + 'static,
@@ -321,24 +325,183 @@ mod tests {
         assert_eq!(reply, frame);
     }
 
+    /// Runs `HealthRequest` on the event loop and everything else on the
+    /// pool. Echoes every request, logging the name of the thread that ran
+    /// it, and holds a `ParamsRequest` for `slow` first.
+    #[derive(Clone)]
+    struct Split {
+        slow: Duration,
+        ran_on: Arc<std::sync::Mutex<Vec<(&'static str, String)>>>,
+    }
+
+    impl Split {
+        fn new(slow: Duration) -> Self {
+            Self {
+                slow,
+                ran_on: Arc::default(),
+            }
+        }
+
+        fn factory(&self) -> impl FnMut() -> Self + Clone {
+            let this = self.clone();
+            move || this.clone()
+        }
+
+        fn ran_on(&self) -> Vec<(&'static str, String)> {
+            self.ran_on.lock().unwrap().clone()
+        }
+    }
+
+    impl Service for Split {
+        fn handle(&mut self, req: Pdu) -> Pdu {
+            let thread = std::thread::current().name().unwrap_or("").to_string();
+            self.ran_on.lock().unwrap().push((req.type_name(), thread));
+            if req == Pdu::ParamsRequest {
+                std::thread::sleep(self.slow);
+            }
+            req
+        }
+
+        fn runs_inline(&self, req: &Pdu) -> bool {
+            *req == Pdu::HealthRequest
+        }
+    }
+
+    fn frames(requests: &[Pdu]) -> Vec<u8> {
+        requests.iter().flat_map(encode_envelope).collect()
+    }
+
+    fn read_replies(s: &mut TcpStream, n: usize) -> Vec<Pdu> {
+        (0..n)
+            .map(|_| {
+                decode_envelope(&crate::framing::read_raw_frame(s).unwrap())
+                    .unwrap()
+                    .0
+            })
+            .collect()
+    }
+
+    fn acks(n: u64) -> Vec<Pdu> {
+        (0..n)
+            .map(|id| Pdu::DepositAck { message_id: id })
+            .collect()
+    }
+
+    /// Requests a loop answers itself, queued around one it must hand to
+    /// the pool: the Healths behind the slow one still wait their turn.
+    const MIXED: [Pdu; 4] = [
+        Pdu::HealthRequest,
+        Pdu::ParamsRequest,
+        Pdu::HealthRequest,
+        Pdu::HealthRequest,
+    ];
+
     #[test]
     fn pipelined_requests_on_one_connection() {
-        on_both_drivers(ServerConfig::default(), echo(), |driver, server| {
+        let check = |requests: Vec<Pdu>| {
+            move |driver: &str, server: TcpServer| {
+                let mut s = TcpStream::connect(server.local_addr()).unwrap();
+                s.write_all(&frames(&requests)).unwrap();
+                assert_eq!(read_replies(&mut s, requests.len()), requests, "{driver}");
+            }
+        };
+        on_both_drivers(ServerConfig::default(), echo(), check(acks(5)));
+        let split = Split::new(Duration::from_millis(50));
+        on_both_drivers(
+            ServerConfig::default(),
+            split.factory(),
+            check(MIXED.to_vec()),
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn inline_requests_run_on_the_loop_and_the_rest_on_the_pool() {
+        let split = Split::new(Duration::ZERO);
+        let server = TcpServer::spawn(ServerConfig::default(), split.factory()).unwrap();
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        let requests = [
+            Pdu::HealthRequest,
+            Pdu::ParamsRequest,
+            Pdu::StatsRequest,
+            Pdu::HealthRequest,
+            Pdu::DepositAck { message_id: 1 },
+        ];
+        s.write_all(&frames(&requests)).unwrap();
+        assert_eq!(read_replies(&mut s, requests.len()), requests);
+        let ran_on = split.ran_on();
+        assert_eq!(ran_on.len(), requests.len());
+        for (name, thread) in ran_on {
+            if name == Pdu::HealthRequest.type_name() {
+                assert_eq!(thread, "mws-loop-0", "{name}");
+            } else {
+                assert!(thread.starts_with("mws-worker-"), "{name} ran on {thread}");
+            }
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_inline_request_does_not_wait_for_a_busy_pool() {
+        // The only worker is held 300 ms by connection A; a Health on B is
+        // answered by the loop meanwhile.
+        let split = Split::new(Duration::from_millis(300));
+        let cfg = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = TcpServer::spawn(cfg, split.factory()).unwrap();
+        let mut a = TcpStream::connect(server.local_addr()).unwrap();
+        a.write_all(&frames(&[Pdu::ParamsRequest])).unwrap();
+        while split.ran_on().is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut b = TcpStream::connect(server.local_addr()).unwrap();
+        let started = Instant::now();
+        b.write_all(&frames(&[Pdu::HealthRequest])).unwrap();
+        assert_eq!(read_replies(&mut b, 1), [Pdu::HealthRequest]);
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_millis(50), "Health took {waited:?}");
+        assert_eq!(read_replies(&mut a, 1), [Pdu::ParamsRequest]);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_request_with_no_worker_left_gets_503() {
+        // The only worker dies on the first ParamsRequest, which drops the
+        // job queue's receiver.
+        let cfg = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = TcpServer::spawn(cfg, || {
+            |req: Pdu| {
+                assert_ne!(req, Pdu::ParamsRequest, "the worker dies here");
+                req
+            }
+        })
+        .unwrap();
+        let mut doomed = TcpStream::connect(server.local_addr()).unwrap();
+        doomed.write_all(&frames(&[Pdu::ParamsRequest])).unwrap();
+        // Until the worker has unwound, a request can still be queued for
+        // it, so each try is a fresh connection.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let reply = loop {
             let mut s = TcpStream::connect(server.local_addr()).unwrap();
-            let mut wire = Vec::new();
-            for id in 0..5u64 {
-                wire.extend_from_slice(&encode_envelope(&Pdu::DepositAck { message_id: id }));
+            s.set_read_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            s.write_all(&frames(&acks(1))).unwrap();
+            if let Ok(frame) = crate::framing::read_raw_frame(&mut s) {
+                break Some(decode_envelope(&frame).unwrap().0);
             }
-            s.write_all(&wire).unwrap();
-            for id in 0..5u64 {
-                let frame = crate::framing::read_raw_frame(&mut s).unwrap();
-                assert_eq!(
-                    decode_envelope(&frame).unwrap().0,
-                    Pdu::DepositAck { message_id: id },
-                    "{driver}"
-                );
+            if Instant::now() > deadline {
+                break None;
             }
-        });
+        };
+        assert!(
+            matches!(reply, Some(Pdu::Error { code: 503, .. })),
+            "{reply:?}"
+        );
     }
 
     #[test]
@@ -378,33 +541,28 @@ mod tests {
     fn queued_requests_are_answered_before_a_desync_closes() {
         // Good frames followed by garbage on one write: the pipeline must
         // answer every decoded request, then the 400, then close.
-        on_both_drivers(ServerConfig::default(), echo(), |driver, server| {
-            let mut s = TcpStream::connect(server.local_addr()).unwrap();
-            let mut wire = Vec::new();
-            for id in 0..3u64 {
-                wire.extend_from_slice(&encode_envelope(&Pdu::DepositAck { message_id: id }));
-            }
-            wire.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
-            s.write_all(&wire).unwrap();
-            for id in 0..3u64 {
-                let frame = crate::framing::read_raw_frame(&mut s).unwrap();
-                assert_eq!(
-                    decode_envelope(&frame).unwrap().0,
-                    Pdu::DepositAck { message_id: id },
+        let check = |requests: Vec<Pdu>| {
+            move |driver: &str, server: TcpServer| {
+                let mut s = TcpStream::connect(server.local_addr()).unwrap();
+                let mut wire = frames(&requests);
+                wire.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
+                s.write_all(&wire).unwrap();
+                assert_eq!(read_replies(&mut s, requests.len()), requests, "{driver}");
+                assert!(
+                    matches!(read_replies(&mut s, 1)[0], Pdu::Error { code: 400, .. }),
                     "{driver}"
                 );
+                let mut rest = Vec::new();
+                assert_eq!(s.read_to_end(&mut rest).unwrap_or(0), 0, "{driver}");
             }
-            let frame = crate::framing::read_raw_frame(&mut s).unwrap();
-            assert!(
-                matches!(
-                    decode_envelope(&frame).unwrap().0,
-                    Pdu::Error { code: 400, .. }
-                ),
-                "{driver}"
-            );
-            let mut rest = Vec::new();
-            assert_eq!(s.read_to_end(&mut rest).unwrap_or(0), 0, "{driver}");
-        });
+        };
+        on_both_drivers(ServerConfig::default(), echo(), check(acks(3)));
+        let split = Split::new(Duration::from_millis(50));
+        on_both_drivers(
+            ServerConfig::default(),
+            split.factory(),
+            check(MIXED.to_vec()),
+        );
     }
 
     #[test]

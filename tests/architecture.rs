@@ -289,3 +289,39 @@ fn every_crypto_export_has_a_caller_outside_the_crate() {
         "mws-crypto exports no caller outside the crate names: {unused:?}"
     );
 }
+
+/// A request runs on the server's event loop only if its service says it
+/// may, and only the memory-backed warehouse says so: `fn runs_inline` is
+/// the trait's `false` default in `mws-net` and the warehouse's override,
+/// nowhere else outside tests. A pairing or network-bound service cannot
+/// quietly move onto the loop thread.
+#[test]
+fn only_the_memory_warehouse_runs_on_the_loop() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs: Vec<_> = ["src", "examples", "crates", "benchmark/src"]
+        .iter()
+        .map(|d| root.join(d))
+        .collect();
+    let mut defined = Vec::new();
+    while let Some(path) = dirs.pop() {
+        if path.is_dir() {
+            if !path.ends_with("target") && !path.ends_with("tests") {
+                dirs.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let code = text.split("\n#[cfg(test)]").next().unwrap();
+            if code
+                .lines()
+                .any(|l| !l.trim_start().starts_with("//") && l.contains("fn runs_inline"))
+            {
+                defined.push(path.strip_prefix(root).unwrap().display().to_string());
+            }
+        }
+    }
+    defined.sort();
+    assert_eq!(
+        defined,
+        ["crates/core/src/protocol.rs", "crates/net/src/bus.rs"]
+    );
+}
