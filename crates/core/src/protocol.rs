@@ -1226,20 +1226,28 @@ mod tests {
 
     #[test]
     fn seed_to_master_key_derivation_is_pinned() {
-        // Captured at e1e27ef. Daemons, `mws-clusterctl` and seeded
-        // provisioning agree on keys only because every build derives the
-        // same ones from a seed; a moved DRBG stream would show up here.
+        // Daemons, `mws-clusterctl` and seeded provisioning agree on keys
+        // only because every build derives the same ones from a seed; a
+        // moved DRBG stream would show up here. Both values were
+        // re-captured once, on purpose, when the named parameter sets moved
+        // to Solinas group orders (they were first pinned at e1e27ef):
+        // - `mpk`: the generator, and so `P_pub = s·P`, changed with them;
+        // - `replica_key`: the secret it is derived from is drawn right
+        //   after the master key `s`, which is rejection-sampled below the
+        //   new `q`, so the DRBG stream reaches it after a different number
+        //   of draws. The stream itself did not move
+        //   (`drbg::tests::rng_stream_is_pinned`).
         use mws_crypto::Digest;
         let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
         let dep = deployment();
         let mpk = dep.ibe().mpk_to_bytes(dep.master_public());
         assert_eq!(
             hex(&Sha256::digest(&mpk)),
-            "dc4acaee14b8a5055480d60a972bb3e638463651bf69fde32ff25d8793954a6b"
+            "a5fda097982c2278f9bbd14e440f7f4e9bbba4fea2639604d7a5b3d06fccb8fe"
         );
         assert_eq!(
             hex(&dep.replica_key()),
-            "c7bbff815ea9333aa95e30619b07a1c1570070ed7418454442a83cc091558ddb"
+            "33dfbd6315ff1701c89e440ee2df602c4e790a21ef64a123788ca874bc2fbc45"
         );
     }
 

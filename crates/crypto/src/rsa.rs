@@ -199,14 +199,14 @@ impl RsaPublicKey {
         let mut em = vec![0u8; self.k];
         em[1] = 0x02;
         let ps_len = self.k - 3 - msg.len();
-        for b in em[2..2 + ps_len].iter_mut() {
-            // Nonzero random padding bytes.
-            *b = loop {
-                let candidate = (rng.next_u32() & 0xff) as u8;
-                if candidate != 0 {
-                    break candidate;
-                }
-            };
+        // Nonzero random padding: one draw for the whole string, then a
+        // redraw for each zero byte only.
+        let ps = &mut em[2..2 + ps_len];
+        rng.fill_bytes(ps);
+        for b in ps.iter_mut() {
+            while *b == 0 {
+                *b = (rng.next_u32() & 0xff) as u8;
+            }
         }
         em[2 + ps_len] = 0x00;
         em[3 + ps_len..].copy_from_slice(msg);
@@ -345,6 +345,23 @@ mod tests {
             let ct = kp.public.encrypt_pkcs1(&mut rng, msg).unwrap();
             assert_eq!(ct.len(), 64);
             assert_eq!(kp.private.decrypt_pkcs1(&ct).unwrap(), msg);
+        }
+    }
+
+    #[test]
+    fn padding_is_nonzero_over_many_seeds() {
+        let kp = keypair();
+        let msg = b"token session key";
+        for seed in 0..1000 {
+            let mut rng = HmacDrbg::from_u64(seed);
+            let ct = kp.public.encrypt_pkcs1(&mut rng, msg).unwrap();
+            let c = U2048::from_be_bytes(&ct).unwrap();
+            let em = i2osp(&kp.private.raw(&c).unwrap(), kp.private.k);
+            let ps_len = em.len() - 3 - msg.len();
+            assert_eq!(em[..2], [0x00, 0x02], "seed {seed}");
+            assert!(em[2..2 + ps_len].iter().all(|&b| b != 0), "seed {seed}");
+            assert_eq!(em[2 + ps_len], 0x00, "seed {seed}");
+            assert_eq!(kp.private.decrypt_pkcs1(&ct).unwrap(), msg, "seed {seed}");
         }
     }
 

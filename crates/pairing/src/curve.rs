@@ -38,6 +38,17 @@ pub(crate) struct Jacobian {
     pub(crate) z: Fp,
 }
 
+/// Intermediates of one Jacobian doubling of `(X, Y, Z)`, kept for the
+/// tangent line (see [`FpCtx::jac_double_parts`]).
+pub(crate) struct DoublingParts {
+    /// `M = 3X² + Z⁴`.
+    pub(crate) m: Fp,
+    /// `Y²`.
+    pub(crate) yy: Fp,
+    /// `Z²`.
+    pub(crate) zz: Fp,
+}
+
 /// Precomputed fixed-base comb table (width 4) for one point — built once
 /// via [`FpCtx::comb_table`], then every `k·P` through [`FpCtx::comb_mul`]
 /// costs about a quarter of a generic double-and-add.
@@ -226,15 +237,25 @@ impl FpCtx {
         }
     }
 
+    pub(crate) fn jac_infinity(&self) -> Jacobian {
+        Jacobian {
+            x: self.one(),
+            y: self.one(),
+            z: self.zero(),
+        }
+    }
+
     pub(crate) fn jac_double(&self, p: &Jacobian) -> Jacobian {
         if self.jac_is_infinity(p) || self.is_zero(&p.y) {
-            return Jacobian {
-                x: self.one(),
-                y: self.one(),
-                z: self.zero(),
-            };
+            return self.jac_infinity();
         }
-        // dbl-2007-bl with a = 1.
+        self.jac_double_parts(p).0
+    }
+
+    /// dbl-2007-bl (`a = 1`) of a finite `p` with `Y ≠ 0`, also returning
+    /// the `M = 3X² + Z⁴`, `Y²` and `Z²` it computed along the way: the
+    /// Miller loop builds its tangent line from them.
+    pub(crate) fn jac_double_parts(&self, p: &Jacobian) -> (Jacobian, DoublingParts) {
         let xx = self.sqr(&p.x);
         let yy = self.sqr(&p.y);
         let yyyy = self.sqr(&yy);
@@ -254,16 +275,17 @@ impl FpCtx {
             let eight_yyyy = self.dbl(&self.dbl(&self.dbl(&yyyy)));
             self.sub(&self.mul(&m, &self.sub(&s, &t)), &eight_yyyy)
         };
-        // Z3 = (Y+Z)² − YY − ZZ
+        // Z3 = (Y+Z)² − YY − ZZ = 2YZ
         let z3 = {
             let t = self.sqr(&self.add(&p.y, &p.z));
             self.sub(&self.sub(&t, &yy), &zz)
         };
-        Jacobian {
+        let doubled = Jacobian {
             x: x3,
             y: y3,
             z: z3,
-        }
+        };
+        (doubled, DoublingParts { m, yy, zz })
     }
 
     pub(crate) fn jac_add(&self, a: &Jacobian, b: &Jacobian) -> Jacobian {
@@ -285,11 +307,7 @@ impl FpCtx {
             if s1 == s2 {
                 return self.jac_double(a);
             }
-            return Jacobian {
-                x: self.one(),
-                y: self.one(),
-                z: self.zero(),
-            };
+            return self.jac_infinity();
         }
         let i = self.sqr(&self.dbl(&h));
         let j = self.mul(&h, &i);

@@ -169,12 +169,17 @@ impl FpCtx {
     /// Square root via `a^((p+1)/4)` (valid for `p ≡ 3 mod 4`).
     /// Returns `None` when `a` is a non-residue.
     pub fn sqrt(&self, a: &Fp) -> Option<Fp> {
+        let (r, is_root) = self.sqrt_signed(a);
+        is_root.then_some(r)
+    }
+
+    /// `r = a^((p+1)/4)` and whether `r² = a`. Because −1 is a non-residue
+    /// for `p ≡ 3 (mod 4)`, `r² = ±a`: when it is not a root of `a`, it is
+    /// a root of `−a`. One exponentiation answers for both.
+    pub(crate) fn sqrt_signed(&self, a: &Fp) -> (Fp, bool) {
         let r = self.pow(a, &self.sqrt_exp);
-        if self.sqr(&r) == *a {
-            Some(r)
-        } else {
-            None
-        }
+        let is_root = self.sqr(&r) == *a;
+        (r, is_root)
     }
 
     /// Legendre symbol: is `a` a (possibly zero) square?

@@ -3,9 +3,13 @@
 //! The protocol derives the per-message public point from the attribute
 //! string: `I = MapToPoint(SHA1(A ‖ Nonce))` (paper §V.D writes the hash
 //! explicitly; the curve mapping was supplied by PBC). This implementation
-//! uses try-and-increment: expand `msg ‖ counter` to a candidate
-//! x-coordinate, solve `y² = x³ + x`, and clear the cofactor so the result
-//! lands in the order-`q` subgroup.
+//! needs a single square root per input: expand `msg ‖ counter` to a
+//! candidate `x`, then on `y² = f(x) = x³ + x` with `p ≡ 3 (mod 4)`,
+//! `f(−x) = −f(x)` and −1 is a non-residue, so for `f(x) ≠ 0` exactly one
+//! of `x` and `−x` is on the curve, and `r = f(x)^((p+1)/4)` is that
+//! point's root (`r² = f(x)` or `r² = f(−x)`). The cofactor is then
+//! cleared so the result lands in the order-`q` subgroup. The counter only
+//! advances for `f(x) = 0` or a cleared point at infinity.
 //!
 //! Determinism matters: every party hashing the same attribute string must
 //! get the same point, so the mapping has no randomness beyond the input.
@@ -34,7 +38,10 @@ pub fn hash_to_point(ctx: &PairingCtx, msg: &[u8]) -> Point {
         let xi = FpW::from_be_bytes(&okm).expect("exact width");
         let x = f.from_uint(&xi);
         let rhs = f.add(&f.mul(&f.sqr(&x), &x), &x);
-        if let Some(y) = f.sqrt(&rhs) {
+        if !f.is_zero(&rhs) {
+            // r² = f(x) puts (x, r) on the curve; otherwise r² = f(−x).
+            let (y, on_x) = f.sqrt_signed(&rhs);
+            let x = if on_x { x } else { f.neg(&x) };
             // Canonical sign: take the even-parity root so the map is a
             // function of the input alone.
             let y = if f.parity(&y) { f.neg(&y) } else { y };
@@ -92,5 +99,37 @@ mod tests {
         let c = ctx();
         let p = hash_to_point(&c, b"");
         assert!(!p.is_infinity());
+    }
+
+    /// Whether the first candidate `x` for `msg` lies on the curve itself
+    /// (the `x` branch) rather than through `−x`.
+    fn takes_x_branch(c: &PairingCtx, msg: &[u8]) -> bool {
+        let f = c.field();
+        let mut input = msg.to_vec();
+        input.extend_from_slice(&0u32.to_be_bytes());
+        let okm = kdf::<Sha256>(&input, "mws-map-to-point", 8 * crate::FP_LIMBS);
+        let x = f.from_uint(&FpW::from_be_bytes(&okm).unwrap());
+        f.is_square(&f.add(&f.mul(&f.sqr(&x), &x), &x))
+    }
+
+    #[test]
+    fn both_root_branches_are_reached_and_sound() {
+        for level in [SecurityLevel::Toy, SecurityLevel::Light] {
+            let c = PairingCtx::named(level);
+            let mut seen = [false; 2];
+            for i in 0u32..64 {
+                let msg = format!("branch-{i}");
+                let branch = takes_x_branch(&c, msg.as_bytes());
+                let p = hash_to_point(&c, msg.as_bytes());
+                assert_eq!(p, hash_to_point(&c, msg.as_bytes()), "deterministic");
+                assert!(!p.is_infinity(), "finite");
+                assert!(c.in_subgroup(&p), "in the order-q subgroup");
+                seen[branch as usize] = true;
+                if seen == [true; 2] {
+                    break;
+                }
+            }
+            assert_eq!(seen, [true; 2], "{level:?}: both x and −x branches");
+        }
     }
 }

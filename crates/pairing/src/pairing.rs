@@ -8,17 +8,28 @@
 //! standard BKLS denominator elimination.
 //!
 //! The default [`TatePairing::pairing`] runs the inversion-free projective
-//! Miller loop; the affine loop (one field inversion per step) is kept as
-//! [`TatePairing::pairing_affine`], the auditable reference and D5 ablation
-//! partner — both produce bit-identical values (experiment E3 measures the
-//! gap). For a fixed first argument, [`crate::prepared::PreparedPoint`]
-//! caches the affine loop's line coefficients so repeat pairings skip all
-//! point arithmetic and inversions.
+//! Miller loop over the signed (NAF) digits of `q`, with each tangent line
+//! computed from the doubling's own intermediates. A `−1` digit adds
+//! `−P = (x_P, −y_P)`: `f_{m−1,P} = f_{m,P}·l_{mP,−P} / (v_P·v_{(m−1)P})`,
+//! and both verticals lie in `F_p*`, which the final exponentiation
+//! removes. For the Solinas orders [`crate::params`] generates the loop is
+//! all doublings plus two additions; any other `q` works too, at its NAF
+//! weight.
+//!
+//! The affine loop over the *binary* digits of `q` (one field inversion
+//! per step) is kept as [`TatePairing::pairing_affine`], the independent
+//! reference and D5 ablation partner: it shares neither the recoding nor
+//! the coordinates, and both produce bit-identical values (experiment E3
+//! measures the gap). For a fixed first argument,
+//! [`crate::prepared::PreparedPoint`] caches an affine signed-digit loop's
+//! line coefficients so repeat pairings skip all point arithmetic and
+//! inversions.
 
-use crate::curve::Point;
+use crate::curve::{Jacobian, Point};
 use crate::fp::{Fp, FpCtx};
 use crate::fp2::Fp2;
 use crate::FpW;
+use std::sync::Arc;
 
 /// Pairing engine: the field context plus the subgroup order `q` and
 /// cofactor `h` (`p + 1 = q·h`).
@@ -28,21 +39,37 @@ pub struct TatePairing {
     pub q: FpW,
     /// Cofactor `h = (p+1)/q`.
     pub h: FpW,
+    /// NAF digits of `q` below its leading one, most significant first —
+    /// the steps of every production Miller loop.
+    pub(crate) steps: Arc<[i8]>,
 }
 
 impl TatePairing {
+    /// An engine for order `q` and cofactor `h`. The caller guarantees
+    /// `q.bits() + 2 ≤ FpW::BITS`, so the NAF recoding cannot wrap.
+    pub(crate) fn new(q: FpW, h: FpW) -> Self {
+        let mut naf = crate::naf::wnaf_digits(&q, 2);
+        naf.pop(); // the leading 1: the loop starts from T = P
+        naf.reverse();
+        Self {
+            q,
+            h,
+            steps: naf.into(),
+        }
+    }
+
     /// Evaluates the modified Tate pairing of two points of `E(F_p)[q]`.
     ///
     /// Returns 1 (the identity of `μ_q`) when either input is the point at
-    /// infinity. Runs the inversion-free projective Miller loop (the default
-    /// since the D5 revision; [`Self::pairing_affine`] is the reference).
+    /// infinity. Runs the inversion-free projective signed-digit Miller
+    /// loop ([`Self::pairing_affine`] is the reference).
     pub fn pairing(&self, f: &FpCtx, p: &Point, q_pt: &Point) -> Fp2 {
         self.pairing_projective(f, p, q_pt)
     }
 
-    /// Evaluates the pairing with the affine Miller loop — one field
-    /// inversion per step. The pre-optimization reference path (D5 ablation),
-    /// bit-identical to [`Self::pairing`].
+    /// Evaluates the pairing with the affine Miller loop over the binary
+    /// digits of `q` — one field inversion per step. The pre-optimization
+    /// reference path (D5 ablation), bit-identical to [`Self::pairing`].
     pub fn pairing_affine(&self, f: &FpCtx, p: &Point, q_pt: &Point) -> Fp2 {
         let (xp, yp) = match p {
             Point::Infinity => return f.fp2_one(),
@@ -126,8 +153,8 @@ impl TatePairing {
         acc
     }
 
-    /// Evaluates the pairing with a projective (inversion-free) Miller loop —
-    /// what [`Self::pairing`] delegates to.
+    /// Evaluates the pairing with a projective (inversion-free) signed-digit
+    /// Miller loop — what [`Self::pairing`] delegates to.
     ///
     /// `T` is tracked in Jacobian coordinates; line values are scaled by the
     /// nonzero `F_p` factors `2Y·Z³` (tangent) / `(x_P − x_T)·Z³` (chord),
@@ -147,92 +174,74 @@ impl TatePairing {
         self.final_exponentiation(f, &val)
     }
 
-    /// Projective Miller loop; see [`Self::pairing_projective`].
+    /// Projective signed-digit Miller loop; see [`Self::pairing_projective`].
     fn miller_loop_projective(&self, f: &FpCtx, xp: &Fp, yp: &Fp, mxq: &Fp, yq: &Fp) -> Fp2 {
-        use crate::curve::Jacobian;
+        let neg_yp = f.neg(yp);
         let mut acc = f.fp2_one();
         let mut t = Jacobian {
             x: *xp,
             y: *yp,
             z: f.one(),
         };
-        let bits = self.q.bits();
-        for i in (0..bits - 1).rev() {
+        for &d in self.steps.iter() {
             acc = f.fp2_sqr(&acc);
             if !f.jac_is_infinity(&t) {
                 if f.is_zero(&t.y) {
                     // Vertical tangent (unreachable for odd-order P).
-                    t = f.jac_double(&t);
+                    t = f.jac_infinity();
                 } else {
-                    // Tangent line scaled by 2Y·Z³ ∈ F_p*:
-                    //   l̃ = [−2Y² − (3X² + Z⁴)(mxq·Z² − X)] + (2Y·Z³·yq)·i
-                    let zz = f.sqr(&t.z);
-                    let z4 = f.sqr(&zz);
-                    let xx3 = f.add(&f.dbl(&f.sqr(&t.x)), &f.sqr(&t.x)); // 3X²
-                    let m = f.add(&xx3, &z4); // 3X² + Z⁴
+                    // Tangent line scaled by Z3·Z² = 2Y·Z³ ∈ F_p*, from the
+                    // doubling's own M = 3X² + Z⁴, Y² and Z²:
+                    //   l̃ = [M·(X − mxq·Z²) − 2Y²] + (Z3·Z²·yq)·i
+                    let (doubled, parts) = f.jac_double_parts(&t);
                     let c0 = f.sub(
-                        &f.neg(&f.dbl(&f.sqr(&t.y))),
-                        &f.mul(&m, &f.sub(&f.mul(mxq, &zz), &t.x)),
+                        &f.mul(&parts.m, &f.sub(&t.x, &f.mul(mxq, &parts.zz))),
+                        &f.dbl(&parts.yy),
                     );
-                    let c1 = f.mul(&f.dbl(&f.mul(&t.y, &f.mul(&zz, &t.z))), yq);
+                    let c1 = f.mul(&f.mul(&doubled.z, &parts.zz), yq);
                     acc = f.fp2_mul(&acc, &f.fp2(c0, c1));
-                    t = f.jac_double(&t);
+                    t = doubled;
                 }
             }
-            if self.q.bit(i) {
-                if f.jac_is_infinity(&t) {
-                    // T == O: adding P restarts from P (unreachable for
-                    // exact-order inputs).
-                    t = Jacobian {
-                        x: *xp,
-                        y: *yp,
-                        z: f.one(),
-                    };
-                } else {
-                    let zz = f.sqr(&t.z);
-                    let z3 = f.mul(&zz, &t.z);
-                    // x_T == x_P ⟺ X == xp·Z².
-                    if t.x == f.mul(xp, &zz) {
-                        if t.y == f.mul(yp, &z3) {
-                            // T == P: tangent case (first iteration of a q
-                            // with two leading 1 bits). Reuse the tangent
-                            // line formula.
-                            let z4 = f.sqr(&zz);
-                            let xx3 = f.add(&f.dbl(&f.sqr(&t.x)), &f.sqr(&t.x));
-                            let m = f.add(&xx3, &z4);
-                            let c0 = f.sub(
-                                &f.neg(&f.dbl(&f.sqr(&t.y))),
-                                &f.mul(&m, &f.sub(&f.mul(mxq, &zz), &t.x)),
-                            );
-                            let c1 = f.mul(&f.dbl(&f.mul(&t.y, &z3)), yq);
-                            acc = f.fp2_mul(&acc, &f.fp2(c0, c1));
-                            t = f.jac_double(&t);
-                        } else {
-                            // T == −P: vertical chord, eliminated; T ← O.
-                            t = Jacobian {
-                                x: f.one(),
-                                y: f.one(),
-                                z: f.zero(),
-                            };
-                        }
-                    } else {
-                        // Chord through T and P scaled by (x_P − x_T)·Z³:
-                        //   l̃ = [(xp·Z³ − X·Z)(−yp) − (yp·Z³ − Y)(mxq − xp)]
-                        //        + ((xp·Z³ − X·Z)·yq)·i
-                        let a = f.sub(&f.mul(xp, &z3), &f.mul(&t.x, &t.z)); // (xp−x1)Z³/... = xp·Z³ − X·Z
-                        let b = f.sub(&f.mul(yp, &z3), &t.y); // (yp−y1)·Z³
-                        let c0 = f.sub(&f.mul(&a, &f.neg(yp)), &f.mul(&b, &f.sub(mxq, xp)));
-                        let c1 = f.mul(&a, yq);
-                        acc = f.fp2_mul(&acc, &f.fp2(c0, c1));
-                        let p_jac = Jacobian {
-                            x: *xp,
-                            y: *yp,
-                            z: f.one(),
-                        };
-                        t = f.jac_add(&t, &p_jac);
-                    }
-                }
+            if d == 0 {
+                continue;
             }
+            // Add d·P, with −P = (xp, −yp).
+            let y = if d > 0 { yp } else { &neg_yp };
+            if f.jac_is_infinity(&t) {
+                // T == O: adding restarts from ±P (unreachable for
+                // exact-order inputs).
+                t = Jacobian {
+                    x: *xp,
+                    y: *y,
+                    z: f.one(),
+                };
+                continue;
+            }
+            let zz = f.sqr(&t.z);
+            let z3 = f.mul(&zz, &t.z);
+            if t.x == f.mul(xp, &zz) {
+                // x_T == x_P: for an order-q P this is only the last
+                // digit, where T = (q − d)·P = −d·P — the vertical chord,
+                // eliminated; T ← O. (T == d·P, a tangent, cannot occur
+                // before the last step of a NAF loop.)
+                t = f.jac_infinity();
+                continue;
+            }
+            // Chord through T and (xp, y) scaled by (x_P − x_T)·Z³:
+            //   l̃ = [(xp·Z³ − X·Z)(−y) − (y·Z³ − Y)(mxq − xp)]
+            //        + ((xp·Z³ − X·Z)·yq)·i
+            let a = f.sub(&f.mul(xp, &z3), &f.mul(&t.x, &t.z));
+            let b = f.sub(&f.mul(y, &z3), &t.y);
+            let c0 = f.sub(&f.mul(&a, &f.neg(y)), &f.mul(&b, &f.sub(mxq, xp)));
+            let c1 = f.mul(&a, yq);
+            acc = f.fp2_mul(&acc, &f.fp2(c0, c1));
+            let addend = Jacobian {
+                x: *xp,
+                y: *y,
+                z: f.one(),
+            };
+            t = f.jac_add(&t, &addend);
         }
         acc
     }
@@ -334,27 +343,30 @@ mod tests {
 
     #[test]
     fn projective_matches_affine() {
-        let c = ctx();
-        let mut rng = HmacDrbg::from_u64(6);
-        let g = c.generator();
-        for _ in 0..5 {
-            let a = c.random_scalar(&mut rng);
-            let b = c.random_scalar(&mut rng);
-            let pa = c.mul(&g, &a);
-            let pb = c.mul(&g, &b);
-            // Default (projective) vs the affine reference, bit-identical.
-            assert_eq!(c.pairing(&pa, &pb), c.pairing_affine(&pa, &pb));
-            assert_eq!(c.pairing(&pa, &pb), c.pairing_projective(&pa, &pb));
+        for (name, c) in crate::params::cross_check_sets() {
+            let mut rng = HmacDrbg::from_u64(6);
+            let g = c.generator();
+            for _ in 0..3 {
+                let a = c.random_scalar(&mut rng);
+                let b = c.random_scalar(&mut rng);
+                let pa = c.mul(&g, &a);
+                let pb = c.mul(&g, &b);
+                // Signed-digit projective loop vs the binary affine
+                // reference, bit-identical.
+                let reference = c.pairing_affine(&pa, &pb);
+                assert_eq!(c.pairing(&pa, &pb), reference, "{name}");
+                assert_eq!(c.pairing_projective(&pa, &pb), reference, "{name}");
+            }
+            // Including identity inputs and hashed points.
+            assert_eq!(
+                c.pairing_projective(&Point::Infinity, &g),
+                c.field().fp2_one()
+            );
+            assert_eq!(c.pairing_affine(&Point::Infinity, &g), c.field().fp2_one());
+            let h = c.hash_to_point(b"some attribute");
+            assert_eq!(c.pairing(&h, &g), c.pairing_affine(&h, &g), "{name}");
+            assert_eq!(c.pairing(&g, &h), c.pairing_affine(&g, &h), "{name}");
         }
-        // Including identity inputs and hashed points.
-        assert_eq!(
-            c.pairing_projective(&Point::Infinity, &g),
-            c.field().fp2_one()
-        );
-        assert_eq!(c.pairing_affine(&Point::Infinity, &g), c.field().fp2_one());
-        let h = c.hash_to_point(b"some attribute");
-        assert_eq!(c.pairing(&h, &g), c.pairing_affine(&h, &g));
-        assert_eq!(c.pairing(&g, &h), c.pairing_affine(&g, &h));
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! Pairing parameter sets (PBC "type A" analogue) and the user-facing
 //! [`PairingCtx`].
+//!
+//! Generation follows the shape of PBC's type-A generator: the group order
+//! is a Solinas prime `q = 2^a ± 2^b ± 1`, so the signed-digit Miller loop
+//! over `q` is all doublings plus two additions. The cofactor search and
+//! the generator are independent of that shape.
 
 use crate::curve::{CombTable, Point};
 use crate::fp::FpCtx;
@@ -7,9 +12,42 @@ use crate::fp2::Fp2;
 use crate::pairing::TatePairing;
 use crate::prepared::PreparedPoint;
 use crate::{FpW, PairingError};
-use mws_bigint::{gen_prime, is_prime, random_below, random_nonzero_below, MillerRabinRounds};
+use mws_bigint::{is_prime, random_below, random_nonzero_below, MillerRabinRounds};
 use mws_crypto::{HmacDrbg, Rng};
 use std::sync::{Arc, OnceLock};
+
+const ROUNDS: MillerRabinRounds = MillerRabinRounds(32);
+
+/// Draws a Solinas prime `q = 2^a ± 2^b ± 1` of exactly `qbits` bits, with
+/// `b ∈ [1, qbits − 2]` and both signs from `rng`. A subtracted `2^b`
+/// pairs with `a = qbits`, an added one with `a = qbits − 1`, so every
+/// sign pattern keeps the length. `None` if no candidate passed within
+/// the draw budget, so a size with no such prime fails instead of looping.
+fn solinas_prime<R: Rng + ?Sized>(rng: &mut R, qbits: u32) -> Option<FpW> {
+    for _ in 0..64 * qbits {
+        let draw = rng.next_u32();
+        let (minus_b, minus_one) = (draw & 1 == 1, draw & 2 == 2);
+        let b = 1 + (draw >> 2) % (qbits - 2);
+        let mut q = FpW::ZERO;
+        q.set_bit(if minus_b { qbits } else { qbits - 1 }, true);
+        let mut two_b = FpW::ZERO;
+        two_b.set_bit(b, true);
+        q = if minus_b {
+            q.wrapping_sub(&two_b)
+        } else {
+            q.wrapping_add(&two_b)
+        };
+        q = if minus_one {
+            q.wrapping_sub(&FpW::ONE)
+        } else {
+            q.wrapping_add(&FpW::ONE)
+        };
+        if q.bits() == qbits && is_prime(&q, ROUNDS, rng) {
+            return Some(q);
+        }
+    }
+    None
+}
 
 /// Raw curve parameters: `p + 1 = q·h`, `E : y² = x³ + x` over `F_p`,
 /// generator of the order-`q` subgroup.
@@ -71,8 +109,12 @@ pub struct PairingCtx {
 impl PairingCtx {
     /// Builds a context from raw parameters, validating their consistency.
     pub fn from_params(params: &PairingParams) -> Result<Self, PairingError> {
-        // p ≡ 3 (mod 4), q·h = p + 1.
+        // p ≡ 3 (mod 4), q·h = p + 1, and q narrow enough for the Miller
+        // loop's signed-digit recoding.
         if params.p.is_even() || params.p.as_u64() & 3 != 3 {
+            return Err(PairingError::BadParameters);
+        }
+        if params.q.bits() + 2 > FpW::BITS {
             return Err(PairingError::BadParameters);
         }
         let (qh, overflow) = {
@@ -96,10 +138,7 @@ impl PairingCtx {
         }
         Ok(Self {
             fp,
-            tate: TatePairing {
-                q: params.q,
-                h: params.h,
-            },
+            tate: TatePairing::new(params.q, params.h),
             generator,
             params: params.clone(),
             gen_comb: Arc::new(OnceLock::new()),
@@ -107,8 +146,9 @@ impl PairingCtx {
         })
     }
 
-    /// Generates fresh parameters: a `qbits`-bit prime subgroup inside a
-    /// `pbits`-bit field with `p = q·h − 1`, `12 | h`.
+    /// Generates fresh parameters: a `qbits`-bit Solinas prime subgroup
+    /// order `q = 2^a ± 2^b ± 1` inside a `pbits`-bit field with
+    /// `p = q·h − 1`, `12 | h`.
     pub fn generate<R: Rng + ?Sized>(
         rng: &mut R,
         qbits: u32,
@@ -117,8 +157,13 @@ impl PairingCtx {
         if qbits < 16 || pbits <= qbits + 8 || pbits > FpW::BITS {
             return Err(PairingError::BadParameters);
         }
-        let rounds = MillerRabinRounds(32);
-        let q: FpW = gen_prime(rng, qbits, rounds);
+        let q = solinas_prime(rng, qbits).ok_or(PairingError::BadParameters)?;
+        Ok(Self::with_order(rng, q, pbits))
+    }
+
+    /// The rest of generation for a chosen prime order `q`: the cofactor
+    /// search, `p = q·h − 1`, and the generator.
+    fn with_order<R: Rng + ?Sized>(rng: &mut R, q: FpW, pbits: u32) -> Self {
         // h ranges so that q·h − 1 has exactly pbits bits; h ≡ 0 (mod 12)
         // forces p ≡ 3 (mod 4) (and keeps the PBC convention 12 | h).
         let twelve = FpW::from_u64(12);
@@ -143,7 +188,7 @@ impl PairingCtx {
                 continue;
             }
             debug_assert_eq!(p.as_u64() & 3, 3);
-            if is_prime(&p, rounds, rng) {
+            if is_prime(&p, ROUNDS, rng) {
                 break p;
             }
         };
@@ -167,14 +212,14 @@ impl PairingCtx {
             h,
             generator: fp.point_to_bytes(&generator),
         };
-        Ok(Self {
+        Self {
             fp,
-            tate: TatePairing { q, h },
+            tate: TatePairing::new(q, h),
             generator,
             params,
             gen_comb: Arc::new(OnceLock::new()),
             gen_prepared: Arc::new(OnceLock::new()),
-        })
+        }
     }
 
     /// Returns the deterministic named parameter set (cached per process).
@@ -292,15 +337,16 @@ impl PairingCtx {
         self.tate.pairing(&self.fp, p, q)
     }
 
-    /// The modified Tate pairing via the projective Miller loop — what
-    /// [`Self::pairing`] now runs; kept as an explicit name for ablations.
+    /// The modified Tate pairing via the projective signed-digit Miller
+    /// loop — what [`Self::pairing`] runs; kept as an explicit name for
+    /// ablations.
     pub fn pairing_projective(&self, p: &Point, q: &Point) -> Fp2 {
         self.tate.pairing_projective(&self.fp, p, q)
     }
 
-    /// The modified Tate pairing via the affine Miller loop (one inversion
-    /// per step) — the auditable reference and pre-optimization baseline,
-    /// bit-identical to [`Self::pairing`].
+    /// The modified Tate pairing via the affine Miller loop over the binary
+    /// digits of `q` (one inversion per step) — the independent reference
+    /// and pre-optimization baseline, bit-identical to [`Self::pairing`].
     pub fn pairing_affine(&self, p: &Point, q: &Point) -> Fp2 {
         self.tate.pairing_affine(&self.fp, p, q)
     }
@@ -316,9 +362,83 @@ impl PairingCtx {
     }
 }
 
+/// Parameter sets every signed-digit loop is cross-checked on against the
+/// binary affine reference: the three named sets, one small [`generate`]
+/// output per NAF sign pattern of `q = 2^a ± 2^b ± 1`, and a random
+/// (`gen_prime`) order of full NAF weight rebuilt through
+/// [`PairingCtx::from_params`], as a device receiving foreign parameters
+/// would.
+///
+/// [`generate`]: PairingCtx::generate
+#[cfg(test)]
+pub(crate) fn cross_check_sets() -> &'static [(String, PairingCtx)] {
+    static SETS: OnceLock<Vec<(String, PairingCtx)>> = OnceLock::new();
+    SETS.get_or_init(|| {
+        let mut sets: Vec<(String, PairingCtx)> = [
+            SecurityLevel::Toy,
+            SecurityLevel::Light,
+            SecurityLevel::Standard,
+        ]
+        .into_iter()
+        .map(|level| (format!("{level:?}"), PairingCtx::named(level)))
+        .collect();
+        let mut patterns = Vec::new();
+        for seed in 0u64.. {
+            let c = PairingCtx::generate(&mut HmacDrbg::from_u64(seed), 32, 96).unwrap();
+            let naf = crate::naf::wnaf_digits(c.group_order(), 2);
+            let signs: Vec<i8> = naf.into_iter().filter(|d| *d != 0).collect();
+            if let [low, mid, 1] = signs[..] {
+                if !patterns.contains(&(mid, low)) {
+                    patterns.push((mid, low));
+                    sets.push((format!("solinas {mid:+}·2^b {low:+}"), c));
+                }
+            }
+            if patterns.len() == 4 {
+                break;
+            }
+        }
+        let mut rng = HmacDrbg::from_u64(0x52414e44);
+        let q = mws_bigint::gen_prime(&mut rng, 32, ROUNDS);
+        let random = PairingCtx::with_order(&mut rng, q, 96);
+        let rebuilt = PairingCtx::from_params(random.params()).unwrap();
+        sets.push(("gen_prime q".to_string(), rebuilt));
+        sets
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn generate_draws_solinas_orders() {
+        for (qbits, pbits, seed) in [(16, 48, 1), (32, 96, 2), (80, 160, 3)] {
+            let c = PairingCtx::generate(&mut HmacDrbg::from_u64(seed), qbits, pbits).unwrap();
+            let q = c.group_order();
+            assert_eq!(q.bits(), qbits, "q is exactly qbits long");
+            let weight = crate::naf::wnaf_digits(q, 2)
+                .iter()
+                .filter(|d| **d != 0)
+                .count();
+            assert!(
+                weight <= 3,
+                "NAF weight {weight} > 3 for q = {}",
+                q.to_hex()
+            );
+        }
+        for (name, c) in cross_check_sets() {
+            let q = c.group_order();
+            let weight = crate::naf::wnaf_digits(q, 2)
+                .iter()
+                .filter(|d| **d != 0)
+                .count();
+            if name == "gen_prime q" {
+                assert!(weight > 3, "the random order is not Solinas-shaped");
+            } else {
+                assert!(weight <= 3, "{name}: NAF weight {weight}");
+            }
+        }
+    }
 
     #[test]
     fn toy_params_self_consistent() {

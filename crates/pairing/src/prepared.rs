@@ -6,11 +6,12 @@
 //! generator in signature verification. The Miller loop's point arithmetic
 //! (and, in the affine formulation, its per-step inversions) depends only on
 //! that first argument: the second point enters through line *evaluations*
-//! alone. [`PreparedPoint`] therefore runs the affine loop once, caching per
-//! step the two coefficients that summarize each line; replaying the tape
-//! against a concrete `Q` costs one `F_p` multiplication plus one addition
-//! per line and one `F_p²` squaring per doubling — no point operations, no
-//! inversions.
+//! alone. [`PreparedPoint`] therefore runs an affine loop once, over the
+//! same signed digits of `q` as the projective loop (a `−1` digit adds
+//! `(x_P, −y_P)`), caching per step the two coefficients that summarize
+//! each line; replaying the tape against a concrete `Q` costs one `F_p`
+//! multiplication plus one addition per line and one `F_p²` squaring per
+//! doubling — no point operations, no inversions.
 //!
 //! A line through `(x₁, y₁)` with slope `λ`, evaluated at the distortion
 //! image `φ(Q) = (−x_Q, i·y_Q)`, is
@@ -20,10 +21,11 @@
 //! ```
 //!
 //! so caching `a = λ·x₁ − y₁` and `b = λ` suffices: `c₀ = a + b·x_Q`, and
-//! `c₁ = y_Q` is constant across the whole evaluation. Because `F_p`
-//! elements carry a canonical reduced representation, the regrouping is
-//! bit-identical to the affine loop's `λ(x₁ − (−x_Q)) − y₁`, and the
-//! replayed pairing equals [`TatePairing::pairing`] bit for bit.
+//! `c₁ = y_Q` is constant across the whole evaluation. The tape's Miller
+//! value differs from the projective loop's and the binary affine
+//! reference's only by factors in `F_p*`, so after the final
+//! exponentiation the replayed pairing equals [`TatePairing::pairing`]
+//! bit for bit.
 
 use crate::curve::Point;
 use crate::fp::{Fp, FpCtx};
@@ -69,9 +71,9 @@ impl TatePairing {
     /// Runs the Miller loop for `p` once, caching the per-step line
     /// coefficients.
     ///
-    /// Mirrors the affine loop of [`Self::pairing_affine`] exactly (same
-    /// branch structure, same operation order) so that replaying the tape is
-    /// bit-identical to computing the pairing from scratch.
+    /// Walks the same signed digits as the projective loop, in affine
+    /// coordinates: preparing pays one inversion per line, once, so that
+    /// each replay pays none.
     pub fn prepare(&self, f: &FpCtx, p: &Point) -> PreparedPoint {
         let (xp, yp) = match p {
             Point::Infinity => {
@@ -82,15 +84,15 @@ impl TatePairing {
             }
             Point::Affine { x, y } => (*x, *y),
         };
-        let bits = self.q.bits();
-        let mut ops = Vec::with_capacity(2 * bits as usize);
+        let neg_yp = f.neg(&yp);
+        let mut ops = Vec::with_capacity(2 * self.steps.len() + 4);
         let line = |lambda: &Fp, x1: &Fp, y1: &Fp| MillerOp::Line {
             a: f.sub(&f.mul(lambda, x1), y1),
             b: *lambda,
         };
         // T = (xt, yt); None encodes the point at infinity.
         let mut t: Option<(Fp, Fp)> = Some((xp, yp));
-        for i in (0..bits - 1).rev() {
+        for &d in self.steps.iter() {
             ops.push(MillerOp::Square);
             if let Some((xt, yt)) = t {
                 if f.is_zero(&yt) {
@@ -106,34 +108,25 @@ impl TatePairing {
                     t = Some((x3, y3));
                 }
             }
-            if self.q.bit(i) {
-                if let Some((xt, yt)) = t {
-                    if xt == xp {
-                        if yt == yp {
-                            // T == P: the "chord" is the tangent at P.
-                            let num = f.add(&f.mul(&f.three(), &f.sqr(&xt)), &f.one());
-                            let lambda = f.mul(&num, &f.inv(&f.dbl(&yt)).expect("y ≠ 0"));
-                            ops.push(line(&lambda, &xt, &yt));
-                            let x3 = f.sub(&f.sub(&f.sqr(&lambda), &xt), &xt);
-                            let y3 = f.sub(&f.mul(&lambda, &f.sub(&xt, &x3)), &yt);
-                            t = Some((x3, y3));
-                        } else {
-                            // T == −P: vertical chord, eliminated; T ← O.
-                            t = None;
-                        }
-                    } else {
-                        let lambda =
-                            f.mul(&f.sub(&yp, &yt), &f.inv(&f.sub(&xp, &xt)).expect("xp ≠ xt"));
-                        ops.push(line(&lambda, &xt, &yt));
-                        let x3 = f.sub(&f.sub(&f.sqr(&lambda), &xt), &xp);
-                        let y3 = f.sub(&f.mul(&lambda, &f.sub(&xt, &x3)), &yt);
-                        t = Some((x3, y3));
-                    }
-                } else {
-                    // T == O: adding P restarts from P.
-                    t = Some((xp, yp));
-                }
+            if d == 0 {
+                continue;
             }
+            // Add d·P, with −P = (xp, −yp).
+            let y = if d > 0 { yp } else { neg_yp };
+            t = match t {
+                // T == O: adding restarts from ±P.
+                None => Some((xp, y)),
+                // x_T == x_P: T == −d·P at the last digit — the vertical
+                // chord, eliminated; T ← O (see the projective loop).
+                Some((xt, _)) if xt == xp => None,
+                Some((xt, yt)) => {
+                    let lambda = f.mul(&f.sub(&y, &yt), &f.inv(&f.sub(&xp, &xt)).expect("xp ≠ xt"));
+                    ops.push(line(&lambda, &xt, &yt));
+                    let x3 = f.sub(&f.sub(&f.sqr(&lambda), &xt), &xp);
+                    let y3 = f.sub(&f.mul(&lambda, &f.sub(&xt, &x3)), &yt);
+                    Some((x3, y3))
+                }
+            };
         }
         PreparedPoint { point: *p, ops }
     }
@@ -169,9 +162,9 @@ mod tests {
     use mws_crypto::HmacDrbg;
 
     /// Prepared evaluation must agree bit-for-bit with the unprepared
-    /// pairing for random, hashed, and identity inputs.
-    fn cross_check(level: SecurityLevel) {
-        let c = PairingCtx::named(level);
+    /// pairing and the binary affine reference for random, hashed, and
+    /// identity inputs.
+    fn cross_check(name: &str, c: &PairingCtx) {
         let mut rng = HmacDrbg::from_u64(0x505245);
         let g = c.generator();
         let prepared_g = c.prepare(&g);
@@ -179,18 +172,27 @@ mod tests {
         for _ in 0..3 {
             let k = c.random_scalar(&mut rng);
             let q_pt = c.mul(&g, &k);
-            assert_eq!(c.pairing_with(&prepared_g, &q_pt), c.pairing(&g, &q_pt));
             assert_eq!(
                 c.pairing_with(&prepared_g, &q_pt),
-                c.pairing_affine(&g, &q_pt)
+                c.pairing(&g, &q_pt),
+                "{name}"
+            );
+            assert_eq!(
+                c.pairing_with(&prepared_g, &q_pt),
+                c.pairing_affine(&g, &q_pt),
+                "{name}"
             );
         }
         // Fixed = a hashed point (exercises arbitrary subgroup elements).
         let h = c.hash_to_point(b"prepared/cross-check");
         let prepared_h = c.prepare(&h);
-        assert_eq!(c.pairing_with(&prepared_h, &g), c.pairing(&h, &g));
+        assert_eq!(
+            c.pairing_with(&prepared_h, &g),
+            c.pairing_affine(&h, &g),
+            "{name}"
+        );
         // Symmetry swap: e(Q, P_fixed) computed as e(P_fixed, Q).
-        assert_eq!(c.pairing_with(&prepared_h, &g), c.pairing(&g, &h));
+        assert_eq!(c.pairing_with(&prepared_h, &g), c.pairing(&g, &h), "{name}");
         // Identity inputs.
         assert_eq!(
             c.pairing_with(&prepared_g, &Point::Infinity),
@@ -202,12 +204,19 @@ mod tests {
 
     #[test]
     fn prepared_matches_unprepared_toy() {
-        cross_check(SecurityLevel::Toy);
+        cross_check("Toy", &PairingCtx::named(SecurityLevel::Toy));
     }
 
     #[test]
     fn prepared_matches_unprepared_light() {
-        cross_check(SecurityLevel::Light);
+        cross_check("Light", &PairingCtx::named(SecurityLevel::Light));
+    }
+
+    #[test]
+    fn prepared_matches_unprepared_on_every_cross_check_set() {
+        for (name, c) in crate::params::cross_check_sets() {
+            cross_check(name, c);
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! Database" (§V.D). Rows keep the IBE component `U = rP`, the symmetric
 //! ciphertext, the attribute string and nonce, plus provenance (depositing
 //! device, logical timestamp). A secondary in-memory index maps attribute →
-//! message ids so the MMS can serve "all records whose attribute field
-//! matches" without a full scan (experiment E8 measures the difference
-//! against the flat-file baseline).
+//! `(message id, timestamp)` entries so the MMS can serve "all records whose
+//! attribute field matches" without a full scan (experiment E8 measures the
+//! difference against the flat-file baseline), and so time-filtered reads,
+//! pages and retention sweeps decode only the rows they return or remove.
 
 use crate::engine::{KvEngine, StorageKind};
 use crate::{Result, StoreError};
@@ -15,6 +16,9 @@ use std::collections::BTreeMap;
 
 /// Message identifier (monotonically increasing).
 pub type MessageId = u64;
+
+/// One attribute-index entry: a row's id and its deposit timestamp.
+type IndexEntry = (MessageId, u64);
 
 /// One warehoused message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,7 +73,8 @@ pub struct MessageDb {
     /// striped tables share one global id space without coordination. The
     /// unsharded default is `stride = 1`.
     stride: u64,
-    by_attribute: BTreeMap<String, Vec<MessageId>>,
+    /// Attribute → its rows' `(id, timestamp)`, in id order.
+    by_attribute: BTreeMap<String, Vec<IndexEntry>>,
     /// Deposit origin `(sd_id, nonce)` → id, for idempotent retransmission
     /// handling. Rebuilt from the message rows on open, so it is exactly as
     /// durable as the messages themselves.
@@ -134,16 +139,19 @@ impl MessageDb {
         assert!(stride > 0 && offset < stride, "offset must be < stride");
         let kv = KvEngine::open(kind)?;
         let mut next_id = offset;
-        let mut by_attribute: BTreeMap<String, Vec<MessageId>> = BTreeMap::new();
+        let mut by_attribute: BTreeMap<String, Vec<IndexEntry>> = BTreeMap::new();
         let mut by_origin = BTreeMap::new();
         for (_, row) in kv.iter() {
             let msg = decode(row)?;
             next_id = next_id.max(msg.id + stride);
             by_origin.insert(origin_key(&msg.sd_id, &msg.nonce), msg.id);
-            by_attribute.entry(msg.attribute).or_default().push(msg.id);
+            by_attribute
+                .entry(msg.attribute)
+                .or_default()
+                .push((msg.id, msg.timestamp));
         }
-        for ids in by_attribute.values_mut() {
-            ids.sort_unstable();
+        for entries in by_attribute.values_mut() {
+            entries.sort_unstable();
         }
         Ok(Self {
             kv,
@@ -180,7 +188,10 @@ impl MessageDb {
         self.kv.put(&key_of(id), &encode(&msg))?;
         self.next_id += self.stride;
         self.by_origin.insert(origin_key(sd_id, nonce), id);
-        self.by_attribute.entry(msg.attribute).or_default().push(id);
+        self.by_attribute
+            .entry(msg.attribute)
+            .or_default()
+            .push((id, timestamp));
         Ok(id)
     }
 
@@ -235,7 +246,7 @@ impl MessageDb {
                     self.by_attribute
                         .entry(row.attribute.clone())
                         .or_default()
-                        .push(id);
+                        .push((id, row.timestamp));
                 }
             }
         }
@@ -276,60 +287,85 @@ impl MessageDb {
 
     /// All messages carrying exactly this attribute, oldest first.
     pub fn by_attribute(&self, attribute: &str) -> Result<Vec<StoredMessage>> {
-        let Some(ids) = self.by_attribute.get(attribute) else {
-            return Ok(Vec::new());
-        };
-        ids.iter().map(|&id| self.get(id)).collect()
+        self.ids_since(attribute, 0)
+            .into_iter()
+            .map(|id| self.get(id))
+            .collect()
     }
 
     /// Union over several attributes, deduplicated, oldest first.
     pub fn by_attributes(&self, attributes: &[String]) -> Result<Vec<StoredMessage>> {
         let mut ids: Vec<MessageId> = attributes
             .iter()
-            .filter_map(|a| self.by_attribute.get(a))
-            .flatten()
-            .copied()
+            .flat_map(|a| self.ids_since(a, 0))
             .collect();
         ids.sort_unstable();
         ids.dedup();
         ids.iter().map(|&id| self.get(id)).collect()
     }
 
-    /// Messages newer than a logical timestamp for one attribute.
-    pub fn by_attribute_since(&self, attribute: &str, since: u64) -> Result<Vec<StoredMessage>> {
-        Ok(self
-            .by_attribute(attribute)?
+    /// Ids of this attribute's messages with `timestamp ≥ since`, in id
+    /// order, read from the index alone — nothing is decoded.
+    pub fn ids_since(&self, attribute: &str, since: u64) -> Vec<MessageId> {
+        self.by_attribute
+            .get(attribute)
             .into_iter()
-            .filter(|m| m.timestamp >= since)
-            .collect())
+            .flatten()
+            .filter(|&&(_, ts)| ts >= since)
+            .map(|&(id, _)| id)
+            .collect()
+    }
+
+    /// Messages newer than a logical timestamp for one attribute. Filters
+    /// on the index, so only the returned rows are decoded.
+    pub fn by_attribute_since(&self, attribute: &str, since: u64) -> Result<Vec<StoredMessage>> {
+        self.ids_since(attribute, since)
+            .into_iter()
+            .map(|id| self.get(id))
+            .collect()
     }
 
     /// Deletes every message with `timestamp < before` (retention sweep).
-    /// Returns how many rows were removed. Compacts the WAL when the sweep
-    /// leaves a majority of dead appends behind.
+    /// Returns how many rows were removed. Victims are selected from the
+    /// index and deleted in id order; only they are decoded (for their
+    /// dedup origin). Compacts the WAL when the sweep leaves a majority of
+    /// dead appends behind.
     pub fn purge_before(&mut self, before: u64) -> Result<usize> {
-        let victims: Vec<StoredMessage> = self
-            .kv
-            .iter()
-            .map(|(_, row)| decode(row))
-            .collect::<Result<Vec<_>>>()?
-            .into_iter()
-            .filter(|m| m.timestamp < before)
+        let mut victims: Vec<MessageId> = self
+            .by_attribute
+            .values()
+            .flatten()
+            .filter(|&&(_, ts)| ts < before)
+            .map(|&(id, _)| id)
             .collect();
-        for msg in &victims {
-            self.kv.delete(&key_of(msg.id))?;
-            self.by_origin.remove(&origin_key(&msg.sd_id, &msg.nonce));
-            if let Some(ids) = self.by_attribute.get_mut(&msg.attribute) {
-                ids.retain(|x| *x != msg.id);
-                if ids.is_empty() {
-                    self.by_attribute.remove(&msg.attribute);
-                }
-            }
-        }
+        victims.sort_unstable();
+        let mut removed = 0;
+        let outcome: Result<()> = victims.iter().try_for_each(|&id| {
+            self.remove_row(id)?;
+            removed += 1;
+            Ok(())
+        });
+        // Unindex exactly the rows now gone: on a failed delete, the
+        // victims from the first survivor on keep their entries.
+        let first_kept = victims.get(removed).copied();
+        self.by_attribute.retain(|_, entries| {
+            entries.retain(|&(id, ts)| ts >= before || first_kept.is_some_and(|k| id >= k));
+            !entries.is_empty()
+        });
+        outcome?;
         if self.kv.garbage_ratio() > 0.5 {
             self.kv.compact()?;
         }
-        Ok(victims.len())
+        Ok(removed)
+    }
+
+    /// Deletes one row and its dedup origin; the caller has already
+    /// dropped its attribute-index entry.
+    fn remove_row(&mut self, id: MessageId) -> Result<()> {
+        let msg = self.get(id)?;
+        self.kv.delete(&key_of(id))?;
+        self.by_origin.remove(&origin_key(&msg.sd_id, &msg.nonce));
+        Ok(())
     }
 
     /// Deletes every message carrying exactly `attribute` (replica-plane
@@ -337,18 +373,16 @@ impl MessageDb {
     /// Returns how many rows were removed; compacts like
     /// [`Self::purge_before`] when the sweep leaves mostly garbage.
     pub fn evict_attribute(&mut self, attribute: &str) -> Result<usize> {
-        let Some(ids) = self.by_attribute.remove(attribute) else {
+        let Some(entries) = self.by_attribute.remove(attribute) else {
             return Ok(0);
         };
-        for &id in &ids {
-            let msg = self.get(id)?;
-            self.kv.delete(&key_of(id))?;
-            self.by_origin.remove(&origin_key(&msg.sd_id, &msg.nonce));
+        for &(id, _) in &entries {
+            self.remove_row(id)?;
         }
         if self.kv.garbage_ratio() > 0.5 {
             self.kv.compact()?;
         }
-        Ok(ids.len())
+        Ok(entries.len())
     }
 
     /// Number of stored messages.
@@ -459,6 +493,89 @@ mod tests {
         // Ids are not reused after a purge.
         let id = mk(&mut db, "NEW", "m", 99);
         assert_eq!(id, 10);
+    }
+
+    /// Timestamps that jump back and forth as ids grow.
+    fn scrambled_ts(i: u64) -> u64 {
+        (i * 7919) % 23
+    }
+
+    /// Every row, in id order, through the index.
+    fn table(db: &MessageDb) -> Vec<StoredMessage> {
+        db.by_attributes(&db.attributes()).unwrap()
+    }
+
+    #[test]
+    fn since_filter_uses_row_timestamps_not_id_order() {
+        let mut db = MessageDb::open(StorageKind::Memory).unwrap();
+        for i in 0..30 {
+            mk(&mut db, ["A", "B"][i as usize % 2], "m", scrambled_ts(i));
+        }
+        for since in [0, 5, 11, 22, 23] {
+            for attr in ["A", "B", "C"] {
+                let reference: Vec<StoredMessage> = db
+                    .by_attribute(attr)
+                    .unwrap()
+                    .into_iter()
+                    .filter(|m| m.timestamp >= since)
+                    .collect();
+                assert_eq!(db.by_attribute_since(attr, since).unwrap(), reference);
+                let ids: Vec<MessageId> = reference.iter().map(|m| m.id).collect();
+                assert_eq!(db.ids_since(attr, since), ids);
+            }
+        }
+    }
+
+    #[test]
+    fn purge_from_the_index_matches_a_full_scan_and_replays() {
+        let path = std::env::temp_dir().join(format!("mws-md-purge-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let before = 11;
+        let survivors = {
+            let mut db = MessageDb::open(StorageKind::File(path.clone())).unwrap();
+            for i in 0..40u64 {
+                let attr = ["A", "B", "C"][i as usize % 3];
+                db.insert(attr, &[i as u8], b"\x02u", 1, b"c", "m", scrambled_ts(i))
+                    .unwrap();
+            }
+            // The reference: a full scan of the table before the sweep.
+            let all: Vec<StoredMessage> = (0..40).map(|id| db.get(id).unwrap()).collect();
+            let (victims, survivors): (Vec<_>, Vec<_>) =
+                all.into_iter().partition(|m| m.timestamp < before);
+            assert_eq!(db.purge_before(before).unwrap(), victims.len());
+            for m in &victims {
+                assert!(matches!(db.get(m.id), Err(StoreError::NotFound)));
+                // Its origin is forgotten: a retransmission is fresh again.
+                let (_, fresh) = db
+                    .insert_dedup(&m.attribute, &m.nonce, b"\x02u", 1, b"c", "m", 99)
+                    .unwrap();
+                assert!(fresh);
+            }
+            let mut survivors = survivors;
+            survivors.extend((40..40 + victims.len() as u64).map(|id| db.get(id).unwrap()));
+            assert_eq!(table(&db), survivors);
+            db.sync().unwrap();
+            survivors
+        };
+        let db = MessageDb::open(StorageKind::File(path.clone())).unwrap();
+        assert_eq!(table(&db), survivors, "replay gives the same table");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn failed_purge_keeps_the_index_true_to_the_rows() {
+        let plan = crate::FaultPlan::new();
+        let mut db = MessageDb::open(StorageKind::Memory.with_faults(plan.clone())).unwrap();
+        for ts in 1..=6 {
+            mk(&mut db, "A", "m", ts);
+        }
+        // The second tombstone append fails: one row is gone, the rest stay.
+        plan.fail_append(plan.appends() + 1);
+        assert!(db.purge_before(5).is_err());
+        assert_eq!(db.len(), 5);
+        assert_eq!(db.by_attribute("A").unwrap().len(), 5, "no dangling entry");
+        assert_eq!(db.purge_before(5).unwrap(), 3);
+        assert_eq!(table(&db).len(), 2);
     }
 
     #[test]

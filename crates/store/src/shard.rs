@@ -326,6 +326,14 @@ impl ShardedMessageDb {
             .by_attribute_since(attribute, since)
     }
 
+    /// Ids of one attribute's messages with `timestamp ≥ since`, in id
+    /// order, from the owning shard's index alone (see
+    /// [`MessageDb::ids_since`]).
+    pub fn ids_since(&self, attribute: &str, since: u64) -> Vec<MessageId> {
+        self.shard(self.router.route(attribute))
+            .ids_since(attribute, since)
+    }
+
     /// Distinct attributes present, across all shards, sorted.
     pub fn attributes(&self) -> Vec<String> {
         let mut all: Vec<String> = (0..self.shards.len())

@@ -1,13 +1,24 @@
-//! Representation independence: canonical outputs pinned at commit `87f3e7c`,
-//! when every level ran its Montgomery arithmetic on the full 8-limb (RSA:
-//! 32-limb) container with `R = 2^(64·L)`.
+//! Representation independence: canonical outputs first pinned at commit
+//! `87f3e7c`, when every level ran its Montgomery arithmetic on the full
+//! 8-limb (RSA: 32-limb) container with `R = 2^(64·L)`.
 //!
 //! Montgomery form is internal — everything serialised goes through
 //! `from_mont` — so re-sizing `R` to the modulus's active limbs must not move
 //! a single output byte. The fast-vs-reference cross-checks elsewhere cannot
 //! catch a Montgomery-domain slip because both sides share one `Mont`; these
-//! literals can. If one fails, the change broke compatibility — do not
-//! re-capture it.
+//! literals can.
+//!
+//! The tables were re-captured once, on purpose, when three outputs changed
+//! by design:
+//! - parameter shape: the named sets now have Solinas group orders
+//!   `q = 2^a ± 2^b ± 1`, so every pairing, point and key row moved;
+//! - `MapToPoint`: one square root per candidate (`x` or `−x`) instead of
+//!   try-and-increment, so `hash_to_point` and everything hashed moved;
+//! - PKCS#1 padding: drawn in one `fill_bytes`, so `rsa512.encrypt_pkcs1`
+//!   moved (the RSA key and signature rows did not).
+//!
+//! From here the rule holds again: if one fails, the change broke
+//! compatibility — do not re-capture it.
 //!
 //! The two `encrypt_attr[des]` rows were added at `12860a7`, before the
 //! hybrid scheme moved onto the shared encrypt-then-MAC `seal`/`open`: they
@@ -103,50 +114,50 @@ fn check(what: &str, got: &[(&'static str, String)], pinned: &[&str]) {
         .collect();
     assert!(
         moved.is_empty(),
-        "outputs moved since 87f3e7c:\n{}",
+        "pinned outputs moved:\n{}",
         moved.join("\n")
     );
 }
 
 const TOY: [&str; 10] = [
-    "00000000000000000000000000000000000000000000000000000000000000000000000000000000000000008c3b716321dccbc0ea4f602d5f540a790d5de67c0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000543a0bcb8612f9300b44ae4fe57049638aec39e9",
-    "03000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005a39db22e9b691e7dec910a5b1b36d7fd829295",
-    "0300000000000000000000000000000000000000000000000000000000000000000000000000000000000000000c75c082ad250e5ec7e49dc212f0dbc710d89d11",
-    "0200000000000000000000000000000000000000000000000000000000000000000000000000000000000000008cc4343011c569375d2fb1bbdc13350a8c43ce7f",
-    "030000000000000000000000000000000000000000000000000000000000000000000000000000000000000000d9bdb9907ac425df4e23a141870bae2d0b86ec27",
-    "1083495cbd219ea96114f6bcf6f2eff482a64cc830a353dbcf5970a21cebfd4200d6cab50a51b3264924262d9888ef842330fa7c",
-    "0200000000000000000000000000000000000000000000000000000000000000000000000000000000000000002e1e1e446673292a78d6ed60ddf409d907a4bfc2",
-    "030000000000000000000000000000000000000000000000000000000000000000000000000000000000000000af4a344ec0892020f2c4b8eb6dad1743aa66b04f",
-    "03000000000000000000000000000000000000000000000000000000000000000000000000000000000000000080e1c18753a299f11bb3ac0f8d7f5c7c75ec2720",
-    "491bd59e69c1ed2c492bde9ac2233985bbe8cb3ab258a1b0cfa33e10ca9bb430e80127b4da2f885e85a34f85743cd1bc81c2005f",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000000000002b81f9802704e74270e811bfd071f4b234dac89e0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000411657ca90af75b9e0fb3475351059740a14898e",
+    "020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000c5b0696eae9728dfadcb920804663d02a10edbb2",
+    "0200000000000000000000000000000000000000000000000000000000000000000000000000000000000000004b362f131f9089a413c8d6e7f307e70b3ccf77bc",
+    "0300000000000000000000000000000000000000000000000000000000000000000000000000000000000000003d7e0ecc17e3de295727fc8c21afff05a762577e",
+    "030000000000000000000000000000000000000000000000000000000000000000000000000000000000000000440031a0f14f78d181d1b4321bc5ee31dbc59692",
+    "eed166c3b73413b14e058645bfa39583caa144403966fa308269efa5cba9bc497b059f75a259945b7d05f69abc62d3307ad64d6d",
+    "0200000000000000000000000000000000000000000000000000000000000000000000000000000000000000002f171fbb1cf2eada1ba00403488520db37905bb8",
+    "020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000d6fc1f5c4909a28815698aa128f4dcbed217caf9",
+    "030000000000000000000000000000000000000000000000000000000000000000000000000000000000000000225293c13158ecccfc05eb0668315d81957a9693",
+    "c199499ddaed02cd75eef7bbae046e98aa8ad62ddf1b36e79035b4c154167acf1a23642d6d604ce426ba9a5b9744ec7e3599b2b4",
 ];
 const LIGHT: [&str; 10] = [
-    "0000000000000000000000000000000000000000000000000000000000000000381ec4ecb0109a71f042c93114d0217438857de97c33e38337f622c4f45c82730000000000000000000000000000000000000000000000000000000000000000927ad36b439bc7f8b48bec0511799076d64e95fea4731adfcabbbe67b96252c8",
-    "020000000000000000000000000000000000000000000000000000000000000000237164868ee68dd2febed13bb9ec8c26b221b699af423a948ea98a3e030fb336",
-    "020000000000000000000000000000000000000000000000000000000000000000012695ab3a0977cfde5f6068b969a448161b19680a0f112fc7292d0e5b985418",
-    "02000000000000000000000000000000000000000000000000000000000000000017ceabecec32e7a639cf5a1094e287035e9d6a0c00315da74e8fce6a7b4de7a7",
-    "0300000000000000000000000000000000000000000000000000000000000000007db1ee8a08ba2cc749f0597d01a3477406a56f8ff6a1c1643db016a992d12e92",
-    "1b622d1db6561ca1a427c07efc9e443124c7b7c5bb66410ea7f9db3f05f3361f69ed9a0b85a8d1118f2f0f60b514b896a4b72489",
-    "030000000000000000000000000000000000000000000000000000000000000000298c54e17c592e1522d6a4fe148e28e1aaacb1f9a7edd86dfbcc625982ccdd9d",
-    "02000000000000000000000000000000000000000000000000000000000000000071ac3b7bee932895d36413a72c7f2b0165605b640eea9baabebcde35729cd7ce",
-    "0300000000000000000000000000000000000000000000000000000000000000008ea3aee36f116f7fe0f4b03c883df77e739e2d4df6411668514fa42bd907b82d",
-    "039530566ef7e9591cc6d64602c4fb08c7586bf21a2c0f8df49454a8c6933e40845d2cdc516645fa11424b0659fa6573ab33c444",
+    "00000000000000000000000000000000000000000000000000000000000000006f9e06d7c518714567df89ec3623145868d80a653ae8904bc34cf8b0541f9c8200000000000000000000000000000000000000000000000000000000000000005b3cc9d03a8e81bf712109678ccaf607cafc97f0619cd7762a23388b7fdb0af8",
+    "0200000000000000000000000000000000000000000000000000000000000000003ae6d32dcac1f6ce7e4c10ab6e09455b5d4dd8945c65261565f9972eb25e860f",
+    "0200000000000000000000000000000000000000000000000000000000000000003cb8fa14362d984dd689ba650569ce80889e06c2cb9fb3fbe4aa6478d7d15dd7",
+    "030000000000000000000000000000000000000000000000000000000000000000ac7d3c2a8b86267386b5ae3ef680af786ca07065edf0d9468423316f0695a42f",
+    "020000000000000000000000000000000000000000000000000000000000000000a9d51a4f0e8a4b93b8ada935c23ef30136d5f99762dc2e116a2ba3162801af95",
+    "a24af381f6ff90c2f4cb271c8f1091d9e21038fe165826866707727c30276108d1778a3c1c4894539b535587d631f07ccf6dc365",
+    "02000000000000000000000000000000000000000000000000000000000000000023db8238679420d39e7d1e75a053f5e624d8c515a35078cfd839ea738b3cde7a",
+    "0300000000000000000000000000000000000000000000000000000000000000005d747bf4ff24092997d43f93e8c1ab6a3d352c003fd4fd9f92bfa4e1e256abaa",
+    "0200000000000000000000000000000000000000000000000000000000000000002597dd2a8121f32f52aadde0124e6df5012d649f610b72260a531a8437252e57",
+    "8c924b2236820dff8da73f377133472a2a433fe9acab69affbb81983e62dbc461d2cc68fb9d3da29fc19505fbbac760443f6f811",
 ];
 const STANDARD: [&str; 10] = [
-    "2fa512dde1a6891897938558b0dd8287e7550f563d9a162d9ad8c1b5fb280226e867a6989831f9b77580a8382b4434281c3b31b0ef2dc067bf2f262a3a693cdc4635b86acae9eda61cb3199b7756befcf27185d07eed2b901fdb5853b443f2fb4b01e36f202f51a139438f62ead712d9575671579c462dd5115f8c603ba1f9b4",
-    "029ccf51f973d8fa6ace014b31137e6bb8e9ecb5a99c43c82468404df7b43fe08fcae54fa1c110b4da9bdde55e55271ed00c2d4e2c78bde9a6dd716d299aad8830",
-    "02252adb474de6bf296110edbb53c5aa9812d4c0fc1ed7c31b576c3f1f0aff83993440a5e0940a894572259772dbf79dcd78bab4438f6d89063a680cbd8b28d2a6",
-    "02aad5ae308a3fba4d8d5f2c22c7cf6918170fbee2ba69b7389ba8243a7358bfdaa93bbc3ad79e37d09a41db54010ce895e9bb43d3c0b053bf25586678032a27f0",
-    "031328e68dfbd2645bce50bc3558638945de1e06db137333784071e211469100adffa379e55be659880ab4abf010d483a3075ad7c7d8c07dc1c10b958502419320",
-    "0da34b8248037a371c775673e97329da733054ec8a1564e8bcc55578e29434d2067f9b477ded9a417b699a9ca9ad440f218ecba2",
-    "02d9a5718b0984de883dbb57c40a747cc278335f72716370f94e7b11b281b64b7b2dcb42c41973059ec11cc8fa3a68ce8b5937deb4a048b890afe1c4d237628964",
-    "0337dbf52b33542bbca2528db99e1f6d684465dca10181dc5c6df362daffed7dabda85f9fe253ee67d57923bb87aea90ed74c9f39d7d5ee7fa63cb0c2a1f5b494a",
-    "03c02409e7999edceedea77fd0f381ab6cd376b6493e8c2a808c7a035e63a8268ad21dfcc88afc5103f4817783c711d43f9b4f7966187993252f0d93d2657ee2b2",
-    "b8d532abb7064d971056a6116a87b4b5cef0cfb96b871678d07798abc9aa318089588014dcbc0fe30702f772f22ee01f18b724ff",
+    "6d0a637260dba871504e3b3819aa2f67818e6e0466a382ef91a357e495f6b2b8d7bbcba4638d770e2a1f79170bf91802ac5d198f8197163d5e8a6329d661618c743f3d2cdfd347ededd94a2082440fee876749d690393ff99b6254715aecaf6db582d962ce91cd2e6cf3529ed2f5aa8302f0b1fed3006556fc6d6bfa0296af5f",
+    "0338dba3a13dd86238b7d4748ae2589c0361dc0efa9f51774bdf21f1e4679f16b4306286752654a4f14fd5845352067bd3776f48ec24adace6b5a3735e1dc58bd3",
+    "0354e11e653d40ba573661cd8452a72e3a9f32c9bad341985087c867307da02f671c8883278f35cecc9a222520172e17e650d087ed86ec4b95c14529ad98e95ae0",
+    "0215756e9b4980f6ec557b0aa59b12071bd9f31fb8426ce43e5605eb6a13539cb02fd19ec4c07bbe15ae76ebfea9d5eaa412fa47efd76573a60bdb2b82087994d8",
+    "025696616077672f41bced179d12f52ba7e361f20bb28127888cf222d8b7f71b29196d23466edb05dd06d7b4b6f04d673beb22b738ea8886a7d202af76e4086311",
+    "2dddd857d658aa8dbf51f7d7f2ca0e04c1f88ada130aaa4b340d6c25c9f0fa0b86999141aed79bb63d037ca1bfbfb9a131122fc3",
+    "020bb3884945348f1b7534b85fc054f35819d3e2aa5ffda3d2efb53dc17cbe698c55a4272e9f52842b9576ebfe7cbbf5589b6266a7521eea9f952784773a3ad89f",
+    "0205c9105a3992687ca00fb9398826d315296b53abc64f1d32ca216817f3de14fa963ce2ced670e4e9ead6fe133d5066f2e4c4ecefd67f4a080f1dc19ddd01a739",
+    "037884ce48f2f77319c5de43098f74e4c3ab70e763df211119e78fb8af5acc50c4214e6873e71e077781e1d8c89d960b7f97e49c71369413afc1c59d4c31f62831",
+    "53907237744e068d5a08ecac05d32e3d9bb10bafd2bca30d3e3bc1481d2eda0ce56332fb36d653fdfa9dff3cb655dd1481651ba3",
 ];
 const RSA512: [&str; 3] = [
     "40000000abff1233c00073d0e8a9f7928f93637c2d05ddd895a22f2ee79215a63242d69062896600350b46d47ad4fa56cbe3722c42885e934b2be5b58cf5ef52ebd6c38b0000000000010001",
-    "149bba5a0c065859ad6c2df6dec3ae6873a6ba6da6c2a961836f5aaa4e83e711872471f39c5641864487dc34b1a88c8cbdf7e88ca8c8f14f9528196bd89abb39",
+    "8bbfbb787e4a87bc08f8cf945919d8959059e782fd3f611bd1d13fb5c3779a73bbbeb78af11d87a08e0ddc93b6661829e810c3ddc092086b8a5ecac9570f03b0",
     "a9c4ffb5f027beaa0606b44b4e3cec48ba17806853fb0c0b1cde378d1d31c7813074f424a474c897c1cd3547e8ab28f4b8b6cb80390f54173d8e32adb60aefec",
 ];
 
