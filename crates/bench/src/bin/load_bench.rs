@@ -31,7 +31,7 @@ use mws_core::sda::{deposit_mac, DeviceAuthVerifier};
 use mws_net::Client;
 use mws_server::{ClusterFrontdoor, ServerConfig, TcpClient, TcpServer};
 use mws_store::{ShardRouter, StorageKind};
-use mws_wire::{DepositItem, DepositOutcome, Pdu};
+use mws_wire::{DepositItem, DepositOutcome, Pdu, StreamDecoder};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
@@ -737,8 +737,13 @@ fn conn_fleet(
         .collect();
     let r = closed_loop(lanes, 1, |(s, frame): (&mut TcpStream, Vec<u8>)| {
         s.write_all(&frame).expect("burst write");
-        let raw = mws_server::framing::read_raw_frame(s).expect("burst reply");
-        assert_stored(&mws_wire::decode_envelope(&raw).expect("reply").0, 1);
+        let mut replies = StreamDecoder::new();
+        while replies.fill_from(s, 512).expect("burst reply") > 0 {
+            if let Some(reply) = replies.next_pdu().expect("reply") {
+                return assert_stored(&reply, 1);
+            }
+        }
+        panic!("connection closed before the reply");
     });
     let (n, p50, p99, secs) = (r.deposits, r.p50_us, r.p99_us, r.secs);
     writeln!(output, "DONE {n} {p50} {p99} {secs:.6}").expect("fleet answer");

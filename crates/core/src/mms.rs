@@ -49,8 +49,9 @@ impl MessageManagementSystem {
         Arc::clone(&self.messages)
     }
 
-    /// Stores an authenticated deposit (no durability point — relay
-    /// ingestion; the periodic sync provides the flush cadence).
+    /// Stores a deposit as a new row: no origin dedup and no durability
+    /// point. The service's deposit paths go through the store handle's
+    /// `deposit`, which has both.
     #[allow(clippy::too_many_arguments)]
     pub fn store_message(
         &mut self,
@@ -63,32 +64,6 @@ impl MessageManagementSystem {
         timestamp: u64,
     ) -> StoreResult<MessageId> {
         self.messages.insert(&PendingDeposit {
-            attribute: attribute.to_string(),
-            nonce: nonce.to_vec(),
-            u: u.to_vec(),
-            algo,
-            sealed: sealed.to_vec(),
-            sd_id: sd_id.to_string(),
-            timestamp,
-        })
-    }
-
-    /// Stores an authenticated deposit idempotently per `(sd_id, nonce)`
-    /// origin: a retransmission of an already-warehoused deposit (e.g. the
-    /// device never saw the ack) returns the original id with `false`
-    /// instead of storing a duplicate. Durable before returning.
-    #[allow(clippy::too_many_arguments)]
-    pub fn store_message_idempotent(
-        &mut self,
-        attribute: &str,
-        nonce: &[u8],
-        u: &[u8],
-        algo: u8,
-        sealed: &[u8],
-        sd_id: &str,
-        timestamp: u64,
-    ) -> StoreResult<(MessageId, bool)> {
-        self.messages.deposit(&PendingDeposit {
             attribute: attribute.to_string(),
             nonce: nonce.to_vec(),
             u: u.to_vec(),

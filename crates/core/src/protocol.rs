@@ -569,29 +569,31 @@ impl MwsService {
 
     /// Applies a batch of edge-verified deposits pulled from a distribution
     /// point (§VIII). The relay puller has already authenticated the batch;
-    /// entries go straight into the Message Database. Returns the assigned
-    /// warehouse ids.
+    /// entries take the durable origin-dedup path a replica push takes, so
+    /// re-applying a batch (after a failure part-way, say) stores nothing
+    /// twice and returns the same ids. Only fresh rows are audited.
     pub fn store_relayed(&self, entries: &[mws_wire::RelayEntry]) -> Result<Vec<u64>, CoreError> {
-        let mut inner = lock(&self.inner);
-        let now = inner.clock.now();
+        let now = self.clock.now();
         let mut ids = Vec::with_capacity(entries.len());
         for e in entries {
-            let id = inner.mms.store_message(
-                &e.attribute,
-                &e.nonce,
-                &e.u,
-                e.algo,
-                &e.sealed,
-                &e.sd_id,
-                e.timestamp,
-            )?;
-            inner.audit.record(
-                now,
-                AuditEvent::DepositAccepted {
-                    sd_id: e.sd_id.clone(),
-                    message_id: id,
-                },
-            );
+            let (id, fresh) = self.store.deposit(&PendingDeposit {
+                attribute: e.attribute.clone(),
+                nonce: e.nonce.clone(),
+                u: e.u.clone(),
+                algo: e.algo,
+                sealed: e.sealed.clone(),
+                sd_id: e.sd_id.clone(),
+                timestamp: e.timestamp,
+            })?;
+            if fresh {
+                lock(&self.inner).audit.record(
+                    now,
+                    AuditEvent::DepositAccepted {
+                        sd_id: e.sd_id.clone(),
+                        message_id: id,
+                    },
+                );
+            }
             ids.push(id);
         }
         Ok(ids)
@@ -1194,7 +1196,7 @@ impl Deployment {
         replica_key(&self.mws_pkg_secret)
     }
 
-    /// MACs a [`Pdu::ClusterJoin`](mws_wire::Pdu::ClusterJoin) order for
+    /// MACs a [`Pdu::ClusterJoin`] order for
     /// `node` against ring `epoch` with this deployment's replica key —
     /// the operator-side half of the membership admin plane. Any
     /// deployment of the cluster's seed produces the same MAC, so a
@@ -1206,7 +1208,7 @@ impl Deployment {
         )
     }
 
-    /// MACs a [`Pdu::ClusterDrain`](mws_wire::Pdu::ClusterDrain) order —
+    /// MACs a [`Pdu::ClusterDrain`] order —
     /// see [`cluster_join_mac`](Self::cluster_join_mac).
     pub fn cluster_drain_mac(&self, node: &str, epoch: u64) -> Vec<u8> {
         Hmac::<Sha256>::mac(

@@ -214,8 +214,10 @@ impl RelayPuller {
     }
 
     /// Pulls one batch (up to `max` entries), verifies its MAC and returns
-    /// the entries. The cursor advances only on success, so a failed apply
-    /// re-fetches the same entries next time.
+    /// the entries. The cursor advances once a batch verifies, not when it
+    /// is applied: a failed apply is not fetched again, so the caller
+    /// retries it with the entries it holds (`MwsService::store_relayed`
+    /// stores nothing twice).
     pub fn pull(&mut self, max: u32) -> Result<Vec<RelayEntry>, CoreError> {
         let reply = self.client.call(&Pdu::RelayPull {
             after: self.cursor,

@@ -8,10 +8,9 @@
 //! the worker count; the [`Conn`] each connection runs is the epoll loop's.
 
 use crate::conn::Conn;
-use crate::framing::is_timeout;
 use crate::server::{admit, handle, over_capacity_close, release, Running, ServerConfig};
 use mws_net::Service;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -21,6 +20,12 @@ use std::time::{Duration, Instant};
 const READ_CHUNK: usize = 4 * 1024;
 /// How long one reply write may block before the connection is dropped.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Whether a blocking socket call gave up at its timeout (Unix reports
+/// `WouldBlock`, Windows `TimedOut`); the client and chaos relay ask too.
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
 
 /// Starts `workers` accept-and-serve threads.
 pub(crate) fn spawn<S, F>(

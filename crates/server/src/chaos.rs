@@ -12,8 +12,9 @@
 //! timeouts never desynchronize the stream, and faults land on exact frame
 //! boundaries (or, for truncation, exactly mid-frame).
 
-use crate::framing::{is_timeout, MIN_HEADER};
+use crate::blocking::is_timeout;
 use mws_crypto::HmacDrbg;
+use mws_wire::secure::{RECORD_HEADER, WIRE_VERSION_SECURE};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -172,23 +173,30 @@ impl Drop for ChaosProxy {
     }
 }
 
-/// Pulls complete envelope frames out of a reassembly buffer. Garbage is
-/// the upstream's problem — only the declared length is trusted, and only
-/// for splitting.
+/// Pulls the next complete unit out of a reassembly buffer: an envelope
+/// frame, or a secure record. Garbage is the upstream's problem — only the
+/// declared length is trusted, and only for splitting; bytes that start
+/// with an unknown version byte are relayed as they are, for the real
+/// endpoint to reject.
 fn extract_frame(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
-    if buf.len() < MIN_HEADER {
+    // v2 envelopes carry trace words after the `version ‖ type ‖ len`
+    // prefix that v1 envelopes and secure records share.
+    let header = match *buf.first()? {
+        WIRE_VERSION_SECURE => RECORD_HEADER,
+        version => match mws_wire::header_len(version) {
+            Ok(header) => header,
+            Err(_) => return Some(std::mem::take(buf)),
+        },
+    };
+    if buf.len() < header {
         return None;
     }
-    // v2 envelopes carry trace words after the fixed prefix; an unknown
-    // version byte splits as v1 and lets the real endpoint reject it.
-    let header = mws_wire::header_len(buf[0]).unwrap_or(MIN_HEADER);
     let len = u32::from_le_bytes(buf[2..6].try_into().expect("4 bytes")) as usize;
     let total = header.checked_add(len)?;
     if buf.len() < total {
         return None;
     }
-    let frame: Vec<u8> = buf.drain(..total).collect();
-    Some(frame)
+    Some(buf.drain(..total).collect())
 }
 
 /// Reads whatever is available into `buf`. Returns `false` once the peer
@@ -350,6 +358,24 @@ mod tests {
             + proxy.stats().resets.load(Ordering::Relaxed);
         assert!(faults > 0, "schedule at these rates must inject something");
         proxy.shutdown();
+    }
+
+    #[test]
+    fn frames_split_on_their_own_header_sizes() {
+        let ctx = mws_obs::trace::TraceContext {
+            trace_id: 1,
+            span_id: 2,
+        };
+        let units = [
+            mws_wire::encode_envelope_traced(&Pdu::ParamsRequest, ctx),
+            mws_wire::secure::encode_record(mws_wire::secure::record::DATA, b"sealed"),
+            vec![0xde, 0xad],
+        ];
+        let mut buf = units.concat();
+        for unit in units {
+            assert_eq!(extract_frame(&mut buf), Some(unit));
+        }
+        assert_eq!(extract_frame(&mut buf), None);
     }
 
     #[test]

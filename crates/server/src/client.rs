@@ -19,15 +19,19 @@
 //!   of hammering a dead peer; once the (jittered, growing) cooldown lapses
 //!   a single half-open probe decides between closing and re-opening.
 
-use crate::framing::{read_raw_frame, write_raw_frame};
+use crate::blocking::is_timeout;
+use crate::link::{Inbound, Link};
 use crate::secure::SecureClientSettings;
 use mws_crypto::HmacDrbg;
 use mws_net::{NetError, Transport};
 use mws_obs::sync::lock;
-use mws_wire::secure::{Opened, SecureChannel, SecureSession};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Bytes per read: enough that one read takes in an ordinary reply whole.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Timeouts, retry budget and degradation policy for a [`TcpClient`].
 #[derive(Clone, Debug)]
@@ -97,11 +101,103 @@ struct RetryState {
     last_backoff: Duration,
 }
 
-/// One cached connection: the socket plus, in secure mode, the
-/// established session keys (fresh handshake per (re)connect).
+/// One cached connection: the socket and the [`Link`] it speaks, keyed by
+/// a fresh handshake on every (re)connect in secure mode.
 struct ConnState {
     stream: TcpStream,
-    session: Option<SecureSession>,
+    link: Link,
+    /// Bytes for the socket, written before each read.
+    out: Vec<u8>,
+    read_buf: Box<[u8]>,
+}
+
+impl ConnState {
+    /// Dials the client's peer and, in secure mode, runs the handshake
+    /// under `io_timeout`. The handshake's last record (FINISH) stays
+    /// queued and goes out with the first request.
+    fn open(client: &TcpClient, io_timeout: Duration) -> Result<Self, NetError> {
+        let (addr, config) = (client.addr, &client.config);
+        let connect = config.connect_timeout.min(io_timeout);
+        let stream = TcpStream::connect_timeout(&addr, connect)
+            .map_err(|e| NetError::Io(format!("connect {addr}: {e}")))?;
+        let _ = stream.set_nodelay(true);
+        let mut out = Vec::new();
+        let link = match &config.secure {
+            None => Link::plain(),
+            Some(sec) => Link::client(
+                sec.auth.clone(),
+                sec.expect_peer.clone(),
+                sec.session.clone(),
+                &mut out,
+            ),
+        };
+        let mut conn = Self {
+            stream,
+            link,
+            out,
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
+        };
+        conn.set_io_timeout(io_timeout)?;
+        while matches!(conn.link, Link::Handshaking(_)) {
+            conn.flush()
+                .and_then(|()| conn.fill())
+                .map_err(|e| NetError::Io(format!("handshake {addr}: {e}")))?;
+        }
+        Ok(conn)
+    }
+
+    /// One request/response: one write, then reads until the reply frame
+    /// completes — one read, unless the reply outgrows it or arrives split.
+    fn exchange(&mut self, frame: &[u8], io_timeout: Duration) -> Result<Vec<u8>, NetError> {
+        self.set_io_timeout(io_timeout)?;
+        self.link.send(frame.to_vec(), &mut self.out)?;
+        self.flush()?;
+        loop {
+            match self.link.next_frame()? {
+                Some(Inbound::Frame(reply)) => return Ok(reply.into_owned()),
+                Some(Inbound::Close) => {
+                    return Err(NetError::Io("peer closed the secure session".into()))
+                }
+                None => self.fill()?,
+            }
+        }
+    }
+
+    fn set_io_timeout(&mut self, t: Duration) -> Result<(), NetError> {
+        self.stream
+            .set_read_timeout(Some(t))
+            .and_then(|()| self.stream.set_write_timeout(Some(t)))
+            .map_err(|e| NetError::Io(e.to_string()))
+    }
+
+    fn flush(&mut self) -> Result<(), NetError> {
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        written.map_err(io_error)
+    }
+
+    /// One read, fed to the link. End of stream is an error: a reply (or
+    /// a handshake record) is always owed when this runs.
+    fn fill(&mut self) -> Result<(), NetError> {
+        let n = loop {
+            match self.stream.read(&mut self.read_buf) {
+                Ok(0) => return Err(NetError::Io("connection closed by peer".into())),
+                Ok(n) => break n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(io_error(e)),
+            }
+        };
+        self.link.feed(&self.read_buf[..n], &mut self.out)?;
+        Ok(())
+    }
+}
+
+fn io_error(e: std::io::Error) -> NetError {
+    if is_timeout(&e) {
+        NetError::Timeout
+    } else {
+        NetError::Io(e.to_string())
+    }
 }
 
 /// A persistent-connection TCP transport to one MWS daemon.
@@ -161,73 +257,17 @@ impl TcpClient {
     fn attempt(&self, frame: &[u8], io_timeout: Duration) -> Result<Vec<u8>, NetError> {
         let mut guard = lock(&self.conn);
         if guard.is_none() {
-            let connect = self.config.connect_timeout.min(io_timeout);
-            let mut stream = TcpStream::connect_timeout(&self.addr, connect)
-                .map_err(|e| NetError::Io(format!("connect {}: {e}", self.addr)))?;
-            let _ = stream.set_nodelay(true);
-            // In secure mode every fresh connection pays one handshake,
-            // under this attempt's socket deadline.
-            let session = match &self.config.secure {
-                None => None,
-                Some(sec) => {
-                    stream
-                        .set_read_timeout(Some(io_timeout))
-                        .and_then(|()| stream.set_write_timeout(Some(io_timeout)))
-                        .map_err(|e| NetError::Io(e.to_string()))?;
-                    let (session, _peer) = SecureChannel::connect(
-                        &mut stream,
-                        &sec.auth,
-                        sec.expect_peer.as_deref(),
-                        &sec.session,
-                    )
-                    .map_err(|e| NetError::Io(format!("handshake {}: {e}", self.addr)))?;
-                    Some(session)
-                }
-            };
-            *guard = Some(ConnState { stream, session });
+            *guard = Some(ConnState::open(self, io_timeout)?);
         }
         let conn = guard.as_mut().expect("connection just ensured");
-        let result = Self::exchange(conn, frame, io_timeout);
-        if result.is_err() {
-            // Even a timeout leaves the stream desynchronized (the late
-            // reply would be mistaken for the next response): drop it.
+        let result = conn.exchange(frame, io_timeout);
+        // Even a timeout leaves the stream desynchronized (the late reply
+        // would be mistaken for the next response), and so do bytes that
+        // arrived behind the reply: drop it.
+        if result.is_err() || conn.link.buffered() > 0 {
             *guard = None;
         }
         result
-    }
-
-    /// One request/response on an established connection.
-    fn exchange(
-        conn: &mut ConnState,
-        frame: &[u8],
-        io_timeout: Duration,
-    ) -> Result<Vec<u8>, NetError> {
-        let stream = &mut conn.stream;
-        stream
-            .set_read_timeout(Some(io_timeout))
-            .and_then(|()| stream.set_write_timeout(Some(io_timeout)))
-            .map_err(|e| NetError::Io(e.to_string()))?;
-        match conn.session.as_mut() {
-            None => {
-                write_raw_frame(stream, frame).map_err(NetError::from)?;
-                read_raw_frame(stream).map_err(NetError::from)
-            }
-            Some(session) => {
-                let io_err = |e: std::io::Error| {
-                    if crate::framing::is_timeout(&e) {
-                        NetError::Timeout
-                    } else {
-                        NetError::Io(e.to_string())
-                    }
-                };
-                SecureChannel::write_frame(stream, session, frame).map_err(io_err)?;
-                match SecureChannel::read_record(stream, session) {
-                    Ok(Opened::Frame(reply)) => Ok(reply),
-                    Ok(Opened::Close) => Err(NetError::Io("peer closed the secure session".into())),
-                    Err(e) => Err(io_err(e)),
-                }
-            }
-        }
     }
 
     fn retryable(e: &NetError) -> bool {
@@ -321,13 +361,12 @@ impl Drop for TcpClient {
         // Best-effort authenticated `CLOSE` so the server can tell a
         // clean shutdown from truncation. Broken connections were
         // already dropped without ceremony when they poisoned the cache.
-        let mut guard = lock(&self.conn);
-        if let Some(conn) = guard.as_mut() {
-            if let Some(session) = conn.session.as_mut() {
+        if let Some(conn) = lock(&self.conn).as_mut() {
+            if let Some(close) = conn.link.close_record() {
                 let _ = conn
                     .stream
                     .set_write_timeout(Some(Duration::from_millis(100)));
-                let _ = SecureChannel::write_close(&mut conn.stream, session);
+                let _ = conn.stream.write_all(&close);
             }
         }
     }
@@ -387,6 +426,7 @@ impl Transport for TcpClient {
 mod tests {
     use super::*;
     use crate::server::{ServerConfig, TcpServer};
+    use mws_wire::secure::{PskAuth, SessionConfig};
     use mws_wire::Pdu;
 
     fn echo_server() -> TcpServer {
@@ -408,6 +448,73 @@ mod tests {
             assert_eq!(client.call(&req).unwrap(), req);
         }
         assert_eq!(client.target(), server.local_addr().to_string());
+    }
+
+    /// A raw socket peer serving `conns` connections in turn: each speaks
+    /// `link()` and echoes every request frame, writing the reply one byte
+    /// at a time and `stray` together with its last byte.
+    fn trickling_echo(conns: usize, link: fn() -> Link, stray: &'static [u8]) -> SocketAddr {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for mut s in listener.incoming().take(conns).map(Result::unwrap) {
+                s.set_nodelay(true).unwrap();
+                let (mut link, mut buf, mut out) = (link(), [0u8; 512], Vec::new());
+                while let Ok(n @ 1..) = s.read(&mut buf) {
+                    link.feed(&buf[..n], &mut out).unwrap();
+                    let mut tail: &[u8] = &[];
+                    while let Some(Inbound::Frame(frame)) = link.next_frame().unwrap() {
+                        let frame = frame.into_owned();
+                        link.send(frame, &mut out).unwrap();
+                        tail = stray;
+                    }
+                    if let Some((&last, head)) = out.split_last() {
+                        head.iter().for_each(|b| s.write_all(&[*b]).unwrap());
+                        s.write_all(&[&[last], tail].concat()).unwrap();
+                    }
+                    out.clear();
+                }
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn replies_trickling_in_byte_by_byte_round_trip_plain_and_sealed() {
+        const PSK: &[u8] = b"client-test-psk";
+        let sealed = ClientConfig {
+            secure: Some(Arc::new(SecureClientSettings {
+                auth: Arc::new(PskAuth::new(PSK, "client", 1)),
+                expect_peer: Some("server".into()),
+                session: SessionConfig::default(),
+            })),
+            ..ClientConfig::default()
+        };
+        let server = || {
+            Link::server(
+                Arc::new(PskAuth::new(PSK, "server", 2)),
+                SessionConfig::default(),
+            )
+        };
+        for (link, config) in [
+            (Link::plain as fn() -> Link, ClientConfig::default()),
+            (server, sealed),
+        ] {
+            let client = TcpClient::with_config(trickling_echo(1, link, b""), config).into_client();
+            for id in 0..3 {
+                let req = Pdu::DepositAck { message_id: id };
+                assert_eq!(client.call(&req).unwrap(), req);
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_behind_a_reply_drop_the_connection_and_the_next_call_redials() {
+        let client = TcpClient::new(trickling_echo(2, Link::plain, &[0xde, 0xad])).into_client();
+        for id in 0..2 {
+            let req = Pdu::DepositAck { message_id: id };
+            assert_eq!(client.call(&req).unwrap(), req, "call {id}");
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! replica-plane MAC key (an integrity key derived from the MWS–PKG
 //! secret, useless for decryption).
 
+use crate::gateway::retrieve_refusal;
 use mws_cluster::{ClusterRouter, HealthProber};
 use mws_core::clock::{LogicalClock, ReplayPolicy};
-use mws_core::gatekeeper::{Gatekeeper, GkReject};
+use mws_core::gatekeeper::Gatekeeper;
 use mws_net::Service;
 use mws_obs::sync::lock;
 use mws_store::StorageKind;
@@ -96,17 +97,8 @@ impl ClusterFrontdoor {
         {
             let mut inner = lock(&self.auth);
             let now = inner.clock.now();
-            if let Err(reject) = inner.gatekeeper.verify(now, rc_id, auth) {
-                let code = match reject {
-                    GkReject::Replay => 409,
-                    _ => 401,
-                };
-                mws_obs::warn!(target: "mws_server", "retrieve stopped at cluster front door",
-                    code = u64::from(code), reason = reject.to_string(),);
-                return Pdu::Error {
-                    code,
-                    detail: reject.to_string(),
-                };
+            if let Some(refusal) = retrieve_refusal(&mut inner.gatekeeper, now, rc_id, auth) {
+                return refusal;
             }
         }
         self.router.handle(request)
@@ -204,6 +196,21 @@ mod tests {
         for dep in &deps {
             assert_eq!(dep.mws().rejection_count(), 0);
         }
+    }
+
+    #[test]
+    fn a_refused_retrieve_counts_as_a_front_door_rejection() {
+        let (mut deps, _front, net) = cluster_front();
+        let rejected = || {
+            mws_obs::registry()
+                .counter("mws_gateway_rejected_total")
+                .get()
+        };
+        let before = rejected();
+        let pkg = deps[0].network().client("pkg");
+        let mut rc = deps[0].client_with("rc", "nope", net.client("cluster"), pkg);
+        assert!(rc.retrieve_and_decrypt(0).is_err());
+        assert!(rejected() > before);
     }
 
     #[test]

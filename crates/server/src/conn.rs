@@ -1,8 +1,9 @@
 //! One connection's protocol state machine, sans-io — DESIGN.md §11.
 //!
-//! [`Conn`] owns everything a connection means above the socket: envelope
-//! framing, the secure handshake and record layer, decode-ahead, reply
-//! order, and the deadlines. It owns no socket and starts no thread; a
+//! [`Conn`] owns everything a server connection means above the socket:
+//! the byte stream (a [`Link`]: envelope framing, or the secure handshake
+//! and record layer), decode-ahead, reply order, the deadlines and the
+//! server's connection counters. It owns no socket and starts no thread; a
 //! driver feeds it the bytes it read ([`Conn::feed`], [`Conn::on_eof`]),
 //! runs the requests it hands out ([`Conn::next_job`] →
 //! [`Conn::complete`]), writes [`Conn::output`] and reports how much went
@@ -24,45 +25,25 @@
 //!   decodes before the handshake proves the peer, a plaintext peer gets a
 //!   plain `426`, and an open session ends with an authenticated CLOSE.
 
-use crate::secure::SecureSettings;
+use crate::link::{Inbound, Link, LinkError};
 use crate::server::ServerConfig;
 use crate::stats::stats;
 use mws_obs::trace::TraceContext;
-use mws_wire::secure::{Handshaker, Opened, RecordDecoder, RecvHalf, SecureError, SendHalf};
-use mws_wire::{decode_envelope_traced, encode_envelope, Pdu, StreamDecoder};
+use mws_wire::secure::SecureError;
+use mws_wire::{decode_envelope_traced, encode_envelope, Pdu};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// A decoded request plus the trace context from its envelope.
 pub(crate) type Request = (Pdu, Option<TraceContext>);
 
-/// How the connection's bytes are framed.
-// `Sealed` is the steady state touched on every record, so its halves stay
-// inline; only the transient handshake driver is boxed.
-#[allow(clippy::large_enum_variant)]
-enum Wire {
-    /// Plaintext envelopes, back to back.
-    Plain(StreamDecoder),
-    /// Secure listener, handshake in progress. Boxed: the driver's
-    /// transcript state would otherwise bloat every established
-    /// connection.
-    Handshaking {
-        hs: Box<Handshaker>,
-        since: Instant,
-        timeout: Duration,
-    },
-    /// Keys established: inbound bytes split into records that open
-    /// through `recv`; replies seal through `send`.
-    Sealed {
-        send: SendHalf,
-        recv: RecvHalf,
-        records: RecordDecoder,
-    },
-}
-
 /// One connection's state machine.
 pub(crate) struct Conn {
-    wire: Wire,
+    link: Link,
+    /// When the connection was accepted: the start of its handshake.
+    born: Instant,
+    /// How long a secure handshake may run; `None` on plaintext.
+    handshake_timeout: Option<Duration>,
     /// Decoded requests not yet handed out, in arrival order.
     pending: VecDeque<Request>,
     /// A request is out; its [`Conn::complete`] lets the next one go.
@@ -86,23 +67,16 @@ impl Conn {
     /// A fresh connection under `cfg`'s pipeline depth, idle timeout and
     /// (when set) secure settings.
     pub(crate) fn new(cfg: &ServerConfig) -> Self {
-        let now = Instant::now();
-        let wire = match cfg.secure.as_deref() {
-            None => Wire::Plain(StreamDecoder::new()),
-            // The server speaks second, so there is no output yet.
-            Some(SecureSettings {
-                auth,
-                session,
-                handshake_timeout,
-            }) => Wire::Handshaking {
-                hs: Box::new(Handshaker::server(auth.clone(), session.clone())),
-                since: now,
-                timeout: *handshake_timeout,
-            },
+        let link = match cfg.secure.as_deref() {
+            None => Link::plain(),
+            Some(sec) => Link::server(sec.auth.clone(), sec.session.clone()),
         };
         stats().connections.inc();
+        let now = Instant::now();
         Self {
-            wire,
+            link,
+            born: now,
+            handshake_timeout: cfg.secure.as_ref().map(|sec| sec.handshake_timeout),
             pending: VecDeque::new(),
             busy: false,
             out: Vec::new(),
@@ -122,51 +96,31 @@ impl Conn {
             return;
         }
         self.last_activity = Instant::now();
-        match &mut self.wire {
-            Wire::Plain(decoder) => decoder.feed(bytes),
-            Wire::Sealed { records, .. } => records.feed(bytes),
-            Wire::Handshaking { hs, since, .. } => {
-                let fed = hs.feed(bytes);
-                let out = hs.take_output();
-                let since = *since;
-                self.push_out(out);
-                match fed {
-                    Ok(None) => {}
-                    Ok(Some(est)) => {
-                        stats().secure_handshakes.inc();
-                        stats().handshake_us.record_duration(since.elapsed());
-                        mws_obs::debug!(target: "mws_server", "secure session established",
-                            peer_identity = est.peer.clone(),);
-                        // A FINISH and the first request may share a read:
-                        // whatever followed the handshake is already records.
-                        let (send, recv) = est.session.into_halves();
-                        let mut records = RecordDecoder::new();
-                        records.feed(&est.leftover);
-                        self.wire = Wire::Sealed {
-                            send,
-                            recv,
-                            records,
-                        };
-                    }
-                    Err(e) => {
-                        stats().secure_handshake_failures.inc();
-                        self.out.clear();
-                        if matches!(e, SecureError::PlaintextPeer(_)) {
-                            // A plaintext client dialed a secure listener:
-                            // answer in its own protocol so the operator
-                            // sees the misconfiguration.
-                            stats().secure_downgrades.inc();
-                            self.out = encode_envelope(&Pdu::Error {
-                                code: 426,
-                                detail: "secure transport required (--transport secure)".into(),
-                            });
-                        }
-                        mws_obs::warn!(target: "mws_server", "secure handshake failed",
-                            error = e.to_string(),);
-                        self.read_done = true;
-                        self.closing = true;
-                    }
+        match self.link.feed(bytes, &mut self.out) {
+            Ok(None) => {}
+            Ok(Some(peer)) => {
+                stats().secure_handshakes.inc();
+                stats().handshake_us.record_duration(self.born.elapsed());
+                mws_obs::debug!(target: "mws_server", "secure session established",
+                    peer_identity = peer,);
+            }
+            Err(e) => {
+                stats().secure_handshake_failures.inc();
+                self.out.clear();
+                if matches!(e, LinkError::Secure(SecureError::PlaintextPeer(_))) {
+                    // A plaintext client dialed a secure listener: answer
+                    // in its own protocol so the operator sees the
+                    // misconfiguration.
+                    stats().secure_downgrades.inc();
+                    self.out = encode_envelope(&Pdu::Error {
+                        code: 426,
+                        detail: "secure transport required (--transport secure)".into(),
+                    });
                 }
+                mws_obs::warn!(target: "mws_server", "secure handshake failed",
+                    error = e.to_string(),);
+                self.read_done = true;
+                self.closing = true;
             }
         }
         self.advance();
@@ -226,16 +180,20 @@ impl Conn {
     /// Applies the deadlines at `now`: the handshake timeout while
     /// HANDSHAKING, the idle timeout once nothing is in flight.
     pub(crate) fn on_tick(&mut self, now: Instant) {
-        let (from, limit, counter) = match &self.wire {
+        let (from, limit, counter) = if matches!(self.link, Link::Handshaking(_)) {
             // A connection stuck mid-handshake goes on its own (shorter)
             // deadline, so a slowloris peer cannot park in HANDSHAKING.
-            Wire::Handshaking { since, timeout, .. } => {
-                (*since, Some(*timeout), &stats().secure_handshake_failures)
-            }
+            (
+                self.born,
+                self.handshake_timeout,
+                &stats().secure_handshake_failures,
+            )
+        } else if self.quiescent() {
             // Only truly quiet connections reap: in-flight work or
             // unwritten replies both count as activity.
-            _ if self.quiescent() => (self.last_activity, self.idle_timeout, &stats().idle_reaped),
-            _ => return,
+            (self.last_activity, self.idle_timeout, &stats().idle_reaped)
+        } else {
+            return;
         };
         if !self.expired && limit.is_some_and(|t| now.duration_since(from) >= t) {
             counter.inc();
@@ -243,14 +201,9 @@ impl Conn {
         }
     }
 
-    /// The authenticated CLOSE record that ends an open session, for a
-    /// best-effort write just before the socket closes: the peer can then
-    /// tell shutdown from truncation. `None` on plaintext or before keys.
+    /// See [`Link::close_record`].
     pub(crate) fn close_record(&mut self) -> Option<Vec<u8>> {
-        match &mut self.wire {
-            Wire::Sealed { send, .. } => send.seal_close().ok(),
-            _ => None,
-        }
+        self.link.close_record()
     }
 
     fn in_pipeline(&self) -> usize {
@@ -290,26 +243,17 @@ impl Conn {
     /// The next complete request, if one is buffered. `Err` is a desync:
     /// the stream (or record sequence) can no longer be trusted.
     fn decode(&mut self) -> Result<Option<Request>, String> {
-        let (recv, records) = match &mut self.wire {
-            Wire::Plain(decoder) => return decoder.next_traced().map_err(|e| e.to_string()),
-            Wire::Handshaking { .. } => return Ok(None),
-            Wire::Sealed { recv, records, .. } => (recv, records),
-        };
-        let Some((rtype, payload)) = records.next_record().map_err(|e| e.to_string())? else {
-            return Ok(None);
-        };
-        // One record carries exactly one envelope frame.
-        match recv
-            .open_record(rtype, payload)
-            .map_err(|e| e.to_string())?
-        {
-            Opened::Frame(frame) => match decode_envelope_traced(&frame) {
+        match self.link.next_frame().map_err(|e| e.to_string())? {
+            None => Ok(None),
+            // A plaintext frame decodes where it lies in the read buffer;
+            // a record carries exactly one envelope frame.
+            Some(Inbound::Frame(frame)) => match decode_envelope_traced(&frame) {
                 Ok((pdu, consumed, trace)) if consumed == frame.len() => Ok(Some((pdu, trace))),
                 Ok(_) => Err("trailing bytes in record".into()),
                 Err(e) => Err(e.to_string()),
             },
             // Authenticated session close: the same drain-then-close as EOF.
-            Opened::Close => {
+            Some(Inbound::Close) => {
                 self.read_done = true;
                 Ok(None)
             }
@@ -319,24 +263,8 @@ impl Conn {
     /// Queues one reply frame, sealed on a secure connection. A seal
     /// failure is unrecoverable for the session: drop the reply and close.
     fn push_reply(&mut self, frame: Vec<u8>) {
-        let bytes = match &mut self.wire {
-            Wire::Plain(_) => Ok(frame),
-            Wire::Sealed { send, .. } => send.seal_frame(&frame),
-            // Unreachable (no request decodes before keys), but closing
-            // beats leaking plaintext if it ever were.
-            Wire::Handshaking { .. } => Err(SecureError::Closed),
-        };
-        match bytes {
-            Ok(bytes) => self.push_out(bytes),
-            Err(_) => self.closing = true,
-        }
-    }
-
-    fn push_out(&mut self, bytes: Vec<u8>) {
-        if self.out.is_empty() {
-            self.out = bytes;
-        } else {
-            self.out.extend_from_slice(&bytes);
+        if self.link.send(frame, &mut self.out).is_err() {
+            self.closing = true;
         }
     }
 }
@@ -344,8 +272,9 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure::SecureSettings;
     use mws_wire::decode_envelope;
-    use mws_wire::secure::{ChannelAuth, Established, PskAuth, SessionConfig};
+    use mws_wire::secure::{Opened, PskAuth, SessionConfig};
     use std::sync::Arc;
 
     const PSK: &[u8] = b"conn-test-psk";
@@ -404,31 +333,33 @@ mod tests {
         served
     }
 
-    /// Drives a client handshake against `conn` up to the client's FINISH,
-    /// which comes back unsent together with the client's session.
-    fn client_until_finish(conn: &mut Conn) -> (Vec<u8>, Established) {
-        let auth: Arc<dyn ChannelAuth> = Arc::new(PskAuth::new(PSK, "client", 1));
-        let mut hs = Handshaker::client(auth, Some("server".into()), SessionConfig::default());
-        conn.feed(&hs.take_output());
-        let est = hs.feed(&drain(conn)).unwrap().expect("ACCEPT completes");
-        (hs.take_output(), est)
+    /// A client link handshaking with `conn` up to its FINISH, which comes
+    /// back unsent.
+    fn client_until_finish(conn: &mut Conn) -> (Vec<u8>, Link) {
+        let (auth, session) = (PskAuth::new(PSK, "client", 1), SessionConfig::default());
+        let mut hello = Vec::new();
+        let mut client = Link::client(Arc::new(auth), Some("server".into()), session, &mut hello);
+        conn.feed(&hello);
+        let mut finish = Vec::new();
+        let accepted = client.feed(&drain(conn), &mut finish).unwrap();
+        assert!(accepted.is_some(), "ACCEPT completes");
+        (finish, client)
     }
 
     /// An established secure connection and the client's end of it.
-    fn open_session() -> (Conn, Established) {
+    fn open_session() -> (Conn, Link) {
         let mut conn = secure(Duration::from_secs(5));
         let (finish, client) = client_until_finish(&mut conn);
         conn.feed(&finish);
         (conn, client)
     }
 
-    /// Opens every record in `bytes` on the client's end.
-    fn open_all(client: &mut Established, bytes: &[u8]) -> Vec<Opened> {
-        let mut records = RecordDecoder::new();
-        records.feed(bytes);
-        std::iter::from_fn(|| {
-            let (rtype, payload) = records.next_record().unwrap()?;
-            Some(client.session.open_record(rtype, payload).unwrap())
+    /// Every record in `bytes`, opened on the client's end.
+    fn open_all(client: &mut Link, bytes: &[u8]) -> Vec<Opened> {
+        client.feed(bytes, &mut Vec::new()).unwrap();
+        std::iter::from_fn(|| match client.next_frame().unwrap()? {
+            Inbound::Frame(frame) => Some(Opened::Frame(frame.into_owned())),
+            Inbound::Close => Some(Opened::Close),
         })
         .collect()
     }
@@ -499,12 +430,7 @@ mod tests {
     fn finish_and_first_request_in_one_read() {
         let mut conn = secure(Duration::from_secs(5));
         let (mut chunk, mut client) = client_until_finish(&mut conn);
-        chunk.extend(
-            client
-                .session
-                .seal_frame(&encode_envelope(&req(1)))
-                .unwrap(),
-        );
+        client.send(encode_envelope(&req(1)), &mut chunk).unwrap();
         conn.feed(&chunk);
         assert_eq!(serve_all(&mut conn), vec![req(1)]);
         let out = drain(&mut conn);
@@ -519,14 +445,9 @@ mod tests {
         let (mut conn, mut client) = open_session();
         let mut wire = Vec::new();
         for id in 0..3 {
-            wire.extend(
-                client
-                    .session
-                    .seal_frame(&encode_envelope(&req(id)))
-                    .unwrap(),
-            );
+            client.send(encode_envelope(&req(id)), &mut wire).unwrap();
         }
-        wire.extend(client.session.send.seal_close().unwrap());
+        wire.extend(client.close_record().unwrap());
         conn.feed(&wire);
         let (first, _) = conn.next_job().unwrap();
         assert!(!conn.wants_read(), "nothing counts after CLOSE");
@@ -550,12 +471,9 @@ mod tests {
     #[test]
     fn seal_failure_drops_the_reply_and_closes() {
         let (mut conn, mut client) = open_session();
-        conn.feed(
-            &client
-                .session
-                .seal_frame(&encode_envelope(&req(1)))
-                .unwrap(),
-        );
+        let mut wire = Vec::new();
+        client.send(encode_envelope(&req(1)), &mut wire).unwrap();
+        conn.feed(&wire);
         let (pdu, _) = conn.next_job().unwrap();
         // The send half is shut, so the reply cannot seal.
         conn.close_record().unwrap();

@@ -1,7 +1,7 @@
 //! The Gatekeeper front door of the four-server topology.
 //!
 //! In the paper's deployment (§VI.C) the Gatekeeper is its own server: the
-//! RC's first hop, which "authenticate[s] the user and establish[es] a
+//! RC's first hop, which "authenticate\[s\] the user and establish\[es\] a
 //! secure channel of communication between RC and MWS". This module
 //! reproduces that as a standalone service: it verifies the §V.D auth blob
 //! `ID_RC ‖ E(HashPassword, ID_RC ‖ T ‖ N)` against its own User Database
@@ -96,18 +96,8 @@ impl FrontdoorInner {
             };
         };
         let now = self.clock.now();
-        if let Err(reject) = self.gatekeeper.verify(now, rc_id, auth) {
-            let code = match reject {
-                GkReject::Replay => 409,
-                _ => 401,
-            };
-            gw_stats().rejected.inc();
-            mws_obs::warn!(target: "mws_server", "retrieve stopped at front door",
-                code = u64::from(code), reason = reject.to_string(),);
-            return Pdu::Error {
-                code,
-                detail: reject.to_string(),
-            };
+        if let Some(refusal) = retrieve_refusal(&mut self.gatekeeper, now, rc_id, auth) {
+            return refusal;
         }
         match self.upstream.call_with_retry(&request, UPSTREAM_ATTEMPTS) {
             Ok(reply) => {
@@ -127,6 +117,29 @@ impl FrontdoorInner {
             }
         }
     }
+}
+
+/// The retrieve check of both front doors (this one and
+/// [`ClusterFrontdoor`](crate::cluster::ClusterFrontdoor)): `None` when the
+/// auth blob verifies, else the counted and logged 409 (replay) or 401.
+pub(crate) fn retrieve_refusal(
+    gatekeeper: &mut Gatekeeper,
+    now: u64,
+    rc_id: &str,
+    auth: &[u8],
+) -> Option<Pdu> {
+    let reject = gatekeeper.verify(now, rc_id, auth).err()?;
+    let code = match reject {
+        GkReject::Replay => 409,
+        _ => 401,
+    };
+    gw_stats().rejected.inc();
+    mws_obs::warn!(target: "mws_server", "retrieve stopped at front door",
+        code = u64::from(code), reason = reject.to_string(),);
+    Some(Pdu::Error {
+        code,
+        detail: reject.to_string(),
+    })
 }
 
 /// Front-door relay counters (preregistered, see `crate::stats`).

@@ -6,13 +6,14 @@
 //! topology over a deterministic in-process bus; this crate puts it on real
 //! sockets without changing a line of protocol logic:
 //!
-//! * [`framing`] — envelope frames on byte streams (the `mws-wire` envelope
-//!   is self-delimiting, so stream framing is just concatenated frames),
-//!   tolerant of arbitrary split reads via `mws_wire::StreamDecoder`.
+//! * `link` — one connection's byte stream, sans-io, for either end:
+//!   plaintext envelopes back to back (the `mws-wire` envelope is
+//!   self-delimiting), or the secure handshake and then sealed records.
+//!   The server's connections and [`TcpClient`] both drive it.
 //! * [`server`] — [`TcpServer`]: one listening socket behind
 //!   [`ServerConfig`] (DESIGN.md §11). Each connection is one sans-io
-//!   state machine (`conn`: framing, secure handshake and records,
-//!   bounded decode-ahead, replies in request order, deadlines). On Linux
+//!   state machine (`conn`: its link, bounded decode-ahead, replies in
+//!   request order, deadlines, the server's connection counters). On Linux
 //!   a few **epoll event loops** (`event`) accept and own every
 //!   connection — 10k+ mostly-idle smart devices per process — while the
 //!   worker pool handles decoded PDUs; elsewhere a blocking driver
@@ -23,9 +24,9 @@
 //!   epoll driver is built on (the workspace's only `unsafe`).
 //! * [`client`] — [`TcpClient`]: a persistent-connection socket
 //!   implementation of the `mws-net` [`Transport`](mws_net::Transport)
-//!   trait with connect/request timeouts, seeded decorrelated-jitter
-//!   retry backoff, a per-request wall-clock deadline and a circuit
-//!   breaker that fails fast while a peer is down.
+//!   trait over the same link, with connect/request timeouts, seeded
+//!   decorrelated-jitter retry backoff, a per-request wall-clock deadline
+//!   and a circuit breaker that fails fast while a peer is down.
 //! * [`gateway`] — [`GatekeeperFrontdoor`]: the standalone Gatekeeper
 //!   server that authenticates RCs and relays to the warehouse.
 //! * [`cluster`] — [`ClusterFrontdoor`]: the same front door in cluster
@@ -58,8 +59,8 @@ mod conn;
 pub mod daemon;
 #[cfg(target_os = "linux")]
 mod event;
-pub mod framing;
 pub mod gateway;
+mod link;
 #[cfg(target_os = "linux")]
 mod queue;
 pub mod secure;

@@ -249,7 +249,7 @@ pub(crate) fn handle<S: Service>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mws_wire::{decode_envelope, encode_envelope};
+    use mws_wire::{decode_envelope, encode_envelope, StreamDecoder};
     use std::io::Read;
 
     /// Runs one behavioural test on each driver: the platform's (epoll on
@@ -272,11 +272,29 @@ mod tests {
         TcpServer::spawn(ServerConfig::default(), echo()).unwrap()
     }
 
+    /// The next reply frame off `s`, reassembled through `dec`, which keeps
+    /// any bytes that arrived behind it for the next call.
+    fn read_frame(s: &mut TcpStream, dec: &mut StreamDecoder) -> std::io::Result<Vec<u8>> {
+        loop {
+            if let Some(frame) = dec.next_frame().map_err(std::io::Error::other)? {
+                return Ok(frame.to_vec());
+            }
+            if dec.fill_from(s, 4096)? == 0 {
+                return Err(std::io::ErrorKind::UnexpectedEof.into());
+            }
+        }
+    }
+
+    /// The one reply `s` is owed, decoded.
+    fn reply(s: &mut TcpStream) -> Pdu {
+        let frame = read_frame(s, &mut StreamDecoder::new()).unwrap();
+        decode_envelope(&frame).unwrap().0
+    }
+
     fn call(addr: SocketAddr, pdu: &Pdu) -> Pdu {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&encode_envelope(pdu)).unwrap();
-        let frame = crate::framing::read_raw_frame(&mut s).unwrap();
-        decode_envelope(&frame).unwrap().0
+        reply(&mut s)
     }
 
     #[test]
@@ -298,7 +316,7 @@ mod tests {
             let req = Pdu::DepositAck { message_id: 7 };
             s.write_all(&mws_wire::encode_envelope_traced(&req, ctx))
                 .unwrap();
-            let frame = crate::framing::read_raw_frame(&mut s).unwrap();
+            let frame = read_frame(&mut s, &mut StreamDecoder::new()).unwrap();
             let (reply, _, trace) = mws_wire::decode_envelope_traced(&frame).unwrap();
             assert_eq!(reply, req);
             assert_eq!(
@@ -321,7 +339,7 @@ mod tests {
             s.write_all(&[*b]).unwrap();
             s.flush().unwrap();
         }
-        let reply = crate::framing::read_raw_frame(&mut s).unwrap();
+        let reply = read_frame(&mut s, &mut StreamDecoder::new()).unwrap();
         assert_eq!(reply, frame);
     }
 
@@ -372,9 +390,10 @@ mod tests {
     }
 
     fn read_replies(s: &mut TcpStream, n: usize) -> Vec<Pdu> {
+        let mut dec = StreamDecoder::new();
         (0..n)
             .map(|_| {
-                decode_envelope(&crate::framing::read_raw_frame(s).unwrap())
+                decode_envelope(&read_frame(s, &mut dec).unwrap())
                     .unwrap()
                     .0
             })
@@ -491,7 +510,7 @@ mod tests {
             s.set_read_timeout(Some(Duration::from_millis(100)))
                 .unwrap();
             s.write_all(&frames(&acks(1))).unwrap();
-            if let Ok(frame) = crate::framing::read_raw_frame(&mut s) {
+            if let Ok(frame) = read_frame(&mut s, &mut StreamDecoder::new()) {
                 break Some(decode_envelope(&frame).unwrap().0);
             }
             if Instant::now() > deadline {
@@ -526,8 +545,9 @@ mod tests {
                 wire.extend_from_slice(&encode_envelope(&Pdu::DepositAck { message_id: id }));
             }
             s.write_all(&wire).unwrap();
+            let mut dec = StreamDecoder::new();
             for id in 0..8u64 {
-                let frame = crate::framing::read_raw_frame(&mut s).unwrap();
+                let frame = read_frame(&mut s, &mut dec).unwrap();
                 assert_eq!(
                     decode_envelope(&frame).unwrap().0,
                     Pdu::DepositAck { message_id: id },
@@ -547,9 +567,11 @@ mod tests {
                 let mut wire = frames(&requests);
                 wire.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
                 s.write_all(&wire).unwrap();
-                assert_eq!(read_replies(&mut s, requests.len()), requests, "{driver}");
+                let mut replies = read_replies(&mut s, requests.len() + 1);
+                let last = replies.pop();
+                assert_eq!(replies, requests, "{driver}");
                 assert!(
-                    matches!(read_replies(&mut s, 1)[0], Pdu::Error { code: 400, .. }),
+                    matches!(last, Some(Pdu::Error { code: 400, .. })),
                     "{driver}"
                 );
                 let mut rest = Vec::new();
@@ -570,12 +592,8 @@ mod tests {
         on_both_drivers(ServerConfig::default(), echo(), |driver, server| {
             let mut s = TcpStream::connect(server.local_addr()).unwrap();
             s.write_all(&[0xde, 0xad, 0xbe, 0xef]).unwrap();
-            let frame = crate::framing::read_raw_frame(&mut s).unwrap();
             assert!(
-                matches!(
-                    decode_envelope(&frame).unwrap().0,
-                    Pdu::Error { code: 400, .. }
-                ),
+                matches!(reply(&mut s), Pdu::Error { code: 400, .. }),
                 "{driver}"
             );
             // Connection is then closed by the server.
@@ -646,15 +664,11 @@ mod tests {
             first
                 .write_all(&encode_envelope(&Pdu::ParamsRequest))
                 .unwrap();
-            let _ = crate::framing::read_raw_frame(&mut first).unwrap();
+            reply(&mut first);
 
             let mut second = TcpStream::connect(server.local_addr()).unwrap();
-            let frame = crate::framing::read_raw_frame(&mut second).unwrap();
             assert!(
-                matches!(
-                    decode_envelope(&frame).unwrap().0,
-                    Pdu::Error { code: 503, .. }
-                ),
+                matches!(reply(&mut second), Pdu::Error { code: 503, .. }),
                 "{driver}: over-capacity close announces itself"
             );
             let mut rest = Vec::new();
@@ -671,7 +685,7 @@ mod tests {
                 if s.write_all(&encode_envelope(&Pdu::ParamsRequest)).is_err() {
                     return false;
                 }
-                match crate::framing::read_raw_frame(&mut s) {
+                match read_frame(&mut s, &mut StreamDecoder::new()) {
                     Ok(f) => {
                         !matches!(decode_envelope(&f).unwrap().0, Pdu::Error { code: 503, .. })
                     }
@@ -701,7 +715,7 @@ mod tests {
                 active
                     .write_all(&encode_envelope(&Pdu::ParamsRequest))
                     .unwrap();
-                let _ = crate::framing::read_raw_frame(&mut active).unwrap();
+                reply(&mut active);
             }
             // The idle peer was closed at its deadline: its read sees EOF.
             idle.set_read_timeout(Some(Duration::from_millis(500)))
@@ -716,9 +730,8 @@ mod tests {
             active
                 .write_all(&encode_envelope(&Pdu::DepositAck { message_id: 5 }))
                 .unwrap();
-            let frame = crate::framing::read_raw_frame(&mut active).unwrap();
             assert_eq!(
-                decode_envelope(&frame).unwrap().0,
+                reply(&mut active),
                 Pdu::DepositAck { message_id: 5 },
                 "{driver}"
             );
@@ -743,8 +756,7 @@ mod tests {
                 message_id: i as u64,
             };
             s.write_all(&encode_envelope(&req)).unwrap();
-            let frame = crate::framing::read_raw_frame(&mut s).unwrap();
-            assert_eq!(decode_envelope(&frame).unwrap().0, req);
+            assert_eq!(reply(&mut s), req);
         }
     }
 }

@@ -45,8 +45,8 @@ pub use pdu::{
     MEMBER_ACTIVE, MEMBER_DRAINING, MEMBER_JOINING,
 };
 pub use secure::{
-    ChannelAuth, Handshaker, Opened, PskAuth, RecordDecoder, SecureChannel, SecureError,
-    SecureSession, SessionConfig, WIRE_VERSION_SECURE,
+    ChannelAuth, Handshaker, Opened, PskAuth, RecordDecoder, SecureError, SecureSession,
+    SessionConfig, WIRE_VERSION_SECURE,
 };
 pub use stream::StreamDecoder;
 

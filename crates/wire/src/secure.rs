@@ -25,10 +25,12 @@
 //! 4. **Close** — a `CLOSE` record is an authenticated end-of-session
 //!    marker; a bare TCP FIN remains distinguishable as truncation.
 //!
-//! The handshake driver ([`Handshaker`]) is sans-io: callers feed it raw
-//! bytes in arbitrary fragments and write out whatever it produces, which
-//! is what lets the same state machine serve the blocking client and the
-//! server's sans-io connection state machine under either of its drivers.
+//! Everything here is sans-io: the handshake driver ([`Handshaker`]) takes
+//! raw bytes in arbitrary fragments and hands back whatever it wants
+//! written, [`RecordDecoder`] splits records out of the same kind of
+//! fragments, and the session halves seal and open them. No type here
+//! touches a socket; `mws-server` owns the one byte-stream layer that
+//! drives them, for the client and the server end of a connection alike.
 
 use crate::{WireError, WireReader, WireWriter, MAX_BODY};
 use mws_crypto::{
@@ -884,165 +886,6 @@ impl Handshaker {
 /// distinct transcript component without a second RNG draw.
 fn eph_nonce(auth: &dyn ChannelAuth, eph_public: &[u8]) -> Vec<u8> {
     Sha256::digest_parts(&[b"mws-sec nonce", auth.identity().as_bytes(), eph_public])
-}
-
-/// Blocking handshake helpers over any `Read + Write` transport.
-///
-/// Reads are record-at-a-time (exact header, then exact payload), so no
-/// bytes beyond the handshake are consumed and the established session
-/// starts clean.
-///
-/// ```
-/// use mws_wire::secure::{ChannelAuth, PskAuth, SecureChannel, SessionConfig, Opened};
-/// use std::sync::Arc;
-///
-/// let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-/// let addr = listener.local_addr().unwrap();
-/// let server = std::thread::spawn(move || {
-///     let (mut sock, _) = listener.accept().unwrap();
-///     let auth: Arc<dyn ChannelAuth> = Arc::new(PskAuth::new(b"demo-psk", "mws/warehouse", 2));
-///     let (mut session, peer) =
-///         SecureChannel::accept(&mut sock, &auth, &SessionConfig::default()).unwrap();
-///     assert_eq!(peer, "mws/device");
-///     // Echo one frame back through the session.
-///     let frame = match SecureChannel::read_record(&mut sock, &mut session).unwrap() {
-///         Opened::Frame(f) => f,
-///         Opened::Close => panic!("expected data"),
-///     };
-///     SecureChannel::write_frame(&mut sock, &mut session, &frame).unwrap();
-/// });
-///
-/// let mut sock = std::net::TcpStream::connect(addr).unwrap();
-/// let auth: Arc<dyn ChannelAuth> = Arc::new(PskAuth::new(b"demo-psk", "mws/device", 1));
-/// let (mut session, peer) = SecureChannel::connect(
-///     &mut sock,
-///     &auth,
-///     Some("mws/warehouse"),
-///     &SessionConfig::default(),
-/// )
-/// .unwrap();
-/// assert_eq!(peer, "mws/warehouse");
-/// SecureChannel::write_frame(&mut sock, &mut session, b"hello over AES-GCM").unwrap();
-/// let echoed = SecureChannel::read_record(&mut sock, &mut session).unwrap();
-/// assert_eq!(echoed, Opened::Frame(b"hello over AES-GCM".to_vec()));
-/// server.join().unwrap();
-/// ```
-pub struct SecureChannel;
-
-impl SecureChannel {
-    /// Client side: handshake on `io`, expecting (optionally) a specific
-    /// peer identity. Returns the session and the proved peer identity.
-    pub fn connect<T: std::io::Read + std::io::Write>(
-        io: &mut T,
-        auth: &std::sync::Arc<dyn ChannelAuth>,
-        expect_peer: Option<&str>,
-        cfg: &SessionConfig,
-    ) -> std::io::Result<(SecureSession, String)> {
-        let mut hs = Handshaker::client(auth.clone(), expect_peer.map(String::from), cfg.clone());
-        Self::drive(io, &mut hs)
-    }
-
-    /// Server side: handshake on `io`. Returns the session and the
-    /// client's proved identity.
-    pub fn accept<T: std::io::Read + std::io::Write>(
-        io: &mut T,
-        auth: &std::sync::Arc<dyn ChannelAuth>,
-        cfg: &SessionConfig,
-    ) -> std::io::Result<(SecureSession, String)> {
-        let mut hs = Handshaker::server(auth.clone(), cfg.clone());
-        Self::drive(io, &mut hs)
-    }
-
-    fn drive<T: std::io::Read + std::io::Write>(
-        io: &mut T,
-        hs: &mut Handshaker,
-    ) -> std::io::Result<(SecureSession, String)> {
-        loop {
-            let out = hs.take_output();
-            if !out.is_empty() {
-                io.write_all(&out)?;
-                io.flush()?;
-            }
-            // Client completes on feeding ACCEPT — flush FINISH first.
-            let (rtype, payload) = Self::read_raw_record(io)?;
-            let bytes = encode_record(rtype, &payload);
-            match hs.feed(&bytes) {
-                Ok(Some(est)) => {
-                    let out = hs.take_output();
-                    if !out.is_empty() {
-                        io.write_all(&out)?;
-                        io.flush()?;
-                    }
-                    debug_assert!(est.leftover.is_empty(), "record-at-a-time reads");
-                    return Ok((est.session, est.peer));
-                }
-                Ok(None) => continue,
-                Err(e) => return Err(secure_to_io(e)),
-            }
-        }
-    }
-
-    /// Reads exactly one raw record (header-validated exact reads).
-    pub fn read_raw_record<T: std::io::Read>(io: &mut T) -> std::io::Result<(u8, Vec<u8>)> {
-        let mut header = [0u8; RECORD_HEADER];
-        io.read_exact(&mut header)?;
-        if header[0] != WIRE_VERSION_SECURE {
-            return Err(secure_to_io(SecureError::PlaintextPeer(header[0])));
-        }
-        let len = u32::from_le_bytes(header[2..6].try_into().expect("4 bytes")) as usize;
-        if len > MAX_RECORD_PAYLOAD {
-            return Err(secure_to_io(SecureError::Oversized(len)));
-        }
-        let mut payload = vec![0u8; len];
-        io.read_exact(&mut payload)?;
-        Ok((header[1], payload))
-    }
-
-    /// Seals `frame` and writes the record.
-    pub fn write_frame<T: std::io::Write>(
-        io: &mut T,
-        session: &mut SecureSession,
-        frame: &[u8],
-    ) -> std::io::Result<()> {
-        let rec = session.seal_frame(frame).map_err(secure_to_io)?;
-        io.write_all(&rec)?;
-        io.flush()
-    }
-
-    /// Reads and opens the next record.
-    pub fn read_record<T: std::io::Read>(
-        io: &mut T,
-        session: &mut SecureSession,
-    ) -> std::io::Result<Opened> {
-        let (rtype, payload) = Self::read_raw_record(io)?;
-        session.open_record(rtype, &payload).map_err(secure_to_io)
-    }
-
-    /// Sends the authenticated `CLOSE` record (best-effort shutdown).
-    pub fn write_close<T: std::io::Write>(
-        io: &mut T,
-        session: &mut SecureSession,
-    ) -> std::io::Result<()> {
-        let rec = session.send.seal_close().map_err(secure_to_io)?;
-        io.write_all(&rec)?;
-        io.flush()
-    }
-}
-
-/// Maps a secure-layer error into `io::Error` for blocking call sites.
-/// The original [`SecureError`] rides as the inner error, recoverable via
-/// [`io_secure_error`] (servers classify downgrades that way).
-pub fn secure_to_io(e: SecureError) -> std::io::Error {
-    let kind = match &e {
-        SecureError::Closed => std::io::ErrorKind::ConnectionAborted,
-        _ => std::io::ErrorKind::InvalidData,
-    };
-    std::io::Error::new(kind, e)
-}
-
-/// Recovers the [`SecureError`] carried by a [`secure_to_io`] error.
-pub fn io_secure_error(e: &std::io::Error) -> Option<&SecureError> {
-    e.get_ref()?.downcast_ref::<SecureError>()
 }
 
 #[cfg(test)]

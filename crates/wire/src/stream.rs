@@ -112,13 +112,23 @@ impl StreamDecoder {
     /// Like [`next_pdu`](Self::next_pdu), but also yields the trace
     /// context when the frame was a traced (v2) envelope.
     pub fn next_traced(&mut self) -> Result<Option<(Pdu, Option<TraceContext>)>, WireError> {
-        let avail = &self.buf[self.pos..];
-        if avail.is_empty() {
-            self.compact(true);
+        let Some(frame) = self.next_frame()? else {
             return Ok(None);
-        }
-        // Validate header fields as soon as they arrive.
-        let header = header_len(avail[0])?;
+        };
+        let (pdu, _, trace) = decode_envelope_traced(frame)?;
+        Ok(Some((pdu, trace)))
+    }
+
+    /// The next complete frame, header and body, lent from the decoder's
+    /// buffer; `Ok(None)` when more bytes are needed. Every pull checks the
+    /// header here, as early as its fields arrive.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
+        self.compact();
+        let avail = &self.buf[self.pos..];
+        let Some(&version) = avail.first() else {
+            return Ok(None);
+        };
+        let header = header_len(version)?;
         if avail.len() < MIN_HEADER {
             return Ok(None);
         }
@@ -129,19 +139,15 @@ impl StreamDecoder {
         if avail.len() < header + len {
             return Ok(None);
         }
-        let (pdu, consumed, trace) = decode_envelope_traced(avail)?;
-        self.pos += consumed;
-        self.compact(false);
-        Ok(Some((pdu, trace)))
+        let start = self.pos;
+        self.pos += header + len;
+        Ok(Some(&self.buf[start..self.pos]))
     }
 
-    /// Reclaims consumed prefix space. Forced on an empty buffer; otherwise
-    /// only once the dead prefix dominates, to keep feeds amortized O(1).
-    fn compact(&mut self, force: bool) {
-        if self.pos == 0 {
-            return;
-        }
-        if force || self.pos >= self.buf.len() || self.pos * 2 >= self.buf.len() {
+    /// Reclaims consumed prefix space once it dominates the buffer, keeping
+    /// feeds amortized O(1). Runs before a pull, so a lent frame stays put.
+    fn compact(&mut self) {
+        if self.pos > 0 && self.pos * 2 >= self.buf.len() {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }

@@ -20,6 +20,10 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+# A doc link to an item that no longer exists fails the gate.
+echo "==> cargo doc --no-deps --workspace (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
+
 echo "==> crypto_bench --smoke (fast-path bit-identity gate; release-build AES-128-GCM SP 800-38D cases 2-4 + pinned seal; Montgomery cross-width agreement)"
 cargo run --release -p mws-bench --bin crypto_bench -- --smoke
 

@@ -117,44 +117,61 @@ fn deployment_exposes_every_figure3_component() {
     assert_eq!(dep.mws().rejection_count(), 0);
 }
 
-/// The server has one connection state machine: framing, the handshake and
-/// the record layer are driven from `conn.rs` alone, and the drivers move
-/// bytes. (The client's `SecureChannel::connect` side is not a server
-/// connection.)
-#[test]
-fn one_connection_state_machine_in_the_server() {
-    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/server/src");
-    let mut files = vec![src];
-    let mut seen = 0;
-    while let Some(path) = files.pop() {
+/// Non-test lines of every `.rs` file under `dirs` (relative to the repo
+/// root), with the file they came from: code up to a file's
+/// `#[cfg(test)]` module, comment lines dropped.
+fn code_lines(dirs: &[&str]) -> Vec<(std::path::PathBuf, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut paths: Vec<_> = dirs.iter().map(|d| root.join(d)).collect();
+    let mut lines = Vec::new();
+    while let Some(path) = paths.pop() {
         if path.is_dir() {
-            for entry in std::fs::read_dir(&path).unwrap() {
-                files.push(entry.unwrap().path());
+            if !path.ends_with("target") && !path.ends_with("tests") {
+                paths.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
             }
-            continue;
-        }
-        if path.extension().is_none_or(|e| e != "rs") || path.ends_with("conn.rs") {
-            continue;
-        }
-        seen += 1;
-        let text = std::fs::read_to_string(&path).unwrap();
-        let code = text.split("\n#[cfg(test)]").next().unwrap();
-        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
-            for owned in [
-                "StreamDecoder",
-                "RecordDecoder",
-                "Handshaker",
-                "SecureChannel::accept",
-            ] {
-                assert!(
-                    !line.contains(owned),
-                    "{}: `{owned}` outside conn.rs: {line}",
-                    path.display()
-                );
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let code = text.split("\n#[cfg(test)]").next().unwrap();
+            for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+                lines.push((path.clone(), line.to_string()));
             }
         }
     }
-    assert!(seen > 10, "found the server sources");
+    lines
+}
+
+/// Both ends of a connection drive one byte-stream layer: framing, the
+/// handshake and the record layer are driven from the server's link module
+/// alone, which the server's `Conn` and the `TcpClient` both hold; the
+/// drivers move bytes. The blocking readers and the second handshake
+/// driver that the client used to run are gone from the whole tree.
+#[test]
+fn one_connection_state_machine_in_the_server() {
+    let (link, rest): (Vec<_>, Vec<_>) = code_lines(&["crates/server/src"])
+        .into_iter()
+        .partition(|(path, _)| path.ends_with("link.rs"));
+    assert!(
+        !link.is_empty() && rest.len() > 1000,
+        "found the server sources"
+    );
+    for (path, line) in rest {
+        for owned in ["StreamDecoder", "RecordDecoder", "Handshaker"] {
+            assert!(
+                !line.contains(owned),
+                "{}: `{owned}` outside link.rs: {line}",
+                path.display()
+            );
+        }
+    }
+    for (path, line) in code_lines(&["crates", "src", "examples", "benchmark/src"]) {
+        for gone in ["SecureChannel", "read_raw_frame"] {
+            assert!(
+                !line.contains(gone),
+                "{}: `{gone}` is back: {line}",
+                path.display()
+            );
+        }
+    }
 }
 
 /// The cluster's write path runs on the router's calling thread: a replica
@@ -164,24 +181,19 @@ fn one_connection_state_machine_in_the_server() {
 /// with `thread::Builder` and named).
 #[test]
 fn cluster_write_path_spawns_no_threads() {
-    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/cluster/src");
     let mut spawns = Vec::new();
-    for entry in std::fs::read_dir(&src).unwrap() {
-        let path = entry.unwrap().path();
-        let file = path.file_name().unwrap().to_string_lossy().into_owned();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut in_fn = String::new();
-        for line in text.lines().filter(|l| !l.trim_start().starts_with("//")) {
-            if let Some((_, rest)) = line.split_once("fn ") {
-                in_fn = rest.split(['(', '<']).next().unwrap().to_string();
-            }
-            assert!(
-                !line.contains("thread::scope"),
-                "{file}: scoped threads in the cluster: {line}"
-            );
-            if line.contains("thread::spawn") {
-                spawns.push(format!("{file}::{in_fn}"));
-            }
+    let mut in_fn = String::new();
+    for (path, line) in code_lines(&["crates/cluster/src"]) {
+        if let Some((_, rest)) = line.split_once("fn ") {
+            in_fn = rest.split(['(', '<']).next().unwrap().to_string();
+        }
+        let file = path.file_name().unwrap().to_string_lossy();
+        assert!(
+            !line.contains("thread::scope"),
+            "{file}: scoped threads in the cluster: {line}"
+        );
+        if line.contains("thread::spawn") {
+            spawns.push(format!("{file}::{in_fn}"));
         }
     }
     assert_eq!(spawns, ["router.rs::start_transfers"]);
@@ -298,28 +310,13 @@ fn every_crypto_export_has_a_caller_outside_the_crate() {
 #[test]
 fn only_the_memory_warehouse_runs_on_the_loop() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut dirs: Vec<_> = ["src", "examples", "crates", "benchmark/src"]
-        .iter()
-        .map(|d| root.join(d))
+    let mut defined: Vec<_> = code_lines(&["src", "examples", "crates", "benchmark/src"])
+        .into_iter()
+        .filter(|(_, line)| line.contains("fn runs_inline"))
+        .map(|(path, _)| path.strip_prefix(root).unwrap().display().to_string())
         .collect();
-    let mut defined = Vec::new();
-    while let Some(path) = dirs.pop() {
-        if path.is_dir() {
-            if !path.ends_with("target") && !path.ends_with("tests") {
-                dirs.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
-            }
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let text = std::fs::read_to_string(&path).unwrap();
-            let code = text.split("\n#[cfg(test)]").next().unwrap();
-            if code
-                .lines()
-                .any(|l| !l.trim_start().starts_with("//") && l.contains("fn runs_inline"))
-            {
-                defined.push(path.strip_prefix(root).unwrap().display().to_string());
-            }
-        }
-    }
     defined.sort();
+    defined.dedup();
     assert_eq!(
         defined,
         ["crates/core/src/protocol.rs", "crates/net/src/bus.rs"]

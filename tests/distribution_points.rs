@@ -90,6 +90,23 @@ fn incremental_pulls_deliver_each_message_once() {
 }
 
 #[test]
+fn reapplying_a_batch_stores_nothing_twice() {
+    let (mut dep, _point, relay_key) = setup();
+    let mut meter = edge_device(&dep);
+    meter.deposit("ELECTRIC-WEST", b"west reading 1").unwrap();
+    meter.deposit("ELECTRIC-WEST", b"west reading 2").unwrap();
+    let mut puller = RelayPuller::new(dep.network().client("ingest-west"), &relay_key);
+    let batch = puller.pull(100).unwrap();
+    let ids = dep.mws().store_relayed(&batch).unwrap();
+    // The retry after an apply that failed part-way (or whose outcome was
+    // lost): the same entries land on the same rows.
+    assert_eq!(dep.mws().store_relayed(&batch).unwrap(), ids);
+    assert_eq!(dep.mws().message_count(), 2);
+    let mut rc = dep.client("rc", "pw");
+    assert_eq!(rc.retrieve_and_decrypt(0).unwrap().len(), 2);
+}
+
+#[test]
 fn tampered_batch_never_reaches_the_warehouse() {
     let (dep, _point, _relay_key) = setup();
     let mut meter = edge_device(&dep);
