@@ -4,6 +4,8 @@
 //! byte-identical, original device MAC and all — to the R ring replicas of
 //! its attribute; each node verifies and stores it independently, and the
 //! device's ack is only issued after W of them reported the row durable.
+//! A single deposit and a batch take one write wave that settles each item
+//! on its own (`write_wave`): a single deposit is a batch of one.
 //! This works *because* provisioning is seed-deterministic: every node in
 //! the cluster derives the same device keys, policy tables and AID
 //! assignment from the shared deployment seed, so a replica doesn't trust
@@ -37,9 +39,10 @@ use mws_wire::pdu::{
     cluster_admin_bytes, replica_evict_bytes, replica_push_bytes, replica_rows_bytes,
 };
 use mws_wire::{
-    DepositItem, DepositOutcome, MemberState, Pdu, RelayEntry, WireMessage, MEMBER_ACTIVE,
-    MEMBER_DRAINING, MEMBER_JOINING,
+    DepositOutcome, MemberState, Pdu, RelayEntry, WireMessage, MEMBER_ACTIVE, MEMBER_DRAINING,
+    MEMBER_JOINING,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
@@ -424,16 +427,9 @@ impl ClusterRouter {
     /// Routes one request.
     pub fn handle(&self, req: Pdu) -> Pdu {
         match req {
-            Pdu::DepositRequest { ref attribute, .. } => {
-                let attribute = attribute.clone();
+            Pdu::DepositRequest { .. } | Pdu::DepositBatch { .. } => {
                 let start = Instant::now();
-                let reply = self.forward_deposit(&attribute, &req);
-                stats().deposit_quorum_us.record_duration(start.elapsed());
-                reply
-            }
-            Pdu::DepositBatch { sd_id, items } => {
-                let start = Instant::now();
-                let reply = self.forward_batch(sd_id, items);
+                let reply = self.forward_deposit(&req);
                 stats().deposit_quorum_us.record_duration(start.elapsed());
                 reply
             }
@@ -798,37 +794,109 @@ impl ClusterRouter {
         }
     }
 
-    /// Forwards one deposit along the attribute's ring walk until W nodes
-    /// reported the row durable. A durable report is a [`Pdu::DepositAck`]
-    /// *or* a 409: a node 409s a nonce only after recording it, and it
-    /// records only after its shard fsynced the row — either answer proves
-    /// the copy exists.
+    /// Forwards a deposit. A single deposit goes out as the device's
+    /// byte-identical PDU, a one-item wave. A batch's items are regrouped
+    /// by ring walk — a batch may span attributes living on different
+    /// nodes — and each group rides one sub-batch per target, so the
+    /// per-shard group commit on every node still sees the whole group.
+    fn forward_deposit(&self, req: &Pdu) -> Pdu {
+        let topo = self.topo();
+        match req {
+            Pdu::DepositRequest { attribute, .. } => {
+                let pref = topo.ring.preference(attribute);
+                let ends = self.write_wave(&topo, &pref, 1, |_| Cow::Borrowed(req));
+                match ends.into_iter().next().expect("a one-item wave ends once") {
+                    ItemEnd::Acked(reply) | ItemEnd::Verdict(reply) => reply,
+                    ItemEnd::QuorumFailed(held) => err(
+                        503,
+                        &format!(
+                            "write quorum not reached ({held}/{})",
+                            self.cfg.write_quorum
+                        ),
+                    ),
+                }
+            }
+            Pdu::DepositBatch { sd_id, items } => {
+                let mut groups: BTreeMap<Vec<usize>, Vec<usize>> = BTreeMap::new();
+                for (i, item) in items.iter().enumerate() {
+                    groups
+                        .entry(topo.ring.preference(&item.attribute))
+                        .or_default()
+                        .push(i);
+                }
+                let mut results = vec![
+                    DepositOutcome {
+                        status: DepositOutcome::STORAGE_ERROR,
+                        message_id: 0,
+                    };
+                    items.len()
+                ];
+                for (pref, members) in groups {
+                    let ends = self.write_wave(&topo, &pref, members.len(), |subset| {
+                        Cow::Owned(Pdu::DepositBatch {
+                            sd_id: sd_id.clone(),
+                            items: subset.iter().map(|&j| items[members[j]].clone()).collect(),
+                        })
+                    });
+                    for (&i, end) in members.iter().zip(ends) {
+                        if let ItemEnd::Acked(outcome) | ItemEnd::Verdict(outcome) = end {
+                            results[i] = outcome;
+                        }
+                    }
+                }
+                Pdu::DepositBatchAck { results }
+            }
+            _ => err(400, "unexpected PDU at cluster router"),
+        }
+    }
+
+    /// The write wave: forwards `items` items that share one ring walk
+    /// (`pref`) until each is settled, tracking holders and verdicts per
+    /// item, and returns how each ended. `request` builds the PDU carrying
+    /// the listed items (indices below `items`).
     ///
     /// The first wave targets only the *live preferred* replicas — the R
-    /// nodes the ring actually places this attribute on. What happens to
-    /// a preferred replica that missed its copy depends on hinting:
+    /// nodes the ring actually places these attributes on. Per item, for
+    /// every node's answer:
     ///
-    /// * Hints off (the default): the walk extends past the preferred set
-    ///   until R copies exist somewhere (classic sloppy quorum) and
-    ///   catch-up/read-repair converge the preferred set later.
-    /// * Hints on: the walk extends only while the *ack quorum* W is
-    ///   short, and each preferred replica that missed its copy gets a
-    ///   durable hint instead — replayed when the prober sees it back, so
-    ///   an acked row converges to exactly R copies, on exactly the ring
-    ///   replicas, without a spare copy parked on an overflow node.
+    /// * a durable answer (a stored or deduplicated row, or a replayed
+    ///   nonce: a node records a nonce only after its shard fsynced the
+    ///   row) makes the node a holder;
+    /// * any other well-formed answer (a bad MAC, a stale timestamp) is the
+    ///   item's verdict and ends its walk — every node verifies the same
+    ///   evidence, so one verdict speaks for all;
+    /// * a transport failure or a malformed reply extends the ring walk.
     ///
-    /// Hints are queued only on the ack path: a rejected or quorum-failed
-    /// deposit leaves no hint.
-    fn forward_deposit(&self, attribute: &str, req: &Pdu) -> Pdu {
-        let topo = self.topo();
+    /// The walk extends past the preferred set while an item is unsettled:
+    /// with hints off (the default) until it has R holders somewhere
+    /// (classic sloppy quorum; catch-up and read-repair converge the
+    /// preferred set later); with hints on only while it is short of the
+    /// ack quorum W, and each preferred replica that missed the wave gets a
+    /// durable hint instead — replayed when the prober sees it back, so an
+    /// acked row converges to exactly R copies on exactly the ring
+    /// replicas.
+    ///
+    /// An item acks at W holders; failing that it reports its first
+    /// verdict, or else a quorum failure. A hint carries only acked items:
+    /// a failed item must leave no copy a retry wouldn't also place.
+    fn write_wave<'r, A: Answer>(
+        &self,
+        topo: &Topology,
+        pref: &[usize],
+        items: usize,
+        request: impl Fn(&[usize]) -> Cow<'r, Pdu>,
+    ) -> Vec<ItemEnd<A>> {
         let hints = read_lock(&self.hints).clone();
-        let pref = topo.ring.preference(attribute);
-        let preferred: Vec<usize> = pref.iter().copied().take(self.cfg.replicas).collect();
-        let mut durable: Vec<(usize, Pdu)> = Vec::new(); // (node idx, reply)
-        let mut reject: Option<Pdu> = None;
+        let seek = if hints.is_some() {
+            self.cfg.write_quorum
+        } else {
+            self.cfg.replicas
+        };
+        let preferred = &pref[..self.cfg.replicas.min(pref.len())];
+        let mut holders: Vec<Vec<(usize, A)>> = (0..items).map(|_| Vec::new()).collect();
+        let mut verdicts: Vec<Option<A>> = (0..items).map(|_| None).collect();
         let mut owed: Vec<usize> = Vec::new(); // preferred replicas missing their copy
-
-        let wave: Vec<usize> = preferred
+        let mut wave: Vec<usize> = preferred
             .iter()
             .copied()
             .filter(|&i| {
@@ -839,216 +907,74 @@ impl ClusterRouter {
                 up
             })
             .collect();
-        if !wave.is_empty() {
-            for (idx, result) in fan_out(&topo, &wave, req) {
-                match result {
-                    Ok(reply) if is_durable_ack(&reply) => durable.push((idx, reply)),
-                    Ok(other) => {
-                        // A protocol reject (bad MAC, stale timestamp):
-                        // every node verifies the same evidence, so one
-                        // verdict speaks for all — no point walking on.
-                        reject.get_or_insert(other);
-                    }
-                    Err(_) => owed.push(idx), // marked down inside ClusterNode::call
-                }
-            }
-        }
-        // Overflow walk past the preferred set: seek R copies without
-        // hints, only the W ack quorum with them (the hint covers the
-        // rest of R).
-        let seek = if hints.is_some() {
-            self.cfg.write_quorum
-        } else {
-            self.cfg.replicas
-        };
-        let mut walk = pref
+        let mut walk = pref[preferred.len()..]
             .iter()
             .copied()
-            .skip(self.cfg.replicas)
             .filter(|&i| topo.nodes[i].is_up());
-        while reject.is_none() && durable.len() < seek {
-            let wave: Vec<usize> = walk.by_ref().take(seek - durable.len()).collect();
+        let mut active: Vec<usize> = (0..items).collect();
+        loop {
+            if !wave.is_empty() {
+                let req = request(&active);
+                for (idx, result) in fan_out(topo, &wave, &req) {
+                    let answers = match result {
+                        Ok(reply) => A::split(reply, active.len()),
+                        Err(_) => {
+                            if preferred.contains(&idx) {
+                                owed.push(idx); // marked down inside ClusterNode::call
+                            }
+                            None
+                        }
+                    };
+                    for (&j, answer) in active.iter().zip(answers.into_iter().flatten()) {
+                        if answer.durable() {
+                            holders[j].push((idx, answer));
+                        } else if verdicts[j].is_none() {
+                            verdicts[j] = Some(answer);
+                        }
+                    }
+                }
+            }
+            active.retain(|&j| verdicts[j].is_none() && holders[j].len() < seek);
+            // Unsettled items answered alike on every node so far (any
+            // other answer settled them), so they hold equally many copies.
+            let Some(&j) = active.first() else {
+                break;
+            };
+            wave = walk.by_ref().take(seek - holders[j].len()).collect();
             if wave.is_empty() {
                 break;
             }
-            for (idx, result) in fan_out(&topo, &wave, req) {
-                match result {
-                    Ok(reply) if is_durable_ack(&reply) => durable.push((idx, reply)),
-                    Ok(other) => {
-                        reject.get_or_insert(other);
-                    }
-                    Err(_) => {}
-                }
-            }
         }
-        if durable.len() >= self.cfg.write_quorum {
-            if let Some(hints) = &hints {
-                for idx in owed {
-                    // Quorum held without this replica; queue its copy.
-                    hints.queue(topo.nodes[idx].name(), &hint_payload(req));
-                }
-            }
-            stats().deposits_acked.inc();
-            return durable
-                .iter()
-                .find_map(|(idx, reply)| match reply {
-                    Pdu::DepositAck { message_id } => Some(Pdu::DepositAck {
-                        message_id: remap_id(*idx, *message_id),
-                    }),
-                    _ => None,
-                })
-                // Every durable report was a 409 replay: answer as one
-                // warehouse would.
-                .unwrap_or_else(|| durable.into_iter().next().expect("non-empty").1);
-        }
-        if let Some(reject) = reject {
-            return reject;
-        }
-        stats().quorum_failures.inc();
-        err(
-            503,
-            &format!(
-                "write quorum not reached ({}/{})",
-                durable.len(),
-                self.cfg.write_quorum
-            ),
-        )
-    }
-
-    /// Forwards a deposit batch. Items are regrouped by replica set — a
-    /// batch may span attributes living on different nodes — and each
-    /// group rides one sub-batch per target, so the per-shard group
-    /// commit on every node still sees the whole group. Outcomes merge
-    /// per item under the same W rule as single deposits.
-    fn forward_batch(&self, sd_id: String, items: Vec<DepositItem>) -> Pdu {
-        let topo = self.topo();
-        let mut results = vec![
-            DepositOutcome {
-                status: DepositOutcome::STORAGE_ERROR,
-                message_id: 0,
-            };
-            items.len()
-        ];
-        // Group item indices by their attribute's ring walk.
-        let mut groups: BTreeMap<Vec<usize>, Vec<usize>> = BTreeMap::new();
-        for (i, item) in items.iter().enumerate() {
-            groups
-                .entry(topo.ring.preference(&item.attribute))
-                .or_default()
-                .push(i);
-        }
-        let hints = read_lock(&self.hints).clone();
-        for (pref, member_idx) in groups {
-            let sub: Vec<DepositItem> = member_idx.iter().map(|&i| items[i].clone()).collect();
-            let req = Pdu::DepositBatch {
-                sd_id: sd_id.clone(),
-                items: sub.clone(),
-            };
-            let preferred: Vec<usize> = pref.iter().copied().take(self.cfg.replicas).collect();
-            // durable[j] = nodes that hold item j of this group.
-            let mut durable: Vec<Vec<(usize, DepositOutcome)>> = vec![Vec::new(); member_idx.len()];
-            let mut answered = 0usize;
-            let mut owed: Vec<usize> = Vec::new(); // preferred replicas missing the group
-            let wave: Vec<usize> = preferred
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    let up = topo.nodes[i].is_up();
-                    if !up {
-                        owed.push(i);
-                    }
-                    up
-                })
+        if let Some(hints) = &hints {
+            let acked: Vec<usize> = (0..items)
+                .filter(|&j| holders[j].len() >= self.cfg.write_quorum)
                 .collect();
-            // Same wave shape as single deposits: live preferred first,
-            // then overflow — to R copies without hints, to the W ack
-            // quorum with them (owed preferred replicas get hints).
-            let seek = if hints.is_some() {
-                self.cfg.write_quorum
-            } else {
-                self.cfg.replicas
-            };
-            let mut walk = pref
-                .iter()
-                .copied()
-                .skip(self.cfg.replicas)
-                .filter(|&i| topo.nodes[i].is_up());
-            let mut first_wave = Some(wave);
-            loop {
-                let wave: Vec<usize> = match first_wave.take() {
-                    Some(wave) => wave,
-                    None => {
-                        if answered >= seek {
-                            break;
-                        }
-                        let wave: Vec<usize> = walk.by_ref().take(seek - answered).collect();
-                        if wave.is_empty() {
-                            break;
-                        }
-                        wave
-                    }
-                };
-                if wave.is_empty() {
-                    continue; // all preferred down; go straight to overflow
-                }
-                for (idx, result) in fan_out(&topo, &wave, &req) {
-                    if result.is_err() && preferred.contains(&idx) {
-                        owed.push(idx); // marked down inside ClusterNode::call
-                    }
-                    let Ok(Pdu::DepositBatchAck { results: acks }) = result else {
-                        continue;
-                    };
-                    if acks.len() != member_idx.len() {
-                        continue; // malformed; treat as no answer
-                    }
-                    answered += 1;
-                    for (j, outcome) in acks.into_iter().enumerate() {
-                        if is_durable_status(outcome.status) {
-                            durable[j].push((idx, outcome));
-                        } else if durable[j].is_empty() {
-                            // Keep the reject verdict visible unless a
-                            // durable copy overrides it.
-                            results[member_idx[j]] = outcome;
-                        }
-                    }
-                }
-            }
-            let mut acked_items: Vec<DepositItem> = Vec::new();
-            for (j, holders) in durable.into_iter().enumerate() {
-                if holders.len() >= self.cfg.write_quorum {
-                    // Prefer a STORED verdict; any holder proves the row.
-                    let &(idx, outcome) = holders
-                        .iter()
-                        .find(|(_, o)| o.status == DepositOutcome::STORED)
-                        .unwrap_or(&holders[0]);
-                    results[member_idx[j]] = DepositOutcome {
-                        status: outcome.status,
-                        message_id: remap_id(idx, outcome.message_id),
-                    };
-                    acked_items.push(sub[j].clone());
-                } else if !holders.is_empty() {
-                    // Some copies exist but below W: report a storage
-                    // error so the device retries (idempotent on every
-                    // node that already holds it).
-                    stats().quorum_failures.inc();
-                }
-            }
-            // Hints carry only the quorum-acked items — a failed item
-            // must leave no copy a retry wouldn't also place.
-            if !acked_items.is_empty() {
-                if let Some(hints) = &hints {
-                    let hint = Pdu::DepositBatch {
-                        sd_id: sd_id.clone(),
-                        items: acked_items,
-                    };
-                    for &idx in &owed {
-                        hints.queue(topo.nodes[idx].name(), &hint_payload(&hint));
-                    }
+            if !acked.is_empty() && !owed.is_empty() {
+                let hint = hint_payload(&request(&acked));
+                for &idx in &owed {
+                    hints.queue(topo.nodes[idx].name(), &hint);
                 }
             }
         }
-        stats().deposits_acked.inc();
-        Pdu::DepositBatchAck { results }
+        holders
+            .into_iter()
+            .zip(verdicts)
+            .map(|(mut held, verdict)| {
+                if held.len() >= self.cfg.write_quorum {
+                    stats().deposits_acked.inc();
+                    // A fresh store names the id the device is told; any
+                    // holder proves the row.
+                    let k = held.iter().position(|(_, a)| a.stored()).unwrap_or(0);
+                    let (idx, answer) = held.swap_remove(k);
+                    ItemEnd::Acked(answer.remapped(idx))
+                } else if let Some(verdict) = verdict {
+                    ItemEnd::Verdict(verdict)
+                } else {
+                    stats().quorum_failures.inc();
+                    ItemEnd::QuorumFailed(held.len())
+                }
+            })
+            .collect()
     }
 
     /// Fans a retrieve out to every live node, merges by nonce, and
@@ -1403,6 +1329,79 @@ fn is_durable_status(status: u8) -> bool {
     )
 }
 
+/// One node's answer for one item of a write wave: a single deposit's
+/// whole reply (the device sees it verbatim), or one outcome of a batch
+/// ack.
+trait Answer: Sized {
+    /// Splits a node's reply into per-item answers; `None` marks a reply
+    /// that is no well-formed answer for `n` items.
+    fn split(reply: Pdu, n: usize) -> Option<impl Iterator<Item = Self>>;
+    /// Does this answer prove the node holds the row durably?
+    fn durable(&self) -> bool;
+    /// Did this node store the row fresh?
+    fn stored(&self) -> bool;
+    /// The answer with its message id namespaced by the node index.
+    fn remapped(self, node_idx: usize) -> Self;
+}
+
+impl Answer for Pdu {
+    fn split(reply: Pdu, _: usize) -> Option<impl Iterator<Item = Self>> {
+        matches!(reply, Pdu::DepositAck { .. } | Pdu::Error { .. }).then(|| std::iter::once(reply))
+    }
+
+    fn durable(&self) -> bool {
+        is_durable_ack(self)
+    }
+
+    fn stored(&self) -> bool {
+        matches!(self, Pdu::DepositAck { .. })
+    }
+
+    fn remapped(self, node_idx: usize) -> Self {
+        match self {
+            Pdu::DepositAck { message_id } => Pdu::DepositAck {
+                message_id: remap_id(node_idx, message_id),
+            },
+            // Every holder answered 409: answer as one warehouse would.
+            other => other,
+        }
+    }
+}
+
+impl Answer for DepositOutcome {
+    fn split(reply: Pdu, n: usize) -> Option<impl Iterator<Item = Self>> {
+        match reply {
+            Pdu::DepositBatchAck { results } if results.len() == n => Some(results.into_iter()),
+            _ => None,
+        }
+    }
+
+    fn durable(&self) -> bool {
+        is_durable_status(self.status)
+    }
+
+    fn stored(&self) -> bool {
+        self.status == DepositOutcome::STORED
+    }
+
+    fn remapped(self, node_idx: usize) -> Self {
+        DepositOutcome {
+            message_id: remap_id(node_idx, self.message_id),
+            ..self
+        }
+    }
+}
+
+/// Where one item's write wave ended.
+enum ItemEnd<A> {
+    /// W nodes hold it; the answer the device is given.
+    Acked(A),
+    /// Short of W, with the first non-durable verdict.
+    Verdict(A),
+    /// Short of W with no verdict: this many nodes hold it.
+    QuorumFailed(usize),
+}
+
 /// Serializes a deposit PDU for the hint WAL: type byte, then body. The
 /// hint must round-trip byte-identical — the replayed deposit carries
 /// the device's original MAC, which covers these exact fields.
@@ -1472,11 +1471,12 @@ fn stats() -> &'static RouterStats {
 mod tests {
     use super::*;
     use mws_net::Network;
-    use mws_wire::fnv1a64;
+    use mws_wire::{fnv1a64, DepositItem};
 
     /// A toy warehouse faithful to the router-visible contract: dedup by
-    /// nonce, 409 on replayed nonces, retrieve listing, and the MAC'd
-    /// replica plane. Shared behind a mutex so tests can inspect state.
+    /// nonce, 409 on replayed nonces, 401 on a [`FORGED`] device MAC,
+    /// retrieve listing, and the MAC'd replica plane. Shared behind a mutex
+    /// so tests can inspect state.
     #[derive(Default)]
     struct ToyStore {
         rows: BTreeMap<Vec<u8>, RelayEntry>,
@@ -1485,6 +1485,9 @@ mod tests {
     }
 
     const KEY: &[u8] = b"toy-replica-key";
+
+    /// The device MAC the toy warehouse refuses.
+    const FORGED: &[u8] = b"forged";
 
     fn toy_service(store: Arc<Mutex<ToyStore>>) -> impl Service + 'static {
         move |req: Pdu| {
@@ -1498,8 +1501,14 @@ mod tests {
                     sealed,
                     attribute,
                     nonce,
-                    ..
+                    mac,
                 } => {
+                    if mac == FORGED {
+                        return Pdu::Error {
+                            code: 401,
+                            detail: "bad mac".into(),
+                        };
+                    }
                     if s.replay.contains(&nonce) {
                         return Pdu::Error {
                             code: 409,
@@ -1528,6 +1537,12 @@ mod tests {
                     let results = items
                         .into_iter()
                         .map(|item| {
+                            if item.mac == FORGED {
+                                return DepositOutcome {
+                                    status: DepositOutcome::REJECTED,
+                                    message_id: 0,
+                                };
+                            }
                             if s.replay.contains(&item.nonce) {
                                 return DepositOutcome {
                                     status: DepositOutcome::REPLAY,
@@ -1670,6 +1685,19 @@ mod tests {
         }
     }
 
+    /// [`deposit`]'s fields as a batch item.
+    fn item(attr: &str, nonce: &[u8]) -> DepositItem {
+        DepositItem {
+            timestamp: 1,
+            u: b"\x02u".to_vec(),
+            algo: 1,
+            sealed: b"c".to_vec(),
+            attribute: attr.into(),
+            nonce: nonce.to_vec(),
+            mac: b"mac".to_vec(),
+        }
+    }
+
     fn retrieve() -> Pdu {
         Pdu::RetrieveRequest {
             rc_id: "rc".into(),
@@ -1783,6 +1811,101 @@ mod tests {
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.status, DepositOutcome::STORED, "item {i}");
             assert_eq!(holders(&c, &[i as u8]).len(), 2, "item {i} replicated");
+        }
+    }
+
+    /// A single deposit and the equivalent one-item batch take the same
+    /// wave: under every set of down nodes, with hints on and off, at
+    /// W = 1 and 2, they leave the same holders and the same hints, and the
+    /// single reply maps onto the batch outcome — acks, replays, forged
+    /// MACs and quorum failures alike. Replaying the hints keeps them equal.
+    #[test]
+    fn a_single_deposit_forwards_like_a_batch_of_one() {
+        let maps_onto = |reply: &Pdu, batch: &Pdu| {
+            let Pdu::DepositBatchAck { results } = batch else {
+                return false;
+            };
+            let [o] = results.as_slice() else {
+                return false;
+            };
+            match reply {
+                Pdu::DepositAck { message_id } => {
+                    o.status == DepositOutcome::STORED && o.message_id == *message_id
+                }
+                Pdu::Error { code: 409, .. } => o.status == DepositOutcome::REPLAY,
+                Pdu::Error { code: 401, .. } => o.status == DepositOutcome::REJECTED,
+                Pdu::Error { code: 503, .. } => o.status == DepositOutcome::STORAGE_ERROR,
+                _ => false,
+            }
+        };
+        for hinted in [false, true] {
+            for w in [1, 2] {
+                for down in 0..8usize {
+                    let (a, b) = (cluster(3, 2, w), cluster(3, 2, w));
+                    let downed: Vec<String> = (0..3)
+                        .filter(|i| down & (1 << i) != 0)
+                        .map(|i| format!("node-{i}"))
+                        .collect();
+                    for c in [&a, &b] {
+                        if hinted {
+                            c.router.enable_hints(None);
+                        }
+                        for name in &downed {
+                            c.net.unbind(name);
+                        }
+                    }
+                    let case = format!("hints {hinted}, W={w}, down {downed:?}");
+                    let mut nonces = Vec::new();
+                    for k in 0..8u8 {
+                        let attr = format!("EQ-{}", k % 5);
+                        // Deposits 5..7 retransmit 0..2; 3 and 7 are forged.
+                        let nonce = vec![k % 5];
+                        let (mut single, mut one) = (deposit(&attr, &nonce), item(&attr, &nonce));
+                        if k % 4 == 3 {
+                            one.mac = FORGED.to_vec();
+                            if let Pdu::DepositRequest { mac, .. } = &mut single {
+                                *mac = FORGED.to_vec();
+                            }
+                        }
+                        let reply = a.router.handle(single);
+                        let batch = b.router.handle(Pdu::DepositBatch {
+                            sd_id: "m".into(),
+                            items: vec![one],
+                        });
+                        assert!(
+                            maps_onto(&reply, &batch),
+                            "{case}, #{k}: {reply:?} vs {batch:?}"
+                        );
+                        assert_eq!(holders(&a, &nonce), holders(&b, &nonce), "{case}, #{k}");
+                        nonces.push(nonce);
+                    }
+                    let pending = |c: &Cluster| -> Vec<usize> {
+                        let board = c.router.hint_board();
+                        (0..3)
+                            .map(|i| {
+                                board
+                                    .as_ref()
+                                    .map_or(0, |h| h.pending(&format!("node-{i}")))
+                            })
+                            .collect()
+                    };
+                    assert_eq!(pending(&a), pending(&b), "{case}: hints");
+                    for c in [&a, &b] {
+                        for name in &downed {
+                            let i: usize = name["node-".len()..].parse().unwrap();
+                            c.net.bind(name, toy_service(c.stores[i].clone()));
+                        }
+                        c.router.probe_once();
+                    }
+                    for nonce in &nonces {
+                        assert_eq!(
+                            holders(&a, nonce),
+                            holders(&b, nonce),
+                            "{case}: after replay"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -295,7 +295,6 @@ impl SmartDevice {
                     mws_net::NetError::Dropped
                     | mws_net::NetError::Timeout
                     | mws_net::NetError::Io(_)
-                    | mws_net::NetError::Disconnected
                     | mws_net::NetError::CircuitOpen => last = CoreError::Net(e),
                     other => return Err(CoreError::Net(other)),
                 },

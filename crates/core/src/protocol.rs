@@ -5,6 +5,12 @@
 //! provisions a complete system — PKG, MWS, devices and clients on one
 //! simulated network — and is the entry point used by the examples,
 //! integration tests and benchmarks.
+//!
+//! The warehouse has one deposit path: a `DepositRequest`, every item of a
+//! `DepositBatch`, a peer's `ReplicaPush` row and a relayed row are all
+//! stored through the sharded store's group commit
+//! ([`ShardedMessageDb::deposit_batch`]); a single deposit is a batch of
+//! one, answered with its own reply.
 
 use crate::audit::{AuditEvent, AuditLog, AuditRecord};
 use crate::clock::{LogicalClock, ReplayPolicy};
@@ -16,16 +22,16 @@ use crate::obs::stats;
 use crate::pkg_service::{PkgMaster, PkgService};
 use crate::policy::AttrPattern;
 use crate::registry::DeviceRegistry;
-use crate::sda::{DeviceAuthVerifier, SdAuthenticator, SD_IDENTITY_PREFIX};
+use crate::sda::{DeviceAuthVerifier, SdAuthenticator, SdaReject, SD_IDENTITY_PREFIX};
 use crate::token::{TicketContent, TokenGenerator};
 use mws_crypto::{ct_eq, Hmac, HmacDrbg, Rng, RsaKeyPair, RsaPublicKey, Sha256};
 use mws_ibe::{CipherAlgo, IbeSystem};
 use mws_net::{Client, FaultConfig, Network};
 use mws_obs::sync::lock;
 use mws_pairing::SecurityLevel;
-use mws_store::{FaultPlan, PendingDeposit, PolicyRow, ShardedMessageDb, StorageKind};
+use mws_store::{FaultPlan, MessageId, PendingDeposit, PolicyRow, ShardedMessageDb, StorageKind};
 use mws_wire::pdu::{replica_evict_bytes, replica_push_bytes, replica_rows_bytes};
-use mws_wire::{DepositItem, DepositOutcome, Pdu, RelayEntry, WireMessage};
+use mws_wire::{DepositOutcome, Pdu, RelayEntry, WireMessage};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -183,26 +189,40 @@ impl MwsService {
                 mac,
             } => {
                 let start = std::time::Instant::now();
-                let reply = self.handle_deposit(
-                    PendingDeposit {
-                        attribute,
-                        nonce,
-                        u,
-                        algo,
-                        sealed,
-                        sd_id,
-                        timestamp,
-                    },
-                    mac,
-                );
+                let row = PendingDeposit {
+                    attribute,
+                    nonce,
+                    u,
+                    algo,
+                    sealed,
+                    sd_id,
+                    timestamp,
+                };
+                let [verdict] = self.deposit_rows([(row, mac)], [Verdict::StorageError]);
                 stats().deposit_us.record_duration(start.elapsed());
-                reply
+                verdict.reply()
             }
             Pdu::DepositBatch { sd_id, items } => {
                 let start = std::time::Instant::now();
-                let reply = self.handle_deposit_batch(sd_id, items);
+                stats().deposit_batch_items.record(items.len() as u64);
+                let verdicts = vec![Verdict::StorageError; items.len()];
+                let rows = items.into_iter().map(|item| {
+                    let row = PendingDeposit {
+                        attribute: item.attribute,
+                        nonce: item.nonce,
+                        u: item.u,
+                        algo: item.algo,
+                        sealed: item.sealed,
+                        sd_id: sd_id.clone(),
+                        timestamp: item.timestamp,
+                    };
+                    (row, item.mac)
+                });
+                let verdicts = self.deposit_rows(rows, verdicts);
                 stats().deposit_batch_us.record_duration(start.elapsed());
-                reply
+                Pdu::DepositBatchAck {
+                    results: verdicts.into_iter().map(Verdict::outcome).collect(),
+                }
             }
             Pdu::ReplicaPull {
                 attribute,
@@ -270,11 +290,12 @@ impl MwsService {
 
     /// Stores rows a cluster peer pushed (read-repair or catch-up) through
     /// the same durable origin-dedup path a device retransmission takes:
-    /// each row fsyncs on its shard before the ack counts it, and a row
-    /// already present under its `(sd_id, nonce)` origin is a dedup hit,
-    /// not a second copy. The SDA replay guard is deliberately *not*
-    /// touched — a later live retransmission of the same deposit must
-    /// still converge to the same single row instead of 409ing.
+    /// one group commit, so each touched shard fsyncs once before the ack
+    /// counts its rows, and a row already present under its
+    /// `(sd_id, nonce)` origin is a dedup hit, not a second copy. The SDA
+    /// replay guard is deliberately *not* touched — a later live
+    /// retransmission of the same deposit must still converge to the same
+    /// single row instead of 409ing.
     fn handle_replica_push(&self, rows: Vec<RelayEntry>, mac: &[u8]) -> Pdu {
         let expect = Hmac::<Sha256>::mac(&self.replica_key, &replica_push_bytes(&rows));
         if !ct_eq(mac, &expect) {
@@ -282,24 +303,17 @@ impl MwsService {
             mws_obs::warn!(target: "mws_core", "replica push rejected", reason = "bad mac",);
             return err(401, "replica MAC verification failed");
         }
-        let mut stored = 0u32;
-        let mut deduped = 0u32;
-        for row in rows {
-            let pending = PendingDeposit {
-                attribute: row.attribute,
-                nonce: row.nonce,
-                u: row.u,
-                algo: row.algo,
-                sealed: row.sealed,
-                sd_id: row.sd_id,
-                timestamp: row.timestamp,
-            };
-            match self.store.deposit(&pending) {
-                Ok((_, true)) => stored += 1,
-                Ok((_, false)) => deduped += 1,
-                Err(_) => return err(500, "storage failure"),
-            }
-        }
+        let rows: Vec<PendingDeposit> = rows.into_iter().map(pending_row).collect();
+        let Some(outcomes) = self
+            .store
+            .deposit_batch(&rows)
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+        else {
+            return err(500, "storage failure");
+        };
+        let stored = outcomes.iter().filter(|(_, fresh)| *fresh).count() as u32;
+        let deduped = outcomes.len() as u32 - stored;
         stats().replica_rows_stored.add(u64::from(stored));
         if stored > 0 {
             mws_obs::debug!(target: "mws_core", "replica push stored",
@@ -336,158 +350,91 @@ impl MwsService {
         }
     }
 
-    /// One deposit: verify under the service lock, append + fsync on the
-    /// owning shard *outside* it, then record the nonce and audit under the
-    /// lock again. The ack is only built after the shard reported the row
-    /// durable, and the replay nonce is only recorded after that same
-    /// point, so a failed store stays honestly retryable (PR 2 invariant).
-    fn handle_deposit(&self, row: PendingDeposit, mac: Vec<u8>) -> Pdu {
+    /// The one write pass every deposit takes, single or batched (§V.B):
+    /// verify each row's evidence under the service lock, group-commit the
+    /// verified rows outside it with one [`ShardedMessageDb::deposit_batch`]
+    /// (one WAL append and one fsync per touched shard), then record nonces
+    /// and audit under the lock again. A row's nonce is recorded only after
+    /// its shard reported it durable, so a failed store stays honestly
+    /// retryable, and batching changes how rows share a frame, never the
+    /// durable-before-ack order.
+    ///
+    /// `verdicts` holds one slot per row (an array for a single deposit, so
+    /// that path allocates nothing here); every slot is overwritten.
+    fn deposit_rows<V: AsMut<[Verdict]>>(
+        &self,
+        rows: impl IntoIterator<Item = (PendingDeposit, Vec<u8>)>,
+        mut verdicts: V,
+    ) -> V {
         let now = self.clock.now();
+        let slots = verdicts.as_mut();
+        let mut verified = Vec::with_capacity(slots.len());
         {
             let mut inner = lock(&self.inner);
-            if CipherAlgo::from_wire_id(row.algo).is_none() {
-                reject_unknown_cipher(&mut inner, now, &row.sd_id, row.algo);
-                return err(400, UNKNOWN_CIPHER);
-            }
-            if let Err(reject) = inner.sda.verify_fresh(
-                now,
-                &row.sd_id,
-                row.timestamp,
-                &row.u,
-                &row.sealed,
-                &row.attribute,
-                &row.nonce,
-                &mac,
-            ) {
-                return reject_deposit(&mut inner, now, row.sd_id, &reject);
-            }
-        }
-        let (message_id, stored) = match self.store.deposit(&row) {
-            Ok(pair) => pair,
-            Err(_) => {
-                stats().deposit_storage_error.inc();
-                return err(500, "storage failure");
-            }
-        };
-        let mut inner = lock(&self.inner);
-        inner.sda.record_deposit(&row.sd_id, &row.nonce);
-        if stored {
-            stats().deposit_accepted.inc();
-            inner.audit.record(
-                now,
-                AuditEvent::DepositAccepted {
-                    sd_id: row.sd_id,
-                    message_id,
-                },
-            );
-        } else {
-            // Honest retransmission answered from the origin index.
-            stats().deposit_duplicate.inc();
-        }
-        mws_obs::debug!(
-            target: "mws_core",
-            "deposit acked",
-            message_id = message_id,
-            deduplicated = !stored,
-        );
-        Pdu::DepositAck { message_id }
-    }
-
-    /// One DepositBatch: authenticate every item in a single lock pass,
-    /// group-commit the verified rows per shard (one WAL append + one fsync
-    /// per touched shard) outside the lock, then record nonces and audit.
-    /// The per-item acks in the response are only marked `STORED` /
-    /// `DUPLICATE` after the owning shard's fsync returned — batching
-    /// changes how rows share a frame, never the durable-before-ack order.
-    fn handle_deposit_batch(&self, sd_id: String, items: Vec<DepositItem>) -> Pdu {
-        let now = self.clock.now();
-        stats().deposit_batch_items.record(items.len() as u64);
-        let mut results = vec![
-            DepositOutcome {
-                status: DepositOutcome::STORAGE_ERROR,
-                message_id: 0,
-            };
-            items.len()
-        ];
-        let mut verified: Vec<(usize, PendingDeposit)> = Vec::with_capacity(items.len());
-        {
-            let mut inner = lock(&self.inner);
-            for (i, item) in items.into_iter().enumerate() {
-                if CipherAlgo::from_wire_id(item.algo).is_none() {
-                    reject_unknown_cipher(&mut inner, now, &sd_id, item.algo);
-                    results[i].status = DepositOutcome::REJECTED;
-                    continue;
-                }
-                match inner.sda.verify_fresh(
-                    now,
-                    &sd_id,
-                    item.timestamp,
-                    &item.u,
-                    &item.sealed,
-                    &item.attribute,
-                    &item.nonce,
-                    &item.mac,
-                ) {
-                    Ok(()) => verified.push((
-                        i,
-                        PendingDeposit {
-                            attribute: item.attribute,
-                            nonce: item.nonce,
-                            u: item.u,
-                            algo: item.algo,
-                            sealed: item.sealed,
-                            sd_id: sd_id.clone(),
-                            timestamp: item.timestamp,
-                        },
-                    )),
-                    Err(reject) => {
-                        results[i].status = audit_batch_reject(&mut inner, now, &sd_id, &reject);
-                    }
-                }
-            }
-        }
-        let rows: Vec<PendingDeposit> = verified.iter().map(|(_, row)| row.clone()).collect();
-        let outcomes = self.store.deposit_batch(&rows);
-        let mut inner = lock(&self.inner);
-        for ((i, row), outcome) in verified.into_iter().zip(outcomes) {
-            match outcome {
-                Some((message_id, fresh)) => {
-                    inner.sda.record_deposit(&sd_id, &row.nonce);
-                    results[i] = DepositOutcome {
-                        status: if fresh {
-                            DepositOutcome::STORED
-                        } else {
-                            DepositOutcome::DUPLICATE
-                        },
-                        message_id,
-                    };
-                    if fresh {
-                        stats().deposit_accepted.inc();
-                        inner.audit.record(
+            for ((row, mac), slot) in rows.into_iter().zip(slots.iter_mut()) {
+                let checked = if CipherAlgo::from_wire_id(row.algo).is_none() {
+                    Err(Verdict::UnknownCipher)
+                } else {
+                    inner
+                        .sda
+                        .verify_fresh(
                             now,
-                            AuditEvent::DepositAccepted {
-                                sd_id: sd_id.clone(),
-                                message_id,
-                            },
-                        );
-                    } else {
-                        stats().deposit_duplicate.inc();
+                            &row.sd_id,
+                            row.timestamp,
+                            &row.u,
+                            &row.sealed,
+                            &row.attribute,
+                            &row.nonce,
+                            &mac,
+                        )
+                        .map_err(Verdict::Rejected)
+                };
+                match checked {
+                    Ok(()) => {
+                        // Stays a storage error unless the store makes the
+                        // row durable below.
+                        *slot = Verdict::StorageError;
+                        verified.push(row);
                     }
-                }
-                None => {
-                    // Shard append/fsync failed; nonce NOT recorded, so the
-                    // device's retransmission of this item will be accepted.
-                    stats().deposit_storage_error.inc();
+                    Err(verdict) => {
+                        audit_reject(&mut inner, now, row.sd_id, &verdict, row.algo);
+                        *slot = verdict;
+                    }
                 }
             }
         }
-        drop(inner);
-        mws_obs::debug!(
-            target: "mws_core",
-            "deposit batch acked",
-            items = results.len(),
-        );
-        Pdu::DepositBatchAck { results }
+        let stored = self.store.deposit_batch(&verified);
+        let mut inner = lock(&self.inner);
+        let pending = slots
+            .iter_mut()
+            .filter(|slot| matches!(slot, Verdict::StorageError));
+        for ((slot, row), outcome) in pending.zip(verified).zip(stored) {
+            let Some((message_id, fresh)) = outcome else {
+                // Nonce NOT recorded: the device's retransmission of this
+                // row will be accepted.
+                stats().deposit_storage_error.inc();
+                continue;
+            };
+            inner.sda.record_deposit(&row.sd_id, &row.nonce);
+            if fresh {
+                stats().deposit_accepted.inc();
+                let sd_id = row.sd_id;
+                inner
+                    .audit
+                    .record(now, AuditEvent::DepositAccepted { sd_id, message_id });
+            } else {
+                // Honest retransmission answered from the origin index.
+                stats().deposit_duplicate.inc();
+            }
+            mws_obs::debug!(
+                target: "mws_core",
+                "deposit acked",
+                message_id = message_id,
+                deduplicated = !fresh,
+            );
+            *slot = Verdict::Durable(message_id, fresh);
+        }
+        verdicts
     }
 
     /// Registers a device MAC key (SDA key management).
@@ -569,32 +516,29 @@ impl MwsService {
 
     /// Applies a batch of edge-verified deposits pulled from a distribution
     /// point (§VIII). The relay puller has already authenticated the batch;
-    /// entries take the durable origin-dedup path a replica push takes, so
-    /// re-applying a batch (after a failure part-way, say) stores nothing
-    /// twice and returns the same ids. Only fresh rows are audited.
-    pub fn store_relayed(&self, entries: &[mws_wire::RelayEntry]) -> Result<Vec<u64>, CoreError> {
+    /// entries take the durable origin-dedup group commit a replica push
+    /// takes, so re-applying a batch (after a failure part-way, say) stores
+    /// nothing twice and returns the same ids. Only fresh rows are audited.
+    pub fn store_relayed(&self, entries: &[RelayEntry]) -> Result<Vec<u64>, CoreError> {
         let now = self.clock.now();
-        let mut ids = Vec::with_capacity(entries.len());
-        for e in entries {
-            let (id, fresh) = self.store.deposit(&PendingDeposit {
-                attribute: e.attribute.clone(),
-                nonce: e.nonce.clone(),
-                u: e.u.clone(),
-                algo: e.algo,
-                sealed: e.sealed.clone(),
-                sd_id: e.sd_id.clone(),
-                timestamp: e.timestamp,
-            })?;
+        let rows: Vec<PendingDeposit> = entries.iter().cloned().map(pending_row).collect();
+        let stored = self.store.deposit_batch(&rows);
+        let mut inner = lock(&self.inner);
+        let mut ids = Vec::with_capacity(rows.len());
+        for (row, outcome) in rows.into_iter().zip(stored) {
+            let Some((message_id, fresh)) = outcome else {
+                continue;
+            };
             if fresh {
-                lock(&self.inner).audit.record(
-                    now,
-                    AuditEvent::DepositAccepted {
-                        sd_id: e.sd_id.clone(),
-                        message_id: id,
-                    },
-                );
+                let sd_id = row.sd_id;
+                inner
+                    .audit
+                    .record(now, AuditEvent::DepositAccepted { sd_id, message_id });
             }
-            ids.push(id);
+            ids.push(message_id);
+        }
+        if ids.len() < entries.len() {
+            return Err(mws_store::StoreError::NotDurable.into());
         }
         Ok(ids)
     }
@@ -632,89 +576,88 @@ impl MwsService {
     }
 }
 
-/// Audits and answers a rejected single deposit ("the message is discarded
-/// and optionally an alert is sent").
-fn reject_deposit(
-    inner: &mut MwsInner,
-    now: u64,
-    sd_id: String,
-    reject: &crate::sda::SdaReject,
-) -> Pdu {
-    inner.audit.record(
-        now,
-        AuditEvent::DepositRejected {
-            sd_id,
-            reason: reject.to_string(),
-        },
-    );
-    let code = match reject {
-        crate::sda::SdaReject::Replay => {
-            stats().deposit_replay.inc();
-            409
-        }
-        _ => {
-            stats().deposit_rejected.inc();
-            401
-        }
-    };
-    mws_obs::warn!(
-        target: "mws_core",
-        "deposit rejected",
-        code = u64::from(code),
-        reason = reject.to_string(),
-    );
-    err(code, &reject.to_string())
+/// What the write pass made of one deposit. A single deposit answers with
+/// [`Self::reply`], a batch item with [`Self::outcome`].
+#[derive(Clone, Debug)]
+enum Verdict {
+    /// Durable: the row's id, and whether this deposit stored it fresh
+    /// (`false` is an honest retransmission answered from the origin index).
+    Durable(MessageId, bool),
+    /// Turned away at the door: the cipher id names no [`CipherAlgo`], so no
+    /// receiver could open it and storing it would fail every collect page
+    /// that covers it. Checked before the SDA, so the nonce is not consumed.
+    UnknownCipher,
+    /// The SDA refused the deposit's evidence.
+    Rejected(SdaReject),
+    /// The row's shard failed to append or sync it.
+    StorageError,
 }
 
 /// Why a deposit naming no [`CipherAlgo`] is turned away.
 const UNKNOWN_CIPHER: &str = "unknown cipher id";
 
-/// Audits a deposit turned away at the door because its cipher id names no
-/// [`CipherAlgo`]: no receiver could open it, and storing it would fail
-/// every collect page that covers it. Checked before the SDA, so the
-/// device's nonce is not consumed.
-fn reject_unknown_cipher(inner: &mut MwsInner, now: u64, sd_id: &str, algo: u8) {
-    inner.audit.record(
-        now,
-        AuditEvent::DepositRejected {
-            sd_id: sd_id.to_string(),
-            reason: UNKNOWN_CIPHER.into(),
-        },
-    );
-    stats().deposit_rejected.inc();
+impl Verdict {
+    /// The error code and detail a rejected deposit is answered with.
+    fn rejection(&self) -> Option<(u16, String)> {
+        match self {
+            Verdict::UnknownCipher => Some((400, UNKNOWN_CIPHER.into())),
+            Verdict::Rejected(reject) => {
+                let code = if *reject == SdaReject::Replay {
+                    409
+                } else {
+                    401
+                };
+                Some((code, reject.to_string()))
+            }
+            Verdict::Durable(..) | Verdict::StorageError => None,
+        }
+    }
+
+    /// A single deposit's reply.
+    fn reply(self) -> Pdu {
+        if let Some((code, detail)) = self.rejection() {
+            return Pdu::Error { code, detail };
+        }
+        match self {
+            Verdict::Durable(message_id, _) => Pdu::DepositAck { message_id },
+            _ => err(500, "storage failure"),
+        }
+    }
+
+    /// A batch item's outcome.
+    fn outcome(self) -> DepositOutcome {
+        let (status, message_id) = match self {
+            Verdict::Durable(id, true) => (DepositOutcome::STORED, id),
+            Verdict::Durable(id, false) => (DepositOutcome::DUPLICATE, id),
+            Verdict::Rejected(SdaReject::Replay) => (DepositOutcome::REPLAY, 0),
+            Verdict::UnknownCipher | Verdict::Rejected(_) => (DepositOutcome::REJECTED, 0),
+            Verdict::StorageError => (DepositOutcome::STORAGE_ERROR, 0),
+        };
+        DepositOutcome { status, message_id }
+    }
+}
+
+/// Audits a deposit the write pass turned away ("the message is discarded
+/// and optionally an alert is sent").
+fn audit_reject(inner: &mut MwsInner, now: u64, sd_id: String, verdict: &Verdict, algo: u8) {
+    let Some((code, reason)) = verdict.rejection() else {
+        return;
+    };
+    if code == 409 {
+        stats().deposit_replay.inc();
+    } else {
+        stats().deposit_rejected.inc();
+    }
     mws_obs::warn!(
         target: "mws_core",
         "deposit rejected",
-        code = 400u64,
-        reason = UNKNOWN_CIPHER.to_string(),
+        code = u64::from(code),
+        reason = reason.clone(),
         algo = u64::from(algo),
     );
-}
-
-/// Audits a rejected batch item and returns its per-item status byte.
-fn audit_batch_reject(
-    inner: &mut MwsInner,
-    now: u64,
-    sd_id: &str,
-    reject: &crate::sda::SdaReject,
-) -> u8 {
-    inner.audit.record(
-        now,
-        AuditEvent::DepositRejected {
-            sd_id: sd_id.to_string(),
-            reason: reject.to_string(),
-        },
-    );
-    match reject {
-        crate::sda::SdaReject::Replay => {
-            stats().deposit_replay.inc();
-            DepositOutcome::REPLAY
-        }
-        _ => {
-            stats().deposit_rejected.inc();
-            DepositOutcome::REJECTED
-        }
-    }
+    inner
+        .audit
+        .record(now, AuditEvent::DepositRejected { sd_id, reason });
 }
 
 impl MwsInner {
@@ -830,6 +773,19 @@ fn err(code: u16, detail: &str) -> Pdu {
     Pdu::Error {
         code,
         detail: detail.to_string(),
+    }
+}
+
+/// A peer- or relay-supplied row as a deposit awaiting storage.
+fn pending_row(e: RelayEntry) -> PendingDeposit {
+    PendingDeposit {
+        attribute: e.attribute,
+        nonce: e.nonce,
+        u: e.u,
+        algo: e.algo,
+        sealed: e.sealed,
+        sd_id: e.sd_id,
+        timestamp: e.timestamp,
     }
 }
 
@@ -1780,6 +1736,62 @@ mod tests {
             Pdu::DepositAck { .. }
         ));
         assert_eq!(b.mws().message_count(), 2, "retransmission deduped");
+    }
+
+    #[test]
+    fn peer_and_relay_rows_group_commit_one_fsync_per_shard() {
+        let path = std::env::temp_dir().join(format!("mws-push-fsync-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let plan = FaultPlan::new();
+        let mws = MwsService::new(
+            DeviceRegistry::new(),
+            StorageKind::File(path.clone()).with_faults(plan.clone()),
+            StorageKind::Memory,
+            StorageKind::Memory,
+            b"secret",
+            LogicalClock::new(),
+            ReplayPolicy::standard(),
+            1,
+            DeviceAuthVerifier::Mac,
+        )
+        .unwrap();
+        let rows = |from: u64| -> Vec<RelayEntry> {
+            (from..from + 100)
+                .map(|n| RelayEntry {
+                    seq: n,
+                    sd_id: "m".into(),
+                    timestamp: n,
+                    u: vec![2; 33],
+                    algo: 1,
+                    sealed: vec![7; 40],
+                    attribute: format!("A{}", n % 5),
+                    nonce: n.to_le_bytes().to_vec(),
+                })
+                .collect()
+        };
+        let pushed = rows(0);
+        let mac = Hmac::<Sha256>::mac(&replica_key(b"secret"), &replica_push_bytes(&pushed));
+        let syncs = plan.syncs();
+        let ack = mws.dispatch(Pdu::ReplicaPush { rows: pushed, mac });
+        assert_eq!(
+            ack,
+            Pdu::ReplicaPushAck {
+                stored: 100,
+                deduped: 0
+            }
+        );
+        assert_eq!(plan.syncs() - syncs, 1, "a 100-row push is one fsync");
+        let syncs = plan.syncs();
+        assert_eq!(mws.store_relayed(&rows(100)).unwrap().len(), 100);
+        assert_eq!(plan.syncs() - syncs, 1, "100 relayed rows are one fsync");
+        assert_eq!(mws.message_count(), 200);
+        // A failed fsync still answers 500, and nothing is acked.
+        plan.fail_sync(plan.syncs());
+        let pushed = rows(200);
+        let mac = Hmac::<Sha256>::mac(&replica_key(b"secret"), &replica_push_bytes(&pushed));
+        let reply = mws.dispatch(Pdu::ReplicaPush { rows: pushed, mac });
+        assert!(matches!(reply, Pdu::Error { code: 500, .. }), "{reply:?}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

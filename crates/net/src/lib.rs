@@ -13,21 +13,16 @@
 //! * **Latency** is modeled, not slept: a virtual clock accumulates
 //!   per-message `base + per_byte` delays ([`metrics::LinkMetrics`]), so
 //!   benches separate compute cost from modeled network cost.
-//!
-//! For the multi-process flavor of the original deployment, [`endpoint`]
-//! runs a service on its own thread behind `std::sync::mpsc` channels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bus;
-pub mod endpoint;
 pub mod fault;
 pub mod metrics;
 pub mod transport;
 
 pub use bus::{Client, Network, Service};
-pub use endpoint::ThreadedEndpoint;
 pub use fault::{FaultConfig, LatencyModel};
 pub use metrics::LinkMetrics;
 pub use transport::{BusTransport, FaultyTransport, Transport};
@@ -41,8 +36,6 @@ pub enum NetError {
     Dropped,
     /// Frame failed to decode.
     Codec(mws_wire::WireError),
-    /// The endpoint's worker thread is gone.
-    Disconnected,
     /// A socket operation exceeded its deadline.
     Timeout,
     /// A socket operation failed (connect refused, reset, ...).
@@ -59,7 +52,6 @@ impl core::fmt::Display for NetError {
             NetError::UnknownEndpoint(name) => write!(f, "unknown endpoint '{name}'"),
             NetError::Dropped => write!(f, "message dropped by fault injection"),
             NetError::Codec(e) => write!(f, "codec failure: {e}"),
-            NetError::Disconnected => write!(f, "endpoint thread disconnected"),
             NetError::Timeout => write!(f, "network operation timed out"),
             NetError::Io(detail) => write!(f, "socket error: {detail}"),
             NetError::CircuitOpen => write!(f, "circuit breaker open; failing fast"),

@@ -155,12 +155,13 @@ impl KvEngine {
     /// it. One call costs one `append` regardless of batch size — the
     /// storage half of the deposit group-commit protocol (DESIGN.md §9).
     ///
-    /// An empty batch is a no-op; a single pair degrades to [`Self::put`]
-    /// (identical WAL bytes to the unbatched path).
-    pub fn put_many(&mut self, pairs: &[(Vec<u8>, Vec<u8>)]) -> Result<()> {
-        match pairs {
-            [] => Ok(()),
-            [(k, v)] => self.put(k, v),
+    /// An empty batch is a no-op; a single pair is written as [`Self::put`]
+    /// writes it (identical WAL bytes to the unbatched path). The pairs move
+    /// into the index, so a batch costs no copy of its keys or values.
+    pub fn put_many(&mut self, pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<()> {
+        let payload = match pairs.as_slice() {
+            [] => return Ok(()),
+            [(k, v)] => encode_entry(OP_PUT, k, v),
             _ => {
                 let mut payload = Vec::with_capacity(
                     1 + pairs
@@ -169,20 +170,21 @@ impl KvEngine {
                         .sum::<usize>(),
                 );
                 payload.push(OP_BATCH);
-                for (k, v) in pairs {
+                for (k, v) in &pairs {
                     let entry = encode_entry(OP_PUT, k, v);
                     payload.extend_from_slice(&(entry.len() as u32).to_le_bytes());
                     payload.extend_from_slice(&entry);
                 }
-                self.wal.append(&payload)?;
-                for (k, v) in pairs {
-                    if self.map.insert(k.clone(), v.clone()).is_some() {
-                        self.dead_writes += 1;
-                    }
-                }
-                Ok(())
+                payload
+            }
+        };
+        self.wal.append(&payload)?;
+        for (k, v) in pairs {
+            if self.map.insert(k, v).is_some() {
+                self.dead_writes += 1;
             }
         }
+        Ok(())
     }
 
     /// Removes a row (idempotent).
@@ -630,7 +632,7 @@ mod tests {
             let mut kv = KvEngine::open(StorageKind::File(path.clone())).unwrap();
             let pairs: Vec<(Vec<u8>, Vec<u8>)> =
                 (0..5u8).map(|i| (vec![b'k', i], vec![b'v', i])).collect();
-            kv.put_many(&pairs).unwrap();
+            kv.put_many(pairs).unwrap();
             kv.sync().unwrap();
             assert_eq!(kv.len(), 5);
         }
@@ -646,12 +648,13 @@ mod tests {
         let mut kv = KvEngine::open(StorageKind::Memory.with_faults(plan.clone())).unwrap();
         let before = plan.appends();
         let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..8u8).map(|i| (vec![i], vec![i, i])).collect();
-        kv.put_many(&pairs).unwrap();
+        kv.put_many(pairs).unwrap();
         assert_eq!(plan.appends(), before + 1, "8 rows, one WAL append");
         // Empty and singleton degenerate cleanly.
-        kv.put_many(&[]).unwrap();
+        kv.put_many(Vec::new()).unwrap();
         assert_eq!(plan.appends(), before + 1);
-        kv.put_many(&[(b"solo".to_vec(), b"v".to_vec())]).unwrap();
+        kv.put_many(vec![(b"solo".to_vec(), b"v".to_vec())])
+            .unwrap();
         assert_eq!(plan.appends(), before + 2);
         assert_eq!(kv.len(), 9);
     }
@@ -668,7 +671,7 @@ mod tests {
             kv.sync().unwrap();
             plan.tear_append(plan.appends());
             let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..4u8).map(|i| (vec![i], vec![i])).collect();
-            assert!(kv.put_many(&pairs).is_err());
+            assert!(kv.put_many(pairs).is_err());
         }
         let kv = KvEngine::open(StorageKind::File(path.clone())).unwrap();
         assert_eq!(kv.len(), 1, "no partial batch survives the torn frame");
@@ -680,7 +683,7 @@ mod tests {
     fn batched_rows_compact_and_overwrite_like_plain_puts() {
         let mut kv = KvEngine::open(StorageKind::Memory).unwrap();
         kv.put(b"a", b"old").unwrap();
-        kv.put_many(&[
+        kv.put_many(vec![
             (b"a".to_vec(), b"new".to_vec()),
             (b"b".to_vec(), b"2".to_vec()),
         ])

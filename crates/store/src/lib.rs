@@ -75,6 +75,9 @@ pub enum StoreError {
     NotFound,
     /// A uniqueness constraint would be violated.
     Duplicate,
+    /// The owning shard failed to append or sync a deposit, so it is not
+    /// durable (the shard's own error is counted in its WAL metrics).
+    NotDurable,
 }
 
 impl core::fmt::Display for StoreError {
@@ -85,6 +88,7 @@ impl core::fmt::Display for StoreError {
             StoreError::Codec(what) => write!(f, "codec error: {what}"),
             StoreError::NotFound => write!(f, "row not found"),
             StoreError::Duplicate => write!(f, "uniqueness violation"),
+            StoreError::NotDurable => write!(f, "deposit not durable"),
         }
     }
 }

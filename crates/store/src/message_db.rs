@@ -12,7 +12,7 @@
 use crate::engine::{KvEngine, StorageKind};
 use crate::{Result, StoreError};
 use mws_wire::{WireReader, WireWriter};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Message identifier (monotonically increasing).
 pub type MessageId = u64;
@@ -42,8 +42,8 @@ pub struct StoredMessage {
     pub timestamp: u64,
 }
 
-/// One deposit awaiting storage — the row shape shared by the single and
-/// batched deposit paths ([`MessageDb::insert_batch_dedup`],
+/// One deposit awaiting storage — the row shape of the one deposit path
+/// ([`MessageDb::insert_batch_dedup`],
 /// [`crate::shard::ShardedMessageDb::deposit_batch`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PendingDeposit {
@@ -82,7 +82,8 @@ pub struct MessageDb {
 }
 
 fn key_of(id: MessageId) -> Vec<u8> {
-    let mut k = b"m/".to_vec();
+    let mut k = Vec::with_capacity(2 + 8);
+    k.extend_from_slice(b"m/");
     k.extend_from_slice(&id.to_be_bytes());
     k
 }
@@ -90,22 +91,27 @@ fn key_of(id: MessageId) -> Vec<u8> {
 /// Deduplication key for a deposit's origin `(sd_id, nonce)`.
 /// Length-prefixed so no `(sd_id, nonce)` pair can collide with another.
 fn origin_key(sd_id: &str, nonce: &[u8]) -> Vec<u8> {
-    let mut k = (sd_id.len() as u32).to_le_bytes().to_vec();
+    let mut k = Vec::with_capacity(4 + sd_id.len() + nonce.len());
+    k.extend_from_slice(&(sd_id.len() as u32).to_le_bytes());
     k.extend_from_slice(sd_id.as_bytes());
     k.extend_from_slice(nonce);
     k
 }
 
-fn encode(msg: &StoredMessage) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(msg.id)
-        .string(&msg.attribute)
-        .bytes(&msg.nonce)
-        .bytes(&msg.u)
-        .u8(msg.algo)
-        .bytes(&msg.sealed)
-        .string(&msg.sd_id)
-        .u64(msg.timestamp);
+/// Encodes row `id` straight from the deposit's fields, sized up front:
+/// one allocation, and no copy of the row.
+fn encode(id: MessageId, row: &PendingDeposit) -> Vec<u8> {
+    // Two u64s, the algo byte and five u32 length prefixes, then the fields.
+    let fields = row.attribute.len() + row.nonce.len() + row.u.len() + row.sealed.len();
+    let mut w = WireWriter::with_capacity(8 + 8 + 1 + 5 * 4 + fields + row.sd_id.len());
+    w.u64(id)
+        .string(&row.attribute)
+        .bytes(&row.nonce)
+        .bytes(&row.u)
+        .u8(row.algo)
+        .bytes(&row.sealed)
+        .string(&row.sd_id)
+        .u64(row.timestamp);
     w.finish()
 }
 
@@ -175,8 +181,7 @@ impl MessageDb {
         timestamp: u64,
     ) -> Result<MessageId> {
         let id = self.next_id;
-        let msg = StoredMessage {
-            id,
+        let row = PendingDeposit {
             attribute: attribute.to_string(),
             nonce: nonce.to_vec(),
             u: u.to_vec(),
@@ -185,96 +190,80 @@ impl MessageDb {
             sd_id: sd_id.to_string(),
             timestamp,
         };
-        self.kv.put(&key_of(id), &encode(&msg))?;
+        self.kv.put(&key_of(id), &encode(id, &row))?;
         self.next_id += self.stride;
         self.by_origin.insert(origin_key(sd_id, nonce), id);
-        self.by_attribute
-            .entry(msg.attribute)
-            .or_default()
-            .push((id, timestamp));
+        self.index(attribute, id, timestamp);
         Ok(id)
     }
 
-    /// Group-commits a batch of deposits in ONE WAL append: all fresh rows
-    /// share a single frame (and, after the caller's [`Self::sync`], a
-    /// single fsync), which is what makes batched deposits cheap. Per row
-    /// the result mirrors [`Self::insert_dedup`] — `(id, fresh)` where a
-    /// duplicate origin (against the table or an earlier row of the same
-    /// batch) returns the already-assigned id with `fresh = false`.
+    /// Adds a stored row to the attribute index; the attribute string is
+    /// copied only the first time the table sees it.
+    fn index(&mut self, attribute: &str, id: MessageId, timestamp: u64) {
+        match self.by_attribute.get_mut(attribute) {
+            Some(entries) => entries.push((id, timestamp)),
+            None => {
+                self.by_attribute
+                    .insert(attribute.to_string(), vec![(id, timestamp)]);
+            }
+        }
+    }
+
+    /// Stores deposits, idempotent on each deposit's origin
+    /// `(sd_id, nonce)`, in ONE WAL append: the fresh rows share a single
+    /// frame (and, after the caller's [`Self::sync`], a single fsync) — a
+    /// one-row call writes exactly the frame [`Self::insert`] would. Per
+    /// row the result is `(id, fresh)`: a retransmission of a stored
+    /// deposit — even one from before a crash and restart, or an earlier
+    /// row of the same call — returns the already-assigned id with
+    /// `fresh = false` instead of storing a second copy. The origin index
+    /// is rebuilt from the message rows on open, so the guarantee is
+    /// exactly as durable as the message itself.
     ///
     /// All-or-nothing: on append failure no id is consumed and no index is
     /// touched, so a retry after a torn append starts from clean state.
-    pub fn insert_batch_dedup(
+    pub fn insert_batch_dedup<'a>(
         &mut self,
-        rows: &[PendingDeposit],
+        rows: impl IntoIterator<Item = &'a PendingDeposit>,
     ) -> Result<Vec<(MessageId, bool)>> {
-        let mut results = Vec::with_capacity(rows.len());
-        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(rows.len());
-        let mut staged: BTreeMap<Vec<u8>, MessageId> = BTreeMap::new();
+        let rows = rows.into_iter();
+        let mut results = Vec::with_capacity(rows.size_hint().0);
+        let mut pairs = Vec::with_capacity(rows.size_hint().0);
+        let mut fresh: Vec<&PendingDeposit> = Vec::with_capacity(rows.size_hint().0);
         let mut next = self.next_id;
         for row in rows {
-            let okey = origin_key(&row.sd_id, &row.nonce);
-            if let Some(&id) = self.by_origin.get(&okey).or_else(|| staged.get(&okey)) {
-                results.push((id, false));
-                continue;
-            }
-            let id = next;
-            next += self.stride;
-            staged.insert(okey, id);
-            let msg = StoredMessage {
-                id,
-                attribute: row.attribute.clone(),
-                nonce: row.nonce.clone(),
-                u: row.u.clone(),
-                algo: row.algo,
-                sealed: row.sealed.clone(),
-                sd_id: row.sd_id.clone(),
-                timestamp: row.timestamp,
-            };
-            pairs.push((key_of(id), encode(&msg)));
-            results.push((id, true));
-        }
-        // One frame, one CRC: the WAL either replays every fresh row or
-        // none. Indices and the id cursor commit only after the append
-        // succeeds, so a failed batch leaves the table untouched.
-        self.kv.put_many(&pairs)?;
-        self.next_id = next;
-        for row in rows.iter() {
-            let okey = origin_key(&row.sd_id, &row.nonce);
-            if let Some(&id) = staged.get(&okey) {
-                if self.by_origin.insert(okey, id).is_none() {
-                    self.by_attribute
-                        .entry(row.attribute.clone())
-                        .or_default()
-                        .push((id, row.timestamp));
+            // Staging the origin right away also catches a repeat inside
+            // this call; a failed append unstages it below.
+            match self.by_origin.entry(origin_key(&row.sd_id, &row.nonce)) {
+                Entry::Occupied(stored) => results.push((*stored.get(), false)),
+                Entry::Vacant(slot) => {
+                    slot.insert(next);
+                    pairs.push((key_of(next), encode(next, row)));
+                    fresh.push(row);
+                    results.push((next, true));
+                    next += self.stride;
                 }
             }
         }
-        Ok(results)
-    }
-
-    /// Like [`Self::insert`], but idempotent on the deposit origin
-    /// `(sd_id, nonce)`: a retransmission of an already-stored deposit —
-    /// even one from before a crash and restart — returns the original id
-    /// with `fresh = false` instead of storing a second copy. The origin
-    /// index is rebuilt from the message rows on open, so the guarantee is
-    /// exactly as durable as the message itself.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert_dedup(
-        &mut self,
-        attribute: &str,
-        nonce: &[u8],
-        u: &[u8],
-        algo: u8,
-        sealed: &[u8],
-        sd_id: &str,
-        timestamp: u64,
-    ) -> Result<(MessageId, bool)> {
-        if let Some(&id) = self.by_origin.get(&origin_key(sd_id, nonce)) {
-            return Ok((id, false));
+        // One frame, one CRC: the WAL either replays every fresh row or
+        // none. The attribute index and the id cursor commit only after
+        // the append succeeds.
+        if let Err(e) = self.kv.put_many(pairs) {
+            for row in fresh {
+                self.by_origin.remove(&origin_key(&row.sd_id, &row.nonce));
+            }
+            return Err(e);
         }
-        let id = self.insert(attribute, nonce, u, algo, sealed, sd_id, timestamp)?;
-        Ok((id, true))
+        let first = self.next_id;
+        for (k, row) in fresh.into_iter().enumerate() {
+            self.index(
+                &row.attribute,
+                first + k as u64 * self.stride,
+                row.timestamp,
+            );
+        }
+        self.next_id = next;
+        Ok(results)
     }
 
     /// Fetches one message.
@@ -546,9 +535,7 @@ mod tests {
             for m in &victims {
                 assert!(matches!(db.get(m.id), Err(StoreError::NotFound)));
                 // Its origin is forgotten: a retransmission is fresh again.
-                let (_, fresh) = db
-                    .insert_dedup(&m.attribute, &m.nonce, b"\x02u", 1, b"c", "m", 99)
-                    .unwrap();
+                let (_, fresh) = deposit(&mut db, &pending(&m.attribute, &m.nonce, "m", 99));
                 assert!(fresh);
             }
             let mut survivors = survivors;
@@ -610,9 +597,7 @@ mod tests {
         assert_eq!(db.attributes(), vec!["KEPT"]);
         // The origin index forgot the evicted rows: a re-push of one is
         // fresh again (the node may re-inherit the arc later).
-        let (_, fresh) = db
-            .insert_dedup("GONE", &[1], b"\x02u", 1, b"c", "m", 1)
-            .unwrap();
+        let (_, fresh) = deposit(&mut db, &pending("GONE", &[1], "m", 1));
         assert!(fresh, "evicted origin must not shadow a re-inherited row");
         // Idempotent.
         db.evict_attribute("GONE").unwrap();
@@ -622,21 +607,15 @@ mod tests {
     #[test]
     fn insert_dedup_is_idempotent_per_origin() {
         let mut db = MessageDb::open(StorageKind::Memory).unwrap();
-        let (id, fresh) = db
-            .insert_dedup("A", b"nonce-1", b"\x02u", 1, b"c", "meter", 5)
-            .unwrap();
+        let (id, fresh) = deposit(&mut db, &pending("A", b"nonce-1", "meter", 5));
         assert!(fresh);
         // Retransmission of the same deposit: same id, nothing stored.
-        let (again, fresh) = db
-            .insert_dedup("A", b"nonce-1", b"\x02u", 1, b"c", "meter", 5)
-            .unwrap();
+        let (again, fresh) = deposit(&mut db, &pending("A", b"nonce-1", "meter", 5));
         assert_eq!(again, id);
         assert!(!fresh);
         assert_eq!(db.len(), 1);
         // Same nonce from a *different* device is a different origin.
-        let (other, fresh) = db
-            .insert_dedup("A", b"nonce-1", b"\x02u", 1, b"c", "meter-2", 5)
-            .unwrap();
+        let (other, fresh) = deposit(&mut db, &pending("A", b"nonce-1", "meter-2", 5));
         assert!(fresh);
         assert_ne!(other, id);
     }
@@ -649,21 +628,22 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let id = {
             let mut db = MessageDb::open(StorageKind::File(path.clone())).unwrap();
-            let (id, fresh) = db
-                .insert_dedup("A", b"nonce-9", b"\x02u", 1, b"c", "meter", 5)
-                .unwrap();
+            let (id, fresh) = deposit(&mut db, &pending("A", b"nonce-9", "meter", 5));
             assert!(fresh);
             db.sync().unwrap();
             id
         };
         let mut db = MessageDb::open(StorageKind::File(path.clone())).unwrap();
-        let (again, fresh) = db
-            .insert_dedup("A", b"nonce-9", b"\x02u", 1, b"c", "meter", 5)
-            .unwrap();
+        let (again, fresh) = deposit(&mut db, &pending("A", b"nonce-9", "meter", 5));
         assert_eq!(again, id, "retransmit after restart maps to the stored row");
         assert!(!fresh);
         assert_eq!(db.len(), 1);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// One deposit through the batch path: `(id, fresh)`.
+    fn deposit(db: &mut MessageDb, row: &PendingDeposit) -> (MessageId, bool) {
+        db.insert_batch_dedup([row]).unwrap()[0]
     }
 
     fn pending(attr: &str, nonce: &[u8], sd: &str, ts: u64) -> PendingDeposit {
@@ -706,9 +686,7 @@ mod tests {
     #[test]
     fn batch_dedup_against_table_and_within_batch() {
         let mut db = MessageDb::open(StorageKind::Memory).unwrap();
-        let (prior, _) = db
-            .insert_dedup("A", b"n0", b"\x02u", 1, b"c", "m", 1)
-            .unwrap();
+        let (prior, _) = deposit(&mut db, &pending("A", b"n0", "m", 1));
         let rows = vec![
             pending("A", b"n0", "m", 1), // dup of the stored row
             pending("B", b"n1", "m", 2), // fresh

@@ -14,7 +14,7 @@
 
 use crate::engine::StorageKind;
 use crate::message_db::{MessageDb, MessageId, PendingDeposit, StoredMessage};
-use crate::Result;
+use crate::{Result, StoreError};
 use mws_obs::{metric_name, Counter};
 use mws_wire::fnv1a64;
 use std::path::PathBuf;
@@ -73,7 +73,8 @@ struct ShardStats {
     deposits: Counter,
     /// Deposits answered from the origin-dedup index.
     dedup_hits: Counter,
-    /// Batched appends: one WAL frame + one fsync covering ≥ 1 fresh row.
+    /// Deposit appends that stored ≥ 1 fresh row: one WAL frame and one
+    /// fsync each, whether the rows came as one deposit or a batch.
     group_commits: Counter,
     /// Fresh rows that shared their WAL frame with at least one other row —
     /// the fsyncs the group commit saved.
@@ -205,72 +206,52 @@ impl ShardedMessageDb {
         self.shards[k].lock().expect("shard lock poisoned")
     }
 
-    /// Stores one deposit durably: origin-dedup insert, then fsync of the
-    /// owning shard's WAL, all under that shard's lock — other shards keep
-    /// depositing in parallel. Returns `(id, fresh)` like
-    /// [`MessageDb::insert_dedup`]; duplicates still sync before returning,
-    /// so a retransmitted ack is never issued ahead of durability.
+    /// Stores one deposit durably: a one-row [`Self::deposit_batch`].
     pub fn deposit(&self, row: &PendingDeposit) -> Result<(MessageId, bool)> {
-        let k = self.router.route(&row.attribute);
-        let mut shard = self.shard(k);
-        let (id, fresh) = shard.insert_dedup(
-            &row.attribute,
-            &row.nonce,
-            &row.u,
-            row.algo,
-            &row.sealed,
-            &row.sd_id,
-            row.timestamp,
-        )?;
-        shard.sync()?;
-        if fresh {
-            self.stats[k].deposits.inc();
-        } else {
-            self.stats[k].dedup_hits.inc();
-        }
-        Ok((id, fresh))
+        self.deposit_batch(std::slice::from_ref(row))[0].ok_or(StoreError::NotDurable)
     }
 
-    /// Group-commits a batch: rows are bucketed by shard, and each touched
-    /// shard takes ONE lock acquisition, ONE WAL append, and ONE fsync for
-    /// all its rows before any of them is acknowledged. Results keep the
-    /// caller's row order; `None` marks a row whose shard failed to store
-    /// or sync it (the caller should answer it with a storage error, never
-    /// an ack). Failure on one shard does not disturb the others.
+    /// Stores deposits durably — the one deposit path. Rows are grouped by
+    /// shard, and each touched shard takes ONE lock acquisition, ONE WAL
+    /// append (an origin-dedup [`MessageDb::insert_batch_dedup`]) and ONE
+    /// fsync for all its rows before any of them is acknowledged; other
+    /// shards keep depositing in parallel. Results keep the caller's row
+    /// order: `(id, fresh)`, or `None` for a row whose shard failed to
+    /// store or sync it (the caller answers it with a storage error, never
+    /// an ack). Duplicates sync too, so a retransmitted ack is never issued
+    /// ahead of durability. Failure on one shard does not disturb the
+    /// others.
     pub fn deposit_batch(&self, rows: &[PendingDeposit]) -> Vec<Option<(MessageId, bool)>> {
-        let n = self.shards.len();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, row) in rows.iter().enumerate() {
-            buckets[self.router.route(&row.attribute)].push(i);
-        }
-        let mut results: Vec<Option<(MessageId, bool)>> = vec![None; rows.len()];
-        for (k, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
+        let route: Vec<usize> = rows
+            .iter()
+            .map(|row| self.router.route(&row.attribute))
+            .collect();
+        let mut results = vec![None; rows.len()];
+        for (k, stats) in self.stats.iter().enumerate() {
+            let on_shard = || (0..rows.len()).filter(|&i| route[i] == k);
+            if on_shard().next().is_none() {
                 continue;
             }
-            let batch: Vec<PendingDeposit> = bucket.iter().map(|&i| rows[i].clone()).collect();
             let mut shard = self.shard(k);
-            let stored = match shard.insert_batch_dedup(&batch) {
-                Ok(stored) => stored,
-                Err(_) => continue, // whole bucket stays `None`
-            };
-            if shard.sync().is_err() {
-                // Appended but not durable: acking would break
-                // durable-before-ack, so the bucket reports failure.
-                continue;
-            }
+            let stored = shard
+                .insert_batch_dedup(on_shard().map(|i| &rows[i]))
+                .and_then(|stored| shard.sync().map(|()| stored));
             drop(shard);
+            // Appended but not durable: acking would break
+            // durable-before-ack, so the shard's rows report failure.
+            let Ok(stored) = stored else {
+                continue;
+            };
             let fresh = stored.iter().filter(|(_, f)| *f).count() as u64;
-            let dups = stored.len() as u64 - fresh;
-            self.stats[k].deposits.add(fresh);
-            self.stats[k].dedup_hits.add(dups);
+            stats.deposits.add(fresh);
+            stats.dedup_hits.add(stored.len() as u64 - fresh);
             if fresh > 0 {
-                self.stats[k].group_commits.inc();
+                stats.group_commits.inc();
             }
             if fresh > 1 {
-                self.stats[k].coalesced.add(fresh);
+                stats.coalesced.add(fresh);
             }
-            for (&i, r) in bucket.iter().zip(stored) {
+            for (i, r) in on_shard().zip(stored) {
                 results[i] = Some(r);
             }
         }

@@ -15,6 +15,14 @@ impl WireWriter {
         Self::default()
     }
 
+    /// New writer with room for `bytes` of output, so a body whose size
+    /// is known up front is encoded in one allocation.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Length-prefixed bytes.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u32(v.len() as u32);

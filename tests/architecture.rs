@@ -244,26 +244,15 @@ fn every_dependency_is_a_workspace_crate() {
     }
 }
 
-/// `mws-crypto` holds what the protocol runs and nothing else: every name
-/// `crates/crypto/src/lib.rs` re-exports is named by some code outside the
-/// crate (the workspace, `examples/`, `tests/`, `benchmark/src`), so a
-/// primitive only its own unit tests reach cannot grow back. `*Error` types
-/// are exempt — they are named through signatures.
+/// `mws-crypto` and `mws-net` hold what the protocol runs and nothing else:
+/// every name each crate's `lib.rs` re-exports is named by some code outside
+/// that crate (the workspace, `examples/`, `tests/`, `benchmark/src`), so a
+/// primitive or transport only its own unit tests reach cannot grow back.
+/// Types reached only through signatures are exempt: `*Error` types, and
+/// `LinkMetrics`, which callers receive from `Network::metrics`.
 #[test]
 fn every_crypto_export_has_a_caller_outside_the_crate() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let lib = std::fs::read_to_string(root.join("crates/crypto/src/lib.rs")).unwrap();
-    let mut exports = Vec::new();
-    for stmt in lib.split("pub use ").skip(1) {
-        let path = stmt.split(';').next().unwrap();
-        let names = match path.split_once('{') {
-            Some((_, group)) => group.trim_end_matches('}'),
-            None => path.rsplit("::").next().unwrap(),
-        };
-        exports.extend(names.split(',').map(str::trim).filter(|n| !n.is_empty()));
-    }
-    assert!(exports.len() > 10, "parsed the re-exports: {exports:?}");
-
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let names = |line: &str, name: &str| {
         line.match_indices(name).any(|(at, _)| {
@@ -272,34 +261,77 @@ fn every_crypto_export_has_a_caller_outside_the_crate() {
             !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
         })
     };
-    let mut code = Vec::new();
-    let mut dirs: Vec<_> = ["src", "tests", "examples", "crates", "benchmark/src"]
-        .iter()
-        .map(|d| root.join(d))
-        .collect();
-    while let Some(path) = dirs.pop() {
-        if path.is_dir() {
-            if !path.ends_with("crates/crypto") && !path.ends_with("target") {
-                dirs.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+    for krate in ["crates/crypto", "crates/net"] {
+        let lib = std::fs::read_to_string(root.join(krate).join("src/lib.rs")).unwrap();
+        let mut exports = Vec::new();
+        for stmt in lib.split("pub use ").skip(1) {
+            let path = stmt.split(';').next().unwrap();
+            let names = match path.split_once('{') {
+                Some((_, group)) => group.trim_end_matches('}'),
+                None => path.rsplit("::").next().unwrap(),
+            };
+            exports.extend(names.split(',').map(str::trim).filter(|n| !n.is_empty()));
+        }
+        assert!(
+            exports.len() > 5,
+            "parsed {krate}'s re-exports: {exports:?}"
+        );
+
+        let mut code = Vec::new();
+        let mut dirs: Vec<_> = ["src", "tests", "examples", "crates", "benchmark/src"]
+            .iter()
+            .map(|d| root.join(d))
+            .collect();
+        while let Some(path) = dirs.pop() {
+            if path.is_dir() {
+                if !path.ends_with(krate) && !path.ends_with("target") {
+                    dirs.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                code.extend(
+                    text.lines()
+                        .filter(|l| !l.trim_start().starts_with("//"))
+                        .map(str::to_owned),
+                );
             }
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let text = std::fs::read_to_string(&path).unwrap();
-            code.extend(
-                text.lines()
-                    .filter(|l| !l.trim_start().starts_with("//"))
-                    .map(str::to_owned),
-            );
+        }
+        let unused: Vec<_> = exports
+            .iter()
+            .filter(|name| !name.ends_with("Error") && **name != "LinkMetrics")
+            .filter(|name| !code.iter().any(|line| names(line, name)))
+            .collect();
+        assert!(
+            unused.is_empty(),
+            "{krate} exports no caller outside the crate names: {unused:?}"
+        );
+    }
+}
+
+/// One deposit path: the warehouse stores every deposit through the
+/// store's group commit (`deposit_batch`), never row by row, and the
+/// cluster router's write wave is the only forwarder of deposits — besides
+/// the retrieve fan-out, it is the one function that calls `fan_out`.
+#[test]
+fn one_deposit_path() {
+    for (path, line) in code_lines(&["crates/core/src"]) {
+        assert!(
+            !line.contains("store.deposit("),
+            "{}: a row-by-row store deposit: {line}",
+            path.display()
+        );
+    }
+    let mut callers = Vec::new();
+    let mut in_fn = String::new();
+    for (_, line) in code_lines(&["crates/cluster/src/router.rs"]) {
+        if let Some((_, rest)) = line.split_once("fn ") {
+            in_fn = rest.split(['(', '<']).next().unwrap().to_string();
+        }
+        if line.contains("fan_out(") && !line.contains("fn fan_out(") {
+            callers.push(in_fn.clone());
         }
     }
-    let unused: Vec<_> = exports
-        .iter()
-        .filter(|name| !name.ends_with("Error"))
-        .filter(|name| !code.iter().any(|line| names(line, name)))
-        .collect();
-    assert!(
-        unused.is_empty(),
-        "mws-crypto exports no caller outside the crate names: {unused:?}"
-    );
+    assert_eq!(callers, ["write_wave", "fan_retrieve"]);
 }
 
 /// A request runs on the server's event loop only if its service says it
