@@ -3,14 +3,12 @@
 //! Liveness in the router is updated two ways — passively, when a
 //! forwarded call fails at the transport (the node is marked down on the
 //! spot, so the very next write walks past it), and actively, by this
-//! prober re-checking every member with a Health PDU (through the
-//! configurable hysteresis thresholds — see
-//! [`ClusterConfig::with_probe_thresholds`](crate::ClusterConfig::with_probe_thresholds)).
-//! The active path is what brings nodes *back*: a daemon that restarts
-//! answers its probe, the router catches it up over the replica plane
-//! and replays any hinted-handoff queue it is owed, and only then does
-//! it rejoin the read path. The probe cadence is the daemon's
-//! `--probe-interval-ms` flag.
+//! prober re-checking every member with a Health PDU: one failed probe
+//! marks a node down, one good probe marks it up. The active path is what
+//! brings nodes *back*: a daemon that restarts answers its probe, and the
+//! router catches it up from every live peer over the replica plane and
+//! replays any hinted-handoff queue it is owed. The probe cadence is the
+//! daemon's `--probe-interval-ms` flag.
 
 use crate::router::ClusterRouter;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -11,10 +11,10 @@
 //! * [`ClusterRouter`] — replicates every deposit to R ring replicas and
 //!   acks after W durable reports; fans retrieves out to all live nodes,
 //!   merges by nonce, and read-repairs divergence over a MAC'd replica
-//!   plane ([`mws_wire::Pdu::ReplicaPull`] / [`mws_wire::Pdu::ReplicaPush`]).
-//! * [`HealthProber`] — periodic Health-PDU probes with configurable
-//!   hysteresis; a node that restarts is caught up from a live peer
-//!   before it rejoins reads, and any hints owed to it are replayed.
+//!   plane ([`mws_net::pull_rows`] / [`mws_wire::Pdu::ReplicaPush`]).
+//! * [`HealthProber`] — periodic Health-PDU probes, each answer setting a
+//!   node's liveness; a node that restarts is caught up from every live
+//!   peer, and any hints owed to it are replayed.
 //! * [`HintBoard`] — hinted handoff: a write-wave replica that is down
 //!   gets its copy as a durable (WAL-backed) hint, replayed on recovery,
 //!   so acked rows converge to exactly R copies.

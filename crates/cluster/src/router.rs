@@ -18,7 +18,10 @@
 //! gatekeeper front door). Responses merge by nonce — the one identity a
 //! row keeps across nodes, since each node assigns its own message ids —
 //! and divergence between live replicas triggers read-repair over the
-//! MAC'd replica plane ([`Pdu::ReplicaPull`]/[`Pdu::ReplicaPush`]).
+//! MAC'd replica plane: rows are pulled with [`mws_net::pull_rows`], the
+//! one pager every row transfer shares, and written with
+//! [`Pdu::ReplicaPush`]. A node coming back up is caught up from every
+//! live peer the same way.
 //!
 //! Membership is live: `ClusterJoin`/`ClusterDrain` admin PDUs (MAC'd
 //! with the replica key, bound to the current ring epoch) swap the ring
@@ -32,12 +35,11 @@ use crate::handoff::HintBoard;
 use crate::rebalance::{plan_transfers, ArcTransfer};
 use crate::ring::HashRing;
 use mws_crypto::{ct_eq, Hmac, Sha256};
-use mws_net::{Client, NetError, Service};
+use mws_net::rows::PAGE_ROWS;
+use mws_net::{pull_rows, Client, NetError, PullError, Service};
 use mws_obs::sync::{lock, read_lock, write_lock};
 use mws_obs::{metric_name, Counter, Gauge, Histogram};
-use mws_wire::pdu::{
-    cluster_admin_bytes, replica_evict_bytes, replica_push_bytes, replica_rows_bytes,
-};
+use mws_wire::pdu::{cluster_admin_bytes, replica_evict_bytes, replica_push_bytes};
 use mws_wire::{
     DepositOutcome, MemberState, Pdu, RelayEntry, WireMessage, MEMBER_ACTIVE, MEMBER_DRAINING,
     MEMBER_JOINING,
@@ -45,16 +47,13 @@ use mws_wire::{
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
 
 /// Per-forward retry budget against one node (transient socket faults;
 /// anything longer marks the node down and the ring walk moves on).
 const FORWARD_ATTEMPTS: u32 = 2;
-
-/// Rows per [`Pdu::ReplicaPull`] page during catch-up.
-const CATCHUP_PAGE: u32 = 512;
 
 /// Read-side consistency knob: what a retrieve costs vs what it promises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,17 +93,12 @@ pub struct ClusterConfig {
     pub vnodes: usize,
     /// Retrieve strategy (R-quorum merge vs fastest replica).
     pub read: ReadConsistency,
-    /// Consecutive failed probes before the prober marks a node down
-    /// (data-path transport failures still mark it down immediately).
-    pub probe_down_after: u32,
-    /// Consecutive successful probes before a down node rejoins.
-    pub probe_up_after: u32,
 }
 
 impl ClusterConfig {
-    /// R copies acked at W, with the default vnode count, quorum reads
-    /// and single-probe liveness thresholds. Panics on a quorum larger
-    /// than the replica set or a zero anywhere.
+    /// R copies acked at W, with the default vnode count and quorum
+    /// reads. Panics on a quorum larger than the replica set or a zero
+    /// anywhere.
     pub fn new(replicas: usize, write_quorum: usize) -> Self {
         assert!(replicas >= 1 && write_quorum >= 1, "R and W start at 1");
         assert!(write_quorum <= replicas, "W cannot exceed R");
@@ -113,23 +107,12 @@ impl ClusterConfig {
             write_quorum,
             vnodes: crate::ring::DEFAULT_VNODES,
             read: ReadConsistency::Quorum,
-            probe_down_after: 1,
-            probe_up_after: 1,
         }
     }
 
     /// Same shape with a different read strategy.
     pub fn with_read(mut self, read: ReadConsistency) -> Self {
         self.read = read;
-        self
-    }
-
-    /// Same shape with prober hysteresis: `down` consecutive failures to
-    /// leave the data path, `up` consecutive successes to rejoin it.
-    pub fn with_probe_thresholds(mut self, down: u32, up: u32) -> Self {
-        assert!(down >= 1 && up >= 1, "thresholds start at 1");
-        self.probe_down_after = down;
-        self.probe_up_after = up;
         self
     }
 }
@@ -146,9 +129,6 @@ pub struct ClusterNode {
     /// joining (in the ring, arcs still streaming in) or draining (out
     /// of the ring, still donating).
     state: AtomicU8,
-    /// Consecutive failed/successful probes, for the prober hysteresis.
-    probe_fails: AtomicU32,
-    probe_oks: AtomicU32,
     forwards: Counter,
     errors: Counter,
     up_gauge: Gauge,
@@ -173,8 +153,6 @@ impl ClusterNode {
             rr: AtomicUsize::new(0),
             up: AtomicBool::new(true),
             state: AtomicU8::new(MEMBER_ACTIVE),
-            probe_fails: AtomicU32::new(0),
-            probe_oks: AtomicU32::new(0),
             forwards,
             errors,
             up_gauge,
@@ -198,31 +176,6 @@ impl ClusterNode {
 
     fn set_member_state(&self, state: u8) {
         self.state.store(state, Ordering::Relaxed);
-    }
-
-    /// Feeds one probe result through the hysteresis thresholds; returns
-    /// true when liveness actually flipped.
-    fn observe_probe(&self, healthy: bool, down_after: u32, up_after: u32) -> bool {
-        if healthy {
-            self.probe_fails.store(0, Ordering::Relaxed);
-            let oks = self
-                .probe_oks
-                .fetch_add(1, Ordering::Relaxed)
-                .saturating_add(1);
-            if !self.is_up() && oks >= up_after {
-                return self.set_up(true);
-            }
-        } else {
-            self.probe_oks.store(0, Ordering::Relaxed);
-            let fails = self
-                .probe_fails
-                .fetch_add(1, Ordering::Relaxed)
-                .saturating_add(1);
-            if self.is_up() && fails >= down_after {
-                return self.set_up(false);
-            }
-        }
-        false
     }
 
     /// Flips liveness; returns true when the state actually changed.
@@ -659,7 +612,7 @@ impl ClusterRouter {
                 if !handle.is_up() {
                     continue;
                 }
-                rows = self.pull_rows(&handle, &arc.attribute);
+                rows = self.pull(&handle, &arc.attribute).unwrap_or_default();
                 if !rows.is_empty() {
                     break; // any one donor's copy is the full arc
                 }
@@ -1101,49 +1054,31 @@ impl ClusterRouter {
             }
         }
         for ((laggard, attribute), donor) in repairs {
-            let rows = self.pull_rows(&topo.nodes[donor], &attribute);
-            if rows.is_empty() {
-                continue;
+            match self.pull(&topo.nodes[donor], &attribute) {
+                Ok(rows) if !rows.is_empty() => {
+                    self.push_rows(&topo.nodes[laggard], rows);
+                }
+                _ => {} // best-effort; the next divergent read retries it
             }
-            self.push_rows(&topo.nodes[laggard], rows);
         }
     }
 
-    /// Pulls one attribute's full rows from a node over the replica
-    /// plane, verifying the response MAC. Returns nothing on any failure
-    /// — repair is best-effort; the next divergent read retries it.
-    fn pull_rows(&self, node: &ClusterNode, attribute: &str) -> Vec<RelayEntry> {
-        let mut all = Vec::new();
-        let mut after = 0u64;
-        loop {
-            let req = Pdu::ReplicaPull {
-                attribute: attribute.to_string(),
-                after,
-                max: CATCHUP_PAGE,
-            };
-            let Ok(Pdu::ReplicaRows { rows, done, mac }) = node.call(&req) else {
-                return Vec::new();
-            };
-            let expect = Hmac::<Sha256>::mac(&self.replica_key, &replica_rows_bytes(&rows, done));
-            if !ct_eq(&mac, &expect) {
-                mws_obs::warn!(target: "mws_cluster", "replica rows MAC mismatch",
-                    node = node.name.clone(),);
-                return Vec::new();
-            }
-            if let Some(last) = rows.last() {
-                after = last.seq + 1;
-            }
-            all.extend(rows);
-            if done {
-                return all;
-            }
-        }
+    /// Every row of `attribute` (`""`: of every attribute) `node` holds,
+    /// pulled over the replica plane with the shared pager.
+    fn pull(&self, node: &ClusterNode, attribute: &str) -> Result<Vec<RelayEntry>, PullError> {
+        pull_rows(
+            |req| node.call(req),
+            &self.replica_key,
+            attribute,
+            0,
+            usize::MAX,
+        )
     }
 
     /// Pushes rows to a node over the replica plane (chunked, MAC'd).
     /// Returns true when every chunk was acked.
     fn push_rows(&self, node: &ClusterNode, rows: Vec<RelayEntry>) -> bool {
-        for chunk in rows.chunks(CATCHUP_PAGE as usize) {
+        for chunk in rows.chunks(PAGE_ROWS) {
             let mac = Hmac::<Sha256>::mac(&self.replica_key, &replica_push_bytes(chunk));
             match node.call(&Pdu::ReplicaPush {
                 rows: chunk.to_vec(),
@@ -1162,13 +1097,12 @@ impl ClusterRouter {
         true
     }
 
-    /// Probes every node with a Health PDU, feeding results through the
-    /// configured hysteresis thresholds. A node coming back up is caught
-    /// up before it rejoins the read path: rows deposited while it was
-    /// down (acked by the sloppy quorum on other nodes) are pulled from a
-    /// live peer and pushed to it, filtered to the attributes the ring
-    /// places on it. Any node that is up and owes hints gets its queue
-    /// replayed. Returns the up count.
+    /// Probes every node with a Health PDU; its answer sets the node's
+    /// liveness. A node coming back up is caught up: rows deposited while
+    /// it was down (acked by the sloppy quorum on other nodes) are pulled
+    /// from every live peer and pushed to it, filtered to the attributes
+    /// the ring places on it. Any node that is up and owes hints gets its
+    /// queue replayed. Returns the up count.
     pub fn probe_once(&self) -> usize {
         let topo = self.topo();
         let mut recovered = Vec::new();
@@ -1177,7 +1111,7 @@ impl ClusterRouter {
                 node.client().call(&Pdu::HealthRequest),
                 Ok(Pdu::HealthResponse { ready: true, .. })
             );
-            if node.observe_probe(healthy, self.cfg.probe_down_after, self.cfg.probe_up_after) {
+            if node.set_up(healthy) {
                 mws_obs::info!(target: "mws_cluster", "node liveness changed",
                     node = node.name.clone(), up = healthy,);
                 if healthy {
@@ -1268,34 +1202,39 @@ impl ClusterRouter {
         self.push_rows(node, rows)
     }
 
-    /// Replays everything a recovered node should hold from a live donor:
-    /// a paged full-scan pull, filtered to rows whose attribute the ring
-    /// replicates onto the recovered node, pushed through the idempotent
-    /// origin-dedup store. Rows it already has count as dedup hits; rows
-    /// it missed while down become durable before the push acks.
+    /// Replays everything a recovered node should hold: a full-scan pull
+    /// from every live peer (the sloppy walk may have put its rows on any
+    /// of them), filtered to the attributes the ring places on the node,
+    /// and the union, one copy per `(sd_id, nonce)` origin, pushed through
+    /// the idempotent origin-dedup store.
     fn catch_up(&self, topo: &Topology, idx: usize) {
-        let Some(donor) = (0..topo.nodes.len()).find(|&i| i != idx && topo.nodes[i].is_up()) else {
-            return;
-        };
-        let donor = &topo.nodes[donor];
         let target = &topo.nodes[idx];
-        let rows = self.pull_rows(donor, "");
-        let mine: Vec<RelayEntry> = rows
-            .into_iter()
-            .filter(|row| {
-                topo.ring
+        let mut mine: BTreeMap<(String, Vec<u8>), RelayEntry> = BTreeMap::new();
+        for (i, peer) in topo.nodes.iter().enumerate() {
+            if i == idx || !peer.is_up() {
+                continue;
+            }
+            let Ok(rows) = self.pull(peer, "") else {
+                continue; // the others may still hold every missed row
+            };
+            for row in rows {
+                if topo
+                    .ring
                     .replicas(&row.attribute, self.cfg.replicas)
                     .contains(&idx)
-            })
-            .collect();
+                {
+                    mine.entry((row.sd_id.clone(), row.nonce.clone()))
+                        .or_insert(row);
+                }
+            }
+        }
         if mine.is_empty() {
             return;
         }
         stats().catchup_rows.add(mine.len() as u64);
         mws_obs::info!(target: "mws_cluster", "catching node up",
-            node = target.name.clone(), donor = donor.name.clone(),
-            rows = mine.len() as u64,);
-        self.push_rows(target, mine);
+            node = target.name.clone(), rows = mine.len() as u64,);
+        self.push_rows(target, mine.into_values().collect());
     }
 }
 
@@ -1593,25 +1532,19 @@ mod tests {
                         messages,
                     }
                 }
-                Pdu::ReplicaPull {
-                    attribute,
-                    after,
-                    max,
-                } => {
-                    let mut rows: Vec<RelayEntry> = s
-                        .rows
-                        .values()
-                        .filter(|r| {
-                            (attribute.is_empty() || r.attribute == attribute) && r.seq >= after
-                        })
-                        .cloned()
-                        .collect();
-                    rows.sort_by_key(|r| r.seq);
-                    let max = if max == 0 { usize::MAX } else { max as usize };
-                    let done = rows.len() <= max;
-                    rows.truncate(max);
-                    let mac = Hmac::<Sha256>::mac(KEY, &replica_rows_bytes(&rows, done));
-                    Pdu::ReplicaRows { rows, done, mac }
+                req @ Pdu::ReplicaPull { .. } => {
+                    mws_net::serve_pull(KEY, &req, |attribute, after| {
+                        let mut rows: Vec<RelayEntry> = s
+                            .rows
+                            .values()
+                            .filter(|r| {
+                                (attribute.is_empty() || r.attribute == attribute) && r.seq >= after
+                            })
+                            .cloned()
+                            .collect();
+                        rows.sort_by_key(|r| r.seq);
+                        Some(rows.into_iter())
+                    })
                 }
                 Pdu::ReplicaPush { rows, mac } => {
                     if !ct_eq(&mac, &Hmac::<Sha256>::mac(KEY, &replica_push_bytes(&rows))) {
@@ -1976,6 +1909,38 @@ mod tests {
     }
 
     #[test]
+    fn catch_up_pulls_from_every_live_peer() {
+        // With hints off a write wave walks past a down replica to the
+        // next live node on the attribute's preference list. Pick an
+        // attribute homed on node 0 whose walk ends at node 1, the
+        // lowest-index live peer: its rows land on nodes 2 and 3 only.
+        let c = cluster(4, 2, 2);
+        let ring = &c.router.topo().ring;
+        let attr = (0..)
+            .map(|i| format!("ATTR-{i}"))
+            .find(|a| {
+                let pref = ring.preference(a);
+                pref[..2].contains(&0) && pref[3] == 1
+            })
+            .unwrap();
+        c.net.unbind("node-0");
+        c.router.probe_once();
+        for n in 0..4u8 {
+            let reply = c.router.handle(deposit(&attr, &[n]));
+            assert!(matches!(reply, Pdu::DepositAck { .. }), "{reply:?}");
+            assert_eq!(holders(&c, &[n]), [2, 3], "the walk skipped node 1");
+        }
+        c.net.bind("node-0", toy_service(c.stores[0].clone()));
+        c.router.probe_once();
+        for n in 0..4u8 {
+            assert!(
+                lock(&c.stores[0]).rows.contains_key(&vec![n]),
+                "acked row {n} caught up onto its recovered replica"
+            );
+        }
+    }
+
+    #[test]
     fn membership_change_keeps_surviving_state() {
         let c = cluster(3, 2, 2);
         c.net.unbind("node-2");
@@ -2217,26 +2182,6 @@ mod tests {
             c.router.handle(order),
             Pdu::Error { code: 409, .. }
         ));
-    }
-
-    #[test]
-    fn probe_hysteresis_needs_consecutive_evidence() {
-        let net = Network::new();
-        let store = Arc::new(Mutex::new(ToyStore::default()));
-        net.bind("node-0", toy_service(store.clone()));
-        let nodes = vec![ClusterNode::new("node-0", vec![net.client("node-0")])];
-        let cfg = ClusterConfig::new(1, 1).with_probe_thresholds(2, 2);
-        let router = ClusterRouter::new(nodes, cfg, KEY.to_vec());
-        net.unbind("node-0");
-        router.probe_once();
-        assert!(router.topo().nodes[0].is_up(), "one miss is not down");
-        router.probe_once();
-        assert!(!router.topo().nodes[0].is_up(), "two misses are");
-        net.bind("node-0", toy_service(store));
-        router.probe_once();
-        assert!(!router.topo().nodes[0].is_up(), "one hit is not up");
-        router.probe_once();
-        assert!(router.topo().nodes[0].is_up(), "two hits are");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! `DepositBatch`, a peer's `ReplicaPush` row and a relayed row are all
 //! stored through the sharded store's group commit
 //! ([`ShardedMessageDb::deposit_batch`]); a single deposit is a batch of
-//! one, answered with its own reply.
+//! one, answered with its own reply. Rows that arrive over the row plane —
+//! pushed by a cluster peer or pulled from a distribution point — share
+//! one apply (`MwsService::apply_rows`).
 
 use crate::audit::{AuditEvent, AuditLog, AuditRecord};
 use crate::clock::{LogicalClock, ReplayPolicy};
@@ -30,7 +32,7 @@ use mws_net::{Client, FaultConfig, Network};
 use mws_obs::sync::lock;
 use mws_pairing::SecurityLevel;
 use mws_store::{FaultPlan, MessageId, PendingDeposit, PolicyRow, ShardedMessageDb, StorageKind};
-use mws_wire::pdu::{replica_evict_bytes, replica_push_bytes, replica_rows_bytes};
+use mws_wire::pdu::{replica_evict_bytes, replica_push_bytes};
 use mws_wire::{DepositOutcome, Pdu, RelayEntry, WireMessage};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -45,9 +47,6 @@ pub use crate::client::{ReceivingClient, RetrievedMessage};
 pub fn replica_key(mws_pkg_secret: &[u8]) -> Vec<u8> {
     Hmac::<Sha256>::mac(mws_pkg_secret, b"mws-cluster-replica")
 }
-
-/// Default page size a [`Pdu::ReplicaPull`] with `max = 0` is served at.
-const REPLICA_PULL_DEFAULT_MAX: usize = 512;
 
 /// The warehouse service state.
 struct MwsInner {
@@ -224,11 +223,15 @@ impl MwsService {
                     results: verdicts.into_iter().map(Verdict::outcome).collect(),
                 }
             }
-            Pdu::ReplicaPull {
-                attribute,
-                after,
-                max,
-            } => self.handle_replica_pull(&attribute, after, max),
+            req @ Pdu::ReplicaPull { .. } => {
+                let reply = mws_net::serve_pull(&self.replica_key, &req, |attribute, after| {
+                    self.rows_from(attribute, after)
+                });
+                if let Pdu::ReplicaRows { rows, .. } = &reply {
+                    stats().replica_rows_served.add(rows.len() as u64);
+                }
+                reply
+            }
             Pdu::ReplicaPush { rows, mac } => self.handle_replica_push(rows, &mac),
             Pdu::ReplicaEvict {
                 attribute,
@@ -239,63 +242,37 @@ impl MwsService {
         }
     }
 
-    /// Serves full rows to a cluster peer: one attribute's, or a paged
-    /// full scan when `attribute` is empty (node catch-up). The reply
-    /// carries attribute strings and origin identities — material the
-    /// client-facing protocol deliberately withholds — so it is MAC'd
-    /// under the replica key and only useful to a holder of it; the
-    /// sealed payloads themselves stay IBE-encrypted either way.
-    fn handle_replica_pull(&self, attribute: &str, after: u64, max: u32) -> Pdu {
-        let max = if max == 0 {
-            REPLICA_PULL_DEFAULT_MAX
+    /// Full rows for a cluster peer's pull (MAC'd under the replica key),
+    /// in id order from `after` on: one attribute's, or every attribute's
+    /// when `attribute` is empty (node catch-up).
+    fn rows_from(&self, attribute: &str, after: u64) -> Option<impl Iterator<Item = RelayEntry>> {
+        let attributes = if attribute.is_empty() {
+            self.store.attributes()
         } else {
-            max as usize
+            vec![attribute.to_string()]
         };
-        let fetched = if attribute.is_empty() {
-            let mut all = Vec::new();
-            for attr in self.store.attributes() {
-                match self.store.by_attribute(&attr) {
-                    Ok(rows) => all.extend(rows),
-                    Err(_) => return err(500, "replica scan failure"),
-                }
-            }
-            all
-        } else {
-            match self.store.by_attribute(attribute) {
-                Ok(rows) => rows,
-                Err(_) => return err(500, "replica scan failure"),
-            }
-        };
-        let mut newer: Vec<_> = fetched.into_iter().filter(|m| m.id >= after).collect();
+        let mut newer = Vec::new();
+        for attr in attributes {
+            let rows = self.store.by_attribute(&attr).ok()?;
+            newer.extend(rows.into_iter().filter(|m| m.id >= after));
+        }
         newer.sort_unstable_by_key(|m| m.id);
-        let done = newer.len() <= max;
-        newer.truncate(max);
-        let rows: Vec<RelayEntry> = newer
-            .into_iter()
-            .map(|m| RelayEntry {
-                seq: m.id,
-                sd_id: m.sd_id,
-                timestamp: m.timestamp,
-                u: m.u,
-                algo: m.algo,
-                sealed: m.sealed,
-                attribute: m.attribute,
-                nonce: m.nonce,
-            })
-            .collect();
-        stats().replica_rows_served.add(rows.len() as u64);
-        let mac = Hmac::<Sha256>::mac(&self.replica_key, &replica_rows_bytes(&rows, done));
-        Pdu::ReplicaRows { rows, done, mac }
+        Some(newer.into_iter().map(|m| RelayEntry {
+            seq: m.id,
+            sd_id: m.sd_id,
+            timestamp: m.timestamp,
+            u: m.u,
+            algo: m.algo,
+            sealed: m.sealed,
+            attribute: m.attribute,
+            nonce: m.nonce,
+        }))
     }
 
     /// Stores rows a cluster peer pushed (read-repair or catch-up) through
-    /// the same durable origin-dedup path a device retransmission takes:
-    /// one group commit, so each touched shard fsyncs once before the ack
-    /// counts its rows, and a row already present under its
-    /// `(sd_id, nonce)` origin is a dedup hit, not a second copy. The SDA
-    /// replay guard is deliberately *not* touched — a later live
-    /// retransmission of the same deposit must still converge to the same
-    /// single row instead of 409ing.
+    /// [`Self::apply_rows`]. The SDA replay guard is deliberately *not*
+    /// touched — a later live retransmission of the same deposit must
+    /// still converge to the same single row instead of 409ing.
     fn handle_replica_push(&self, rows: Vec<RelayEntry>, mac: &[u8]) -> Pdu {
         let expect = Hmac::<Sha256>::mac(&self.replica_key, &replica_push_bytes(&rows));
         if !ct_eq(mac, &expect) {
@@ -303,13 +280,7 @@ impl MwsService {
             mws_obs::warn!(target: "mws_core", "replica push rejected", reason = "bad mac",);
             return err(401, "replica MAC verification failed");
         }
-        let rows: Vec<PendingDeposit> = rows.into_iter().map(pending_row).collect();
-        let Some(outcomes) = self
-            .store
-            .deposit_batch(&rows)
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-        else {
+        let Some(outcomes) = self.apply_rows(rows) else {
             return err(500, "storage failure");
         };
         let stored = outcomes.iter().filter(|(_, fresh)| *fresh).count() as u32;
@@ -320,6 +291,27 @@ impl MwsService {
                 stored = u64::from(stored), deduped = u64::from(deduped),);
         }
         Pdu::ReplicaPushAck { stored, deduped }
+    }
+
+    /// The one apply of rows pushed by a cluster peer or pulled from a
+    /// distribution point (§VIII), checked where they were first deposited:
+    /// one group commit (one fsync per touched shard; a row present under
+    /// its `(sd_id, nonce)` origin is a dedup hit), fresh rows audited.
+    /// Each row's `(id, fresh)`, or `None` unless every row is durable.
+    fn apply_rows(&self, rows: Vec<RelayEntry>) -> Option<Vec<(MessageId, bool)>> {
+        let now = self.clock.now();
+        let rows: Vec<PendingDeposit> = rows.into_iter().map(pending_row).collect();
+        let outcomes = self.store.deposit_batch(&rows);
+        let mut inner = lock(&self.inner);
+        for (row, outcome) in rows.into_iter().zip(&outcomes) {
+            if let Some((message_id, true)) = *outcome {
+                let sd_id = row.sd_id;
+                inner
+                    .audit
+                    .record(now, AuditEvent::DepositAccepted { sd_id, message_id });
+            }
+        }
+        outcomes.into_iter().collect()
     }
 
     /// Replica handover finalizer: a MAC'd order to drop every row of one
@@ -515,32 +507,13 @@ impl MwsService {
     }
 
     /// Applies a batch of edge-verified deposits pulled from a distribution
-    /// point (§VIII). The relay puller has already authenticated the batch;
-    /// entries take the durable origin-dedup group commit a replica push
-    /// takes, so re-applying a batch (after a failure part-way, say) stores
-    /// nothing twice and returns the same ids. Only fresh rows are audited.
+    /// point (§VIII) through the row-plane apply a replica push takes, so
+    /// re-applying a batch (after a failure part-way, say) stores nothing
+    /// twice and returns the same ids. Only fresh rows are audited.
     pub fn store_relayed(&self, entries: &[RelayEntry]) -> Result<Vec<u64>, CoreError> {
-        let now = self.clock.now();
-        let rows: Vec<PendingDeposit> = entries.iter().cloned().map(pending_row).collect();
-        let stored = self.store.deposit_batch(&rows);
-        let mut inner = lock(&self.inner);
-        let mut ids = Vec::with_capacity(rows.len());
-        for (row, outcome) in rows.into_iter().zip(stored) {
-            let Some((message_id, fresh)) = outcome else {
-                continue;
-            };
-            if fresh {
-                let sd_id = row.sd_id;
-                inner
-                    .audit
-                    .record(now, AuditEvent::DepositAccepted { sd_id, message_id });
-            }
-            ids.push(message_id);
-        }
-        if ids.len() < entries.len() {
-            return Err(mws_store::StoreError::NotDurable.into());
-        }
-        Ok(ids)
+        let stored = self.apply_rows(entries.to_vec());
+        let stored = stored.ok_or(mws_store::StoreError::NotDurable)?;
+        Ok(stored.into_iter().map(|(id, _)| id).collect())
     }
 
     /// Retention sweep: drops every warehoused message older than `before`
@@ -1177,6 +1150,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mws_wire::pdu::{replica_pull_bytes, replica_rows_bytes};
 
     fn deployment() -> Deployment {
         Deployment::new(DeploymentConfig::test_default())
@@ -1680,18 +1654,8 @@ mod tests {
         meter.deposit("A", b"two").unwrap();
 
         let mws_a = a.network().client("mws");
-        let pull = Pdu::ReplicaPull {
-            attribute: String::new(),
-            after: 0,
-            max: 0,
-        };
-        let Pdu::ReplicaRows { rows, done, mac } = mws_a.call(&pull).unwrap() else {
-            panic!("expected replica rows");
-        };
-        assert_eq!(rows.len(), 2);
-        assert!(done);
-        let expect = Hmac::<Sha256>::mac(&a.replica_key(), &replica_rows_bytes(&rows, done));
-        assert_eq!(mac, expect, "rows are MAC'd under the replica key");
+        let rows = mws_net::pull_rows(|req| mws_a.call(req), &a.replica_key(), "", 0, 10).unwrap();
+        assert_eq!(rows.len(), 2, "pages verify under the replica key");
 
         // Push into B: both rows fresh, then both dedup on a second push.
         let mws_b = b.network().client("mws");
@@ -1795,6 +1759,32 @@ mod tests {
     }
 
     #[test]
+    fn a_keyless_replica_pull_reads_nothing() {
+        let mut dep = deployment();
+        dep.register_device("m");
+        dep.device("m").deposit("A", b"one").unwrap();
+        let mws = dep.network().client("mws");
+        for attribute in ["", "A"] {
+            let pull = Pdu::ReplicaPull {
+                attribute: attribute.into(),
+                after: 0,
+                max: 0,
+                nonce: vec![1; 16],
+                mac: vec![0; 32],
+            };
+            let reply = mws.call(&pull).unwrap();
+            assert!(matches!(reply, Pdu::Error { code: 401, .. }), "{reply:?}");
+        }
+        let key = dep.replica_key();
+        assert_eq!(
+            mws_net::pull_rows(|req| mws.call(req), &key, "", 0, 10)
+                .unwrap()
+                .len(),
+            1
+        );
+    }
+
+    #[test]
     fn replica_pull_pages_with_cursor() {
         let mut dep = deployment();
         dep.register_device("m");
@@ -1804,19 +1794,26 @@ mod tests {
             meter.deposit("A", &[i]).unwrap();
         }
         let mws = dep.network().client("mws");
+        let key = dep.replica_key();
         let mut after = 0;
         let mut seen = Vec::new();
         loop {
-            let Pdu::ReplicaRows { rows, done, .. } = mws
+            let pull = replica_pull_bytes("A", after, 2, b"nonce");
+            let mac = Hmac::<Sha256>::mac(&key, &pull);
+            let Pdu::ReplicaRows { rows, done, mac } = mws
                 .call(&Pdu::ReplicaPull {
                     attribute: "A".into(),
                     after,
                     max: 2,
+                    nonce: b"nonce".to_vec(),
+                    mac,
                 })
                 .unwrap()
             else {
                 panic!("expected replica rows");
             };
+            let expect = Hmac::<Sha256>::mac(&key, &replica_rows_bytes(&pull, &rows, done));
+            assert_eq!(mac, expect, "each page is bound to its request");
             assert!(rows.len() <= 2, "page size respected");
             if let Some(last) = rows.last() {
                 after = last.seq + 1;
@@ -1877,6 +1874,8 @@ mod tests {
                 attribute: "A".into(),
                 after: 0,
                 max: 8,
+                nonce: vec![1],
+                mac: vec![1],
             },
             Pdu::ReplicaPush {
                 rows: Vec::new(),

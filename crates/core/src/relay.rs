@@ -8,18 +8,18 @@
 //! An [`IngestPoint`] is a lightweight MWS-SD edge: it authenticates device
 //! deposits exactly like the central SDA (same replay policy, same MAC/IBS
 //! verification) and buffers them with per-site sequence numbers. The
-//! central warehouse runs a [`RelayPuller`] that fetches batches with a
-//! resumable cursor; batches are integrity-protected by an HMAC under the
-//! site↔center shared key, so a compromised network between sites cannot
-//! inject or reorder deposits.
+//! central warehouse runs a [`RelayPuller`] that fetches them with a
+//! resumable cursor over the cluster's row plane ([`mws_net::rows`]) under
+//! the site↔center shared key, so neither a peer without the key nor a
+//! compromised network between sites can read or drain the buffer, or
+//! inject, reorder or replay deposits.
 
 use crate::audit::{AuditEvent, AuditLog};
 use crate::clock::{LogicalClock, ReplayPolicy};
 use crate::errors::CoreError;
 use crate::registry::DeviceRegistry;
 use crate::sda::{DeviceAuthVerifier, SdAuthenticator};
-use mws_crypto::{Hmac, Sha256};
-use mws_net::{Client, Service};
+use mws_net::{pull_rows, serve_pull, Client, PullError, Service};
 use mws_obs::sync::lock;
 use mws_wire::{Pdu, RelayEntry};
 use std::collections::VecDeque;
@@ -28,33 +28,6 @@ use std::sync::{Arc, Mutex};
 /// Maximum entries an ingest point buffers before shedding oldest
 /// (sites are expected to be drained far more often).
 pub const MAX_BUFFER: usize = 100_000;
-
-/// Canonical bytes the batch MAC covers: every entry field plus the cursor.
-fn batch_mac_bytes(entries: &[RelayEntry], next: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for e in entries {
-        buf.extend_from_slice(&e.seq.to_le_bytes());
-        for field in [
-            e.sd_id.as_bytes(),
-            &e.u,
-            &e.sealed,
-            e.attribute.as_bytes(),
-            &e.nonce,
-        ] {
-            buf.extend_from_slice(&(field.len() as u32).to_le_bytes());
-            buf.extend_from_slice(field);
-        }
-        buf.push(e.algo);
-        buf.extend_from_slice(&e.timestamp.to_le_bytes());
-    }
-    buf.extend_from_slice(&next.to_le_bytes());
-    buf
-}
-
-/// Computes the inter-site batch MAC.
-pub fn batch_mac(relay_key: &[u8], entries: &[RelayEntry], next: u64) -> Vec<u8> {
-    Hmac::<Sha256>::mac(relay_key, &batch_mac_bytes(entries, next))
-}
 
 struct IngestInner {
     site: String,
@@ -168,20 +141,16 @@ impl IngestInner {
                 // is assigned when the center applies the entry.
                 Pdu::DepositAck { message_id: seq }
             }
-            Pdu::RelayPull { after, max } => {
-                let entries: Vec<RelayEntry> = self
-                    .buffer
-                    .iter()
-                    .filter(|e| e.seq > after)
-                    .take(max.min(4096) as usize)
-                    .cloned()
-                    .collect();
-                let next = entries.last().map_or(after, |e| e.seq);
-                let mac = batch_mac(&self.relay_key, &entries, next);
-                // Entries at or below the acknowledged cursor can be
-                // dropped: the puller only advances `after` once applied.
-                self.buffer.retain(|e| e.seq > after);
-                Pdu::RelayBatch { entries, next, mac }
+            req @ Pdu::ReplicaPull { .. } => {
+                let buffer = &mut self.buffer;
+                serve_pull(&self.relay_key, &req, |attribute, after| {
+                    let asked =
+                        move |e: &RelayEntry| attribute.is_empty() || e.attribute == attribute;
+                    // The puller asks from past what it holds: entries
+                    // below its cursor are safe at the center.
+                    buffer.retain(|e| e.seq >= after || !asked(e));
+                    Some(buffer.iter().filter(move |e| asked(e)).cloned())
+                })
             }
             _ => Pdu::Error {
                 code: 400,
@@ -213,34 +182,25 @@ impl RelayPuller {
         self.cursor
     }
 
-    /// Pulls one batch (up to `max` entries), verifies its MAC and returns
-    /// the entries. The cursor advances once a batch verifies, not when it
-    /// is applied: a failed apply is not fetched again, so the caller
-    /// retries it with the entries it holds (`MwsService::store_relayed`
-    /// stores nothing twice).
+    /// Pulls up to `max` entries past the cursor and returns them. The
+    /// cursor advances once the pages verify, not when they are applied
+    /// (the site drops entries below a pull's cursor, so a pull longer
+    /// than one page drops its earlier pages as it asks for the next): a
+    /// failed apply is not fetched again, so the caller retries it with
+    /// the entries it holds (`MwsService::store_relayed` stores nothing
+    /// twice).
     pub fn pull(&mut self, max: u32) -> Result<Vec<RelayEntry>, CoreError> {
-        let reply = self.client.call(&Pdu::RelayPull {
-            after: self.cursor,
-            max,
-        })?;
-        let (entries, next, mac) = match reply {
-            Pdu::RelayBatch { entries, next, mac } => (entries, next, mac),
-            Pdu::Error { code, detail } => return Err(CoreError::from_wire_error(code, detail)),
-            _ => return Err(CoreError::UnexpectedReply),
-        };
-        let expect = batch_mac(&self.relay_key, &entries, next);
-        if !mws_crypto::ct_eq(&expect, &mac) {
-            return Err(CoreError::Crypto("relay batch MAC rejected"));
+        let call = |req: &Pdu| self.client.call(req);
+        let after = self.cursor.saturating_add(1);
+        let entries =
+            pull_rows(call, &self.relay_key, "", after, max as usize).map_err(|e| match e {
+                PullError::Net(e) => CoreError::Net(e),
+                PullError::Refused(code, detail) => CoreError::from_wire_error(code, detail),
+                PullError::Forged(what) => CoreError::Crypto(what),
+            })?;
+        if let Some(last) = entries.last() {
+            self.cursor = last.seq;
         }
-        // Entries must be in strictly increasing sequence past the cursor.
-        let mut last = self.cursor;
-        for e in &entries {
-            if e.seq <= last {
-                return Err(CoreError::Crypto("relay batch out of order"));
-            }
-            last = e.seq;
-        }
-        self.cursor = next;
         Ok(entries)
     }
 }
@@ -343,14 +303,40 @@ mod tests {
 
     #[test]
     fn wrong_relay_key_rejected() {
-        let (net, _point, _) = setup();
+        let (net, point, _) = setup();
         deposit(&net, 1);
         let mut puller = RelayPuller::new(net.client("ingest-west"), b"wrong-key");
         assert!(matches!(
             puller.pull(10),
-            Err(CoreError::Crypto("relay batch MAC rejected"))
+            Err(CoreError::Remote {
+                code: crate::errors::ErrorCode::AuthFailed,
+                ..
+            })
         ));
         assert_eq!(puller.cursor(), 0, "cursor does not advance on failure");
+        assert_eq!(point.buffered(), 1);
+    }
+
+    #[test]
+    fn a_keyless_pull_leaves_the_buffer_alone() {
+        let (net, point, _) = setup();
+        for n in 1..=3 {
+            deposit(&net, n);
+        }
+        // A pull claiming the center holds everything, without the site
+        // key: refused before the buffer is touched.
+        let drain = Pdu::ReplicaPull {
+            attribute: String::new(),
+            after: u64::MAX,
+            max: 10,
+            nonce: vec![1; 16],
+            mac: vec![0; 32],
+        };
+        let reply = net.client("ingest-west").call(&drain).unwrap();
+        assert!(matches!(reply, Pdu::Error { code: 401, .. }), "{reply:?}");
+        assert_eq!(point.buffered(), 3);
+        let mut puller = RelayPuller::new(net.client("ingest-west"), b"relay-shared-key");
+        assert_eq!(puller.pull(10).unwrap().len(), 3);
     }
 
     #[test]
@@ -363,28 +349,5 @@ mod tests {
         puller.pull(2).unwrap(); // applies seq 1..=2
         puller.pull(2).unwrap(); // ack of 2 drops 1..=2 at the site
         assert!(point.buffered() <= 2);
-    }
-
-    #[test]
-    fn batch_mac_covers_every_field() {
-        let entries = vec![RelayEntry {
-            seq: 1,
-            sd_id: "m".into(),
-            timestamp: 2,
-            u: vec![3],
-            algo: 4,
-            sealed: vec![5],
-            attribute: "A".into(),
-            nonce: vec![6],
-        }];
-        let base = batch_mac(b"k", &entries, 1);
-        let mut tampered = entries.clone();
-        tampered[0].attribute = "B".into();
-        assert_ne!(batch_mac(b"k", &tampered, 1), base);
-        let mut tampered = entries.clone();
-        tampered[0].sealed = vec![9];
-        assert_ne!(batch_mac(b"k", &tampered, 1), base);
-        assert_ne!(batch_mac(b"k", &entries, 2), base, "cursor bound");
-        assert_ne!(batch_mac(b"k2", &entries, 1), base, "key bound");
     }
 }

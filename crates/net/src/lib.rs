@@ -20,11 +20,13 @@
 pub mod bus;
 pub mod fault;
 pub mod metrics;
+pub mod rows;
 pub mod transport;
 
 pub use bus::{Client, Network, Service};
 pub use fault::{FaultConfig, LatencyModel};
 pub use metrics::LinkMetrics;
+pub use rows::{pull_rows, serve_pull, PullError};
 pub use transport::{BusTransport, FaultyTransport, Transport};
 
 /// Transport-layer errors.

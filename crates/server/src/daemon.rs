@@ -142,10 +142,6 @@ pub struct DaemonOpts {
     pub read: mws_cluster::ReadConsistency,
     /// Health-probe cadence in milliseconds (cluster mode).
     pub probe_interval_ms: u64,
-    /// Consecutive failed probes before a node is marked down.
-    pub probe_down_after: u32,
-    /// Consecutive successful probes before a down node rejoins.
-    pub probe_up_after: u32,
     /// Directory for durable hinted-handoff queues; unset keeps hints in
     /// memory (lost on a front-door restart).
     pub hint_dir: Option<std::path::PathBuf>,
@@ -171,8 +167,6 @@ impl DaemonOpts {
             write_quorum: 2,
             read: mws_cluster::ReadConsistency::Quorum,
             probe_interval_ms: PROBE_EVERY_MS,
-            probe_down_after: 1,
-            probe_up_after: 1,
             hint_dir: None,
         }
     }
@@ -196,8 +190,6 @@ pub fn usage(role: Role) -> String {
          \x20 --write-quorum <n>      durable acks before a deposit acks, <= replicas (default 2)\n\
          \x20 --read-quorum <mode>    retrieve consistency: 'quorum' (merge all live replicas, default) or 'fastest' (one replica answers)\n\
          \x20 --probe-interval-ms <n> health-probe cadence (default 500)\n\
-         \x20 --probe-down-after <n>  consecutive failed probes before a node leaves the data path (default 1)\n\
-         \x20 --probe-up-after <n>    consecutive good probes before a down node rejoins (default 1)\n\
          \x20 --hint-dir <path>       durable hinted-handoff queue directory (default: in-memory hints)"
     } else {
         ""
@@ -326,22 +318,6 @@ where
                         ))
                     })?;
             }
-            "--probe-down-after" if role == Role::Gatekeeper => {
-                let v = value("--probe-down-after")?;
-                opts.probe_down_after =
-                    v.parse::<u32>().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                        FlagError::Bad(format!(
-                            "--probe-down-after expects a count >= 1, got '{v}'"
-                        ))
-                    })?;
-            }
-            "--probe-up-after" if role == Role::Gatekeeper => {
-                let v = value("--probe-up-after")?;
-                opts.probe_up_after =
-                    v.parse::<u32>().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                        FlagError::Bad(format!("--probe-up-after expects a count >= 1, got '{v}'"))
-                    })?;
-            }
             "--hint-dir" if role == Role::Gatekeeper => {
                 opts.hint_dir = Some(std::path::PathBuf::from(value("--hint-dir")?));
             }
@@ -449,8 +425,7 @@ pub fn serve(role: Role, dep: &Deployment, opts: &DaemonOpts) -> std::io::Result
                 nodes.push(mws_cluster::ClusterNode::new(addr.clone(), pool));
             }
             let cluster_cfg = mws_cluster::ClusterConfig::new(opts.replicas, opts.write_quorum)
-                .with_read(opts.read)
-                .with_probe_thresholds(opts.probe_down_after, opts.probe_up_after);
+                .with_read(opts.read);
             let router = mws_cluster::ClusterRouter::new(nodes, cluster_cfg, dep.replica_key());
             router.set_attribute_names(
                 dep.mws()
@@ -759,10 +734,6 @@ mod tests {
                 "fastest",
                 "--probe-interval-ms",
                 "100",
-                "--probe-down-after",
-                "3",
-                "--probe-up-after",
-                "2",
                 "--hint-dir",
                 "/tmp/mws-hints",
             ]),
@@ -770,22 +741,18 @@ mod tests {
         .unwrap();
         assert_eq!(opts.read, mws_cluster::ReadConsistency::Fastest);
         assert_eq!(opts.probe_interval_ms, 100);
-        assert_eq!((opts.probe_down_after, opts.probe_up_after), (3, 2));
         assert_eq!(
             opts.hint_dir.as_deref(),
             Some(std::path::Path::new("/tmp/mws-hints"))
         );
-        // Defaults: quorum reads, 500 ms probes, single-probe hysteresis,
-        // memory hints.
+        // Defaults: quorum reads, 500 ms probes, memory hints.
         let plain = parse_args(Role::Gatekeeper, argv(&[])).unwrap();
         assert_eq!(plain.read, mws_cluster::ReadConsistency::Quorum);
         assert_eq!(plain.probe_interval_ms, 500);
-        assert_eq!((plain.probe_down_after, plain.probe_up_after), (1, 1));
         assert!(plain.hint_dir.is_none());
         // Rejects: bad mode, zero cadence, non-gatekeeper roles.
         assert!(parse_args(Role::Gatekeeper, argv(&["--read-quorum", "eventual"])).is_err());
         assert!(parse_args(Role::Gatekeeper, argv(&["--probe-interval-ms", "0"])).is_err());
-        assert!(parse_args(Role::Gatekeeper, argv(&["--probe-down-after", "0"])).is_err());
         assert!(parse_args(Role::Mms, argv(&["--read-quorum", "quorum"])).is_err());
         assert!(parse_args(Role::Mms, argv(&["--hint-dir", "/x"])).is_err());
     }

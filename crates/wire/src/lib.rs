@@ -40,9 +40,9 @@ pub use envelope::{
 };
 pub use hash::fnv1a64;
 pub use pdu::{
-    cluster_admin_bytes, cluster_drain_bytes, cluster_join_bytes, replica_evict_bytes,
-    replica_plane_bytes, DepositItem, DepositOutcome, MemberState, Pdu, RelayEntry, WireMessage,
-    MEMBER_ACTIVE, MEMBER_DRAINING, MEMBER_JOINING,
+    cluster_admin_bytes, cluster_drain_bytes, cluster_join_bytes, replica_evict_bytes, DepositItem,
+    DepositOutcome, MemberState, Pdu, RelayEntry, WireMessage, MEMBER_ACTIVE, MEMBER_DRAINING,
+    MEMBER_JOINING,
 };
 pub use secure::{
     ChannelAuth, Handshaker, Opened, PskAuth, RecordDecoder, SecureError, SecureSession,

@@ -144,47 +144,32 @@ pub enum Pdu {
         mpk: Vec<u8>,
     },
 
-    // ---- Distribution points (§VIII future work) ----
-    /// Central MWS → ingest point: pull buffered deposits after `after`.
-    RelayPull {
-        /// Resume cursor (sequence number of the last applied entry).
-        after: u64,
-        /// Maximum entries to return.
-        max: u32,
-    },
-    /// Ingest point → central MWS: a batch of edge-verified deposits.
-    RelayBatch {
-        /// Entries in sequence order.
-        entries: Vec<RelayEntry>,
-        /// Cursor to resume from next time.
-        next: u64,
-        /// `HMAC(relay key, canonical batch bytes)` — inter-site integrity.
-        mac: Vec<u8>,
-    },
-
-    // ---- Cluster replica plane (DESIGN.md §10) ----
-    /// Warehouse-to-warehouse row fetch for read-repair and node catch-up:
-    /// full rows (attribute + origin identity included) for one attribute —
-    /// or every attribute when `attribute` is empty — with id `>= after`.
-    /// Answered only to peers holding the cluster replica key (the reply
-    /// is MAC'd; a mismatching verifier discards it).
+    // ---- Row plane: cluster replicas and distribution points (DESIGN.md §10) ----
+    /// Paged row fetch: full rows (attribute + origin identity included)
+    /// of one attribute, or of all when `attribute` is empty, with
+    /// `seq >= after`. Warehouses answer it under the cluster replica key,
+    /// ingest points (§VIII) under their site key, dropping the rows below
+    /// `after`; a request whose MAC fails gets 401.
     ReplicaPull {
-        /// Attribute to fetch, or `""` for a full catch-up scan.
+        /// Attribute to fetch, or `""` for a full scan.
         attribute: String,
-        /// Resume cursor: only rows with message id at or above this
-        /// (resume a page walk at `last.seq + 1`).
+        /// Resume cursor: only rows with `seq` at or above this (resume a
+        /// page walk at `last.seq + 1`).
         after: u64,
         /// Maximum rows per response (0 = server default).
         max: u32,
+        /// Fresh per request, so no captured page answers a later pull.
+        nonce: Vec<u8>,
+        /// `HMAC(plane key, replica_pull_bytes(..))`.
+        mac: Vec<u8>,
     },
-    /// Reply to [`Pdu::ReplicaPull`]: rows in id order.
+    /// Reply to [`Pdu::ReplicaPull`]: rows in `seq` order.
     ReplicaRows {
-        /// The rows, `seq` carrying the answering node's message id.
+        /// The rows, `seq` carrying the answering node's cursor key.
         rows: Vec<RelayEntry>,
-        /// True when no further rows exist above the last returned id.
+        /// True when no further rows exist above the last returned one.
         done: bool,
-        /// `HMAC(replica key, canonical rows ‖ done)` — replica-plane
-        /// integrity (same construction as [`Pdu::RelayBatch`]).
+        /// `HMAC(plane key, replica_rows_bytes(pull, rows, done))`.
         mac: Vec<u8>,
     },
     /// Replica repair write: rows another node durably holds, pushed to a
@@ -367,10 +352,12 @@ impl DepositOutcome {
     pub const STORAGE_ERROR: u8 = 4;
 }
 
-/// One edge-verified deposit relayed toward the central warehouse.
+/// One stored row as the row plane carries it (an ingest point's buffered
+/// deposit or a warehouse's row).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RelayEntry {
-    /// Ingest-point sequence number (monotonic per site).
+    /// The serving node's cursor key: an ingest point's site sequence
+    /// number or a warehouse's message id (monotonic per node).
     pub seq: u64,
     /// Depositing device.
     pub sd_id: String,
@@ -388,8 +375,7 @@ pub struct RelayEntry {
     pub nonce: Vec<u8>,
 }
 
-/// Encodes a length-prefixed run of [`RelayEntry`] rows (shared by the
-/// distribution-point and replica planes).
+/// Encodes a length-prefixed run of [`RelayEntry`] rows.
 fn write_relay_entries(w: &mut WireWriter, entries: &[RelayEntry]) {
     w.u32(entries.len() as u32);
     for e in entries {
@@ -427,13 +413,11 @@ fn read_relay_entries(r: &mut WireReader) -> Result<Vec<RelayEntry>, WireError> 
     Ok(entries)
 }
 
-/// Canonical bytes the cluster replica plane MACs: the PDU type byte (so a
+/// Canonical bytes the row plane MACs: the PDU type byte (so a
 /// [`Pdu::ReplicaRows`] MAC can never be replayed as a [`Pdu::ReplicaPush`]
 /// or vice versa), the length-prefixed rows exactly as framed on the wire,
-/// and the `done` flag (`false` for pushes, which have none). Both sides of
-/// the plane — the warehouse answering a pull and the cluster router
-/// pushing repairs — compute `HMAC(replica key, these bytes)` over it.
-pub fn replica_plane_bytes(type_byte: u8, rows: &[RelayEntry], done: bool) -> Vec<u8> {
+/// and the `done` flag (`false` for pushes, which have none).
+fn replica_plane_bytes(type_byte: u8, rows: &[RelayEntry], done: bool) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.u8(type_byte);
     write_relay_entries(&mut w, rows);
@@ -441,9 +425,25 @@ pub fn replica_plane_bytes(type_byte: u8, rows: &[RelayEntry], done: bool) -> Ve
     w.finish()
 }
 
-/// MAC input of a [`Pdu::ReplicaRows`] reply.
-pub fn replica_rows_bytes(rows: &[RelayEntry], done: bool) -> Vec<u8> {
-    replica_plane_bytes(0x61, rows, done)
+/// MAC input of a [`Pdu::ReplicaPull`] request: the type byte and every
+/// request field. The reply to it binds these same bytes.
+pub fn replica_pull_bytes(attribute: &str, after: u64, max: u32, nonce: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(0x60)
+        .string(attribute)
+        .u64(after)
+        .u32(max)
+        .bytes(nonce);
+    w.finish()
+}
+
+/// MAC input of a [`Pdu::ReplicaRows`] reply to the request whose
+/// [`replica_pull_bytes`] are `pull`: bound to it, a captured page (say an
+/// empty final one) answers no later pull.
+pub fn replica_rows_bytes(pull: &[u8], rows: &[RelayEntry], done: bool) -> Vec<u8> {
+    let mut bytes = replica_plane_bytes(0x61, rows, done);
+    bytes.extend_from_slice(pull);
+    bytes
 }
 
 /// MAC input of a [`Pdu::ReplicaPush`] (no `done` flag; pinned false).
@@ -520,8 +520,6 @@ impl Pdu {
             Pdu::KeyResponse { .. } => 0x23,
             Pdu::ParamsRequest => 0x30,
             Pdu::ParamsResponse { .. } => 0x31,
-            Pdu::RelayPull { .. } => 0x40,
-            Pdu::RelayBatch { .. } => 0x41,
             Pdu::ReplicaPull { .. } => 0x60,
             Pdu::ReplicaRows { .. } => 0x61,
             Pdu::ReplicaPush { .. } => 0x62,
@@ -557,8 +555,6 @@ impl Pdu {
             Pdu::KeyResponse { .. } => "key_response",
             Pdu::ParamsRequest => "params_request",
             Pdu::ParamsResponse { .. } => "params_response",
-            Pdu::RelayPull { .. } => "relay_pull",
-            Pdu::RelayBatch { .. } => "relay_batch",
             Pdu::ReplicaPull { .. } => "replica_pull",
             Pdu::ReplicaRows { .. } => "replica_rows",
             Pdu::ReplicaPush { .. } => "replica_push",
@@ -676,19 +672,18 @@ impl Pdu {
             } => {
                 w.bytes(p).bytes(q).bytes(h).bytes(generator).bytes(mpk);
             }
-            Pdu::RelayPull { after, max } => {
-                w.u64(*after).u32(*max);
-            }
-            Pdu::RelayBatch { entries, next, mac } => {
-                write_relay_entries(&mut w, entries);
-                w.u64(*next).bytes(mac);
-            }
             Pdu::ReplicaPull {
                 attribute,
                 after,
                 max,
+                nonce,
+                mac,
             } => {
-                w.string(attribute).u64(*after).u32(*max);
+                w.string(attribute)
+                    .u64(*after)
+                    .u32(*max)
+                    .bytes(nonce)
+                    .bytes(mac);
             }
             Pdu::ReplicaRows { rows, done, mac } => {
                 write_relay_entries(&mut w, rows);
@@ -855,19 +850,12 @@ impl Pdu {
                 generator: r.bytes()?,
                 mpk: r.bytes()?,
             },
-            0x40 => Pdu::RelayPull {
-                after: r.u64()?,
-                max: r.u32()?,
-            },
-            0x41 => Pdu::RelayBatch {
-                entries: read_relay_entries(&mut r)?,
-                next: r.u64()?,
-                mac: r.bytes()?,
-            },
             0x60 => Pdu::ReplicaPull {
                 attribute: r.string()?,
                 after: r.u64()?,
                 max: r.u32()?,
+                nonce: r.bytes()?,
+                mac: r.bytes()?,
             },
             0x61 => Pdu::ReplicaRows {
                 rows: read_relay_entries(&mut r)?,
@@ -1057,40 +1045,12 @@ mod tests {
                 generator: vec![4; 65],
                 mpk: vec![5; 65],
             },
-            Pdu::RelayPull {
-                after: 17,
-                max: 100,
-            },
-            Pdu::RelayBatch {
-                entries: vec![
-                    RelayEntry {
-                        seq: 18,
-                        sd_id: "meter-9".into(),
-                        timestamp: 3,
-                        u: vec![2; 65],
-                        algo: 1,
-                        sealed: vec![4; 40],
-                        attribute: "WATER-APT".into(),
-                        nonce: vec![5; 16],
-                    },
-                    RelayEntry {
-                        seq: 19,
-                        sd_id: String::new(),
-                        timestamp: 0,
-                        u: vec![],
-                        algo: 0,
-                        sealed: vec![],
-                        attribute: String::new(),
-                        nonce: vec![],
-                    },
-                ],
-                next: 20,
-                mac: vec![7; 32],
-            },
             Pdu::ReplicaPull {
                 attribute: "ELECTRIC-APT9".into(),
                 after: 42,
                 max: 256,
+                nonce: vec![3; 16],
+                mac: vec![4; 32],
             },
             Pdu::ReplicaRows {
                 rows: vec![RelayEntry {
@@ -1272,6 +1232,55 @@ mod tests {
         w.u64(1).u8(0).u32(u32::MAX);
         let body = w.finish();
         assert!(Pdu::decode_body(0x68, &body).is_err());
+    }
+
+    #[test]
+    fn row_mac_inputs_cover_every_field() {
+        let rows = vec![RelayEntry {
+            seq: 1,
+            sd_id: "m".into(),
+            timestamp: 2,
+            u: vec![3],
+            algo: 4,
+            sealed: vec![5],
+            attribute: "A".into(),
+            nonce: vec![6],
+        }];
+        let pull = replica_pull_bytes("A", 1, 8, b"n");
+        for other in [
+            replica_pull_bytes("B", 1, 8, b"n"),
+            replica_pull_bytes("A", 2, 8, b"n"),
+            replica_pull_bytes("A", 1, 9, b"n"),
+            replica_pull_bytes("A", 1, 8, b"m"),
+        ] {
+            assert_ne!(other, pull, "every request field is bound");
+        }
+        let base = replica_rows_bytes(&pull, &rows, true);
+        let mut tampered = rows.clone();
+        tampered[0].attribute = "B".into();
+        assert_ne!(replica_rows_bytes(&pull, &tampered, true), base);
+        let mut tampered = rows.clone();
+        tampered[0].sealed = vec![9];
+        assert_ne!(replica_rows_bytes(&pull, &tampered, true), base);
+        let mut tampered = rows.clone();
+        tampered[0].seq = 2;
+        assert_ne!(replica_rows_bytes(&pull, &tampered, true), base);
+        assert_ne!(replica_rows_bytes(&pull, &rows, false), base, "done bound");
+        let later = replica_pull_bytes("A", 1, 8, b"o");
+        assert_ne!(
+            replica_rows_bytes(&later, &rows, true),
+            base,
+            "request bound"
+        );
+        assert_ne!(
+            replica_rows_bytes(&later, &[], true),
+            replica_rows_bytes(&pull, &[], true),
+            "an empty final page answers one pull only"
+        );
+        assert_ne!(
+            replica_push_bytes(&rows),
+            replica_rows_bytes(&[], &rows, false)
+        );
     }
 
     #[test]

@@ -17,11 +17,15 @@ fn main() {
     dep.register_client("c-services", "pw", &["ELECTRIC-WEST", "ELECTRIC-EAST"]);
 
     // Two regional ingest sites, each with its own device population and
-    // its own site↔center relay key.
+    // its own site↔center relay key. Device ids are global (a deposit
+    // binds its id), so each site's meter has its own.
     let mut sites = Vec::new();
     for (site, region) in [("site-west", "WEST"), ("site-east", "EAST")] {
         let mut registry = DeviceRegistry::new();
-        registry.register("meter-1", format!("{site}-device-key").as_bytes());
+        registry.register(
+            &format!("meter-{region}"),
+            format!("{site}-device-key").as_bytes(),
+        );
         let relay_key = format!("{site}<->center");
         let point = IngestPoint::new(
             site,
@@ -38,7 +42,7 @@ fn main() {
     // Devices deposit at their *local* site only.
     for (site, region, _, _) in &sites {
         let mut meter = SmartDevice::bootstrap(
-            "meter-1",
+            &format!("meter-{region}"),
             DeviceCredential::MacKey(format!("{site}-device-key").into_bytes()),
             CipherAlgo::Aes128,
             dep.clock().clone(),

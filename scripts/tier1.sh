@@ -27,6 +27,15 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspac
 echo "==> crypto_bench --smoke (fast-path bit-identity gate; release-build AES-128-GCM SP 800-38D cases 2-4 + pinned seal; Montgomery cross-width agreement)"
 cargo run --release -p mws-bench --bin crypto_bench -- --smoke
 
+# `cargo test` compiles the examples but never runs them; each one asserts
+# its own scenario end to end (distribution_points is the only end-to-end
+# run of the edge-to-center pull). All of them finish in well under a second.
+for example in examples/*.rs; do
+  name="$(basename "${example}" .rs)"
+  echo "==> cargo run --release --example ${name}"
+  cargo run -q --release --example "${name}" </dev/null >/dev/null
+done
+
 echo "==> MWS_TRANSPORT=secure loopback deployment (every link handshaked + sealed)"
 MWS_TRANSPORT=secure cargo test -q -p mws --test tcp_deployment
 

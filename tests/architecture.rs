@@ -334,6 +334,83 @@ fn one_deposit_path() {
     assert_eq!(callers, ["write_wave", "fan_retrieve"]);
 }
 
+/// Rows move between nodes over one plane. Distribution points and the
+/// cluster replicas both answer `ReplicaPull` (no `Relay*` PDU is left),
+/// the pull is built in one function — the shared pager every row
+/// transfer calls — and the only MAC inputs over `RelayEntry` rows are
+/// `mws-wire`'s.
+#[test]
+fn one_row_plane() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dirs = ["src", "examples", "crates", "benchmark/src"];
+    let mut files: std::collections::BTreeMap<String, String> = Default::default();
+    for (path, line) in code_lines(&dirs) {
+        let path = path.strip_prefix(root).unwrap().display().to_string();
+        let text = files.entry(path).or_default();
+        text.push_str(&line);
+        text.push('\n');
+    }
+    let mut builders = Vec::new();
+    for (path, text) in &files {
+        assert!(!text.contains("Pdu::Relay"), "{path}: a Relay* PDU");
+        // A `Pdu::ReplicaPull { .. }` whose braces are followed by `=>`,
+        // `|` or a `let` binding's `=` is a pattern; any other builds a
+        // request (the codec's decoder aside).
+        let built = if path == "crates/wire/src/pdu.rs" {
+            ""
+        } else {
+            text.as_str()
+        };
+        for (at, _) in built.match_indices("Pdu::ReplicaPull {") {
+            let body = &text[at..];
+            let mut depth = 0;
+            let close = body
+                .char_indices()
+                .find(|&(_, c)| {
+                    depth += match c {
+                        '{' => 1,
+                        '}' => -1,
+                        _ => 0,
+                    };
+                    c == '}' && depth == 0
+                })
+                .unwrap()
+                .0;
+            let after = body[close + 1..].trim_start();
+            if after.starts_with(['=', '|']) {
+                continue;
+            }
+            let before = &text[..at];
+            let name = before[before.rfind("fn ").unwrap() + 3..]
+                .split(['(', '<'])
+                .next()
+                .unwrap();
+            builders.push(format!("{path}::{name}"));
+        }
+        // A function taking `RelayEntry` rows and returning bytes computes
+        // a MAC input.
+        if path != "crates/wire/src/pdu.rs" {
+            for sig in text.split("fn ").skip(1) {
+                let sig = &sig[..sig.find('{').unwrap_or(sig.len())];
+                assert!(
+                    !(sig.contains("RelayEntry") && sig.contains("-> Vec<u8>")),
+                    "{path}: a MAC input over rows outside mws-wire: fn {sig}"
+                );
+            }
+        }
+    }
+    let pdu = &files["crates/wire/src/pdu.rs"];
+    let variants = &pdu[pdu.find("pub enum Pdu {").unwrap()..];
+    let variants = &variants[..variants.find("\n}").unwrap()];
+    assert!(
+        !variants
+            .lines()
+            .any(|l| l.trim_start().starts_with("Relay")),
+        "a Relay* variant in Pdu"
+    );
+    assert_eq!(builders, ["crates/net/src/rows.rs::pull_rows"]);
+}
+
 /// A request runs on the server's event loop only if its service says it
 /// may, and only the memory-backed warehouse says so: `fn runs_inline` is
 /// the trait's `false` default in `mws-net` and the warehouse's override,
