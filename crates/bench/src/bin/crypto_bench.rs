@@ -10,7 +10,10 @@
 //! commit before the constant-time word-parallel core replaced the
 //! byte-wise one ([`SYMMETRIC_BEFORE`]). A `bigint` section times Montgomery
 //! arithmetic at the widths production runs, next to the same rows from the
-//! commit before it was sized to the modulus ([`BIGINT_BEFORE`]).
+//! commit before it was sized to the modulus ([`BIGINT_BEFORE`]). Each
+//! level's pairing and IBE rows sit next to the same rows from the commit
+//! before the pairing arithmetic ran at the field's width
+//! ([`LEVEL_BEFORE`]).
 //!
 //! Run with: `cargo run --release -p mws-bench --bin crypto_bench`
 //!
@@ -187,6 +190,52 @@ const SYMMETRIC_BEFORE: [(&str, f64); 8] = [
     ("aes128_gcm_seal/16384", 497056.6),
     ("aes128_gcm_open/1024", 31898.9),
     ("aes128_new", 500.9),
+];
+
+/// The pairing, scalar-multiplication, extract and encrypt/decrypt rows of
+/// each level at the parent commit 2bd1a34 (every `Fp` operation an
+/// out-of-line call through `Mont` in the 8-limb container, matching the
+/// width again), in ns/op: medians of nine runs of this same binary built
+/// against that commit, alternated with nine runs of this tree on the same
+/// 2-vCPU host (this tree's medians in that session, in row order — toy:
+/// 507158, 32863, 14048, 22562, 18333, 11180, 55103, 620948, 56336,
+/// 541867, 46776, 32282; light: 1140892, 76511, 36180, 64825, 51770,
+/// 27510, 113892, 1315228, 109607, 1220348, 122819, 77404).
+const LEVEL_BEFORE: [(&str, [(&str, f64); 12]); 2] = [
+    (
+        "toy",
+        [
+            ("pairing_affine", 947276.8),
+            ("pairing_projective", 60634.8),
+            ("pairing_prepared", 29090.3),
+            ("mul_binary", 43203.1),
+            ("mul_wnaf", 40386.1),
+            ("mul_generator_comb", 18918.2),
+            ("extract", 83123.6),
+            ("encrypt_basic_reference", 1015827.3),
+            ("encrypt_basic_fast", 77608.7),
+            ("decrypt_basic_reference", 977370.0),
+            ("decrypt_basic_fast", 88257.2),
+            ("decrypt_basic_prepared", 58001.4),
+        ],
+    ),
+    (
+        "light",
+        [
+            ("pairing_affine", 1752171.9),
+            ("pairing_projective", 112785.9),
+            ("pairing_prepared", 51361.4),
+            ("mul_binary", 91842.7),
+            ("mul_wnaf", 74989.2),
+            ("mul_generator_comb", 38157.2),
+            ("extract", 173639.5),
+            ("encrypt_basic_reference", 1880019.7),
+            ("encrypt_basic_fast", 130421.9),
+            ("decrypt_basic_reference", 1630885.1),
+            ("decrypt_basic_fast", 174847.6),
+            ("decrypt_basic_prepared", 110614.7),
+        ],
+    ),
 ];
 
 /// A source of byte strings drawn from `HmacDrbg::from_u64(seed)`.
@@ -401,10 +450,18 @@ fn render_json(
     bigint: &[Timing],
 ) -> String {
     let levels = reports.iter().map(|rep| {
+        let (_, before) = LEVEL_BEFORE
+            .iter()
+            .find(|(level, _)| *level == rep.level)
+            .expect("a before row set per level");
         let level = [
             ("timings", timings_json(&rep.timings)),
             ("encrypt_basic_speedup", Json::fixed(rep.encrypt_speedup, 2)),
             ("decrypt_basic_speedup", Json::fixed(rep.decrypt_speedup, 2)),
+            (
+                "before_2bd1a34_ns_per_op",
+                Json::obj(before.map(|(name, ns)| (name, Json::fixed(ns, 1)))),
+            ),
         ];
         (rep.level, Json::obj(level))
     });

@@ -43,7 +43,7 @@ mod rng;
 mod uint;
 
 pub use barrett::Barrett;
-pub use mont::Mont;
+pub use mont::{add_mod_limbs, mont_mul_limbs, mont_neg_inv, sub_mod_limbs, Mont};
 pub use prime::{gen_prime, gen_safe_prime, is_prime, MillerRabinRounds};
 pub use randint::{random_below, random_bits, random_nonzero_below};
 pub use rng::Rng;

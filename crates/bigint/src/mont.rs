@@ -10,14 +10,21 @@
 //! of the container, and it is internal: nothing in the workspace serialises
 //! a Montgomery residue. Only canonical values (`from_mont`) leave the
 //! process.
+//!
+//! The limb kernels under the context are public: [`mont_mul_limbs`] (the
+//! one CIOS body in the workspace), [`add_mod_limbs`], [`sub_mod_limbs`] and
+//! [`mont_neg_inv`]. `Mont` calls them once per operation at the active
+//! width; `mws-pairing` calls them on arrays of exactly its field's width
+//! (`k = L`), fixed for a whole group operation.
 
 use crate::{BigIntError, Uint};
 
 /// A Montgomery reduction context for a fixed odd modulus `n < 2^(64·L)`.
 ///
 /// Values are converted into the Montgomery domain once and multiplied there
-/// without per-operation division. This is the workhorse behind the pairing
-/// field arithmetic, RSA and Miller–Rabin exponentiation.
+/// without per-operation division. This is the workhorse behind RSA and
+/// Miller–Rabin exponentiation; the pairing field calls the limb kernels
+/// below it directly.
 ///
 /// Operands must already be `< n` ([`Mont::reduce`] brings anything else
 /// there): the kernels read only the active limbs, so an unreduced operand is
@@ -105,12 +112,52 @@ fn reduce_once(t: &mut [u64], over: bool, n: &[u64]) {
     }
 }
 
-/// `a · b · R^{-1} mod n` over `k` limbs (CIOS: the partial product and the
-/// reduction alternate limb by limb, so the accumulator never exceeds `k + 1`
-/// limbs and a carry bit). Reads only the low `k` limbs of its operands and
-/// needs `a·b < n·R`; operands `< n` give both.
+/// `t ← t + b mod n` over equal-length limb slices, for `t, b < n`.
 #[inline(always)]
-fn cios<const L: usize>(k: usize, a: &[u64; L], b: &[u64; L], n: &[u64; L], n0: u64) -> [u64; L] {
+pub fn add_mod_limbs(t: &mut [u64], b: &[u64], n: &[u64]) {
+    let over = add_assign(t, b);
+    reduce_once(t, over, n);
+}
+
+/// `t ← t − b mod n` over equal-length limb slices, for `t, b < n`.
+#[inline(always)]
+pub fn sub_mod_limbs(t: &mut [u64], b: &[u64], n: &[u64]) {
+    if sub_assign(t, b) {
+        add_assign(t, n);
+    }
+}
+
+/// `−n⁻¹ mod 2^64` for the odd low limb `n_lo` of a modulus: the
+/// Montgomery constant [`mont_mul_limbs`] takes as `n0`.
+pub fn mont_neg_inv(n_lo: u64) -> u64 {
+    debug_assert!(n_lo & 1 == 1, "Montgomery needs an odd modulus");
+    // Newton–Hensel iteration (5 steps double the precision from the
+    // seed's 3 correct bits past 64).
+    let mut inv = n_lo; // correct mod 2^3 for odd n
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(n_lo.wrapping_mul(inv)));
+    }
+    inv.wrapping_neg()
+}
+
+/// `a · b · R^{-1} mod n` with `R = 2^(64·k)` — the one CIOS body in the
+/// workspace (the partial product and the reduction alternate limb by
+/// limb, so the accumulator never exceeds `k + 1` limbs and a carry bit).
+///
+/// The operands are fixed-width `L`-limb arrays of which the low `k ≤ L`
+/// are active; it reads only those and needs `a·b < n·R`, which operands
+/// `< n` give. Limbs `≥ k` of the result are zero. Always inlined, so a
+/// constant `k` — `Mont`'s literal widths, or `k = L` when the array is
+/// exactly the field's width — gives every loop a constant trip count.
+/// `n0` is [`mont_neg_inv`]`(n[0])`.
+#[inline(always)]
+pub fn mont_mul_limbs<const L: usize>(
+    k: usize,
+    a: &[u64; L],
+    b: &[u64; L],
+    n: &[u64; L],
+    n0: u64,
+) -> [u64; L] {
     let (a, b, n) = (&a[..k], &b[..k], &n[..k]);
     let mut out = [0u64; L];
     let t = &mut out[..k];
@@ -152,13 +199,7 @@ impl<const L: usize> Mont<L> {
         if n.is_even() || *n <= Uint::ONE {
             return Err(BigIntError::BadModulus);
         }
-        // Newton–Hensel iteration for n^{-1} mod 2^64 (5 steps double the
-        // precision from the seed's 3 correct bits past 64).
-        let mut inv = n.as_u64(); // correct mod 2^3 for odd n
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n.as_u64().wrapping_mul(inv)));
-        }
-        let n0 = inv.wrapping_neg();
+        let n0 = mont_neg_inv(n.as_u64());
 
         // 2^(bits−1) < n is already reduced; doubling it modulo n up to
         // 2^(64·k) gives R mod n, and 64·k further doublings R² mod n.
@@ -222,7 +263,7 @@ impl<const L: usize> Mont<L> {
     /// Montgomery product: `a · b · R^{-1} mod n`. Operands must be `< n`.
     pub fn mont_mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         debug_assert!(a < &self.n && b < &self.n);
-        Uint::from_limbs(with_width!(self.k, |k| cios(
+        Uint::from_limbs(with_width!(self.k, |k| mont_mul_limbs(
             k,
             &a.limbs,
             &b.limbs,
@@ -240,11 +281,11 @@ impl<const L: usize> Mont<L> {
     pub fn add(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         debug_assert!(a < &self.n && b < &self.n);
         let mut out = *a;
-        with_width!(self.k, |k| {
-            let t = &mut out.limbs[..k];
-            let over = add_assign(t, &b.limbs[..k]);
-            reduce_once(t, over, &self.n.limbs[..k]);
-        });
+        with_width!(self.k, |k| add_mod_limbs(
+            &mut out.limbs[..k],
+            &b.limbs[..k],
+            &self.n.limbs[..k]
+        ));
         out
     }
 
@@ -252,12 +293,11 @@ impl<const L: usize> Mont<L> {
     pub fn sub(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         debug_assert!(a < &self.n && b < &self.n);
         let mut out = *a;
-        with_width!(self.k, |k| {
-            let t = &mut out.limbs[..k];
-            if sub_assign(t, &b.limbs[..k]) {
-                add_assign(t, &self.n.limbs[..k]);
-            }
-        });
+        with_width!(self.k, |k| sub_mod_limbs(
+            &mut out.limbs[..k],
+            &b.limbs[..k],
+            &self.n.limbs[..k]
+        ));
         out
     }
 

@@ -2,10 +2,12 @@
 //!
 //! Public points are affine (an explicit point at infinity variant); scalar
 //! multiplication runs in Jacobian coordinates internally so a `k·P` costs a
-//! single field inversion at the end.
+//! single field inversion at the end. Inside the crate a point is an
+//! `Aff<N>` at the field's width: the conversion from and to
+//! [`Point`] happens once per group-level call.
 
-use crate::fp::{Fp, FpCtx};
-use crate::{FpW, PairingError};
+use crate::fp::{Fe, Field, Fp, FpCtx};
+use crate::{at_width, FpW, PairingError};
 use mws_crypto::Rng;
 
 /// A point on `E(F_p)` in affine form.
@@ -27,37 +29,64 @@ impl Point {
     pub fn is_infinity(&self) -> bool {
         matches!(self, Point::Infinity)
     }
+
+    /// The point at width `N`.
+    #[inline(always)]
+    pub(crate) fn at<const N: usize>(&self) -> Aff<N> {
+        match self {
+            Point::Infinity => None,
+            Point::Affine { x, y } => Some((x.at(), y.at())),
+        }
+    }
+
+    /// Widens a width-`N` point into the API's container.
+    pub(crate) fn from_aff<const N: usize>(p: &Aff<N>) -> Point {
+        match p {
+            None => Point::Infinity,
+            Some((x, y)) => Point::Affine {
+                x: Fp::from_fe(x),
+                y: Fp::from_fe(y),
+            },
+        }
+    }
 }
+
+/// An affine point at width `N`; `None` is the point at infinity.
+pub(crate) type Aff<const N: usize> = Option<(Fe<N>, Fe<N>)>;
 
 /// Internal Jacobian representation: `(X, Y, Z)` with `x = X/Z²`, `y = Y/Z³`;
 /// `Z = 0` encodes infinity.
 #[derive(Clone, Copy)]
-pub(crate) struct Jacobian {
-    pub(crate) x: Fp,
-    pub(crate) y: Fp,
-    pub(crate) z: Fp,
+pub(crate) struct Jacobian<const N: usize> {
+    pub(crate) x: Fe<N>,
+    pub(crate) y: Fe<N>,
+    pub(crate) z: Fe<N>,
 }
 
 /// Intermediates of one Jacobian doubling of `(X, Y, Z)`, kept for the
-/// tangent line (see [`FpCtx::jac_double_parts`]).
-pub(crate) struct DoublingParts {
+/// tangent line (see [`Field::jac_double_parts`]).
+pub(crate) struct DoublingParts<const N: usize> {
     /// `M = 3X² + Z⁴`.
-    pub(crate) m: Fp,
+    pub(crate) m: Fe<N>,
     /// `Y²`.
-    pub(crate) yy: Fp,
+    pub(crate) yy: Fe<N>,
     /// `Z²`.
-    pub(crate) zz: Fp,
+    pub(crate) zz: Fe<N>,
 }
 
+/// The affine points of a comb table at width `N`.
+type CombRows<const N: usize> = Vec<Aff<N>>;
+
 /// Precomputed fixed-base comb table (width 4) for one point — built once
-/// via [`FpCtx::comb_table`], then every `k·P` through [`FpCtx::comb_mul`]
-/// costs about a quarter of a generic double-and-add.
+/// per context (see [`crate::PairingCtx::mul_generator`]), then every `k·P`
+/// costs about a quarter of a generic double-and-add. Stored at the
+/// field's width.
 #[derive(Clone, Debug)]
 pub struct CombTable {
     /// Bits per comb column: `d = ⌈bits/4⌉`; scalars up to `4·d` bits fit.
     d: u32,
     /// `table[j−1] = Σ_{i : bit i of j} 2^{i·d}·P` for `j ∈ [1, 16)`, affine.
-    table: Vec<Point>,
+    table: crate::wide!(CombRows),
 }
 
 impl CombTable {
@@ -70,42 +99,31 @@ impl CombTable {
     }
 }
 
-impl FpCtx {
+impl<const N: usize> Field<N> {
     /// Curve membership: `y² == x³ + x` (infinity is on the curve).
-    pub fn is_on_curve(&self, p: &Point) -> bool {
+    pub(crate) fn is_on_curve(&self, p: &Aff<N>) -> bool {
         match p {
-            Point::Infinity => true,
-            Point::Affine { x, y } => {
-                let lhs = self.sqr(y);
-                let rhs = self.add(&self.mul(&self.sqr(x), x), x);
-                lhs == rhs
-            }
+            None => true,
+            Some((x, y)) => self.sqr(y) == self.curve_rhs(x),
         }
     }
 
-    /// Point negation.
-    pub fn point_neg(&self, p: &Point) -> Point {
-        match p {
-            Point::Infinity => Point::Infinity,
-            Point::Affine { x, y } => Point::Affine {
-                x: *x,
-                y: self.neg(y),
-            },
-        }
+    /// `x³ + x`.
+    pub(crate) fn curve_rhs(&self, x: &Fe<N>) -> Fe<N> {
+        self.add(&self.mul(&self.sqr(x), x), x)
     }
 
-    /// Affine point addition (used by the Miller loop, which needs slopes
-    /// anyway; costs one inversion).
-    pub fn point_add(&self, a: &Point, b: &Point) -> Point {
+    /// Affine point addition (the reference path; costs one inversion).
+    pub(crate) fn point_add(&self, a: &Aff<N>, b: &Aff<N>) -> Aff<N> {
         match (a, b) {
-            (Point::Infinity, _) => *b,
-            (_, Point::Infinity) => *a,
-            (Point::Affine { x: x1, y: y1 }, Point::Affine { x: x2, y: y2 }) => {
+            (None, _) => *b,
+            (_, None) => *a,
+            (Some((x1, y1)), Some((x2, y2))) => {
                 if x1 == x2 {
                     if y1 == y2 {
                         return self.point_double(a);
                     }
-                    return Point::Infinity; // a == −b
+                    return None; // a == −b
                 }
                 let lambda = self.mul(
                     &self.sub(y2, y1),
@@ -117,26 +135,32 @@ impl FpCtx {
     }
 
     /// Affine doubling.
-    pub fn point_double(&self, p: &Point) -> Point {
-        match p {
-            Point::Infinity => Point::Infinity,
-            Point::Affine { x, y } => {
-                if self.is_zero(y) {
-                    return Point::Infinity; // vertical tangent
-                }
-                // λ = (3x² + 1) / 2y   (curve a-coefficient is 1)
-                let num = self.add(&self.mul(&self.three(), &self.sqr(x)), &self.one());
-                let lambda = self.mul(&num, &self.inv(&self.dbl(y)).expect("y != 0"));
-                self.chord_result(x, y, x, &lambda)
-            }
+    pub(crate) fn point_double(&self, p: &Aff<N>) -> Aff<N> {
+        let (x, y) = p.as_ref()?;
+        if self.is_zero(y) {
+            return None; // vertical tangent
         }
+        // λ = (3x² + 1) / 2y   (curve a-coefficient is 1)
+        let num = self.add(&self.mul(&self.three(), &self.sqr(x)), &self.one());
+        let lambda = self.mul(&num, &self.inv(&self.dbl(y)).expect("y != 0"));
+        self.chord_result(x, y, x, &lambda)
     }
 
     /// Completes a chord/tangent construction given the slope.
-    fn chord_result(&self, x1: &Fp, y1: &Fp, x2: &Fp, lambda: &Fp) -> Point {
+    fn chord_result(&self, x1: &Fe<N>, y1: &Fe<N>, x2: &Fe<N>, lambda: &Fe<N>) -> Aff<N> {
         let x3 = self.sub(&self.sub(&self.sqr(lambda), x1), x2);
         let y3 = self.sub(&self.mul(lambda, &self.sub(x1, &x3)), y1);
-        Point::Affine { x: x3, y: y3 }
+        Some((x3, y3))
+    }
+
+    /// A finite affine point in Jacobian form (`Z = 1`).
+    #[inline(always)]
+    fn jac(&self, x: &Fe<N>, y: &Fe<N>) -> Jacobian<N> {
+        Jacobian {
+            x: *x,
+            y: *y,
+            z: self.one(),
+        }
     }
 
     /// Scalar multiplication `k·P`, width-4 wNAF over Jacobian coordinates.
@@ -145,25 +169,18 @@ impl FpCtx {
     /// addition count from `bits/2` to `bits/5` at the price of 7 extra
     /// point operations building the odd-multiples table. Bit-identical to
     /// [`Self::point_mul_binary`] (asserted by the cross-check tests).
-    pub fn point_mul(&self, p: &Point, k: &FpW) -> Point {
+    pub(crate) fn point_mul(&self, p: &Aff<N>, k: &FpW) -> Aff<N> {
         const W: u32 = 4;
-        let (x, y) = match p {
-            Point::Infinity => return Point::Infinity,
-            Point::Affine { x, y } => (*x, *y),
-        };
+        let (x, y) = p.as_ref()?;
         if k.is_zero() {
-            return Point::Infinity;
+            return None;
         }
         if k.bits() + W > FpW::BITS {
             // wNAF recoding could wrap at the very top of the scalar range;
             // such scalars never occur on the hot paths (all < q).
             return self.point_mul_binary(p, k);
         }
-        let base = Jacobian {
-            x,
-            y,
-            z: self.one(),
-        };
+        let base = self.jac(x, y);
         // Odd multiples P, 3P, …, 15P.
         let twice = self.jac_double(&base);
         let mut table = [base; 1 << (W - 2)];
@@ -171,7 +188,7 @@ impl FpCtx {
             table[i] = self.jac_add(&table[i - 1], &twice);
         }
         let digits = crate::naf::wnaf_digits(k, W);
-        let mut acc: Option<Jacobian> = None;
+        let mut acc: Option<Jacobian<N>> = None;
         for &d in digits.iter().rev() {
             if let Some(a) = acc {
                 acc = Some(self.jac_double(&a));
@@ -185,29 +202,16 @@ impl FpCtx {
                 });
             }
         }
-        match acc {
-            None => Point::Infinity,
-            Some(a) => self.jac_to_affine(&a),
-        }
+        self.jac_to_affine(&acc?)
     }
 
     /// Scalar multiplication `k·P` by plain MSB-first double-and-add — the
     /// pre-optimization reference path kept for cross-checks and the
     /// benchmark baseline.
-    pub fn point_mul_binary(&self, p: &Point, k: &FpW) -> Point {
-        let (x, y) = match p {
-            Point::Infinity => return Point::Infinity,
-            Point::Affine { x, y } => (*x, *y),
-        };
-        if k.is_zero() {
-            return Point::Infinity;
-        }
-        let base = Jacobian {
-            x,
-            y,
-            z: self.one(),
-        };
-        let mut acc: Option<Jacobian> = None;
+    pub(crate) fn point_mul_binary(&self, p: &Aff<N>, k: &FpW) -> Aff<N> {
+        let (x, y) = p.as_ref()?;
+        let base = self.jac(x, y);
+        let mut acc: Option<Jacobian<N>> = None;
         for i in (0..k.bits()).rev() {
             if let Some(a) = acc {
                 acc = Some(self.jac_double(&a));
@@ -219,17 +223,15 @@ impl FpCtx {
                 });
             }
         }
-        match acc {
-            None => Point::Infinity,
-            Some(a) => self.jac_to_affine(&a),
-        }
+        self.jac_to_affine(&acc?)
     }
 
-    pub(crate) fn jac_is_infinity(&self, p: &Jacobian) -> bool {
+    #[inline(always)]
+    pub(crate) fn jac_is_infinity(&self, p: &Jacobian<N>) -> bool {
         self.is_zero(&p.z)
     }
 
-    pub(crate) fn jac_neg(&self, p: &Jacobian) -> Jacobian {
+    fn jac_neg(&self, p: &Jacobian<N>) -> Jacobian<N> {
         Jacobian {
             x: p.x,
             y: self.neg(&p.y),
@@ -237,7 +239,7 @@ impl FpCtx {
         }
     }
 
-    pub(crate) fn jac_infinity(&self) -> Jacobian {
+    pub(crate) fn jac_infinity(&self) -> Jacobian<N> {
         Jacobian {
             x: self.one(),
             y: self.one(),
@@ -245,7 +247,7 @@ impl FpCtx {
         }
     }
 
-    pub(crate) fn jac_double(&self, p: &Jacobian) -> Jacobian {
+    pub(crate) fn jac_double(&self, p: &Jacobian<N>) -> Jacobian<N> {
         if self.jac_is_infinity(p) || self.is_zero(&p.y) {
             return self.jac_infinity();
         }
@@ -255,7 +257,8 @@ impl FpCtx {
     /// dbl-2007-bl (`a = 1`) of a finite `p` with `Y ≠ 0`, also returning
     /// the `M = 3X² + Z⁴`, `Y²` and `Z²` it computed along the way: the
     /// Miller loop builds its tangent line from them.
-    pub(crate) fn jac_double_parts(&self, p: &Jacobian) -> (Jacobian, DoublingParts) {
+    #[inline(always)]
+    pub(crate) fn jac_double_parts(&self, p: &Jacobian<N>) -> (Jacobian<N>, DoublingParts<N>) {
         let xx = self.sqr(&p.x);
         let yy = self.sqr(&p.y);
         let yyyy = self.sqr(&yy);
@@ -288,7 +291,7 @@ impl FpCtx {
         (doubled, DoublingParts { m, yy, zz })
     }
 
-    pub(crate) fn jac_add(&self, a: &Jacobian, b: &Jacobian) -> Jacobian {
+    pub(crate) fn jac_add(&self, a: &Jacobian<N>, b: &Jacobian<N>) -> Jacobian<N> {
         if self.jac_is_infinity(a) {
             return *b;
         }
@@ -329,45 +332,28 @@ impl FpCtx {
         }
     }
 
-    pub(crate) fn jac_to_affine(&self, p: &Jacobian) -> Point {
-        if self.jac_is_infinity(p) {
-            return Point::Infinity;
-        }
-        let zinv = self.inv(&p.z).expect("nonzero z");
+    pub(crate) fn jac_to_affine(&self, p: &Jacobian<N>) -> Aff<N> {
+        let zinv = self.inv(&p.z)?;
         let zinv2 = self.sqr(&zinv);
         let zinv3 = self.mul(&zinv2, &zinv);
-        Point::Affine {
-            x: self.mul(&p.x, &zinv2),
-            y: self.mul(&p.y, &zinv3),
-        }
+        Some((self.mul(&p.x, &zinv2), self.mul(&p.y, &zinv3)))
     }
 
-    /// Builds a width-4 fixed-base comb table for `p`, sized for scalars of
-    /// up to `bits` bits.
+    /// The rows of a width-4 fixed-base comb table for `p` with `d` bits per
+    /// column.
     ///
-    /// One-time cost: `3·⌈bits/4⌉` Jacobian doublings plus 15 inversions to
+    /// One-time cost: `3·d` Jacobian doublings plus 15 inversions to
     /// normalize the table. Amortized over the generator's lifetime (setup,
     /// every encryption's `r·P`, every FO re-encryption check) this is noise.
-    pub fn comb_table(&self, p: &Point, bits: u32) -> CombTable {
-        const W: u32 = 4;
-        let d = bits.max(1).div_ceil(W);
+    fn comb_rows(&self, p: &Aff<N>, d: u32) -> CombRows<N> {
+        const W: usize = CombTable::WIDTH as usize;
+        let Some((x, y)) = p else {
+            // Degenerate but total: every table entry is the identity.
+            return vec![None; (1 << W) - 1];
+        };
         // Strides B[i] = 2^{i·d}·P.
-        let mut strides: Vec<Jacobian> = Vec::with_capacity(W as usize);
-        match p {
-            Point::Infinity => {
-                // Degenerate but total: every table entry is the identity.
-                return CombTable {
-                    d,
-                    table: vec![Point::Infinity; (1 << W) - 1],
-                };
-            }
-            Point::Affine { x, y } => strides.push(Jacobian {
-                x: *x,
-                y: *y,
-                z: self.one(),
-            }),
-        }
-        for i in 1..W as usize {
+        let mut strides = vec![self.jac(x, y)];
+        for i in 1..W {
             let mut t = strides[i - 1];
             for _ in 0..d {
                 t = self.jac_double(&t);
@@ -375,92 +361,77 @@ impl FpCtx {
             strides.push(t);
         }
         // table[j−1] = Σ_{i : bit i of j set} B[i], normalized to affine.
-        let mut table = Vec::with_capacity((1 << W) - 1);
-        for j in 1u32..1 << W {
-            let mut acc: Option<Jacobian> = None;
-            for (i, b) in strides.iter().enumerate() {
-                if j & (1 << i) != 0 {
-                    acc = Some(match acc {
-                        None => *b,
-                        Some(a) => self.jac_add(&a, b),
-                    });
+        (1..1usize << W)
+            .map(|j| {
+                let mut acc: Option<Jacobian<N>> = None;
+                for (i, b) in strides.iter().enumerate() {
+                    if j & (1 << i) != 0 {
+                        acc = Some(match acc {
+                            None => *b,
+                            Some(a) => self.jac_add(&a, b),
+                        });
+                    }
                 }
-            }
-            table.push(self.jac_to_affine(&acc.expect("j ≥ 1 selects a stride")));
-        }
-        CombTable { d, table }
+                self.jac_to_affine(&acc.expect("j ≥ 1 selects a stride"))
+            })
+            .collect()
     }
 
-    /// Fixed-base multiplication `k·P` through a precomputed [`CombTable`].
+    /// Fixed-base multiplication `k·P` through comb rows of `d` bits per
+    /// column.
     ///
-    /// Costs `⌈bits/4⌉` doublings plus at most that many additions — roughly
-    /// a quarter of the work of the generic ladder. Bit-identical to
+    /// Costs `d` doublings plus at most that many additions — roughly a
+    /// quarter of the work of the generic ladder. Bit-identical to
     /// [`Self::point_mul_binary`] on the same inputs.
-    pub fn comb_mul(&self, t: &CombTable, k: &FpW) -> Point {
-        if k.is_zero() {
-            return Point::Infinity;
-        }
-        if k.bits() > CombTable::WIDTH * t.d {
+    fn comb_mul(&self, d: u32, rows: &CombRows<N>, k: &FpW) -> Aff<N> {
+        if k.bits() > CombTable::WIDTH * d {
             // Scalar wider than the table (never the case for reduced
             // scalars): fall back to the generic path on P = table[0].
-            return self.point_mul(&t.table[0], k);
+            return self.point_mul(&rows[0], k);
         }
-        let mut acc: Option<Jacobian> = None;
-        for col in (0..t.d).rev() {
+        let mut acc: Option<Jacobian<N>> = None;
+        for col in (0..d).rev() {
             if let Some(a) = acc {
                 acc = Some(self.jac_double(&a));
             }
-            let mut j = 0usize;
-            for i in 0..CombTable::WIDTH {
-                if k.bit(i * t.d + col) {
-                    j |= 1 << i;
-                }
-            }
-            if j != 0 {
-                if let Point::Affine { x, y } = &t.table[j - 1] {
-                    let m = Jacobian {
-                        x: *x,
-                        y: *y,
-                        z: self.one(),
-                    };
-                    acc = Some(match acc {
-                        None => m,
-                        Some(a) => self.jac_add(&a, &m),
-                    });
-                }
-                // An infinity entry (only possible for small-order P)
-                // contributes the identity: nothing to add.
+            let j = (0..CombTable::WIDTH)
+                .filter(|i| k.bit(i * d + col))
+                .fold(0usize, |j, i| j | 1 << i);
+            // An infinity entry (only possible for small-order P)
+            // contributes the identity: nothing to add.
+            if let Some(Some((x, y))) = j.checked_sub(1).map(|j| &rows[j]) {
+                let m = self.jac(x, y);
+                acc = Some(match acc {
+                    None => m,
+                    Some(a) => self.jac_add(&a, &m),
+                });
             }
         }
-        match acc {
-            None => Point::Infinity,
-            Some(a) => self.jac_to_affine(&a),
-        }
+        self.jac_to_affine(&acc?)
     }
 
     /// A uniformly random point of the full group `E(F_p)` (order `p+1`).
-    pub fn random_curve_point<R: Rng + ?Sized>(&self, rng: &mut R) -> Point {
+    pub(crate) fn random_curve_point<R: Rng + ?Sized>(&self, rng: &mut R) -> Aff<N> {
         loop {
             let x = self.random(rng);
-            let rhs = self.add(&self.mul(&self.sqr(&x), &x), &x);
-            if let Some(y) = self.sqrt(&rhs) {
+            if let Some(y) = self.sqrt(&self.curve_rhs(&x)) {
                 // Randomize the sign so both roots are reachable.
                 let y = if rng.next_u32() & 1 == 1 {
                     self.neg(&y)
                 } else {
                     y
                 };
-                return Point::Affine { x, y };
+                return Some((x, y));
             }
         }
     }
 
     /// Compressed encoding: `0x00` for infinity, else `0x02 | parity(y)`
     /// followed by the big-endian x-coordinate.
-    pub fn point_to_bytes(&self, p: &Point) -> Vec<u8> {
+    pub(crate) fn point_to_bytes(&self, p: &Aff<N>) -> Vec<u8> {
         match p {
-            Point::Infinity => vec![0x00],
-            Point::Affine { x, y } => {
+            None => vec![0x00],
+            Some((x, y)) => {
                 let mut out = Vec::with_capacity(1 + 8 * crate::FP_LIMBS);
                 out.push(0x02 | self.parity(y) as u8);
                 out.extend_from_slice(&self.to_bytes(x));
@@ -470,9 +441,9 @@ impl FpCtx {
     }
 
     /// Decodes a compressed point, verifying curve membership.
-    pub fn point_from_bytes(&self, bytes: &[u8]) -> Result<Point, PairingError> {
+    pub(crate) fn point_from_bytes(&self, bytes: &[u8]) -> Result<Aff<N>, PairingError> {
         match bytes.split_first() {
-            Some((0x00, [])) => Ok(Point::Infinity),
+            Some((0x00, [])) => Ok(None),
             Some((&tag @ (0x02 | 0x03), rest)) => {
                 if rest.len() != 8 * crate::FP_LIMBS {
                     return Err(PairingError::Decode);
@@ -481,32 +452,86 @@ impl FpCtx {
                 if xi >= *self.modulus() {
                     return Err(PairingError::Decode);
                 }
-                let x = self.from_uint(&xi);
-                let rhs = self.add(&self.mul(&self.sqr(&x), &x), &x);
-                let y = self.sqrt(&rhs).ok_or(PairingError::InvalidPoint)?;
+                let x = self.import(&xi);
+                let y = self
+                    .sqrt(&self.curve_rhs(&x))
+                    .ok_or(PairingError::InvalidPoint)?;
                 let y = if self.parity(&y) == (tag & 1 == 1) {
                     y
                 } else {
                     self.neg(&y)
                 };
-                Ok(Point::Affine { x, y })
+                Ok(Some((x, y)))
             }
             _ => Err(PairingError::Decode),
         }
     }
 }
 
+impl FpCtx {
+    /// Curve membership: `y² == x³ + x` (infinity is on the curve).
+    pub fn is_on_curve(&self, p: &Point) -> bool {
+        at_width!(self, |f| f.is_on_curve(&p.at()))
+    }
+
+    /// Affine point addition (one inversion).
+    pub(crate) fn point_add(&self, a: &Point, b: &Point) -> Point {
+        at_width!(self, |f| Point::from_aff(&f.point_add(&a.at(), &b.at())))
+    }
+
+    /// Scalar multiplication `k·P`, width-4 wNAF over Jacobian coordinates.
+    pub(crate) fn point_mul(&self, p: &Point, k: &FpW) -> Point {
+        at_width!(self, |f| Point::from_aff(&f.point_mul(&p.at(), k)))
+    }
+
+    /// Scalar multiplication `k·P` by plain MSB-first double-and-add — the
+    /// pre-optimization reference path kept for cross-checks and the
+    /// benchmark baseline; bit-identical to the wNAF default.
+    pub fn point_mul_binary(&self, p: &Point, k: &FpW) -> Point {
+        at_width!(self, |f| Point::from_aff(&f.point_mul_binary(&p.at(), k)))
+    }
+
+    /// Builds a width-4 fixed-base comb table for `p`, sized for scalars of
+    /// up to `bits` bits.
+    pub(crate) fn comb_table(&self, p: &Point, bits: u32) -> CombTable {
+        let d = bits.max(1).div_ceil(CombTable::WIDTH);
+        let table = at_width!(wide, self, |f| f.comb_rows(&p.at(), d));
+        CombTable { d, table }
+    }
+
+    /// Fixed-base multiplication `k·P` through a [`CombTable`] built by
+    /// this context.
+    pub(crate) fn comb_mul(&self, t: &CombTable, k: &FpW) -> Point {
+        at_width!(self, &t.table, |f, rows| Point::from_aff(
+            &f.comb_mul(t.d, rows, k)
+        ))
+    }
+
+    /// A uniformly random point of the full group `E(F_p)` (order `p+1`).
+    pub fn random_curve_point<R: Rng + ?Sized>(&self, rng: &mut R) -> Point {
+        at_width!(self, |f| Point::from_aff(&f.random_curve_point(rng)))
+    }
+
+    /// Compressed encoding: `0x00` for infinity, else `0x02 | parity(y)`
+    /// followed by the big-endian x-coordinate.
+    pub fn point_to_bytes(&self, p: &Point) -> Vec<u8> {
+        at_width!(self, |f| f.point_to_bytes(&p.at()))
+    }
+
+    /// Decodes a compressed point, verifying curve membership (not
+    /// subgroup membership: see [`crate::PairingCtx::in_subgroup`]).
+    pub fn point_from_bytes(&self, bytes: &[u8]) -> Result<Point, PairingError> {
+        at_width!(self, |f| f
+            .point_from_bytes(bytes)
+            .map(|p| Point::from_aff(&p)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fp::tests::field;
     use mws_crypto::HmacDrbg;
-
-    /// A small 3-mod-4 prime context for fast curve tests.
-    fn ctx() -> FpCtx {
-        let mut p = FpW::ZERO;
-        p.set_bit(127, true);
-        FpCtx::new(&p.wrapping_sub(&FpW::ONE)) // 2^127 − 1
-    }
 
     fn rng() -> HmacDrbg {
         HmacDrbg::from_u64(2024)
@@ -514,7 +539,7 @@ mod tests {
 
     #[test]
     fn random_points_are_on_curve() {
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         for _ in 0..8 {
             let p = f.random_curve_point(&mut rng);
@@ -522,20 +547,24 @@ mod tests {
         }
     }
 
+    fn neg(f: &Field<3>, p: &Aff<3>) -> Aff<3> {
+        p.map(|(x, y)| (x, f.neg(&y)))
+    }
+
     #[test]
     fn group_identities() {
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
-        assert_eq!(f.point_add(&p, &Point::Infinity), p);
-        assert_eq!(f.point_add(&Point::Infinity, &p), p);
-        assert_eq!(f.point_add(&p, &f.point_neg(&p)), Point::Infinity);
-        assert!(f.is_on_curve(&f.point_neg(&p)));
+        assert_eq!(f.point_add(&p, &None), p);
+        assert_eq!(f.point_add(&None, &p), p);
+        assert_eq!(f.point_add(&p, &neg(&f, &p)), None);
+        assert!(f.is_on_curve(&neg(&f, &p)));
     }
 
     #[test]
     fn addition_commutes_and_associates() {
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         let a = f.random_curve_point(&mut rng);
         let b = f.random_curve_point(&mut rng);
@@ -549,7 +578,7 @@ mod tests {
 
     #[test]
     fn double_equals_add_self() {
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
         assert_eq!(f.point_double(&p), f.point_add(&p, &p));
@@ -558,10 +587,10 @@ mod tests {
 
     #[test]
     fn scalar_mul_matches_repeated_addition() {
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
-        let mut acc = Point::Infinity;
+        let mut acc = None;
         for k in 0u64..20 {
             assert_eq!(f.point_mul(&p, &FpW::from_u64(k)), acc, "k = {k}");
             acc = f.point_add(&acc, &p);
@@ -570,7 +599,7 @@ mod tests {
 
     #[test]
     fn scalar_mul_distributes() {
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
         let a = FpW::from_u64(123456789);
@@ -588,28 +617,25 @@ mod tests {
     #[test]
     fn group_order_annihilates() {
         // #E(F_p) = p + 1 for this supersingular family.
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
         let order = f.modulus().wrapping_add(&FpW::ONE);
-        assert_eq!(f.point_mul(&p, &order), Point::Infinity);
+        assert_eq!(f.point_mul(&p, &order), None);
     }
 
     #[test]
     fn mul_by_zero_and_infinity() {
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
-        assert_eq!(f.point_mul(&p, &FpW::ZERO), Point::Infinity);
-        assert_eq!(
-            f.point_mul(&Point::Infinity, &FpW::from_u64(7)),
-            Point::Infinity
-        );
+        assert_eq!(f.point_mul(&p, &FpW::ZERO), None);
+        assert_eq!(f.point_mul(&None, &FpW::from_u64(7)), None);
     }
 
     #[test]
     fn wnaf_matches_binary_ladder() {
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
         // Small scalars, a few wide ones, and the near-top-of-width guard.
@@ -620,26 +646,19 @@ mod tests {
         let order = f.modulus().wrapping_add(&FpW::ONE);
         scalars.push(order.wrapping_sub(&FpW::ONE));
         scalars.push(order);
-        let mut max = FpW::ZERO;
-        for i in 0..FpW::BITS {
-            max.set_bit(i, true);
-        }
-        scalars.push(max); // exercises the binary fallback
+        scalars.push(FpW::MAX); // exercises the binary fallback
         for k in &scalars {
             assert_eq!(f.point_mul(&p, k), f.point_mul_binary(&p, k));
         }
-        assert_eq!(
-            f.point_mul(&Point::Infinity, &FpW::from_u64(7)),
-            Point::Infinity
-        );
+        assert_eq!(f.point_mul(&None, &FpW::from_u64(7)), None);
     }
 
     #[test]
     fn comb_matches_binary_ladder() {
-        let f = ctx();
+        let f = FpCtx(crate::Wide::W3(field()));
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
-        let order = f.modulus().wrapping_add(&FpW::ONE);
+        let order = field().modulus().wrapping_add(&FpW::ONE);
         let table = f.comb_table(&p, order.bits());
         assert!(table.scalar_bits() >= order.bits());
         let mut scalars = vec![FpW::ZERO, FpW::ONE, FpW::from_u64(2)];
@@ -667,41 +686,38 @@ mod tests {
     #[test]
     fn two_torsion_point() {
         // (0, 0) is on the curve and is its own negation: 2·(0,0) = O.
-        let f = ctx();
-        let p = Point::Affine {
-            x: f.zero(),
-            y: f.zero(),
-        };
+        let f = field();
+        let p = Some((f.zero(), f.zero()));
         assert!(f.is_on_curve(&p));
-        assert_eq!(f.point_double(&p), Point::Infinity);
-        assert_eq!(f.point_add(&p, &p), Point::Infinity);
+        assert_eq!(f.point_double(&p), None);
+        assert_eq!(f.point_add(&p, &p), None);
     }
 
     #[test]
     fn serialization_roundtrip() {
-        let f = ctx();
+        let f = field();
         let mut rng = rng();
         for _ in 0..6 {
             let p = f.random_curve_point(&mut rng);
             let bytes = f.point_to_bytes(&p);
             assert_eq!(f.point_from_bytes(&bytes).unwrap(), p);
         }
-        let inf = f.point_to_bytes(&Point::Infinity);
-        assert_eq!(f.point_from_bytes(&inf).unwrap(), Point::Infinity);
+        let inf = f.point_to_bytes(&None);
+        assert_eq!(f.point_from_bytes(&inf).unwrap(), None);
     }
 
     #[test]
     fn serialization_rejects_garbage() {
-        let f = ctx();
+        let f = field();
         assert!(f.point_from_bytes(&[]).is_err());
         assert!(f.point_from_bytes(&[0x05, 1, 2]).is_err());
         assert!(f.point_from_bytes(&[0x02, 1, 2, 3]).is_err()); // wrong length
-                                                                // x with no curve point: find one by trial.
+
+        // x with no curve point: find one by trial.
         let mut rng = rng();
         loop {
             let x = f.random(&mut rng);
-            let rhs = f.add(&f.mul(&f.sqr(&x), &x), &x);
-            if f.sqrt(&rhs).is_none() {
+            if f.sqrt(&f.curve_rhs(&x)).is_none() {
                 let mut bytes = vec![0x02];
                 bytes.extend_from_slice(&f.to_bytes(&x));
                 assert_eq!(

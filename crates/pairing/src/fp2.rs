@@ -1,10 +1,11 @@
 //! The quadratic extension `F_p² = F_p[i] / (i² + 1)`.
 //!
 //! Valid because `p ≡ 3 (mod 4)` makes −1 a non-residue. Pairing values and
-//! the distortion-map image live here.
+//! the distortion-map image live here. The arithmetic runs at the field's
+//! width on `Fe2<N>`; [`Fp2`] carries a value across the API.
 
-use crate::fp::{Fp, FpCtx};
-use crate::FpW;
+use crate::fp::{Fe, Field, Fp, FpCtx};
+use crate::{at_width, FpW};
 
 /// An element `c0 + c1·i` of `F_p²`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,117 +22,90 @@ impl core::fmt::Debug for Fp2 {
     }
 }
 
-impl FpCtx {
-    /// Builds an extension element from components.
-    pub fn fp2(&self, c0: Fp, c1: Fp) -> Fp2 {
-        Fp2 { c0, c1 }
+/// An element `c0 + c1·i` of `F_p²` at width `N`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Fe2<const N: usize> {
+    pub(crate) c0: Fe<N>,
+    pub(crate) c1: Fe<N>,
+}
+
+impl Fp2 {
+    /// The element at width `N`.
+    #[inline(always)]
+    pub(crate) fn at<const N: usize>(&self) -> Fe2<N> {
+        Fe2 {
+            c0: self.c0.at(),
+            c1: self.c1.at(),
+        }
     }
 
-    /// Zero of `F_p²`.
-    pub fn fp2_zero(&self) -> Fp2 {
+    /// Widens a width-`N` element into the API's container.
+    pub(crate) fn from_fe<const N: usize>(a: &Fe2<N>) -> Fp2 {
         Fp2 {
-            c0: self.zero(),
-            c1: self.zero(),
+            c0: Fp::from_fe(&a.c0),
+            c1: Fp::from_fe(&a.c1),
         }
+    }
+}
+
+impl<const N: usize> Field<N> {
+    /// Builds an extension element from components.
+    #[inline(always)]
+    pub(crate) fn fp2(&self, c0: Fe<N>, c1: Fe<N>) -> Fe2<N> {
+        Fe2 { c0, c1 }
     }
 
     /// One of `F_p²`.
-    pub fn fp2_one(&self) -> Fp2 {
-        Fp2 {
-            c0: self.one(),
-            c1: self.zero(),
-        }
-    }
-
-    /// Embeds a base-field element.
-    pub fn fp2_from_fp(&self, a: Fp) -> Fp2 {
-        Fp2 {
-            c0: a,
-            c1: self.zero(),
-        }
-    }
-
-    /// Is the element zero?
-    pub fn fp2_is_zero(&self, a: &Fp2) -> bool {
-        self.is_zero(&a.c0) && self.is_zero(&a.c1)
+    pub(crate) fn fp2_one(&self) -> Fe2<N> {
+        self.fp2(self.one(), self.zero())
     }
 
     /// `a + b` in `F_p²`.
-    pub fn fp2_add(&self, a: &Fp2, b: &Fp2) -> Fp2 {
-        Fp2 {
-            c0: self.add(&a.c0, &b.c0),
-            c1: self.add(&a.c1, &b.c1),
-        }
-    }
-
-    /// `a − b` in `F_p²`.
-    pub fn fp2_sub(&self, a: &Fp2, b: &Fp2) -> Fp2 {
-        Fp2 {
-            c0: self.sub(&a.c0, &b.c0),
-            c1: self.sub(&a.c1, &b.c1),
-        }
+    #[cfg(test)]
+    pub(crate) fn fp2_add(&self, a: &Fe2<N>, b: &Fe2<N>) -> Fe2<N> {
+        self.fp2(self.add(&a.c0, &b.c0), self.add(&a.c1, &b.c1))
     }
 
     /// `−a` in `F_p²`.
-    pub fn fp2_neg(&self, a: &Fp2) -> Fp2 {
-        Fp2 {
-            c0: self.neg(&a.c0),
-            c1: self.neg(&a.c1),
-        }
+    #[cfg(test)]
+    pub(crate) fn fp2_neg(&self, a: &Fe2<N>) -> Fe2<N> {
+        self.fp2(self.neg(&a.c0), self.neg(&a.c1))
     }
 
     /// `a · b` in `F_p²` (Karatsuba: 3 base multiplications).
-    pub fn fp2_mul(&self, a: &Fp2, b: &Fp2) -> Fp2 {
+    #[inline(always)]
+    pub(crate) fn fp2_mul(&self, a: &Fe2<N>, b: &Fe2<N>) -> Fe2<N> {
         let v0 = self.mul(&a.c0, &b.c0);
         let v1 = self.mul(&a.c1, &b.c1);
         let s = self.mul(&self.add(&a.c0, &a.c1), &self.add(&b.c0, &b.c1));
-        Fp2 {
-            c0: self.sub(&v0, &v1),
-            c1: self.sub(&self.sub(&s, &v0), &v1),
-        }
+        self.fp2(self.sub(&v0, &v1), self.sub(&self.sub(&s, &v0), &v1))
     }
 
     /// `a²` in `F_p²` (complex squaring: 2 base multiplications).
-    pub fn fp2_sqr(&self, a: &Fp2) -> Fp2 {
+    #[inline(always)]
+    pub(crate) fn fp2_sqr(&self, a: &Fe2<N>) -> Fe2<N> {
         // (c0 + c1 i)² = (c0+c1)(c0−c1) + 2 c0 c1 i
         let t0 = self.add(&a.c0, &a.c1);
         let t1 = self.sub(&a.c0, &a.c1);
         let c1 = self.mul(&a.c0, &a.c1);
-        Fp2 {
-            c0: self.mul(&t0, &t1),
-            c1: self.dbl(&c1),
-        }
-    }
-
-    /// Multiplies an `F_p²` element by a base-field scalar.
-    pub fn fp2_mul_fp(&self, a: &Fp2, s: &Fp) -> Fp2 {
-        Fp2 {
-            c0: self.mul(&a.c0, s),
-            c1: self.mul(&a.c1, s),
-        }
+        self.fp2(self.mul(&t0, &t1), self.dbl(&c1))
     }
 
     /// Conjugation `c0 − c1·i` — which is also the Frobenius `a ↦ a^p`.
-    pub fn fp2_conj(&self, a: &Fp2) -> Fp2 {
-        Fp2 {
-            c0: a.c0,
-            c1: self.neg(&a.c1),
-        }
+    #[inline(always)]
+    pub(crate) fn fp2_conj(&self, a: &Fe2<N>) -> Fe2<N> {
+        self.fp2(a.c0, self.neg(&a.c1))
     }
 
     /// Norm `a·ā = c0² + c1² ∈ F_p`.
-    pub fn fp2_norm(&self, a: &Fp2) -> Fp {
+    pub(crate) fn fp2_norm(&self, a: &Fe2<N>) -> Fe<N> {
         self.add(&self.sqr(&a.c0), &self.sqr(&a.c1))
     }
 
     /// Inverse in `F_p²`: `ā / (c0² + c1²)`. `None` for zero.
-    pub fn fp2_inv(&self, a: &Fp2) -> Option<Fp2> {
-        let norm = self.fp2_norm(a);
-        let ninv = self.inv(&norm)?;
-        Some(Fp2 {
-            c0: self.mul(&a.c0, &ninv),
-            c1: self.neg(&self.mul(&a.c1, &ninv)),
-        })
+    pub(crate) fn fp2_inv(&self, a: &Fe2<N>) -> Option<Fe2<N>> {
+        let ninv = self.inv(&self.fp2_norm(a))?;
+        Some(self.fp2(self.mul(&a.c0, &ninv), self.neg(&self.mul(&a.c1, &ninv))))
     }
 
     /// `a^e` in `F_p²` via a width-4 sliding window (the default path).
@@ -139,7 +113,7 @@ impl FpCtx {
     /// Uses 8 precomputed odd powers `a, a³, …, a¹⁵`, cutting the expected
     /// multiplication count from `bits/2` to about `bits/5`. Bit-identical
     /// to [`Self::fp2_pow_binary`] (asserted by the cross-check tests).
-    pub fn fp2_pow(&self, a: &Fp2, e: &FpW) -> Fp2 {
+    pub(crate) fn fp2_pow(&self, a: &Fe2<N>, e: &FpW) -> Fe2<N> {
         const W: i64 = 4;
         let bits = e.bits() as i64;
         if bits <= W {
@@ -151,7 +125,7 @@ impl FpCtx {
         for i in 1..odd.len() {
             odd[i] = self.fp2_mul(&odd[i - 1], &a2);
         }
-        let mut acc: Option<Fp2> = None;
+        let mut acc: Option<Fe2<N>> = None;
         let mut i = bits - 1;
         while i >= 0 {
             if !e.bit(i as u32) {
@@ -185,10 +159,9 @@ impl FpCtx {
 
     /// `a^e` in `F_p²` by plain square-and-multiply — the pre-optimization
     /// reference path kept for cross-checks and the benchmark baseline.
-    pub fn fp2_pow_binary(&self, a: &Fp2, e: &FpW) -> Fp2 {
+    pub(crate) fn fp2_pow_binary(&self, a: &Fe2<N>, e: &FpW) -> Fe2<N> {
         let mut acc = self.fp2_one();
-        let bits = e.bits();
-        for i in (0..bits).rev() {
+        for i in (0..e.bits()).rev() {
             acc = self.fp2_sqr(&acc);
             if e.bit(i) {
                 acc = self.fp2_mul(&acc, a);
@@ -207,8 +180,8 @@ impl FpCtx {
     /// [`Self::fp2_pow_binary`] on unitary inputs.
     ///
     /// Debug builds assert the norm; release builds silently compute a
-    /// wrong value for non-unitary inputs, so this is `pub(crate)`.
-    pub(crate) fn fp2_pow_unitary(&self, a: &Fp2, e: &FpW) -> Fp2 {
+    /// wrong value for non-unitary inputs.
+    pub(crate) fn fp2_pow_unitary(&self, a: &Fe2<N>, e: &FpW) -> Fe2<N> {
         const W: u32 = 4;
         debug_assert_eq!(self.fp2_norm(a), self.one(), "input must be unitary");
         if e.bits() + W > FpW::BITS {
@@ -223,7 +196,7 @@ impl FpCtx {
             odd[i] = self.fp2_mul(&odd[i - 1], &a2);
         }
         let digits = crate::naf::wnaf_digits(e, W);
-        let mut acc: Option<Fp2> = None;
+        let mut acc: Option<Fe2<N>> = None;
         for &d in digits.iter().rev() {
             if let Some(v) = acc {
                 acc = Some(self.fp2_sqr(&v));
@@ -239,28 +212,48 @@ impl FpCtx {
         }
         acc.unwrap_or_else(|| self.fp2_one())
     }
+}
+
+impl FpCtx {
+    /// One of `F_p²`.
+    pub fn fp2_one(&self) -> Fp2 {
+        at_width!(self, |f| Fp2::from_fe(&f.fp2_one()))
+    }
+
+    /// `a²` in `F_p²`.
+    pub fn fp2_sqr(&self, a: &Fp2) -> Fp2 {
+        at_width!(self, |f| Fp2::from_fe(&f.fp2_sqr(&a.at())))
+    }
+
+    /// `a^e` in `F_p²` via a width-4 sliding window (the default path).
+    pub fn fp2_pow(&self, a: &Fp2, e: &FpW) -> Fp2 {
+        at_width!(self, |f| Fp2::from_fe(&f.fp2_pow(&a.at(), e)))
+    }
+
+    /// `a^e` in `F_p²` by plain square-and-multiply — the reference path,
+    /// bit-identical to [`Self::fp2_pow`].
+    pub fn fp2_pow_binary(&self, a: &Fp2, e: &FpW) -> Fp2 {
+        at_width!(self, |f| Fp2::from_fe(&f.fp2_pow_binary(&a.at(), e)))
+    }
 
     /// Canonical serialization: `c0 ‖ c1` big-endian.
     pub fn fp2_to_bytes(&self, a: &Fp2) -> Vec<u8> {
-        let mut out = self.to_bytes(&a.c0);
-        out.extend_from_slice(&self.to_bytes(&a.c1));
-        out
+        at_width!(self, |f| {
+            let mut out = f.to_bytes(&a.c0.at());
+            out.extend_from_slice(&f.to_bytes(&a.c1.at()));
+            out
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ctx() -> FpCtx {
-        let mut p = FpW::ZERO;
-        p.set_bit(127, true);
-        FpCtx::new(&p.wrapping_sub(&FpW::ONE))
-    }
+    use crate::fp::tests::field;
 
     #[test]
     fn i_squared_is_minus_one() {
-        let f = ctx();
+        let f = field();
         let i = f.fp2(f.zero(), f.one());
         let i2 = f.fp2_sqr(&i);
         assert_eq!(i2, f.fp2_neg(&f.fp2_one()));
@@ -270,17 +263,17 @@ mod tests {
 
     #[test]
     fn mul_sqr_agree() {
-        let f = ctx();
-        let a = f.fp2(f.from_u64(123), f.from_u64(456));
+        let f = field();
+        let a = f.fp2(f.import_u64(123), f.import_u64(456));
         assert_eq!(f.fp2_mul(&a, &a), f.fp2_sqr(&a));
     }
 
     #[test]
     fn field_axioms() {
-        let f = ctx();
-        let a = f.fp2(f.from_u64(11), f.from_u64(22));
-        let b = f.fp2(f.from_u64(33), f.from_u64(44));
-        let c = f.fp2(f.from_u64(55), f.from_u64(66));
+        let f = field();
+        let a = f.fp2(f.import_u64(11), f.import_u64(22));
+        let b = f.fp2(f.import_u64(33), f.import_u64(44));
+        let c = f.fp2(f.import_u64(55), f.import_u64(66));
         assert_eq!(f.fp2_mul(&a, &b), f.fp2_mul(&b, &a));
         assert_eq!(
             f.fp2_mul(&f.fp2_mul(&a, &b), &c),
@@ -291,44 +284,44 @@ mod tests {
             f.fp2_add(&f.fp2_mul(&a, &c), &f.fp2_mul(&b, &c))
         );
         assert_eq!(f.fp2_mul(&a, &f.fp2_one()), a);
-        assert_eq!(f.fp2_add(&a, &f.fp2_neg(&a)), f.fp2_zero());
+        assert_eq!(f.fp2_add(&a, &f.fp2_neg(&a)), f.fp2(f.zero(), f.zero()));
     }
 
     #[test]
     fn inverse_roundtrip() {
-        let f = ctx();
-        let a = f.fp2(f.from_u64(987654321), f.from_u64(123456789));
+        let f = field();
+        let a = f.fp2(f.import_u64(987654321), f.import_u64(123456789));
         let inv = f.fp2_inv(&a).unwrap();
         assert_eq!(f.fp2_mul(&a, &inv), f.fp2_one());
-        assert!(f.fp2_inv(&f.fp2_zero()).is_none());
+        assert!(f.fp2_inv(&f.fp2(f.zero(), f.zero())).is_none());
         // Base-field-only element inverts like Fp.
-        let b = f.fp2_from_fp(f.from_u64(7));
+        let b = f.fp2(f.import_u64(7), f.zero());
         let binv = f.fp2_inv(&b).unwrap();
-        assert_eq!(binv.c0, f.inv(&f.from_u64(7)).unwrap());
+        assert_eq!(binv.c0, f.inv(&f.import_u64(7)).unwrap());
         assert!(f.is_zero(&binv.c1));
     }
 
     #[test]
     fn conj_is_frobenius() {
-        let f = ctx();
-        let a = f.fp2(f.from_u64(31337), f.from_u64(271828));
+        let f = field();
+        let a = f.fp2(f.import_u64(31337), f.import_u64(271828));
         let frob = f.fp2_pow(&a, f.modulus());
         assert_eq!(frob, f.fp2_conj(&a));
     }
 
     #[test]
     fn norm_multiplicative() {
-        let f = ctx();
-        let a = f.fp2(f.from_u64(3), f.from_u64(5));
-        let b = f.fp2(f.from_u64(7), f.from_u64(11));
+        let f = field();
+        let a = f.fp2(f.import_u64(3), f.import_u64(5));
+        let b = f.fp2(f.import_u64(7), f.import_u64(11));
         let nab = f.fp2_norm(&f.fp2_mul(&a, &b));
         assert_eq!(nab, f.mul(&f.fp2_norm(&a), &f.fp2_norm(&b)));
     }
 
     #[test]
     fn windowed_pow_matches_binary() {
-        let f = ctx();
-        let a = f.fp2(f.from_u64(31337), f.from_u64(271828));
+        let f = field();
+        let a = f.fp2(f.import_u64(31337), f.import_u64(271828));
         let mut exps = vec![
             FpW::ZERO,
             FpW::ONE,
@@ -347,9 +340,9 @@ mod tests {
 
     #[test]
     fn unitary_pow_matches_binary() {
-        let f = ctx();
+        let f = field();
         // Make a unitary element the same way the pairing does: z^{p−1}.
-        let z = f.fp2(f.from_u64(987654321), f.from_u64(1234567));
+        let z = f.fp2(f.import_u64(987654321), f.import_u64(1234567));
         let u = f.fp2_mul(&f.fp2_conj(&z), &f.fp2_inv(&z).unwrap());
         assert_eq!(f.fp2_norm(&u), f.one());
         let mut exps = vec![FpW::ZERO, FpW::ONE, FpW::from_u64(2), FpW::from_u64(12345)];
@@ -361,8 +354,8 @@ mod tests {
 
     #[test]
     fn pow_edge_cases() {
-        let f = ctx();
-        let a = f.fp2(f.from_u64(5), f.from_u64(9));
+        let f = field();
+        let a = f.fp2(f.import_u64(5), f.import_u64(9));
         assert_eq!(f.fp2_pow(&a, &FpW::ZERO), f.fp2_one());
         assert_eq!(f.fp2_pow(&a, &FpW::ONE), a);
         assert_eq!(f.fp2_pow(&a, &FpW::from_u64(2)), f.fp2_sqr(&a));

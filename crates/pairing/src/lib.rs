@@ -15,13 +15,29 @@
 //!
 //! Layout:
 //!
-//! * [`fp`] — prime-field arithmetic (Montgomery domain over [`FpW`]).
+//! * [`fp`] — prime-field arithmetic in the Montgomery domain, at the
+//!   field's width, and [`FpCtx`], the field a [`PairingCtx`] works in.
 //! * [`fp2`] — the quadratic extension `F_p[i]/(i²+1)`.
 //! * [`curve`] — affine/Jacobian point arithmetic on `E(F_p)`.
-//! * [`pairing`] — Miller's algorithm and the final exponentiation.
+//! * `pairing` — Miller's algorithm and the final exponentiation.
 //! * [`prepared`] — cached Miller tapes for fixed first arguments.
 //! * [`maptopoint`] — hash-to-point (the `MapToPoint` of BF-IBE).
 //! * [`params`] — parameter generation and deterministic named parameter sets.
+//!
+//! # Widths
+//!
+//! Values cross the API in one container: [`Fp`] coordinates and scalars
+//! are [`FpW`] (`FP_LIMBS` = 8 limbs, 64-byte encodings) at every
+//! [`SecurityLevel`]. The arithmetic runs at the field's width `N` — 3
+//! limbs for a prime of up to 192 bits (Toy), 4 for 256 (Light), 8 above
+//! (Standard) — on `[u64; N]` values, with `mws-bigint`'s one CIOS body
+//! ([`mws_bigint::mont_mul_limbs`]) inlined into every field product. A
+//! context picks `N` once from `p`; every group-level call
+//! ([`PairingCtx::pairing`], [`PairingCtx::mul`],
+//! [`PairingCtx::hash_to_point`], …) matches on it once and runs its whole
+//! Miller loop, ladder or exponentiation at that width. Crossing the API is
+//! a copy of `N` limbs; prepared tapes and comb tables are stored at width
+//! `N`.
 //!
 //! # Example
 //!
@@ -48,7 +64,7 @@ pub mod fp;
 pub mod fp2;
 pub mod maptopoint;
 mod naf;
-pub mod pairing;
+mod pairing;
 pub mod params;
 pub mod prepared;
 
@@ -60,14 +76,64 @@ pub use prepared::PreparedPoint;
 
 use mws_bigint::Uint;
 
-/// Limb width of the base field's container (8 × 64 = up to 512-bit
-/// primes). One container serves every [`SecurityLevel`]; the arithmetic
-/// runs on the limbs the prime actually has (3 at Toy, 4 at Light, 8 at
-/// Standard — see [`mws_bigint::Mont`]).
+/// Limb width of the API's container (8 × 64 = up to 512-bit primes): the
+/// width of [`FpW`], of the coordinates inside [`Fp`], and of every
+/// encoding (`8·FP_LIMBS` bytes per coordinate). One container serves
+/// every [`SecurityLevel`]; the arithmetic does not run in it (see the
+/// crate docs' *Widths*).
 pub const FP_LIMBS: usize = 8;
 
-/// The integer type backing field elements and scalars.
+/// The integer type of scalars, parameters and the canonical form of field
+/// elements at the API.
 pub type FpW = Uint<FP_LIMBS>;
+
+/// One value per field width the crate instantiates: 3 limbs (`p` up to
+/// 192 bits), 4 (up to 256) and 8 (up to [`FpW::BITS`]).
+#[derive(Clone, Debug)]
+pub(crate) enum Wide<A, B, C> {
+    W3(A),
+    W4(B),
+    W8(C),
+}
+
+/// `Wide<T<3>, T<4>, T<8>>`: a width-generic `T` at the three widths.
+macro_rules! wide {
+    ($t:ident) => {
+        $crate::Wide<$t<3>, $t<4>, $t<8>>
+    };
+}
+pub(crate) use wide;
+
+/// Runs `$body` with `$f` bound to the field of `$ctx` (an [`FpCtx`]) at
+/// its width — the one width dispatch of a group-level call. The `wide, …`
+/// form wraps each arm's value in [`Wide`] (a tape or table stored at the
+/// field's width); the last form also binds `$t` to such a value built
+/// under the same context.
+macro_rules! at_width {
+    (wide, $ctx:expr, |$f:ident| $body:expr) => {
+        match &$ctx.0 {
+            $crate::Wide::W3($f) => $crate::Wide::W3($body),
+            $crate::Wide::W4($f) => $crate::Wide::W4($body),
+            $crate::Wide::W8($f) => $crate::Wide::W8($body),
+        }
+    };
+    ($ctx:expr, |$f:ident| $body:expr) => {
+        match &$ctx.0 {
+            $crate::Wide::W3($f) => $body,
+            $crate::Wide::W4($f) => $body,
+            $crate::Wide::W8($f) => $body,
+        }
+    };
+    ($ctx:expr, $wide:expr, |$f:ident, $t:ident| $body:expr) => {
+        match (&$ctx.0, $wide) {
+            ($crate::Wide::W3($f), $crate::Wide::W3($t)) => $body,
+            ($crate::Wide::W4($f), $crate::Wide::W4($t)) => $body,
+            ($crate::Wide::W8($f), $crate::Wide::W8($t)) => $body,
+            _ => panic!("value built under a context of another field width"),
+        }
+    };
+}
+pub(crate) use at_width;
 
 /// Errors from the pairing layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

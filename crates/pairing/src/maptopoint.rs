@@ -14,9 +14,10 @@
 //! Determinism matters: every party hashing the same attribute string must
 //! get the same point, so the mapping has no randomness beyond the input.
 
-use crate::curve::Point;
+use crate::curve::{Aff, Point};
+use crate::fp::Field;
 use crate::params::PairingCtx;
-use crate::FpW;
+use crate::{at_width, FpW};
 use mws_crypto::{kdf, Sha256};
 
 /// Deterministically maps an arbitrary byte string to a point of the
@@ -27,7 +28,15 @@ use mws_crypto::{kdf, Sha256};
 /// irrelevant below 512-bit `p` (documented trade-off — a production
 /// implementation at exactly 512-bit `p` would expand wider).
 pub fn hash_to_point(ctx: &PairingCtx, msg: &[u8]) -> Point {
-    let f = ctx.field();
+    at_width!(ctx.field(), |f| Point::from_aff(&map(
+        f,
+        ctx.cofactor(),
+        msg
+    )))
+}
+
+/// [`hash_to_point`] at width `N`, for cofactor `h`.
+fn map<const N: usize>(f: &Field<N>, h: &FpW, msg: &[u8]) -> Aff<N> {
     let mut counter = 0u32;
     loop {
         // Domain-separated expansion of msg ‖ counter to field width.
@@ -36,8 +45,8 @@ pub fn hash_to_point(ctx: &PairingCtx, msg: &[u8]) -> Point {
         input.extend_from_slice(&counter.to_be_bytes());
         let okm = kdf::<Sha256>(&input, "mws-map-to-point", 8 * crate::FP_LIMBS);
         let xi = FpW::from_be_bytes(&okm).expect("exact width");
-        let x = f.from_uint(&xi);
-        let rhs = f.add(&f.mul(&f.sqr(&x), &x), &x);
+        let x = f.import(&xi);
+        let rhs = f.curve_rhs(&x);
         if !f.is_zero(&rhs) {
             // r² = f(x) puts (x, r) on the curve; otherwise r² = f(−x).
             let (y, on_x) = f.sqrt_signed(&rhs);
@@ -45,12 +54,11 @@ pub fn hash_to_point(ctx: &PairingCtx, msg: &[u8]) -> Point {
             // Canonical sign: take the even-parity root so the map is a
             // function of the input alone.
             let y = if f.parity(&y) { f.neg(&y) } else { y };
-            let candidate = Point::Affine { x, y };
             // Cofactor multiplication (wNAF) puts the result in the order-q
             // subgroup by construction — no explicit membership check needed
             // (p + 1 = q·h, so h·R has order dividing q).
-            let cleared = f.point_mul(&candidate, ctx.cofactor());
-            if !cleared.is_infinity() {
+            let cleared = f.point_mul(&Some((x, y)), h);
+            if cleared.is_some() {
                 return cleared;
             }
         }
@@ -104,12 +112,14 @@ mod tests {
     /// Whether the first candidate `x` for `msg` lies on the curve itself
     /// (the `x` branch) rather than through `−x`.
     fn takes_x_branch(c: &PairingCtx, msg: &[u8]) -> bool {
-        let f = c.field();
         let mut input = msg.to_vec();
         input.extend_from_slice(&0u32.to_be_bytes());
         let okm = kdf::<Sha256>(&input, "mws-map-to-point", 8 * crate::FP_LIMBS);
-        let x = f.from_uint(&FpW::from_be_bytes(&okm).unwrap());
-        f.is_square(&f.add(&f.mul(&f.sqr(&x), &x), &x))
+        let xi = FpW::from_be_bytes(&okm).unwrap();
+        at_width!(c.field(), |f| {
+            let x = f.import(&xi);
+            f.sqrt(&f.curve_rhs(&x)).is_some()
+        })
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! (`(p²−1)/q = (p−1)·h` and `|F_p*| = p−1`), so the Miller loop uses the
 //! standard BKLS denominator elimination.
 //!
-//! The default [`TatePairing::pairing`] runs the inversion-free projective
-//! Miller loop over the signed (NAF) digits of `q`, with each tangent line
-//! computed from the doubling's own intermediates. A `−1` digit adds
-//! `−P = (x_P, −y_P)`: `f_{m−1,P} = f_{m,P}·l_{mP,−P} / (v_P·v_{(m−1)P})`,
-//! and both verticals lie in `F_p*`, which the final exponentiation
-//! removes. For the Solinas orders [`crate::params`] generates the loop is
-//! all doublings plus two additions; any other `q` works too, at its NAF
-//! weight.
+//! The default [`TatePairing::pairing_projective`] runs the inversion-free
+//! projective Miller loop over the signed (NAF) digits of `q`, with each
+//! tangent line computed from the doubling's own intermediates. A `−1`
+//! digit adds `−P = (x_P, −y_P)`:
+//! `f_{m−1,P} = f_{m,P}·l_{mP,−P} / (v_P·v_{(m−1)P})`, and both verticals
+//! lie in `F_p*`, which the final exponentiation removes. For the Solinas
+//! orders [`crate::params`] generates the loop is all doublings plus two
+//! additions; any other `q` works too, at its NAF weight.
 //!
 //! The affine loop over the *binary* digits of `q` (one field inversion
 //! per step) is kept as [`TatePairing::pairing_affine`], the independent
@@ -24,21 +24,24 @@
 //! [`crate::prepared::PreparedPoint`] caches an affine signed-digit loop's
 //! line coefficients so repeat pairings skip all point arithmetic and
 //! inversions.
+//!
+//! Every loop here runs at the field's width `N` on a [`Field<N>`](Field);
+//! [`crate::PairingCtx`] converts its arguments once per pairing.
 
-use crate::curve::{Jacobian, Point};
-use crate::fp::{Fp, FpCtx};
-use crate::fp2::Fp2;
+use crate::curve::{Aff, Jacobian};
+use crate::fp::{Fe, Field};
+use crate::fp2::Fe2;
 use crate::FpW;
 use std::sync::Arc;
 
-/// Pairing engine: the field context plus the subgroup order `q` and
-/// cofactor `h` (`p + 1 = q·h`).
+/// Pairing engine: the subgroup order `q` and cofactor `h`
+/// (`p + 1 = q·h`), with `q`'s signed digits recoded once.
 #[derive(Clone, Debug)]
-pub struct TatePairing {
+pub(crate) struct TatePairing {
     /// Subgroup order (prime).
-    pub q: FpW,
+    pub(crate) q: FpW,
     /// Cofactor `h = (p+1)/q`.
-    pub h: FpW,
+    pub(crate) h: FpW,
     /// NAF digits of `q` below its leading one, most significant first —
     /// the steps of every production Miller loop.
     pub(crate) steps: Arc<[i8]>,
@@ -58,31 +61,24 @@ impl TatePairing {
         }
     }
 
-    /// Evaluates the modified Tate pairing of two points of `E(F_p)[q]`.
-    ///
-    /// Returns 1 (the identity of `μ_q`) when either input is the point at
-    /// infinity. Runs the inversion-free projective signed-digit Miller
-    /// loop ([`Self::pairing_affine`] is the reference).
-    pub fn pairing(&self, f: &FpCtx, p: &Point, q_pt: &Point) -> Fp2 {
-        self.pairing_projective(f, p, q_pt)
-    }
-
     /// Evaluates the pairing with the affine Miller loop over the binary
     /// digits of `q` — one field inversion per step. The pre-optimization
-    /// reference path (D5 ablation), bit-identical to [`Self::pairing`].
-    pub fn pairing_affine(&self, f: &FpCtx, p: &Point, q_pt: &Point) -> Fp2 {
-        let (xp, yp) = match p {
-            Point::Infinity => return f.fp2_one(),
-            Point::Affine { x, y } => (*x, *y),
-        };
-        let (xq, yq) = match q_pt {
-            Point::Infinity => return f.fp2_one(),
-            Point::Affine { x, y } => (*x, *y),
+    /// reference path (D5 ablation), bit-identical to
+    /// [`Self::pairing_projective`]. Returns 1 (the identity of `μ_q`) when
+    /// either input is the point at infinity.
+    pub(crate) fn pairing_affine<const N: usize>(
+        &self,
+        f: &Field<N>,
+        p: &Aff<N>,
+        q_pt: &Aff<N>,
+    ) -> Fe2<N> {
+        let (Some((xp, yp)), Some((xq, yq))) = (p, q_pt) else {
+            return f.fp2_one();
         };
         // Distortion image φ(Q) = (−xq, i·yq); only the components are
         // needed by the line evaluations.
-        let mxq = f.neg(&xq);
-        let val = self.miller_loop(f, &xp, &yp, &mxq, &yq);
+        let mxq = f.neg(xq);
+        let val = self.miller_loop(f, xp, yp, &mxq, yq);
         self.final_exponentiation(f, &val)
     }
 
@@ -91,15 +87,22 @@ impl TatePairing {
     /// Line through `(x1, y1)` with slope `λ`, evaluated at
     /// `φ(Q) = (mxq, i·yq)`:
     /// `l = i·yq − y1 − λ(mxq − x1) = [λ(x1 − mxq) − y1] + yq·i`.
-    fn miller_loop(&self, f: &FpCtx, xp: &Fp, yp: &Fp, mxq: &Fp, yq: &Fp) -> Fp2 {
-        let line = |lambda: &Fp, x1: &Fp, y1: &Fp| -> Fp2 {
+    fn miller_loop<const N: usize>(
+        &self,
+        f: &Field<N>,
+        xp: &Fe<N>,
+        yp: &Fe<N>,
+        mxq: &Fe<N>,
+        yq: &Fe<N>,
+    ) -> Fe2<N> {
+        let line = |lambda: &Fe<N>, x1: &Fe<N>, y1: &Fe<N>| -> Fe2<N> {
             let c0 = f.sub(&f.mul(lambda, &f.sub(x1, mxq)), y1);
             f.fp2(c0, *yq)
         };
 
         let mut acc = f.fp2_one();
         // T = (xt, yt); None encodes the point at infinity.
-        let mut t: Option<(Fp, Fp)> = Some((*xp, *yp));
+        let mut t: Aff<N> = Some((*xp, *yp));
         let bits = self.q.bits();
         for i in (0..bits - 1).rev() {
             acc = f.fp2_sqr(&acc);
@@ -153,29 +156,38 @@ impl TatePairing {
         acc
     }
 
-    /// Evaluates the pairing with a projective (inversion-free) signed-digit
-    /// Miller loop — what [`Self::pairing`] delegates to.
+    /// Evaluates the modified Tate pairing of two points of `E(F_p)[q]`
+    /// with a projective (inversion-free) signed-digit Miller loop — what
+    /// [`crate::PairingCtx::pairing`] runs. Returns 1 when either input is
+    /// the point at infinity.
     ///
     /// `T` is tracked in Jacobian coordinates; line values are scaled by the
     /// nonzero `F_p` factors `2Y·Z³` (tangent) / `(x_P − x_T)·Z³` (chord),
     /// which the final exponentiation annihilates, so no per-step inversion
     /// is needed. Produces bit-identical results to the affine loop.
-    pub fn pairing_projective(&self, f: &FpCtx, p: &Point, q_pt: &Point) -> Fp2 {
-        let (xp, yp) = match p {
-            Point::Infinity => return f.fp2_one(),
-            Point::Affine { x, y } => (*x, *y),
+    pub(crate) fn pairing_projective<const N: usize>(
+        &self,
+        f: &Field<N>,
+        p: &Aff<N>,
+        q_pt: &Aff<N>,
+    ) -> Fe2<N> {
+        let (Some((xp, yp)), Some((xq, yq))) = (p, q_pt) else {
+            return f.fp2_one();
         };
-        let (xq, yq) = match q_pt {
-            Point::Infinity => return f.fp2_one(),
-            Point::Affine { x, y } => (*x, *y),
-        };
-        let mxq = f.neg(&xq);
-        let val = self.miller_loop_projective(f, &xp, &yp, &mxq, &yq);
+        let mxq = f.neg(xq);
+        let val = self.miller_loop_projective(f, xp, yp, &mxq, yq);
         self.final_exponentiation(f, &val)
     }
 
     /// Projective signed-digit Miller loop; see [`Self::pairing_projective`].
-    fn miller_loop_projective(&self, f: &FpCtx, xp: &Fp, yp: &Fp, mxq: &Fp, yq: &Fp) -> Fp2 {
+    fn miller_loop_projective<const N: usize>(
+        &self,
+        f: &Field<N>,
+        xp: &Fe<N>,
+        yp: &Fe<N>,
+        mxq: &Fe<N>,
+        yq: &Fe<N>,
+    ) -> Fe2<N> {
         let neg_yp = f.neg(yp);
         let mut acc = f.fp2_one();
         let mut t = Jacobian {
@@ -251,7 +263,7 @@ impl TatePairing {
     ///
     /// The easy part leaves a norm-1 value (`N(z)^{p−1} = 1` by Fermat), so
     /// the hard `^h` power runs the conjugate-inversion wNAF ladder.
-    pub(crate) fn final_exponentiation(&self, f: &FpCtx, z: &Fp2) -> Fp2 {
+    pub(crate) fn final_exponentiation<const N: usize>(&self, f: &Field<N>, z: &Fe2<N>) -> Fe2<N> {
         let zinv = f
             .fp2_inv(z)
             .expect("Miller value is nonzero for valid inputs");
@@ -262,8 +274,8 @@ impl TatePairing {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::params::{PairingCtx, SecurityLevel};
+    use crate::Point;
     use mws_crypto::HmacDrbg;
 
     fn ctx() -> PairingCtx {
@@ -382,7 +394,9 @@ mod tests {
         // e(aP + bP, Q) == e(aP, Q) · e(bP, Q)
         let q = c.mul(&g, &c.random_scalar(&mut rng));
         let lhs = c.pairing(&sum, &q);
-        let rhs = c.field().fp2_mul(&c.pairing(&pa, &q), &c.pairing(&pb, &q));
+        let rhs = crate::at_width!(c.field(), |f| crate::Fp2::from_fe(
+            &f.fp2_mul(&c.pairing(&pa, &q).at(), &c.pairing(&pb, &q).at())
+        ));
         assert_eq!(lhs, rhs);
     }
 }

@@ -11,7 +11,7 @@ use crate::fp::FpCtx;
 use crate::fp2::Fp2;
 use crate::pairing::TatePairing;
 use crate::prepared::PreparedPoint;
-use crate::{FpW, PairingError};
+use crate::{at_width, FpW, PairingError};
 use mws_bigint::{is_prime, random_below, random_nonzero_below, MillerRabinRounds};
 use mws_crypto::{HmacDrbg, Rng};
 use std::sync::{Arc, OnceLock};
@@ -91,6 +91,10 @@ impl SecurityLevel {
 }
 
 /// A ready-to-use pairing context: field, curve, subgroup and pairing engine.
+///
+/// The field's width is picked once, from `p` (see the crate docs'
+/// *Widths*); each group-level method dispatches on it once and runs the
+/// whole operation there.
 ///
 /// Carries lazily built, `Arc`-shared generator precomputations (a
 /// fixed-base comb table and a prepared Miller tape), so cloned contexts —
@@ -275,41 +279,48 @@ impl PairingCtx {
         self.fp.point_mul(p, k)
     }
 
+    /// The generator's comb table (built on first use, shared across
+    /// clones).
+    fn generator_comb(&self) -> &CombTable {
+        self.gen_comb
+            .get_or_init(|| self.fp.comb_table(&self.generator, self.tate.q.bits()))
+    }
+
     /// Fixed-base multiplication `k·P` of the generator through the cached
     /// comb table (built on first use, shared across clones).
     pub fn mul_generator(&self, k: &FpW) -> Point {
-        let table = self
-            .gen_comb
-            .get_or_init(|| self.fp.comb_table(&self.generator, self.tate.q.bits()));
-        self.fp.comb_mul(table, k)
+        self.fp.comb_mul(self.generator_comb(), k)
     }
 
     /// The generator with its Miller tape precomputed (built on first use,
     /// shared across clones) — for pairings whose fixed argument is `P`.
     pub fn prepared_generator(&self) -> &PreparedPoint {
         self.gen_prepared
-            .get_or_init(|| self.tate.prepare(&self.fp, &self.generator))
+            .get_or_init(|| self.prepare(&self.generator))
     }
 
     /// Prepares an arbitrary long-lived pairing argument (e.g. `P_pub`,
     /// `d_ID`); see [`PreparedPoint`].
     pub fn prepare(&self, p: &Point) -> PreparedPoint {
-        self.tate.prepare(&self.fp, p)
+        PreparedPoint {
+            point: *p,
+            tape: at_width!(wide, self.fp, |f| self.tate.prepare(f, &p.at())),
+        }
     }
 
     /// Pairing with a prepared first argument — bit-identical to
     /// [`Self::pairing`] on the same points.
     pub fn pairing_with(&self, p: &PreparedPoint, q: &Point) -> Fp2 {
-        self.tate.pairing_prepared(&self.fp, p, q)
+        at_width!(self.fp, &p.tape, |f, tape| Fp2::from_fe(
+            &self.tate.pairing_prepared(f, tape, &q.at())
+        ))
     }
 
     /// Eagerly builds the generator caches (comb table + prepared tape).
     /// Long-lived services call this at construction so the first request
     /// doesn't pay the one-time cost.
     pub fn warm_caches(&self) {
-        let _ = self
-            .gen_comb
-            .get_or_init(|| self.fp.comb_table(&self.generator, self.tate.q.bits()));
+        let _ = self.generator_comb();
         let _ = self.prepared_generator();
     }
 
@@ -334,21 +345,29 @@ impl PairingCtx {
 
     /// The modified Tate pairing.
     pub fn pairing(&self, p: &Point, q: &Point) -> Fp2 {
-        self.tate.pairing(&self.fp, p, q)
+        self.pairing_projective(p, q)
     }
 
     /// The modified Tate pairing via the projective signed-digit Miller
     /// loop — what [`Self::pairing`] runs; kept as an explicit name for
     /// ablations.
     pub fn pairing_projective(&self, p: &Point, q: &Point) -> Fp2 {
-        self.tate.pairing_projective(&self.fp, p, q)
+        at_width!(self.fp, |f| Fp2::from_fe(&self.tate.pairing_projective(
+            f,
+            &p.at(),
+            &q.at()
+        )))
     }
 
     /// The modified Tate pairing via the affine Miller loop over the binary
     /// digits of `q` (one inversion per step) — the independent reference
     /// and pre-optimization baseline, bit-identical to [`Self::pairing`].
     pub fn pairing_affine(&self, p: &Point, q: &Point) -> Fp2 {
-        self.tate.pairing_affine(&self.fp, p, q)
+        at_width!(self.fp, |f| Fp2::from_fe(&self.tate.pairing_affine(
+            f,
+            &p.at(),
+            &q.at()
+        )))
     }
 
     /// Hash-to-point (BF `MapToPoint`): see [`crate::maptopoint`].

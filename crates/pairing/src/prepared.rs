@@ -24,40 +24,44 @@
 //! `c₁ = y_Q` is constant across the whole evaluation. The tape's Miller
 //! value differs from the projective loop's and the binary affine
 //! reference's only by factors in `F_p*`, so after the final
-//! exponentiation the replayed pairing equals [`TatePairing::pairing`]
-//! bit for bit.
+//! exponentiation the replayed pairing equals [`crate::PairingCtx::pairing`]
+//! bit for bit. The tape is stored at the field's width, so a replay runs
+//! at that width from its first line to its last.
 
-use crate::curve::Point;
-use crate::fp::{Fp, FpCtx};
-use crate::fp2::Fp2;
+use crate::curve::{Aff, Point};
+use crate::fp::{Fe, Field};
+use crate::fp2::Fe2;
 use crate::pairing::TatePairing;
 
-/// One step of the cached Miller tape.
+/// One step of the cached Miller tape, at width `N`.
 #[derive(Clone, Copy, Debug)]
-enum MillerOp {
+pub(crate) enum MillerOp<const N: usize> {
     /// `acc ← acc²` (a doubling step of the loop).
     Square,
     /// `acc ← acc · [(a + b·x_Q) + y_Q·i]` — an evaluated line with cached
     /// `a = λ·x_T − y_T` and `b = λ`.
     Line {
         /// Cached `λ·x_T − y_T`.
-        a: Fp,
+        a: Fe<N>,
         /// Cached slope `λ`.
-        b: Fp,
+        b: Fe<N>,
     },
 }
+
+/// A Miller tape at width `N`.
+pub(crate) type Tape<const N: usize> = Vec<MillerOp<N>>;
 
 /// A point with its Miller loop pre-executed, for repeated pairings with a
 /// fixed first argument.
 ///
-/// Build once via [`TatePairing::prepare`] (or
-/// [`crate::PairingCtx::prepare`]), evaluate many times via
-/// [`TatePairing::pairing_prepared`]. The tape length is `~2·bits(q)` small
-/// entries; preparing costs one full affine Miller loop.
+/// Build once via [`crate::PairingCtx::prepare`], evaluate many times via
+/// [`crate::PairingCtx::pairing_with`] on the same context. The tape length
+/// is `~2·bits(q)` small entries; preparing costs one full affine Miller
+/// loop.
 #[derive(Clone, Debug)]
 pub struct PreparedPoint {
-    point: Point,
-    ops: Vec<MillerOp>,
+    pub(crate) point: Point,
+    pub(crate) tape: crate::wide!(Tape),
 }
 
 impl PreparedPoint {
@@ -69,29 +73,23 @@ impl PreparedPoint {
 
 impl TatePairing {
     /// Runs the Miller loop for `p` once, caching the per-step line
-    /// coefficients.
+    /// coefficients (an empty tape for the point at infinity).
     ///
     /// Walks the same signed digits as the projective loop, in affine
     /// coordinates: preparing pays one inversion per line, once, so that
     /// each replay pays none.
-    pub fn prepare(&self, f: &FpCtx, p: &Point) -> PreparedPoint {
-        let (xp, yp) = match p {
-            Point::Infinity => {
-                return PreparedPoint {
-                    point: *p,
-                    ops: Vec::new(),
-                }
-            }
-            Point::Affine { x, y } => (*x, *y),
+    pub(crate) fn prepare<const N: usize>(&self, f: &Field<N>, p: &Aff<N>) -> Tape<N> {
+        let Some((xp, yp)) = *p else {
+            return Vec::new();
         };
         let neg_yp = f.neg(&yp);
         let mut ops = Vec::with_capacity(2 * self.steps.len() + 4);
-        let line = |lambda: &Fp, x1: &Fp, y1: &Fp| MillerOp::Line {
+        let line = |lambda: &Fe<N>, x1: &Fe<N>, y1: &Fe<N>| MillerOp::Line {
             a: f.sub(&f.mul(lambda, x1), y1),
             b: *lambda,
         };
         // T = (xt, yt); None encodes the point at infinity.
-        let mut t: Option<(Fp, Fp)> = Some((xp, yp));
+        let mut t: Aff<N> = Some((xp, yp));
         for &d in self.steps.iter() {
             ops.push(MillerOp::Square);
             if let Some((xt, yt)) = t {
@@ -128,26 +126,28 @@ impl TatePairing {
                 }
             };
         }
-        PreparedPoint { point: *p, ops }
+        ops
     }
 
-    /// Evaluates `ê(P, Q)` for a prepared `P` — bit-identical to
-    /// [`Self::pairing`]`(f, P.point(), Q)` at a fraction of the cost.
-    pub fn pairing_prepared(&self, f: &FpCtx, p: &PreparedPoint, q_pt: &Point) -> Fp2 {
-        if p.point.is_infinity() {
+    /// Evaluates `ê(P, Q)` from `P`'s tape — bit-identical to the
+    /// projective pairing of `P` and `Q` at a fraction of the cost. The
+    /// empty tape of the point at infinity replays to 1.
+    pub(crate) fn pairing_prepared<const N: usize>(
+        &self,
+        f: &Field<N>,
+        tape: &Tape<N>,
+        q_pt: &Aff<N>,
+    ) -> Fe2<N> {
+        let Some((xq, yq)) = q_pt else {
             return f.fp2_one();
-        }
-        let (xq, yq) = match q_pt {
-            Point::Infinity => return f.fp2_one(),
-            Point::Affine { x, y } => (*x, *y),
         };
         let mut acc = f.fp2_one();
-        for op in &p.ops {
+        for op in tape {
             match op {
                 MillerOp::Square => acc = f.fp2_sqr(&acc),
                 MillerOp::Line { a, b } => {
-                    let c0 = f.add(a, &f.mul(b, &xq));
-                    acc = f.fp2_mul(&acc, &f.fp2(c0, yq));
+                    let c0 = f.add(a, &f.mul(b, xq));
+                    acc = f.fp2_mul(&acc, &f.fp2(c0, *yq));
                 }
             }
         }

@@ -7,7 +7,9 @@ fn ctx() -> PairingCtx {
     PairingCtx::named(SecurityLevel::Toy)
 }
 
-// The pairing is expensive; keep case counts moderate.
+// The pairing is expensive; keep case counts moderate. Field arithmetic is
+// also checked per width against schoolbook integers in the crate's own
+// `fp::tests::ops_match_schoolbook_at_every_width`.
 
 #[test]
 fn fp_mul_inverse() {

@@ -150,12 +150,17 @@ impl ChannelAuth for IbsAuth {
     fn agree(&self, eph_secret: &[u8], peer_public: &[u8]) -> Result<Vec<u8>, SecureError> {
         let ctx = self.ibe.pairing();
         let a = mws_pairing::FpW::from_be_bytes(eph_secret).map_err(|_| SecureError::Agreement)?;
-        // point_from_bytes validates curve membership, rejecting
-        // small-order garbage before it can reach the key schedule.
+        // point_from_bytes checks curve membership only, and the curve
+        // has points of order 2, 3, 4, … (12 | h): a peer point outside the
+        // order-q subgroup would pin the shared secret to a handful of
+        // values, so it is refused before it can reach the key schedule.
         let b_pub = ctx
             .field()
             .point_from_bytes(peer_public)
             .map_err(|_| SecureError::Agreement)?;
+        if !ctx.in_subgroup(&b_pub) {
+            return Err(SecureError::Agreement);
+        }
         let k = ctx.mul(&b_pub, &a);
         if k.is_infinity() {
             return Err(SecureError::Agreement);
@@ -367,6 +372,35 @@ mod tests {
         // under the client's master public parameters.
         let err = run_handshake(client, server, Some(ID_MMS.to_string())).unwrap_err();
         assert_eq!(err, SecureError::BadSignature);
+    }
+
+    #[test]
+    fn small_order_peer_points_are_refused() {
+        let d = dep();
+        let auth = IbsAuth::from_deployment(&d, ID_CLIENT);
+        let ctx = d.ibe().pairing();
+        let f = ctx.field();
+        // (0, 0) has order 2: it decodes, being on the curve.
+        let mut order_two = vec![0x02];
+        order_two.resize(1 + 8 * mws_pairing::FP_LIMBS, 0);
+        assert!(f.point_from_bytes(&order_two).is_ok());
+        // ((p+1)/3)·R has order 3 unless it is the identity.
+        let p_plus_1 = ctx.params().p.wrapping_add(&mws_pairing::FpW::ONE);
+        let third = p_plus_1.div_rem(&3u64.into()).0;
+        let mut rng = HmacDrbg::from_u64(3);
+        let order_three = loop {
+            let r = ctx.mul(&f.random_curve_point(&mut rng), &third);
+            if !r.is_infinity() {
+                assert!(ctx.mul(&r, &3u64.into()).is_infinity());
+                break f.point_to_bytes(&r);
+            }
+        };
+        for _ in 0..20 {
+            let (secret, _) = auth.eph_keypair();
+            for peer in [&order_two, &order_three] {
+                assert_eq!(auth.agree(&secret, peer), Err(SecureError::Agreement));
+            }
+        }
     }
 
     #[test]

@@ -431,3 +431,44 @@ fn only_the_memory_warehouse_runs_on_the_loop() {
         ["crates/core/src/protocol.rs", "crates/net/src/bus.rs"]
     );
 }
+
+/// One field kernel: the CIOS Montgomery loop — the one line that draws
+/// the quotient digit `t[0]·n0` — is written once, in `mws-bigint`, and
+/// both `Mont` and the pairing arithmetic call it. The pairing crate holds
+/// no `Mont` (so no per-operation `mont_mul`/`add`/`sub`/`neg` call on
+/// one), and `with_width!`, `Mont`'s per-operation width match, stays
+/// inside `mws-bigint`.
+#[test]
+fn one_field_kernel() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut cios = Vec::new();
+    let mut in_fn = String::new();
+    for (path, line) in code_lines(&["src", "examples", "crates", "benchmark/src"]) {
+        let path = path.strip_prefix(root).unwrap().display().to_string();
+        if let Some((_, rest)) = line.split_once("fn ") {
+            in_fn = rest.split(['(', '<']).next().unwrap().to_string();
+        }
+        if line.contains(".wrapping_mul(") && line.contains("n0") {
+            cios.push(format!("{path}::{in_fn}"));
+        }
+        if path.starts_with("crates/pairing/src") {
+            let words = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+            assert!(
+                !words.clone().any(|w| w == "Mont"),
+                "{path}: pairing code holds a Mont: {line}"
+            );
+            assert!(
+                !words.clone().any(|w| w == "mont_mul" || w == "mont_sqr"),
+                "{path}: a per-operation Mont call: {line}"
+            );
+        }
+        if !path.starts_with("crates/bigint/") {
+            assert!(
+                !line.contains("with_width!"),
+                "{path}: with_width! outside mws-bigint: {line}"
+            );
+        }
+    }
+    cios.dedup();
+    assert_eq!(cios, ["crates/bigint/src/mont.rs::mont_mul_limbs"]);
+}
