@@ -21,9 +21,10 @@
 //! * default — pinned iteration counts, writes `BENCH_crypto.json`
 //! * `--smoke` — few iterations, no file output; asserts the fast paths are
 //!   bit-identical to the reference paths and that the release build's
-//!   AES-GCM still produces the SP 800-38D vectors and one pinned seal, and
-//!   that Montgomery arithmetic agrees across container widths (used by
-//!   `scripts/tier1.sh`)
+//!   AES-GCM still produces the SP 800-38D vectors and one pinned seal,
+//!   that Montgomery arithmetic agrees across container widths, and that
+//!   the device's cofactor-free `encrypt_attr` opens under the PKG's key at
+//!   every level (used by `scripts/tier1.sh`)
 
 use mws_bench::{time_op, timings_json, Json, Timing};
 use mws_bigint::{random_bits, Mont, Uint, U256};
@@ -31,7 +32,11 @@ use mws_crypto::{
     gcm_open, gcm_seal, Aes128, BlockCipher, CtrMode, Digest, HmacDrbg, Rng, RsaKeyPair, Sha256,
 };
 use mws_ibe::bf::IbeSystem;
+use mws_ibe::CipherAlgo;
 use mws_pairing::SecurityLevel;
+
+/// The attribute the `encrypt_attr` rows and the compose gate encrypt to.
+const ATTRIBUTE: &str = "ELECTRIC-APT9";
 
 struct LevelReport {
     level: &'static str,
@@ -124,6 +129,19 @@ fn bench_level(level: SecurityLevel, name: &'static str, iters: u32, smoke: bool
     let mut enc_rng = HmacDrbg::from_u64(1);
     timings.push(time_op("encrypt_basic_fast", iters, || {
         std::hint::black_box(ibe.encrypt_basic_point(&mut enc_rng, &mpk, &q_id, &payload));
+    }));
+
+    let mut enc_rng = HmacDrbg::from_u64(1);
+    timings.push(time_op("encrypt_attr", iters, || {
+        std::hint::black_box(ibe.encrypt_attr(
+            &mut enc_rng,
+            &mpk,
+            ATTRIBUTE,
+            b"nonce-0001",
+            CipherAlgo::Aes128,
+            b"aad",
+            &payload,
+        ));
     }));
 
     let mut ct_rng = HmacDrbg::from_u64(2);
@@ -353,6 +371,50 @@ fn bench_bigint(scale: u32) -> Vec<Timing> {
     timings
 }
 
+/// The `encrypt_attr` row of each level at the parent commit e2a8533
+/// (MapToPoint's cofactor multiplication on the device), in ns/op: medians
+/// of nine runs of this same binary built against that commit, alternated
+/// with nine runs of this tree on the same 2-vCPU host (this tree's
+/// medians in that session: toy 105038.4, light 193480.2; EXPERIMENTS E3
+/// addendum 5).
+const COMPOSE_BEFORE: [(&str, f64); 2] = [("toy", 129114.9), ("light", 321690.2)];
+
+/// Release-profile gate on the device's cofactor-free compose: at every
+/// level, 64 seeded `encrypt_attr` calls open byte for byte under the key
+/// the PKG extracts for the cleared point,
+/// `extract_point(attribute_point(A, nonce))`.
+fn compose_smoke() {
+    for level in [
+        SecurityLevel::Toy,
+        SecurityLevel::Light,
+        SecurityLevel::Standard,
+    ] {
+        let ibe = IbeSystem::named(level);
+        let mut rng = HmacDrbg::from_u64(0xc0_3b05e);
+        let (msk, mpk) = ibe.setup(&mut rng);
+        for i in 0u32..64 {
+            let nonce = i.to_be_bytes();
+            let reading = format!("reading {i}");
+            let ct = ibe.encrypt_attr(
+                &mut rng,
+                &mpk,
+                ATTRIBUTE,
+                &nonce,
+                CipherAlgo::Aes128,
+                b"aad",
+                reading.as_bytes(),
+            );
+            let sk = ibe.extract_point(&msk, &ibe.attribute_point(ATTRIBUTE, &nonce));
+            let opened = ibe.decrypt_attr(&sk, &ct, b"aad");
+            assert_eq!(
+                opened.as_deref(),
+                Ok(reading.as_bytes()),
+                "{level:?} compose {i} does not open under the PKG's key"
+            );
+        }
+    }
+}
+
 /// Release-profile gate on the Montgomery kernel: the same modulus in 4-, 8-
 /// and 32-limb containers (each its own instantiation of the width dispatch)
 /// gives the same residues and the same canonical product, square and power,
@@ -454,6 +516,10 @@ fn render_json(
             .iter()
             .find(|(level, _)| *level == rep.level)
             .expect("a before row set per level");
+        let (_, compose_before) = COMPOSE_BEFORE
+            .iter()
+            .find(|(level, _)| *level == rep.level)
+            .expect("a before compose row per level");
         let level = [
             ("timings", timings_json(&rep.timings)),
             ("encrypt_basic_speedup", Json::fixed(rep.encrypt_speedup, 2)),
@@ -461,6 +527,10 @@ fn render_json(
             (
                 "before_2bd1a34_ns_per_op",
                 Json::obj(before.map(|(name, ns)| (name, Json::fixed(ns, 1)))),
+            ),
+            (
+                "before_e2a8533_ns_per_op",
+                Json::obj([("encrypt_attr", Json::fixed(*compose_before, 1))]),
             ),
         ];
         (rep.level, Json::obj(level))
@@ -530,6 +600,7 @@ fn main() {
     if smoke {
         symmetric_smoke();
         bigint_smoke();
+        compose_smoke();
         eprintln!("crypto_bench --smoke: fast paths bit-identical to reference");
         return;
     }

@@ -31,6 +31,8 @@
 
 mod arith;
 mod barrett;
+#[cfg(debug_assertions)]
+pub mod cost;
 mod div;
 mod hex;
 mod mont;

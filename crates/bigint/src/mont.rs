@@ -158,6 +158,8 @@ pub fn mont_mul_limbs<const L: usize>(
     n: &[u64; L],
     n0: u64,
 ) -> [u64; L] {
+    #[cfg(debug_assertions)]
+    crate::cost::product();
     let (a, b, n) = (&a[..k], &b[..k], &n[..k]);
     let mut out = [0u64; L];
     let t = &mut out[..k];

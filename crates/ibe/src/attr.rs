@@ -6,6 +6,14 @@
 //! (requirement iii): once the MWS stops mapping an RC to attribute `A`, the
 //! RC can never obtain `sI` for any future nonce.
 //!
+//! The PKG computes `I` and extracts `sI` ([`IbeSystem::attribute_point`]).
+//! The encrypting device never clears MapToPoint's cofactor: it pairs `sP`
+//! with the uncleared candidate `Q` (`I = h·Q`) and raises the result to
+//! `h·r mod q`, which gives the same `K = ê(sP, I)^r` because `ê(sP, ·)` is
+//! 1 on points of order prime to `q` (DESIGN D7). It walks the same
+//! candidates as MapToPoint and skips the ones MapToPoint skips, so `U`,
+//! `K` and the ciphertext bytes are those of the textbook computation.
+//!
 //! The IBE value keys a symmetric cipher. The paper fixed DES; this
 //! implementation keeps DES for fidelity and defaults to AES-128
 //! ([`CipherAlgo`], design decision D1), and hardens the symmetric layer to
@@ -17,7 +25,7 @@ use crate::bf::{IbeSystem, MasterPublic, UserPrivateKey};
 use crate::kdf::derive_from_gt;
 use crate::IbeError;
 use mws_crypto::{open, seal, AeadError, Aes128, BlockCipher, Des, Digest, Rng, Sha1};
-use mws_pairing::Point;
+use mws_pairing::{Fp2, Point};
 
 /// Symmetric cipher choices for the hybrid layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -108,7 +116,7 @@ impl Etm {
 /// `enc ‖ mac ‖ nonce` split of `derive_from_gt(K, "mws-attr-hybrid")`.
 fn hybrid(
     ibe: &IbeSystem,
-    gt: &mws_pairing::Fp2,
+    gt: &Fp2,
     algo: CipherAlgo,
     etm: Etm,
     aad: &[u8],
@@ -124,15 +132,21 @@ fn hybrid(
     }
 }
 
+/// `SHA1(A ‖ "|" ‖ Nonce)`: what MapToPoint hashes for an attribute
+/// identity, on the PKG's side and the device's alike.
+///
+/// SHA-1 is retained here *solely* because the paper's protocol specifies
+/// it (§V.D); MapToPoint re-hashes with SHA-256 internally.
+fn attribute_digest(attribute: &str, nonce: &[u8]) -> Vec<u8> {
+    Sha1::digest_parts(&[attribute.as_bytes(), b"|", nonce])
+}
+
 impl IbeSystem {
-    /// The per-message identity point `I = MapToPoint(SHA1(A ‖ Nonce))`.
-    ///
-    /// SHA-1 is retained here *solely* because the paper's protocol
-    /// specifies it (§V.D); the subsequent MapToPoint re-hashes with
-    /// SHA-256 internally.
+    /// The per-message identity point `I = MapToPoint(SHA1(A ‖ Nonce))` —
+    /// what the PKG extracts `sI` for.
     pub fn attribute_point(&self, attribute: &str, nonce: &[u8]) -> Point {
-        let digest = Sha1::digest_parts(&[attribute.as_bytes(), b"|", nonce]);
-        self.pairing().hash_to_point(&digest)
+        self.pairing()
+            .hash_to_point(&attribute_digest(attribute, nonce))
     }
 
     /// SD-side encryption: one IBE operation regardless of how many RCs will
@@ -141,6 +155,10 @@ impl IbeSystem {
     /// `aad` is authenticated but not encrypted (the protocol passes
     /// `A ‖ Nonce ‖ ID_SD ‖ T` here so the stored header is tamper-evident
     /// end-to-end, not just on the SD–MWS hop).
+    ///
+    /// The device never computes `I` itself: it pairs `sP` with
+    /// MapToPoint's uncleared candidates and folds the cofactor into its
+    /// exponent (DESIGN D7); the ciphertext is the one `I` would give.
     #[allow(clippy::too_many_arguments)] // mirrors the protocol field list
     pub fn encrypt_attr<R: Rng + ?Sized>(
         &self,
@@ -152,16 +170,44 @@ impl IbeSystem {
         aad: &[u8],
         msg: &[u8],
     ) -> AttrCiphertext {
-        let i_pt = self.attribute_point(attribute, nonce);
+        let ctx = self.pairing();
+        let digest = attribute_digest(attribute, nonce);
+        let candidates = (0..=u32::MAX).map(|counter| ctx.map_candidate(&digest, counter));
+        let (u, k) = self.compose(rng, mpk, candidates);
+        let sealed = hybrid(self, &k, algo, Etm::Seal, aad, msg).expect("derived key lengths");
+        AttrCiphertext { u, algo, sealed }
+    }
+
+    /// The device's key agreement without the cofactor: `U = rP` and
+    /// `K = ê(sP, Q)^(h·r mod q)` for the first candidate `Q` whose pairing
+    /// with `sP` is not 1.
+    ///
+    /// That is `ê(sP, I)^r` for `I = h·Q` — the value the receiver's
+    /// `ê(sI, U)` gives — because `ê(sP, ·)` is 1 on every point whose
+    /// order is prime to `q`. For the same reason `ê(sP, Q) = 1` exactly
+    /// when `h·Q = O`, the one case in which MapToPoint moves to the next
+    /// candidate, so this skips the candidates [`Self::attribute_point`]
+    /// skips. `r` is drawn first, as before, so the bytes of `U` and the
+    /// sealed payload are those of `ê(sP, I)^r` with `I` computed.
+    fn compose<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        mpk: &MasterPublic,
+        candidates: impl IntoIterator<Item = Option<Point>>,
+    ) -> (Point, Fp2) {
         let ctx = self.pairing();
         let r = ctx.random_scalar(rng);
         let u = ctx.mul_generator(&r);
-        // K = ê(I, sP)^r  (== ê(rP, sI) on the receiving side), with sP's
-        // prepared Miller tape by symmetry.
-        let g = ctx.pairing_with(mpk.prepared(ctx), &i_pt);
-        let gr = ctx.field().fp2_pow(&g, &r);
-        let sealed = hybrid(self, &gr, algo, Etm::Seal, aad, msg).expect("derived key lengths");
-        AttrCiphertext { u, algo, sealed }
+        // ê(sP, Q), with sP's prepared Miller tape by symmetry.
+        let one = ctx.field().fp2_one();
+        let g = candidates
+            .into_iter()
+            .flatten()
+            .map(|q| ctx.pairing_with(mpk.prepared(ctx), &q))
+            .find(|g| *g != one)
+            .expect("map-to-point exhausted");
+        let hr = ctx.cofactor().mul_mod(&r, ctx.group_order());
+        (u, ctx.field().fp2_pow(&g, &hr))
     }
 
     /// RC-side decryption with the private key `sI` obtained from the PKG.
@@ -206,7 +252,7 @@ impl IbeSystem {
     /// decrypt paths.
     fn decrypt_attr_tail(
         &self,
-        g: &mws_pairing::Fp2,
+        g: &Fp2,
         ct: &AttrCiphertext,
         aad: &[u8],
     ) -> Result<Vec<u8>, IbeError> {
@@ -376,6 +422,46 @@ mod tests {
         let ct = ibe.encrypt_attr(&mut rng, &mpk, "A", b"n", CipherAlgo::Des, b"h", b"");
         let sk = ibe.extract_point(&msk, &ibe.attribute_point("A", b"n"));
         assert_eq!(ibe.decrypt_attr(&sk, &ct, b"h").unwrap(), b"");
+    }
+
+    /// A candidate in the `h`-torsion — here `(0, 0)`, of order 2 — pairs
+    /// to 1 with `sP`, and its `h`-multiple is the point at infinity: the
+    /// compose skips it exactly where MapToPoint re-hashes, and the next
+    /// candidate's key opens under the PKG's `extract_point` of the point
+    /// MapToPoint gives.
+    #[test]
+    fn compose_skips_a_torsion_candidate_where_map_to_point_rehashes() {
+        for level in [SecurityLevel::Toy, SecurityLevel::Light] {
+            let ibe = IbeSystem::named(level);
+            let ctx = ibe.pairing();
+            let mut rng = HmacDrbg::from_u64(0x7025);
+            let (msk, mpk) = ibe.setup(&mut rng);
+            let mut order_two = vec![0x02];
+            order_two.resize(1 + 8 * mws_pairing::FP_LIMBS, 0);
+            let torsion = ctx.field().point_from_bytes(&order_two).unwrap();
+            assert!(ctx.mul(&torsion, ctx.cofactor()).is_infinity(), "rehash");
+            let one = ctx.field().fp2_one();
+            assert_eq!(ctx.pairing_with(mpk.prepared(ctx), &torsion), one);
+
+            let digest = attribute_digest("GAS-APT-SV-CA", b"7");
+            let real = ctx.map_candidate(&digest, 0).expect("f(x) ≠ 0");
+            let i_pt = ibe.attribute_point("GAS-APT-SV-CA", b"7");
+            assert_eq!(ctx.mul(&real, ctx.cofactor()), i_pt);
+
+            let composed = |candidates: Vec<Option<Point>>| {
+                ibe.compose(&mut HmacDrbg::from_u64(11), &mpk, candidates)
+            };
+            let (u, k) = composed(vec![None, Some(torsion), Some(real)]);
+            assert_eq!((u, k), composed(vec![Some(real)]), "skipped, same r");
+            let sealed = hybrid(&ibe, &k, CipherAlgo::Aes128, Etm::Seal, b"h", b"m").unwrap();
+            let ct = AttrCiphertext {
+                u,
+                algo: CipherAlgo::Aes128,
+                sealed,
+            };
+            let sk = ibe.extract_point(&msk, &i_pt);
+            assert_eq!(ibe.decrypt_attr(&sk, &ct, b"h").unwrap(), b"m", "{level:?}");
+        }
     }
 
     #[test]

@@ -239,6 +239,8 @@ impl<const N: usize> Field<N> {
         if self.is_zero(a) {
             return None;
         }
+        #[cfg(debug_assertions)]
+        mws_bigint::cost::inversion();
         Some(self.pow(a, &self.inv_exp))
     }
 
@@ -253,6 +255,8 @@ impl<const N: usize> Field<N> {
     /// for `p ≡ 3 (mod 4)`, `r² = ±a`: when it is not a root of `a`, it is
     /// a root of `−a`. One exponentiation answers for both.
     pub(crate) fn sqrt_signed(&self, a: &Fe<N>) -> (Fe<N>, bool) {
+        #[cfg(debug_assertions)]
+        mws_bigint::cost::square_root();
         let r = self.pow(a, &self.sqrt_exp);
         let is_root = self.sqr(&r) == *a;
         (r, is_root)

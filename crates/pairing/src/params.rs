@@ -128,6 +128,12 @@ impl PairingCtx {
         if overflow || qh != params.p.wrapping_add(&FpW::ONE) {
             return Err(PairingError::BadParameters);
         }
+        // q ∤ h: then h·T = O exactly when T's order is prime to q, that is
+        // when ê(P, T) = 1 — what the cofactor-free compose relies on
+        // (DESIGN D7).
+        if params.h.rem(&params.q).is_zero() {
+            return Err(PairingError::BadParameters);
+        }
         let fp = FpCtx::new(&params.p);
         let generator = fp.point_from_bytes(&params.generator)?;
         if generator.is_infinity() || !fp.is_on_curve(&generator) {
@@ -180,7 +186,7 @@ impl PairingCtx {
             let h_raw = h_lo.wrapping_add(&r);
             // Round down to a multiple of 12.
             let h = h_raw.wrapping_sub(&h_raw.rem(&twelve));
-            if h.is_zero() {
+            if h.is_zero() || h.rem(&q).is_zero() {
                 continue;
             }
             let (qh, hi) = q.widening_mul(&h);
@@ -375,6 +381,18 @@ impl PairingCtx {
         crate::maptopoint::hash_to_point(self, msg)
     }
 
+    /// The `counter`-th `MapToPoint` candidate for `msg`, before the
+    /// cofactor is cleared: a point of the full group `E(F_p)`, or `None`
+    /// when the expanded `x` has `f(x) = 0`. [`Self::hash_to_point`] is
+    /// `h·Q` for the first candidate `Q` with `h·Q ≠ O` (see
+    /// [`crate::maptopoint`]).
+    pub fn map_candidate(&self, msg: &[u8], counter: u32) -> Option<Point> {
+        at_width!(self.fp, |f| {
+            let q = crate::maptopoint::candidate_at(f, msg, counter)?;
+            Some(Point::from_aff(&Some(q)))
+        })
+    }
+
     /// Canonical bytes of a pairing value (for KDF input).
     pub fn gt_to_bytes(&self, v: &Fp2) -> Vec<u8> {
         self.fp.fp2_to_bytes(v)
@@ -503,6 +521,20 @@ mod tests {
         let mut bad = good.clone();
         bad.p = bad.p.wrapping_add(&FpW::from_u64(4)); // keeps 3 mod 4, breaks q·h
         assert!(PairingCtx::from_params(&bad).is_err());
+
+        // q | h (p + 1 = 299 + 1 = 5·60): refused whatever the generator.
+        let q = FpW::from_u64(5);
+        let h = FpW::from_u64(60);
+        let square = PairingParams {
+            p: q.wrapping_mul(&h).wrapping_sub(&FpW::ONE),
+            q,
+            h,
+            generator: good.generator.clone(),
+        };
+        assert_eq!(
+            PairingCtx::from_params(&square).unwrap_err(),
+            PairingError::BadParameters
+        );
 
         let mut bad = good.clone();
         bad.generator = vec![0x00]; // infinity

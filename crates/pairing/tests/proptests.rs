@@ -117,3 +117,33 @@ fn hash_to_point_subgroup() {
         assert!(matches!(c.mul(&p, c.group_order()), Point::Infinity));
     });
 }
+
+/// The cofactor-free compose's identity: for a full-group point `Q`
+/// outside the order-`q` subgroup, `ê(sP, Q)^(h·r mod q) = ê(sP, h·Q)^r`,
+/// at every named level, with `sP`'s prepared tape as the device uses it.
+#[test]
+fn pairing_folds_the_cofactor_into_the_exponent() {
+    for level in [
+        SecurityLevel::Toy,
+        SecurityLevel::Light,
+        SecurityLevel::Standard,
+    ] {
+        cases(6, |g| g.u64()).check(|seed| {
+            let c = PairingCtx::named(level);
+            let f = c.field();
+            let mut rng = mws_crypto::HmacDrbg::from_u64(seed);
+            let s_p = c.prepare(&c.mul_generator(&c.random_scalar(&mut rng)));
+            let r = c.random_scalar(&mut rng);
+            let q = loop {
+                let q = f.random_curve_point(&mut rng);
+                if !c.in_subgroup(&q) {
+                    break q;
+                }
+            };
+            let h = c.cofactor();
+            let folded = f.fp2_pow(&c.pairing_with(&s_p, &q), &h.mul_mod(&r, c.group_order()));
+            let cleared = f.fp2_pow(&c.pairing_with(&s_p, &c.mul(&q, h)), &r);
+            assert_eq!(folded, cleared, "{level:?}");
+        });
+    }
+}

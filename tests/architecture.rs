@@ -472,3 +472,60 @@ fn one_field_kernel() {
     cios.dedup();
     assert_eq!(cios, ["crates/bigint/src/mont.rs::mont_mul_limbs"]);
 }
+
+/// One rule for points from the wire (DESIGN §5): a decoded point that a
+/// secret scalar multiplies, or that serves as the order-`q` side every
+/// pairing relies on, is subgroup-checked; a point that only meets an
+/// order-`q` point inside a pairing is not, since the pairing cannot see
+/// its part of order prime to `q`. Every `point_from_bytes` caller outside
+/// `mws-pairing` is listed with its class, so a new one fails here until
+/// someone classifies it.
+#[test]
+fn every_wire_point_is_classified() {
+    const CHECKED: &str = "subgroup-checked";
+    const PAIRED: &str = "pairing only";
+    const KEY: &str = "own key, sealed delivery";
+    let expected = [
+        ("crates/core/src/client.rs::decrypt_message", PAIRED),
+        ("crates/core/src/sda.rs::decode_ibs_signature", PAIRED),
+        ("crates/core/src/sda.rs::decode_ibs_signature", PAIRED),
+        ("crates/ibe/src/bf.rs::mpk_from_bytes", CHECKED),
+        ("crates/ibe/src/bf.rs::sk_from_bytes", KEY),
+        ("crates/server/src/secure.rs::agree", CHECKED),
+        ("crates/server/src/secure.rs::verify", PAIRED),
+        ("crates/server/src/secure.rs::verify", PAIRED),
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut callers = Vec::new();
+    let mut in_fn = String::new();
+    let mut lines = code_lines(&["src", "examples", "crates", "benchmark/src"]);
+    lines.sort_by(|a, b| a.0.cmp(&b.0));
+    for (path, line) in lines {
+        let path = path.strip_prefix(root).unwrap().display().to_string();
+        if let Some((_, rest)) = line.split_once("fn ") {
+            in_fn = rest.split(['(', '<']).next().unwrap().to_string();
+        }
+        if line.contains("point_from_bytes(") && !path.starts_with("crates/pairing/") {
+            callers.push(format!("{path}::{in_fn}"));
+        }
+    }
+    let listed: Vec<_> = expected
+        .iter()
+        .map(|(caller, _)| caller.to_string())
+        .collect();
+    assert_eq!(
+        callers, listed,
+        "classify each new caller in DESIGN §5 and here"
+    );
+    // A checked caller runs the subgroup test in the same function.
+    for (caller, class) in expected.iter().filter(|(_, class)| *class == CHECKED) {
+        let (file, name) = caller.split_once("::").unwrap();
+        let text = std::fs::read_to_string(root.join(file)).unwrap();
+        let body = &text[text.find(&format!("fn {name}(")).unwrap()..];
+        let body = &body[..body.find("\n    }\n").unwrap()];
+        assert!(
+            body.contains("in_subgroup("),
+            "{caller} is {class} but runs no check"
+        );
+    }
+}
