@@ -52,30 +52,6 @@ impl<const L: usize> Uint<L> {
         acc
     }
 
-    /// Greatest common divisor (binary GCD).
-    pub fn gcd(&self, rhs: &Self) -> Self {
-        let mut a = *self;
-        let mut b = *rhs;
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        let shift = a.trailing_zeros().min(b.trailing_zeros());
-        a = a.wrapping_shr(a.trailing_zeros());
-        loop {
-            b = b.wrapping_shr(b.trailing_zeros());
-            if a > b {
-                core::mem::swap(&mut a, &mut b);
-            }
-            b = b.wrapping_sub(&a);
-            if b.is_zero() {
-                return a.wrapping_shl(shift);
-            }
-        }
-    }
-
     /// Modular inverse: `self^-1 mod m`, via the extended Euclidean
     /// algorithm with the Bézout coefficient tracked modulo `m`.
     ///
@@ -188,17 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn gcd_known_values() {
-        let a = U256::from_u64(48);
-        let b = U256::from_u64(180);
-        assert_eq!(a.gcd(&b), U256::from_u64(12));
-        assert_eq!(a.gcd(&U256::ZERO), a);
-        assert_eq!(U256::ZERO.gcd(&b), b);
-        // Coprime values.
-        assert_eq!(U256::from_u64(17).gcd(&U256::from_u64(31)), U256::ONE);
-    }
-
-    #[test]
     fn inv_mod_roundtrip() {
         let m = U256::from_u64(M);
         for v in [2u64, 3, 1_000_000, M - 1, 999_999_937] {
@@ -220,7 +185,7 @@ mod tests {
         // Large odd modulus spanning all limbs.
         let m = U256::MAX.wrapping_sub(&U256::from_u64(188)); // ends in ...0x43, odd
         assert!(m.is_odd());
-        let a = U256::from_u128(0xdead_beef_cafe_babe_1234_5678_9abc_def1);
+        let a = U256::from_hex("0xdead_beef_cafe_babe_1234_5678_9abc_def1").unwrap();
         let inv = a.inv_mod(&m).unwrap();
         assert_eq!(a.mul_mod(&inv, &m), U256::ONE);
     }
@@ -229,7 +194,7 @@ mod tests {
     fn pow_mod_multi_limb_consistency() {
         // (a^2)^2 == a^4
         let m: Uint<4> = U256::MAX.wrapping_sub(&U256::from_u64(188));
-        let a = U256::from_u128(0x0123_4567_89ab_cdef_0011_2233_4455_6677);
+        let a = U256::from_hex("0x0123_4567_89ab_cdef_0011_2233_4455_6677").unwrap();
         let a2 = a.pow_mod(&U256::from_u64(2), &m);
         let a4a = a2.pow_mod(&U256::from_u64(2), &m);
         let a4b = a.pow_mod(&U256::from_u64(4), &m);

@@ -197,7 +197,9 @@ impl<const L: usize> Uint<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{U256, U512};
+    use crate::{Uint, U256};
+
+    type U512 = Uint<8>;
 
     #[test]
     fn simple_division() {
@@ -221,7 +223,7 @@ mod tests {
     fn multi_limb_division_roundtrip() {
         // a = q*b + r with 0 <= r < b must hold for assorted values.
         let a = U512::MAX.wrapping_sub(&U512::from_u64(12345));
-        let b = U512::from_u128(0xffff_ffff_ffff_ffff_ffff);
+        let b = U512::from_hex("0xffff_ffff_ffff_ffff_ffff").unwrap();
         let (q, r) = a.div_rem(&b);
         assert!(r < b);
         let (lo, hi) = q.widening_mul(&b);
@@ -249,7 +251,7 @@ mod tests {
     fn reduce_wide_matches_manual() {
         let a = U256::MAX;
         let b = U256::from_u64(0xdead_beef);
-        let m = U256::from_u128(0x1_0000_0000_0000_0061); // arbitrary odd modulus
+        let m = U256::from_hex("0x1_0000_0000_0000_0061").unwrap(); // arbitrary odd modulus
         let (lo, hi) = a.widening_mul(&b);
         let r = U256::reduce_wide(&lo, &hi, &m);
         assert!(r < m);

@@ -5,7 +5,7 @@ use crate::{BigIntError, Uint};
 impl<const L: usize> Uint<L> {
     /// Parses a hexadecimal string (optionally `0x`-prefixed, case
     /// insensitive, underscores allowed as separators).
-    pub fn from_hex(s: &str) -> Result<Self, BigIntError> {
+    pub(crate) fn from_hex(s: &str) -> Result<Self, BigIntError> {
         let s = s
             .strip_prefix("0x")
             .or_else(|| s.strip_prefix("0X"))
@@ -54,7 +54,7 @@ impl<const L: usize> Uint<L> {
     }
 
     /// Parses a decimal string (underscores allowed).
-    pub fn from_decimal(s: &str) -> Result<Self, BigIntError> {
+    fn from_decimal(s: &str) -> Result<Self, BigIntError> {
         let mut any = false;
         let mut out = Self::ZERO;
         for c in s.chars() {
@@ -78,13 +78,13 @@ impl<const L: usize> Uint<L> {
     }
 
     /// Decimal rendering.
-    pub fn to_decimal(&self) -> String {
+    fn to_decimal(self) -> String {
         if self.is_zero() {
             return "0".to_string();
         }
         let mut digits = Vec::new();
         let ten = Self::from_u64(10);
-        let mut v = *self;
+        let mut v = self;
         while !v.is_zero() {
             let (q, r) = v.div_rem(&ten);
             digits.push(char::from(b'0' + r.as_u64() as u8));

@@ -7,18 +7,18 @@
 //! random prime generation.
 //!
 //! The central type is [`Uint<L>`], a stack-allocated little-endian array of
-//! `L` 64-bit limbs. Width aliases [`U128`] through [`U2048`] cover every
-//! width the workspace needs (pairing fields use `U512`/`U1024`, the RSA
-//! baseline uses `U1024`/`U2048`).
+//! `L` 64-bit limbs; callers name the width they need as `Uint<L>`. Two
+//! aliases are kept for the widths named outside this crate: [`U256`] and
+//! [`U2048`], the container of every RSA modulus.
 //!
 //! # Example
 //!
 //! ```
 //! use mws_bigint::{U256, Mont};
 //!
-//! let p = U256::from_decimal(
-//!     "115792089237316195423570985008687907853269984665640564039457584007908834671663",
-//! ).unwrap(); // the secp256k1 field prime
+//! let p: U256 = "115792089237316195423570985008687907853269984665640564039457584007908834671663"
+//!     .parse()
+//!     .unwrap(); // the secp256k1 field prime
 //! let m = Mont::new(&p).unwrap();
 //! let a = U256::from_u64(7);
 //! // Fermat: a^(p-1) = 1 (mod p)
@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod arith;
-mod barrett;
 #[cfg(debug_assertions)]
 pub mod cost;
 mod div;
@@ -44,29 +43,14 @@ mod rng;
 #[allow(clippy::needless_range_loop)]
 mod uint;
 
-pub use barrett::Barrett;
 pub use mont::{add_mod_limbs, mont_mul_limbs, mont_neg_inv, sub_mod_limbs, Mont};
-pub use prime::{gen_prime, gen_safe_prime, is_prime, MillerRabinRounds};
+pub use prime::{gen_prime, is_prime, MillerRabinRounds};
 pub use randint::{random_below, random_bits, random_nonzero_below};
 pub use rng::Rng;
 pub use uint::Uint;
 
-/// 128-bit unsigned integer (2 limbs).
-pub type U128 = Uint<2>;
-/// 192-bit unsigned integer (3 limbs).
-pub type U192 = Uint<3>;
 /// 256-bit unsigned integer (4 limbs).
 pub type U256 = Uint<4>;
-/// 320-bit unsigned integer (5 limbs).
-pub type U320 = Uint<5>;
-/// 384-bit unsigned integer (6 limbs).
-pub type U384 = Uint<6>;
-/// 512-bit unsigned integer (8 limbs).
-pub type U512 = Uint<8>;
-/// 768-bit unsigned integer (12 limbs).
-pub type U768 = Uint<12>;
-/// 1024-bit unsigned integer (16 limbs).
-pub type U1024 = Uint<16>;
 /// 2048-bit unsigned integer (32 limbs).
 pub type U2048 = Uint<32>;
 

@@ -349,23 +349,14 @@ impl<const L: usize> Mont<L> {
         }
         acc
     }
-
-    /// Modular inverse for prime `n` via Fermat's little theorem:
-    /// `a^{n-2} mod n`. The caller must guarantee primality.
-    pub fn inv_prime(&self, a: &Uint<L>) -> Result<Uint<L>, BigIntError> {
-        let a = self.reduce(a);
-        if a.is_zero() {
-            return Err(BigIntError::NotInvertible);
-        }
-        let e = self.n.wrapping_sub(&Uint::from_u64(2));
-        Ok(self.pow(&a, &e))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{U256, U512};
+    use crate::{Uint, U256};
+
+    type U512 = Uint<8>;
 
     fn modulus() -> U256 {
         // 2^255 - 19, an odd prime spanning all four limbs.
@@ -395,8 +386,8 @@ mod tests {
     fn mont_mul_matches_mul_mod() {
         let n = modulus();
         let m = Mont::new(&n).unwrap();
-        let a = U256::from_u128(0xdead_beef_cafe_babe_0011_2233_4455_6677);
-        let b = U256::from_u128(0x0123_4567_89ab_cdef_8899_aabb_ccdd_eeff);
+        let a = U256::from_hex("0xdead_beef_cafe_babe_0011_2233_4455_6677").unwrap();
+        let b = U256::from_hex("0x0123_4567_89ab_cdef_8899_aabb_ccdd_eeff").unwrap();
         let am = m.to_mont(&a);
         let bm = m.to_mont(&b);
         let prod = m.from_mont(&m.mont_mul(&am, &bm));
@@ -408,7 +399,7 @@ mod tests {
         let n = modulus();
         let m = Mont::new(&n).unwrap();
         let a = U256::from_u64(3);
-        let e = U256::from_u128(0xfedc_ba98_7654_3210_0f1e_2d3c_4b5a_6978);
+        let e = U256::from_hex("0xfedc_ba98_7654_3210_0f1e_2d3c_4b5a_6978").unwrap();
         assert_eq!(m.pow(&a, &e), a.pow_mod(&e, &n));
     }
 
@@ -423,16 +414,6 @@ mod tests {
         // Fermat
         let e = n.wrapping_sub(&U256::ONE);
         assert_eq!(m.pow(&a, &e), U256::ONE);
-    }
-
-    #[test]
-    fn inv_prime_roundtrip() {
-        let n = modulus();
-        let m = Mont::new(&n).unwrap();
-        let a = U256::from_u128(0x1234_5678_9abc_def0_0fed_cba9_8765_4321);
-        let inv = m.inv_prime(&a).unwrap();
-        assert_eq!(a.mul_mod(&inv, &n), U256::ONE);
-        assert!(m.inv_prime(&U256::ZERO).is_err());
     }
 
     #[test]

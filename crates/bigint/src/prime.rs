@@ -101,35 +101,13 @@ pub fn gen_prime<const L: usize, R: Rng + ?Sized>(
     }
 }
 
-/// Generates a safe prime `p = 2q + 1` (both `p` and `q` prime) with exactly
-/// `bits` bits in `p`. Used by tests exercising subgroup structure; safe
-/// primes are slow to find at large sizes, so keep `bits` modest.
-pub fn gen_safe_prime<const L: usize, R: Rng + ?Sized>(
-    rng: &mut R,
-    bits: u32,
-    rounds: MillerRabinRounds,
-) -> Uint<L> {
-    assert!(
-        (4..=Uint::<L>::BITS).contains(&bits),
-        "unsupported prime size"
-    );
-    loop {
-        let q: Uint<L> = gen_prime(rng, bits - 1, rounds);
-        let (p, carry) = q.wrapping_shl(1).overflowing_add(&Uint::ONE);
-        if carry {
-            continue;
-        }
-        if p.bits() == bits && is_prime(&p, rounds, rng) {
-            return p;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::TestRng;
-    use crate::{U256, U512};
+    use crate::U256;
+
+    type U512 = Uint<8>;
 
     fn rng() -> TestRng {
         TestRng(42)
@@ -189,14 +167,5 @@ mod tests {
         let p: U512 = gen_prime(&mut rng, 256, MillerRabinRounds(8));
         assert_eq!(p.bits(), 256);
         assert!(is_prime(&p, MillerRabinRounds(8), &mut rng));
-    }
-
-    #[test]
-    fn safe_prime_structure() {
-        let mut rng = rng();
-        let p: U256 = gen_safe_prime(&mut rng, 48, MillerRabinRounds(10));
-        assert_eq!(p.bits(), 48);
-        let q = p.wrapping_shr(1); // (p-1)/2 since p odd
-        assert!(is_prime(&q, MillerRabinRounds(10), &mut rng));
     }
 }

@@ -33,8 +33,6 @@ impl<const L: usize> Uint<L> {
     pub const MAX: Self = Self {
         limbs: [u64::MAX; L],
     };
-    /// Number of limbs.
-    pub const LIMBS: usize = L;
     /// Width in bits.
     pub const BITS: u32 = 64 * L as u32;
 
@@ -52,18 +50,6 @@ impl<const L: usize> Uint<L> {
     pub const fn from_u64(v: u64) -> Self {
         let mut limbs = [0; L];
         limbs[0] = v;
-        Self { limbs }
-    }
-
-    /// Builds a value from a `u128`.
-    pub fn from_u128(v: u128) -> Self {
-        let mut limbs = [0; L];
-        limbs[0] = v as u64;
-        if L > 1 {
-            limbs[1] = (v >> 64) as u64;
-        } else {
-            assert_eq!(v >> 64, 0, "u128 does not fit in one limb");
-        }
         Self { limbs }
     }
 
@@ -138,7 +124,7 @@ impl<const L: usize> Uint<L> {
     }
 
     /// Lexicographic comparison.
-    pub fn cmp_value(&self, rhs: &Self) -> core::cmp::Ordering {
+    fn cmp_value(&self, rhs: &Self) -> core::cmp::Ordering {
         for i in (0..L).rev() {
             match self.limbs[i].cmp(&rhs.limbs[i]) {
                 core::cmp::Ordering::Equal => continue,
@@ -250,11 +236,6 @@ impl<const L: usize> Uint<L> {
         }
     }
 
-    /// Widening square (slightly cheaper call-site shorthand).
-    pub fn widening_sqr(&self) -> (Self, Self) {
-        self.widening_mul(self)
-    }
-
     /// Multiplication by a single limb, returning the carry-out limb.
     pub fn mul_limb(&self, rhs: u64) -> (Self, u64) {
         let mut out = [0u64; L];
@@ -299,33 +280,6 @@ impl<const L: usize> Uint<L> {
             if bit_shift > 0 && src + 1 < L {
                 out[i] |= self.limbs[src + 1] << (64 - bit_shift);
             }
-        }
-        Self { limbs: out }
-    }
-
-    /// Bitwise AND.
-    pub fn bitand(&self, rhs: &Self) -> Self {
-        let mut out = [0u64; L];
-        for i in 0..L {
-            out[i] = self.limbs[i] & rhs.limbs[i];
-        }
-        Self { limbs: out }
-    }
-
-    /// Bitwise OR.
-    pub fn bitor(&self, rhs: &Self) -> Self {
-        let mut out = [0u64; L];
-        for i in 0..L {
-            out[i] = self.limbs[i] | rhs.limbs[i];
-        }
-        Self { limbs: out }
-    }
-
-    /// Bitwise XOR.
-    pub fn bitxor(&self, rhs: &Self) -> Self {
-        let mut out = [0u64; L];
-        for i in 0..L {
-            out[i] = self.limbs[i] ^ rhs.limbs[i];
         }
         Self { limbs: out }
     }
@@ -447,7 +401,7 @@ mod tests {
 
     #[test]
     fn shifts_roundtrip() {
-        let v = U256::from_u128(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
+        let v = U256::from_hex("0x0123_4567_89ab_cdef_fedc_ba98_7654_3210").unwrap();
         for n in [0u32, 1, 7, 63, 64, 65, 127, 128, 200] {
             let shifted = v.wrapping_shl(n).wrapping_shr(n);
             if n <= 128 {
@@ -471,7 +425,7 @@ mod tests {
 
     #[test]
     fn byte_roundtrip() {
-        let v = U256::from_u128(0xdead_beef_cafe_babe_0102_0304_0506_0708);
+        let v = U256::from_hex("0xdead_beef_cafe_babe_0102_0304_0506_0708").unwrap();
         let bytes = v.to_be_bytes();
         assert_eq!(bytes.len(), 32);
         assert_eq!(U256::from_be_bytes(&bytes).unwrap(), v);
@@ -489,10 +443,10 @@ mod tests {
 
     #[test]
     fn widen_narrow() {
-        let v = U256::from_u128(u128::MAX);
+        let v = U256::from_limbs([u64::MAX, u64::MAX, 0, 0]);
         let w: Uint<8> = v.widen();
         assert_eq!(w.narrow::<4>().unwrap(), v);
-        assert_eq!(w.narrow::<2>().unwrap(), crate::U128::from_u128(u128::MAX));
+        assert_eq!(w.narrow::<2>().unwrap(), Uint::<2>::MAX);
         let big: Uint<8> = Uint::MAX;
         assert_eq!(big.narrow::<4>(), Err(BigIntError::Overflow));
     }

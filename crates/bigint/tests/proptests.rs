@@ -1,6 +1,6 @@
 //! Property-based tests for the big-integer substrate.
 
-use mws_bigint::{Mont, Uint, U256, U512};
+use mws_bigint::{Mont, Uint, U256};
 use mws_prop::{cases, Gen};
 
 fn limbs<const L: usize>(g: &mut Gen) -> [u64; L] {
@@ -11,7 +11,7 @@ fn arb_u256(g: &mut Gen) -> U256 {
     Uint::from_limbs(limbs(g))
 }
 
-fn arb_u512(g: &mut Gen) -> U512 {
+fn arb_u512(g: &mut Gen) -> Uint<8> {
     Uint::from_limbs(limbs(g))
 }
 
@@ -93,14 +93,14 @@ fn byte_roundtrip() {
 #[test]
 fn hex_roundtrip() {
     cases(256, arb_u256).check(|a| {
-        assert_eq!(U256::from_hex(&a.to_hex()).unwrap(), a);
+        assert_eq!(format!("0x{}", a.to_hex()).parse::<U256>().unwrap(), a);
     });
 }
 
 #[test]
 fn decimal_roundtrip() {
     cases(256, arb_u256).check(|a| {
-        assert_eq!(U256::from_decimal(&a.to_decimal()).unwrap(), a);
+        assert_eq!(a.to_string().parse::<U256>().unwrap(), a);
     });
 }
 
@@ -177,16 +177,12 @@ fn mont_matches_oracles_at<const L: usize>(k: usize, bits: u32) {
         // a^(n−2): the inverse when n is prime, and a full-width exponent
         // either way. (−1)^(n−2) = −1 because n is odd.
         let n_minus_2 = n.wrapping_sub(&Uint::from_u64(2));
-        assert!(m.inv_prime(&zero).is_err());
-        assert!(m.inv_prime(&n).is_err());
         if !one.is_zero() {
-            assert_eq!(active(m.inv_prime(&one).unwrap(), k), one);
-            assert_eq!(active(m.inv_prime(&minus_one).unwrap(), k), minus_one);
+            assert_eq!(active(m.pow(&one, &n_minus_2), k), one);
+            assert_eq!(active(m.pow(&minus_one, &n_minus_2), k), minus_one);
         }
-        if !a.is_zero() {
-            let got = active(m.inv_prime(&a).unwrap(), k);
-            assert_eq!(got, a.pow_mod(&n_minus_2, &n));
-        }
+        let got = active(m.pow(&a, &n_minus_2), k);
+        assert_eq!(got, a.pow_mod(&n_minus_2, &n));
     });
 }
 
@@ -252,18 +248,6 @@ fn mont_is_a_function_of_the_modulus_not_the_container() {
 }
 
 #[test]
-fn gcd_divides_both() {
-    cases(256, |g| (arb_u256(g), arb_u256(g))).check(|(a, b)| {
-        if a.is_zero() || b.is_zero() {
-            return;
-        }
-        let g = a.gcd(&b);
-        assert!(a.rem(&g).is_zero());
-        assert!(b.rem(&g).is_zero());
-    });
-}
-
-#[test]
 fn inverse_is_inverse() {
     cases(256, |g| (arb_odd_modulus(g), arb_u256(g))).check(|(m, a)| {
         let ar = a.rem(&m);
@@ -272,7 +256,14 @@ fn inverse_is_inverse() {
         }
         match ar.inv_mod(&m) {
             Ok(inv) => assert_eq!(ar.mul_mod(&inv, &m), U256::ONE),
-            Err(_) => assert!(ar.gcd(&m) != U256::ONE),
+            Err(_) => {
+                // Euclid's gcd, by division, as the oracle.
+                let (mut x, mut y) = (ar, m);
+                while !y.is_zero() {
+                    (x, y) = (y, x.rem(&y));
+                }
+                assert!(x != U256::ONE);
+            }
         }
     });
 }
@@ -283,17 +274,5 @@ fn reduce_wide_is_canonical() {
         let (lo, hi) = a.widening_mul(&b);
         let r = U256::reduce_wide(&lo, &hi, &m);
         assert!(r < m);
-    });
-}
-
-#[test]
-fn barrett_matches_division_reduce() {
-    cases(256, |g| (arb_u256(g), arb_u256(g), limbs::<4>(g))).check(|(a, b, mut mlimbs)| {
-        use mws_bigint::Barrett;
-        mlimbs[3] |= 1 << 63; // full-width modulus (Barrett precondition)
-        let m: U256 = Uint::from_limbs(mlimbs);
-        let bar = Barrett::new(&m).unwrap();
-        let (lo, hi) = a.widening_mul(&b);
-        assert_eq!(bar.reduce(&lo, &hi), U256::reduce_wide(&lo, &hi, &m));
     });
 }

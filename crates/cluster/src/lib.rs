@@ -44,4 +44,4 @@ pub use handoff::HintBoard;
 pub use health::HealthProber;
 pub use rebalance::{plan_transfers, ArcTransfer};
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use router::{ClusterConfig, ClusterNode, ClusterRouter, NodeFactory, ReadConsistency};
+pub use router::{ClusterConfig, ClusterNode, ClusterRouter, ReadConsistency};

@@ -165,12 +165,12 @@ impl ClusterNode {
     }
 
     /// Current liveness as the router believes it.
-    pub fn is_up(&self) -> bool {
+    fn is_up(&self) -> bool {
         self.up.load(Ordering::Relaxed)
     }
 
     /// Membership state (`MEMBER_*` code).
-    pub fn member_state(&self) -> u8 {
+    fn member_state(&self) -> u8 {
         self.state.load(Ordering::Relaxed)
     }
 
@@ -229,7 +229,7 @@ impl Topology {
 
 /// Builds a [`ClusterNode`] from its name — how the router grows a
 /// connection pool for a node it only knows by `ClusterJoin` order.
-pub type NodeFactory = dyn Fn(&str) -> ClusterNode + Send + Sync;
+type NodeFactory = dyn Fn(&str) -> ClusterNode + Send + Sync;
 
 /// Progress of the current (or last) background arc transfer.
 #[derive(Default)]
@@ -327,33 +327,6 @@ impl ClusterRouter {
     /// a restart.
     pub fn set_node_factory(&self, factory: impl Fn(&str) -> ClusterNode + Send + Sync + 'static) {
         *write_lock(&self.factory) = Some(Box::new(factory));
-    }
-
-    /// Hot-swaps the member list. Nodes whose name survives keep their
-    /// handle — liveness state, pool and counters carry over — so a
-    /// membership edit never resets what the router learned about the
-    /// survivors. The ring rebuilds with minimal remapping (see `ring`).
-    pub fn set_nodes(&self, nodes: Vec<ClusterNode>) {
-        assert!(!nodes.is_empty(), "a cluster needs at least one node");
-        let mut topo = write_lock(&self.topo);
-        let arcs: Vec<Arc<ClusterNode>> = nodes
-            .into_iter()
-            .map(|n| {
-                topo.nodes
-                    .iter()
-                    .find(|o| o.name == n.name)
-                    .cloned()
-                    .unwrap_or_else(|| Arc::new(n))
-            })
-            .collect();
-        let names: Vec<String> = arcs.iter().map(|n| n.name.clone()).collect();
-        let epoch = topo.epoch + 1;
-        stats().ring_epoch.set(epoch as i64);
-        *topo = Arc::new(Topology {
-            ring: HashRing::new(&names, self.cfg.vnodes),
-            nodes: arcs,
-            epoch,
-        });
     }
 
     /// Teaches the router the AID → attribute mapping read-repair routes
@@ -1946,16 +1919,16 @@ mod tests {
         c.net.unbind("node-2");
         c.router.probe_once(); // observe the death
 
-        // Grow to 4 nodes; the down state of node-2 must carry over.
+        // Grow to 4 nodes by a join order; the down state of node-2 must
+        // carry over.
         let store = Arc::new(Mutex::new(ToyStore::default()));
         c.net.bind("node-3", toy_service(store.clone()));
-        let nodes: Vec<ClusterNode> = (0..4)
-            .map(|i| {
-                let name = format!("node-{i}");
-                ClusterNode::new(&name, vec![c.net.client(&name)])
-            })
-            .collect();
-        c.router.set_nodes(nodes);
+        let net = c.net.clone();
+        c.router
+            .set_node_factory(move |name| ClusterNode::new(name, vec![net.client(name)]));
+        let reply = c.router.handle(join_order("node-3", c.router.epoch()));
+        assert!(matches!(reply, Pdu::ClusterAdminAck { .. }), "{reply:?}");
+        assert!(c.router.wait_rebalance(WAIT), "transfer finished");
         let states = c.router.node_states();
         assert_eq!(states.len(), 4);
         assert!(!states[2].1, "node-2 still known dead after the swap");

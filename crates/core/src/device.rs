@@ -37,7 +37,7 @@ impl core::fmt::Debug for DeviceCredential {
 }
 
 /// Length of the per-message nonce a device draws.
-pub const DEPOSIT_NONCE_LEN: usize = 16;
+const DEPOSIT_NONCE_LEN: usize = 16;
 
 /// Builds the associated data a deposit's seal binds end-to-end.
 ///
@@ -301,19 +301,5 @@ impl SmartDevice {
             }
         }
         Err(last)
-    }
-
-    /// Deposits a multi-segment message (§VIII segmentation): each segment
-    /// goes to its own attribute so different providers read different
-    /// parts. Returns the warehouse ids in segment order.
-    pub fn deposit_segmented(&mut self, segments: &[(&str, &[u8])]) -> Result<Vec<u64>, CoreError> {
-        let group =
-            crate::segmentation::SegmentGroup::new(&mut self.rng, &self.sd_id, segments.len());
-        let mut ids = Vec::with_capacity(segments.len());
-        for (i, (attribute, payload)) in segments.iter().enumerate() {
-            let framed = group.frame_segment(i, payload);
-            ids.push(self.deposit(attribute, &framed)?);
-        }
-        Ok(ids)
     }
 }

@@ -26,7 +26,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// Parses a wire code.
-    pub fn from_u16(v: u16) -> Option<Self> {
+    fn from_u16(v: u16) -> Option<Self> {
         Some(match v {
             400 => ErrorCode::BadRequest,
             401 => ErrorCode::AuthFailed,

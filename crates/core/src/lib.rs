@@ -19,9 +19,9 @@
 //! is the API the examples, integration tests and benchmarks drive. The
 //! protocol implemented is §V.D verbatim (all three phases, tickets, tokens,
 //! authenticators, AID indirection, per-message nonces), plus the paper's
-//! §VIII future-work items: replay windows with real timestamps, message
-//! segmentation ([`segmentation`]), pattern policies ([`policy`]), device
-//! signatures, and a threshold-PKG deployment option.
+//! §VIII future-work items: replay windows with real timestamps, pattern
+//! policies ([`policy`]), device signatures, and a threshold-PKG deployment
+//! option.
 //!
 //! # Quickstart
 //!
@@ -57,7 +57,6 @@ pub mod registry;
 pub mod relay;
 pub mod sda;
 pub mod sealed;
-pub mod segmentation;
 pub mod token;
 
 pub use errors::{CoreError, ErrorCode};

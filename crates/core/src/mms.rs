@@ -8,8 +8,8 @@
 
 use crate::policy::AttrPattern;
 use mws_store::{
-    AttributeId, MessageId, PendingDeposit, PolicyDb, Result as StoreResult, ShardedMessageDb,
-    StorageKind, StoreError, StoredMessage,
+    AttributeId, MessageId, PolicyDb, Result as StoreResult, ShardedMessageDb, StorageKind,
+    StoreError, StoredMessage,
 };
 use std::sync::Arc;
 
@@ -47,31 +47,6 @@ impl MessageManagementSystem {
     /// the owner's lock.
     pub fn store_handle(&self) -> Arc<ShardedMessageDb> {
         Arc::clone(&self.messages)
-    }
-
-    /// Stores a deposit as a new row: no origin dedup and no durability
-    /// point. The service's deposit paths go through the store handle's
-    /// `deposit`, which has both.
-    #[allow(clippy::too_many_arguments)]
-    pub fn store_message(
-        &mut self,
-        attribute: &str,
-        nonce: &[u8],
-        u: &[u8],
-        algo: u8,
-        sealed: &[u8],
-        sd_id: &str,
-        timestamp: u64,
-    ) -> StoreResult<MessageId> {
-        self.messages.insert(&PendingDeposit {
-            attribute: attribute.to_string(),
-            nonce: nonce.to_vec(),
-            u: u.to_vec(),
-            algo,
-            sealed: sealed.to_vec(),
-            sd_id: sd_id.to_string(),
-            timestamp,
-        })
     }
 
     /// Grants `identity` access to a literal attribute (Table 1 row).
@@ -187,11 +162,6 @@ impl MessageManagementSystem {
         Ok(out)
     }
 
-    /// Retention sweep on the message store.
-    pub fn purge_before(&mut self, before: u64) -> StoreResult<usize> {
-        self.messages.purge_before(before)
-    }
-
     /// Read access to the policy table (Table 1 regeneration).
     pub fn policy(&self) -> &PolicyDb {
         &self.policy
@@ -213,14 +183,33 @@ impl MessageManagementSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mws_store::PendingDeposit;
 
     fn mms() -> MessageManagementSystem {
         MessageManagementSystem::open(StorageKind::Memory, StorageKind::Memory).unwrap()
     }
 
     fn store(m: &mut MessageManagementSystem, attr: &str, ts: u64) -> MessageId {
-        m.store_message(attr, b"n", b"u", 3, b"c", "sd", ts)
-            .unwrap()
+        store_nonce(m, attr, b"n", ts)
+    }
+
+    /// Stores a row with no origin dedup and no durability point.
+    fn store_nonce(
+        m: &mut MessageManagementSystem,
+        attr: &str,
+        nonce: &[u8],
+        ts: u64,
+    ) -> MessageId {
+        let row = PendingDeposit {
+            attribute: attr.to_string(),
+            nonce: nonce.to_vec(),
+            u: b"u".to_vec(),
+            algo: 3,
+            sealed: b"c".to_vec(),
+            sd_id: "sd".to_string(),
+            timestamp: ts,
+        };
+        m.store_handle().insert(&row).unwrap()
     }
 
     #[test]
@@ -365,8 +354,7 @@ mod tests {
                 .unwrap();
             // Timestamps are drawn per row, so they are not monotone in id.
             for (i, &(attr, ts)) in rows.iter().enumerate() {
-                m.store_message(ATTRS[attr], &i.to_le_bytes(), b"u", 3, b"c", "sd", ts)
-                    .unwrap();
+                store_nonce(&mut m, ATTRS[attr], &i.to_le_bytes(), ts);
             }
             for limit in [0, 1, 8, rows.len() as u32] {
                 let want = reference_page(&mut m, "rc", since, limit);

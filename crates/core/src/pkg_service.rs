@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Label for the RC → PKG authenticator blob.
-pub const AUTHENTICATOR_LABEL: &str = "rc-pkg-authenticator";
+const AUTHENTICATOR_LABEL: &str = "rc-pkg-authenticator";
 /// Label for the PKG → RC confirmation blob.
 pub const CONFIRM_LABEL: &str = "pkg-confirmation";
 /// Label for private-key delivery blobs.
@@ -132,11 +132,6 @@ impl PkgService {
     /// Snapshot of audit rejections (test/ops hook).
     pub fn rejection_count(&self) -> usize {
         lock(&self.inner).audit.rejection_count()
-    }
-
-    /// Number of live sessions.
-    pub fn session_count(&self) -> usize {
-        lock(&self.inner).sessions.len()
     }
 }
 
@@ -417,7 +412,6 @@ mod tests {
         });
         assert!(matches!(reply, Pdu::Error { code: 401, .. }));
         assert_eq!(svc.rejection_count(), 1);
-        assert_eq!(svc.session_count(), 0);
     }
 
     #[test]

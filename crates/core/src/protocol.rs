@@ -516,12 +516,6 @@ impl MwsService {
         Ok(stored.into_iter().map(|(id, _)| id).collect())
     }
 
-    /// Retention sweep: drops every warehoused message older than `before`
-    /// (ciphertexts only — nothing about them is recoverable afterwards).
-    pub fn purge_messages_before(&self, before: u64) -> Result<usize, CoreError> {
-        Ok(lock(&self.inner).mms.purge_before(before)?)
-    }
-
     /// The current Table 1 rows.
     pub fn policy_table(&self) -> Vec<PolicyRow> {
         lock(&self.inner).mms.policy().table()
@@ -1490,31 +1484,6 @@ mod tests {
     }
 
     #[test]
-    fn segmented_deposit_selective_visibility() {
-        let mut dep = deployment();
-        dep.register_device("m");
-        dep.register_client("billing", "pw", &["USAGE-APT"]);
-        dep.register_client("ops", "pw", &["ERRORS-APT"]);
-        let mut meter = dep.device("m");
-        meter
-            .deposit_segmented(&[
-                ("USAGE-APT", b"total=12kWh".as_slice()),
-                ("ERRORS-APT", b"err=none".as_slice()),
-            ])
-            .unwrap();
-        let mut billing = dep.client("billing", "pw");
-        let got = billing.retrieve_and_decrypt(0).unwrap();
-        assert_eq!(got.len(), 1);
-        let frame = crate::segmentation::SegmentFrame::parse(&got[0].plaintext).unwrap();
-        assert_eq!(frame.payload, b"total=12kWh");
-        assert_eq!(frame.total, 2, "billing knows a part is elsewhere");
-        let mut ops = dep.client("ops", "pw");
-        let got = ops.retrieve_and_decrypt(0).unwrap();
-        let frame = crate::segmentation::SegmentFrame::parse(&got[0].plaintext).unwrap();
-        assert_eq!(frame.payload, b"err=none");
-    }
-
-    #[test]
     fn ibs_device_auth_end_to_end() {
         // §VIII: deposits signed with identity-based signatures instead of
         // shared MAC keys — the MWS verifies with public parameters only.
@@ -1580,22 +1549,6 @@ mod tests {
         let newer = rc.retrieve_and_decrypt(5).unwrap();
         assert_eq!(newer.len(), 1);
         assert_eq!(newer[0].plaintext, b"two");
-    }
-
-    #[test]
-    fn retention_sweep_through_service() {
-        let mut dep = deployment();
-        dep.register_device("m");
-        dep.register_client("rc", "pw", &["A"]);
-        let mut meter = dep.device("m");
-        meter.deposit("A", b"old").unwrap();
-        dep.clock().advance(10);
-        meter.deposit("A", b"new").unwrap();
-        assert_eq!(dep.mws().purge_messages_before(5).unwrap(), 1);
-        let mut rc = dep.client("rc", "pw");
-        let got = rc.retrieve_and_decrypt(0).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].plaintext, b"new");
     }
 
     #[test]

@@ -9,13 +9,13 @@ use std::collections::HashMap;
 
 /// Per-device registration state.
 #[derive(Clone)]
-pub struct DeviceRecord {
+struct DeviceRecord {
     /// Device identity.
-    pub sd_id: String,
+    sd_id: String,
     /// `SecK_SD-MWS`: the shared MAC key.
-    pub mac_key: Vec<u8>,
+    mac_key: Vec<u8>,
     /// Whether the device may currently deposit.
-    pub enabled: bool,
+    enabled: bool,
 }
 
 impl core::fmt::Debug for DeviceRecord {
@@ -71,17 +71,6 @@ impl DeviceRegistry {
         }
     }
 
-    /// Re-enables a device.
-    pub fn enable(&mut self, sd_id: &str) -> bool {
-        match self.devices.get_mut(sd_id) {
-            Some(d) => {
-                d.enabled = true;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of registered devices.
     pub fn len(&self) -> usize {
         self.devices.len()
@@ -122,8 +111,6 @@ mod tests {
         reg.register("m", b"k");
         assert!(reg.disable("m"));
         assert_eq!(reg.mac_key("m"), None);
-        assert!(reg.enable("m"));
-        assert_eq!(reg.mac_key("m"), Some(&b"k"[..]));
         assert!(!reg.disable("ghost"));
     }
 }

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 
 /// Maximum entries an ingest point buffers before shedding oldest
 /// (sites are expected to be drained far more often).
-pub const MAX_BUFFER: usize = 100_000;
+const MAX_BUFFER: usize = 100_000;
 
 struct IngestInner {
     site: String,

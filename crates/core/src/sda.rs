@@ -123,7 +123,7 @@ pub fn encode_ibs_signature(ibe: &IbeSystem, sig: &IbsSignature) -> Vec<u8> {
 }
 
 /// Parses an [`encode_ibs_signature`] encoding.
-pub fn decode_ibs_signature(ibe: &IbeSystem, bytes: &[u8]) -> Option<IbsSignature> {
+fn decode_ibs_signature(ibe: &IbeSystem, bytes: &[u8]) -> Option<IbsSignature> {
     let f = ibe.pairing().field();
     let point_len = 1 + 8 * mws_pairing::FP_LIMBS;
     if bytes.len() != 2 * point_len {

@@ -32,7 +32,7 @@ pub struct TicketContent {
 
 const TICKET_LABEL: &str = "mws-pkg-ticket";
 /// Session keys are 256-bit.
-pub const SESSION_KEY_LEN: usize = 32;
+const SESSION_KEY_LEN: usize = 32;
 
 /// The MWS-side token/ticket factory, holding `SecK_MWS-PKG`.
 pub struct TokenGenerator {

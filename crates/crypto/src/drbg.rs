@@ -12,7 +12,6 @@ use mws_bigint::Rng;
 pub struct HmacDrbg {
     k: Vec<u8>,
     v: Vec<u8>,
-    reseed_counter: u64,
 }
 
 impl HmacDrbg {
@@ -21,7 +20,6 @@ impl HmacDrbg {
         let mut drbg = Self {
             k: vec![0u8; Sha256::OUTPUT_LEN],
             v: vec![1u8; Sha256::OUTPUT_LEN],
-            reseed_counter: 1,
         };
         let mut material = seed.to_vec();
         material.extend_from_slice(personalization);
@@ -32,12 +30,6 @@ impl HmacDrbg {
     /// Convenience: instantiate from a 64-bit seed (simulation use).
     pub fn from_u64(seed: u64) -> Self {
         Self::new(&seed.to_be_bytes(), b"mws-sim")
-    }
-
-    /// Mixes fresh entropy into the state.
-    pub fn reseed(&mut self, entropy: &[u8]) {
-        self.drbg_update(Some(entropy));
-        self.reseed_counter = 1;
     }
 
     fn drbg_update(&mut self, provided: Option<&[u8]>) {
@@ -69,7 +61,6 @@ impl HmacDrbg {
             filled += take;
         }
         self.drbg_update(None);
-        self.reseed_counter += 1;
     }
 
     /// Returns `n` pseudorandom bytes.
@@ -141,16 +132,6 @@ mod tests {
         let c = HmacDrbg::from_u64(8).bytes(64);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn reseed_changes_stream() {
-        let mut a = HmacDrbg::from_u64(1);
-        let mut b = HmacDrbg::from_u64(1);
-        let _ = a.bytes(32);
-        let _ = b.bytes(32);
-        b.reseed(b"fresh entropy");
-        assert_ne!(a.bytes(32), b.bytes(32));
     }
 
     #[test]

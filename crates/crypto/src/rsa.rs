@@ -8,23 +8,20 @@
 //! additionally hardcoded RSA keys for the RC token channel; here keys are
 //! generated properly.
 
-use crate::{Digest, Sha256};
 use mws_bigint::{gen_prime, MillerRabinRounds, Mont, Rng, U2048};
 
 /// Maximum modulus width supported (bits).
-pub const MAX_MODULUS_BITS: u32 = 2048;
+const MAX_MODULUS_BITS: u32 = 2048;
 
 /// RSA errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RsaError {
     /// Message too long for the modulus/padding.
     MessageTooLong,
-    /// Ciphertext or signature is not smaller than the modulus.
+    /// Ciphertext is not smaller than the modulus.
     OutOfRange,
     /// PKCS#1 structure invalid after decryption.
     BadPadding,
-    /// Signature did not verify.
-    BadSignature,
     /// Unsupported key size requested.
     BadKeySize,
 }
@@ -35,7 +32,6 @@ impl core::fmt::Display for RsaError {
             RsaError::MessageTooLong => "message too long",
             RsaError::OutOfRange => "value out of range",
             RsaError::BadPadding => "invalid PKCS#1 padding",
-            RsaError::BadSignature => "signature verification failed",
             RsaError::BadKeySize => "unsupported key size",
         };
         write!(f, "{s}")
@@ -60,7 +56,6 @@ pub struct RsaPrivateKey {
     n: Mont<32>,
     p: Mont<32>,
     q: Mont<32>,
-    d: U2048,
     dp: U2048,
     dq: U2048,
     /// `q⁻¹ mod p` in `p`'s Montgomery form: one Montgomery product with a
@@ -125,7 +120,6 @@ impl RsaKeyPair {
                 private: RsaPrivateKey {
                     n,
                     q: Mont::new(&q).expect("odd prime"),
-                    d,
                     dp,
                     dq,
                     qinv_m: p.to_mont(&qinv),
@@ -214,21 +208,6 @@ impl RsaPublicKey {
         let c = self.raw(&m)?;
         Ok(i2osp(&c, self.k))
     }
-
-    /// PKCS#1 v1.5 signature verification over SHA-256.
-    pub fn verify_pkcs1_sha256(&self, msg: &[u8], sig: &[u8]) -> Result<(), RsaError> {
-        if sig.len() != self.k {
-            return Err(RsaError::BadSignature);
-        }
-        let s = U2048::from_be_bytes(sig).map_err(|_| RsaError::OutOfRange)?;
-        let em = i2osp(&self.raw(&s)?, self.k);
-        let expect = emsa_pkcs1_sha256(msg, self.k)?;
-        if crate::ct_eq(&em, &expect) {
-            Ok(())
-        } else {
-            Err(RsaError::BadSignature)
-        }
-    }
 }
 
 impl RsaPrivateKey {
@@ -255,14 +234,6 @@ impl RsaPrivateKey {
         Ok(m2.wrapping_add(&hq))
     }
 
-    /// Raw private-key operation without CRT (for cross-checking).
-    fn raw_nocrt(&self, c: &U2048) -> Result<U2048, RsaError> {
-        if c >= self.n.modulus() {
-            return Err(RsaError::OutOfRange);
-        }
-        Ok(self.n.pow(c, &self.d))
-    }
-
     /// PKCS#1 v1.5 decryption.
     pub fn decrypt_pkcs1(&self, ct: &[u8]) -> Result<Vec<u8>, RsaError> {
         if ct.len() != self.k {
@@ -282,15 +253,6 @@ impl RsaPrivateKey {
         }
         Ok(em[3 + sep..].to_vec())
     }
-
-    /// PKCS#1 v1.5 signature over SHA-256.
-    pub fn sign_pkcs1_sha256(&self, msg: &[u8]) -> Result<Vec<u8>, RsaError> {
-        let em = emsa_pkcs1_sha256(msg, self.k)?;
-        let m = U2048::from_be_bytes(&em).expect("k bytes fit");
-        let s = self.raw(&m)?;
-        debug_assert_eq!(self.raw_nocrt(&m).expect("in range"), s, "CRT mismatch");
-        Ok(i2osp(&s, self.k))
-    }
 }
 
 /// Integer-to-octet-string, fixed length `k`.
@@ -298,25 +260,6 @@ fn i2osp(v: &U2048, k: usize) -> Vec<u8> {
     let full = v.to_be_bytes();
     debug_assert!(full.len() >= k);
     full[full.len() - k..].to_vec()
-}
-
-/// EMSA-PKCS1-v1_5 encoding with the SHA-256 DigestInfo prefix.
-fn emsa_pkcs1_sha256(msg: &[u8], k: usize) -> Result<Vec<u8>, RsaError> {
-    const PREFIX: [u8; 19] = [
-        0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01,
-        0x05, 0x00, 0x04, 0x20,
-    ];
-    let t_len = PREFIX.len() + Sha256::OUTPUT_LEN;
-    if k < t_len + 11 {
-        return Err(RsaError::MessageTooLong);
-    }
-    let mut em = vec![0xffu8; k];
-    em[0] = 0x00;
-    em[1] = 0x01;
-    em[k - t_len - 1] = 0x00;
-    em[k - t_len..k - Sha256::OUTPUT_LEN].copy_from_slice(&PREFIX);
-    em[k - Sha256::OUTPUT_LEN..].copy_from_slice(&Sha256::digest(msg));
-    Ok(em)
 }
 
 #[cfg(test)]
@@ -399,31 +342,6 @@ mod tests {
         if let Ok(m) = kp.private.decrypt_pkcs1(&ct) {
             assert_ne!(m, b"secret");
         }
-    }
-
-    #[test]
-    fn sign_verify_roundtrip() {
-        let kp = keypair();
-        let sig = kp.private.sign_pkcs1_sha256(b"deposit #1").unwrap();
-        kp.public.verify_pkcs1_sha256(b"deposit #1", &sig).unwrap();
-        assert_eq!(
-            kp.public
-                .verify_pkcs1_sha256(b"deposit #2", &sig)
-                .unwrap_err(),
-            RsaError::BadSignature
-        );
-        let mut bad = sig.clone();
-        bad[0] ^= 1;
-        assert!(kp.public.verify_pkcs1_sha256(b"deposit #1", &bad).is_err());
-    }
-
-    #[test]
-    fn cross_key_rejection() {
-        let kp1 = keypair();
-        let mut rng = HmacDrbg::from_u64(99);
-        let kp2 = RsaKeyPair::generate(&mut rng, 512).unwrap();
-        let sig = kp1.private.sign_pkcs1_sha256(b"msg").unwrap();
-        assert!(kp2.public.verify_pkcs1_sha256(b"msg", &sig).is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub enum CipherAlgo {
 
 impl CipherAlgo {
     /// Encryption key length in bytes.
-    pub fn key_len(self) -> usize {
+    fn key_len(self) -> usize {
         match self {
             CipherAlgo::Des => 8,
             CipherAlgo::Aes128 => 16,
@@ -218,45 +218,12 @@ impl IbeSystem {
         aad: &[u8],
     ) -> Result<Vec<u8>, IbeError> {
         // K = ê(sI, U) = ê(sI, rP)
-        let g = {
-            let ctx = self.pairing();
-            if ct.u.is_infinity() || !ctx.field().is_on_curve(&ct.u) {
-                return Err(IbeError::InvalidPoint);
-            }
-            ctx.pairing(sk.point(), &ct.u)
-        };
-        self.decrypt_attr_tail(&g, ct, aad)
-    }
-
-    /// RC-side decryption with a prepared key (see
-    /// [`crate::bf::DecryptionKey`]) — same result as
-    /// [`Self::decrypt_attr`], skipping the per-call Miller point
-    /// arithmetic. Pays off when one extracted key decrypts many messages.
-    pub fn decrypt_attr_prepared(
-        &self,
-        dk: &crate::bf::DecryptionKey,
-        ct: &AttrCiphertext,
-        aad: &[u8],
-    ) -> Result<Vec<u8>, IbeError> {
-        let g = {
-            let ctx = self.pairing();
-            if ct.u.is_infinity() || !ctx.field().is_on_curve(&ct.u) {
-                return Err(IbeError::InvalidPoint);
-            }
-            ctx.pairing_with(dk.prepared(), &ct.u)
-        };
-        self.decrypt_attr_tail(&g, ct, aad)
-    }
-
-    /// Key derivation and [`open`], shared by the plain and prepared
-    /// decrypt paths.
-    fn decrypt_attr_tail(
-        &self,
-        g: &Fp2,
-        ct: &AttrCiphertext,
-        aad: &[u8],
-    ) -> Result<Vec<u8>, IbeError> {
-        hybrid(self, g, ct.algo, Etm::Open, aad, &ct.sealed)
+        let ctx = self.pairing();
+        if ct.u.is_infinity() || !ctx.field().is_on_curve(&ct.u) {
+            return Err(IbeError::InvalidPoint);
+        }
+        let g = ctx.pairing(sk.point(), &ct.u);
+        hybrid(self, &g, ct.algo, Etm::Open, aad, &ct.sealed)
             .map_err(|_| IbeError::InvalidCiphertext)
     }
 }
@@ -296,31 +263,6 @@ mod tests {
                 "{algo:?}"
             );
         }
-    }
-
-    #[test]
-    fn prepared_decrypt_matches_plain() {
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(0x50524550);
-        let (msk, mpk) = ibe.setup(&mut rng);
-        let ct = ibe.encrypt_attr(
-            &mut rng,
-            &mpk,
-            "ELECTRIC-APT-SV-CA",
-            b"nonce-9",
-            CipherAlgo::Aes128,
-            b"hdr",
-            b"reading=7",
-        );
-        let sk = ibe.extract_point(&msk, &ibe.attribute_point("ELECTRIC-APT-SV-CA", b"nonce-9"));
-        let dk = ibe.prepare_key(&sk);
-        assert_eq!(
-            ibe.decrypt_attr_prepared(&dk, &ct, b"hdr").unwrap(),
-            ibe.decrypt_attr(&sk, &ct, b"hdr").unwrap()
-        );
-        let mut bad = ct;
-        bad.sealed[0] ^= 1;
-        assert!(ibe.decrypt_attr_prepared(&dk, &bad, b"hdr").is_err());
     }
 
     #[test]

@@ -64,24 +64,13 @@ impl IbeSystem {
         msg: &[u8],
     ) -> FullCiphertext {
         let q_id = self.identity_point(id);
-        self.encrypt_full_point(rng, mpk, &q_id, msg)
-    }
-
-    /// FullIdent encryption to a pre-mapped identity point.
-    pub fn encrypt_full_point<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        mpk: &MasterPublic,
-        q_id: &Point,
-        msg: &[u8],
-    ) -> FullCiphertext {
         let mut sigma = [0u8; 32];
         rng.fill_bytes(&mut sigma);
         let r = h3(self, &sigma, msg);
         let ctx = self.pairing();
         let u = ctx.mul_generator(&r);
         // ê(Q_ID, P_pub) via P_pub's prepared tape (pairing symmetry).
-        let g = ctx.pairing_with(mpk.prepared(ctx), q_id);
+        let g = ctx.pairing_with(mpk.prepared(ctx), &q_id);
         let gr = ctx.field().fp2_pow(&g, &r);
         let mut v = sigma;
         xor_into(&mut v, &xor_pad(ctx, &gr, 32));
@@ -91,7 +80,8 @@ impl IbeSystem {
         FullCiphertext { u, v, w }
     }
 
-    /// FullIdent decryption with the FO re-encryption check.
+    /// FullIdent decryption: unmasks σ and M, then runs the FO re-encryption
+    /// check (`U == H₃(σ ‖ M)·P`, via the generator comb table).
     pub fn decrypt_full(
         &self,
         sk: &UserPrivateKey,
@@ -102,34 +92,8 @@ impl IbeSystem {
             return Err(IbeError::InvalidPoint);
         }
         let g = ctx.pairing(sk.point(), &ct.u);
-        self.decrypt_full_tail(&g, ct)
-    }
-
-    /// FullIdent decryption with a prepared key — same result as
-    /// [`Self::decrypt_full`] without the per-call Miller point arithmetic.
-    pub fn decrypt_full_prepared(
-        &self,
-        dk: &crate::bf::DecryptionKey,
-        ct: &FullCiphertext,
-    ) -> Result<Vec<u8>, IbeError> {
-        let ctx = self.pairing();
-        if ct.u.is_infinity() || !ctx.field().is_on_curve(&ct.u) {
-            return Err(IbeError::InvalidPoint);
-        }
-        let g = ctx.pairing_with(dk.prepared(), &ct.u);
-        self.decrypt_full_tail(&g, ct)
-    }
-
-    /// Unmasks σ and M from the pairing value and runs the FO re-encryption
-    /// check (`U == H₃(σ ‖ M)·P`, via the generator comb table).
-    fn decrypt_full_tail(
-        &self,
-        g: &mws_pairing::Fp2,
-        ct: &FullCiphertext,
-    ) -> Result<Vec<u8>, IbeError> {
-        let ctx = self.pairing();
         let mut sigma = ct.v;
-        xor_into(&mut sigma, &xor_pad(ctx, g, 32));
+        xor_into(&mut sigma, &xor_pad(ctx, &g, 32));
         let mut msg = ct.w.clone();
         let pad = h4(&sigma, msg.len());
         xor_into(&mut msg, &pad);
@@ -188,26 +152,6 @@ mod tests {
         let mut bad = ct;
         bad.u = ibe.pairing().mul(&bad.u, &FpW::from_u64(2));
         assert!(ibe.decrypt_full(&sk, &bad).is_err());
-    }
-
-    #[test]
-    fn prepared_decrypt_matches() {
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(6);
-        let (msk, mpk) = ibe.setup(&mut rng);
-        let ct = ibe.encrypt_full(&mut rng, &mpk, b"carol", b"the readings");
-        let sk = ibe.extract(&msk, b"carol");
-        let dk = ibe.prepare_key(&sk);
-        assert_eq!(
-            ibe.decrypt_full_prepared(&dk, &ct).unwrap(),
-            b"the readings"
-        );
-        let mut bad = ct;
-        bad.w[0] ^= 1;
-        assert_eq!(
-            ibe.decrypt_full_prepared(&dk, &bad).unwrap_err(),
-            IbeError::InvalidCiphertext
-        );
     }
 
     #[test]

@@ -1,36 +1,20 @@
-//! Pairing-based signatures — paper §VIII future work.
+//! Identity-based signatures — paper §VIII future work.
 //!
 //! "There may be a possibility of the SD to use IBE and the ID of the MWS to
-//! sign a message." Two schemes over the same pairing:
-//!
-//! * [`BlsKeyPair`] — plain BLS short signatures (`σ = x·H(m)`,
-//!   `ê(σ, P) == ê(H(m), xP)`): the modern choice when a device holds its
-//!   own keypair.
-//! * Cha–Cheon **identity-based** signatures: the device's signing key is
-//!   `d_ID = s·Q_ID`, extracted by the PKG exactly like a decryption key, so
-//!   a verifier needs only the system parameters and the signer's *identity
-//!   string* — no per-device certificate, matching the paper's constraint
-//!   that smart devices cannot manage certificates.
+//! sign a message." This is the one signature scheme the system runs, over
+//! the same pairing: Cha–Cheon **identity-based** signatures. The device's
+//! signing key is `d_ID = s·Q_ID`, extracted by the PKG exactly like a
+//! decryption key, so a verifier needs only the system parameters and the
+//! signer's *identity string* — no per-device certificate, matching the
+//! paper's constraint that smart devices cannot manage certificates. The
+//! SDA verifies device deposits with it, and the sealed transport's
+//! handshake signs with it.
 
 use crate::bf::{IbeSystem, MasterPublic, UserPrivateKey};
 use crate::IbeError;
 use mws_bigint::Uint;
 use mws_crypto::{kdf, Rng, Sha256};
 use mws_pairing::{FpW, Point};
-
-/// A BLS keypair `(x, xP)`.
-#[derive(Clone)]
-pub struct BlsKeyPair {
-    sk: FpW,
-    /// Public key `xP`.
-    pub pk: Point,
-}
-
-impl core::fmt::Debug for BlsKeyPair {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "BlsKeyPair {{ pk: {:?}, .. }}", self.pk)
-    }
-}
 
 /// A Cha–Cheon identity-based signature `(U, V)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,36 +43,6 @@ fn h_scalar(ibe: &IbeSystem, msg: &[u8], u: &Point) -> FpW {
 }
 
 impl IbeSystem {
-    /// Generates a BLS keypair (fixed-base comb multiplication).
-    pub fn bls_keygen<R: Rng + ?Sized>(&self, rng: &mut R) -> BlsKeyPair {
-        let sk = self.pairing().random_scalar(rng);
-        let pk = self.pairing().mul_generator(&sk);
-        BlsKeyPair { sk, pk }
-    }
-
-    /// BLS sign: `σ = x·H(m)`.
-    pub fn bls_sign(&self, kp: &BlsKeyPair, msg: &[u8]) -> Point {
-        let h = self.pairing().hash_to_point(msg);
-        self.pairing().mul(&h, &kp.sk)
-    }
-
-    /// BLS verify: `ê(σ, P) == ê(H(m), pk)`.
-    pub fn bls_verify(&self, pk: &Point, msg: &[u8], sig: &Point) -> Result<(), IbeError> {
-        let ctx = self.pairing();
-        if sig.is_infinity() || !ctx.field().is_on_curve(sig) {
-            return Err(IbeError::BadSignature);
-        }
-        let h = ctx.hash_to_point(msg);
-        // ê(σ, P) = ê(P, σ) by symmetry: use the cached generator tape.
-        let lhs = ctx.pairing_with(ctx.prepared_generator(), sig);
-        let rhs = ctx.pairing(&h, pk);
-        if lhs == rhs {
-            Ok(())
-        } else {
-            Err(IbeError::BadSignature)
-        }
-    }
-
     /// Cha–Cheon identity-based signing with an extracted key `d_ID`.
     pub fn ibs_sign<R: Rng + ?Sized>(
         &self,
@@ -144,36 +98,6 @@ mod tests {
 
     fn system() -> IbeSystem {
         IbeSystem::named(SecurityLevel::Toy)
-    }
-
-    #[test]
-    fn bls_roundtrip() {
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(1);
-        let kp = ibe.bls_keygen(&mut rng);
-        let sig = ibe.bls_sign(&kp, b"deposit: meter 7, 42kWh");
-        ibe.bls_verify(&kp.pk, b"deposit: meter 7, 42kWh", &sig)
-            .unwrap();
-    }
-
-    #[test]
-    fn bls_rejects_wrong_message_or_key() {
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(2);
-        let kp = ibe.bls_keygen(&mut rng);
-        let kp2 = ibe.bls_keygen(&mut rng);
-        let sig = ibe.bls_sign(&kp, b"m1");
-        assert!(ibe.bls_verify(&kp.pk, b"m2", &sig).is_err());
-        assert!(ibe.bls_verify(&kp2.pk, b"m1", &sig).is_err());
-        assert!(ibe.bls_verify(&kp.pk, b"m1", &Point::Infinity).is_err());
-    }
-
-    #[test]
-    fn bls_signature_is_deterministic() {
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(3);
-        let kp = ibe.bls_keygen(&mut rng);
-        assert_eq!(ibe.bls_sign(&kp, b"m"), ibe.bls_sign(&kp, b"m"));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! * [`bf`] — the Boneh–Franklin scheme: `Setup`, `Extract`, and the
 //!   **BasicIdent** encrypt/decrypt (CPA-secure, what the paper describes).
 //! * [`fullident`] — **FullIdent**, the Fujisaki–Okamoto-transformed
-//!   CCA-secure variant (design decision D2).
+//!   CCA-secure variant, kept as design decision D2's ablation: the
+//!   protocol runs [`attr`], and the E3 bench is FullIdent's caller.
 //! * [`attr`] — the paper's *attribute* scheme: identities are attribute
 //!   strings plus a per-message nonce (`I = H(A ‖ Nonce)`), and the IBE
 //!   value keys a symmetric cipher (`C = E{M, h[ê(Q_ID, sP)^r]}`). This is
@@ -13,9 +14,9 @@
 //! * [`threshold`] — a `t`-of-`n` distributed PKG via Shamir sharing of the
 //!   master secret (paper §VIII future work: "a form of threshold
 //!   cryptography may also be considered, to create a distributed PKG").
-//! * [`ibs`] — identity-based signatures (Cha–Cheon) and plain BLS
-//!   signatures (paper §VIII: "a possibility of the SD to use IBE … to sign
-//!   a message").
+//! * [`ibs`] — Cha–Cheon identity-based signatures (paper §VIII: "a
+//!   possibility of the SD to use IBE … to sign a message"), the one
+//!   signature scheme the SDA and the sealed transport's handshake use.
 //!
 //! # Quickstart
 //!

@@ -109,18 +109,3 @@ fn threshold_any_t_of_n() {
         },
     );
 }
-
-#[test]
-fn bls_never_cross_verifies() {
-    cases(16, |g| (g.bytes(1..60), g.bytes(1..60))).check(|(msg1, msg2)| {
-        if msg1 == msg2 {
-            return;
-        }
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(4);
-        let kp = ibe.bls_keygen(&mut rng);
-        let sig = ibe.bls_sign(&kp, &msg1);
-        assert!(ibe.bls_verify(&kp.pk, &msg1, &sig).is_ok());
-        assert!(ibe.bls_verify(&kp.pk, &msg2, &sig).is_err());
-    });
-}

@@ -18,12 +18,6 @@ impl LatencyModel {
         per_byte_ns: 0,
     };
 
-    /// A WAN-ish profile (20 ms RTT halves, ~10 Mbit/s).
-    pub const WAN: Self = Self {
-        base_us: 10_000,
-        per_byte_ns: 800,
-    };
-
     /// Modeled microseconds for a message of `len` bytes.
     pub fn cost_us(&self, len: usize) -> u64 {
         self.base_us + (self.per_byte_ns * len as u64) / 1000

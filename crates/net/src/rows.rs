@@ -21,7 +21,7 @@ use std::sync::{Mutex, OnceLock};
 pub const PAGE_ROWS: usize = 512;
 
 /// The most rows a server answers in one page, whatever `max` asks for.
-pub const MAX_PAGE_ROWS: usize = 4096;
+const MAX_PAGE_ROWS: usize = 4096;
 
 /// Why a pull returned no rows.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -90,8 +90,18 @@ pub fn set_max_level(level: Option<Level>) {
     MAX_LEVEL.store(level.map_or(0, |l| l as u8), Ordering::Relaxed);
 }
 
-/// The current global gate, `None` when logging is off.
-pub fn max_level() -> Option<Level> {
+/// Serializes tests that mutate process-global logging state (the gate
+/// and the sink list), so parallel test threads cannot race each other.
+#[cfg(test)]
+pub(crate) fn gate_guard() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    crate::sync::lock(&GATE)
+}
+
+/// The current global gate, `None` when logging is off: what a test that
+/// moves the gate restores.
+#[cfg(test)]
+pub(crate) fn max_level() -> Option<Level> {
     match MAX_LEVEL.load(Ordering::Relaxed) {
         1 => Some(Level::Error),
         2 => Some(Level::Warn),
@@ -100,14 +110,6 @@ pub fn max_level() -> Option<Level> {
         5 => Some(Level::Trace),
         _ => None,
     }
-}
-
-/// Serializes tests that mutate process-global logging state (the gate
-/// and the sink list), so parallel test threads cannot race each other.
-#[cfg(test)]
-pub(crate) fn gate_guard() -> std::sync::MutexGuard<'static, ()> {
-    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    crate::sync::lock(&GATE)
 }
 
 #[cfg(test)]

@@ -41,12 +41,9 @@ mod metrics;
 pub mod sync;
 pub mod trace;
 
-pub use level::{enabled, max_level, set_max_level, Level, ParseLevelError};
-pub use log::{
-    add_sink, clear_sinks, dispatch, format_record, init_from_env, Record, RingSink, Sink,
-    StderrSink, Value,
-};
-pub use metrics::{metric_name, registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+pub use level::{enabled, set_max_level, Level, ParseLevelError};
+pub use log::{add_sink, dispatch, init_from_env, Record, RingSink, Sink, StderrSink, Value};
+pub use metrics::{metric_name, registry, Counter, Gauge, Histogram, Registry};
 
 /// Emits a structured event at an explicit level.
 ///
@@ -112,6 +109,7 @@ macro_rules! trace {
 #[cfg(test)]
 mod macro_tests {
     use super::*;
+    use crate::level::max_level;
     use std::sync::Arc;
 
     #[test]

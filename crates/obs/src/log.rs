@@ -159,11 +159,6 @@ pub fn add_sink(sink: Arc<dyn Sink>) {
     write_lock(&SINKS).push(sink);
 }
 
-/// Removes every installed sink (test isolation).
-pub fn clear_sinks() {
-    write_lock(&SINKS).clear();
-}
-
 /// Fans a record out to every installed sink.
 ///
 /// Callers normally go through the [`event!`](crate::event!) macros,
@@ -179,7 +174,7 @@ pub fn dispatch(record: Record) {
 /// ```text
 /// [   0.123456 WARN  mws_server] retry exhausted attempts=3 trace=4be63a…/09f2c1…
 /// ```
-pub fn format_record(record: &Record) -> String {
+fn format_record(record: &Record) -> String {
     let secs = record.elapsed_us / 1_000_000;
     let micros = record.elapsed_us % 1_000_000;
     let mut line = format!(

@@ -160,7 +160,7 @@ impl Histogram {
     }
 
     /// Records `n` observations of the same value.
-    pub fn record_n(&self, value: u64, n: u64) {
+    fn record_n(&self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -178,7 +178,7 @@ impl Histogram {
     }
 
     /// A point-in-time snapshot with p50/p90/p99/max.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> = self
             .0
             .buckets
@@ -217,19 +217,19 @@ impl Histogram {
 
 /// The result of [`Histogram::snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
+struct HistogramSnapshot {
     /// Observations recorded (saturating).
-    pub count: u64,
+    count: u64,
     /// Sum of observed values (saturating).
-    pub sum: u64,
+    sum: u64,
     /// Largest observed value.
-    pub max: u64,
+    max: u64,
     /// Median estimate (bucket upper bound, clamped to `max`).
-    pub p50: u64,
+    p50: u64,
     /// 90th-percentile estimate.
-    pub p90: u64,
+    p90: u64,
     /// 99th-percentile estimate.
-    pub p99: u64,
+    p99: u64,
 }
 
 enum Metric {

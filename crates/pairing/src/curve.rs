@@ -91,12 +91,7 @@ pub struct CombTable {
 
 impl CombTable {
     /// Comb width (number of teeth per column).
-    pub const WIDTH: u32 = 4;
-
-    /// Widest scalar (in bits) the table covers without falling back.
-    pub fn scalar_bits(&self) -> u32 {
-        Self::WIDTH * self.d
-    }
+    const WIDTH: u32 = 4;
 }
 
 impl<const N: usize> Field<N> {
@@ -660,7 +655,7 @@ mod tests {
         let p = f.random_curve_point(&mut rng);
         let order = field().modulus().wrapping_add(&FpW::ONE);
         let table = f.comb_table(&p, order.bits());
-        assert!(table.scalar_bits() >= order.bits());
+        assert!(CombTable::WIDTH * table.d >= order.bits());
         let mut scalars = vec![FpW::ZERO, FpW::ONE, FpW::from_u64(2)];
         for k in [3u64, 255, 256, 0xdead_beef] {
             scalars.push(FpW::from_u64(k));

@@ -368,7 +368,13 @@ mod tests {
         };
         let units = [
             mws_wire::encode_envelope_traced(&Pdu::ParamsRequest, ctx),
-            mws_wire::secure::encode_record(mws_wire::secure::record::DATA, b"sealed"),
+            // A secure DATA record (type 4): `0x03 ‖ rtype ‖ len(4 LE) ‖ payload`.
+            [
+                &[WIRE_VERSION_SECURE, 4],
+                &6u32.to_le_bytes()[..],
+                b"sealed",
+            ]
+            .concat(),
             vec![0xde, 0xad],
         ];
         let mut buf = units.concat();

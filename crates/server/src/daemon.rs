@@ -30,7 +30,7 @@ pub enum Role {
 
 impl Role {
     /// The §VI.C-style fixed default port for this server.
-    pub fn default_port(self) -> u16 {
+    fn default_port(self) -> u16 {
         match self {
             Role::Mms => 7101,
             Role::Pkg => 7102,

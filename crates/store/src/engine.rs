@@ -215,15 +215,6 @@ impl KvEngine {
         self.map.is_empty()
     }
 
-    /// All `(key, value)` pairs with the given key prefix, in key order.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.map
-            .range(prefix.to_vec()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
     /// Iterates all live rows in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &Vec<u8>)> {
         self.map.iter()
@@ -288,11 +279,6 @@ impl KvEngine {
             wal_bytes = self.wal.len_bytes(),
         );
         Ok(())
-    }
-
-    /// WAL size in bytes (for compaction policy and benchmarks).
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal.len_bytes()
     }
 }
 
@@ -360,27 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_scan_ordering() {
-        let mut kv = KvEngine::open(StorageKind::Memory).unwrap();
-        for (k, v) in [
-            ("msg/002", "b"),
-            ("msg/001", "a"),
-            ("policy/x", "p"),
-            ("msg/010", "c"),
-        ] {
-            kv.put(k.as_bytes(), v.as_bytes()).unwrap();
-        }
-        let rows = kv.scan_prefix(b"msg/");
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].0, b"msg/001");
-        assert_eq!(rows[1].0, b"msg/002");
-        assert_eq!(rows[2].0, b"msg/010");
-        assert!(kv.scan_prefix(b"nothing/").is_empty());
-        // Empty prefix scans everything.
-        assert_eq!(kv.scan_prefix(b"").len(), 4);
-    }
-
-    #[test]
     fn replay_rebuilds_state() {
         let path = std::env::temp_dir().join(format!("mws-kv-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -408,10 +373,10 @@ mod tests {
             kv.put(b"hot", format!("v{i}").as_bytes()).unwrap();
         }
         kv.put(b"cold", b"1").unwrap();
-        let before = kv.wal_bytes();
+        let before = kv.wal.len_bytes();
         assert!(kv.garbage_ratio() > 0.9);
         kv.compact().unwrap();
-        assert!(kv.wal_bytes() < before / 10);
+        assert!(kv.wal.len_bytes() < before / 10);
         assert_eq!(kv.garbage_ratio(), 0.0);
         assert_eq!(kv.get(b"hot").unwrap().unwrap(), b"v99");
         assert_eq!(kv.get(b"cold").unwrap().unwrap(), b"1");
@@ -490,7 +455,7 @@ mod tests {
         assert_eq!(kv.len(), 1, "corrupt record dropped at the CRC check");
         assert_eq!(kv.get(b"good").unwrap().unwrap(), b"kept");
         assert!(kv.get(b"bad").unwrap().is_none());
-        assert_eq!(kv.wal_bytes() as usize, prefix_len);
+        assert_eq!(kv.wal.len_bytes() as usize, prefix_len);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -165,12 +165,6 @@ impl PolicyDb {
             .unwrap_or_default()
     }
 
-    /// Resolves an AID to its attribute (the PKG-side lookup: "PKG replaces
-    /// AID with A").
-    pub fn attribute_by_id(&self, aid: AttributeId) -> Option<&PolicyRow> {
-        self.rows.get(&aid)
-    }
-
     /// Every row in AID order — regenerates the paper's Table 1.
     pub fn table(&self) -> Vec<PolicyRow> {
         self.rows.values().cloned().collect()
@@ -264,15 +258,6 @@ mod tests {
         assert!(db.attributes_for("IDRC1").is_empty());
         assert_eq!(db.len(), 3);
         assert_eq!(db.revoke_identity("IDRC1").unwrap(), 0);
-    }
-
-    #[test]
-    fn aid_resolution() {
-        let db = table1();
-        let row = db.attribute_by_id(3).unwrap();
-        assert_eq!(row.identity, "IDRC2");
-        assert_eq!(row.attribute, "A1");
-        assert!(db.attribute_by_id(99).is_none());
     }
 
     #[test]

@@ -27,11 +27,11 @@ const MAGIC: u8 = 0xa7;
 const HEADER: usize = 1 + 4 + 4;
 
 /// Maximum payload size (16 MiB) — guards against reading a garbage length.
-pub const MAX_RECORD: usize = 16 << 20;
+const MAX_RECORD: usize = 16 << 20;
 
 /// Byte-level storage behind a segment.
 #[derive(Debug)]
-pub enum SegmentStorage {
+enum SegmentStorage {
     /// Volatile in-memory buffer.
     Memory(Vec<u8>),
     /// File-backed storage.
@@ -193,15 +193,6 @@ impl Segment {
         Ok(())
     }
 
-    /// Reads the record at `offset` (as returned by [`Self::append`]).
-    pub fn read_at(&mut self, offset: u64) -> Result<Vec<u8>> {
-        let bytes = self.read_all()?;
-        let bytes = &bytes[..(self.len as usize).min(bytes.len())];
-        decode_frame(bytes, offset as usize)
-            .map(|(payload, _)| payload)
-            .ok_or(StoreError::Corrupt { offset })
-    }
-
     /// Iterates `(offset, payload)` over all valid records.
     pub fn iter(&mut self) -> Result<Vec<(u64, Vec<u8>)>> {
         let bytes = self.read_all()?;
@@ -259,29 +250,17 @@ mod tests {
         let mut seg = Segment::memory();
         let o1 = seg.append(b"first").unwrap();
         let o2 = seg.append(b"second record").unwrap();
-        assert_eq!(seg.read_at(o1).unwrap(), b"first");
-        assert_eq!(seg.read_at(o2).unwrap(), b"second record");
         let all = seg.iter().unwrap();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0], (o1, b"first".to_vec()));
+        assert_eq!(all[1], (o2, b"second record".to_vec()));
     }
 
     #[test]
     fn empty_record_roundtrips() {
         let mut seg = Segment::memory();
         let o = seg.append(b"").unwrap();
-        assert_eq!(seg.read_at(o).unwrap(), b"");
-    }
-
-    #[test]
-    fn read_at_bad_offset_fails() {
-        let mut seg = Segment::memory();
-        seg.append(b"data").unwrap();
-        assert!(matches!(
-            seg.read_at(1),
-            Err(StoreError::Corrupt { offset: 1 })
-        ));
-        assert!(seg.read_at(10_000).is_err());
+        assert_eq!(seg.iter().unwrap(), [(o, Vec::new())]);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl ShardRouter {
     }
 
     /// The shard owning this message id (ids are striped `id ≡ k mod n`).
-    pub fn shard_of_id(&self, id: MessageId) -> usize {
+    fn shard_of_id(&self, id: MessageId) -> usize {
         (id % self.shards as u64) as usize
     }
 }
@@ -195,11 +195,6 @@ impl ShardedMessageDb {
     /// The routing function (copyable; clients can pre-compute placement).
     pub fn router(&self) -> ShardRouter {
         self.router
-    }
-
-    /// The shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     fn shard(&self, k: usize) -> MutexGuard<'_, MessageDb> {

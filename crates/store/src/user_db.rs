@@ -9,7 +9,7 @@
 
 use crate::engine::{KvEngine, StorageKind};
 use crate::{Result, StoreError};
-use mws_crypto::{ct_eq, Digest, Sha256};
+use mws_crypto::{Digest, Sha256};
 use mws_wire::{WireReader, WireWriter};
 
 /// One registered receiving client.
@@ -66,14 +66,6 @@ impl UserDb {
         }
     }
 
-    /// Verifies a password in constant time.
-    pub fn verify_password(&self, identity: &str, password: &str) -> bool {
-        match self.get(identity) {
-            Ok(rec) => ct_eq(&rec.hash_password, &Sha256::digest(password.as_bytes())),
-            Err(_) => false,
-        }
-    }
-
     /// Removes an RC entirely.
     pub fn remove(&mut self, identity: &str) -> Result<()> {
         if !self.kv.contains(&key_of(identity)) {
@@ -126,12 +118,10 @@ mod tests {
         let mut db = UserDb::open(StorageKind::Memory).unwrap();
         db.register("C-Services", "hunter2", b"pubkey-bytes")
             .unwrap();
-        assert!(db.verify_password("C-Services", "hunter2"));
-        assert!(!db.verify_password("C-Services", "hunter3"));
-        assert!(!db.verify_password("Nobody", "hunter2"));
         let rec = db.get("C-Services").unwrap();
         assert_eq!(rec.public_key, b"pubkey-bytes");
-        assert_eq!(rec.hash_password.len(), 32);
+        assert_eq!(rec.hash_password, Sha256::digest(b"hunter2"));
+        assert!(db.get("Nobody").is_err());
     }
 
     #[test]
@@ -165,7 +155,7 @@ mod tests {
             db.sync().unwrap();
         }
         let db = UserDb::open(StorageKind::File(path.clone())).unwrap();
-        assert!(db.verify_password("rc1", "pw1"));
+        assert_eq!(db.get("rc1").unwrap().hash_password, Sha256::digest(b"pw1"));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -86,28 +86,3 @@ fn file_engine_reopen_matches_model() {
         std::fs::remove_file(&path).unwrap();
     });
 }
-
-#[test]
-fn prefix_scan_matches_model() {
-    cases(64, |g| {
-        (
-            g.vec(0..30, |g| g.vec(1..5, |g| g.int(0..4) as u8)),
-            g.vec(0..3, |g| g.int(0..4) as u8),
-        )
-    })
-    .check(|(keys, prefix)| {
-        let mut kv = KvEngine::open(StorageKind::Memory).unwrap();
-        let mut model = BTreeMap::new();
-        for (i, k) in keys.iter().enumerate() {
-            kv.put(k, &[i as u8]).unwrap();
-            model.insert(k.clone(), vec![i as u8]);
-        }
-        let got = kv.scan_prefix(&prefix);
-        let want: Vec<_> = model
-            .iter()
-            .filter(|(k, _)| k.starts_with(&prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        assert_eq!(got, want);
-    });
-}

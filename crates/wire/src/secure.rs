@@ -45,39 +45,36 @@ use mws_crypto::{
 pub const WIRE_VERSION_SECURE: u8 = 3;
 
 /// Secure record types (second header byte).
-pub mod record {
+mod record {
     /// Client handshake opener: protocol version, identity, nonce,
     /// ephemeral public value.
-    pub const HELLO: u8 = 1;
+    pub(super) const HELLO: u8 = 1;
     /// Server reply: identity, nonce, ephemeral public value, transcript
     /// signature.
-    pub const ACCEPT: u8 = 2;
+    pub(super) const ACCEPT: u8 = 2;
     /// Client transcript signature + key-confirmation MAC.
-    pub const FINISH: u8 = 3;
+    pub(super) const FINISH: u8 = 3;
     /// One sealed envelope frame.
-    pub const DATA: u8 = 4;
+    pub(super) const DATA: u8 = 4;
     /// Authenticated end-of-session marker (sealed, empty plaintext).
-    pub const CLOSE: u8 = 5;
+    pub(super) const CLOSE: u8 = 5;
 }
 
 /// Handshake protocol version inside `HELLO`/`ACCEPT`.
-pub const SECURE_PROTO_V1: u8 = 1;
+const SECURE_PROTO_V1: u8 = 1;
 
 /// Secure record header: `version ‖ rtype ‖ len(4 LE)`.
 pub const RECORD_HEADER: usize = 6;
 
-/// Per-record ciphertext expansion: the GCM tag.
-pub const RECORD_OVERHEAD: usize = RECORD_HEADER + GCM_TAG_LEN;
-
 /// Upper bound on a handshake record payload — identities and group
 /// elements are small; anything larger is hostile.
-pub const MAX_HANDSHAKE_PAYLOAD: usize = 16 << 10;
+const MAX_HANDSHAKE_PAYLOAD: usize = 16 << 10;
 
 /// Upper bound on a data record payload: a max envelope plus GCM tag.
-pub const MAX_RECORD_PAYLOAD: usize = MAX_BODY + 64 + GCM_TAG_LEN;
+const MAX_RECORD_PAYLOAD: usize = MAX_BODY + 64 + GCM_TAG_LEN;
 
 /// Default number of records a direction key seals before ratcheting.
-pub const DEFAULT_REKEY_EVERY: u64 = 1 << 20;
+const DEFAULT_REKEY_EVERY: u64 = 1 << 20;
 
 /// Errors produced by the secure channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,7 +293,7 @@ fn begin_record(rtype: u8, payload_len: usize) -> Vec<u8> {
 }
 
 /// Encodes one secure record: `0x03 ‖ rtype ‖ len(4 LE) ‖ payload`.
-pub fn encode_record(rtype: u8, payload: &[u8]) -> Vec<u8> {
+fn encode_record(rtype: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = begin_record(rtype, payload.len());
     out.extend_from_slice(payload);
     out
@@ -349,7 +346,7 @@ impl RecordDecoder {
 
     /// Drains any buffered-but-unparsed bytes (handshake → data phase
     /// handoff between decoders).
-    pub fn take_buffered(&mut self) -> Vec<u8> {
+    fn take_buffered(&mut self) -> Vec<u8> {
         let rest = self.buf[self.pos..].to_vec();
         self.buf.clear();
         self.pos = 0;
@@ -537,11 +534,6 @@ impl SendHalf {
         self.closed = true;
         Ok(self.dir.seal(record::CLOSE, b""))
     }
-
-    /// Key generations this direction has ratcheted through.
-    pub fn rekeys(&self) -> u64 {
-        self.dir.rekeys
-    }
 }
 
 /// What [`RecvHalf::open_record`] yielded.
@@ -577,11 +569,6 @@ impl RecvHalf {
             }
             other => Err(SecureError::UnexpectedRecord(other)),
         }
-    }
-
-    /// Key generations this direction has ratcheted through.
-    pub fn rekeys(&self) -> u64 {
-        self.dir.rekeys
     }
 }
 
@@ -1083,8 +1070,8 @@ mod tests {
                 Opened::Frame(msg.into_bytes())
             );
         }
-        assert_eq!(est_c.session.send.rekeys(), 16);
-        assert_eq!(est_s.session.recv.rekeys(), 16);
+        assert_eq!(est_c.session.send.dir.rekeys, 16);
+        assert_eq!(est_s.session.recv.dir.rekeys, 16);
     }
 
     /// Three records as the parent commit (17a353b: byte-wise AES, bitwise
@@ -1138,8 +1125,8 @@ mod tests {
                 Opened::Frame(frame.to_vec())
             );
         }
-        assert_eq!(est_c.session.send.rekeys(), 1);
-        assert_eq!(est_s.session.recv.rekeys(), 1);
+        assert_eq!(est_c.session.send.dir.rekeys, 1);
+        assert_eq!(est_s.session.recv.dir.rekeys, 1);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl StreamDecoder {
 
     /// A decoder with a custom body bound (servers may enforce a tighter
     /// per-connection limit than the protocol maximum).
-    pub fn with_max_body(max_body: usize) -> Self {
+    fn with_max_body(max_body: usize) -> Self {
         Self {
             buf: Vec::new(),
             pos: 0,
@@ -111,7 +111,7 @@ impl StreamDecoder {
 
     /// Like [`next_pdu`](Self::next_pdu), but also yields the trace
     /// context when the frame was a traced (v2) envelope.
-    pub fn next_traced(&mut self) -> Result<Option<(Pdu, Option<TraceContext>)>, WireError> {
+    fn next_traced(&mut self) -> Result<Option<(Pdu, Option<TraceContext>)>, WireError> {
         let Some(frame) = self.next_frame()? else {
             return Ok(None);
         };

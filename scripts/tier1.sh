@@ -56,3 +56,7 @@ if [ "${MWS_CHAOS:-0}" = "1" ]; then
 fi
 
 echo "==> tier-1 gate passed"
+
+# Lines of Rust by ROADMAP's rule, printed for information: not a gate.
+echo "==> scripts/loc.sh"
+scripts/loc.sh || true

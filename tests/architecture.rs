@@ -9,7 +9,7 @@ use mws::core::registry::DeviceRegistry;
 use mws::core::sda::{deposit_mac, SdAuthenticator};
 use mws::core::token::{TicketContent, TokenGenerator};
 use mws::crypto::{Digest, HmacDrbg, RsaKeyPair, Sha256};
-use mws::store::StorageKind;
+use mws::store::{PendingDeposit, StorageKind};
 
 #[test]
 fn sda_guards_the_message_database() {
@@ -17,12 +17,11 @@ fn sda_guards_the_message_database() {
     let mut registry = DeviceRegistry::new();
     registry.register("sd", b"shared-key");
     let mut sda = SdAuthenticator::new(registry, ReplayPolicy::Off);
-    let mut mms = MessageManagementSystem::open(StorageKind::Memory, StorageKind::Memory).unwrap();
+    let mms = MessageManagementSystem::open(StorageKind::Memory, StorageKind::Memory).unwrap();
 
     let mac = deposit_mac(b"shared-key", b"U", b"C", "A", b"n", "sd", 0);
     assert!(sda.verify(0, "sd", 0, b"U", b"C", "A", b"n", &mac).is_ok());
-    mms.store_message("A", b"n", b"U", 3, b"C", "sd", 0)
-        .unwrap();
+    store(&mms, "A", b"n", 0);
 
     let bad_mac = deposit_mac(b"wrong-key", b"U", b"C", "A", b"n2", "sd", 0);
     assert!(sda
@@ -31,6 +30,21 @@ fn sda_guards_the_message_database() {
     // The composition (tested e2e in protocol tests) discards it; here the
     // contract is that SDA said no.
     assert_eq!(mms.messages().len(), 1);
+}
+
+/// Stores one row in the MMS's message database through its store handle,
+/// with no origin dedup and no durability point.
+fn store(mms: &MessageManagementSystem, attribute: &str, nonce: &[u8], timestamp: u64) {
+    let row = PendingDeposit {
+        attribute: attribute.into(),
+        nonce: nonce.to_vec(),
+        u: b"U".to_vec(),
+        algo: 3,
+        sealed: b"C".to_vec(),
+        sd_id: "sd".into(),
+        timestamp,
+    };
+    mms.store_handle().insert(&row).unwrap();
 }
 
 #[test]
@@ -46,10 +60,8 @@ fn gatekeeper_fronts_the_user_database() {
 #[test]
 fn mms_joins_policy_and_message_databases() {
     let mut mms = MessageManagementSystem::open(StorageKind::Memory, StorageKind::Memory).unwrap();
-    mms.store_message("A1", b"n1", b"u", 3, b"c", "sd", 1)
-        .unwrap();
-    mms.store_message("A2", b"n2", b"u", 3, b"c", "sd", 2)
-        .unwrap();
+    store(&mms, "A1", b"n1", 1);
+    store(&mms, "A2", b"n2", 2);
     let aid = mms.grant("IDRC1", "A1").unwrap();
     let rows = mms.retrieve_for("IDRC1", 0, 0).unwrap();
     assert_eq!(rows.len(), 1);
@@ -117,27 +129,79 @@ fn deployment_exposes_every_figure3_component() {
     assert_eq!(dep.mws().rejection_count(), 0);
 }
 
-/// Non-test lines of every `.rs` file under `dirs` (relative to the repo
-/// root), with the file they came from: code up to a file's
-/// `#[cfg(test)]` module, comment lines dropped.
-fn code_lines(dirs: &[&str]) -> Vec<(std::path::PathBuf, String)> {
+/// Every `.rs` file under `dirs` (relative to the repo root), outside
+/// `target` and `tests` directories.
+fn rust_files(dirs: &[&str]) -> Vec<std::path::PathBuf> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut paths: Vec<_> = dirs.iter().map(|d| root.join(d)).collect();
-    let mut lines = Vec::new();
+    let mut files = Vec::new();
     while let Some(path) = paths.pop() {
         if path.is_dir() {
             if !path.ends_with("target") && !path.ends_with("tests") {
                 paths.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
             }
         } else if path.extension().is_some_and(|e| e == "rs") {
-            let text = std::fs::read_to_string(&path).unwrap();
-            let code = text.split("\n#[cfg(test)]").next().unwrap();
-            for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
-                lines.push((path.clone(), line.to_string()));
-            }
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// Non-test lines of every `.rs` file under `dirs` (relative to the repo
+/// root), with the file they came from: code up to a file's
+/// `#[cfg(test)]` module, comment lines dropped.
+fn code_lines(dirs: &[&str]) -> Vec<(std::path::PathBuf, String)> {
+    let mut lines = Vec::new();
+    for path in rust_files(dirs) {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let code = text.split("\n#[cfg(test)]").next().unwrap();
+        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            lines.push((path.clone(), line.to_string()));
         }
     }
     lines
+}
+
+/// The non-test code of every `.rs` file under `dirs`, by path relative to
+/// the repo root: every line but comments (trailing ones too), `pub use`
+/// statements and the items `#[cfg(test)]` gates, wherever in the file
+/// they sit.
+fn non_test_code(dirs: &[&str]) -> std::collections::BTreeMap<String, Vec<String>> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = std::collections::BTreeMap::new();
+    for path in rust_files(dirs) {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines = text.lines().filter(|l| !l.trim_start().starts_with("//"));
+        let mut kept = Vec::new();
+        while let Some(line) = lines.next() {
+            let reexport = line.trim().starts_with("pub use ");
+            // A `pub use` runs to its `;`; a gated item to the `}` that
+            // closes it, or to its `;` if it opens no block.
+            let (mut depth, mut opened) = (0, false);
+            let mut ends = |l: &str| {
+                depth += l.matches('{').count() as i32 - l.matches('}').count() as i32;
+                opened |= l.contains('{');
+                let semicolon = l.trim_end().ends_with(';');
+                if reexport {
+                    semicolon
+                } else {
+                    depth <= 0 && (opened || semicolon)
+                }
+            };
+            if reexport {
+                if !ends(line) {
+                    lines.by_ref().find(|l| ends(l));
+                }
+            } else if line.trim() == "#[cfg(test)]" {
+                lines.by_ref().find(|l| ends(l));
+            } else {
+                kept.push(line.split(" // ").next().unwrap().to_string());
+            }
+        }
+        let path = path.strip_prefix(root).unwrap().display().to_string();
+        files.insert(path, kept);
+    }
+    files
 }
 
 /// Both ends of a connection drive one byte-stream layer: framing, the
@@ -244,23 +308,155 @@ fn every_dependency_is_a_workspace_crate() {
     }
 }
 
-/// `mws-crypto` and `mws-net` hold what the protocol runs and nothing else:
-/// every name each crate's `lib.rs` re-exports is named by some code outside
-/// that crate (the workspace, `examples/`, `tests/`, `benchmark/src`), so a
-/// primitive or transport only its own unit tests reach cannot grow back.
-/// Types reached only through signatures are exempt: `*Error` types, and
-/// `LinkMetrics`, which callers receive from `Network::metrics`.
+/// Every `pub` item of the library crates has a caller in non-test code
+/// outside the file that defines it, so code that only its own tests reach
+/// cannot grow back. An item is a `pub` (not `pub(crate)`) `fn`, `const`,
+/// `static`, `struct`, `enum`, `trait` or `type` in `crates/*/src`, binaries
+/// aside; a caller is a whole-word mention of its name in non-test code
+/// (`crates/*/src` with the binaries, `crates/bench/benches`, `src/`,
+/// `examples/`, `benchmark/src`) of another file. Comments, doctests,
+/// `pub use` lines, `tests/` directories and `#[cfg(test)]` code do not
+/// count. An item that loses `pub` is rustc's `dead_code` lint's to police.
+///
+/// The exemption lists below are the rest, and each entry must still name
+/// an item the rule needs to exempt. Beside it, `mws-crypto` and `mws-net`
+/// hold what the protocol runs and nothing else: every name each crate's
+/// `lib.rs` re-exports is named by some code outside that crate (the
+/// workspace, `examples/`, `tests/`, `benchmark/src`).
 #[test]
-fn every_crypto_export_has_a_caller_outside_the_crate() {
+fn every_public_item_has_a_non_test_caller() {
+    // The property-test harness: a dev-dependency whose callers are tests.
+    const TEST_CRATES: &[&str] = &["crates/prop/"];
+    // Names too generic to match as text: a mention of `new` says nothing
+    // about which `new` it calls.
+    const GENERIC: &[&str] = &["new", "len", "is_empty", "get", "open"];
+    // Types reached only through signatures: callers receive or pass them
+    // (a return value, a trait object, a config field, an error) without
+    // naming them.
+    const THROUGH_SIGNATURES: &[&str] = &[
+        "crates/bench/src/workload.rs::Reading",
+        "crates/core/src/client.rs::RetrievedMessage",
+        "crates/core/src/policy.rs::PatternError",
+        "crates/core/src/protocol.rs::DeviceAuthMode",
+        "crates/ibe/src/bf.rs::BasicCiphertext",
+        "crates/ibe/src/bf.rs::DecryptionKey",
+        "crates/ibe/src/fullident.rs::FullCiphertext",
+        "crates/ibe/src/threshold.rs::PartialKey",
+        "crates/obs/src/level.rs::ParseLevelError",
+        "crates/obs/src/log.rs::Sink",
+        "crates/obs/src/log.rs::Value",
+        "crates/obs/src/metrics.rs::Registry",
+        "crates/server/src/chaos.rs::ChaosStats",
+        "crates/server/src/daemon.rs::FlagError",
+        "crates/wire/src/secure.rs::Established",
+    ];
+    // Test hooks: reached only by tests, on purpose.
+    #[rustfmt::skip]
+    const TEST_HOOKS: &[(&str, &str)] = &[
+        ("crates/bigint/src/cost.rs::Cost", "tests/cost_model.rs reads the counts"),
+        ("crates/cluster/src/router.rs::hint_board", "cluster suites inspect queued hints"),
+        ("crates/cluster/src/router.rs::node_states", "cluster suites read router liveness"),
+        ("crates/core/src/device.rs::compose_deposit_batch", "the chaos suite hand-sends a batch"),
+        ("crates/core/src/protocol.rs::disable_device", "§III revocation; no daemon flag yet"),
+        ("crates/net/src/bus.rs::unbind", "cluster tests take a node off the bus"),
+        ("crates/net/src/transport.rs::FaultyTransport", "the chaos suite's lossy links"),
+        ("crates/obs/src/log.rs::RingSink", "tests capture log events in it"),
+        ("crates/server/src/chaos.rs::ChaosConfig", "the chaos suite's fault schedule"),
+        ("crates/server/src/chaos.rs::ChaosProxy", "the chaos suite's faulty TCP relay"),
+        ("crates/server/src/secure.rs::ID_PKG", "what a secure PKG client expects"),
+        ("crates/store/src/fault.rs::fail_append", "a FaultPlan injector"),
+        ("crates/store/src/fault.rs::fail_sync", "a FaultPlan injector"),
+        ("crates/store/src/fault.rs::syncs", "the FaultPlan's fsync count"),
+        ("crates/store/src/fault.rs::tear_append", "a FaultPlan injector"),
+        ("crates/store/src/shard.rs::shard_len", "the chaos suite counts rows per shard"),
+    ];
+
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let names = |line: &str, name: &str| {
-        line.match_indices(name).any(|(at, _)| {
-            let before = line[..at].chars().next_back();
-            let after = line[at + name.len()..].chars().next();
-            !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+    let files = non_test_code(&["crates", "src", "examples", "benchmark/src"]);
+    let words: std::collections::BTreeMap<&String, std::collections::BTreeSet<&str>> = files
+        .iter()
+        .map(|(path, lines)| {
+            let words = lines.iter().flat_map(|l| l.split(|c| !is_ident(c)));
+            (path, words.filter(|w| !w.is_empty()).collect())
         })
-    };
+        .collect();
+
+    let mut items = Vec::new();
+    for (path, lines) in &files {
+        let library = path.starts_with("crates/") && path.contains("/src/");
+        if !library || path.contains("/src/bin/") || TEST_CRATES.iter().any(|c| path.starts_with(c))
+        {
+            continue;
+        }
+        for line in lines {
+            let Some(decl) = line.trim().strip_prefix("pub ") else {
+                continue;
+            };
+            let mut tokens = decl
+                .split(|c| !is_ident(c))
+                .filter(|t| !["", "unsafe", "async", "mut"].contains(t))
+                .skip_while(|&t| t == "const" && decl.starts_with("const fn"));
+            let kind = tokens.next().unwrap_or_default();
+            let kinds = ["fn", "const", "static", "struct", "enum", "trait", "type"];
+            if let (true, Some(name)) = (kinds.contains(&kind), tokens.next()) {
+                if !GENERIC.contains(&name) {
+                    items.push((path.clone(), name.to_string()));
+                }
+            }
+        }
+    }
+    assert!(
+        items.len() > 500,
+        "found the library items: {}",
+        items.len()
+    );
+
+    let uncalled: Vec<String> = items
+        .iter()
+        .filter(|(path, name)| {
+            !words
+                .iter()
+                .any(|(file, words)| *file != path && words.contains(name.as_str()))
+        })
+        .map(|(path, name)| format!("{path}::{name}"))
+        .collect();
+    let exempt: Vec<&str> = THROUGH_SIGNATURES
+        .iter()
+        .copied()
+        .chain(TEST_HOOKS.iter().map(|(item, _)| *item))
+        .collect();
+    let flagged: Vec<_> = uncalled
+        .iter()
+        .filter(|item| !exempt.contains(&item.as_str()))
+        .collect();
+    assert!(
+        flagged.is_empty(),
+        "public items no non-test code outside their file names; delete each, \
+         make it private, or exempt it with a reason: {flagged:#?}"
+    );
+    let stale: Vec<_> = exempt
+        .iter()
+        .filter(|item| !uncalled.iter().any(|u| u == *item))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "exemptions that name no uncalled public item (gone, private or called): {stale:?}"
+    );
+    for krate in TEST_CRATES {
+        assert!(
+            files.keys().any(|path| path.starts_with(krate)),
+            "TEST_CRATES names `{krate}`, which holds no code"
+        );
+    }
+    for name in GENERIC {
+        let scanned = files.values().flatten().any(|line| {
+            let decl = line.trim().strip_prefix("pub fn ").unwrap_or_default();
+            decl.starts_with(name) && !decl[name.len()..].starts_with(is_ident)
+        });
+        assert!(scanned, "GENERIC names `{name}`, which no `pub fn` is");
+    }
+
     for krate in ["crates/crypto", "crates/net"] {
         let lib = std::fs::read_to_string(root.join(krate).join("src/lib.rs")).unwrap();
         let mut exports = Vec::new();
@@ -296,6 +492,13 @@ fn every_crypto_export_has_a_caller_outside_the_crate() {
                 );
             }
         }
+        let names = |line: &str, name: &str| {
+            line.match_indices(name).any(|(at, _)| {
+                let before = line[..at].chars().next_back();
+                let after = line[at + name.len()..].chars().next();
+                !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+            })
+        };
         let unused: Vec<_> = exports
             .iter()
             .filter(|name| !name.ends_with("Error") && **name != "LinkMetrics")
@@ -306,6 +509,27 @@ fn every_crypto_export_has_a_caller_outside_the_crate() {
             "{krate} exports no caller outside the crate names: {unused:?}"
         );
     }
+}
+
+/// No bare `.unwrap()` in the non-test code that reads bytes off the
+/// network (`mws-wire`), serves the warehouse (`mws-core`'s `protocol.rs`)
+/// or drives connections and daemons (`mws-server`): a hostile frame must
+/// not panic a loop thread. A fallible site returns a typed error; one that
+/// cannot fail says why in an `expect` message.
+#[test]
+fn no_bare_unwrap_on_the_network_path() {
+    let files = non_test_code(&[
+        "crates/wire/src",
+        "crates/core/src/protocol.rs",
+        "crates/server/src",
+    ]);
+    assert!(files.len() > 20, "found the sources: {:?}", files.keys());
+    let bare: Vec<_> = files
+        .iter()
+        .flat_map(|(path, lines)| lines.iter().map(move |line| (path, line.trim())))
+        .filter(|(_, line)| line.contains(".unwrap()"))
+        .collect();
+    assert!(bare.is_empty(), "bare unwraps: {bare:#?}");
 }
 
 /// One deposit path: the warehouse stores every deposit through the

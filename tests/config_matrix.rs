@@ -74,7 +74,11 @@ fn light_parameters_end_to_end() {
 fn modeled_wan_latency_accumulates() {
     let config = DeploymentConfig {
         mws_fault: FaultConfig {
-            latency: LatencyModel::WAN,
+            // A WAN-ish profile (20 ms RTT halves, ~10 Mbit/s).
+            latency: LatencyModel {
+                base_us: 10_000,
+                per_byte_ns: 800,
+            },
             ..Default::default()
         },
         pkg_fault: FaultConfig {
