@@ -1,11 +1,11 @@
 //! Crypto micro-benchmark baseline (E3 addendum): times the pairing and
-//! IBE primitives with and without the PR's precomputation layer — prepared
-//! Miller tapes, fixed-base comb / wNAF scalar multiplication, windowed
-//! `fp2_pow` — and writes `BENCH_crypto.json` at the repository root. An
-//! `obs` section records the observability hot-path overhead (disabled log
-//! event, counter increment, histogram sample) so instrumentation-cost
-//! regressions surface next to the crypto numbers they would pollute. A
-//! `symmetric` section times the record cipher — AES block, AES-CTR, GHASH
+//! IBE primitives with and without the precomputation layer — prepared
+//! Miller tapes, fixed-base comb and Montgomery-ladder scalar
+//! multiplication, windowed `fp2_pow` — and writes `BENCH_crypto.json` at
+//! the repository root. An `obs` section records the observability
+//! hot-path overhead (disabled log event, counter increment, histogram
+//! sample) so instrumentation-cost regressions surface next to the crypto
+//! numbers they would pollute. A `symmetric` section times the record cipher — AES block, AES-CTR, GHASH
 //! and AES-GCM at three sizes — next to the same rows as measured at the
 //! commit before the constant-time word-parallel core replaced the
 //! byte-wise one ([`SYMMETRIC_BEFORE`]). A `bigint` section times Montgomery
@@ -13,7 +13,9 @@
 //! commit before it was sized to the modulus ([`BIGINT_BEFORE`]). Each
 //! level's pairing and IBE rows sit next to the same rows from the commit
 //! before the pairing arithmetic ran at the field's width
-//! ([`LEVEL_BEFORE`]).
+//! ([`LEVEL_BEFORE`]) and from the commit before the Montgomery ladder and
+//! safegcd ([`LADDER_BEFORE`]). An `inversion` section times the field's
+//! safegcd inversion against Fermat's `a^(p−2)` at all three levels.
 //!
 //! Run with: `cargo run --release -p mws-bench --bin crypto_bench`
 //!
@@ -24,16 +26,18 @@
 //!   AES-GCM still produces the SP 800-38D vectors and one pinned seal,
 //!   that Montgomery arithmetic agrees across container widths, and that
 //!   the device's cofactor-free `encrypt_attr` opens under the PKG's key at
-//!   every level (used by `scripts/tier1.sh`)
+//!   every level, and that the ladder matches binary double-and-add and
+//!   safegcd matches Fermat on 64 inputs per level (used by
+//!   `scripts/tier1.sh`)
 
 use mws_bench::{time_op, timings_json, Json, Timing};
-use mws_bigint::{random_bits, Mont, Uint, U256};
+use mws_bigint::{random_below, random_bits, Mont, Uint, U256};
 use mws_crypto::{
     gcm_open, gcm_seal, Aes128, BlockCipher, CtrMode, Digest, HmacDrbg, Rng, RsaKeyPair, Sha256,
 };
 use mws_ibe::bf::IbeSystem;
 use mws_ibe::CipherAlgo;
-use mws_pairing::SecurityLevel;
+use mws_pairing::{Fp, FpCtx, FpW, PairingCtx, Point, SecurityLevel};
 
 /// The attribute the `encrypt_attr` rows and the compose gate encrypt to.
 const ATTRIBUTE: &str = "ELECTRIC-APT9";
@@ -107,7 +111,7 @@ fn bench_level(level: SecurityLevel, name: &'static str, iters: u32, smoke: bool
     timings.push(time_op("mul_binary", scalar_iters, || {
         std::hint::black_box(ctx.field().point_mul_binary(&ctx.generator(), &r));
     }));
-    timings.push(time_op("mul_wnaf", scalar_iters, || {
+    timings.push(time_op("mul_ladder", scalar_iters, || {
         std::hint::black_box(ctx.mul(&q_id, &r));
     }));
     timings.push(time_op("mul_generator_comb", scalar_iters, || {
@@ -256,6 +260,54 @@ const LEVEL_BEFORE: [(&str, [(&str, f64); 12]); 2] = [
     ),
 ];
 
+/// Each level's rows at the parent commit 2beb55e (width-4 wNAF
+/// `point_mul`, Fermat inversion), in ns/op: medians of nine runs of this
+/// same binary built against that commit, alternated with nine runs of this
+/// tree on the same 2-vCPU host (this tree's medians in that session, in
+/// row order — toy: 410250, 56267, 21091, 33715, 21692, 14591, 64522,
+/// 550017, 91384, 113314, 449812, 88185, 53283; light: 628467, 141333,
+/// 60301, 103398, 65519, 39988, 98835, 764755, 170758, 198752, 644044,
+/// 187212, 124153; EXPERIMENTS E3 addendum 6). `mul_wnaf` is the row
+/// `mul_ladder` replaces.
+const LADDER_BEFORE: [(&str, [(&str, f64); 13]); 2] = [
+    (
+        "toy",
+        [
+            ("pairing_affine", 776060.7),
+            ("pairing_projective", 58870.8),
+            ("pairing_prepared", 24426.8),
+            ("mul_binary", 32993.8),
+            ("mul_wnaf", 34372.8),
+            ("mul_generator_comb", 18844.8),
+            ("extract", 87248.9),
+            ("encrypt_basic_reference", 899155.7),
+            ("encrypt_basic_fast", 92735.8),
+            ("encrypt_attr", 107972.3),
+            ("decrypt_basic_reference", 712846.1),
+            ("decrypt_basic_fast", 91954.2),
+            ("decrypt_basic_prepared", 59939.8),
+        ],
+    ),
+    (
+        "light",
+        [
+            ("pairing_affine", 1958330.3),
+            ("pairing_projective", 153240.0),
+            ("pairing_prepared", 73119.6),
+            ("mul_binary", 127934.4),
+            ("mul_wnaf", 93629.8),
+            ("mul_generator_comb", 51881.7),
+            ("extract", 216781.0),
+            ("encrypt_basic_reference", 1800211.0),
+            ("encrypt_basic_fast", 197443.4),
+            ("encrypt_attr", 222019.8),
+            ("decrypt_basic_reference", 1724122.9),
+            ("decrypt_basic_fast", 225341.0),
+            ("decrypt_basic_prepared", 134972.0),
+        ],
+    ),
+];
+
 /// A source of byte strings drawn from `HmacDrbg::from_u64(seed)`.
 fn seeded_bytes(seed: u64) -> impl FnMut(usize) -> Vec<u8> {
     let mut rng = HmacDrbg::from_u64(seed);
@@ -369,6 +421,94 @@ fn bench_bigint(scale: u32) -> Vec<Timing> {
         std::hint::black_box(kp.private.decrypt_pkcs1(&ct).expect("own ciphertext"));
     }));
     timings
+}
+
+/// `(name, level)` for the three named parameter sets.
+const LEVELS: [(&str, SecurityLevel); 3] = [
+    ("toy", SecurityLevel::Toy),
+    ("light", SecurityLevel::Light),
+    ("standard", SecurityLevel::Standard),
+];
+
+/// A random full-width field element: the x-coordinate of a random point.
+fn random_element(f: &FpCtx, rng: &mut HmacDrbg) -> Fp {
+    match f.random_curve_point(rng) {
+        Point::Affine { x, .. } => x,
+        Point::Infinity => unreachable!("random points are finite"),
+    }
+}
+
+/// One field inversion at every level: `inv` is the field's safegcd (what
+/// every caller runs), `inv_fermat` the exponentiation it replaced,
+/// `a^(p−2)` by `Mont::pow` on the same prime — the same CIOS at the same
+/// active width, plus a conversion into and out of the domain.
+fn bench_inversion(scale: u32) -> Vec<Timing> {
+    let mut rng = HmacDrbg::from_u64(0x1a7);
+    let mut timings = Vec::new();
+    for (name, level) in LEVELS {
+        let ctx = PairingCtx::named(level);
+        let f = ctx.field();
+        let p = ctx.params().p;
+        let a = random_element(f, &mut rng);
+        timings.push(time_op(format!("inv/{name}"), 200 * scale, || {
+            std::hint::black_box(f.inv(std::hint::black_box(&a)));
+        }));
+        let mont = Mont::new(&p).expect("odd prime");
+        let (b, e) = (
+            random_below(&mut rng, &p),
+            p.wrapping_sub(&FpW::from_u64(2)),
+        );
+        timings.push(time_op(format!("inv_fermat/{name}"), 200 * scale, || {
+            std::hint::black_box(mont.pow(std::hint::black_box(&b), &e));
+        }));
+    }
+    timings
+}
+
+/// Release-profile gate on the ladder and safegcd: at every level, 64
+/// full-group points times random scalars (and `0`, `1`, `q − 1`, `q`, `h`)
+/// through `PairingCtx::mul` match the binary double-and-add, and 64
+/// inversions match Fermat's `a^(p−2)` run through the field's own
+/// products.
+fn ladder_inv_smoke() {
+    let mut rng = HmacDrbg::from_u64(0x1add);
+    for (name, level) in LEVELS {
+        let ctx = PairingCtx::named(level);
+        let f = ctx.field();
+        let q = ctx.group_order();
+        let fixed = [
+            FpW::ZERO,
+            FpW::ONE,
+            q.wrapping_sub(&FpW::ONE),
+            *q,
+            *ctx.cofactor(),
+        ];
+        for i in 0..64 {
+            let p = f.random_curve_point(&mut rng);
+            let k = fixed
+                .get(i)
+                .copied()
+                .unwrap_or_else(|| ctx.random_scalar(&mut rng));
+            assert_eq!(
+                ctx.mul(&p, &k),
+                f.point_mul_binary(&p, &k),
+                "{name}: ladder != binary"
+            );
+        }
+        let e = ctx.params().p.wrapping_sub(&FpW::from_u64(2));
+        for _ in 0..64 {
+            let a = random_element(f, &mut rng);
+            let fermat = (0..e.bits()).rev().fold(f.one(), |acc, i| {
+                let acc = f.sqr(&acc);
+                if e.bit(i) {
+                    f.mul(&acc, &a)
+                } else {
+                    acc
+                }
+            });
+            assert_eq!(f.inv(&a), Some(fermat), "{name}: safegcd != Fermat");
+        }
+    }
 }
 
 /// The `encrypt_attr` row of each level at the parent commit e2a8533
@@ -510,6 +650,7 @@ fn render_json(
     obs: &[Timing],
     symmetric: &[Timing],
     bigint: &[Timing],
+    inversion: &[Timing],
 ) -> String {
     let levels = reports.iter().map(|rep| {
         let (_, before) = LEVEL_BEFORE
@@ -520,6 +661,10 @@ fn render_json(
             .iter()
             .find(|(level, _)| *level == rep.level)
             .expect("a before compose row per level");
+        let (_, ladder_before) = LADDER_BEFORE
+            .iter()
+            .find(|(level, _)| *level == rep.level)
+            .expect("a before row set per level");
         let level = [
             ("timings", timings_json(&rep.timings)),
             ("encrypt_basic_speedup", Json::fixed(rep.encrypt_speedup, 2)),
@@ -532,6 +677,10 @@ fn render_json(
                 "before_e2a8533_ns_per_op",
                 Json::obj([("encrypt_attr", Json::fixed(*compose_before, 1))]),
             ),
+            (
+                "before_2beb55e_ns_per_op",
+                Json::obj(ladder_before.map(|(name, ns)| (name, Json::fixed(ns, 1)))),
+            ),
         ];
         (rep.level, Json::obj(level))
     });
@@ -540,6 +689,19 @@ fn render_json(
         ("unit", Json::Str("ns/op".into())),
         ("levels", Json::obj(levels)),
         ("obs", Json::obj([("timings", timings_json(obs))])),
+        (
+            "inversion",
+            Json::obj([
+                ("timings", timings_json(inversion)),
+                (
+                    "inv_over_fermat",
+                    Json::obj(LEVELS.map(|(level, _)| {
+                        let row = |name: &str| find(inversion, &format!("{name}/{level}"));
+                        (level, Json::fixed(row("inv") / row("inv_fermat"), 3))
+                    })),
+                ),
+            ]),
+        ),
         (
             "symmetric",
             Json::obj([
@@ -581,6 +743,7 @@ fn main() {
 
     let symmetric_timings = bench_symmetric(if smoke { 1 } else { 10 });
     let bigint_timings = bench_bigint(if smoke { 1 } else { 10 });
+    let inversion_timings = bench_inversion(if smoke { 1 } else { 20 });
 
     for rep in &reports {
         eprintln!("== {} ==", rep.level);
@@ -596,16 +759,25 @@ fn main() {
     symmetric_timings.iter().for_each(|t| eprintln!("  {t}"));
     eprintln!("== bigint ==");
     bigint_timings.iter().for_each(|t| eprintln!("  {t}"));
+    eprintln!("== inversion ==");
+    inversion_timings.iter().for_each(|t| eprintln!("  {t}"));
 
     if smoke {
         symmetric_smoke();
         bigint_smoke();
         compose_smoke();
+        ladder_inv_smoke();
         eprintln!("crypto_bench --smoke: fast paths bit-identical to reference");
         return;
     }
 
-    let json = render_json(&reports, &obs_timings, &symmetric_timings, &bigint_timings);
+    let json = render_json(
+        &reports,
+        &obs_timings,
+        &symmetric_timings,
+        &bigint_timings,
+        &inversion_timings,
+    );
     std::fs::write("BENCH_crypto.json", &json).expect("write BENCH_crypto.json");
     println!("{json}");
     eprintln!("wrote BENCH_crypto.json");

@@ -3,8 +3,9 @@
 //! This crate is the arithmetic substrate that the paper's prototype borrowed
 //! from GMP (via Ben Lynn's PBC library). Everything here is written from
 //! scratch: limb arithmetic, Knuth division, Montgomery multiplication,
-//! modular exponentiation/inversion, Miller–Rabin primality testing and
-//! random prime generation.
+//! modular exponentiation, modular inversion (extended Euclid on [`Uint`],
+//! and the constant-time safegcd of [`ModInv`] on limb arrays), Miller–Rabin
+//! primality testing and random prime generation.
 //!
 //! The central type is [`Uint<L>`], a stack-allocated little-endian array of
 //! `L` 64-bit limbs; callers name the width they need as `Uint<L>`. Two
@@ -34,6 +35,7 @@ mod arith;
 pub mod cost;
 mod div;
 mod hex;
+mod modinv;
 mod mont;
 mod prime;
 mod randint;
@@ -43,6 +45,7 @@ mod rng;
 #[allow(clippy::needless_range_loop)]
 mod uint;
 
+pub use modinv::ModInv;
 pub use mont::{add_mod_limbs, mont_mul_limbs, mont_neg_inv, sub_mod_limbs, Mont};
 pub use prime::{gen_prime, is_prime, MillerRabinRounds};
 pub use randint::{random_below, random_bits, random_nonzero_below};

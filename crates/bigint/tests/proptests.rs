@@ -1,6 +1,6 @@
 //! Property-based tests for the big-integer substrate.
 
-use mws_bigint::{Mont, Uint, U256};
+use mws_bigint::{ModInv, Mont, Uint, U256};
 use mws_prop::{cases, Gen};
 
 fn limbs<const L: usize>(g: &mut Gen) -> [u64; L] {
@@ -275,4 +275,32 @@ fn reduce_wide_is_canonical() {
         let r = U256::reduce_wide(&lo, &hi, &m);
         assert!(r < m);
     });
+}
+
+/// The constant-time safegcd against Euclid's `inv_mod` on random odd
+/// moduli of `bits` bits in `L` limbs, for every operand Euclid can invert.
+fn safegcd_matches_euclid<const L: usize>(bits: u32) {
+    cases(128, |g| {
+        (
+            odd_modulus_of::<L>(g, bits),
+            Uint::<L>::from_limbs(limbs(g)),
+        )
+    })
+    .check(|(n, a)| {
+        let a = a.rem(&n);
+        let inv = ModInv::new(n.limbs()).inv(a.limbs());
+        if let Ok(want) = a.inv_mod(&n) {
+            assert_eq!(Uint::from_limbs(inv), want);
+        }
+    });
+}
+
+#[test]
+fn safegcd_matches_euclid_at_widths_3_4_8() {
+    safegcd_matches_euclid::<3>(192);
+    safegcd_matches_euclid::<3>(127);
+    safegcd_matches_euclid::<4>(256);
+    safegcd_matches_euclid::<4>(193);
+    safegcd_matches_euclid::<8>(512);
+    safegcd_matches_euclid::<8>(300);
 }

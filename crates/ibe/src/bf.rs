@@ -212,7 +212,7 @@ impl IbeSystem {
     }
 
     /// Validation shared by the decrypt paths: `U` must be a finite point
-    /// of the order-`q` subgroup (the subgroup check runs the wNAF ladder).
+    /// of the order-`q` subgroup (the subgroup check runs the x-only ladder).
     fn check_ciphertext_point(&self, u: &Point) -> Result<(), IbeError> {
         if u.is_infinity() || !self.ctx.in_subgroup(u) {
             return Err(IbeError::InvalidPoint);
@@ -273,8 +273,8 @@ impl IbeSystem {
         self.ctx.field().point_to_bytes(&mpk.point)
     }
 
-    /// Parses a master public key, validating subgroup membership (wNAF
-    /// order check; see [`PairingCtx::in_subgroup`]).
+    /// Parses a master public key, validating subgroup membership (the
+    /// ladder's order check; see [`PairingCtx::in_subgroup`]).
     pub fn mpk_from_bytes(&self, bytes: &[u8]) -> Result<MasterPublic, PairingError> {
         let p = self.ctx.field().point_from_bytes(bytes)?;
         if p.is_infinity() || !self.ctx.in_subgroup(&p) {

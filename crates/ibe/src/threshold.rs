@@ -77,7 +77,7 @@ impl IbeSystem {
     }
 
     /// Share server operation: partial extract for an identity point
-    /// (variable-base wNAF multiplication, like the monolithic `Extract`).
+    /// (the variable-base ladder, like the monolithic `Extract`).
     pub fn partial_extract(&self, share: &MasterShare, q_id: &Point) -> PartialKey {
         PartialKey {
             index: share.index,

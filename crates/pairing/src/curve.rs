@@ -1,10 +1,14 @@
 //! Point arithmetic on the supersingular curve `E : y² = x³ + x` over `F_p`.
 //!
-//! Public points are affine (an explicit point at infinity variant); scalar
-//! multiplication runs in Jacobian coordinates internally so a `k·P` costs a
-//! single field inversion at the end. Inside the crate a point is an
-//! `Aff<N>` at the field's width: the conversion from and to
-//! [`Point`] happens once per group-level call.
+//! Public points are affine (an explicit point at infinity variant).
+//! Variable-base scalar multiplication is the x-only Montgomery ladder —
+//! `E` is the Montgomery curve with `A = 0`, `B = 1` — with `y` recovered
+//! under a single field inversion at the end; it runs a fixed number of
+//! steps with masked swaps, so its operation sequence does not depend on the
+//! scalar (DESIGN D8). The fixed-base comb, the binary reference path and
+//! the Miller loops use Jacobian coordinates. Inside the crate a point is an
+//! `Aff<N>` at the field's width: the conversion from and to [`Point`]
+//! happens once per group-level call.
 
 use crate::fp::{Fe, Field, Fp, FpCtx};
 use crate::{at_width, FpW, PairingError};
@@ -94,6 +98,30 @@ impl CombTable {
     const WIDTH: u32 = 4;
 }
 
+/// All ones when `a` is zero, else zero — without a branch.
+#[inline(always)]
+fn zero_mask<const N: usize>(a: &Fe<N>) -> u64 {
+    let any = a.iter().fold(0, |acc, l| acc | l);
+    ((any | any.wrapping_neg()) >> 63).wrapping_sub(1)
+}
+
+/// `a` where `mask` is all ones, `b` where it is zero.
+#[inline(always)]
+fn select<const N: usize>(mask: u64, a: &Fe<N>, b: &Fe<N>) -> Fe<N> {
+    core::array::from_fn(|i| b[i] ^ (mask & (a[i] ^ b[i])))
+}
+
+/// Swaps `a` and `b` when `bit` is 1, leaves them when it is 0, by mask.
+#[inline(always)]
+fn cswap<const N: usize>(a: &mut Fe<N>, b: &mut Fe<N>, bit: u64) {
+    let mask = bit.wrapping_neg();
+    for i in 0..N {
+        let t = mask & (a[i] ^ b[i]);
+        a[i] ^= t;
+        b[i] ^= t;
+    }
+}
+
 impl<const N: usize> Field<N> {
     /// Curve membership: `y² == x³ + x` (infinity is on the curve).
     pub(crate) fn is_on_curve(&self, p: &Aff<N>) -> bool {
@@ -158,46 +186,91 @@ impl<const N: usize> Field<N> {
         }
     }
 
-    /// Scalar multiplication `k·P`, width-4 wNAF over Jacobian coordinates.
+    /// Scalar multiplication `k·P`: the x-only Montgomery ladder over
+    /// `max(bits(k), bits)` steps, then `y` by Okeya–Sakurai under one
+    /// inversion. `bits` is the caller's fixed step count (the group order's
+    /// length), so every scalar below `2^bits` runs the same sequence of
+    /// field operations. Bit-identical to [`Self::point_mul_binary`]
+    /// (asserted by the cross-check tests).
     ///
-    /// The default variable-base path: signed digits cut the expected
-    /// addition count from `bits/2` to `bits/5` at the price of 7 extra
-    /// point operations building the odd-multiples table. Bit-identical to
-    /// [`Self::point_mul_binary`] (asserted by the cross-check tests).
-    pub(crate) fn point_mul(&self, p: &Aff<N>, k: &FpW) -> Aff<N> {
-        const W: u32 = 4;
+    /// The base at infinity and the 2-torsion point `(0, 0)` are answered
+    /// directly: the ladder's differential addition divides by `x(P)`.
+    pub(crate) fn point_mul(&self, p: &Aff<N>, k: &FpW, bits: u32) -> Aff<N> {
         let (x, y) = p.as_ref()?;
-        if k.is_zero() {
-            return None;
+        if self.is_zero(x) {
+            return k.is_odd().then_some((*x, *y));
         }
-        if k.bits() + W > FpW::BITS {
-            // wNAF recoding could wrap at the very top of the scalar range;
-            // such scalars never occur on the hot paths (all < q).
-            return self.point_mul_binary(p, k);
+        let [x1, z1, x2, z2] = self.ladder(x, k, bits.max(k.bits()));
+        // Okeya–Sakurai for A = 0, B = 1: with k·P = (X1:Z1) and
+        // (k+1)·P = (X2:Z2),
+        //   y(kP) = [(x·x1 + 1)(x + x1) − (x − x1)²·x2] / 2y,
+        // here over the common denominator 2y·Z1²·Z2.
+        let xz1 = self.mul(x, &z1);
+        let lhs = self.mul(
+            &self.mul(&self.add(&self.mul(x, &x1), &z1), &self.add(&x1, &xz1)),
+            &z2,
+        );
+        let num = self.sub(&lhs, &self.mul(&self.sqr(&self.sub(&x1, &xz1)), &x2));
+        let t = self.mul(&self.mul(&self.dbl(y), &z1), &z2);
+        let (xt, zt) = (self.mul(&t, &x1), self.mul(&t, &z1));
+        // k·P = O leaves Z1 = 0; (k+1)·P = O leaves Z2 = 0 and k·P = −P.
+        // Either zeroes the denominator: invert 1 instead and pick the
+        // answer by mask, so those scalars cost what every other one does.
+        let (at_infinity, minus_p) = (zero_mask(&z1), zero_mask(&z2));
+        let zinv = self
+            .inv(&select(zero_mask(&zt), &self.one(), &zt))
+            .expect("nonzero");
+        let rx = select(minus_p, x, &self.mul(&xt, &zinv));
+        let ry = select(minus_p, &self.neg(y), &self.mul(&num, &zinv));
+        (at_infinity == 0).then_some((rx, ry))
+    }
+
+    /// `k·P = O`, from the ladder's x-coordinate alone (no `y`, no
+    /// inversion): the subgroup check.
+    pub(crate) fn mul_is_infinity(&self, p: &Aff<N>, k: &FpW) -> bool {
+        match p {
+            None => true,
+            Some((x, _)) if self.is_zero(x) => !k.is_odd(),
+            Some((x, _)) => self.is_zero(&self.ladder(x, k, k.bits())[1]),
         }
-        let base = self.jac(x, y);
-        // Odd multiples P, 3P, …, 15P.
-        let twice = self.jac_double(&base);
-        let mut table = [base; 1 << (W - 2)];
-        for i in 1..table.len() {
-            table[i] = self.jac_add(&table[i - 1], &twice);
+    }
+
+    /// The x-only Montgomery ladder on `y² = x³ + x` (`A = 0`) over the
+    /// low `steps` bits of `k`, for a base of affine `x ≠ 0`: `(X1:Z1) =
+    /// x(k·P)` and `(X2:Z2) = x((k+1)·P)`, infinity as `Z = 0`.
+    ///
+    /// Each step is one differential addition against the affine base and
+    /// one doubling — 5 products and 4 squarings — between two masked
+    /// swaps: no branch and no memory index depends on `k`. The doubling is
+    /// scaled by 2 so `(A + 2)/4 = 1/2` costs no product. With `A² − 4`
+    /// a non-square and `x ≠ 0`, the formulas are right through every
+    /// intermediate infinity and `(0, 0)` (Bernstein, Curve25519, App. B).
+    fn ladder(&self, x: &Fe<N>, k: &FpW, steps: u32) -> [Fe<N>; 4] {
+        // (R0, R1) = (O, P).
+        let (mut x0, mut z0) = (self.one(), self.zero());
+        let (mut x1, mut z1) = (*x, self.one());
+        let mut swap = 0u64;
+        for i in (0..steps).rev() {
+            let bit = k.bit(i) as u64;
+            swap ^= bit;
+            cswap(&mut x0, &mut x1, swap);
+            cswap(&mut z0, &mut z1, swap);
+            swap = bit;
+            let (a, b) = (self.add(&x0, &z0), self.sub(&x0, &z0));
+            let (c, d) = (self.add(&x1, &z1), self.sub(&x1, &z1));
+            // R1 ← R0 + R1, whose difference is P.
+            let (da, cb) = (self.mul(&d, &a), self.mul(&c, &b));
+            x1 = self.sqr(&self.add(&da, &cb));
+            z1 = self.mul(x, &self.sqr(&self.sub(&da, &cb)));
+            // R0 ← 2·R0, as (2·AA·BB : E·(2·BB + E)) with E = AA − BB.
+            let (aa, bb) = (self.sqr(&a), self.sqr(&b));
+            let e = self.sub(&aa, &bb);
+            x0 = self.dbl(&self.mul(&aa, &bb));
+            z0 = self.mul(&e, &self.add(&self.dbl(&bb), &e));
         }
-        let digits = crate::naf::wnaf_digits(k, W);
-        let mut acc: Option<Jacobian<N>> = None;
-        for &d in digits.iter().rev() {
-            if let Some(a) = acc {
-                acc = Some(self.jac_double(&a));
-            }
-            if d != 0 {
-                let m = table[(d.unsigned_abs() as usize - 1) / 2];
-                let m = if d > 0 { m } else { self.jac_neg(&m) };
-                acc = Some(match acc {
-                    None => m,
-                    Some(a) => self.jac_add(&a, &m),
-                });
-            }
-        }
-        self.jac_to_affine(&acc?)
+        cswap(&mut x0, &mut x1, swap);
+        cswap(&mut z0, &mut z1, swap);
+        [x0, z0, x1, z1]
     }
 
     /// Scalar multiplication `k·P` by plain MSB-first double-and-add — the
@@ -224,14 +297,6 @@ impl<const N: usize> Field<N> {
     #[inline(always)]
     pub(crate) fn jac_is_infinity(&self, p: &Jacobian<N>) -> bool {
         self.is_zero(&p.z)
-    }
-
-    fn jac_neg(&self, p: &Jacobian<N>) -> Jacobian<N> {
-        Jacobian {
-            x: p.x,
-            y: self.neg(&p.y),
-            z: p.z,
-        }
     }
 
     pub(crate) fn jac_infinity(&self) -> Jacobian<N> {
@@ -382,7 +447,7 @@ impl<const N: usize> Field<N> {
         if k.bits() > CombTable::WIDTH * d {
             // Scalar wider than the table (never the case for reduced
             // scalars): fall back to the generic path on P = table[0].
-            return self.point_mul(&rows[0], k);
+            return self.point_mul(&rows[0], k, 0);
         }
         let mut acc: Option<Jacobian<N>> = None;
         for col in (0..d).rev() {
@@ -474,14 +539,20 @@ impl FpCtx {
         at_width!(self, |f| Point::from_aff(&f.point_add(&a.at(), &b.at())))
     }
 
-    /// Scalar multiplication `k·P`, width-4 wNAF over Jacobian coordinates.
-    pub(crate) fn point_mul(&self, p: &Point, k: &FpW) -> Point {
-        at_width!(self, |f| Point::from_aff(&f.point_mul(&p.at(), k)))
+    /// Scalar multiplication `k·P`, the Montgomery ladder over
+    /// `max(bits(k), bits)` steps.
+    pub(crate) fn point_mul(&self, p: &Point, k: &FpW, bits: u32) -> Point {
+        at_width!(self, |f| Point::from_aff(&f.point_mul(&p.at(), k, bits)))
+    }
+
+    /// `k·P = O`, from the ladder's x-coordinate alone.
+    pub(crate) fn mul_is_infinity(&self, p: &Point, k: &FpW) -> bool {
+        at_width!(self, |f| f.mul_is_infinity(&p.at(), k))
     }
 
     /// Scalar multiplication `k·P` by plain MSB-first double-and-add — the
-    /// pre-optimization reference path kept for cross-checks and the
-    /// benchmark baseline; bit-identical to the wNAF default.
+    /// reference path kept as the ladder's oracle and the benchmark
+    /// baseline; bit-identical to the ladder.
     pub fn point_mul_binary(&self, p: &Point, k: &FpW) -> Point {
         at_width!(self, |f| Point::from_aff(&f.point_mul_binary(&p.at(), k)))
     }
@@ -587,7 +658,7 @@ mod tests {
         let p = f.random_curve_point(&mut rng);
         let mut acc = None;
         for k in 0u64..20 {
-            assert_eq!(f.point_mul(&p, &FpW::from_u64(k)), acc, "k = {k}");
+            assert_eq!(f.point_mul(&p, &FpW::from_u64(k), 0), acc, "k = {k}");
             acc = f.point_add(&acc, &p);
         }
     }
@@ -599,13 +670,14 @@ mod tests {
         let p = f.random_curve_point(&mut rng);
         let a = FpW::from_u64(123456789);
         let b = FpW::from_u64(987654321);
+        let mul = |p: &Aff<3>, k: &FpW| f.point_mul(p, k, 0);
         // (a+b)P = aP + bP
-        let lhs = f.point_mul(&p, &a.wrapping_add(&b));
-        let rhs = f.point_add(&f.point_mul(&p, &a), &f.point_mul(&p, &b));
+        let lhs = mul(&p, &a.wrapping_add(&b));
+        let rhs = f.point_add(&mul(&p, &a), &mul(&p, &b));
         assert_eq!(lhs, rhs);
         // (ab)P = a(bP)
-        let lhs = f.point_mul(&p, &a.wrapping_mul(&b));
-        let rhs = f.point_mul(&f.point_mul(&p, &b), &a);
+        let lhs = mul(&p, &a.wrapping_mul(&b));
+        let rhs = mul(&mul(&p, &b), &a);
         assert_eq!(lhs, rhs);
     }
 
@@ -616,7 +688,8 @@ mod tests {
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
         let order = f.modulus().wrapping_add(&FpW::ONE);
-        assert_eq!(f.point_mul(&p, &order), None);
+        assert_eq!(f.point_mul(&p, &order, 0), None);
+        assert!(f.mul_is_infinity(&p, &order));
     }
 
     #[test]
@@ -624,28 +697,72 @@ mod tests {
         let f = field();
         let mut rng = rng();
         let p = f.random_curve_point(&mut rng);
-        assert_eq!(f.point_mul(&p, &FpW::ZERO), None);
-        assert_eq!(f.point_mul(&None, &FpW::from_u64(7)), None);
+        assert_eq!(f.point_mul(&p, &FpW::ZERO, 0), None);
+        assert_eq!(f.point_mul(&p, &FpW::ZERO, 127), None);
+        assert_eq!(f.point_mul(&None, &FpW::from_u64(7), 127), None);
+        assert!(f.mul_is_infinity(&p, &FpW::ZERO));
+        assert!(f.mul_is_infinity(&None, &FpW::from_u64(7)));
     }
 
+    /// `2^j` as a scalar.
+    fn two_to(j: u32) -> FpW {
+        let mut k = FpW::ZERO;
+        k.set_bit(j, true);
+        k
+    }
+
+    /// On `p = 2^127 − 1` the group has order `2^127`, so every point has
+    /// 2-power order and the ladder meets infinity and `(0, 0)` mid-way:
+    /// bases of every small order (the 2-torsion point, both 4-torsion
+    /// x-coordinates, `2^j`-multiples of a full-order point) against
+    /// scalars around the order and its powers of two, at step counts
+    /// below, at and above the scalar's length.
     #[test]
-    fn wnaf_matches_binary_ladder() {
+    fn ladder_matches_binary_on_degenerate_inputs() {
         let f = field();
         let mut rng = rng();
-        let p = f.random_curve_point(&mut rng);
-        // Small scalars, a few wide ones, and the near-top-of-width guard.
-        let mut scalars = vec![FpW::ZERO, FpW::ONE, FpW::from_u64(2)];
-        for k in [3u64, 15, 16, 17, 0xffff_ffff, 0xdead_beef_cafe] {
-            scalars.push(FpW::from_u64(k));
-        }
         let order = f.modulus().wrapping_add(&FpW::ONE);
-        scalars.push(order.wrapping_sub(&FpW::ONE));
-        scalars.push(order);
-        scalars.push(FpW::MAX); // exercises the binary fallback
-        for k in &scalars {
-            assert_eq!(f.point_mul(&p, k), f.point_mul_binary(&p, k));
+        let full = f.random_curve_point(&mut rng);
+        let mut bases = vec![None, Some((f.zero(), f.zero()))];
+        // x = ±1: the 4-torsion points (one of f(±1) = ±2 is a square).
+        for x in [f.one(), f.neg(&f.one())] {
+            if let Some(y) = f.sqrt(&f.curve_rhs(&x)) {
+                bases.push(Some((x, y)));
+            }
         }
-        assert_eq!(f.point_mul(&None, &FpW::from_u64(7)), None);
+        for j in [0, 1, 2, 3, 60, 124, 125, 126] {
+            bases.push(f.point_mul_binary(&full, &two_to(j)));
+        }
+        bases.push(f.random_curve_point(&mut rng));
+        let mut scalars = vec![FpW::ZERO, FpW::ONE, FpW::from_u64(2), FpW::from_u64(3)];
+        for k in [
+            order.wrapping_sub(&FpW::ONE),
+            order,
+            order.wrapping_add(&FpW::ONE),
+        ] {
+            scalars.push(k);
+        }
+        for j in [1, 2, 5, 64, 126, 127, 128] {
+            let k = two_to(j);
+            scalars.extend([k.wrapping_sub(&FpW::ONE), k, k.wrapping_add(&FpW::ONE)]);
+        }
+        scalars.push(FpW::from_u64(0xdead_beef_cafe));
+        scalars.push(
+            order
+                .wrapping_mul(&FpW::from_u64(5))
+                .wrapping_sub(&FpW::from_u64(3)),
+        );
+        scalars.push(FpW::MAX);
+        for p in &bases {
+            assert!(f.is_on_curve(p));
+            for k in &scalars {
+                let want = f.point_mul_binary(p, k);
+                for bits in [0, 127, 200] {
+                    assert_eq!(f.point_mul(p, k, bits), want, "{p:?} · {k:?}, {bits} steps");
+                }
+                assert_eq!(f.mul_is_infinity(p, k), want.is_none(), "{p:?} · {k:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! `Field<N>` is `F_p` on `[u64; N]` values with `R = 2^(64·N)`:
 //! its product is `mws-bigint`'s CIOS body inlined at the constant width
-//! `N`, and its sum and difference the same library's limb kernels, so a
-//! loop over field operations holds no width match and no out-of-line
-//! call. Every value is `< p`, so a `p` narrower than `N` limbs (a small
-//! test prime in the 3-limb field) simply leaves the top limbs zero.
+//! `N`, its sum and difference the same library's limb kernels, and its
+//! inverse that library's constant-time safegcd ([`ModInv`]) plus one
+//! product, so a loop over field operations holds no width match and no
+//! out-of-line call but the inversion. Every value is `< p`, so a `p`
+//! narrower than `N` limbs (a small test prime in the 3-limb field) simply
+//! leaves the top limbs zero.
 //!
 //! [`FpCtx`] is the field a [`crate::PairingCtx`] works in: one
 //! `Field<N>` at the width picked once from `p`. Its public
@@ -18,7 +20,7 @@
 
 use crate::{at_width, FpW, Wide, FP_LIMBS};
 use mws_bigint::{
-    add_mod_limbs, mont_mul_limbs, mont_neg_inv, random_below, sub_mod_limbs, Rng, Uint,
+    add_mod_limbs, mont_mul_limbs, mont_neg_inv, random_below, sub_mod_limbs, ModInv, Rng, Uint,
 };
 
 /// A field element at width `N`, in Montgomery form (`a·2^(64·N) mod p`).
@@ -70,10 +72,12 @@ pub(crate) struct Field<const N: usize> {
     r2: Fe<N>,
     /// Cached constant 3 (Montgomery form), hoisted out of inner loops.
     three: Fe<N>,
+    /// `R³ mod p`: takes safegcd's plain `(aR)⁻¹` back into the domain.
+    r3: Fe<N>,
     /// `(p + 1) / 4` — the square-root exponent (valid because `p ≡ 3 mod 4`).
     sqrt_exp: FpW,
-    /// `p − 2` — the Fermat inversion exponent.
-    inv_exp: FpW,
+    /// The safegcd inversion context for `p`.
+    modinv: ModInv<N>,
 }
 
 impl<const N: usize> Field<N> {
@@ -96,10 +100,12 @@ impl<const N: usize> Field<N> {
             one: low(&r1),
             r2: low(&r2),
             three: [0; N],
+            r3: [0; N],
             sqrt_exp: p.wrapping_add(&Uint::ONE).wrapping_shr(2),
-            inv_exp: p.wrapping_sub(&Uint::from_u64(2)),
+            modinv: ModInv::new(&n),
         };
         f.three = f.import_u64(3);
+        f.r3 = f.mul(&f.r2, &f.r2);
         f
     }
 
@@ -229,19 +235,21 @@ impl<const N: usize> Field<N> {
         acc
     }
 
-    /// Multiplicative inverse `a^(p−2)`. Returns `None` for zero; for a
-    /// composite `p` the result is meaningless (see [`FpCtx::new`]).
+    /// Multiplicative inverse. Returns `None` for zero; for a composite
+    /// `p` the result is meaningless (see [`FpCtx::new`]).
     ///
-    /// Fermat stays in the Montgomery domain at the field's width; the
-    /// extended Euclidean algorithm on the canonical representative costs
-    /// 3–4× as much at 160 and 256 bits and 1.5× at 512.
+    /// The constant-time safegcd of [`ModInv`] inverts the Montgomery
+    /// residue `aR` as a plain integer, and one product with `R³` brings
+    /// `(aR)⁻¹ = a⁻¹R⁻¹` back to `a⁻¹R`: one field product in all, against
+    /// the ~1.2·bits of Fermat's `a^(p−2)`, and the same word operations
+    /// whatever `a` is.
     pub(crate) fn inv(&self, a: &Fe<N>) -> Option<Fe<N>> {
         if self.is_zero(a) {
             return None;
         }
         #[cfg(debug_assertions)]
         mws_bigint::cost::inversion();
-        Some(self.pow(a, &self.inv_exp))
+        Some(self.mul(&self.modinv.inv(a), &self.r3))
     }
 
     /// Square root via `a^((p+1)/4)` (valid for `p ≡ 3 mod 4`).
@@ -284,9 +292,9 @@ impl FpCtx {
     /// Creates a context for an odd prime `p ≡ 3 (mod 4)`, at 3 limbs for a
     /// `p` of up to 192 bits, 4 up to 256 and 8 above.
     ///
-    /// Primality is the caller's contract and is not checked: inversion
-    /// and square roots are exponentiations that are only right modulo a
-    /// prime.
+    /// Primality is the caller's contract and is not checked: square roots
+    /// are exponentiations that are only right modulo a prime, and
+    /// inversion needs every nonzero element to be a unit.
     ///
     /// # Panics
     ///
@@ -518,6 +526,52 @@ pub(crate) mod tests {
             p = p.wrapping_sub(&FpW::from_u64(4));
         }
         p
+    }
+
+    /// Fermat's `a^(p−2)`: the inversion [`Field::inv`] replaced, kept as
+    /// its oracle.
+    fn inv_fermat<const N: usize>(f: &Field<N>, a: &Fe<N>) -> Fe<N> {
+        f.pow(a, &f.modulus().wrapping_sub(&FpW::from_u64(2)))
+    }
+
+    /// The safegcd inverse at width `N` against Fermat in the Montgomery
+    /// domain and against `Uint::inv_mod` on canonical values: on 1,
+    /// `p − 1`, `R mod p`, every `2^k < p` and random elements; zero has
+    /// none.
+    fn inv_matches_fermat_and_euclid<const N: usize>(p: FpW) {
+        let f = Field::<N>::new(&p);
+        assert!(f.inv(&f.zero()).is_none());
+        let mut values = vec![FpW::ONE, p.wrapping_sub(&FpW::ONE), f.to_uint(&f.one())];
+        for k in 0..p.bits() - 1 {
+            let mut v = FpW::ZERO;
+            v.set_bit(k, true);
+            values.push(v);
+        }
+        let check = |a: FpW| {
+            let am = f.import(&a);
+            let inv = f.inv(&am).expect("a unit");
+            assert_eq!(inv, inv_fermat(&f, &am), "safegcd != Fermat at {a:?}");
+            assert_eq!(f.to_uint(&inv), a.inv_mod(&p).unwrap(), "safegcd != Euclid");
+        };
+        values.into_iter().for_each(check);
+        cases(64, |g| operand(g, &p)).check(|a| {
+            if a.is_zero() {
+                assert!(f.inv(&f.import(&a)).is_none())
+            } else {
+                check(a)
+            }
+        });
+    }
+
+    #[test]
+    fn inv_matches_fermat_and_euclid_at_every_width() {
+        inv_matches_fermat_and_euclid::<3>(*field().modulus());
+        inv_matches_fermat_and_euclid::<3>(top_prime(160));
+        inv_matches_fermat_and_euclid::<3>(top_prime(48)); // top limbs zero
+        inv_matches_fermat_and_euclid::<4>(top_prime(256));
+        inv_matches_fermat_and_euclid::<4>(top_prime(193));
+        inv_matches_fermat_and_euclid::<8>(top_prime(512));
+        inv_matches_fermat_and_euclid::<8>(top_prime(257));
     }
 
     #[test]

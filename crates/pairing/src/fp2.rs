@@ -175,7 +175,7 @@ impl<const N: usize> Field<N> {
     ///
     /// After the easy final exponentiation `z^{p−1} = z̄/z` every value
     /// satisfies `a·ā = 1`, so `a⁻¹ = ā` is free and signed-digit recoding
-    /// applies — the same trick wNAF plays with point negation. Used for the
+    /// applies, as point negation makes it apply on the curve. Used for the
     /// hard final-exponentiation power `^h`. Bit-identical to
     /// [`Self::fp2_pow_binary`] on unitary inputs.
     ///

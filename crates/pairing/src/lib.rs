@@ -16,9 +16,12 @@
 //! Layout:
 //!
 //! * [`fp`] — prime-field arithmetic in the Montgomery domain, at the
-//!   field's width, and [`FpCtx`], the field a [`PairingCtx`] works in.
+//!   field's width, and [`FpCtx`], the field a [`PairingCtx`] works in;
+//!   inversion is `mws-bigint`'s constant-time safegcd.
 //! * [`fp2`] — the quadratic extension `F_p[i]/(i²+1)`.
-//! * [`curve`] — affine/Jacobian point arithmetic on `E(F_p)`.
+//! * [`curve`] — point arithmetic on `E(F_p)`: the x-only Montgomery
+//!   ladder for every variable-base `k·P`, a fixed-base comb, and the
+//!   Jacobian formulas the comb and the Miller loops share.
 //! * `pairing` — Miller's algorithm and the final exponentiation.
 //! * [`prepared`] — cached Miller tapes for fixed first arguments.
 //! * [`maptopoint`] — hash-to-point (the `MapToPoint` of BF-IBE).

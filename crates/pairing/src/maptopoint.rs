@@ -43,10 +43,11 @@ pub fn hash_to_point(ctx: &PairingCtx, msg: &[u8]) -> Point {
         let mut counter = 0u32;
         loop {
             if let Some(q) = candidate_at(f, msg, counter) {
-                // Cofactor multiplication (wNAF) puts the result in the
-                // order-q subgroup by construction — no explicit membership
-                // check needed (p + 1 = q·h, so h·Q has order dividing q).
-                let cleared = f.point_mul(&Some(q), ctx.cofactor());
+                // Cofactor multiplication (the ladder) puts the result in
+                // the order-q subgroup by construction — no explicit
+                // membership check needed (p + 1 = q·h, so h·Q has order
+                // dividing q).
+                let cleared = f.point_mul(&Some(q), ctx.cofactor(), ctx.group_order().bits());
                 if cleared.is_some() {
                     break Point::from_aff(&cleared);
                 }

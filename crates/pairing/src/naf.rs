@@ -1,10 +1,11 @@
 //! Width-w non-adjacent form (wNAF) recoding of scalars.
 //!
-//! Shared by variable-base scalar multiplication ([`crate::curve`]) and
-//! unitary `F_p²` exponentiation ([`crate::fp2`]): both have cheap inverses
-//! (point negation / conjugation), which is exactly when a signed-digit
+//! Shared by the Miller loop's steps over `q` (`pairing`) and unitary `F_p²`
+//! exponentiation ([`crate::fp2`]): both have cheap inverses (point
+//! negation / conjugation), which is exactly when a signed-digit
 //! representation pays off — it cuts the expected non-zero digit density
-//! from 1/2 to 1/(w+1).
+//! from 1/2 to 1/(w+1). Both recode public values; secret scalars go
+//! through the curve's Montgomery ladder instead.
 
 use crate::FpW;
 
@@ -12,8 +13,8 @@ use crate::FpW;
 ///
 /// Each digit is odd and in `(−2^{w−1}, 2^{w−1})`, or zero; the value is
 /// `k = Σ dᵢ·2^i`. Callers must ensure `k.bits() + w ≤ FpW::BITS` so the
-/// intermediate `k − dᵢ` cannot wrap (the public entry points fall back to
-/// the binary ladder near the width limit).
+/// intermediate `k − dᵢ` cannot wrap (a pairing context's `q` and the final
+/// exponentiation's exponents are far below the width).
 pub(crate) fn wnaf_digits(k: &FpW, w: u32) -> Vec<i8> {
     debug_assert!((2..8).contains(&w), "wNAF width out of supported range");
     debug_assert!(k.bits() + w <= FpW::BITS, "scalar too wide for wNAF");

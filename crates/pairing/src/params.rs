@@ -139,11 +139,11 @@ impl PairingCtx {
         if generator.is_infinity() || !fp.is_on_curve(&generator) {
             return Err(PairingError::InvalidPoint);
         }
-        // Generator must have exact order q (wNAF `point_mul`; the group
+        // Generator must have exact order q (the ladder's `q·G = O`; the group
         // E(F_p) ≅ Z_{p+1} is cyclic — gcd(p+1, p−1) = 2 and there is a
         // single 2-torsion point — so `q·G = O` characterizes the unique
         // order-q subgroup exactly).
-        if !fp.point_mul(&generator, &params.q).is_infinity() {
+        if !fp.mul_is_infinity(&generator, &params.q) {
             return Err(PairingError::InvalidPoint);
         }
         Ok(Self {
@@ -210,9 +210,9 @@ impl PairingCtx {
         // hash-to-point and generation skip an explicit order check.
         let generator = loop {
             let r = fp.random_curve_point(rng);
-            let g = fp.point_mul(&r, &h);
+            let g = fp.point_mul(&r, &h, q.bits());
             if !g.is_infinity() {
-                debug_assert!(fp.point_mul(&g, &q).is_infinity());
+                debug_assert!(fp.mul_is_infinity(&g, &q));
                 break g;
             }
         };
@@ -280,9 +280,10 @@ impl PairingCtx {
         random_nonzero_below(rng, &self.tate.q)
     }
 
-    /// Scalar multiplication on the curve (width-4 wNAF).
+    /// Scalar multiplication on the curve: the Montgomery ladder, over
+    /// `max(bits(k), bits(q))` steps whatever `k` is.
     pub fn mul(&self, p: &Point, k: &FpW) -> Point {
-        self.fp.point_mul(p, k)
+        self.fp.point_mul(p, k, self.tate.q.bits())
     }
 
     /// The generator's comb table (built on first use, shared across
@@ -331,7 +332,7 @@ impl PairingCtx {
     }
 
     /// Membership test for the order-`q` subgroup (on-curve and `q·P = O`,
-    /// via the wNAF ladder; infinity is a member).
+    /// via the x-only ladder; infinity is a member).
     ///
     /// `E(F_p)` is cyclic of order `p + 1 = q·h`, so the annihilation check
     /// is exact. Points obtained by cofactor multiplication (hash-to-point,
@@ -340,7 +341,7 @@ impl PairingCtx {
     pub fn in_subgroup(&self, p: &Point) -> bool {
         match p {
             Point::Infinity => true,
-            _ => self.fp.is_on_curve(p) && self.fp.point_mul(p, &self.tate.q).is_infinity(),
+            _ => self.fp.is_on_curve(p) && self.fp.mul_is_infinity(p, &self.tate.q),
         }
     }
 
@@ -566,8 +567,9 @@ mod tests {
         assert_eq!(c.field().fp2_pow(&e, c.group_order()), c.field().fp2_one());
     }
 
-    /// Comb, wNAF, and the binary ladder must agree bit-for-bit on the
-    /// generator, including the edge scalars `0`, `1`, `q−1`, `q`.
+    /// Comb, the Montgomery ladder and binary double-and-add must agree
+    /// bit-for-bit on the generator, including the edge scalars `0`, `1`,
+    /// `q−1`, `q`.
     fn scalar_mul_cross_check(level: SecurityLevel) {
         let c = PairingCtx::named(level);
         let g = c.generator();
@@ -586,11 +588,11 @@ mod tests {
         }
         for k in &scalars {
             let reference = f.point_mul_binary(&g, k);
-            assert_eq!(c.mul(&g, k), reference, "wNAF vs binary");
+            assert_eq!(c.mul(&g, k), reference, "ladder vs binary");
             assert_eq!(c.mul_generator(k), reference, "comb vs binary");
         }
         assert_eq!(c.mul_generator(&q), Point::Infinity);
-        // Hashed points through the wNAF path.
+        // Hashed points through the ladder.
         let h = c.hash_to_point(b"scalar-mul/cross-check");
         let k = c.random_scalar(&mut rng);
         assert_eq!(c.mul(&h, &k), f.point_mul_binary(&h, &k));

@@ -147,3 +147,40 @@ fn pairing_folds_the_cofactor_into_the_exponent() {
         });
     }
 }
+
+/// The Montgomery ladder (`PairingCtx::mul`) against binary double-and-add
+/// on full-group points — any order dividing `p + 1 = q·h` — at Toy and
+/// Light, for the scalars 0, 1, 2, `q − 1`, `q`, `q + 1`, `h`, `p + 1`
+/// and random ones up to `p`'s width.
+#[test]
+fn ladder_matches_binary_on_full_group_points() {
+    for level in [SecurityLevel::Toy, SecurityLevel::Light] {
+        let c = PairingCtx::named(level);
+        let f = c.field();
+        let (q, h) = (*c.group_order(), *c.cofactor());
+        let p = c.params().p;
+        let edges = [
+            FpW::ZERO,
+            FpW::ONE,
+            FpW::from_u64(2),
+            q.wrapping_sub(&FpW::ONE),
+            q,
+            q.wrapping_add(&FpW::ONE),
+            h,
+            p.wrapping_add(&FpW::ONE),
+        ];
+        let gen = |g: &mut mws_prop::Gen| {
+            let limbs: [u64; 4] = std::array::from_fn(|_| g.u64());
+            (g.u64(), g.size(0..2 * edges.len()), limbs)
+        };
+        cases(32, gen).check(|(seed, which, limbs)| {
+            let pt = f.random_curve_point(&mut mws_crypto::HmacDrbg::from_u64(seed));
+            let k = edges.get(which).copied().unwrap_or_else(|| {
+                let mut wide = [0u64; 8];
+                wide[..4].copy_from_slice(&limbs);
+                FpW::from_limbs(wide).rem(&p)
+            });
+            assert_eq!(c.mul(&pt, &k), f.point_mul_binary(&pt, &k), "{level:?}");
+        });
+    }
+}

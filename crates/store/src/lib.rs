@@ -22,6 +22,8 @@
 //! * [`shard`] — [`ShardedMessageDb`]: the message table striped N ways by
 //!   attribute hash ([`ShardRouter`]), each shard with its own WAL, fsync
 //!   cadence, compaction, and recovery (DESIGN.md §9).
+//! * `cost` (debug builds only) — thread-local counts of WAL appends and
+//!   fsyncs, the store's rows of `tests/cost_model.rs`.
 //!
 //! # Example
 //!
@@ -39,6 +41,8 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+#[cfg(debug_assertions)]
+pub mod cost;
 pub mod engine;
 pub mod fault;
 pub mod flatfile;

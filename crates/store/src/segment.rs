@@ -169,6 +169,8 @@ impl Segment {
         }
         stats().appends.inc();
         stats().wal_append_us.record_duration(start.elapsed());
+        #[cfg(debug_assertions)]
+        crate::cost::append();
         self.len += frame.len() as u64;
         Ok(offset)
     }
@@ -189,6 +191,8 @@ impl Segment {
                 return Err(e.into());
             }
             stats().wal_fsync_us.record_duration(start.elapsed());
+            #[cfg(debug_assertions)]
+            crate::cost::fsync();
         }
         Ok(())
     }

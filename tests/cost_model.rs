@@ -1,22 +1,36 @@
-//! The pairing layer's cost model: field products, inversions and square
-//! roots per operation at Toy, Light and Standard, counted on the calling
-//! thread by `mws-bigint`'s debug-build counters ([`Cost`]) rather than
-//! timed, so the figures do not drift with the host.
+//! The workspace's cost model, counted rather than timed so the figures do
+//! not drift with the host: field products, inversions and square roots
+//! per pairing operation at Toy, Light and Standard (`mws-bigint`'s
+//! [`Cost`]), and WAL appends and fsyncs per deposit (`mws-store`'s
+//! [`WalCost`]), both thread-local debug-build counters.
 //!
-//! [`PARENT`] holds the counts of the commit before the device's compose
-//! stopped clearing the cofactor (`e2a8533`). Every read-path operation —
-//! MapToPoint, extraction, both pairings, decryption and one `collect`
-//! message — must stay at exactly those counts. `encrypt_attr` pairs `sP`
-//! with the uncleared MapToPoint candidate instead of `I = h·Q` (DESIGN
-//! D7), so it has its own ceiling, [`COMPOSE`]. A change may lower a
-//! figure here; raising one needs a sentence in DESIGN.
+//! [`PINNED`] is each pairing operation's exact count now that every
+//! variable-base `k·P` is the x-only Montgomery ladder and every inversion
+//! the constant-time safegcd (DESIGN D8). [`PARENT`] is the count at the
+//! commit before them (`2beb55e`: width-4 wNAF and Fermat inversion), and
+//! no pinned figure may exceed it. A change may lower a figure here;
+//! raising one needs a sentence in DESIGN.
+//!
+//! [`scalar_cost_is_independent_of_the_scalar`] holds the ladder to its
+//! promise: the PKG's extraction, a variable-base multiplication and an
+//! IBS signature cost the same whatever the secret scalar is. The WAL rows
+//! are ceilings at the counts the store had when they were added.
 
 #![cfg(debug_assertions)]
 
 use mws::bigint::cost::Cost;
+use mws::bigint::Rng;
+use mws::core::clock::{LogicalClock, ReplayPolicy};
+use mws::core::protocol::MwsService;
+use mws::core::registry::DeviceRegistry;
+use mws::core::sda::{deposit_mac, DeviceAuthVerifier};
 use mws::crypto::{Digest, HmacDrbg, Sha1};
 use mws::ibe::{CipherAlgo, IbeSystem};
-use mws::pairing::SecurityLevel;
+use mws::net::Service;
+use mws::pairing::{FpW, SecurityLevel};
+use mws::store::cost::WalCost;
+use mws::store::StorageKind;
+use mws::wire::{DepositItem, DepositOutcome, Pdu};
 
 const LEVELS: [SecurityLevel; 3] = [
     SecurityLevel::Toy,
@@ -27,9 +41,26 @@ const LEVELS: [SecurityLevel; 3] = [
 /// `(products, inversions, square roots)`.
 type Counts = (u64, u64, u64);
 
-/// `(operation, [Toy, Light, Standard])` at `e2a8533`. `cofactor` is MapToPoint's `h·Q` on its
-/// first candidate: the parent ran the same multiplication inside
-/// `hash_to_point`, which costs it plus the candidate search.
+/// `(operation, [Toy, Light, Standard])`, exact. `cofactor` is
+/// MapToPoint's `h·Q` on its first candidate; `in_subgroup` is `q·P = O`
+/// from the ladder's x-coordinate alone.
+const PINNED: [(&str, [Counts; 3]); 10] = [
+    ("pairing", [(1696, 1, 0), (2682, 1, 0), (3849, 1, 0)]),
+    ("pairing_with", [(721, 1, 0), (1131, 1, 0), (1914, 1, 0)]),
+    ("hash_to_point", [(956, 1, 1), (1501, 1, 1), (3842, 1, 1)]),
+    ("cofactor", [(742, 1, 0), (1174, 1, 0), (3190, 1, 0)]),
+    ("mul", [(733, 1, 0), (1165, 1, 0), (1453, 1, 0)]),
+    ("extract_point", [(733, 1, 0), (1165, 1, 0), (1453, 1, 0)]),
+    ("in_subgroup", [(723, 0, 0), (1155, 0, 0), (1443, 0, 0)]),
+    ("encrypt_attr", [(1581, 2, 1), (2565, 2, 1), (3927, 2, 1)]),
+    ("decrypt_attr", [(1701, 1, 0), (2687, 1, 0), (3854, 1, 0)]),
+    (
+        "collect_message",
+        [(3820, 3, 3), (6009, 3, 3), (10455, 3, 3)],
+    ),
+];
+
+/// The same rows at `2beb55e`, before the ladder and safegcd.
 const PARENT: [(&str, [Counts; 3]); 10] = [
     ("pairing", [(1901, 1, 0), (3005, 1, 0), (4493, 1, 0)]),
     ("pairing_with", [(926, 1, 0), (1454, 1, 0), (2558, 1, 0)]),
@@ -38,7 +69,7 @@ const PARENT: [(&str, [Counts; 3]); 10] = [
     ("mul", [(1157, 1, 0), (1892, 1, 0), (2647, 1, 0)]),
     ("extract_point", [(1141, 1, 0), (1835, 1, 0), (2500, 1, 0)]),
     ("in_subgroup", [(795, 0, 0), (1227, 0, 0), (1515, 0, 0)]),
-    ("encrypt_attr", [(3238, 3, 1), (5150, 3, 1), (10252, 3, 1)]),
+    ("encrypt_attr", [(1991, 2, 1), (3211, 2, 1), (5215, 2, 1)]),
     ("decrypt_attr", [(1906, 1, 0), (3010, 1, 0), (4498, 1, 0)]),
     (
         "collect_message",
@@ -46,14 +77,14 @@ const PARENT: [(&str, [Counts; 3]); 10] = [
     ),
 ];
 
-/// `encrypt_attr`'s ceiling per level: the cofactor multiplication and its
-/// inversion are gone, the rest is the parent's compose.
-const COMPOSE: [Counts; 3] = [(1991, 2, 1), (3211, 2, 1), (5215, 2, 1)];
+/// `encrypt_attr` at `e2a8533`, when the device still cleared the cofactor
+/// (DESIGN D7): `[Toy, Light, Standard]`.
+const ENCRYPT_ATTR_E2A8533: [Counts; 3] = [(3238, 3, 1), (5150, 3, 1), (10252, 3, 1)];
 
 const ATTRIBUTE: &str = "ELECTRIC-APT9";
 const NONCE: &[u8] = b"nonce-0001";
 
-/// `(operation, cost)` for every [`PARENT`] row at one level, each lazy
+/// `(operation, cost)` for every [`PINNED`] row at one level, each lazy
 /// cache warmed first so no row pays a one-time precomputation.
 fn measure(level: SecurityLevel) -> Vec<(&'static str, Cost)> {
     let ibe = IbeSystem::named(level);
@@ -126,41 +157,255 @@ fn triple(c: &Cost) -> Counts {
     (c.products, c.inversions, c.square_roots)
 }
 
-/// Every operation but the compose costs exactly what it did at the parent,
-/// so the read path's arithmetic did not move; the compose is within its
-/// ceiling.
+/// Every operation costs exactly its pinned count.
 #[test]
 fn costs_per_operation() {
     let mut off = Vec::new();
     for (l, level) in LEVELS.into_iter().enumerate() {
         let rows = measure(level);
-        assert_eq!(rows.len(), PARENT.len());
-        for ((name, cost), (pinned, parent)) in rows.iter().zip(PARENT) {
-            assert_eq!(*name, pinned);
+        assert_eq!(rows.len(), PINNED.len());
+        for ((name, cost), (pinned_name, pinned)) in rows.iter().zip(PINNED) {
+            assert_eq!(*name, pinned_name);
             let got = triple(cost);
-            let fits = match *name {
-                "encrypt_attr" => {
-                    let ceiling = COMPOSE[l];
-                    got.0 <= ceiling.0 && got.1 <= ceiling.1 && got.2 <= ceiling.2
-                }
-                _ => got == parent[l],
-            };
-            if !fits {
-                off.push(format!("{level:?} {name}: {got:?}, parent {:?}", parent[l]));
+            if got != pinned[l] {
+                off.push(format!("{level:?} {name}: {got:?}, pinned {:?}", pinned[l]));
             }
         }
     }
     assert!(off.is_empty(), "costs moved:\n{}", off.join("\n"));
 }
 
-/// The compose's saving is the cofactor multiplication: its ceiling is at
-/// most 0.65× the parent's products at Light and 0.55× at Standard, where
-/// `h` is 353 bits. (It is not exactly the parent minus `cofactor`: `g`'s
-/// exponent is now `h·r mod q`, whose zero windows differ from `r`'s.)
+/// No pinned figure rises over the parent's, and the read path's saving
+/// is the one DESIGN D8 states: one `collect` message at Light is at most
+/// 6,200 products (the parent's 7,772 less 20 %) with its inversions and
+/// square roots unchanged, and a variable-base multiplication or an
+/// extraction at most 1,200.
+#[test]
+fn no_row_rises_over_the_parent() {
+    for ((name, pinned), (parent_name, parent)) in PINNED.iter().zip(PARENT) {
+        assert_eq!(*name, parent_name);
+        for (got, was) in pinned.iter().zip(parent) {
+            assert!(
+                got.0 <= was.0 && got.1 <= was.1 && got.2 <= was.2,
+                "{name}: {got:?} over the parent's {was:?}"
+            );
+        }
+    }
+    let light = |op: &str| PINNED.iter().find(|(n, _)| *n == op).unwrap().1[1];
+    assert!(light("collect_message").0 <= 6200);
+    assert_eq!(
+        (light("collect_message").1, light("collect_message").2),
+        (3, 3)
+    );
+    assert!(light("mul").0 <= 1200 && light("extract_point").0 <= 1200);
+}
+
+/// The compose's saving over `e2a8533` is the cofactor multiplication:
+/// at most 0.65× those products at Light and 0.55× at Standard, where `h`
+/// is 353 bits.
 #[test]
 fn compose_skips_the_cofactor() {
-    let parent = PARENT.iter().find(|(n, _)| *n == "encrypt_attr").unwrap().1;
+    let compose = PINNED.iter().find(|(n, _)| *n == "encrypt_attr").unwrap().1;
     for (l, bound) in [(1, 0.65), (2, 0.55)] {
-        assert!(COMPOSE[l].0 as f64 <= bound * parent[l].0 as f64);
+        assert!(compose[l].0 as f64 <= bound * ENCRYPT_ATTR_E2A8533[l].0 as f64);
+    }
+}
+
+/// Replays a scripted scalar through `random_scalar`: `random_bits`
+/// takes whole limbs low first and the top partial limb from a draw's
+/// high bits, so these draws make the first call return `k` (for
+/// `0 < k < q`).
+struct Scripted(Vec<u64>);
+
+impl Scripted {
+    fn drawing(k: &FpW, q: &FpW) -> Self {
+        let (full, rem) = ((q.bits() / 64) as usize, q.bits() % 64);
+        let mut draws: Vec<u64> = k.limbs()[..full].to_vec();
+        if rem != 0 {
+            draws.push(k.limbs()[full] << (64 - rem));
+        }
+        draws.reverse();
+        Self(draws)
+    }
+}
+
+impl Rng for Scripted {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0.pop().expect("one scripted scalar")
+    }
+    fn fill_bytes(&mut self, _: &mut [u8]) {
+        unreachable!("only scalars are drawn")
+    }
+}
+
+/// A variable-base multiplication, the PKG's extraction (`s` the master
+/// secret) and an IBS signature (`r` its nonce) cost the same products,
+/// inversions and square roots for the scalars 1, 2^7, 2^(bits(q)−1),
+/// `q − 1` and a random one, at every level: the ladder's step count is
+/// fixed by `q`, its swaps are masked, and `k·P = O` or `(k+1)·P = O`
+/// still pays the inversion.
+#[test]
+fn scalar_cost_is_independent_of_the_scalar() {
+    for level in LEVELS {
+        let ibe = IbeSystem::named(level);
+        let ctx = ibe.pairing();
+        let q = ctx.group_order();
+        let mut rng = HmacDrbg::from_u64(0x5ca1a);
+        ctx.warm_caches();
+        let i_pt = ibe.attribute_point(ATTRIBUTE, NONCE);
+        let d_id = ibe.extract(&ibe.setup(&mut rng).0, b"meter-7");
+        let pow2 = |j: u32| {
+            let mut k = FpW::ZERO;
+            k.set_bit(j, true);
+            k
+        };
+        let scalars = [
+            FpW::ONE,
+            pow2(7),
+            pow2(q.bits() - 1),
+            q.wrapping_sub(&FpW::ONE),
+            ctx.random_scalar(&mut rng),
+        ];
+        let costs: Vec<[Counts; 3]> = scalars
+            .iter()
+            .map(|k| {
+                let (msk, _) = ibe.setup(&mut Scripted::drawing(k, q));
+                let mul = Cost::of(|| ctx.mul(&i_pt, k)).1;
+                let extract = Cost::of(|| ibe.extract_point(&msk, &i_pt)).1;
+                let sign = Cost::of(|| {
+                    ibe.ibs_sign(&mut Scripted::drawing(k, q), b"meter-7", &d_id, b"m")
+                })
+                .1;
+                [triple(&mul), triple(&extract), triple(&sign)]
+            })
+            .collect();
+        for (k, cost) in scalars.iter().zip(&costs) {
+            assert_eq!(
+                *cost, costs[0],
+                "{level:?}: [mul, extract_point, ibs_sign] at k = {k:?} != at k = 1"
+            );
+        }
+    }
+}
+
+const DEVICE: &str = "meter-wal";
+const KEY: &[u8] = b"wal-device-key";
+
+/// A one-shard warehouse that knows [`DEVICE`], its messages on `shard`.
+fn warehouse(shard: StorageKind) -> impl Service {
+    let mut registry = DeviceRegistry::new();
+    registry.register(DEVICE, KEY);
+    MwsService::new_sharded(
+        registry,
+        vec![shard],
+        StorageKind::Memory,
+        StorageKind::Memory,
+        b"wal-secret",
+        LogicalClock::new(),
+        ReplayPolicy::standard(),
+        1,
+        DeviceAuthVerifier::Mac,
+    )
+    .unwrap()
+    .as_service()
+}
+
+/// Deposit `n`: a fresh nonce, a valid MAC.
+fn item(n: u64) -> DepositItem {
+    let (u, sealed) = (vec![2u8; 33], vec![n as u8; 48]);
+    let attribute = "ELECTRIC-APT9".to_string();
+    let nonce = n.to_le_bytes().to_vec();
+    let mac = deposit_mac(KEY, &u, &sealed, &attribute, &nonce, DEVICE, 0);
+    DepositItem {
+        timestamp: 0,
+        u,
+        algo: 1,
+        sealed,
+        attribute,
+        nonce,
+        mac,
+    }
+}
+
+fn single(n: u64) -> Pdu {
+    let DepositItem {
+        timestamp,
+        u,
+        algo,
+        sealed,
+        attribute,
+        nonce,
+        mac,
+    } = item(n);
+    Pdu::DepositRequest {
+        sd_id: DEVICE.into(),
+        timestamp,
+        u,
+        algo,
+        sealed,
+        attribute,
+        nonce,
+        mac,
+    }
+}
+
+fn batch(first: u64) -> Pdu {
+    Pdu::DepositBatch {
+        sd_id: DEVICE.into(),
+        items: (first..first + 16).map(item).collect(),
+    }
+}
+
+/// Every stored item of a deposit reply.
+fn stored(reply: &Pdu) {
+    match reply {
+        Pdu::DepositAck { .. } => {}
+        Pdu::DepositBatchAck { results } => {
+            assert!(results.iter().all(|o| o.status == DepositOutcome::STORED));
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+/// The most WAL appends and fsyncs any one of `requests` cost, on a fresh
+/// one-shard warehouse.
+fn wal_per_request(shard: StorageKind, requests: impl Iterator<Item = Pdu>) -> (u64, u64) {
+    let mut service = warehouse(shard);
+    requests.fold((0, 0), |(appends, fsyncs), req| {
+        let (reply, cost) = WalCost::of(|| service.handle(req));
+        stored(&reply);
+        (appends.max(cost.appends), fsyncs.max(cost.fsyncs))
+    })
+}
+
+/// WAL `(appends, fsyncs)` ceilings, at the store's counts when they were
+/// added: one deposit on a memory shard is one frame and no fsync; one on
+/// a file shard, and one 16-item batch on a file shard (group-committed),
+/// one frame and one fsync.
+const WAL_CEILINGS: [(&str, (u64, u64)); 3] = [
+    ("memory-shard deposit", (1, 0)),
+    ("file-shard deposit", (1, 1)),
+    ("16-item file-shard batch", (1, 1)),
+];
+
+#[test]
+fn wal_operations_per_deposit() {
+    let dir = std::env::temp_dir().join(format!("mws-cost-wal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| StorageKind::File(dir.join(name));
+    let measured = [
+        wal_per_request(StorageKind::Memory, (0..32).map(single)),
+        wal_per_request(file("single.wal"), (0..32).map(single)),
+        wal_per_request(file("batch.wal"), (0..8).map(|b| batch(16 * b))),
+    ];
+    std::fs::remove_dir_all(&dir).unwrap();
+    for ((name, ceiling), got) in WAL_CEILINGS.iter().zip(measured) {
+        assert!(
+            got.0 <= ceiling.0 && got.1 <= ceiling.1,
+            "{name}: (appends, fsyncs) {got:?} over {ceiling:?}"
+        );
     }
 }
