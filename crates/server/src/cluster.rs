@@ -15,27 +15,20 @@
 //! replica-plane MAC key (an integrity key derived from the MWS–PKG
 //! secret, useless for decryption).
 
-use crate::gateway::retrieve_refusal;
+use crate::gateway::DoorAuth;
 use mws_cluster::{ClusterRouter, HealthProber};
 use mws_core::clock::{LogicalClock, ReplayPolicy};
-use mws_core::gatekeeper::Gatekeeper;
 use mws_net::Service;
 use mws_obs::sync::lock;
-use mws_store::StorageKind;
 use mws_wire::Pdu;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-struct AuthInner {
-    gatekeeper: Gatekeeper,
-    clock: LogicalClock,
-}
 
 /// Authenticating front door over a [`ClusterRouter`] (clones share the
 /// user table, the router and the prober).
 #[derive(Clone)]
 pub struct ClusterFrontdoor {
-    auth: Arc<Mutex<AuthInner>>,
+    auth: Arc<Mutex<DoorAuth>>,
     router: Arc<ClusterRouter>,
     prober: Arc<Mutex<Option<HealthProber>>>,
 }
@@ -45,10 +38,8 @@ impl ClusterFrontdoor {
     /// `router`. Call [`start_prober`](Self::start_prober) to keep node
     /// liveness fresh without traffic.
     pub fn new(clock: LogicalClock, replay: ReplayPolicy, router: Arc<ClusterRouter>) -> Self {
-        let gatekeeper =
-            Gatekeeper::open(StorageKind::Memory, replay).expect("memory storage cannot fail");
         Self {
-            auth: Arc::new(Mutex::new(AuthInner { gatekeeper, clock })),
+            auth: DoorAuth::shared(clock, replay),
             router,
             prober: Arc::new(Mutex::new(None)),
         }
@@ -58,10 +49,7 @@ impl ClusterFrontdoor {
     /// provisioned on every warehouse node (seed-deterministic daemons
     /// guarantee this when started with identical flags).
     pub fn register(&self, rc_id: &str, password: &str, public_key: &[u8]) {
-        lock(&self.auth)
-            .gatekeeper
-            .register(rc_id, password, public_key)
-            .expect("memory storage cannot fail");
+        lock(&self.auth).register(rc_id, password, public_key);
     }
 
     /// Starts the background health prober (idempotent; the handle lives
@@ -95,9 +83,7 @@ impl ClusterFrontdoor {
             ..
         } = request
         {
-            let mut inner = lock(&self.auth);
-            let now = inner.clock.now();
-            if let Some(refusal) = retrieve_refusal(&mut inner.gatekeeper, now, rc_id, auth) {
+            if let Some(refusal) = lock(&self.auth).refusal(rc_id, auth) {
                 return refusal;
             }
         }

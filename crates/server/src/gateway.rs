@@ -20,55 +20,79 @@ use mws_store::StorageKind;
 use mws_wire::Pdu;
 use std::sync::{Arc, Mutex};
 
-/// Upstream relay retry budget (transient socket failures only).
-const UPSTREAM_ATTEMPTS: u32 = 3;
-
-struct FrontdoorInner {
+/// A front door's User Database and clock: what both front doors (this
+/// one and [`ClusterFrontdoor`](crate::cluster::ClusterFrontdoor)) lock,
+/// and only for the auth check, never across a relay.
+pub(crate) struct DoorAuth {
     gatekeeper: Gatekeeper,
     clock: LogicalClock,
-    upstream: Client,
+}
+
+impl DoorAuth {
+    /// An in-memory user table, shareable across a door's clones.
+    pub(crate) fn shared(clock: LogicalClock, replay: ReplayPolicy) -> Arc<Mutex<Self>> {
+        let gatekeeper =
+            Gatekeeper::open(StorageKind::Memory, replay).expect("memory storage cannot fail");
+        Arc::new(Mutex::new(Self { gatekeeper, clock }))
+    }
+
+    /// Registers an RC.
+    pub(crate) fn register(&mut self, rc_id: &str, password: &str, public_key: &[u8]) {
+        self.gatekeeper
+            .register(rc_id, password, public_key)
+            .expect("memory storage cannot fail");
+    }
+
+    /// The retrieve check: `None` when the auth blob verifies, else the
+    /// counted and logged 409 (replay) or 401.
+    pub(crate) fn refusal(&mut self, rc_id: &str, auth: &[u8]) -> Option<Pdu> {
+        let now = self.clock.now();
+        let reject = self.gatekeeper.verify(now, rc_id, auth).err()?;
+        let code = match reject {
+            GkReject::Replay => 409,
+            _ => 401,
+        };
+        gw_stats().rejected.inc();
+        mws_obs::warn!(target: "mws_server", "retrieve stopped at front door",
+            code = u64::from(code), reason = reject.to_string(),);
+        Some(Pdu::Error {
+            code,
+            detail: reject.to_string(),
+        })
+    }
 }
 
 /// The standalone Gatekeeper service: authenticate, then relay to the MMS.
+/// Clones share the user table and the upstream connection.
 #[derive(Clone)]
 pub struct GatekeeperFrontdoor {
-    inner: Arc<Mutex<FrontdoorInner>>,
+    auth: Arc<Mutex<DoorAuth>>,
+    upstream: Client,
 }
 
 impl GatekeeperFrontdoor {
     /// A front door with its own in-memory user table, relaying to
     /// `upstream` (an MMS client — TCP in deployment, bus in tests).
     pub fn new(clock: LogicalClock, replay: ReplayPolicy, upstream: Client) -> Self {
-        let gatekeeper =
-            Gatekeeper::open(StorageKind::Memory, replay).expect("memory storage cannot fail");
         Self {
-            inner: Arc::new(Mutex::new(FrontdoorInner {
-                gatekeeper,
-                clock,
-                upstream,
-            })),
+            auth: DoorAuth::shared(clock, replay),
+            upstream,
         }
     }
 
     /// Registers an RC at the front door. The same identity must also be
     /// registered at the warehouse, which issues the actual token.
     pub fn register(&self, rc_id: &str, password: &str, public_key: &[u8]) {
-        lock(&self.inner)
-            .gatekeeper
-            .register(rc_id, password, public_key)
-            .expect("memory storage cannot fail");
+        lock(&self.auth).register(rc_id, password, public_key);
     }
 
-    /// A bindable service facade (clones share the user table and the
-    /// upstream connection).
+    /// A bindable service facade.
     pub fn as_service(&self) -> impl Service + 'static {
-        let inner = self.inner.clone();
-        move |req: Pdu| lock(&inner).handle(req)
+        let this = self.clone();
+        move |req: Pdu| this.handle(req)
     }
-}
 
-impl FrontdoorInner {
-    fn handle(&mut self, request: Pdu) -> Pdu {
+    fn handle(&self, request: Pdu) -> Pdu {
         if matches!(request, Pdu::HealthRequest) {
             return Pdu::HealthResponse {
                 role: "gatekeeper".into(),
@@ -95,11 +119,11 @@ impl FrontdoorInner {
                 detail: "unexpected PDU at gatekeeper".into(),
             };
         };
-        let now = self.clock.now();
-        if let Some(refusal) = retrieve_refusal(&mut self.gatekeeper, now, rc_id, auth) {
+        if let Some(refusal) = lock(&self.auth).refusal(rc_id, auth) {
             return refusal;
         }
-        match self.upstream.call_with_retry(&request, UPSTREAM_ATTEMPTS) {
+        // The upstream client makes its own retries within its deadline.
+        match self.upstream.call(&request) {
             Ok(reply) => {
                 gw_stats().relayed.inc();
                 mws_obs::debug!(target: "mws_gateway", "retrieve relayed upstream",
@@ -117,29 +141,6 @@ impl FrontdoorInner {
             }
         }
     }
-}
-
-/// The retrieve check of both front doors (this one and
-/// [`ClusterFrontdoor`](crate::cluster::ClusterFrontdoor)): `None` when the
-/// auth blob verifies, else the counted and logged 409 (replay) or 401.
-pub(crate) fn retrieve_refusal(
-    gatekeeper: &mut Gatekeeper,
-    now: u64,
-    rc_id: &str,
-    auth: &[u8],
-) -> Option<Pdu> {
-    let reject = gatekeeper.verify(now, rc_id, auth).err()?;
-    let code = match reject {
-        GkReject::Replay => 409,
-        _ => 401,
-    };
-    gw_stats().rejected.inc();
-    mws_obs::warn!(target: "mws_server", "retrieve stopped at front door",
-        code = u64::from(code), reason = reject.to_string(),);
-    Some(Pdu::Error {
-        code,
-        detail: reject.to_string(),
-    })
 }
 
 /// Front-door relay counters (preregistered, see `crate::stats`).
@@ -258,5 +259,73 @@ mod tests {
             }
             other => panic!("expected remote 502, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn health_is_answered_while_a_retrieve_is_stuck_upstream() {
+        use crate::client::{ClientConfig, TcpClient};
+        use crate::server::{ServerConfig, TcpServer};
+        use mws_core::gatekeeper::compose_rc_auth;
+        use mws_crypto::{Digest, HmacDrbg, Sha256};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        // A warehouse that takes a retrieve and holds it until released.
+        let (entered, stuck) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let warehouse = Network::new();
+        warehouse.bind("mws", move |_: Pdu| {
+            entered.send(()).unwrap();
+            let _ = released.recv();
+            Pdu::Error {
+                code: 503,
+                detail: "released".into(),
+            }
+        });
+        let clock = LogicalClock::new();
+        let front = GatekeeperFrontdoor::new(
+            clock.clone(),
+            ReplayPolicy::standard(),
+            warehouse.client("mws"),
+        );
+        front.register("rc", "pw", b"rc public key");
+        let cfg = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = TcpServer::spawn(cfg, || front.as_service()).unwrap();
+
+        let auth = compose_rc_auth(
+            &mut HmacDrbg::from_u64(1),
+            &Sha256::digest(b"pw"),
+            "rc",
+            clock.now(),
+        );
+        let retrieve = Pdu::RetrieveRequest {
+            rc_id: "rc".into(),
+            auth,
+            since: 0,
+            limit: 0,
+        };
+        let rc = TcpClient::new(server.local_addr()).into_client();
+        let retrieving = std::thread::spawn(move || rc.call(&retrieve));
+        stuck.recv_timeout(Duration::from_secs(5)).unwrap();
+
+        let once = ClientConfig {
+            attempts: 1,
+            ..ClientConfig::default()
+        };
+        let operator = TcpClient::with_config(server.local_addr(), once).into_client();
+        let health = operator.call(&Pdu::HealthRequest);
+        release.send(()).unwrap();
+        assert!(
+            matches!(health, Ok(Pdu::HealthResponse { ready: true, .. })),
+            "{health:?}"
+        );
+        let relayed = retrieving.join().unwrap();
+        assert!(
+            matches!(relayed, Ok(Pdu::Error { code: 503, .. })),
+            "{relayed:?}"
+        );
     }
 }

@@ -20,6 +20,8 @@
 //!   (`blocking`) serves one connection per worker thread. Both enforce
 //!   `max_connections` with an explicit 503 close and join every thread
 //!   on shutdown.
+//! * `cost` (debug builds only) — thread-local counts of the frames links
+//!   write and read, the transport's rows of `tests/cost_model.rs`.
 //! * [`sys`] — the thin zero-dependency epoll/rlimit syscall shim the
 //!   epoll driver is built on (the workspace's only `unsafe`).
 //! * [`client`] — [`TcpClient`]: a persistent-connection socket
@@ -56,6 +58,8 @@ pub mod chaos;
 pub mod client;
 pub mod cluster;
 mod conn;
+#[cfg(debug_assertions)]
+pub mod cost;
 pub mod daemon;
 #[cfg(target_os = "linux")]
 mod event;

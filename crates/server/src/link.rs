@@ -136,7 +136,7 @@ impl Link {
     /// frame is lent straight from the decoder's buffer. `Err` means the
     /// stream (or record sequence) has lost sync.
     pub(crate) fn next_frame(&mut self) -> Result<Option<Inbound<'_>>, LinkError> {
-        match self {
+        let inbound = match self {
             Link::Plain(decoder) => Ok(decoder
                 .next_frame()
                 .map_err(LinkError::Wire)?
@@ -153,7 +153,12 @@ impl Link {
                     Opened::Close => Inbound::Close,
                 }))
             }
+        };
+        #[cfg(debug_assertions)]
+        if let Ok(Some(Inbound::Frame(_))) = &inbound {
+            crate::cost::tally(|n| n.read += 1);
         }
+        inbound
     }
 
     /// Bytes received but not yet returned as frames.
@@ -180,6 +185,8 @@ impl Link {
         } else {
             out.extend_from_slice(&bytes);
         }
+        #[cfg(debug_assertions)]
+        crate::cost::tally(|n| n.written += 1);
         Ok(())
     }
 

@@ -1,5 +1,6 @@
 //! Primitive field codec: little-endian integers and `u32`-length-prefixed
-//! byte fields.
+//! byte fields, and the `Field` encoding of each type a PDU field may
+//! have, `u32`-counted lists of records among them.
 
 use crate::WireError;
 
@@ -130,6 +131,100 @@ impl<'a> WireReader<'a> {
         } else {
             Err(WireError::BadField("trailing bytes"))
         }
+    }
+}
+
+/// A type with one wire encoding: what the PDU table in [`crate::pdu`]
+/// writes and reads for a field of that type.
+pub(crate) trait Field: Sized {
+    /// The fewest bytes an encoding takes.
+    const MIN: usize;
+    /// Appends the encoding.
+    fn put(&self, w: &mut WireWriter);
+    /// Reads one encoding.
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+}
+
+/// A record that PDUs carry in lists (`Vec<Self>` is a [`Field`]).
+pub(crate) trait Record: Field {}
+
+macro_rules! fixed_width {
+    ($($int:ident),*) => {$(
+        impl Field for $int {
+            const MIN: usize = core::mem::size_of::<$int>();
+            fn put(&self, w: &mut WireWriter) {
+                w.$int(*self);
+            }
+            fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                r.$int()
+            }
+        }
+    )*};
+}
+
+fixed_width!(u8, u16, u32, u64);
+
+/// One byte, nonzero for `true`.
+impl Field for bool {
+    const MIN: usize = 1;
+    fn put(&self, w: &mut WireWriter) {
+        w.u8(u8::from(*self));
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(r.u8()? != 0)
+    }
+}
+
+impl Field for Vec<u8> {
+    const MIN: usize = 4;
+    fn put(&self, w: &mut WireWriter) {
+        w.bytes(self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.bytes()
+    }
+}
+
+impl Field for String {
+    const MIN: usize = 4;
+    fn put(&self, w: &mut WireWriter) {
+        w.string(self);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.string()
+    }
+}
+
+/// A `u32` count, then each record.
+impl<T: Record> Field for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, w: &mut WireWriter) {
+        write_list(w, self);
+    }
+
+    /// The one rule every declared count passes: a count the rest of the
+    /// body cannot hold at [`Field::MIN`] bytes a record is refused before
+    /// anything is reserved, so a list never reserves more than a small
+    /// multiple of the bytes that actually arrived.
+    fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let n = r.u32()? as usize;
+        if n.saturating_mul(T::MIN) > r.rest.len() {
+            return Err(WireError::BadLength);
+        }
+        let mut list = Vec::with_capacity(n);
+        for _ in 0..n {
+            list.push(T::get(r)?);
+        }
+        Ok(list)
+    }
+}
+
+/// Appends `list` as a `Vec<T>` field encodes: its `u32` count, then each
+/// record. Takes a slice, so a MAC input over borrowed rows copies nothing.
+pub(crate) fn write_list<T: Record>(w: &mut WireWriter, list: &[T]) {
+    w.u32(list.len() as u32);
+    for item in list {
+        item.put(w);
     }
 }
 

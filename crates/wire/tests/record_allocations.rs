@@ -1,12 +1,17 @@
-//! The secure record layer's allocation budget: sealing a frame and
-//! opening a record each allocate once — the buffer they return, and
-//! nothing at all for an empty plaintext — however long the frame. Counted
-//! by a global allocator that tallies per thread, so the test harness's own
-//! threads cannot disturb the count.
+//! Allocation budgets, counted by a global allocator that tallies calls and
+//! bytes per thread, so the test harness's own threads cannot disturb the
+//! count:
+//!
+//! * the secure record layer: sealing a frame and opening a record each
+//!   allocate once — the buffer they return, and nothing at all for an
+//!   empty plaintext — however long the frame;
+//! * PDU decoding: a list whose declared count the rest of the body cannot
+//!   hold is refused before anything is reserved for it.
 
 use mws_wire::secure::{
     ChannelAuth, Handshaker, Opened, PskAuth, RecordDecoder, SecureSession, SessionConfig,
 };
+use mws_wire::Pdu;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -15,15 +20,21 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn tally(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the only addition is a counter in a
-// const-initialised, destructor-free thread-local, which itself never
-// allocates. `try_with` tolerates a thread that is already tearing down.
+// const-initialised, destructor-free thread-locals, which themselves never
+// allocate. `try_with` tolerates a thread that is already tearing down.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        tally(layout.size());
         // SAFETY: `layout` is the caller's, passed through as received.
         unsafe { System.alloc(layout) }
     }
@@ -34,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        tally(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -47,6 +58,12 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+fn bytes_allocated_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 fn sessions(rekey_every: u64) -> (SecureSession, SecureSession) {
@@ -78,5 +95,27 @@ fn seal_and_open_allocate_once_per_record() {
         });
         assert_eq!(opening, usize::from(len > 0), "open of {len} bytes");
         assert_eq!(opened, Opened::Frame(frame[..len].to_vec()));
+    }
+}
+
+#[test]
+fn hostile_list_counts_allocate_nothing() {
+    // Each body declares 1,024 elements of its list in 8 bytes (13 for the
+    // report's fixed head), which cannot hold a single element.
+    let claim = 1024u32.to_le_bytes();
+    let before = |head: &[u8]| [head, &claim].concat();
+    let after = |tail: &[u8]| [&claim, tail].concat();
+    let cases = [
+        ("deposit_batch", 0x03, before(&[0; 4])), // sd_id ""
+        ("deposit_batch_ack", 0x04, after(&[0; 4])),
+        ("retrieve_response", 0x11, before(&[0; 4])), // token []
+        ("replica_rows", 0x61, after(&[0; 4])),
+        ("replica_push", 0x62, after(&[0; 4])),
+        ("rebalance_report", 0x68, before(&[0; 9])), // epoch, transferring
+    ];
+    for (name, type_byte, body) in cases {
+        let (bytes, decoded) = bytes_allocated_in(|| Pdu::decode_body(type_byte, &body));
+        assert!(decoded.is_err(), "{name}: {decoded:?}");
+        assert!(bytes < 1024, "{name}: {bytes} bytes allocated");
     }
 }

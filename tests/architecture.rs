@@ -363,6 +363,7 @@ fn every_public_item_has_a_non_test_caller() {
         ("crates/obs/src/log.rs::RingSink", "tests capture log events in it"),
         ("crates/server/src/chaos.rs::ChaosConfig", "the chaos suite's fault schedule"),
         ("crates/server/src/chaos.rs::ChaosProxy", "the chaos suite's faulty TCP relay"),
+        ("crates/server/src/cost.rs::FrameCost", "tests/cost_model.rs reads the counts"),
         ("crates/server/src/secure.rs::ID_PKG", "what a secure PKG client expects"),
         ("crates/store/src/cost.rs::WalCost", "tests/cost_model.rs reads the counts"),
         ("crates/store/src/fault.rs::fail_append", "a FaultPlan injector"),

@@ -1,8 +1,9 @@
 //! The workspace's cost model, counted rather than timed so the figures do
 //! not drift with the host: field products, inversions and square roots
 //! per pairing operation at Toy, Light and Standard (`mws-bigint`'s
-//! [`Cost`]), and WAL appends and fsyncs per deposit (`mws-store`'s
-//! [`WalCost`]), both thread-local debug-build counters.
+//! [`Cost`]), WAL appends and fsyncs per deposit and per replica push
+//! (`mws-store`'s [`WalCost`]), and envelope frames per client exchange
+//! (`mws-server`'s [`FrameCost`]), all thread-local debug-build counters.
 //!
 //! [`PINNED`] is each pairing operation's exact count now that every
 //! variable-base `k·P` is the x-only Montgomery ladder and every inversion
@@ -13,24 +14,31 @@
 //!
 //! [`scalar_cost_is_independent_of_the_scalar`] holds the ladder to its
 //! promise: the PKG's extraction, a variable-base multiplication and an
-//! IBS signature cost the same whatever the secret scalar is. The WAL rows
-//! are ceilings at the counts the store had when they were added.
+//! IBS signature cost the same whatever the secret scalar is. The WAL and
+//! frame rows are ceilings at the counts they had when they were added.
 
 #![cfg(debug_assertions)]
 
 use mws::bigint::cost::Cost;
 use mws::bigint::Rng;
 use mws::core::clock::{LogicalClock, ReplayPolicy};
-use mws::core::protocol::MwsService;
+use mws::core::protocol::{replica_key, MwsService};
 use mws::core::registry::DeviceRegistry;
 use mws::core::sda::{deposit_mac, DeviceAuthVerifier};
-use mws::crypto::{Digest, HmacDrbg, Sha1};
+use mws::crypto::{Digest, Hmac, HmacDrbg, Sha1, Sha256};
 use mws::ibe::{CipherAlgo, IbeSystem};
 use mws::net::Service;
 use mws::pairing::{FpW, SecurityLevel};
 use mws::store::cost::WalCost;
 use mws::store::StorageKind;
-use mws::wire::{DepositItem, DepositOutcome, Pdu};
+use mws::wire::pdu::replica_push_bytes;
+use mws::wire::secure::{PskAuth, SessionConfig};
+use mws::wire::{DepositItem, DepositOutcome, Pdu, RelayEntry};
+use mws_server::cost::FrameCost;
+use mws_server::{ClientConfig, SecureClientSettings, SecureSettings, ServerConfig};
+use mws_server::{TcpClient, TcpServer};
+use std::sync::Arc;
+use std::time::Duration;
 
 const LEVELS: [SecurityLevel; 3] = [
     SecurityLevel::Toy,
@@ -293,6 +301,7 @@ fn scalar_cost_is_independent_of_the_scalar() {
 
 const DEVICE: &str = "meter-wal";
 const KEY: &[u8] = b"wal-device-key";
+const SECRET: &[u8] = b"wal-secret";
 
 /// A one-shard warehouse that knows [`DEVICE`], its messages on `shard`.
 fn warehouse(shard: StorageKind) -> impl Service {
@@ -303,7 +312,7 @@ fn warehouse(shard: StorageKind) -> impl Service {
         vec![shard],
         StorageKind::Memory,
         StorageKind::Memory,
-        b"wal-secret",
+        SECRET,
         LogicalClock::new(),
         ReplayPolicy::standard(),
         1,
@@ -359,6 +368,24 @@ fn batch(first: u64) -> Pdu {
     }
 }
 
+/// A repair push of 100 rows, all bound for the warehouse's one shard.
+fn push(first: u64) -> Pdu {
+    let rows: Vec<RelayEntry> = (first..first + 100)
+        .map(|n| RelayEntry {
+            seq: n,
+            sd_id: DEVICE.into(),
+            timestamp: 0,
+            u: vec![2; 33],
+            algo: 1,
+            sealed: vec![n as u8; 48],
+            attribute: "ELECTRIC-APT9".into(),
+            nonce: n.to_le_bytes().to_vec(),
+        })
+        .collect();
+    let mac = Hmac::<Sha256>::mac(&replica_key(SECRET), &replica_push_bytes(&rows));
+    Pdu::ReplicaPush { rows, mac }
+}
+
 /// Every stored item of a deposit reply.
 fn stored(reply: &Pdu) {
     match reply {
@@ -366,6 +393,7 @@ fn stored(reply: &Pdu) {
         Pdu::DepositBatchAck { results } => {
             assert!(results.iter().all(|o| o.status == DepositOutcome::STORED));
         }
+        Pdu::ReplicaPushAck { deduped: 0, .. } => {}
         other => panic!("{other:?}"),
     }
 }
@@ -384,11 +412,13 @@ fn wal_per_request(shard: StorageKind, requests: impl Iterator<Item = Pdu>) -> (
 /// WAL `(appends, fsyncs)` ceilings, at the store's counts when they were
 /// added: one deposit on a memory shard is one frame and no fsync; one on
 /// a file shard, and one 16-item batch on a file shard (group-committed),
-/// one frame and one fsync.
-const WAL_CEILINGS: [(&str, (u64, u64)); 3] = [
+/// one frame and one fsync; a 100-row repair push to one file shard, one
+/// frame and one fsync (group-committed like a batch).
+const WAL_CEILINGS: [(&str, (u64, u64)); 4] = [
     ("memory-shard deposit", (1, 0)),
     ("file-shard deposit", (1, 1)),
     ("16-item file-shard batch", (1, 1)),
+    ("100-row file-shard replica push", (1, 1)),
 ];
 
 #[test]
@@ -400,12 +430,65 @@ fn wal_operations_per_deposit() {
         wal_per_request(StorageKind::Memory, (0..32).map(single)),
         wal_per_request(file("single.wal"), (0..32).map(single)),
         wal_per_request(file("batch.wal"), (0..8).map(|b| batch(16 * b))),
+        wal_per_request(file("push.wal"), (0..4).map(|p| push(100 * p))),
     ];
     std::fs::remove_dir_all(&dir).unwrap();
     for ((name, ceiling), got) in WAL_CEILINGS.iter().zip(measured) {
         assert!(
             got.0 <= ceiling.0 && got.1 <= ceiling.1,
             "{name}: (appends, fsyncs) {got:?} over {ceiling:?}"
+        );
+    }
+}
+
+/// The most envelope frames `(written, read)` the client's link moved in
+/// one of a few echo exchanges, after a first call that dials (and, sealed,
+/// runs the handshake).
+fn frames_per_exchange(server: ServerConfig, client: ClientConfig) -> (u64, u64) {
+    let server = TcpServer::spawn(server, || |req: Pdu| req).unwrap();
+    let client = TcpClient::with_config(server.local_addr(), client).into_client();
+    let ping = Pdu::DepositAck { message_id: 7 };
+    assert_eq!(client.call(&ping).unwrap(), ping);
+    (0..8).fold((0, 0), |(written, read), _| {
+        let (reply, cost) = FrameCost::of(|| client.call(&ping));
+        assert_eq!(reply.unwrap(), ping);
+        (written.max(cost.written), read.max(cost.read))
+    })
+}
+
+/// Frame `(written, read)` ceilings per client exchange, at the counts
+/// when they were added: one request frame out, one reply frame in, plain
+/// or sealed.
+const FRAME_CEILINGS: [(&str, (u64, u64)); 2] =
+    [("plain exchange", (1, 1)), ("sealed exchange", (1, 1))];
+
+#[test]
+fn frames_per_client_exchange() {
+    const PSK: &[u8] = b"cost-model-psk";
+    let sealed_server = ServerConfig {
+        secure: Some(Arc::new(SecureSettings {
+            auth: Arc::new(PskAuth::new(PSK, "server", 2)),
+            session: SessionConfig::default(),
+            handshake_timeout: Duration::from_secs(5),
+        })),
+        ..ServerConfig::default()
+    };
+    let sealed_client = ClientConfig {
+        secure: Some(Arc::new(SecureClientSettings {
+            auth: Arc::new(PskAuth::new(PSK, "client", 1)),
+            expect_peer: Some("server".into()),
+            session: SessionConfig::default(),
+        })),
+        ..ClientConfig::default()
+    };
+    let measured = [
+        frames_per_exchange(ServerConfig::default(), ClientConfig::default()),
+        frames_per_exchange(sealed_server, sealed_client),
+    ];
+    for ((name, ceiling), got) in FRAME_CEILINGS.iter().zip(measured) {
+        assert!(
+            got.0 <= ceiling.0 && got.1 <= ceiling.1,
+            "{name}: frames (written, read) {got:?} over {ceiling:?}"
         );
     }
 }
