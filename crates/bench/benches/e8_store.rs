@@ -12,8 +12,23 @@
 //!   constant factors win. Included for honesty: a DBMS is *not* free when
 //!   every query returns a constant fraction of the data.
 
+use mws_bench::flatfile::FlatFileStore;
 use mws_bench::Bench;
-use mws_store::{FlatFileStore, MessageDb, StorageKind};
+use mws_store::{MessageDb, PendingDeposit, StorageKind};
+
+/// Row `i` under `attribute`, with a nonce of its own so the origin dedup
+/// stores every row.
+fn row(attribute: &str, i: u64, payload: &[u8]) -> PendingDeposit {
+    PendingDeposit {
+        attribute: attribute.into(),
+        nonce: i.to_le_bytes().to_vec(),
+        u: b"u".to_vec(),
+        algo: 3,
+        sealed: payload.to_vec(),
+        sd_id: "sd".into(),
+        timestamp: i,
+    }
+}
 
 /// Narrow shape: one attribute per ~10 messages (per-meter attributes).
 fn populate_narrow(n: usize) -> (FlatFileStore, MessageDb, String) {
@@ -24,7 +39,7 @@ fn populate_narrow(n: usize) -> (FlatFileStore, MessageDb, String) {
         let attr = format!("ELECTRIC-APT{:05}", i % n_attrs);
         let payload = format!("payload-{i}");
         flat.append(&attr, payload.as_bytes()).unwrap();
-        db.insert(&attr, b"n", b"u", 3, payload.as_bytes(), "sd", i as u64)
+        db.insert_batch_dedup([&row(&attr, i as u64, payload.as_bytes())])
             .unwrap();
     }
     let probe = format!("ELECTRIC-APT{:05}", n_attrs / 2);
@@ -39,7 +54,7 @@ fn populate_broad(n: usize) -> (FlatFileStore, MessageDb, String) {
         let attr = format!("FLEET-{:02}", i % 10);
         let payload = format!("payload-{i}");
         flat.append(&attr, payload.as_bytes()).unwrap();
-        db.insert(&attr, b"n", b"u", 3, payload.as_bytes(), "sd", i as u64)
+        db.insert_batch_dedup([&row(&attr, i as u64, payload.as_bytes())])
             .unwrap();
     }
     (flat, db, "FLEET-05".to_string())
@@ -91,7 +106,7 @@ fn main() {
     let mut db = MessageDb::open(StorageKind::Memory).unwrap();
     let mut i = 0u64;
     bench.run("messagedb_insert", || {
-        db.insert("ELECTRIC-A", b"n", b"u", 3, &i.to_be_bytes(), "sd", i)
+        db.insert_batch_dedup([&row("ELECTRIC-A", i, &i.to_be_bytes())])
             .unwrap();
         i += 1;
     });

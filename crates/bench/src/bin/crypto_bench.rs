@@ -1,37 +1,39 @@
-//! Crypto micro-benchmark baseline (E3 addendum): times the pairing and
-//! IBE primitives with and without the precomputation layer — prepared
-//! Miller tapes, fixed-base comb and Montgomery-ladder scalar
-//! multiplication, windowed `fp2_pow` — and writes `BENCH_crypto.json` at
-//! the repository root. An `obs` section records the observability
-//! hot-path overhead (disabled log event, counter increment, histogram
-//! sample) so instrumentation-cost regressions surface next to the crypto
-//! numbers they would pollute. A `symmetric` section times the record cipher — AES block, AES-CTR, GHASH
-//! and AES-GCM at three sizes — next to the same rows as measured at the
-//! commit before the constant-time word-parallel core replaced the
-//! byte-wise one ([`SYMMETRIC_BEFORE`]). A `bigint` section times Montgomery
-//! arithmetic at the widths production runs, next to the same rows from the
-//! commit before it was sized to the modulus ([`BIGINT_BEFORE`]). Each
-//! level's pairing and IBE rows sit next to the same rows from the commit
-//! before the pairing arithmetic ran at the field's width
-//! ([`LEVEL_BEFORE`]) and from the commit before the Montgomery ladder and
-//! safegcd ([`LADDER_BEFORE`]). An `inversion` section times the field's
-//! safegcd inversion against Fermat's `a^(p−2)` at all three levels.
+//! Crypto micro-benchmark baseline (E3 addendum): times the pairing
+//! against its affine reference and its prepared Miller tapes, scalar
+//! multiplication by binary double-and-add, Montgomery ladder and
+//! fixed-base comb, and the protocol's IBE operations — extract and the
+//! hybrid attribute scheme's `encrypt_attr`/`decrypt_attr` — and writes
+//! `BENCH_crypto.json` at the repository root. An `obs` section records
+//! the observability hot-path overhead (disabled log event, counter
+//! increment, histogram sample) so instrumentation-cost regressions surface
+//! next to the crypto numbers they would pollute. A `symmetric` section
+//! times the record cipher — AES block, AES-CTR, GHASH and AES-GCM at three
+//! sizes — next to the same rows as measured at the commit before the
+//! constant-time word-parallel core replaced the byte-wise one
+//! ([`SYMMETRIC_BEFORE`]). A `bigint` section times Montgomery arithmetic
+//! at the widths production runs, next to the same rows from the commit
+//! before it was sized to the modulus ([`BIGINT_BEFORE`]). Each level's
+//! pairing and IBE rows sit next to the same rows from the commit before
+//! the pairing arithmetic ran at the field's width ([`LEVEL_BEFORE`]) and
+//! from the commit before the Montgomery ladder and safegcd
+//! ([`LADDER_BEFORE`]). An `inversion` section times the field's safegcd
+//! inversion against Fermat's `a^(p−2)` at all three levels.
 //!
 //! Run with: `cargo run --release -p mws-bench --bin crypto_bench`
 //!
 //! Modes:
 //! * default — pinned iteration counts, writes `BENCH_crypto.json`
-//! * `--smoke` — few iterations, no file output; asserts the fast paths are
-//!   bit-identical to the reference paths and that the release build's
-//!   AES-GCM still produces the SP 800-38D vectors and one pinned seal,
-//!   that Montgomery arithmetic agrees across container widths, and that
-//!   the device's cofactor-free `encrypt_attr` opens under the PKG's key at
-//!   every level, and that the ladder matches binary double-and-add and
-//!   safegcd matches Fermat on 64 inputs per level (used by
-//!   `scripts/tier1.sh`)
+//! * `--smoke` — few iterations, no file output; asserts that the
+//!   projective and prepared pairings equal the affine reference at every
+//!   level, that the release build's AES-GCM still produces the SP 800-38D
+//!   vectors and one pinned seal, that Montgomery arithmetic agrees across
+//!   container widths, that the device's cofactor-free `encrypt_attr`
+//!   opens under the PKG's key at every level, and that the ladder matches
+//!   binary double-and-add and safegcd matches Fermat on 64 inputs per
+//!   level (used by `scripts/tier1.sh`)
 
 use mws_bench::{time_op, timings_json, Json, Timing};
-use mws_bigint::{random_below, random_bits, Mont, Uint, U256};
+use mws_bigint::{random_below, random_bits, Mont, Uint};
 use mws_crypto::{
     gcm_open, gcm_seal, Aes128, BlockCipher, CtrMode, Digest, HmacDrbg, Rng, RsaKeyPair, Sha256,
 };
@@ -45,8 +47,6 @@ const ATTRIBUTE: &str = "ELECTRIC-APT9";
 struct LevelReport {
     level: &'static str,
     timings: Vec<Timing>,
-    encrypt_speedup: f64,
-    decrypt_speedup: f64,
 }
 
 fn find(timings: &[Timing], name: &str) -> f64 {
@@ -64,8 +64,6 @@ fn bench_level(level: SecurityLevel, name: &'static str, iters: u32, smoke: bool
     let ctx = ibe.pairing();
     let mut rng = HmacDrbg::from_u64(0xb_e4c4);
     let (msk, mpk) = ibe.setup(&mut rng);
-    let sk = ibe.extract(&msk, b"meter-00042");
-    let dk = ibe.prepare_key(&sk);
     let q_id = ibe.identity_point(b"meter-00042");
     let payload = [0x5au8; 64];
 
@@ -75,19 +73,8 @@ fn bench_level(level: SecurityLevel, name: &'static str, iters: u32, smoke: bool
     mpk.prepared(ctx);
 
     if smoke {
-        // Bit-identity gate: same DRBG seed through both paths must produce
-        // identical ciphertexts, and every decrypt path must agree.
-        let mut r1 = HmacDrbg::from_u64(7);
-        let mut r2 = HmacDrbg::from_u64(7);
-        let fast = ibe.encrypt_basic_point(&mut r1, &mpk, &q_id, &payload);
-        let reference = ibe.encrypt_basic_point_reference(&mut r2, &mpk, &q_id, &payload);
-        assert_eq!(fast, reference, "{name}: fast encrypt != reference");
-        let m0 = ibe.decrypt_basic(&sk, &fast).expect("decrypt");
-        let m1 = ibe.decrypt_basic_prepared(&dk, &fast).expect("prepared");
-        let m2 = ibe.decrypt_basic_reference(&sk, &fast).expect("reference");
-        assert_eq!(m0, payload.to_vec(), "{name}: wrong plaintext");
-        assert_eq!(m0, m1, "{name}: prepared decrypt diverges");
-        assert_eq!(m0, m2, "{name}: reference decrypt diverges");
+        // Release-build gate: the projective loop and the prepared tape
+        // give the affine reference's value.
         let e_fast = ctx.pairing(&q_id, mpk.point());
         let e_prep = ctx.pairing_with(mpk.prepared(ctx), &q_id);
         let e_aff = ctx.pairing_affine(&q_id, mpk.point());
@@ -102,7 +89,7 @@ fn bench_level(level: SecurityLevel, name: &'static str, iters: u32, smoke: bool
     timings.push(time_op("pairing_affine", iters, || {
         std::hint::black_box(ctx.pairing_affine(&q_id, mpk.point()));
     }));
-    timings.push(time_op("pairing_projective", iters, || {
+    timings.push(time_op("pairing", iters, || {
         std::hint::black_box(ctx.pairing(&q_id, mpk.point()));
     }));
     timings.push(time_op("pairing_prepared", iters, || {
@@ -121,54 +108,31 @@ fn bench_level(level: SecurityLevel, name: &'static str, iters: u32, smoke: bool
         std::hint::black_box(ibe.extract(&msk, b"meter-00042"));
     }));
 
-    let mut enc_rng = HmacDrbg::from_u64(1);
-    timings.push(time_op("encrypt_basic_reference", iters, || {
-        std::hint::black_box(ibe.encrypt_basic_point_reference(
-            &mut enc_rng,
-            &mpk,
-            &q_id,
-            &payload,
-        ));
-    }));
-    let mut enc_rng = HmacDrbg::from_u64(1);
-    timings.push(time_op("encrypt_basic_fast", iters, || {
-        std::hint::black_box(ibe.encrypt_basic_point(&mut enc_rng, &mpk, &q_id, &payload));
-    }));
-
-    let mut enc_rng = HmacDrbg::from_u64(1);
-    timings.push(time_op("encrypt_attr", iters, || {
-        std::hint::black_box(ibe.encrypt_attr(
-            &mut enc_rng,
+    let encrypt = |rng: &mut HmacDrbg| {
+        ibe.encrypt_attr(
+            rng,
             &mpk,
             ATTRIBUTE,
             b"nonce-0001",
             CipherAlgo::Aes128,
             b"aad",
             &payload,
-        ));
+        )
+    };
+    let mut enc_rng = HmacDrbg::from_u64(1);
+    timings.push(time_op("encrypt_attr", iters, || {
+        std::hint::black_box(encrypt(&mut enc_rng));
     }));
 
-    let mut ct_rng = HmacDrbg::from_u64(2);
-    let ct = ibe.encrypt_basic_point(&mut ct_rng, &mpk, &q_id, &payload);
-    timings.push(time_op("decrypt_basic_reference", iters, || {
-        std::hint::black_box(ibe.decrypt_basic_reference(&sk, &ct).expect("decrypt"));
-    }));
-    timings.push(time_op("decrypt_basic_fast", iters, || {
-        std::hint::black_box(ibe.decrypt_basic(&sk, &ct).expect("decrypt"));
-    }));
-    timings.push(time_op("decrypt_basic_prepared", iters, || {
-        std::hint::black_box(ibe.decrypt_basic_prepared(&dk, &ct).expect("decrypt"));
+    let ct = encrypt(&mut HmacDrbg::from_u64(2));
+    let sk = ibe.extract_point(&msk, &ibe.attribute_point(ATTRIBUTE, b"nonce-0001"));
+    timings.push(time_op("decrypt_attr", iters, || {
+        std::hint::black_box(ibe.decrypt_attr(&sk, &ct, b"aad").expect("decrypt"));
     }));
 
-    let encrypt_speedup =
-        find(&timings, "encrypt_basic_reference") / find(&timings, "encrypt_basic_fast");
-    let decrypt_speedup =
-        find(&timings, "decrypt_basic_reference") / find(&timings, "decrypt_basic_fast");
     LevelReport {
         level: name,
         timings,
-        encrypt_speedup,
-        decrypt_speedup,
     }
 }
 
@@ -214,48 +178,38 @@ const SYMMETRIC_BEFORE: [(&str, f64); 8] = [
     ("aes128_new", 500.9),
 ];
 
-/// The pairing, scalar-multiplication, extract and encrypt/decrypt rows of
-/// each level at the parent commit 2bd1a34 (every `Fp` operation an
+/// The pairing, scalar-multiplication and extract rows of each level at
+/// the parent commit 2bd1a34 (every `Fp` operation an
 /// out-of-line call through `Mont` in the 8-limb container, matching the
 /// width again), in ns/op: medians of nine runs of this same binary built
 /// against that commit, alternated with nine runs of this tree on the same
 /// 2-vCPU host (this tree's medians in that session, in row order — toy:
-/// 507158, 32863, 14048, 22562, 18333, 11180, 55103, 620948, 56336,
-/// 541867, 46776, 32282; light: 1140892, 76511, 36180, 64825, 51770,
-/// 27510, 113892, 1315228, 109607, 1220348, 122819, 77404).
-const LEVEL_BEFORE: [(&str, [(&str, f64); 12]); 2] = [
+/// 507158, 32863, 14048, 22562, 18333, 11180, 55103; light: 1140892,
+/// 76511, 36180, 64825, 51770, 27510, 113892). `pairing` is the
+/// projective loop `PairingCtx::pairing` runs.
+const LEVEL_BEFORE: [(&str, [(&str, f64); 7]); 2] = [
     (
         "toy",
         [
             ("pairing_affine", 947276.8),
-            ("pairing_projective", 60634.8),
+            ("pairing", 60634.8),
             ("pairing_prepared", 29090.3),
             ("mul_binary", 43203.1),
             ("mul_wnaf", 40386.1),
             ("mul_generator_comb", 18918.2),
             ("extract", 83123.6),
-            ("encrypt_basic_reference", 1015827.3),
-            ("encrypt_basic_fast", 77608.7),
-            ("decrypt_basic_reference", 977370.0),
-            ("decrypt_basic_fast", 88257.2),
-            ("decrypt_basic_prepared", 58001.4),
         ],
     ),
     (
         "light",
         [
             ("pairing_affine", 1752171.9),
-            ("pairing_projective", 112785.9),
+            ("pairing", 112785.9),
             ("pairing_prepared", 51361.4),
             ("mul_binary", 91842.7),
             ("mul_wnaf", 74989.2),
             ("mul_generator_comb", 38157.2),
             ("extract", 173639.5),
-            ("encrypt_basic_reference", 1880019.7),
-            ("encrypt_basic_fast", 130421.9),
-            ("decrypt_basic_reference", 1630885.1),
-            ("decrypt_basic_fast", 174847.6),
-            ("decrypt_basic_prepared", 110614.7),
         ],
     ),
 ];
@@ -265,45 +219,34 @@ const LEVEL_BEFORE: [(&str, [(&str, f64); 12]); 2] = [
 /// same binary built against that commit, alternated with nine runs of this
 /// tree on the same 2-vCPU host (this tree's medians in that session, in
 /// row order — toy: 410250, 56267, 21091, 33715, 21692, 14591, 64522,
-/// 550017, 91384, 113314, 449812, 88185, 53283; light: 628467, 141333,
-/// 60301, 103398, 65519, 39988, 98835, 764755, 170758, 198752, 644044,
-/// 187212, 124153; EXPERIMENTS E3 addendum 6). `mul_wnaf` is the row
-/// `mul_ladder` replaces.
-const LADDER_BEFORE: [(&str, [(&str, f64); 13]); 2] = [
+/// 113314; light: 628467, 141333, 60301, 103398, 65519, 39988, 98835,
+/// 198752; EXPERIMENTS E3 addendum 6). `mul_wnaf` is the row `mul_ladder`
+/// replaces.
+const LADDER_BEFORE: [(&str, [(&str, f64); 8]); 2] = [
     (
         "toy",
         [
             ("pairing_affine", 776060.7),
-            ("pairing_projective", 58870.8),
+            ("pairing", 58870.8),
             ("pairing_prepared", 24426.8),
             ("mul_binary", 32993.8),
             ("mul_wnaf", 34372.8),
             ("mul_generator_comb", 18844.8),
             ("extract", 87248.9),
-            ("encrypt_basic_reference", 899155.7),
-            ("encrypt_basic_fast", 92735.8),
             ("encrypt_attr", 107972.3),
-            ("decrypt_basic_reference", 712846.1),
-            ("decrypt_basic_fast", 91954.2),
-            ("decrypt_basic_prepared", 59939.8),
         ],
     ),
     (
         "light",
         [
             ("pairing_affine", 1958330.3),
-            ("pairing_projective", 153240.0),
+            ("pairing", 153240.0),
             ("pairing_prepared", 73119.6),
             ("mul_binary", 127934.4),
             ("mul_wnaf", 93629.8),
             ("mul_generator_comb", 51881.7),
             ("extract", 216781.0),
-            ("encrypt_basic_reference", 1800211.0),
-            ("encrypt_basic_fast", 197443.4),
             ("encrypt_attr", 222019.8),
-            ("decrypt_basic_reference", 1724122.9),
-            ("decrypt_basic_fast", 225341.0),
-            ("decrypt_basic_prepared", 134972.0),
         ],
     ),
 ];
@@ -560,7 +503,7 @@ fn compose_smoke() {
 /// gives the same residues and the same canonical product, square and power,
 /// and those match the division-based oracle.
 fn bigint_smoke() {
-    fn run<const L: usize>([n, a, b]: [U256; 3]) -> [U256; 4] {
+    fn run<const L: usize>([n, a, b]: [Uint<4>; 3]) -> [Uint<4>; 4] {
         let m = Mont::<L>::new(&n.widen()).expect("odd modulus");
         let (am, bm) = (m.to_mont(&a.widen()), m.to_mont(&b.widen()));
         [
@@ -667,8 +610,6 @@ fn render_json(
             .expect("a before row set per level");
         let level = [
             ("timings", timings_json(&rep.timings)),
-            ("encrypt_basic_speedup", Json::fixed(rep.encrypt_speedup, 2)),
-            ("decrypt_basic_speedup", Json::fixed(rep.decrypt_speedup, 2)),
             (
                 "before_2bd1a34_ns_per_op",
                 Json::obj(before.map(|(name, ns)| (name, Json::fixed(ns, 1)))),
@@ -729,7 +670,7 @@ fn render_json(
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     // Pinned iteration counts (scripts/bench.sh relies on these for
-    // reproducible medians). Smoke mode only checks bit-identity.
+    // reproducible medians). Smoke mode only runs the gates.
     let (toy_iters, light_iters) = if smoke { (2, 1) } else { (200, 40) };
 
     let reports = vec![
@@ -748,10 +689,6 @@ fn main() {
     for rep in &reports {
         eprintln!("== {} ==", rep.level);
         rep.timings.iter().for_each(|t| eprintln!("  {t}"));
-        eprintln!(
-            "  encrypt_basic speedup: {:.2}x   decrypt_basic speedup: {:.2}x",
-            rep.encrypt_speedup, rep.decrypt_speedup
-        );
     }
     eprintln!("== obs ==");
     obs_timings.iter().for_each(|t| eprintln!("  {t}"));
@@ -767,7 +704,7 @@ fn main() {
         bigint_smoke();
         compose_smoke();
         ladder_inv_smoke();
-        eprintln!("crypto_bench --smoke: fast paths bit-identical to reference");
+        eprintln!("crypto_bench --smoke: fast paths match their references");
         return;
     }
 

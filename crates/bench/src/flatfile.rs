@@ -2,11 +2,11 @@
 //!
 //! "Instead of databases, flat files are used" (§VI). Records are appended
 //! as `hex(attribute) TAB hex(payload) NL` lines; retrieval by attribute is
-//! a full scan, exactly the access pattern the Perl prototype had. Kept so
-//! experiment E8 can measure what the paper's §VIII "move to a DBMS" is
-//! worth.
+//! a full scan, exactly the access pattern the Perl prototype had. It lives
+//! here, beside the bench that measures it, so experiment E8 can weigh the
+//! paper's §VIII "move to a DBMS" against it; the warehouse never runs it.
 
-use crate::{Result, StoreError};
+use mws_store::{Result, StoreError};
 use std::fs::OpenOptions;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::PathBuf;

@@ -1,6 +1,6 @@
-//! Shared workload generation, deployment builders, the median timer and
-//! JSON output for the experiment harness (benches `e1`–`e8` and the report
-//! binaries).
+//! Shared workload generation, deployment builders, the median timer,
+//! JSON output and E8's flat-file baseline for the experiment harness
+//! (benches `e1`–`e8` and the report binaries).
 //!
 //! Everything is seeded and deterministic so any experiment row can be
 //! regenerated bit-for-bit.
@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod flatfile;
 pub mod json;
 pub mod timing;
 pub mod workload;

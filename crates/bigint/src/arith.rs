@@ -112,92 +112,95 @@ fn signed_sub_mod<const L: usize>(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Uint, U256};
+    use crate::Uint;
 
     const M: u64 = 1_000_000_007;
 
     #[test]
     fn add_sub_mod_wraps() {
-        let m = U256::from_u64(M);
-        let a = U256::from_u64(M - 1);
-        let b = U256::from_u64(5);
-        assert_eq!(a.add_mod(&b, &m), U256::from_u64(4));
-        assert_eq!(b.sub_mod(&a, &m), U256::from_u64(6));
+        let m = Uint::<4>::from_u64(M);
+        let a = Uint::<4>::from_u64(M - 1);
+        let b = Uint::<4>::from_u64(5);
+        assert_eq!(a.add_mod(&b, &m), Uint::<4>::from_u64(4));
+        assert_eq!(b.sub_mod(&a, &m), Uint::<4>::from_u64(6));
     }
 
     #[test]
     fn add_mod_carry_at_width_boundary() {
         // Modulus occupying every limb: sum overflows the width.
-        let m = U256::MAX.wrapping_sub(&U256::from_u64(58)); // odd-ish large modulus
-        let a = m.wrapping_sub(&U256::ONE);
-        let b = m.wrapping_sub(&U256::from_u64(2));
+        let m = Uint::<4>::MAX.wrapping_sub(&Uint::<4>::from_u64(58)); // odd-ish large modulus
+        let a = m.wrapping_sub(&Uint::<4>::ONE);
+        let b = m.wrapping_sub(&Uint::<4>::from_u64(2));
         let r = a.add_mod(&b, &m);
         // a + b = 2m - 3 => r = m - 3
-        assert_eq!(r, m.wrapping_sub(&U256::from_u64(3)));
+        assert_eq!(r, m.wrapping_sub(&Uint::<4>::from_u64(3)));
     }
 
     #[test]
     fn mul_mod_matches_u128() {
-        let m = U256::from_u64(M);
-        let a = U256::from_u64(123_456_789);
-        let b = U256::from_u64(987_654_321);
+        let m = Uint::<4>::from_u64(M);
+        let a = Uint::<4>::from_u64(123_456_789);
+        let b = Uint::<4>::from_u64(987_654_321);
         let expect = (123_456_789u128 * 987_654_321u128 % M as u128) as u64;
-        assert_eq!(a.mul_mod(&b, &m), U256::from_u64(expect));
+        assert_eq!(a.mul_mod(&b, &m), Uint::<4>::from_u64(expect));
     }
 
     #[test]
     fn pow_mod_fermat() {
-        let m = U256::from_u64(M);
-        let a = U256::from_u64(2);
-        let e = U256::from_u64(M - 1);
-        assert_eq!(a.pow_mod(&e, &m), U256::ONE);
-        assert_eq!(a.pow_mod(&U256::ZERO, &m), U256::ONE);
-        assert_eq!(U256::ZERO.pow_mod(&U256::from_u64(5), &m), U256::ZERO);
+        let m = Uint::<4>::from_u64(M);
+        let a = Uint::<4>::from_u64(2);
+        let e = Uint::<4>::from_u64(M - 1);
+        assert_eq!(a.pow_mod(&e, &m), Uint::<4>::ONE);
+        assert_eq!(a.pow_mod(&Uint::<4>::ZERO, &m), Uint::<4>::ONE);
+        assert_eq!(
+            Uint::<4>::ZERO.pow_mod(&Uint::<4>::from_u64(5), &m),
+            Uint::<4>::ZERO
+        );
     }
 
     #[test]
     fn pow_mod_modulus_one() {
         assert_eq!(
-            U256::from_u64(42).pow_mod(&U256::from_u64(13), &U256::ONE),
-            U256::ZERO
+            Uint::<4>::from_u64(42).pow_mod(&Uint::<4>::from_u64(13), &Uint::<4>::ONE),
+            Uint::<4>::ZERO
         );
     }
 
     #[test]
     fn inv_mod_roundtrip() {
-        let m = U256::from_u64(M);
+        let m = Uint::<4>::from_u64(M);
         for v in [2u64, 3, 1_000_000, M - 1, 999_999_937] {
-            let a = U256::from_u64(v);
+            let a = Uint::<4>::from_u64(v);
             let inv = a.inv_mod(&m).unwrap();
-            assert_eq!(a.mul_mod(&inv, &m), U256::ONE, "inverse of {v}");
+            assert_eq!(a.mul_mod(&inv, &m), Uint::<4>::ONE, "inverse of {v}");
         }
     }
 
     #[test]
     fn inv_mod_not_invertible() {
-        let m = U256::from_u64(100);
-        assert!(U256::from_u64(10).inv_mod(&m).is_err());
-        assert!(U256::from_u64(3).inv_mod(&U256::ZERO).is_err());
+        let m = Uint::<4>::from_u64(100);
+        assert!(Uint::<4>::from_u64(10).inv_mod(&m).is_err());
+        assert!(Uint::<4>::from_u64(3).inv_mod(&Uint::<4>::ZERO).is_err());
     }
 
     #[test]
     fn inv_mod_multi_limb() {
         // Large odd modulus spanning all limbs.
-        let m = U256::MAX.wrapping_sub(&U256::from_u64(188)); // ends in ...0x43, odd
+        let m = Uint::<4>::MAX.wrapping_sub(&Uint::<4>::from_u64(188)); // ends in ...0x43, odd
         assert!(m.is_odd());
-        let a = U256::from_hex("0xdead_beef_cafe_babe_1234_5678_9abc_def1").unwrap();
+        let a = Uint::<4>::from_hex("0xdead_beef_cafe_babe_1234_5678_9abc_def1").unwrap();
         let inv = a.inv_mod(&m).unwrap();
-        assert_eq!(a.mul_mod(&inv, &m), U256::ONE);
+        assert_eq!(a.mul_mod(&inv, &m), Uint::<4>::ONE);
     }
 
     #[test]
     fn pow_mod_multi_limb_consistency() {
         // (a^2)^2 == a^4
-        let m: Uint<4> = U256::MAX.wrapping_sub(&U256::from_u64(188));
-        let a = U256::from_hex("0x0123_4567_89ab_cdef_0011_2233_4455_6677").unwrap();
-        let a2 = a.pow_mod(&U256::from_u64(2), &m);
-        let a4a = a2.pow_mod(&U256::from_u64(2), &m);
-        let a4b = a.pow_mod(&U256::from_u64(4), &m);
+        let m: Uint<4> = Uint::<4>::MAX.wrapping_sub(&Uint::<4>::from_u64(188));
+        let a = Uint::<4>::from_hex("0x0123_4567_89ab_cdef_0011_2233_4455_6677").unwrap();
+        let a2 = a.pow_mod(&Uint::<4>::from_u64(2), &m);
+        let a4a = a2.pow_mod(&Uint::<4>::from_u64(2), &m);
+        let a4b = a.pow_mod(&Uint::<4>::from_u64(4), &m);
         assert_eq!(a4a, a4b);
     }
 }

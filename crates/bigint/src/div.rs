@@ -197,23 +197,23 @@ impl<const L: usize> Uint<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Uint, U256};
+    use crate::Uint;
 
     type U512 = Uint<8>;
 
     #[test]
     fn simple_division() {
-        let a = U256::from_u64(1000);
-        let b = U256::from_u64(7);
+        let a = Uint::<4>::from_u64(1000);
+        let b = Uint::<4>::from_u64(7);
         let (q, r) = a.div_rem(&b);
-        assert_eq!(q, U256::from_u64(142));
-        assert_eq!(r, U256::from_u64(6));
+        assert_eq!(q, Uint::<4>::from_u64(142));
+        assert_eq!(r, Uint::<4>::from_u64(6));
     }
 
     #[test]
     fn divide_smaller_by_larger() {
-        let a = U256::from_u64(3);
-        let b = U256::from_u64(10);
+        let a = Uint::<4>::from_u64(3);
+        let b = Uint::<4>::from_u64(10);
         let (q, r) = a.div_rem(&b);
         assert!(q.is_zero());
         assert_eq!(r, a);
@@ -234,10 +234,10 @@ mod tests {
     #[test]
     fn division_by_max_limb_boundary() {
         // Exercise the qhat-cap branch: numerator top limbs equal to divisor top.
-        let mut a = U256::ZERO;
+        let mut a = Uint::<4>::ZERO;
         a.set_bit(255, true);
         a.set_bit(128, true);
-        let mut b = U256::ZERO;
+        let mut b = Uint::<4>::ZERO;
         b.set_bit(128, true);
         b.set_bit(1, true);
         let (q, r) = a.div_rem(&b);
@@ -249,24 +249,24 @@ mod tests {
 
     #[test]
     fn reduce_wide_matches_manual() {
-        let a = U256::MAX;
-        let b = U256::from_u64(0xdead_beef);
-        let m = U256::from_hex("0x1_0000_0000_0000_0061").unwrap(); // arbitrary odd modulus
+        let a = Uint::<4>::MAX;
+        let b = Uint::<4>::from_u64(0xdead_beef);
+        let m = Uint::<4>::from_hex("0x1_0000_0000_0000_0061").unwrap(); // arbitrary odd modulus
         let (lo, hi) = a.widening_mul(&b);
-        let r = U256::reduce_wide(&lo, &hi, &m);
+        let r = Uint::<4>::reduce_wide(&lo, &hi, &m);
         assert!(r < m);
         // Check by an independent route: ((a mod m) * (b mod m)) mod m.
         let am = a.rem(&m);
         let bm = b.rem(&m);
         let (lo2, hi2) = am.widening_mul(&bm);
-        let r2 = U256::reduce_wide(&lo2, &hi2, &m);
+        let r2 = Uint::<4>::reduce_wide(&lo2, &hi2, &m);
         assert_eq!(r, r2);
     }
 
     #[test]
     #[should_panic(expected = "division by zero")]
     fn division_by_zero_panics() {
-        let _ = U256::ONE.div_rem(&U256::ZERO);
+        let _ = Uint::<4>::ONE.div_rem(&Uint::<4>::ZERO);
     }
 
     #[test]

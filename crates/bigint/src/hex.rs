@@ -127,7 +127,7 @@ impl<const L: usize> core::str::FromStr for Uint<L> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{BigIntError, U256};
+    use crate::{BigIntError, Uint};
 
     #[test]
     fn hex_roundtrip() {
@@ -138,7 +138,7 @@ mod tests {
             "deadbeef",
             "123456789abcdef0123456789abcdef",
         ] {
-            let v = U256::from_hex(s).unwrap();
+            let v = Uint::<4>::from_hex(s).unwrap();
             assert_eq!(v.to_hex(), s);
         }
     }
@@ -146,20 +146,20 @@ mod tests {
     #[test]
     fn hex_prefix_case_separators() {
         assert_eq!(
-            U256::from_hex("0xDE_AD_BE_EF").unwrap(),
-            U256::from_u64(0xdead_beef)
+            Uint::<4>::from_hex("0xDE_AD_BE_EF").unwrap(),
+            Uint::<4>::from_u64(0xdead_beef)
         );
-        assert!(U256::from_hex("xyz").is_err());
-        assert!(U256::from_hex("").is_err());
-        assert!(U256::from_hex("0x").is_err());
+        assert!(Uint::<4>::from_hex("xyz").is_err());
+        assert!(Uint::<4>::from_hex("").is_err());
+        assert!(Uint::<4>::from_hex("0x").is_err());
     }
 
     #[test]
     fn hex_overflow_detected() {
         let max = "f".repeat(64);
-        assert!(U256::from_hex(&max).is_ok());
+        assert!(Uint::<4>::from_hex(&max).is_ok());
         let over = "1".to_string() + &"0".repeat(64);
-        assert_eq!(U256::from_hex(&over), Err(BigIntError::Overflow));
+        assert_eq!(Uint::<4>::from_hex(&over), Err(BigIntError::Overflow));
     }
 
     #[test]
@@ -171,34 +171,34 @@ mod tests {
             "999999999999999999999999",
             "340282366920938463463374607431768211455",
         ] {
-            let v = U256::from_decimal(s).unwrap();
+            let v = Uint::<4>::from_decimal(s).unwrap();
             assert_eq!(v.to_decimal(), s);
         }
     }
 
     #[test]
     fn decimal_errors() {
-        assert!(U256::from_decimal("12a").is_err());
-        assert!(U256::from_decimal("").is_err());
+        assert!(Uint::<4>::from_decimal("12a").is_err());
+        assert!(Uint::<4>::from_decimal("").is_err());
         // 2^256 exactly overflows.
-        let over = U256::MAX.to_decimal();
-        let v = U256::from_decimal(&over).unwrap();
-        assert_eq!(v, U256::MAX);
+        let over = Uint::<4>::MAX.to_decimal();
+        let v = Uint::<4>::from_decimal(&over).unwrap();
+        assert_eq!(v, Uint::<4>::MAX);
         // MAX+1: construct decimal by appending; simplest reliable overflow is MAX*10.
         let big = over + "0";
-        assert_eq!(U256::from_decimal(&big), Err(BigIntError::Overflow));
+        assert_eq!(Uint::<4>::from_decimal(&big), Err(BigIntError::Overflow));
     }
 
     #[test]
     fn from_str_dispatch() {
-        let a: U256 = "255".parse().unwrap();
-        let b: U256 = "0xff".parse().unwrap();
+        let a: Uint<4> = "255".parse().unwrap();
+        let b: Uint<4> = "0xff".parse().unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn display_impls() {
-        let v = U256::from_u64(48879);
+        let v = Uint::<4>::from_u64(48879);
         assert_eq!(format!("{v}"), "48879");
         assert_eq!(format!("{v:x}"), "beef");
         assert!(format!("{v:?}").contains("beef"));

@@ -8,23 +8,22 @@
 //! primality testing and random prime generation.
 //!
 //! The central type is [`Uint<L>`], a stack-allocated little-endian array of
-//! `L` 64-bit limbs; callers name the width they need as `Uint<L>`. Two
-//! aliases are kept for the widths named outside this crate: [`U256`] and
-//! [`U2048`], the container of every RSA modulus.
+//! `L` 64-bit limbs; callers name the width they need as `Uint<L>`. One
+//! alias is kept: [`U2048`], the container of every RSA modulus.
 //!
 //! # Example
 //!
 //! ```
-//! use mws_bigint::{U256, Mont};
+//! use mws_bigint::{Mont, Uint};
 //!
-//! let p: U256 = "115792089237316195423570985008687907853269984665640564039457584007908834671663"
+//! let p: Uint<4> = "115792089237316195423570985008687907853269984665640564039457584007908834671663"
 //!     .parse()
 //!     .unwrap(); // the secp256k1 field prime
 //! let m = Mont::new(&p).unwrap();
-//! let a = U256::from_u64(7);
+//! let a = Uint::<4>::from_u64(7);
 //! // Fermat: a^(p-1) = 1 (mod p)
-//! let e = p.wrapping_sub(&U256::ONE);
-//! assert_eq!(m.pow(&a, &e), U256::ONE);
+//! let e = p.wrapping_sub(&Uint::ONE);
+//! assert_eq!(m.pow(&a, &e), Uint::ONE);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,8 +51,6 @@ pub use randint::{random_below, random_bits, random_nonzero_below};
 pub use rng::Rng;
 pub use uint::Uint;
 
-/// 256-bit unsigned integer (4 limbs).
-pub type U256 = Uint<4>;
 /// 2048-bit unsigned integer (32 limbs).
 pub type U2048 = Uint<32>;
 

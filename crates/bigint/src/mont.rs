@@ -354,30 +354,30 @@ impl<const L: usize> Mont<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Uint, U256};
+    use crate::Uint;
 
     type U512 = Uint<8>;
 
-    fn modulus() -> U256 {
+    fn modulus() -> Uint<4> {
         // 2^255 - 19, an odd prime spanning all four limbs.
-        let mut m = U256::ZERO;
+        let mut m = Uint::<4>::ZERO;
         m.set_bit(255, true);
-        m.wrapping_sub(&U256::from_u64(19))
+        m.wrapping_sub(&Uint::<4>::from_u64(19))
     }
 
     #[test]
     fn rejects_bad_moduli() {
-        assert!(Mont::new(&U256::from_u64(10)).is_err());
-        assert!(Mont::new(&U256::ZERO).is_err());
-        assert!(Mont::new(&U256::ONE).is_err());
-        assert!(Mont::new(&U256::from_u64(3)).is_ok());
+        assert!(Mont::new(&Uint::<4>::from_u64(10)).is_err());
+        assert!(Mont::new(&Uint::<4>::ZERO).is_err());
+        assert!(Mont::new(&Uint::<4>::ONE).is_err());
+        assert!(Mont::new(&Uint::<4>::from_u64(3)).is_ok());
     }
 
     #[test]
     fn roundtrip_domain() {
         let m = Mont::new(&modulus()).unwrap();
         for v in [0u64, 1, 2, 12345, u64::MAX] {
-            let a = U256::from_u64(v);
+            let a = Uint::<4>::from_u64(v);
             assert_eq!(m.from_mont(&m.to_mont(&a)), a);
         }
     }
@@ -386,8 +386,8 @@ mod tests {
     fn mont_mul_matches_mul_mod() {
         let n = modulus();
         let m = Mont::new(&n).unwrap();
-        let a = U256::from_hex("0xdead_beef_cafe_babe_0011_2233_4455_6677").unwrap();
-        let b = U256::from_hex("0x0123_4567_89ab_cdef_8899_aabb_ccdd_eeff").unwrap();
+        let a = Uint::<4>::from_hex("0xdead_beef_cafe_babe_0011_2233_4455_6677").unwrap();
+        let b = Uint::<4>::from_hex("0x0123_4567_89ab_cdef_8899_aabb_ccdd_eeff").unwrap();
         let am = m.to_mont(&a);
         let bm = m.to_mont(&b);
         let prod = m.from_mont(&m.mont_mul(&am, &bm));
@@ -398,8 +398,8 @@ mod tests {
     fn pow_matches_pow_mod() {
         let n = modulus();
         let m = Mont::new(&n).unwrap();
-        let a = U256::from_u64(3);
-        let e = U256::from_hex("0xfedc_ba98_7654_3210_0f1e_2d3c_4b5a_6978").unwrap();
+        let a = Uint::<4>::from_u64(3);
+        let e = Uint::<4>::from_hex("0xfedc_ba98_7654_3210_0f1e_2d3c_4b5a_6978").unwrap();
         assert_eq!(m.pow(&a, &e), a.pow_mod(&e, &n));
     }
 
@@ -407,13 +407,16 @@ mod tests {
     fn pow_edge_cases() {
         let n = modulus();
         let m = Mont::new(&n).unwrap();
-        let a = U256::from_u64(7);
-        assert_eq!(m.pow(&a, &U256::ZERO), U256::ONE);
-        assert_eq!(m.pow(&a, &U256::ONE), a);
-        assert_eq!(m.pow(&U256::ZERO, &U256::from_u64(9)), U256::ZERO);
+        let a = Uint::<4>::from_u64(7);
+        assert_eq!(m.pow(&a, &Uint::<4>::ZERO), Uint::<4>::ONE);
+        assert_eq!(m.pow(&a, &Uint::<4>::ONE), a);
+        assert_eq!(
+            m.pow(&Uint::<4>::ZERO, &Uint::<4>::from_u64(9)),
+            Uint::<4>::ZERO
+        );
         // Fermat
-        let e = n.wrapping_sub(&U256::ONE);
-        assert_eq!(m.pow(&a, &e), U256::ONE);
+        let e = n.wrapping_sub(&Uint::<4>::ONE);
+        assert_eq!(m.pow(&a, &e), Uint::<4>::ONE);
     }
 
     #[test]
@@ -456,29 +459,32 @@ mod tests {
     fn reduce_divides_only_when_needed() {
         let n = modulus();
         let m = Mont::new(&n).unwrap();
-        let below = n.wrapping_sub(&U256::ONE);
+        let below = n.wrapping_sub(&Uint::<4>::ONE);
         assert_eq!(m.reduce(&below), below);
-        assert_eq!(m.reduce(&n), U256::ZERO);
-        assert_eq!(m.reduce(&U256::MAX), U256::MAX.rem(&n));
-        assert_eq!(m.pow(&U256::MAX, &U256::ONE), U256::MAX.rem(&n));
+        assert_eq!(m.reduce(&n), Uint::<4>::ZERO);
+        assert_eq!(m.reduce(&Uint::<4>::MAX), Uint::<4>::MAX.rem(&n));
+        assert_eq!(
+            m.pow(&Uint::<4>::MAX, &Uint::<4>::ONE),
+            Uint::<4>::MAX.rem(&n)
+        );
     }
 
     #[test]
     fn add_sub_neg_wrap_at_the_modulus() {
         let n = modulus();
         let m = Mont::new(&n).unwrap();
-        let top = n.wrapping_sub(&U256::ONE);
-        assert_eq!(m.add(&top, &U256::ONE), U256::ZERO);
-        assert_eq!(m.add(&top, &top), n.wrapping_sub(&U256::from_u64(2)));
-        assert_eq!(m.sub(&U256::ZERO, &U256::ONE), top);
-        assert_eq!(m.neg(&U256::ONE), top);
-        assert_eq!(m.neg(&U256::ZERO), U256::ZERO);
+        let top = n.wrapping_sub(&Uint::<4>::ONE);
+        assert_eq!(m.add(&top, &Uint::<4>::ONE), Uint::<4>::ZERO);
+        assert_eq!(m.add(&top, &top), n.wrapping_sub(&Uint::<4>::from_u64(2)));
+        assert_eq!(m.sub(&Uint::<4>::ZERO, &Uint::<4>::ONE), top);
+        assert_eq!(m.neg(&Uint::<4>::ONE), top);
+        assert_eq!(m.neg(&Uint::<4>::ZERO), Uint::<4>::ZERO);
     }
 
     #[test]
     fn one_mont_is_r_mod_n() {
         let n = modulus();
         let m = Mont::new(&n).unwrap();
-        assert_eq!(m.from_mont(&m.one_mont()), U256::ONE);
+        assert_eq!(m.from_mont(&m.one_mont()), Uint::<4>::ONE);
     }
 }

@@ -105,7 +105,7 @@ pub fn gen_prime<const L: usize, R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::rng::TestRng;
-    use crate::U256;
+    use crate::Uint;
 
     type U512 = Uint<8>;
 
@@ -118,11 +118,14 @@ mod tests {
         let mut rng = rng();
         let r = MillerRabinRounds(20);
         for p in [2u64, 3, 5, 7, 199, 211, 65537, 2_147_483_647] {
-            assert!(is_prime(&U256::from_u64(p), r, &mut rng), "{p} is prime");
+            assert!(
+                is_prime(&Uint::<4>::from_u64(p), r, &mut rng),
+                "{p} is prime"
+            );
         }
         for c in [0u64, 1, 4, 9, 221, 65535, 2_147_483_649] {
             assert!(
-                !is_prime(&U256::from_u64(c), r, &mut rng),
+                !is_prime(&Uint::<4>::from_u64(c), r, &mut rng),
                 "{c} is composite"
             );
         }
@@ -134,7 +137,7 @@ mod tests {
         let r = MillerRabinRounds(20);
         // Carmichael numbers fool Fermat but not Miller–Rabin.
         for c in [561u64, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265] {
-            assert!(!is_prime(&U256::from_u64(c), r, &mut rng), "{c}");
+            assert!(!is_prime(&Uint::<4>::from_u64(c), r, &mut rng), "{c}");
         }
     }
 
@@ -142,19 +145,19 @@ mod tests {
     fn known_large_prime() {
         let mut rng = rng();
         // 2^255 - 19 (the curve25519 prime).
-        let mut p = U256::ZERO;
+        let mut p = Uint::<4>::ZERO;
         p.set_bit(255, true);
-        let p = p.wrapping_sub(&U256::from_u64(19));
+        let p = p.wrapping_sub(&Uint::<4>::from_u64(19));
         assert!(is_prime(&p, MillerRabinRounds(16), &mut rng));
         // Its neighbour is composite.
-        let c = p.wrapping_sub(&U256::from_u64(2));
+        let c = p.wrapping_sub(&Uint::<4>::from_u64(2));
         assert!(!is_prime(&c, MillerRabinRounds(16), &mut rng));
     }
 
     #[test]
     fn generated_prime_has_requested_shape() {
         let mut rng = rng();
-        let p: U256 = gen_prime(&mut rng, 96, MillerRabinRounds(12));
+        let p: Uint<4> = gen_prime(&mut rng, 96, MillerRabinRounds(12));
         assert_eq!(p.bits(), 96);
         assert!(p.is_odd());
         assert!(p.bit(94), "second-highest bit forced");

@@ -63,14 +63,14 @@ pub fn random_nonzero_below<const L: usize, R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::rng::TestRng;
-    use crate::U256;
+    use crate::Uint;
 
     #[test]
     fn random_bits_respects_width() {
         let mut rng = TestRng(1);
         for bits in [0u32, 1, 63, 64, 65, 128, 255, 256] {
             for _ in 0..20 {
-                let v: U256 = random_bits(&mut rng, bits);
+                let v: Uint<4> = random_bits(&mut rng, bits);
                 assert!(v.bits() <= bits, "bits={bits} got {}", v.bits());
             }
         }
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn random_below_in_range() {
         let mut rng = TestRng(2);
-        let bound = U256::from_u64(1000);
+        let bound = Uint::<4>::from_u64(1000);
         for _ in 0..200 {
             let v = random_below(&mut rng, &bound);
             assert!(v < bound);
@@ -89,16 +89,16 @@ mod tests {
     #[test]
     fn random_nonzero_excludes_zero() {
         let mut rng = TestRng(3);
-        let bound = U256::from_u64(2);
+        let bound = Uint::<4>::from_u64(2);
         for _ in 0..50 {
-            assert_eq!(random_nonzero_below(&mut rng, &bound), U256::ONE);
+            assert_eq!(random_nonzero_below(&mut rng, &bound), Uint::<4>::ONE);
         }
     }
 
     #[test]
     fn random_covers_high_limbs() {
         let mut rng = TestRng(4);
-        let v: U256 = random_bits(&mut rng, 256);
+        let v: Uint<4> = random_bits(&mut rng, 256);
         // Overwhelmingly likely to touch the top limb.
         assert!(v.bits() > 192);
     }

@@ -351,39 +351,45 @@ impl<const L: usize> From<u64> for Uint<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::U256;
+    use crate::Uint;
 
     #[test]
     fn zero_one_identities() {
-        assert!(U256::ZERO.is_zero());
-        assert!(!U256::ONE.is_zero());
-        assert!(U256::ONE.is_odd());
-        assert_eq!(U256::ZERO.wrapping_add(&U256::ONE), U256::ONE);
-        assert_eq!(U256::ONE.wrapping_sub(&U256::ONE), U256::ZERO);
+        assert!(Uint::<4>::ZERO.is_zero());
+        assert!(!Uint::<4>::ONE.is_zero());
+        assert!(Uint::<4>::ONE.is_odd());
+        assert_eq!(
+            Uint::<4>::ZERO.wrapping_add(&Uint::<4>::ONE),
+            Uint::<4>::ONE
+        );
+        assert_eq!(
+            Uint::<4>::ONE.wrapping_sub(&Uint::<4>::ONE),
+            Uint::<4>::ZERO
+        );
     }
 
     #[test]
     fn add_carry_chains() {
-        let max = U256::MAX;
-        let (v, c) = max.overflowing_add(&U256::ONE);
+        let max = Uint::<4>::MAX;
+        let (v, c) = max.overflowing_add(&Uint::<4>::ONE);
         assert!(c);
         assert!(v.is_zero());
-        let (v, c) = max.overflowing_add(&U256::ZERO);
+        let (v, c) = max.overflowing_add(&Uint::<4>::ZERO);
         assert!(!c);
         assert_eq!(v, max);
     }
 
     #[test]
     fn sub_borrow_chains() {
-        let (v, b) = U256::ZERO.overflowing_sub(&U256::ONE);
+        let (v, b) = Uint::<4>::ZERO.overflowing_sub(&Uint::<4>::ONE);
         assert!(b);
-        assert_eq!(v, U256::MAX);
+        assert_eq!(v, Uint::<4>::MAX);
     }
 
     #[test]
     fn widening_mul_known() {
         // (2^64 - 1)^2 = 2^128 - 2^65 + 1
-        let a = U256::from_u64(u64::MAX);
+        let a = Uint::<4>::from_u64(u64::MAX);
         let (lo, hi) = a.widening_mul(&a);
         assert!(hi.is_zero());
         assert_eq!(lo.limbs()[0], 1);
@@ -394,14 +400,14 @@ mod tests {
     #[test]
     fn widening_mul_top_half() {
         // MAX * MAX = (2^256-1)^2 = 2^512 - 2^257 + 1
-        let (lo, hi) = U256::MAX.widening_mul(&U256::MAX);
-        assert_eq!(lo, U256::ONE);
-        assert_eq!(hi, U256::MAX.wrapping_sub(&U256::ONE));
+        let (lo, hi) = Uint::<4>::MAX.widening_mul(&Uint::<4>::MAX);
+        assert_eq!(lo, Uint::<4>::ONE);
+        assert_eq!(hi, Uint::<4>::MAX.wrapping_sub(&Uint::<4>::ONE));
     }
 
     #[test]
     fn shifts_roundtrip() {
-        let v = U256::from_hex("0x0123_4567_89ab_cdef_fedc_ba98_7654_3210").unwrap();
+        let v = Uint::<4>::from_hex("0x0123_4567_89ab_cdef_fedc_ba98_7654_3210").unwrap();
         for n in [0u32, 1, 7, 63, 64, 65, 127, 128, 200] {
             let shifted = v.wrapping_shl(n).wrapping_shr(n);
             if n <= 128 {
@@ -412,38 +418,41 @@ mod tests {
 
     #[test]
     fn bits_and_bit_access() {
-        let mut v = U256::ZERO;
+        let mut v = Uint::<4>::ZERO;
         v.set_bit(200, true);
         assert!(v.bit(200));
         assert_eq!(v.bits(), 201);
         assert_eq!(v.trailing_zeros(), 200);
         v.set_bit(200, false);
         assert!(v.is_zero());
-        assert_eq!(U256::ZERO.bits(), 0);
-        assert_eq!(U256::ONE.bits(), 1);
+        assert_eq!(Uint::<4>::ZERO.bits(), 0);
+        assert_eq!(Uint::<4>::ONE.bits(), 1);
     }
 
     #[test]
     fn byte_roundtrip() {
-        let v = U256::from_hex("0xdead_beef_cafe_babe_0102_0304_0506_0708").unwrap();
+        let v = Uint::<4>::from_hex("0xdead_beef_cafe_babe_0102_0304_0506_0708").unwrap();
         let bytes = v.to_be_bytes();
         assert_eq!(bytes.len(), 32);
-        assert_eq!(U256::from_be_bytes(&bytes).unwrap(), v);
+        assert_eq!(Uint::<4>::from_be_bytes(&bytes).unwrap(), v);
         // Short input is allowed (left-padded).
-        assert_eq!(U256::from_be_bytes(&[1, 0]).unwrap(), U256::from_u64(256));
+        assert_eq!(
+            Uint::<4>::from_be_bytes(&[1, 0]).unwrap(),
+            Uint::<4>::from_u64(256)
+        );
         // Oversized significant input is rejected.
         let mut big = vec![1u8];
         big.extend_from_slice(&[0u8; 32]);
-        assert_eq!(U256::from_be_bytes(&big), Err(BigIntError::Overflow));
+        assert_eq!(Uint::<4>::from_be_bytes(&big), Err(BigIntError::Overflow));
         // Leading zeros are fine.
         let mut padded = vec![0u8; 5];
         padded.extend_from_slice(&bytes);
-        assert_eq!(U256::from_be_bytes(&padded).unwrap(), v);
+        assert_eq!(Uint::<4>::from_be_bytes(&padded).unwrap(), v);
     }
 
     #[test]
     fn widen_narrow() {
-        let v = U256::from_limbs([u64::MAX, u64::MAX, 0, 0]);
+        let v = Uint::<4>::from_limbs([u64::MAX, u64::MAX, 0, 0]);
         let w: Uint<8> = v.widen();
         assert_eq!(w.narrow::<4>().unwrap(), v);
         assert_eq!(w.narrow::<2>().unwrap(), Uint::<2>::MAX);
@@ -453,15 +462,15 @@ mod tests {
 
     #[test]
     fn mul_limb_carry() {
-        let (v, carry) = U256::MAX.mul_limb(2);
+        let (v, carry) = Uint::<4>::MAX.mul_limb(2);
         assert_eq!(carry, 1);
-        assert_eq!(v, U256::MAX.wrapping_sub(&U256::ONE));
+        assert_eq!(v, Uint::<4>::MAX.wrapping_sub(&Uint::<4>::ONE));
     }
 
     #[test]
     fn ordering() {
-        let a = U256::from_u64(5);
-        let mut b = U256::ZERO;
+        let a = Uint::<4>::from_u64(5);
+        let mut b = Uint::<4>::ZERO;
         b.set_bit(64, true);
         assert!(a < b);
         assert!(b > a);

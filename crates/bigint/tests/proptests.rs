@@ -1,13 +1,13 @@
 //! Property-based tests for the big-integer substrate.
 
-use mws_bigint::{ModInv, Mont, Uint, U256};
+use mws_bigint::{ModInv, Mont, Uint};
 use mws_prop::{cases, Gen};
 
 fn limbs<const L: usize>(g: &mut Gen) -> [u64; L] {
     std::array::from_fn(|_| g.u64())
 }
 
-fn arb_u256(g: &mut Gen) -> U256 {
+fn arb_u256(g: &mut Gen) -> Uint<4> {
     Uint::from_limbs(limbs(g))
 }
 
@@ -24,7 +24,7 @@ fn odd_modulus_of<const L: usize>(g: &mut Gen, bits: u32) -> Uint<L> {
 }
 
 /// An odd modulus with the top bit set, so operands below fit after rem.
-fn arb_odd_modulus(g: &mut Gen) -> U256 {
+fn arb_odd_modulus(g: &mut Gen) -> Uint<4> {
     odd_modulus_of(g, 256)
 }
 
@@ -86,21 +86,21 @@ fn shift_matches_mul_by_pow2() {
 fn byte_roundtrip() {
     cases(256, arb_u256).check(|a| {
         let bytes = a.to_be_bytes();
-        assert_eq!(U256::from_be_bytes(&bytes).unwrap(), a);
+        assert_eq!(Uint::<4>::from_be_bytes(&bytes).unwrap(), a);
     });
 }
 
 #[test]
 fn hex_roundtrip() {
     cases(256, arb_u256).check(|a| {
-        assert_eq!(format!("0x{}", a.to_hex()).parse::<U256>().unwrap(), a);
+        assert_eq!(format!("0x{}", a.to_hex()).parse::<Uint<4>>().unwrap(), a);
     });
 }
 
 #[test]
 fn decimal_roundtrip() {
     cases(256, arb_u256).check(|a| {
-        assert_eq!(a.to_string().parse::<U256>().unwrap(), a);
+        assert_eq!(a.to_string().parse::<Uint<4>>().unwrap(), a);
     });
 }
 
@@ -119,7 +119,7 @@ fn mont_mul_matches_schoolbook() {
 fn mont_pow_matches_naive() {
     cases(256, |g| (arb_odd_modulus(g), arb_u256(g), g.int(0..10_000))).check(|(m, a, e)| {
         let mont = Mont::new(&m).unwrap();
-        let e = U256::from_u64(e);
+        let e = Uint::<4>::from_u64(e);
         assert_eq!(mont.pow(&a, &e), a.pow_mod(&e, &m));
     });
 }
@@ -221,7 +221,7 @@ fn mont_is_a_function_of_the_modulus_not_the_container() {
         (n, below(g, &n), below(g, &n), arb_u256(g))
     })
     .check(|(n, a, b, e)| {
-        fn run<const L: usize>([n, a, b, e]: [U256; 4]) -> [U256; 8] {
+        fn run<const L: usize>([n, a, b, e]: [Uint<4>; 4]) -> [Uint<4>; 8] {
             let m = Mont::<L>::new(&n.widen()).unwrap();
             let (am, bm) = (m.to_mont(&a.widen()), m.to_mont(&b.widen()));
             let prod = m.mont_mul(&am, &bm);
@@ -255,14 +255,14 @@ fn inverse_is_inverse() {
             return;
         }
         match ar.inv_mod(&m) {
-            Ok(inv) => assert_eq!(ar.mul_mod(&inv, &m), U256::ONE),
+            Ok(inv) => assert_eq!(ar.mul_mod(&inv, &m), Uint::<4>::ONE),
             Err(_) => {
                 // Euclid's gcd, by division, as the oracle.
                 let (mut x, mut y) = (ar, m);
                 while !y.is_zero() {
                     (x, y) = (y, x.rem(&y));
                 }
-                assert!(x != U256::ONE);
+                assert!(x != Uint::<4>::ONE);
             }
         }
     });
@@ -272,7 +272,7 @@ fn inverse_is_inverse() {
 fn reduce_wide_is_canonical() {
     cases(256, |g| (arb_u256(g), arb_u256(g), arb_odd_modulus(g))).check(|(a, b, m)| {
         let (lo, hi) = a.widening_mul(&b);
-        let r = U256::reduce_wide(&lo, &hi, &m);
+        let r = Uint::<4>::reduce_wide(&lo, &hi, &m);
         assert!(r < m);
     });
 }

@@ -189,11 +189,13 @@ mod tests {
         MessageManagementSystem::open(StorageKind::Memory, StorageKind::Memory).unwrap()
     }
 
+    /// Stores a row whose nonce is `attr ‖ ts`, so no two calls share an
+    /// origin.
     fn store(m: &mut MessageManagementSystem, attr: &str, ts: u64) -> MessageId {
-        store_nonce(m, attr, b"n", ts)
+        store_nonce(m, attr, &[attr.as_bytes(), &ts.to_le_bytes()].concat(), ts)
     }
 
-    /// Stores a row with no origin dedup and no durability point.
+    /// Stores a row through the warehouse's one deposit path.
     fn store_nonce(
         m: &mut MessageManagementSystem,
         attr: &str,
@@ -209,7 +211,9 @@ mod tests {
             sd_id: "sd".to_string(),
             timestamp: ts,
         };
-        m.store_handle().insert(&row).unwrap()
+        let (id, fresh) = m.store_handle().deposit(&row).unwrap();
+        assert!(fresh);
+        id
     }
 
     #[test]

@@ -406,6 +406,31 @@ mod tests {
         }
     }
 
+    /// `decrypt_attr` checks curve membership, not the subgroup: a `U`
+    /// with a component `q·R` of order prime to `q` added still opens,
+    /// because `ê(sI, ·)` is 1 on such points and `K` does not move.
+    #[test]
+    fn off_subgroup_u_component_is_invisible() {
+        for level in [SecurityLevel::Toy, SecurityLevel::Light] {
+            let ibe = IbeSystem::named(level);
+            let ctx = ibe.pairing();
+            let mut rng = HmacDrbg::from_u64(0x4f4f53);
+            let (msk, mpk) = ibe.setup(&mut rng);
+            let mut ct = ibe.encrypt_attr(&mut rng, &mpk, "A", b"n", CipherAlgo::Aes128, b"", b"m");
+            let small = loop {
+                let r = ctx.field().random_curve_point(&mut rng);
+                let t = ctx.mul(&r, ctx.group_order());
+                if !t.is_infinity() {
+                    break t;
+                }
+            };
+            ct.u = ctx.add(&ct.u, &small);
+            assert!(!ctx.in_subgroup(&ct.u), "{level:?}: U left the subgroup");
+            let sk = ibe.extract_point(&msk, &ibe.attribute_point("A", b"n"));
+            assert_eq!(ibe.decrypt_attr(&sk, &ct, b"").unwrap(), b"m", "{level:?}");
+        }
+    }
+
     #[test]
     fn attribute_point_is_deterministic_and_nonce_sensitive() {
         let ibe = system();

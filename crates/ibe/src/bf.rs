@@ -1,8 +1,7 @@
-//! Boneh–Franklin IBE: `Setup`, `Extract`, and the BasicIdent
-//! encrypt/decrypt (paper §IV).
+//! Boneh–Franklin IBE: `Setup` and `Extract` (paper §IV). The encryption
+//! the protocol runs over them is the hybrid attribute scheme in
+//! [`crate::attr`].
 
-use crate::kdf::{xor_into, xor_pad};
-use crate::IbeError;
 use mws_crypto::Rng;
 use mws_pairing::{FpW, PairingCtx, PairingError, Point, PreparedPoint, SecurityLevel};
 use std::sync::{Arc, OnceLock};
@@ -73,36 +72,6 @@ impl core::fmt::Debug for UserPrivateKey {
     }
 }
 
-/// A user private key with its Miller loop pre-executed — for holders that
-/// decrypt many ciphertexts under one identity (the receiving client's hot
-/// path). Build via [`IbeSystem::prepare_key`].
-#[derive(Clone, Debug)]
-pub struct DecryptionKey {
-    key: UserPrivateKey,
-    prepared: PreparedPoint,
-}
-
-impl DecryptionKey {
-    /// The wrapped private key.
-    pub fn key(&self) -> &UserPrivateKey {
-        &self.key
-    }
-
-    /// The prepared Miller tape for `d_ID`.
-    pub fn prepared(&self) -> &PreparedPoint {
-        &self.prepared
-    }
-}
-
-/// BasicIdent ciphertext `(U, V) = (rP, M ⊕ H₂(g_ID^r))`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BasicCiphertext {
-    /// `U = r·P`.
-    pub u: Point,
-    /// Masked message.
-    pub v: Vec<u8>,
-}
-
 impl IbeSystem {
     /// Creates a system over the given pairing context.
     pub fn new(ctx: PairingCtx) -> Self {
@@ -127,15 +96,6 @@ impl IbeSystem {
         (MasterSecret(s), MasterPublic::from_point(ppub))
     }
 
-    /// Precomputes the Miller loop of a private key for repeated decryption;
-    /// see [`DecryptionKey`].
-    pub fn prepare_key(&self, sk: &UserPrivateKey) -> DecryptionKey {
-        DecryptionKey {
-            key: *sk,
-            prepared: self.ctx.prepare(&sk.0),
-        }
-    }
-
     /// `Q_ID = MapToPoint(H(ID))` — the public point of an identity.
     pub fn identity_point(&self, id: &[u8]) -> Point {
         self.ctx.hash_to_point(id)
@@ -151,121 +111,6 @@ impl IbeSystem {
     /// PKG and the attribute scheme, which hash `A ‖ Nonce` themselves).
     pub fn extract_point(&self, msk: &MasterSecret, q_id: &Point) -> UserPrivateKey {
         UserPrivateKey(self.ctx.mul(q_id, &msk.0))
-    }
-
-    /// BasicIdent encryption of an arbitrary-length message.
-    pub fn encrypt_basic<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        mpk: &MasterPublic,
-        id: &[u8],
-        msg: &[u8],
-    ) -> BasicCiphertext {
-        let q_id = self.identity_point(id);
-        self.encrypt_basic_point(rng, mpk, &q_id, msg)
-    }
-
-    /// BasicIdent encryption to a pre-mapped identity point.
-    ///
-    /// Fast path: `U = r·P` through the generator comb table and
-    /// `g = ê(Q_ID, P_pub)` evaluated as `ê(P_pub, Q_ID)` (the pairing is
-    /// symmetric) against the key's cached Miller tape, then a windowed
-    /// `g^r`. Produces the same distribution — and for a fixed `r`, the
-    /// same bits — as [`Self::encrypt_basic_point_reference`].
-    pub fn encrypt_basic_point<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        mpk: &MasterPublic,
-        q_id: &Point,
-        msg: &[u8],
-    ) -> BasicCiphertext {
-        let r = self.ctx.random_scalar(rng);
-        let u = self.ctx.mul_generator(&r);
-        // g = ê(Q_ID, P_pub)^r, computed with P_pub's prepared tape.
-        let g = self.ctx.pairing_with(mpk.prepared(&self.ctx), q_id);
-        let gr = self.ctx.field().fp2_pow(&g, &r);
-        let mut v = msg.to_vec();
-        let pad = xor_pad(&self.ctx, &gr, v.len());
-        xor_into(&mut v, &pad);
-        BasicCiphertext { u, v }
-    }
-
-    /// BasicIdent encryption via the pre-optimization reference path
-    /// (binary ladder, affine pairing, plain square-and-multiply) — kept
-    /// callable for cross-checks and the benchmark baseline.
-    pub fn encrypt_basic_point_reference<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        mpk: &MasterPublic,
-        q_id: &Point,
-        msg: &[u8],
-    ) -> BasicCiphertext {
-        let f = self.ctx.field();
-        let r = self.ctx.random_scalar(rng);
-        let u = f.point_mul_binary(&self.ctx.generator(), &r);
-        let g = self.ctx.pairing_affine(q_id, &mpk.point);
-        let gr = f.fp2_pow_binary(&g, &r);
-        let mut v = msg.to_vec();
-        let pad = xor_pad(&self.ctx, &gr, v.len());
-        xor_into(&mut v, &pad);
-        BasicCiphertext { u, v }
-    }
-
-    /// Validation shared by the decrypt paths: `U` must be a finite point
-    /// of the order-`q` subgroup (the subgroup check runs the x-only ladder).
-    fn check_ciphertext_point(&self, u: &Point) -> Result<(), IbeError> {
-        if u.is_infinity() || !self.ctx.in_subgroup(u) {
-            return Err(IbeError::InvalidPoint);
-        }
-        Ok(())
-    }
-
-    /// BasicIdent decryption: `M = V ⊕ H₂(ê(d_ID, U))`.
-    pub fn decrypt_basic(
-        &self,
-        sk: &UserPrivateKey,
-        ct: &BasicCiphertext,
-    ) -> Result<Vec<u8>, IbeError> {
-        self.check_ciphertext_point(&ct.u)?;
-        let g = self.ctx.pairing(&sk.0, &ct.u);
-        let mut m = ct.v.clone();
-        let pad = xor_pad(&self.ctx, &g, m.len());
-        xor_into(&mut m, &pad);
-        Ok(m)
-    }
-
-    /// BasicIdent decryption with a prepared key — same result as
-    /// [`Self::decrypt_basic`], skipping the per-call Miller point
-    /// arithmetic.
-    pub fn decrypt_basic_prepared(
-        &self,
-        dk: &DecryptionKey,
-        ct: &BasicCiphertext,
-    ) -> Result<Vec<u8>, IbeError> {
-        self.check_ciphertext_point(&ct.u)?;
-        let g = self.ctx.pairing_with(&dk.prepared, &ct.u);
-        let mut m = ct.v.clone();
-        let pad = xor_pad(&self.ctx, &g, m.len());
-        xor_into(&mut m, &pad);
-        Ok(m)
-    }
-
-    /// BasicIdent decryption via the pre-optimization reference path
-    /// (affine pairing, on-curve check only) — kept callable for
-    /// cross-checks and the benchmark baseline.
-    pub fn decrypt_basic_reference(
-        &self,
-        sk: &UserPrivateKey,
-        ct: &BasicCiphertext,
-    ) -> Result<Vec<u8>, IbeError> {
-        if ct.u.is_infinity() || !self.ctx.field().is_on_curve(&ct.u) {
-            return Err(IbeError::InvalidPoint);
-        }
-        let g = self.ctx.pairing_affine(&sk.0, &ct.u);
-        let mut m = ct.v.clone();
-        let pad = xor_pad(&self.ctx, &g, m.len());
-        xor_into(&mut m, &pad);
-        Ok(m)
     }
 
     /// Serializes the master public key (compressed point).
@@ -317,10 +162,29 @@ impl UserPrivateKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attr::{AttrCiphertext, CipherAlgo};
+    use crate::IbeError;
     use mws_crypto::HmacDrbg;
 
     fn system() -> IbeSystem {
         IbeSystem::named(SecurityLevel::Toy)
+    }
+
+    /// Encrypts `msg` to attribute `attr` (nonce `n`) with the hybrid
+    /// scheme the protocol runs over `Setup` and `Extract`.
+    fn encrypt(
+        ibe: &IbeSystem,
+        rng: &mut HmacDrbg,
+        mpk: &MasterPublic,
+        attr: &str,
+        msg: &[u8],
+    ) -> AttrCiphertext {
+        ibe.encrypt_attr(rng, mpk, attr, b"n", CipherAlgo::Aes128, b"", msg)
+    }
+
+    /// The PKG's key for attribute `attr` (nonce `n`).
+    fn key(ibe: &IbeSystem, msk: &MasterSecret, attr: &str) -> UserPrivateKey {
+        ibe.extract_point(msk, &ibe.attribute_point(attr, b"n"))
     }
 
     #[test]
@@ -328,20 +192,9 @@ mod tests {
         let ibe = system();
         let mut rng = HmacDrbg::from_u64(1);
         let (msk, mpk) = ibe.setup(&mut rng);
-        let ct = ibe.encrypt_basic(&mut rng, &mpk, b"bob@sap.com", b"meter=42kWh");
-        let sk = ibe.extract(&msk, b"bob@sap.com");
-        assert_eq!(ibe.decrypt_basic(&sk, &ct).unwrap(), b"meter=42kWh");
-    }
-
-    #[test]
-    fn wrong_identity_gets_garbage() {
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(2);
-        let (msk, mpk) = ibe.setup(&mut rng);
-        let ct = ibe.encrypt_basic(&mut rng, &mpk, b"alice", b"secret message");
-        let sk_eve = ibe.extract(&msk, b"eve");
-        let got = ibe.decrypt_basic(&sk_eve, &ct).unwrap();
-        assert_ne!(got, b"secret message");
+        let ct = encrypt(&ibe, &mut rng, &mpk, "ELECTRIC-APT9", b"meter=42kWh");
+        let sk = key(&ibe, &msk, "ELECTRIC-APT9");
+        assert_eq!(ibe.decrypt_attr(&sk, &ct, b"").unwrap(), b"meter=42kWh");
     }
 
     #[test]
@@ -350,29 +203,14 @@ mod tests {
         let mut rng = HmacDrbg::from_u64(3);
         let (_, mpk) = ibe.setup(&mut rng);
         let (msk2, _) = ibe.setup(&mut rng);
-        let ct = ibe.encrypt_basic(&mut rng, &mpk, b"alice", b"secret message");
-        let sk = ibe.extract(&msk2, b"alice");
-        assert_ne!(ibe.decrypt_basic(&sk, &ct).unwrap(), b"secret message");
-    }
-
-    #[test]
-    fn encryption_is_randomized() {
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(4);
-        let (_, mpk) = ibe.setup(&mut rng);
-        let c1 = ibe.encrypt_basic(&mut rng, &mpk, b"id", b"m");
-        let c2 = ibe.encrypt_basic(&mut rng, &mpk, b"id", b"m");
-        assert_ne!(c1, c2);
-    }
-
-    #[test]
-    fn empty_message() {
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(5);
-        let (msk, mpk) = ibe.setup(&mut rng);
-        let ct = ibe.encrypt_basic(&mut rng, &mpk, b"id", b"");
-        let sk = ibe.extract(&msk, b"id");
-        assert_eq!(ibe.decrypt_basic(&sk, &ct).unwrap(), b"");
+        let ct = encrypt(&ibe, &mut rng, &mpk, "A", b"secret message");
+        // Another PKG's key agrees on a garbage `K`; the hybrid's MAC turns
+        // that into a rejection rather than a wrong plaintext.
+        let sk = key(&ibe, &msk2, "A");
+        assert_eq!(
+            ibe.decrypt_attr(&sk, &ct, b"").unwrap_err(),
+            IbeError::InvalidCiphertext
+        );
     }
 
     #[test]
@@ -381,9 +219,9 @@ mod tests {
         let mut rng = HmacDrbg::from_u64(6);
         let (msk, mpk) = ibe.setup(&mut rng);
         let msg: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
-        let ct = ibe.encrypt_basic(&mut rng, &mpk, b"id", &msg);
-        let sk = ibe.extract(&msk, b"id");
-        assert_eq!(ibe.decrypt_basic(&sk, &ct).unwrap(), msg);
+        let ct = encrypt(&ibe, &mut rng, &mpk, "A", &msg);
+        let sk = key(&ibe, &msk, "A");
+        assert_eq!(ibe.decrypt_attr(&sk, &ct, b"").unwrap(), msg);
     }
 
     #[test]
@@ -391,62 +229,11 @@ mod tests {
         let ibe = system();
         let mut rng = HmacDrbg::from_u64(7);
         let (msk, mpk) = ibe.setup(&mut rng);
-        let mut ct = ibe.encrypt_basic(&mut rng, &mpk, b"id", b"m");
+        let mut ct = encrypt(&ibe, &mut rng, &mpk, "A", b"m");
         ct.u = Point::Infinity;
-        let sk = ibe.extract(&msk, b"id");
+        let sk = key(&ibe, &msk, "A");
         assert_eq!(
-            ibe.decrypt_basic(&sk, &ct).unwrap_err(),
-            IbeError::InvalidPoint
-        );
-    }
-
-    #[test]
-    fn fast_paths_match_reference() {
-        for level in [SecurityLevel::Toy, SecurityLevel::Light] {
-            let ibe = IbeSystem::named(level);
-            let mut rng = HmacDrbg::from_u64(0x46415354);
-            let (msk, mpk) = ibe.setup(&mut rng);
-            let q_id = ibe.identity_point(b"cross@check");
-            let sk = ibe.extract(&msk, b"cross@check");
-            // Same RNG state ⇒ same r ⇒ bit-identical ciphertexts.
-            let mut rng_a = HmacDrbg::from_u64(0xcafe);
-            let mut rng_b = HmacDrbg::from_u64(0xcafe);
-            let fast = ibe.encrypt_basic_point(&mut rng_a, &mpk, &q_id, b"payload");
-            let reference = ibe.encrypt_basic_point_reference(&mut rng_b, &mpk, &q_id, b"payload");
-            assert_eq!(fast, reference, "encrypt fast vs reference at {level:?}");
-            // All three decrypt paths agree.
-            let dk = ibe.prepare_key(&sk);
-            assert_eq!(ibe.decrypt_basic(&sk, &fast).unwrap(), b"payload");
-            assert_eq!(ibe.decrypt_basic_prepared(&dk, &fast).unwrap(), b"payload");
-            assert_eq!(ibe.decrypt_basic_reference(&sk, &fast).unwrap(), b"payload");
-        }
-    }
-
-    #[test]
-    fn decrypt_rejects_out_of_subgroup_u() {
-        let ibe = system();
-        let mut rng = HmacDrbg::from_u64(0x4f4f53);
-        let (msk, mpk) = ibe.setup(&mut rng);
-        let mut ct = ibe.encrypt_basic(&mut rng, &mpk, b"id", b"m");
-        let sk = ibe.extract(&msk, b"id");
-        // Find an on-curve point outside the order-q subgroup: the fast
-        // paths reject it (small-subgroup hardening), the reference path —
-        // which only checks curve membership — accepts it.
-        let c = ibe.pairing();
-        let outside = loop {
-            let p = c.field().random_curve_point(&mut rng);
-            if !c.in_subgroup(&p) {
-                break p;
-            }
-        };
-        ct.u = outside;
-        assert_eq!(
-            ibe.decrypt_basic(&sk, &ct).unwrap_err(),
-            IbeError::InvalidPoint
-        );
-        let dk = ibe.prepare_key(&sk);
-        assert_eq!(
-            ibe.decrypt_basic_prepared(&dk, &ct).unwrap_err(),
+            ibe.decrypt_attr(&sk, &ct, b"").unwrap_err(),
             IbeError::InvalidPoint
         );
     }

@@ -9,35 +9,6 @@ pub fn derive_from_gt(ctx: &PairingCtx, gt: &Fp2, label: &str, len: usize) -> Ve
     kdf::<Sha256>(&ctx.gt_to_bytes(gt), label, len)
 }
 
-/// Derives an XOR pad of `len` bytes (BasicIdent's `H2` stretched to
-/// arbitrary message length).
-///
-/// HKDF-Expand caps a single derivation at 255 hash blocks (8160 bytes), so
-/// longer pads are produced in labeled chunks.
-pub fn xor_pad(ctx: &PairingCtx, gt: &Fp2, len: usize) -> Vec<u8> {
-    const CHUNK: usize = 255 * 32;
-    if len <= CHUNK {
-        return derive_from_gt(ctx, gt, "bf-h2-pad", len);
-    }
-    let mut out = Vec::with_capacity(len);
-    let mut chunk_idx = 0u64;
-    while out.len() < len {
-        let take = (len - out.len()).min(CHUNK);
-        let label = format!("bf-h2-pad/{chunk_idx}");
-        out.extend_from_slice(&derive_from_gt(ctx, gt, &label, take));
-        chunk_idx += 1;
-    }
-    out
-}
-
-/// XORs `pad` into `data` (equal lengths).
-pub fn xor_into(data: &mut [u8], pad: &[u8]) {
-    debug_assert_eq!(data.len(), pad.len());
-    for (d, p) in data.iter_mut().zip(pad.iter()) {
-        *d ^= p;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,15 +26,5 @@ mod tests {
         assert_ne!(k1, k2);
         assert_ne!(k1, k3);
         assert_eq!(k1, derive_from_gt(&ctx, &e1, "a", 16));
-    }
-
-    #[test]
-    fn xor_is_involutive() {
-        let mut data = b"payload".to_vec();
-        let pad = vec![0x5a; 7];
-        xor_into(&mut data, &pad);
-        assert_ne!(data, b"payload");
-        xor_into(&mut data, &pad);
-        assert_eq!(data, b"payload");
     }
 }

@@ -2,15 +2,12 @@
 //!
 //! This crate implements the cryptographic core of the paper (§IV–§V):
 //!
-//! * [`bf`] — the Boneh–Franklin scheme: `Setup`, `Extract`, and the
-//!   **BasicIdent** encrypt/decrypt (CPA-secure, what the paper describes).
-//! * [`fullident`] — **FullIdent**, the Fujisaki–Okamoto-transformed
-//!   CCA-secure variant, kept as design decision D2's ablation: the
-//!   protocol runs [`attr`], and the E3 bench is FullIdent's caller.
-//! * [`attr`] — the paper's *attribute* scheme: identities are attribute
-//!   strings plus a per-message nonce (`I = H(A ‖ Nonce)`), and the IBE
-//!   value keys a symmetric cipher (`C = E{M, h[ê(Q_ID, sP)^r]}`). This is
-//!   what the Smart Device actually runs.
+//! * [`bf`] — the Boneh–Franklin `Setup` and `Extract`: the system
+//!   parameters, the PKG's master key pair and `d_ID = s·Q_ID`.
+//! * [`attr`] — the paper's *attribute* scheme, the one encryption the
+//!   protocol runs: identities are attribute strings plus a per-message
+//!   nonce (`I = H(A ‖ Nonce)`), and the IBE value keys a symmetric cipher
+//!   (`C = E{M, h[ê(Q_ID, sP)^r]}`) under an encrypt-then-MAC composition.
 //! * [`threshold`] — a `t`-of-`n` distributed PKG via Shamir sharing of the
 //!   master secret (paper §VIII future work: "a form of threshold
 //!   cryptography may also be considered, to create a distributed PKG").
@@ -22,15 +19,16 @@
 //!
 //! ```
 //! use mws_ibe::bf::IbeSystem;
+//! use mws_ibe::CipherAlgo;
 //! use mws_pairing::SecurityLevel;
 //! use mws_crypto::HmacDrbg;
 //!
 //! let mut rng = HmacDrbg::from_u64(1);
 //! let ibe = IbeSystem::named(SecurityLevel::Toy);
 //! let (msk, mpk) = ibe.setup(&mut rng);
-//! let ct = ibe.encrypt_basic(&mut rng, &mpk, b"alice@example.com", b"hi");
-//! let sk = ibe.extract(&msk, b"alice@example.com");
-//! assert_eq!(ibe.decrypt_basic(&sk, &ct).unwrap(), b"hi");
+//! let ct = ibe.encrypt_attr(&mut rng, &mpk, "ELECTRIC-APT9", b"nonce-1", CipherAlgo::Aes128, b"aad", b"hi");
+//! let sk = ibe.extract_point(&msk, &ibe.attribute_point("ELECTRIC-APT9", b"nonce-1"));
+//! assert_eq!(ibe.decrypt_attr(&sk, &ct, b"aad").unwrap(), b"hi");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,19 +36,17 @@
 
 pub mod attr;
 pub mod bf;
-pub mod fullident;
 pub mod ibs;
 pub mod kdf;
 pub mod threshold;
 
 pub use attr::{AttrCiphertext, CipherAlgo};
-pub use bf::{BasicCiphertext, IbeSystem, MasterPublic, MasterSecret, UserPrivateKey};
-pub use fullident::FullCiphertext;
+pub use bf::{IbeSystem, MasterPublic, MasterSecret, UserPrivateKey};
 
 /// Errors from the IBE layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IbeError {
-    /// Ciphertext failed validation (FO check, MAC, or structure).
+    /// Ciphertext failed validation (MAC or structure).
     InvalidCiphertext,
     /// A point failed curve/subgroup checks during decode.
     InvalidPoint,

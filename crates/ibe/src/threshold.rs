@@ -130,6 +130,7 @@ impl IbeSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CipherAlgo;
     use mws_crypto::HmacDrbg;
     use mws_pairing::SecurityLevel;
 
@@ -186,14 +187,25 @@ mod tests {
         let mut rng = HmacDrbg::from_u64(3);
         let (msk, mpk) = ibe.setup(&mut rng);
         let shares = ibe.share_master(&mut rng, &msk, 2, 3).unwrap();
-        let ct = ibe.encrypt_basic(&mut rng, &mpk, b"GAS-APT-9", b"pressure nominal");
-        let q_id = ibe.identity_point(b"GAS-APT-9");
+        let ct = ibe.encrypt_attr(
+            &mut rng,
+            &mpk,
+            "GAS-APT-9",
+            b"n1",
+            CipherAlgo::Aes128,
+            b"",
+            b"pressure nominal",
+        );
+        let i_pt = ibe.attribute_point("GAS-APT-9", b"n1");
         let partials = vec![
-            ibe.partial_extract(&shares[0], &q_id),
-            ibe.partial_extract(&shares[2], &q_id),
+            ibe.partial_extract(&shares[0], &i_pt),
+            ibe.partial_extract(&shares[2], &i_pt),
         ];
         let sk = ibe.combine_partial_keys(&partials).unwrap();
-        assert_eq!(ibe.decrypt_basic(&sk, &ct).unwrap(), b"pressure nominal");
+        assert_eq!(
+            ibe.decrypt_attr(&sk, &ct, b"").unwrap(),
+            b"pressure nominal"
+        );
     }
 
     #[test]

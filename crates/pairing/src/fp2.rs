@@ -230,12 +230,6 @@ impl FpCtx {
         at_width!(self, |f| Fp2::from_fe(&f.fp2_pow(&a.at(), e)))
     }
 
-    /// `a^e` in `F_p²` by plain square-and-multiply — the reference path,
-    /// bit-identical to [`Self::fp2_pow`].
-    pub fn fp2_pow_binary(&self, a: &Fp2, e: &FpW) -> Fp2 {
-        at_width!(self, |f| Fp2::from_fe(&f.fp2_pow_binary(&a.at(), e)))
-    }
-
     /// Canonical serialization: `c0 ‖ c1` big-endian.
     pub fn fp2_to_bytes(&self, a: &Fp2) -> Vec<u8> {
         at_width!(self, |f| {

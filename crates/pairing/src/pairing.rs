@@ -7,7 +7,7 @@
 //! (`(p²−1)/q = (p−1)·h` and `|F_p*| = p−1`), so the Miller loop uses the
 //! standard BKLS denominator elimination.
 //!
-//! The default [`TatePairing::pairing_projective`] runs the inversion-free
+//! The default [`TatePairing::pairing`] runs the inversion-free
 //! projective Miller loop over the signed (NAF) digits of `q`, with each
 //! tangent line computed from the doubling's own intermediates. A `−1`
 //! digit adds `−P = (x_P, −y_P)`:
@@ -64,7 +64,7 @@ impl TatePairing {
     /// Evaluates the pairing with the affine Miller loop over the binary
     /// digits of `q` — one field inversion per step. The pre-optimization
     /// reference path (D5 ablation), bit-identical to
-    /// [`Self::pairing_projective`]. Returns 1 (the identity of `μ_q`) when
+    /// [`Self::pairing`]. Returns 1 (the identity of `μ_q`) when
     /// either input is the point at infinity.
     pub(crate) fn pairing_affine<const N: usize>(
         &self,
@@ -165,7 +165,7 @@ impl TatePairing {
     /// nonzero `F_p` factors `2Y·Z³` (tangent) / `(x_P − x_T)·Z³` (chord),
     /// which the final exponentiation annihilates, so no per-step inversion
     /// is needed. Produces bit-identical results to the affine loop.
-    pub(crate) fn pairing_projective<const N: usize>(
+    pub(crate) fn pairing<const N: usize>(
         &self,
         f: &Field<N>,
         p: &Aff<N>,
@@ -179,7 +179,7 @@ impl TatePairing {
         self.final_exponentiation(f, &val)
     }
 
-    /// Projective signed-digit Miller loop; see [`Self::pairing_projective`].
+    /// Projective signed-digit Miller loop; see [`Self::pairing`].
     fn miller_loop_projective<const N: usize>(
         &self,
         f: &Field<N>,
@@ -367,13 +367,9 @@ mod tests {
                 // reference, bit-identical.
                 let reference = c.pairing_affine(&pa, &pb);
                 assert_eq!(c.pairing(&pa, &pb), reference, "{name}");
-                assert_eq!(c.pairing_projective(&pa, &pb), reference, "{name}");
             }
             // Including identity inputs and hashed points.
-            assert_eq!(
-                c.pairing_projective(&Point::Infinity, &g),
-                c.field().fp2_one()
-            );
+            assert_eq!(c.pairing(&Point::Infinity, &g), c.field().fp2_one());
             assert_eq!(c.pairing_affine(&Point::Infinity, &g), c.field().fp2_one());
             let h = c.hash_to_point(b"some attribute");
             assert_eq!(c.pairing(&h, &g), c.pairing_affine(&h, &g), "{name}");

@@ -350,16 +350,10 @@ impl PairingCtx {
         self.fp.point_add(a, b)
     }
 
-    /// The modified Tate pairing.
-    pub fn pairing(&self, p: &Point, q: &Point) -> Fp2 {
-        self.pairing_projective(p, q)
-    }
-
     /// The modified Tate pairing via the projective signed-digit Miller
-    /// loop — what [`Self::pairing`] runs; kept as an explicit name for
-    /// ablations.
-    pub fn pairing_projective(&self, p: &Point, q: &Point) -> Fp2 {
-        at_width!(self.fp, |f| Fp2::from_fe(&self.tate.pairing_projective(
+    /// loop.
+    pub fn pairing(&self, p: &Point, q: &Point) -> Fp2 {
+        at_width!(self.fp, |f| Fp2::from_fe(&self.tate.pairing(
             f,
             &p.at(),
             &q.at()

@@ -103,7 +103,7 @@ fn projective_equals_affine_pairing() {
         let g = c.generator();
         let pa = c.mul(&g, &FpW::from_u64(a));
         let pb = c.mul(&g, &FpW::from_u64(b));
-        assert_eq!(c.pairing(&pa, &pb), c.pairing_projective(&pa, &pb));
+        assert_eq!(c.pairing(&pa, &pb), c.pairing_affine(&pa, &pb));
     });
 }
 

@@ -1,8 +1,9 @@
 //! Embedded storage engine for the Message Warehousing Service.
 //!
 //! The paper's prototype used flat files and listed "move to a database
-//! management system" as future work (§VI, §VIII). This crate provides both
-//! ends of that spectrum:
+//! management system" as future work (§VI, §VIII). This crate is that
+//! move; the flat-file baseline experiment E8 measures it against lives in
+//! `mws-bench`. It provides:
 //!
 //! * [`segment`] — CRC-framed append-only record segments over pluggable
 //!   byte storage (in-memory or file-backed), with torn-write recovery.
@@ -15,8 +16,6 @@
 //! * [`message_db`] / [`policy_db`] / [`user_db`] — the three databases of
 //!   the paper's Figure 3 (Message Database, Policy Database with the
 //!   Table 1 identity–attribute mapping, User Database).
-//! * [`flatfile`] — the prototype's flat-file layout, kept as the baseline
-//!   for experiment E8 (design decision D3).
 //! * [`hints`] — [`HintQueue`]: durable per-target hinted-handoff queues
 //!   backing the cluster's sloppy-quorum write path (DESIGN.md §10).
 //! * [`shard`] — [`ShardedMessageDb`]: the message table striped N ways by
@@ -45,7 +44,6 @@
 pub mod cost;
 pub mod engine;
 pub mod fault;
-pub mod flatfile;
 pub mod hints;
 pub mod message_db;
 pub mod policy_db;
@@ -56,7 +54,6 @@ pub mod user_db;
 
 pub use engine::{KvEngine, StorageKind};
 pub use fault::FaultPlan;
-pub use flatfile::FlatFileStore;
 pub use hints::HintQueue;
 pub use message_db::{MessageDb, MessageId, PendingDeposit, StoredMessage};
 pub use policy_db::{AttributeId, PolicyDb, PolicyRow};

@@ -7,7 +7,7 @@
 //! `(message id, timestamp)` entries so the MMS can serve "all records whose
 //! attribute field matches" without a full scan (experiment E8 measures the
 //! difference against the flat-file baseline), and so time-filtered reads,
-//! pages and retention sweeps decode only the rows they return or remove.
+//! pages and attribute evictions decode only the rows they return or remove.
 
 use crate::engine::{KvEngine, StorageKind};
 use crate::{Result, StoreError};
@@ -168,35 +168,6 @@ impl MessageDb {
         })
     }
 
-    /// Inserts a message, assigning and returning its id.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert(
-        &mut self,
-        attribute: &str,
-        nonce: &[u8],
-        u: &[u8],
-        algo: u8,
-        sealed: &[u8],
-        sd_id: &str,
-        timestamp: u64,
-    ) -> Result<MessageId> {
-        let id = self.next_id;
-        let row = PendingDeposit {
-            attribute: attribute.to_string(),
-            nonce: nonce.to_vec(),
-            u: u.to_vec(),
-            algo,
-            sealed: sealed.to_vec(),
-            sd_id: sd_id.to_string(),
-            timestamp,
-        };
-        self.kv.put(&key_of(id), &encode(id, &row))?;
-        self.next_id += self.stride;
-        self.by_origin.insert(origin_key(sd_id, nonce), id);
-        self.index(attribute, id, timestamp);
-        Ok(id)
-    }
-
     /// Adds a stored row to the attribute index; the attribute string is
     /// copied only the first time the table sees it.
     fn index(&mut self, attribute: &str, id: MessageId, timestamp: u64) {
@@ -211,8 +182,7 @@ impl MessageDb {
 
     /// Stores deposits, idempotent on each deposit's origin
     /// `(sd_id, nonce)`, in ONE WAL append: the fresh rows share a single
-    /// frame (and, after the caller's [`Self::sync`], a single fsync) — a
-    /// one-row call writes exactly the frame [`Self::insert`] would. Per
+    /// frame (and, after the caller's [`Self::sync`], a single fsync). Per
     /// row the result is `(id, fresh)`: a retransmission of a stored
     /// deposit — even one from before a crash and restart, or an earlier
     /// row of the same call — returns the already-assigned id with
@@ -314,40 +284,6 @@ impl MessageDb {
             .collect()
     }
 
-    /// Deletes every message with `timestamp < before` (retention sweep).
-    /// Returns how many rows were removed. Victims are selected from the
-    /// index and deleted in id order; only they are decoded (for their
-    /// dedup origin). Compacts the WAL when the sweep leaves a majority of
-    /// dead appends behind.
-    pub fn purge_before(&mut self, before: u64) -> Result<usize> {
-        let mut victims: Vec<MessageId> = self
-            .by_attribute
-            .values()
-            .flatten()
-            .filter(|&&(_, ts)| ts < before)
-            .map(|&(id, _)| id)
-            .collect();
-        victims.sort_unstable();
-        let mut removed = 0;
-        let outcome: Result<()> = victims.iter().try_for_each(|&id| {
-            self.remove_row(id)?;
-            removed += 1;
-            Ok(())
-        });
-        // Unindex exactly the rows now gone: on a failed delete, the
-        // victims from the first survivor on keep their entries.
-        let first_kept = victims.get(removed).copied();
-        self.by_attribute.retain(|_, entries| {
-            entries.retain(|&(id, ts)| ts >= before || first_kept.is_some_and(|k| id >= k));
-            !entries.is_empty()
-        });
-        outcome?;
-        if self.kv.garbage_ratio() > 0.5 {
-            self.kv.compact()?;
-        }
-        Ok(removed)
-    }
-
     /// Deletes one row and its dedup origin; the caller has already
     /// dropped its attribute-index entry.
     fn remove_row(&mut self, id: MessageId) -> Result<()> {
@@ -359,14 +295,19 @@ impl MessageDb {
 
     /// Deletes every message carrying exactly `attribute` (replica-plane
     /// handover: this node is no longer in the attribute's replica set).
-    /// Returns how many rows were removed; compacts like
-    /// [`Self::purge_before`] when the sweep leaves mostly garbage.
+    /// Returns how many rows were removed. Compacts the WAL when the sweep
+    /// leaves a majority of dead appends behind. On a failed delete the
+    /// rows still stored stay indexed, so a retry finishes the sweep.
     pub fn evict_attribute(&mut self, attribute: &str) -> Result<usize> {
         let Some(entries) = self.by_attribute.remove(attribute) else {
             return Ok(0);
         };
-        for &(id, _) in &entries {
-            self.remove_row(id)?;
+        for (removed, &(id, _)) in entries.iter().enumerate() {
+            if let Err(e) = self.remove_row(id) {
+                self.by_attribute
+                    .insert(attribute.to_string(), entries[removed..].to_vec());
+                return Err(e);
+            }
         }
         if self.kv.garbage_ratio() > 0.5 {
             self.kv.compact()?;
@@ -399,28 +340,33 @@ impl MessageDb {
 mod tests {
     use super::*;
 
+    /// Deposits one fresh row; its nonce is the id it will get, so no two
+    /// rows share an origin.
     fn mk(db: &mut MessageDb, attr: &str, sd: &str, ts: u64) -> MessageId {
-        db.insert(attr, b"n", b"\x02u-bytes", 3, b"sealed", sd, ts)
-            .unwrap()
+        let nonce = db.next_id.to_le_bytes();
+        let (id, fresh) = deposit(db, &pending(attr, &nonce, sd, ts));
+        assert!(fresh);
+        id
     }
 
     #[test]
     fn insert_get_roundtrip() {
         let mut db = MessageDb::open(StorageKind::Memory).unwrap();
-        let id = db
-            .insert(
-                "ELECTRIC-APT-SV-CA",
-                b"nonce9",
-                b"\x02abc",
-                1,
-                b"ciphertext",
-                "meter-7",
-                42,
-            )
-            .unwrap();
+        let row = PendingDeposit {
+            attribute: "ELECTRIC-APT-SV-CA".into(),
+            nonce: b"nonce9".to_vec(),
+            u: b"\x02abc".to_vec(),
+            algo: 1,
+            sealed: b"ciphertext".to_vec(),
+            sd_id: "meter-7".into(),
+            timestamp: 42,
+        };
+        let (id, _) = deposit(&mut db, &row);
         let msg = db.get(id).unwrap();
+        assert_eq!(msg.id, id);
         assert_eq!(msg.attribute, "ELECTRIC-APT-SV-CA");
         assert_eq!(msg.nonce, b"nonce9");
+        assert_eq!((msg.u, msg.sealed), (row.u, row.sealed));
         assert_eq!(msg.algo, 1);
         assert_eq!(msg.sd_id, "meter-7");
         assert_eq!(msg.timestamp, 42);
@@ -469,19 +415,17 @@ mod tests {
         for ts in 1..=10 {
             mk(&mut db, if ts % 2 == 0 { "EVEN" } else { "ODD" }, "m", ts);
         }
-        assert_eq!(db.purge_before(6).unwrap(), 5);
+        assert_eq!(db.evict_attribute("ODD").unwrap(), 5);
         assert_eq!(db.len(), 5);
-        // Index reflects the sweep.
-        assert_eq!(db.by_attribute("ODD").unwrap().len(), 2); // ts 7, 9
-        assert_eq!(db.by_attribute("EVEN").unwrap().len(), 3); // ts 6, 8, 10
-                                                               // Idempotent.
-        assert_eq!(db.purge_before(6).unwrap(), 0);
-        // Purging everything clears the attribute index.
-        assert_eq!(db.purge_before(u64::MAX).unwrap(), 5);
-        assert!(db.attributes().is_empty());
-        // Ids are not reused after a purge.
-        let id = mk(&mut db, "NEW", "m", 99);
-        assert_eq!(id, 10);
+        // The index reflects the sweep.
+        assert!(db.by_attribute("ODD").unwrap().is_empty());
+        assert_eq!(db.by_attribute("EVEN").unwrap().len(), 5);
+        assert_eq!(db.attributes(), vec!["EVEN"]);
+        // Sweeping everything clears the attribute index.
+        assert_eq!(db.evict_attribute("EVEN").unwrap(), 5);
+        assert!(db.is_empty() && db.attributes().is_empty());
+        // Ids are not reused after a sweep.
+        assert_eq!(mk(&mut db, "NEW", "m", 99), 10);
     }
 
     /// Timestamps that jump back and forth as ids grow.
@@ -519,19 +463,17 @@ mod tests {
     fn purge_from_the_index_matches_a_full_scan_and_replays() {
         let path = std::env::temp_dir().join(format!("mws-md-purge-{}.wal", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let before = 11;
         let survivors = {
             let mut db = MessageDb::open(StorageKind::File(path.clone())).unwrap();
             for i in 0..40u64 {
                 let attr = ["A", "B", "C"][i as usize % 3];
-                db.insert(attr, &[i as u8], b"\x02u", 1, b"c", "m", scrambled_ts(i))
-                    .unwrap();
+                deposit(&mut db, &pending(attr, &[i as u8], "m", scrambled_ts(i)));
             }
-            // The reference: a full scan of the table before the sweep.
+            // The reference: a full scan of the table before the eviction.
             let all: Vec<StoredMessage> = (0..40).map(|id| db.get(id).unwrap()).collect();
             let (victims, survivors): (Vec<_>, Vec<_>) =
-                all.into_iter().partition(|m| m.timestamp < before);
-            assert_eq!(db.purge_before(before).unwrap(), victims.len());
+                all.into_iter().partition(|m| m.attribute == "B");
+            assert_eq!(db.evict_attribute("B").unwrap(), victims.len());
             for m in &victims {
                 assert!(matches!(db.get(m.id), Err(StoreError::NotFound)));
                 // Its origin is forgotten: a retransmission is fresh again.
@@ -556,13 +498,15 @@ mod tests {
         for ts in 1..=6 {
             mk(&mut db, "A", "m", ts);
         }
-        // The second tombstone append fails: one row is gone, the rest stay.
+        mk(&mut db, "B", "m", 7);
+        // The second tombstone append fails: one row is gone, the rest stay
+        // stored and indexed.
         plan.fail_append(plan.appends() + 1);
-        assert!(db.purge_before(5).is_err());
-        assert_eq!(db.len(), 5);
-        assert_eq!(db.by_attribute("A").unwrap().len(), 5, "no dangling entry");
-        assert_eq!(db.purge_before(5).unwrap(), 3);
-        assert_eq!(table(&db).len(), 2);
+        assert!(db.evict_attribute("A").is_err());
+        assert_eq!(db.len(), 6);
+        assert_eq!(db.by_attribute("A").unwrap().len(), 5, "no unindexed row");
+        assert_eq!(db.evict_attribute("A").unwrap(), 5);
+        assert_eq!(table(&db).len(), 1);
     }
 
     #[test]
@@ -572,14 +516,15 @@ mod tests {
         {
             let mut db = MessageDb::open(StorageKind::File(path.clone())).unwrap();
             for ts in 1..=6 {
-                mk(&mut db, "A", "m", ts);
+                mk(&mut db, ["A", "B"][ts as usize % 2], "m", ts);
             }
-            assert_eq!(db.purge_before(4).unwrap(), 3);
+            assert_eq!(db.evict_attribute("A").unwrap(), 3);
             db.sync().unwrap();
         }
         let db = MessageDb::open(StorageKind::File(path.clone())).unwrap();
         assert_eq!(db.len(), 3);
-        assert_eq!(db.by_attribute("A").unwrap().len(), 3);
+        assert!(db.by_attribute("A").unwrap().is_empty());
+        assert_eq!(db.by_attribute("B").unwrap().len(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -587,8 +532,7 @@ mod tests {
     fn evict_attribute_sweeps_rows_index_and_origins() {
         let mut db = MessageDb::open(StorageKind::Memory).unwrap();
         for ts in 1..=4 {
-            db.insert("GONE", &[ts as u8], b"\x02u", 1, b"c", "m", ts)
-                .unwrap();
+            deposit(&mut db, &pending("GONE", &[ts as u8], "m", ts));
         }
         mk(&mut db, "KEPT", "m", 9);
         assert_eq!(db.evict_attribute("GONE").unwrap(), 4);

@@ -253,21 +253,6 @@ impl ShardedMessageDb {
         results
     }
 
-    /// Inserts without a durability point (relay ingestion; the periodic
-    /// [`Self::sync_all`] provides the flush cadence).
-    pub fn insert(&self, row: &PendingDeposit) -> Result<MessageId> {
-        let k = self.router.route(&row.attribute);
-        self.shard(k).insert(
-            &row.attribute,
-            &row.nonce,
-            &row.u,
-            row.algo,
-            &row.sealed,
-            &row.sd_id,
-            row.timestamp,
-        )
-    }
-
     /// Fetches one message, routing by the id's residue class.
     pub fn get(&self, id: MessageId) -> Result<StoredMessage> {
         self.shard(self.router.shard_of_id(id)).get(id)
@@ -338,17 +323,6 @@ impl ShardedMessageDb {
         let removed = shard.evict_attribute(attribute)?;
         if removed > 0 {
             shard.sync()?;
-        }
-        Ok(removed)
-    }
-
-    /// Retention sweep on every shard; each shard compacts its own WAL
-    /// independently when the sweep leaves it mostly garbage. Returns the
-    /// total rows removed.
-    pub fn purge_before(&self, before: u64) -> Result<usize> {
-        let mut removed = 0;
-        for k in 0..self.shards.len() {
-            removed += self.shard(k).purge_before(before)?;
         }
         Ok(removed)
     }
@@ -440,7 +414,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut db = MessageDb::open(StorageKind::File(path.clone())).unwrap();
-            db.insert("A", b"n", b"\x02u", 1, b"c", "m", 7).unwrap();
+            db.insert_batch_dedup(&[pending("A", b"n", "m", 7)])
+                .unwrap();
             db.sync().unwrap();
         }
         let db = ShardedMessageDb::open(StorageKind::File(path.clone()), 1).unwrap();
@@ -554,8 +529,6 @@ mod tests {
         let union = db.by_attributes(&attrs).unwrap();
         assert_eq!(union.len(), 9);
         assert!(union.windows(2).all(|w| w[0].id < w[1].id), "ordered by id");
-        assert_eq!(db.purge_before(5).unwrap(), 5);
-        assert_eq!(db.len(), 4);
         db.sync_all().unwrap();
     }
 }

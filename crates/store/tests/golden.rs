@@ -70,17 +70,7 @@ fn message_wal_from_parent_commit() {
     }
     fn write(kind: StorageKind) {
         let mut db = MessageDb::open(kind).unwrap();
-        let d = deposit(0);
-        db.insert(
-            &d.attribute,
-            &d.nonce,
-            &d.u,
-            d.algo,
-            &d.sealed,
-            &d.sd_id,
-            d.timestamp,
-        )
-        .unwrap();
+        db.insert_batch_dedup(&[deposit(0)]).unwrap();
         db.insert_batch_dedup(&[deposit(1), deposit(2)]).unwrap();
         db.sync().unwrap();
     }
