@@ -51,10 +51,6 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
 
-/// Per-forward retry budget against one node (transient socket faults;
-/// anything longer marks the node down and the ring walk moves on).
-const FORWARD_ATTEMPTS: u32 = 2;
-
 /// Read-side consistency knob: what a retrieve costs vs what it promises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReadConsistency {
@@ -190,10 +186,12 @@ impl ClusterNode {
     }
 
     /// One forwarded call with the node's bookkeeping: transport failure
-    /// marks the node down (the prober will mark it back up).
+    /// marks the node down (the prober will mark it back up). The node's
+    /// client owns the retry budget (a `TcpClient`'s attempts and
+    /// deadline); the router adds no loop of its own.
     fn call(&self, req: &Pdu) -> Result<Pdu, NetError> {
         self.forwards.inc();
-        match self.client().call_with_retry(req, FORWARD_ATTEMPTS) {
+        match self.client().call(req) {
             Ok(reply) => Ok(reply),
             Err(e) => {
                 self.errors.inc();

@@ -28,7 +28,7 @@ use crate::sda::{DeviceAuthVerifier, SdAuthenticator, SdaReject, SD_IDENTITY_PRE
 use crate::token::{TicketContent, TokenGenerator};
 use mws_crypto::{ct_eq, Hmac, HmacDrbg, Rng, RsaKeyPair, RsaPublicKey, Sha256};
 use mws_ibe::{CipherAlgo, IbeSystem};
-use mws_net::{Client, FaultConfig, Network};
+use mws_net::{Client, Network};
 use mws_obs::sync::lock;
 use mws_pairing::SecurityLevel;
 use mws_store::{FaultPlan, MessageId, PendingDeposit, PolicyRow, ShardedMessageDb, StorageKind};
@@ -787,10 +787,6 @@ pub struct DeploymentConfig {
     pub device_auth: DeviceAuthMode,
     /// PKG session lifetime in logical ticks.
     pub session_ttl: u64,
-    /// Fault injection on the MWS endpoint.
-    pub mws_fault: FaultConfig,
-    /// Fault injection on the PKG endpoint.
-    pub pkg_fault: FaultConfig,
     /// Injected-failure schedule for the message store (chaos testing);
     /// the caller keeps a clone of the plan to steer it. Applies to every
     /// shard; use [`Self::message_shard_faults`] for per-shard plans.
@@ -817,8 +813,6 @@ impl DeploymentConfig {
             threshold: None,
             device_auth: DeviceAuthMode::Mac,
             session_ttl: 1000,
-            mws_fault: FaultConfig::default(),
-            pkg_fault: FaultConfig::default(),
             message_store_faults: None,
             message_shards: 1,
             message_shard_faults: Vec::new(),
@@ -901,7 +895,7 @@ impl Deployment {
             rng.next_u64(),
             config.session_ttl,
         );
-        network.bind_with("pkg", pkg.as_service(), config.pkg_fault.clone());
+        network.bind("pkg", pkg.as_service());
 
         let device_auth = match config.device_auth {
             DeviceAuthMode::Mac => DeviceAuthVerifier::Mac,
@@ -922,7 +916,7 @@ impl Deployment {
             device_auth,
         )
         .expect("storage open");
-        network.bind_with("mws", mws.as_service(), config.mws_fault.clone());
+        network.bind("mws", mws.as_service());
 
         Self {
             config,

@@ -1,10 +1,11 @@
-//! The in-process request/response bus.
+//! The in-process request/response bus: a plain wire. It decodes each
+//! frame, runs the handler in the caller's trace scope, encodes the reply
+//! and counts requests and bytes. It injects no faults; a lossy link is a
+//! [`FaultyTransport`](crate::FaultyTransport) over a [`BusTransport`].
 
-use crate::fault::{FaultAction, FaultConfig, FaultState};
 use crate::metrics::LinkMetrics;
 use crate::transport::{BusTransport, Transport};
 use crate::NetError;
-use mws_obs::metric_name;
 use mws_obs::sync::lock;
 use mws_wire::{
     decode_envelope, decode_envelope_traced, encode_envelope, encode_envelope_traced, Pdu,
@@ -14,8 +15,8 @@ use std::sync::{Arc, Mutex};
 
 /// A request handler bound to an endpoint name.
 ///
-/// Handlers receive decoded PDUs and return the reply PDU; transport
-/// concerns (framing, faults, metrics) live in the bus.
+/// Handlers receive decoded PDUs and return the reply PDU; framing and
+/// metrics live in the bus.
 pub trait Service: Send {
     /// Handles one request.
     fn handle(&mut self, request: Pdu) -> Pdu;
@@ -36,51 +37,20 @@ impl<F: FnMut(Pdu) -> Pdu + Send> Service for F {
     }
 }
 
-/// Handles into the shared `mws-obs` registry, preregistered at bind
-/// time so per-dispatch updates are lock-free counter bumps. These
-/// mirror [`LinkMetrics`] (which stays the cheap `Copy` snapshot for
-/// tests) into the stats plane every daemon exposes.
-struct EndpointStats {
-    requests: mws_obs::Counter,
-    dropped: mws_obs::Counter,
-    bytes_in: mws_obs::Counter,
-    bytes_out: mws_obs::Counter,
-    duplicates: mws_obs::Counter,
-    resets: mws_obs::Counter,
-}
-
-impl EndpointStats {
-    fn preregister(endpoint: &str) -> Self {
-        let reg = mws_obs::registry();
-        let counter = |base: &str| reg.counter(&metric_name(base, &[("endpoint", endpoint)]));
-        EndpointStats {
-            requests: counter("mws_bus_requests_total"),
-            dropped: counter("mws_bus_dropped_total"),
-            bytes_in: counter("mws_bus_bytes_in_total"),
-            bytes_out: counter("mws_bus_bytes_out_total"),
-            duplicates: counter("mws_bus_duplicates_total"),
-            resets: counter("mws_bus_resets_total"),
-        }
-    }
-}
-
 struct Endpoint {
     service: Box<dyn Service>,
-    faults: FaultState,
     metrics: LinkMetrics,
-    stats: EndpointStats,
-    latency: crate::LatencyModel,
-}
-
-#[derive(Default)]
-struct NetworkState {
-    endpoints: HashMap<String, Endpoint>,
 }
 
 /// A named-endpoint network. Cheap to clone (shared state).
+///
+/// Each endpoint has its own lock, held only while its handler runs: the
+/// map lock is released before dispatch, so a handler may call another
+/// endpoint on the same network, and calls to different endpoints run
+/// concurrently.
 #[derive(Clone, Default)]
 pub struct Network {
-    state: Arc<Mutex<NetworkState>>,
+    endpoints: Arc<Mutex<HashMap<String, Arc<Mutex<Endpoint>>>>>,
 }
 
 impl Network {
@@ -89,29 +59,18 @@ impl Network {
         Self::default()
     }
 
-    /// Binds a service under `name` with default (fault-free) links.
+    /// Binds a service under `name`.
     pub fn bind<S: Service + 'static>(&self, name: &str, service: S) {
-        self.bind_with(name, service, FaultConfig::default());
-    }
-
-    /// Binds a service with an explicit fault/latency configuration.
-    pub fn bind_with<S: Service + 'static>(&self, name: &str, service: S, cfg: FaultConfig) {
-        let mut state = lock(&self.state);
-        state.endpoints.insert(
-            name.to_string(),
-            Endpoint {
-                service: Box::new(service),
-                faults: FaultState::new(&cfg),
-                metrics: LinkMetrics::default(),
-                stats: EndpointStats::preregister(name),
-                latency: cfg.latency,
-            },
-        );
+        let endpoint = Endpoint {
+            service: Box::new(service),
+            metrics: LinkMetrics::default(),
+        };
+        lock(&self.endpoints).insert(name.to_string(), Arc::new(Mutex::new(endpoint)));
     }
 
     /// Removes an endpoint (server shutdown).
     pub fn unbind(&self, name: &str) -> bool {
-        lock(&self.state).endpoints.remove(name).is_some()
+        lock(&self.endpoints).remove(name).is_some()
     }
 
     /// A client handle for the named endpoint.
@@ -121,52 +80,18 @@ impl Network {
 
     /// Snapshot of an endpoint's metrics.
     pub fn metrics(&self, name: &str) -> Option<LinkMetrics> {
-        lock(&self.state).endpoints.get(name).map(|e| e.metrics)
+        let endpoint = lock(&self.endpoints).get(name).cloned()?;
+        let metrics = lock(&endpoint).metrics;
+        Some(metrics)
     }
 
     /// Dispatches one framed request; internal to [`BusTransport`].
     pub(crate) fn dispatch(&self, target: &str, frame: &[u8]) -> Result<Vec<u8>, NetError> {
-        let mut state = lock(&self.state);
-        let ep = state
-            .endpoints
-            .get_mut(target)
+        let endpoint = lock(&self.endpoints)
+            .get(target)
+            .cloned()
             .ok_or_else(|| NetError::UnknownEndpoint(target.to_string()))?;
-
-        // Request leg.
-        ep.metrics.virtual_us += ep.latency.cost_us(frame.len());
-        let mut duplicated = false;
-        match ep.faults.next_action() {
-            FaultAction::Drop => {
-                ep.metrics.dropped += 1;
-                ep.stats.dropped.inc();
-                return Err(NetError::Dropped);
-            }
-            FaultAction::Reset => {
-                // The service processes the request, then the link dies
-                // before the reply — the caller cannot tell whether the
-                // request took effect.
-                ep.metrics.resets += 1;
-                ep.metrics.bytes_in += frame.len() as u64;
-                ep.metrics.requests += 1;
-                ep.stats.resets.inc();
-                ep.stats.bytes_in.add(frame.len() as u64);
-                ep.stats.requests.inc();
-                let (request, _, trace) = decode_envelope_traced(frame)?;
-                {
-                    let _span = trace.map(mws_obs::trace::enter);
-                    let _ = ep.service.handle(request);
-                }
-                return Err(NetError::Io(
-                    "connection reset by fault injection mid-exchange".into(),
-                ));
-            }
-            FaultAction::Duplicate => duplicated = true,
-            FaultAction::Deliver => {}
-        }
-        ep.metrics.bytes_in += frame.len() as u64;
-        ep.metrics.requests += 1;
-        ep.stats.bytes_in.add(frame.len() as u64);
-        ep.stats.requests.inc();
+        let mut ep = lock(&endpoint);
         let (request, _, trace) = decode_envelope_traced(frame)?;
         // The handler (and anything it logs or relays) runs inside the
         // caller's trace scope, so the trace id survives the hop.
@@ -176,45 +101,14 @@ impl Network {
                             endpoint = target, pdu = request.type_name());
             ep.service.handle(request)
         };
-        if duplicated {
-            // A late retransmission: the service handles the same frame a
-            // second time; only the first reply travels back.
-            ep.metrics.duplicates += 1;
-            ep.metrics.bytes_in += frame.len() as u64;
-            ep.metrics.requests += 1;
-            ep.stats.duplicates.inc();
-            ep.stats.bytes_in.add(frame.len() as u64);
-            ep.stats.requests.inc();
-            let (request, _, trace) = decode_envelope_traced(frame)?;
-            let _span = trace.map(mws_obs::trace::enter);
-            let _ = ep.service.handle(request);
-        }
         // The reply travels back in the same trace scope it arrived in.
         let reply_frame = match trace {
             Some(ctx) => encode_envelope_traced(&reply, ctx),
             None => encode_envelope(&reply),
         };
-
-        // Response leg.
-        ep.metrics.virtual_us += ep.latency.cost_us(reply_frame.len());
-        match ep.faults.next_action() {
-            FaultAction::Drop => {
-                ep.metrics.dropped += 1;
-                ep.stats.dropped.inc();
-                return Err(NetError::Dropped);
-            }
-            FaultAction::Reset => {
-                ep.metrics.resets += 1;
-                ep.stats.resets.inc();
-                return Err(NetError::Io(
-                    "connection reset by fault injection mid-exchange".into(),
-                ));
-            }
-            // A duplicated reply is invisible to request/response callers.
-            FaultAction::Duplicate | FaultAction::Deliver => {}
-        }
+        ep.metrics.requests += 1;
+        ep.metrics.bytes_in += frame.len() as u64;
         ep.metrics.bytes_out += reply_frame.len() as u64;
-        ep.stats.bytes_out.add(reply_frame.len() as u64);
         Ok(reply_frame)
     }
 }
@@ -250,22 +144,6 @@ impl Client {
         Ok(reply)
     }
 
-    /// Like [`Self::call`] but retries transient failures (fault-injected
-    /// drops, socket timeouts and I/O errors), up to `attempts` times — the
-    /// retransmission loop a real deployment runs. Permanent failures
-    /// (unknown endpoint, codec) surface immediately.
-    pub fn call_with_retry(&self, request: &Pdu, attempts: u32) -> Result<Pdu, NetError> {
-        let mut last = NetError::Dropped;
-        for _ in 0..attempts {
-            match self.call(request) {
-                Ok(reply) => return Ok(reply),
-                Err(e @ (NetError::Dropped | NetError::Timeout | NetError::Io(_))) => last = e,
-                Err(other) => return Err(other),
-            }
-        }
-        Err(last)
-    }
-
     /// Peer identity: endpoint name on the bus, socket address over TCP.
     pub fn target(&self) -> String {
         self.transport.peer()
@@ -275,7 +153,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LatencyModel;
+    use crate::{FaultConfig, FaultyTransport};
 
     fn echo() -> impl Service {
         |req: Pdu| match req {
@@ -329,68 +207,55 @@ mod tests {
         assert_eq!(m.bytes_out, 2 * frame_len); // echo: same size back
     }
 
-    #[test]
-    fn virtual_latency_accumulates() {
+    /// `echo` on a fresh network behind a seeded lossy link.
+    fn lossy(cfg: FaultConfig) -> (Network, Arc<FaultyTransport>) {
         let net = Network::new();
-        net.bind_with(
-            "slow",
-            echo(),
-            FaultConfig {
-                latency: LatencyModel {
-                    base_us: 100,
-                    per_byte_ns: 0,
-                },
-                ..Default::default()
-            },
-        );
-        net.client("slow").call(&Pdu::ParamsRequest).unwrap();
-        let m = net.metrics("slow").unwrap();
-        assert_eq!(m.virtual_us, 200, "request + response legs");
+        net.bind("lossy", echo());
+        let link = FaultyTransport::new(BusTransport::new(net.clone(), "lossy").into_dyn(), cfg);
+        (net, Arc::new(link))
     }
 
     #[test]
     fn drops_surface_and_retry_recovers() {
-        let net = Network::new();
-        net.bind_with(
-            "lossy",
-            echo(),
-            FaultConfig {
-                drop_rate: 0.5,
-                seed: 3,
-                ..Default::default()
-            },
-        );
-        let client = net.client("lossy");
-        // With 50% loss per leg, 20 attempts succeed with overwhelming odds.
-        let reply = client
-            .call_with_retry(&Pdu::DepositAck { message_id: 0 }, 20)
-            .unwrap();
-        assert_eq!(reply, Pdu::DepositAck { message_id: 1 });
-        assert!(net.metrics("lossy").unwrap().dropped > 0);
+        let (net, link) = lossy(FaultConfig {
+            drop_rate: 0.5,
+            seed: 3,
+            ..Default::default()
+        });
+        let client = Client::from_transport(link.clone());
+        let request = Pdu::DepositAck { message_id: 0 };
+        let outcomes: Vec<_> = (0..20).map(|_| client.call(&request)).collect();
+        let drops = outcomes
+            .iter()
+            .filter(|r| **r == Err(NetError::Dropped))
+            .count();
+        // With 50% loss, 20 calls see a drop and a later success with
+        // overwhelming odds.
+        let first_drop = outcomes.iter().position(Result::is_err).unwrap();
+        let recovered = outcomes[first_drop..].iter().find_map(|r| r.as_ref().ok());
+        assert_eq!(recovered, Some(&Pdu::DepositAck { message_id: 1 }));
+        assert_eq!(link.metrics().dropped, drops as u64);
+        let delivered = net.metrics("lossy").unwrap().requests;
+        assert_eq!(delivered, 20 - drops as u64, "drops never arrive");
     }
 
     #[test]
     fn total_loss_exhausts_retries() {
-        let net = Network::new();
-        net.bind_with(
-            "dead",
-            echo(),
-            FaultConfig {
-                drop_rate: 1.0,
-                ..Default::default()
-            },
-        );
-        let client = net.client("dead");
-        assert_eq!(
-            client.call_with_retry(&Pdu::ParamsRequest, 3).unwrap_err(),
-            NetError::Dropped
-        );
-        assert_eq!(net.metrics("dead").unwrap().dropped, 3);
-        assert_eq!(net.metrics("dead").unwrap().requests, 0);
+        let (net, link) = lossy(FaultConfig {
+            drop_rate: 1.0,
+            ..Default::default()
+        });
+        let client = Client::from_transport(link.clone());
+        for _ in 0..3 {
+            assert_eq!(client.call(&Pdu::ParamsRequest), Err(NetError::Dropped));
+        }
+        assert_eq!(link.metrics().dropped, 3);
+        assert_eq!(link.metrics().requests, 0);
+        assert_eq!(net.metrics("lossy").unwrap().requests, 0);
     }
 
     #[test]
-    fn dispatch_propagates_trace_and_mirrors_the_registry() {
+    fn dispatch_propagates_the_trace() {
         let net = Network::new();
         let seen: Arc<Mutex<Option<mws_obs::trace::TraceContext>>> = Arc::new(Mutex::new(None));
         let seen_in_handler = seen.clone();
@@ -414,13 +279,6 @@ mod tests {
         assert_ne!(inside.span_id, ctx.span_id, "each hop gets its own span");
         assert_eq!(mws_obs::trace::current(), Some(ctx));
         drop(guard);
-
-        // The shared registry mirrored both dispatches.
-        let requests = mws_obs::registry().counter(&mws_obs::metric_name(
-            "mws_bus_requests_total",
-            &[("endpoint", "traced-probe")],
-        ));
-        assert_eq!(requests.get(), 2);
     }
 
     #[test]

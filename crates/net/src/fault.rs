@@ -1,36 +1,13 @@
-//! Deterministic fault injection and latency modeling.
+//! Deterministic fault injection.
 
 use mws_crypto::HmacDrbg;
 
-/// Latency model: `base + per_byte · len`, accounted on a virtual clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyModel {
-    /// Fixed per-message cost in microseconds.
-    pub base_us: u64,
-    /// Per-byte cost in nanoseconds.
-    pub per_byte_ns: u64,
-}
-
-impl LatencyModel {
-    /// A zero-cost link.
-    pub const ZERO: Self = Self {
-        base_us: 0,
-        per_byte_ns: 0,
-    };
-
-    /// Modeled microseconds for a message of `len` bytes.
-    pub fn cost_us(&self, len: usize) -> u64 {
-        self.base_us + (self.per_byte_ns * len as u64) / 1000
-    }
-}
-
 /// Per-link fault configuration.
 ///
-/// One configuration drives every medium: the in-process bus samples it per
-/// dispatch leg, and [`FaultyTransport`](crate::FaultyTransport) samples it
-/// per round trip over any [`Transport`](crate::Transport) — including real
+/// [`FaultyTransport`](crate::FaultyTransport) samples it once per round
+/// trip over any [`Transport`](crate::Transport), the in-process bus or real
 /// TCP sockets. Same seed, same fault schedule, on either medium.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultConfig {
     /// Probability (0.0–1.0) of dropping any message.
     pub drop_rate: f64,
@@ -41,22 +18,8 @@ pub struct FaultConfig {
     /// the frame reaches the peer but the reply is lost, so the sender
     /// cannot tell whether the request took effect.
     pub reset_rate: f64,
-    /// Latency model for the virtual clock.
-    pub latency: LatencyModel,
     /// DRBG seed — same seed, same drops.
     pub seed: u64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        Self {
-            drop_rate: 0.0,
-            duplicate_rate: 0.0,
-            reset_rate: 0.0,
-            latency: LatencyModel::ZERO,
-            seed: 0,
-        }
-    }
 }
 
 /// What the (simulated) network does to the next message.
@@ -165,7 +128,6 @@ mod tests {
             duplicate_rate: 0.1,
             reset_rate: 0.1,
             seed: 11,
-            ..Default::default()
         };
         let run = |mut f: FaultState| (0..10_000).map(|_| f.next_action()).collect::<Vec<_>>();
         let a = run(FaultState::new(&cfg));
@@ -199,16 +161,5 @@ mod tests {
             let expect = (u64::from_be_bytes(b) as f64 / u64::MAX as f64) < 0.25;
             assert_eq!(f.should_drop(), expect);
         }
-    }
-
-    #[test]
-    fn latency_model_costs() {
-        assert_eq!(LatencyModel::ZERO.cost_us(1000), 0);
-        let m = LatencyModel {
-            base_us: 100,
-            per_byte_ns: 1000,
-        };
-        assert_eq!(m.cost_us(0), 100);
-        assert_eq!(m.cost_us(500), 600);
     }
 }

@@ -8,11 +8,10 @@
 //!
 //! Determinism is the point — experiments must be reproducible:
 //!
-//! * **Fault injection** ([`fault`]) drops requests/responses from a seeded
-//!   DRBG stream, so "2% loss" is the *same* 2% on every run.
-//! * **Latency** is modeled, not slept: a virtual clock accumulates
-//!   per-message `base + per_byte` delays ([`metrics::LinkMetrics`]), so
-//!   benches separate compute cost from modeled network cost.
+//! * **Fault injection** ([`FaultyTransport`], configured by [`fault`])
+//!   drops, duplicates or resets round trips from a seeded DRBG stream, so
+//!   "2% loss" is the *same* 2% on every run. The bus itself injects
+//!   nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +23,7 @@ pub mod rows;
 pub mod transport;
 
 pub use bus::{Client, Network, Service};
-pub use fault::{FaultConfig, LatencyModel};
+pub use fault::FaultConfig;
 pub use metrics::LinkMetrics;
 pub use rows::{pull_rows, serve_pull, PullError};
 pub use transport::{BusTransport, FaultyTransport, Transport};

@@ -5,14 +5,12 @@
 pub struct LinkMetrics {
     /// Requests delivered to the service.
     pub requests: u64,
-    /// Requests/responses dropped by fault injection.
+    /// Requests dropped by fault injection before the peer saw them.
     pub dropped: u64,
     /// Bytes received by the service (framed requests).
     pub bytes_in: u64,
     /// Bytes emitted by the service (framed responses).
     pub bytes_out: u64,
-    /// Modeled network time accumulated on the virtual clock (µs).
-    pub virtual_us: u64,
     /// Messages delivered twice by fault injection.
     pub duplicates: u64,
     /// Exchanges reset mid-flight by fault injection (request delivered,
@@ -31,7 +29,7 @@ impl LinkMetrics {
     /// [`Network::metrics`](crate::Network::metrics) hands out
     /// point-in-time copies; tests that exercise one phase of a scenario
     /// want "what happened since my snapshot" without hand-subtracting
-    /// seven fields. Saturating, so a rebound (reset) endpoint yields
+    /// six fields. Saturating, so a rebound (reset) endpoint yields
     /// zeros rather than wrapping.
     pub fn delta(&self, prev: &LinkMetrics) -> LinkMetrics {
         LinkMetrics {
@@ -39,7 +37,6 @@ impl LinkMetrics {
             dropped: self.dropped.saturating_sub(prev.dropped),
             bytes_in: self.bytes_in.saturating_sub(prev.bytes_in),
             bytes_out: self.bytes_out.saturating_sub(prev.bytes_out),
-            virtual_us: self.virtual_us.saturating_sub(prev.virtual_us),
             duplicates: self.duplicates.saturating_sub(prev.duplicates),
             resets: self.resets.saturating_sub(prev.resets),
         }
@@ -57,7 +54,6 @@ mod tests {
             dropped: 1,
             bytes_in: 10,
             bytes_out: 30,
-            virtual_us: 5,
             ..Default::default()
         };
         assert_eq!(m.bytes_total(), 40);
@@ -71,7 +67,6 @@ mod tests {
             dropped: 1,
             bytes_in: 10,
             bytes_out: 30,
-            virtual_us: 5,
             duplicates: 1,
             resets: 1,
         };
@@ -80,7 +75,6 @@ mod tests {
             dropped: 1,
             bytes_in: 110,
             bytes_out: 90,
-            virtual_us: 25,
             duplicates: 3,
             resets: 1,
         };
@@ -89,7 +83,6 @@ mod tests {
         assert_eq!(d.dropped, 0);
         assert_eq!(d.bytes_in, 100);
         assert_eq!(d.bytes_out, 60);
-        assert_eq!(d.virtual_us, 20);
         assert_eq!(d.duplicates, 2);
         assert_eq!(d.resets, 0);
         // A restarted endpoint (counters rewound) must not wrap.

@@ -61,9 +61,9 @@ impl Transport for BusTransport {
     }
 }
 
-/// A lossy link over any [`Transport`]: seeded drops, duplicate delivery,
-/// mid-exchange resets, and modeled latency — the bus's fault model, made
-/// medium-agnostic so the *same* seeded schedule can hit real TCP sockets.
+/// A lossy link over any [`Transport`]: seeded drops, duplicate delivery
+/// and mid-exchange resets. It is the one seeded fault model; the same
+/// schedule hits the in-process bus or real TCP sockets.
 ///
 /// Fault semantics per round trip (one DRBG draw each):
 ///
@@ -77,11 +77,13 @@ impl Transport for BusTransport {
 ///   *cannot know* whether the request took effect — the ambiguity that
 ///   forces deposits to be idempotent.
 ///
+/// [`Self::metrics`] counts a request and its bytes only once the inner
+/// round trip that carried it succeeded.
+///
 /// Wrap any transport: `FaultyTransport::new(tcp_client.into_transport(), cfg)`.
 pub struct FaultyTransport {
     inner: Arc<dyn Transport>,
     state: Mutex<FaultState>,
-    latency: crate::LatencyModel,
     metrics: Mutex<LinkMetrics>,
 }
 
@@ -91,7 +93,6 @@ impl FaultyTransport {
         Self {
             inner,
             state: Mutex::new(FaultState::new(&cfg)),
-            latency: cfg.latency,
             metrics: Mutex::new(LinkMetrics::default()),
         }
     }
@@ -105,52 +106,46 @@ impl FaultyTransport {
     pub fn metrics(&self) -> LinkMetrics {
         *lock(&self.metrics)
     }
+
+    /// One inner round trip, counted as a delivered request if it succeeds.
+    fn deliver(&self, frame: &[u8]) -> Result<Vec<u8>, NetError> {
+        let reply = self.inner.round_trip(frame)?;
+        let mut m = lock(&self.metrics);
+        m.requests += 1;
+        m.bytes_in += frame.len() as u64;
+        Ok(reply)
+    }
 }
 
 impl Transport for FaultyTransport {
     fn round_trip(&self, frame: &[u8]) -> Result<Vec<u8>, NetError> {
         let action = lock(&self.state).next_action();
-        let mut m = lock(&self.metrics);
-        m.virtual_us += self.latency.cost_us(frame.len());
-        match action {
+        let reply = match action {
             FaultAction::Drop => {
-                m.dropped += 1;
-                Err(NetError::Dropped)
+                lock(&self.metrics).dropped += 1;
+                return Err(NetError::Dropped);
             }
             FaultAction::Reset => {
-                m.resets += 1;
-                drop(m);
+                lock(&self.metrics).resets += 1;
                 // The peer sees (and acts on) the frame; only the reply dies.
-                let _ = self.inner.round_trip(frame);
-                Err(NetError::Io(
+                let _ = self.deliver(frame);
+                return Err(NetError::Io(
                     "connection reset by fault injection mid-exchange".into(),
-                ))
+                ));
             }
             FaultAction::Duplicate => {
-                m.duplicates += 1;
-                m.requests += 2;
-                m.bytes_in += 2 * frame.len() as u64;
-                drop(m);
-                let reply = self.inner.round_trip(frame)?;
+                let reply = self.deliver(frame)?;
                 // The late retransmission: the peer handles it, but its
                 // reply never reaches anyone.
-                let _ = self.inner.round_trip(frame);
-                let mut m = lock(&self.metrics);
-                m.virtual_us += self.latency.cost_us(reply.len());
-                m.bytes_out += reply.len() as u64;
-                Ok(reply)
+                if self.deliver(frame).is_ok() {
+                    lock(&self.metrics).duplicates += 1;
+                }
+                reply
             }
-            FaultAction::Deliver => {
-                m.requests += 1;
-                m.bytes_in += frame.len() as u64;
-                drop(m);
-                let reply = self.inner.round_trip(frame)?;
-                let mut m = lock(&self.metrics);
-                m.virtual_us += self.latency.cost_us(reply.len());
-                m.bytes_out += reply.len() as u64;
-                Ok(reply)
-            }
-        }
+            FaultAction::Deliver => self.deliver(frame)?,
+        };
+        lock(&self.metrics).bytes_out += reply.len() as u64;
+        Ok(reply)
     }
 
     fn peer(&self) -> String {
@@ -250,9 +245,13 @@ mod tests {
             },
         );
         assert!(matches!(t.round_trip(b"x").unwrap_err(), NetError::Io(_)));
-        // The defining ambiguity: the request WAS delivered.
+        // The defining ambiguity: the request WAS delivered, and counted.
         assert_eq!(peer.calls.load(std::sync::atomic::Ordering::SeqCst), 1);
-        assert_eq!(t.metrics().resets, 1);
+        let m = t.metrics();
+        assert_eq!(
+            (m.resets, m.requests, m.bytes_in, m.bytes_out),
+            (1, 1, 1, 0)
+        );
     }
 
     #[test]
@@ -269,7 +268,44 @@ mod tests {
         );
         assert_eq!(t.round_trip(b"x").unwrap(), b"x".to_vec());
         assert_eq!(peer.calls.load(std::sync::atomic::Ordering::SeqCst), 2);
-        assert_eq!(t.metrics().duplicates, 1);
+        let m = t.metrics();
+        assert_eq!(
+            (m.duplicates, m.requests, m.bytes_in, m.bytes_out),
+            (1, 2, 2, 1)
+        );
+    }
+
+    /// Transport whose every round trip fails, as a refused connection or
+    /// an unbound endpoint does.
+    struct Refusing;
+    impl Transport for Refusing {
+        fn round_trip(&self, _frame: &[u8]) -> Result<Vec<u8>, NetError> {
+            Err(NetError::Io("connection refused".into()))
+        }
+        fn peer(&self) -> String {
+            "refusing".into()
+        }
+    }
+
+    #[test]
+    fn faulty_transport_counts_no_request_a_failed_inner_trip_lost() {
+        for (duplicate_rate, reset_rate) in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)] {
+            let t = FaultyTransport::new(
+                Arc::new(Refusing),
+                FaultConfig {
+                    duplicate_rate,
+                    reset_rate,
+                    ..Default::default()
+                },
+            );
+            assert!(matches!(t.round_trip(b"x"), Err(NetError::Io(_))));
+            let m = t.metrics();
+            assert_eq!(
+                (m.requests, m.bytes_in, m.bytes_out, m.duplicates),
+                (0, 0, 0, 0),
+                "duplicate {duplicate_rate}, reset {reset_rate}: {m:?}"
+            );
+        }
     }
 
     #[test]

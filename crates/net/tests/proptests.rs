@@ -1,8 +1,8 @@
 //! Property-based tests for the transport: any PDU survives the bus
-//! unchanged; metrics account exactly; deterministic fault injection is
-//! reproducible.
+//! unchanged; metrics account exactly; seeded fault injection over the bus
+//! is reproducible.
 
-use mws_net::{FaultConfig, Network, Service};
+use mws_net::{BusTransport, Client, FaultConfig, FaultyTransport, Network, Service};
 use mws_prop::cases;
 use mws_wire::{encode_envelope, Pdu};
 
@@ -64,16 +64,16 @@ fn fault_injection_is_reproducible() {
     cases(64, |g| (g.u64(), g.int(1..100) as u32)).check(|(seed, rate_pct)| {
         let run = || {
             let net = Network::new();
-            net.bind_with(
-                "lossy",
-                echo(),
+            net.bind("lossy", echo());
+            let link = FaultyTransport::new(
+                BusTransport::new(net, "lossy").into_dyn(),
                 FaultConfig {
                     drop_rate: rate_pct as f64 / 100.0,
                     seed,
                     ..Default::default()
                 },
             );
-            let client = net.client("lossy");
+            let client = Client::from_transport(link.into_dyn());
             (0..50)
                 .map(|_| client.call(&Pdu::ParamsRequest).is_ok())
                 .collect::<Vec<_>>()

@@ -72,31 +72,7 @@ fn parse(mut args: std::env::Args) -> Result<(String, Option<String>, Ctl), Stri
                     .map_err(|_| format!("--seed expects a u64, got '{v}'"))?;
             }
             "--device" => ctl.devices.push(value("--device")?),
-            "--client" => {
-                let v = value("--client")?;
-                let mut parts = v.splitn(3, ':');
-                let (Some(rc_id), Some(password)) = (
-                    parts.next().filter(|s| !s.is_empty()),
-                    parts.next().filter(|s| !s.is_empty()),
-                ) else {
-                    return Err(format!(
-                        "--client expects rc_id:password[:attr,attr], got '{v}'"
-                    ));
-                };
-                ctl.clients.push(ClientSpec {
-                    rc_id: rc_id.to_string(),
-                    password: password.to_string(),
-                    attributes: parts
-                        .next()
-                        .map(|a| {
-                            a.split(',')
-                                .filter(|s| !s.is_empty())
-                                .map(Into::into)
-                                .collect()
-                        })
-                        .unwrap_or_default(),
-                });
-            }
+            "--client" => ctl.clients.push(ClientSpec::parse(&value("--client")?)?),
             "--transport" => {
                 let v = value("--transport")?;
                 ctl.transport = TransportMode::parse(&v).ok_or(format!(

@@ -551,8 +551,9 @@ mod tests {
         // Restart a fresh server on the very same port.
         let _server2 =
             TcpServer::spawn(ServerConfig::listen(&addr.to_string()), || |req: Pdu| req).unwrap();
-        // The cached connection is dead; retry must redial and succeed.
-        assert!(client.call_with_retry(&Pdu::ParamsRequest, 5).is_ok());
+        // The cached connection is dead; the client's attempts redial and
+        // succeed.
+        assert!(client.call(&Pdu::ParamsRequest).is_ok());
     }
 
     #[test]

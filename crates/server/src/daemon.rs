@@ -76,7 +76,8 @@ pub struct ClientSpec {
 }
 
 impl ClientSpec {
-    fn parse(spec: &str) -> Result<Self, String> {
+    /// Parses one `--client` value; the error names the expected shape.
+    pub fn parse(spec: &str) -> Result<Self, String> {
         let mut parts = spec.splitn(3, ':');
         let rc_id = parts.next().filter(|s| !s.is_empty());
         let password = parts.next().filter(|s| !s.is_empty());

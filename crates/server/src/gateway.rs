@@ -233,10 +233,7 @@ mod tests {
         let mut dep = Deployment::new(DeploymentConfig::test_default());
         dep.register_client("rc", "pw", &["A"]);
         let net = Network::new();
-        // Upstream points at an unbound name on the deployment's network —
-        // NOT on `net`, where this front door itself is bound: the bus
-        // holds its state lock across a handler, so a relay back into the
-        // same Network would self-deadlock.
+        // Upstream points at a name no one bound.
         let front = GatekeeperFrontdoor::new(
             dep.clock().clone(),
             ReplayPolicy::standard(),
@@ -259,6 +256,41 @@ mod tests {
             }
             other => panic!("expected remote 502, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn front_door_relays_to_a_warehouse_on_its_own_network() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let mut dep = Deployment::new(DeploymentConfig::test_default());
+        dep.register_device("m");
+        dep.register_client("rc", "pw", &["A"]);
+        let net = dep.network().clone();
+        let front = GatekeeperFrontdoor::new(
+            dep.clock().clone(),
+            ReplayPolicy::standard(),
+            net.client("mws"),
+        );
+        front.register(
+            "rc",
+            "pw",
+            &dep.mws().client_public_key("rc").expect("registered"),
+        );
+        net.bind("gatekeeper", front.as_service());
+        dep.device("m").deposit("A", b"reading").unwrap();
+        let mut rc = dep.client_with("rc", "pw", net.client("gatekeeper"), net.client("pkg"));
+
+        // A relay that waits on the network its own handler holds never
+        // answers; the timeout fails the test instead of hanging it.
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(rc.retrieve_and_decrypt(0).map(|msgs| msgs.len()));
+        });
+        let retrieved = finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the relay into its own network deadlocked");
+        assert_eq!(retrieved.unwrap(), 1);
     }
 
     #[test]

@@ -263,6 +263,19 @@ fn cluster_write_path_spawns_no_threads() {
     assert_eq!(spawns, ["router.rs::start_transfers"]);
 }
 
+/// One seeded network fault model: `FaultyTransport` draws every drop,
+/// duplicate and reset, over the in-process bus and TCP alike. The bus is
+/// a plain wire, so no other non-test code builds a fault decider.
+#[test]
+fn one_network_fault_model() {
+    let deciders: Vec<String> = non_test_code(&["crates", "src", "examples", "benchmark/src"])
+        .into_iter()
+        .filter(|(_, lines)| lines.iter().any(|l| l.contains("FaultState::new(")))
+        .map(|(path, _)| path)
+        .collect();
+    assert_eq!(deciders, ["crates/net/src/transport.rs"]);
+}
+
 /// The build has one dependency universe: this workspace. A registry crate
 /// cannot resolve in the containers this builds in, and the stand-in crates
 /// that used to be patched over the registry names are gone — this keeps

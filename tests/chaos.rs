@@ -93,6 +93,20 @@ fn chaos_tcp_client(addr: SocketAddr, seed: u64) -> TcpClient {
     )
 }
 
+/// Sends a frame the test keeps until a reply comes back, up to `calls`
+/// times, as a device retransmits a deposit it never saw acked. Every call
+/// runs the client's own attempts first.
+fn resend(client: &Client, pdu: &Pdu, calls: u32) -> Result<Pdu, NetError> {
+    let mut last = NetError::Dropped;
+    for _ in 0..calls {
+        match client.call(pdu) {
+            Ok(reply) => return Ok(reply),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
 /// Final-state checks shared by every scenario: the clean retrieval must
 /// hold exactly the acked payloads, each message exactly once, and a
 /// repeat retrieval must agree (convergence).
@@ -169,7 +183,6 @@ fn bus_faults_lose_no_acked_deposit() {
                 duplicate_rate: 0.15,
                 reset_rate: 0.15,
                 seed,
-                ..FaultConfig::default()
             },
         ));
         let pkg = dep.network().client("pkg");
@@ -538,8 +551,7 @@ fn daemon_restart_with_drops_and_torn_append_converges() {
             // device may retransmit it (it never saw the ack, say).
             let pdu = meter.compose_deposit("A", b"pre-kill-held");
             let clean = chaos_tcp_client(supervisor.addr, seed).into_client();
-            let id = match clean
-                .call_with_retry(&pdu, 16)
+            let id = match resend(&clean, &pdu, 16)
                 .unwrap_or_else(|e| panic!("seed {seed}: held deposit failed: {e}"))
             {
                 Pdu::DepositAck { message_id } => message_id,
@@ -570,8 +582,7 @@ fn daemon_restart_with_drops_and_torn_append_converges() {
         // has no replay cache, but the origin index (rebuilt from the WAL)
         // answers with the ORIGINAL id instead of storing a second copy.
         let clean = chaos_tcp_client(supervisor.addr, seed).into_client();
-        match clean
-            .call_with_retry(&saved_frame, 16)
+        match resend(&clean, &saved_frame, 16)
             .unwrap_or_else(|e| panic!("seed {seed}: post-restart resend failed: {e}"))
         {
             Pdu::DepositAck { message_id } => assert_eq!(

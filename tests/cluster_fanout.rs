@@ -15,6 +15,7 @@ use mws_server::{ClientConfig, ServerConfig, TcpClient, TcpServer};
 use mws_wire::Pdu;
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
@@ -267,4 +268,31 @@ fn a_replica_shut_down_between_deposits_gets_a_hint_and_converges() {
         "converged to the ring replicas"
     );
     assert_eq!(board.pending(&site.names[0]), 0, "hint retired");
+}
+
+#[test]
+fn a_dead_node_costs_one_client_retry_budget_per_forward() {
+    // A node that accepts every connection and closes it at once: each
+    // attempt fails after exactly one accept.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accepts = Arc::new(AtomicUsize::new(0));
+    let counted = accepts.clone();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            counted.fetch_add(1, Ordering::SeqCst);
+            drop(conn);
+        }
+    });
+    let node = ClusterNode::new("nested-0", vec![pool_client(addr)]);
+    let router = ClusterRouter::new(vec![node], ClusterConfig::new(1, 1), KEY.to_vec());
+    let reply = router.handle(deposit("A", b"lost"));
+    assert!(matches!(reply, Pdu::Error { .. }), "{reply:?}");
+    // The client saw every failure only after the node closed the
+    // connection, so every accept has been counted by now.
+    assert_eq!(
+        accepts.load(Ordering::SeqCst),
+        ClientConfig::default().attempts as usize,
+        "the node's client is the only retry loop"
+    );
 }

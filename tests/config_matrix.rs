@@ -6,7 +6,6 @@ use mws::core::clock::ReplayPolicy;
 use mws::core::protocol::DeviceAuthMode;
 use mws::core::{Deployment, DeploymentConfig};
 use mws::ibe::CipherAlgo;
-use mws::net::{FaultConfig, LatencyModel};
 use mws::pairing::SecurityLevel;
 
 fn exercise(mut dep: Deployment, tag: &str) {
@@ -68,49 +67,6 @@ fn light_parameters_end_to_end() {
         ..DeploymentConfig::test_default()
     };
     exercise(Deployment::new(config), "light");
-}
-
-#[test]
-fn modeled_wan_latency_accumulates() {
-    let config = DeploymentConfig {
-        mws_fault: FaultConfig {
-            // A WAN-ish profile (20 ms RTT halves, ~10 Mbit/s).
-            latency: LatencyModel {
-                base_us: 10_000,
-                per_byte_ns: 800,
-            },
-            ..Default::default()
-        },
-        pkg_fault: FaultConfig {
-            latency: LatencyModel {
-                base_us: 5_000,
-                per_byte_ns: 100,
-            },
-            ..Default::default()
-        },
-        ..DeploymentConfig::test_default()
-    };
-    let mut dep = Deployment::new(config);
-    dep.register_device("m");
-    dep.register_client("rc", "pw", &["A"]);
-    let mut meter = dep.device("m");
-    meter.deposit("A", b"x").unwrap();
-    let mut rc = dep.client("rc", "pw");
-    rc.retrieve_and_decrypt(0).unwrap();
-    let mws = dep.network().metrics("mws").unwrap();
-    let pkg = dep.network().metrics("pkg").unwrap();
-    // Each request crosses two legs; the deposit + retrieve hit the MWS,
-    // bootstrap/params + auth + key fetch hit the PKG.
-    assert!(
-        mws.virtual_us >= 2 * 10_000 * mws.requests,
-        "mws virtual clock"
-    );
-    assert!(
-        pkg.virtual_us >= 2 * 5_000 * pkg.requests,
-        "pkg virtual clock"
-    );
-    // The modeled time is bookkeeping, not wall time: the test itself ran
-    // far faster than the ~60 modeled milliseconds.
 }
 
 #[test]

@@ -183,32 +183,58 @@ fn stolen_token_useless_without_rsa_key() {
 
 #[test]
 fn protocol_survives_lossy_network_with_retries() {
-    use mws::net::{FaultConfig, NetError};
-    let mut dep = Deployment::new(DeploymentConfig {
-        mws_fault: FaultConfig {
+    use mws::net::{BusTransport, Client, FaultConfig, FaultyTransport, NetError};
+    let mut dep = deployment();
+    dep.register_device("sd");
+    let mut sd = dep.device("sd");
+    // The link to the warehouse loses requests (drops) and replies
+    // (resets: the warehouse acted on the deposit, the ack never came back).
+    let link = FaultyTransport::new(
+        BusTransport::new(dep.network().clone(), "mws").into_dyn(),
+        FaultConfig {
             drop_rate: 0.3,
+            reset_rate: 0.3,
             seed: 11,
             ..Default::default()
         },
-        ..DeploymentConfig::test_default()
-    });
-    dep.register_device("sd");
-    dep.register_client("rc", "pw", &["A"]);
-    let mut sd = dep.device("sd");
-    // Deposits may be dropped; the composing path is deterministic so a
-    // retried PDU is a *replay* by design — the MWS must ack exactly one.
-    let pdu = sd.compose_deposit("A", b"lossy");
-    let mws = dep.network().client("mws");
-    let mut delivered = 0;
-    for _ in 0..50 {
-        match mws.call(&pdu) {
-            Ok(Pdu::DepositAck { .. }) => delivered += 1,
-            Ok(Pdu::Error { code: 409, .. }) => {} // replay guard caught resend
-            Ok(other) => panic!("unexpected {other:?}"),
-            Err(NetError::Dropped) => {}
-            Err(e) => panic!("unexpected {e}"),
+    );
+    let mws = Client::from_transport(link.into_dyn());
+    let (mut acked_at_once, mut ack_lost) = (0, 0);
+    for i in 0..12 {
+        // The composing path is deterministic, so a resent PDU is a
+        // *replay* by design — the MWS must store exactly one.
+        let pdu = sd.compose_deposit("A", format!("lossy-{i}").as_bytes());
+        // What reached the warehouse, in order: its reply, or `None` when
+        // the reply was lost.
+        let mut arrived = Vec::new();
+        for _ in 0..50 {
+            match mws.call(&pdu) {
+                Ok(reply) => arrived.push(Some(reply)),
+                Err(NetError::Io(_)) => arrived.push(None),
+                Err(NetError::Dropped) => {}
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        let (first, resends) = arrived.split_first().expect("a request arrived");
+        match first {
+            Some(Pdu::DepositAck { .. }) => acked_at_once += 1,
+            None => ack_lost += 1,
+            Some(other) => panic!("deposit {i}: unexpected {other:?}"),
+        }
+        let answered: Vec<_> = resends.iter().flatten().collect();
+        assert!(!answered.is_empty(), "deposit {i}: no resend was answered");
+        for reply in answered {
+            // The replay guard catches every resend, whether or not the
+            // device saw the ack.
+            assert!(
+                matches!(reply, Pdu::Error { code: 409, .. }),
+                "deposit {i}: {reply:?}"
+            );
         }
     }
-    assert_eq!(delivered, 1, "exactly-once storage despite retries");
-    assert_eq!(dep.mws().message_count(), 1);
+    assert_eq!(dep.mws().message_count(), 12, "exactly-once storage");
+    assert!(
+        acked_at_once > 0 && ack_lost > 0,
+        "{acked_at_once} / {ack_lost}"
+    );
 }
