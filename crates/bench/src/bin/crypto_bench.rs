@@ -1,7 +1,8 @@
 //! Crypto micro-benchmark baseline (E3 addendum): times the pairing
 //! against its affine reference and its prepared Miller tapes, scalar
-//! multiplication by binary double-and-add, Montgomery ladder and
-//! fixed-base comb, and the protocol's IBE operations — extract and the
+//! multiplication by binary double-and-add, Montgomery ladder and the
+//! generator's fixed-base table (and the table's build), and the
+//! protocol's IBE operations — extract and the
 //! hybrid attribute scheme's `encrypt_attr`/`decrypt_attr` — and writes
 //! `BENCH_crypto.json` at the repository root. An `obs` section records
 //! the observability hot-path overhead (disabled log event, counter
@@ -28,8 +29,10 @@
 //!   level, that the release build's AES-GCM still produces the SP 800-38D
 //!   vectors and one pinned seal, that Montgomery arithmetic agrees across
 //!   container widths, that the device's cofactor-free `encrypt_attr`
-//!   opens under the PKG's key at every level, and that the ladder matches
+//!   opens under the PKG's key at every level, that the ladder matches
 //!   binary double-and-add and safegcd matches Fermat on 64 inputs per
+//!   level, and that the fixed-base table and the regular `G_T` exponent
+//!   match binary double-and-add and square-and-multiply on 64 scalars per
 //!   level (used by `scripts/tier1.sh`)
 
 use mws_bench::{time_op, timings_json, Json, Timing};
@@ -101,9 +104,21 @@ fn bench_level(level: SecurityLevel, name: &'static str, iters: u32, smoke: bool
     timings.push(time_op("mul_ladder", scalar_iters, || {
         std::hint::black_box(ctx.mul(&q_id, &r));
     }));
-    timings.push(time_op("mul_generator_comb", scalar_iters, || {
+    timings.push(time_op("mul_generator", scalar_iters, || {
         std::hint::black_box(ctx.mul_generator(&r));
     }));
+    // The table's build, each call in a fresh context built (and dropped)
+    // off the clock, and timed with the one multiplication that builds it.
+    let mut fresh: Vec<PairingCtx> = (0..5 * iters)
+        .map(|_| PairingCtx::from_params(ctx.params()).expect("named parameters"))
+        .collect();
+    let mut built = Vec::with_capacity(fresh.len());
+    timings.push(time_op("generator_table_build", iters, || {
+        let c = fresh.pop().expect("one fresh context per call");
+        std::hint::black_box(c.mul_generator(&r));
+        built.push(c);
+    }));
+    drop(built);
     timings.push(time_op("extract", scalar_iters, || {
         std::hint::black_box(ibe.extract(&msk, b"meter-00042"));
     }));
@@ -454,6 +469,47 @@ fn ladder_inv_smoke() {
     }
 }
 
+/// Release-profile gate on the two regular paths: at every level, the
+/// generator's fixed-base table against binary double-and-add and the
+/// regular `G_T` exponent against square-and-multiply, for `0`, `1`,
+/// `q − 1`, an even scalar and 60 random ones (half of them even).
+fn regular_smoke() {
+    let mut rng = HmacDrbg::from_u64(0xf1_4ed);
+    for (name, level) in LEVELS {
+        let ctx = PairingCtx::named(level);
+        let (f, g, q) = (ctx.field(), ctx.generator(), *ctx.group_order());
+        let e = ctx.pairing(&g, &ctx.hash_to_point(b"regular-smoke"));
+        let fixed = [
+            FpW::ZERO,
+            FpW::ONE,
+            q.wrapping_sub(&FpW::ONE),
+            FpW::from_u64(0x1_0000),
+        ];
+        for i in 0..64 {
+            let k = fixed.get(i).copied().unwrap_or_else(|| {
+                let k = ctx.random_scalar(&mut rng);
+                let mut even = k;
+                even.set_bit(0, false);
+                if i % 2 == 0 && !even.is_zero() {
+                    even
+                } else {
+                    k
+                }
+            });
+            assert_eq!(
+                ctx.mul_generator(&k),
+                f.point_mul_binary(&g, &k),
+                "{name}: fixed-base table != binary"
+            );
+            assert_eq!(
+                ctx.gt_pow(&e, &k),
+                f.fp2_pow_binary(&e, &k),
+                "{name}: regular exponent != square-and-multiply"
+            );
+        }
+    }
+}
+
 /// The `encrypt_attr` row of each level at the parent commit e2a8533
 /// (MapToPoint's cofactor multiplication on the device), in ns/op: medians
 /// of nine runs of this same binary built against that commit, alternated
@@ -704,6 +760,7 @@ fn main() {
         bigint_smoke();
         compose_smoke();
         ladder_inv_smoke();
+        regular_smoke();
         eprintln!("crypto_bench --smoke: fast paths match their references");
         return;
     }

@@ -178,14 +178,6 @@ impl<const L: usize> Uint<L> {
         self.overflowing_sub(rhs).0
     }
 
-    /// Checked subtraction.
-    pub fn checked_sub(&self, rhs: &Self) -> Option<Self> {
-        match self.overflowing_sub(rhs) {
-            (v, false) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Full (widening) multiplication: returns `(lo, hi)` with
     /// `self · rhs = hi · 2^(64·L) + lo`.
     pub fn widening_mul(&self, rhs: &Self) -> (Self, Self) {

@@ -107,7 +107,7 @@ impl SmartDevice {
         let ctx = PairingCtx::from_params(&params)?;
         let ibe = IbeSystem::new(ctx);
         let mpk = ibe.mpk_from_bytes(&mpk_bytes)?;
-        // Precompute once at bootstrap: the generator comb table + tape and
+        // Precompute once at bootstrap: the generator fixed-base table + tape and
         // P_pub's prepared tape serve every subsequent deposit encryption.
         ibe.pairing().warm_caches();
         mpk.prepared(ibe.pairing());

@@ -102,7 +102,7 @@ impl PkgService {
         rng_seed: u64,
         session_ttl: u64,
     ) -> Self {
-        // Build the generator comb table and prepared tapes up front: every
+        // Build the generator fixed-base table and prepared tapes up front: every
         // extract/session handshake after this hits only the fast paths.
         ibe.pairing().warm_caches();
         mpk.prepared(ibe.pairing());

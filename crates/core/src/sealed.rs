@@ -10,7 +10,7 @@
 //!
 //! Layout: `nonce(8) ‖ ciphertext ‖ tag(32)`.
 
-use mws_crypto::{kdf, open, seal, Aes128, Rng, Sha256};
+use mws_crypto::{kdf, open, seal, Aes128, Rng};
 
 const NONCE_LEN: usize = 8;
 
@@ -21,7 +21,7 @@ pub fn seal_blob<R: Rng + ?Sized>(
     label: &str,
     plaintext: &[u8],
 ) -> Vec<u8> {
-    let keys = kdf::<Sha256>(shared_secret, label, 16 + 32);
+    let keys = kdf(shared_secret, label, 16 + 32);
     let cipher = Aes128::new(&keys[..16]).expect("derived key length");
     let mut nonce = [0u8; NONCE_LEN];
     rng.fill_bytes(&mut nonce);
@@ -37,7 +37,7 @@ pub fn open_blob(shared_secret: &[u8], label: &str, blob: &[u8]) -> Option<Vec<u
     if blob.len() < NONCE_LEN {
         return None;
     }
-    let keys = kdf::<Sha256>(shared_secret, label, 16 + 32);
+    let keys = kdf(shared_secret, label, 16 + 32);
     let cipher = Aes128::new(&keys[..16]).expect("derived key length");
     let (nonce, sealed) = blob.split_at(NONCE_LEN);
     open(&cipher, &keys[16..], nonce, label.as_bytes(), sealed).ok()

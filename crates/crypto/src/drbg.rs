@@ -9,17 +9,23 @@ use crate::{Digest, Hmac, Sha256};
 use mws_bigint::Rng;
 
 /// HMAC-SHA256 deterministic random bit generator.
+///
+/// `K` is held keyed — the two SHA-256 states an [`Hmac`] keeps after the
+/// pads — and re-keyed only when the state update replaces it, so a draw
+/// of up to 32 bytes costs 8 compressions: `V = HMAC_K(V)` (2), then the
+/// update's `K = HMAC_K(V ‖ 0x00)` (2), keying the new `K` (2) and
+/// `V = HMAC_K(V)` (2).
 pub struct HmacDrbg {
-    k: Vec<u8>,
-    v: Vec<u8>,
+    k: Hmac<Sha256>,
+    v: [u8; 32],
 }
 
 impl HmacDrbg {
     /// Instantiates from entropy (plus optional personalization).
     pub fn new(seed: &[u8], personalization: &[u8]) -> Self {
         let mut drbg = Self {
-            k: vec![0u8; Sha256::OUTPUT_LEN],
-            v: vec![1u8; Sha256::OUTPUT_LEN],
+            k: Hmac::new(&[0u8; 32]),
+            v: [1u8; 32],
         };
         let mut material = seed.to_vec();
         material.extend_from_slice(personalization);
@@ -32,33 +38,30 @@ impl HmacDrbg {
         Self::new(&seed.to_be_bytes(), b"mws-sim")
     }
 
-    fn drbg_update(&mut self, provided: Option<&[u8]>) {
-        let mut h = Hmac::<Sha256>::new(&self.k);
-        h.update(&self.v);
-        h.update(&[0x00]);
-        if let Some(p) = provided {
+    /// `HMAC_K(parts…)` under the keyed `K`.
+    fn mac(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut h = self.k.clone();
+        for p in parts {
             h.update(p);
         }
-        self.k = h.finalize();
-        self.v = Hmac::<Sha256>::mac(&self.k, &self.v);
-        if let Some(p) = provided {
-            let mut h = Hmac::<Sha256>::new(&self.k);
-            h.update(&self.v);
-            h.update(&[0x01]);
-            h.update(p);
-            self.k = h.finalize();
-            self.v = Hmac::<Sha256>::mac(&self.k, &self.v);
+        h.finalize().try_into().expect("SHA-256 output")
+    }
+
+    fn drbg_update(&mut self, provided: Option<&[u8]>) {
+        let p = provided.unwrap_or_default();
+        self.k = Hmac::new(&self.mac(&[&self.v, &[0x00], p]));
+        self.v = self.mac(&[&self.v]);
+        if provided.is_some() {
+            self.k = Hmac::new(&self.mac(&[&self.v, &[0x01], p]));
+            self.v = self.mac(&[&self.v]);
         }
     }
 
     /// Fills `out` with pseudorandom bytes.
     pub fn generate(&mut self, out: &mut [u8]) {
-        let mut filled = 0;
-        while filled < out.len() {
-            self.v = Hmac::<Sha256>::mac(&self.k, &self.v);
-            let take = (out.len() - filled).min(self.v.len());
-            out[filled..filled + take].copy_from_slice(&self.v[..take]);
-            filled += take;
+        for chunk in out.chunks_mut(Sha256::OUTPUT_LEN) {
+            self.v = self.mac(&[&self.v]);
+            chunk.copy_from_slice(&self.v[..chunk.len()]);
         }
         self.drbg_update(None);
     }

@@ -1,6 +1,7 @@
 //! HKDF (RFC 5869) and the protocol KDF.
 
-use crate::{Digest, Hmac};
+use crate::{Digest, Hmac, Sha256};
+use std::sync::OnceLock;
 
 /// HKDF-Extract: `PRK = HMAC(salt, ikm)`.
 pub fn hkdf_extract<D: Digest>(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
@@ -13,12 +14,17 @@ pub fn hkdf_extract<D: Digest>(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
 ///
 /// Panics if `len > 255 · D::OUTPUT_LEN` (the RFC 5869 bound).
 pub fn hkdf_expand<D: Digest>(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
+    expand(&Hmac::<D>::new(prk), info, len)
+}
+
+/// HKDF-Expand under a PRK keyed once: each output block clones it.
+fn expand<D: Digest>(prk: &Hmac<D>, info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * D::OUTPUT_LEN, "HKDF output too long");
     let mut okm = Vec::with_capacity(len);
     let mut t: Vec<u8> = Vec::new();
     let mut counter = 1u32; // ≤ 255 by the length assertion above
     while okm.len() < len {
-        let mut h = Hmac::<D>::new(prk);
+        let mut h = prk.clone();
         h.update(&t);
         h.update(info);
         h.update(&[counter as u8]);
@@ -30,20 +36,27 @@ pub fn hkdf_expand<D: Digest>(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
     okm
 }
 
-/// The workspace KDF: extract-then-expand with a domain-separation label.
+/// The workspace KDF: HKDF-SHA256 extract-then-expand under the fixed salt
+/// `"mws-kdf-v1"`, with a domain-separation label as the info.
 ///
 /// Used to turn the pairing value `K = ê(sP, rI)` (a field element) into a
 /// symmetric key of the cipher's size — the step the paper writes as
-/// `h[e(Q_ID, sP)^r]` in §IV.
-pub fn kdf<D: Digest>(ikm: &[u8], label: &str, len: usize) -> Vec<u8> {
-    let prk = hkdf_extract::<D>(b"mws-kdf-v1", ikm);
-    hkdf_expand::<D>(&prk, label.as_bytes(), len)
+/// `h[e(Q_ID, sP)^r]` in §IV. The salt is keyed once per process and the
+/// PRK once per call.
+pub fn kdf(ikm: &[u8], label: &str, len: usize) -> Vec<u8> {
+    static SALT: OnceLock<Hmac<Sha256>> = OnceLock::new();
+    let mut extract = SALT.get_or_init(|| Hmac::new(b"mws-kdf-v1")).clone();
+    extract.update(ikm);
+    expand(
+        &Hmac::<Sha256>::new(&extract.finalize()),
+        label.as_bytes(),
+        len,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sha256;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -101,13 +114,17 @@ mod tests {
 
     #[test]
     fn kdf_is_deterministic_and_label_separated() {
-        let k1 = kdf::<Sha256>(b"pairing-value", "des-key", 8);
-        let k2 = kdf::<Sha256>(b"pairing-value", "des-key", 8);
-        let k3 = kdf::<Sha256>(b"pairing-value", "aes-key", 16);
+        let k1 = kdf(b"pairing-value", "des-key", 8);
+        let k2 = kdf(b"pairing-value", "des-key", 8);
+        let k3 = kdf(b"pairing-value", "aes-key", 16);
         assert_eq!(k1, k2);
         assert_eq!(k1.len(), 8);
         assert_eq!(k3.len(), 16);
         assert_ne!(k1, k3[..8].to_vec());
+        // Extract-then-expand, byte for byte.
+        let prk = hkdf_extract::<Sha256>(b"mws-kdf-v1", b"pairing-value");
+        let long = hkdf_expand::<Sha256>(&prk, b"aes-key", 80);
+        assert_eq!(kdf(b"pairing-value", "aes-key", 80), long);
     }
 
     #[test]

@@ -7,10 +7,15 @@ use crate::{ct_eq, Digest};
 /// The protocol uses HMAC in two places: the SD↔MWS message authentication
 /// code (`MAC = HMAC_K(rP ‖ C ‖ Nonce ‖ ID_SD ‖ T)`, §V.D) and inside
 /// [`crate::HmacDrbg`].
+///
+/// A fresh `Hmac` holds the two hash states after absorbing `K ⊕ ipad`
+/// and `K ⊕ opad`, so keying costs two compressions once: a caller that
+/// MACs several messages under one key keys one `Hmac` and clones it per
+/// message, and each tag then costs only its own blocks.
 #[derive(Clone)]
 pub struct Hmac<D: Digest> {
     inner: D,
-    outer_key: Vec<u8>,
+    outer: D,
 }
 
 impl<D: Digest> Hmac<D> {
@@ -22,14 +27,16 @@ impl<D: Digest> Hmac<D> {
             key.to_vec()
         };
         k.resize(D::BLOCK_LEN, 0);
-        let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-        let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-        let mut inner = D::new();
-        inner.update(&ipad);
-        Self {
-            inner,
-            outer_key: opad,
-        }
+        // XOR the pads in place: `K ⊕ ipad`, then `K ⊕ opad`.
+        let mut keyed = |pad: u8| {
+            k.iter_mut().for_each(|b| *b ^= pad);
+            let mut h = D::new();
+            h.update(&k);
+            h
+        };
+        let inner = keyed(0x36);
+        let outer = keyed(0x36 ^ 0x5c);
+        Self { inner, outer }
     }
 
     /// Absorbs message data.
@@ -39,10 +46,8 @@ impl<D: Digest> Hmac<D> {
 
     /// Finishes and returns the tag (`D::OUTPUT_LEN` bytes).
     pub fn finalize(self) -> Vec<u8> {
-        let inner_hash = self.inner.finalize();
-        let mut outer = D::new();
-        outer.update(&self.outer_key);
-        outer.update(&inner_hash);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 
@@ -129,6 +134,16 @@ mod tests {
         bad[0] ^= 1;
         assert!(!Hmac::<Sha256>::verify(b"key", b"msg", &bad));
         assert!(!Hmac::<Sha256>::verify(b"key", b"msg", &tag[..31]));
+    }
+
+    #[test]
+    fn a_cloned_keyed_hmac_tags_like_a_fresh_one() {
+        let keyed = Hmac::<Sha256>::new(b"key");
+        for msg in [&b""[..], b"one", &[7u8; 200]] {
+            let mut h = keyed.clone();
+            h.update(msg);
+            assert_eq!(h.finalize(), Hmac::<Sha256>::mac(b"key", msg));
+        }
     }
 
     #[test]

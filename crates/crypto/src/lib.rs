@@ -21,6 +21,8 @@
 //!   certificate-PKI baseline the paper's introduction argues against
 //!   (experiment E4).
 //! * **Utilities** — [`crc32`], constant-time comparison [`ct_eq`].
+//! * `cost` (debug builds only) — a thread-local count of SHA-256
+//!   compressions, the hash rows of `tests/cost_model.rs`.
 //!
 //! # Security status
 //!
@@ -35,6 +37,8 @@
 
 mod aead;
 mod aes;
+#[cfg(debug_assertions)]
+pub mod cost;
 mod crc32;
 mod ct;
 mod des;

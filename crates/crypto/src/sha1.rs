@@ -98,11 +98,15 @@ impl Digest for Sha1 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
+        // 0x80, zeros, then the bit length in the last 8 bytes: in this
+        // block if 9 bytes are left, else in one more.
         let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
+        }
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         self.state.iter().flat_map(|s| s.to_be_bytes()).collect()

@@ -28,6 +28,8 @@ pub struct Sha256 {
 
 impl Sha256 {
     fn compress(&mut self, block: &[u8; 64]) {
+        #[cfg(debug_assertions)]
+        crate::cost::compression();
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([
@@ -117,12 +119,15 @@ impl Digest for Sha256 {
 
     fn finalize(mut self) -> Vec<u8> {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Length is appended directly (bypassing total_len accounting).
+        // 0x80, zeros, then the bit length in the last 8 bytes: in this
+        // block if 9 bytes are left, else in one more.
         let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
+        }
         block[56..64].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         self.state.iter().flat_map(|s| s.to_be_bytes()).collect()

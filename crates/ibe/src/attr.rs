@@ -189,6 +189,9 @@ impl IbeSystem {
     /// candidate, so this skips the candidates [`Self::attribute_point`]
     /// skips. `r` is drawn first, as before, so the bytes of `U` and the
     /// sealed payload are those of `ê(sP, I)^r` with `I` computed.
+    ///
+    /// Both steps that touch `r` — the fixed-base `r·P` and `g^(h·r mod q)`
+    /// — run the same field operations whatever `r` is (DESIGN D8).
     fn compose<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -206,8 +209,7 @@ impl IbeSystem {
             .map(|q| ctx.pairing_with(mpk.prepared(ctx), &q))
             .find(|g| *g != one)
             .expect("map-to-point exhausted");
-        let hr = ctx.cofactor().mul_mod(&r, ctx.group_order());
-        (u, ctx.field().fp2_pow(&g, &hr))
+        (u, ctx.gt_pow(&g, &ctx.cofactor_times(&r)))
     }
 
     /// RC-side decryption with the private key `sI` obtained from the PKG.

@@ -89,7 +89,7 @@ impl IbeSystem {
     }
 
     /// `Setup`: draws the master secret `s` and publishes `P_pub = sP`
-    /// (fixed-base comb multiplication of the generator).
+    /// (the generator's fixed-base table).
     pub fn setup<R: Rng + ?Sized>(&self, rng: &mut R) -> (MasterSecret, MasterPublic) {
         let s = self.ctx.random_scalar(rng);
         let ppub = self.ctx.mul_generator(&s);

@@ -13,7 +13,7 @@
 use crate::bf::{IbeSystem, MasterPublic, UserPrivateKey};
 use crate::IbeError;
 use mws_bigint::Uint;
-use mws_crypto::{kdf, Rng, Sha256};
+use mws_crypto::{kdf, Rng};
 use mws_pairing::{FpW, Point};
 
 /// A Cha–Cheon identity-based signature `(U, V)`.
@@ -28,7 +28,7 @@ pub struct IbsSignature {
 /// Hashes `(m, U)` to a scalar in `Z_q` (Cha–Cheon's `H`).
 fn h_scalar(ibe: &IbeSystem, msg: &[u8], u: &Point) -> FpW {
     let u_bytes = ibe.pairing().field().point_to_bytes(u);
-    let okm = kdf::<Sha256>(
+    let okm = kdf(
         &[msg, &u_bytes].concat(),
         "cha-cheon-h",
         8 * mws_pairing::FP_LIMBS,

@@ -1,12 +1,12 @@
 //! Key derivation from pairing values (the `h[·]` in the paper's §IV
 //! notation `C = E{M, h[e(Q_ID, sP)^r]}`).
 
-use mws_crypto::{kdf, Sha256};
+use mws_crypto::kdf;
 use mws_pairing::{Fp2, PairingCtx};
 
 /// Derives `len` key bytes from a pairing value under a domain label.
 pub fn derive_from_gt(ctx: &PairingCtx, gt: &Fp2, label: &str, len: usize) -> Vec<u8> {
-    kdf::<Sha256>(&ctx.gt_to_bytes(gt), label, len)
+    kdf(&ctx.gt_to_bytes(gt), label, len)
 }
 
 #[cfg(test)]

@@ -5,10 +5,12 @@
 //! `E` is the Montgomery curve with `A = 0`, `B = 1` — with `y` recovered
 //! under a single field inversion at the end; it runs a fixed number of
 //! steps with masked swaps, so its operation sequence does not depend on the
-//! scalar (DESIGN D8). The fixed-base comb, the binary reference path and
-//! the Miller loops use Jacobian coordinates. Inside the crate a point is an
-//! `Aff<N>` at the field's width: the conversion from and to [`Point`]
-//! happens once per group-level call.
+//! scalar (DESIGN D8). The generator's multiples come from a signed-window
+//! fixed-base table (`FixedBase`): one masked table scan and one mixed
+//! addition per 4-bit window, whatever the scalar. The table, the binary
+//! reference path and the Miller loops use Jacobian coordinates. Inside the
+//! crate a point is an `Aff<N>` at the field's width: the conversion from
+//! and to [`Point`] happens once per group-level call.
 
 use crate::fp::{Fe, Field, Fp, FpCtx};
 use crate::{at_width, FpW, PairingError};
@@ -78,25 +80,17 @@ pub(crate) struct DoublingParts<const N: usize> {
     pub(crate) zz: Fe<N>,
 }
 
-/// The affine points of a comb table at width `N`.
-type CombRows<const N: usize> = Vec<Aff<N>>;
+/// The rows of a fixed-base table at width `N`: row `i` holds the affine
+/// odd multiples `(2j+1)·16^i·P` for `j ∈ [0, 8)`.
+type Rows<const N: usize> = Vec<[(Fe<N>, Fe<N>); 8]>;
 
-/// Precomputed fixed-base comb table (width 4) for one point — built once
-/// per context (see [`crate::PairingCtx::mul_generator`]), then every `k·P`
-/// costs about a quarter of a generic double-and-add. Stored at the
-/// field's width.
+/// A signed-window fixed-base table for one point `P` of odd prime order
+/// `q > 15` (see [`crate::PairingCtx::mul_generator`]), stored at the
+/// field's width: one row per regular digit of a scalar mod `q`
+/// ([`crate::naf::regular_digits`]), so `k·P` is one masked scan and one
+/// mixed addition per row, and one inversion at the end.
 #[derive(Clone, Debug)]
-pub struct CombTable {
-    /// Bits per comb column: `d = ⌈bits/4⌉`; scalars up to `4·d` bits fit.
-    d: u32,
-    /// `table[j−1] = Σ_{i : bit i of j} 2^{i·d}·P` for `j ∈ [1, 16)`, affine.
-    table: crate::wide!(CombRows),
-}
-
-impl CombTable {
-    /// Comb width (number of teeth per column).
-    const WIDTH: u32 = 4;
-}
+pub(crate) struct FixedBase(crate::wide!(Rows));
 
 /// All ones when `a` is zero, else zero — without a branch.
 #[inline(always)]
@@ -399,75 +393,127 @@ impl<const N: usize> Field<N> {
         Some((self.mul(&p.x, &zinv2), self.mul(&p.y, &zinv3)))
     }
 
-    /// The rows of a width-4 fixed-base comb table for `p` with `d` bits per
-    /// column.
+    /// `a + (x, y)` for a Jacobian `a` and a finite affine point:
+    /// madd-2007-bl, 7 products and 4 squarings.
     ///
-    /// One-time cost: `3·d` Jacobian doublings plus 15 inversions to
-    /// normalize the table. Amortized over the generator's lifetime (setup,
-    /// every encryption's `r·P`, every FO re-encryption check) this is noise.
-    fn comb_rows(&self, p: &Aff<N>, d: u32) -> CombRows<N> {
-        const W: usize = CombTable::WIDTH as usize;
-        let Some((x, y)) = p else {
-            // Degenerate but total: every table entry is the identity.
-            return vec![None; (1 << W) - 1];
-        };
-        // Strides B[i] = 2^{i·d}·P.
-        let mut strides = vec![self.jac(x, y)];
-        for i in 1..W {
-            let mut t = strides[i - 1];
-            for _ in 0..d {
-                t = self.jac_double(&t);
-            }
-            strides.push(t);
+    /// The formula fails when `a` is `±(x, y)` (`H = 0`) or infinity
+    /// (`Z = 0`); those cases take the general [`Self::jac_add`], which
+    /// doubles or returns infinity. In [`Self::fixed_base_mul`] this is the
+    /// one branch on the scalar, and a uniform scalar takes it with
+    /// probability about `2/q` (DESIGN D8).
+    #[inline(always)]
+    fn jac_add_affine(&self, a: &Jacobian<N>, x2: &Fe<N>, y2: &Fe<N>) -> Jacobian<N> {
+        let z1z1 = self.sqr(&a.z);
+        let u2 = self.mul(x2, &z1z1);
+        let s2 = self.mul(&self.mul(y2, &a.z), &z1z1);
+        let h = self.sub(&u2, &a.x);
+        if self.is_zero(&h) || self.jac_is_infinity(a) {
+            return self.jac_add(a, &self.jac(x2, y2));
         }
-        // table[j−1] = Σ_{i : bit i of j set} B[i], normalized to affine.
-        (1..1usize << W)
-            .map(|j| {
-                let mut acc: Option<Jacobian<N>> = None;
-                for (i, b) in strides.iter().enumerate() {
-                    if j & (1 << i) != 0 {
-                        acc = Some(match acc {
-                            None => *b,
-                            Some(a) => self.jac_add(&a, b),
-                        });
-                    }
-                }
-                self.jac_to_affine(&acc.expect("j ≥ 1 selects a stride"))
-            })
+        let hh = self.sqr(&h);
+        let i = self.dbl(&self.dbl(&hh));
+        let j = self.mul(&h, &i);
+        let r = self.dbl(&self.sub(&s2, &a.y));
+        let v = self.mul(&a.x, &i);
+        let x3 = self.sub(&self.sub(&self.sqr(&r), &j), &self.dbl(&v));
+        let y3 = self.sub(
+            &self.mul(&r, &self.sub(&v, &x3)),
+            &self.dbl(&self.mul(&a.y, &j)),
+        );
+        let z3 = self.sub(&self.sub(&self.sqr(&self.add(&a.z, &h)), &z1z1), &hh);
+        Jacobian {
+            x: x3,
+            y: y3,
+            z: z3,
+        }
+    }
+
+    /// The entry for the odd digit `d ∈ [−15, 15]` of a row of eight odd
+    /// multiples `(u, v)`, with `v` negated for a negative `d`: the point
+    /// `d·T` from `T, 3T, …, 15T`, or the power `a^d` from `a, a³, …, a¹⁵`
+    /// for a unitary `a = u + v·i`, whose inverse is its conjugate. Every
+    /// entry is read and the negation is a masked select, so neither the
+    /// memory touched nor the operations run depend on `d`.
+    #[inline(always)]
+    pub(crate) fn signed_lookup(&self, row: &[(Fe<N>, Fe<N>); 8], d: i8) -> (Fe<N>, Fe<N>) {
+        let sign = d >> 7; // −1 for a negative digit, else 0
+        let index = (((d ^ sign) - sign) >> 1) as u64; // (|d| − 1)/2
+        let (mut u, mut v) = ([0; N], [0; N]);
+        for (j, (ru, rv)) in row.iter().enumerate() {
+            let hit = ((j as u64 ^ index).wrapping_sub(1) >> 63).wrapping_neg();
+            u = select(hit, ru, &u);
+            v = select(hit, rv, &v);
+        }
+        let negative = sign as u64; // sign-extends: all ones or zero
+        (u, select(negative, &self.sub(&self.zero(), &v), &v))
+    }
+
+    /// The rows of a [`FixedBase`] for the finite point `(x, y)`: `windows`
+    /// rows of the odd multiples `(2j+1)·16^i·P`.
+    ///
+    /// Each row costs one doubling and seven additions in Jacobian form,
+    /// and the next row's base `16^(i+1)·P` is its `15·16^i·P` plus `16^i·P`:
+    /// one addition, where four doublings would cost more. Every entry is
+    /// then normalized under one batched inversion (Montgomery's trick:
+    /// three products per entry). `P` must have odd prime order above 15,
+    /// so no entry is infinity.
+    fn fixed_base_rows(&self, x: &Fe<N>, y: &Fe<N>, windows: u32) -> Rows<N> {
+        let mut points = Vec::with_capacity(8 * windows as usize);
+        let mut base = self.jac(x, y);
+        for i in 0..windows {
+            let twice = self.jac_double(&base);
+            let mut m = base;
+            points.push(m);
+            for _ in 1..8 {
+                m = self.jac_add(&m, &twice);
+                points.push(m);
+            }
+            if i + 1 < windows {
+                base = self.jac_add(&m, &base);
+            }
+        }
+        // prefix[i] = Z_0 ⋯ Z_i; one inversion, then walk back.
+        let mut prefix = Vec::with_capacity(points.len());
+        let mut acc = self.one();
+        for p in &points {
+            acc = self.mul(&acc, &p.z);
+            prefix.push(acc);
+        }
+        let mut inv = self.inv(&acc).expect("no table entry is infinity");
+        let mut affine = vec![(self.zero(), self.zero()); points.len()];
+        for i in (0..points.len()).rev() {
+            let zinv = if i == 0 {
+                inv
+            } else {
+                self.mul(&inv, &prefix[i - 1])
+            };
+            inv = self.mul(&inv, &points[i].z);
+            let zinv2 = self.sqr(&zinv);
+            let p = &points[i];
+            affine[i] = (
+                self.mul(&p.x, &zinv2),
+                self.mul(&p.y, &self.mul(&zinv2, &zinv)),
+            );
+        }
+        affine
+            .chunks_exact(8)
+            .map(|row| core::array::from_fn(|j| row[j]))
             .collect()
     }
 
-    /// Fixed-base multiplication `k·P` through comb rows of `d` bits per
-    /// column.
-    ///
-    /// Costs `d` doublings plus at most that many additions — roughly a
-    /// quarter of the work of the generic ladder. Bit-identical to
-    /// [`Self::point_mul_binary`] on the same inputs.
-    fn comb_mul(&self, d: u32, rows: &CombRows<N>, k: &FpW) -> Aff<N> {
-        if k.bits() > CombTable::WIDTH * d {
-            // Scalar wider than the table (never the case for reduced
-            // scalars): fall back to the generic path on P = table[0].
-            return self.point_mul(&rows[0], k, 0);
+    /// `k·P` through a [`FixedBase`]'s rows, `digits` the regular recoding
+    /// of `k` (one per row): the first row's entry, then one masked scan and
+    /// one mixed addition per further row, then one inversion. `k·P = O`
+    /// (a scalar `≡ 0 mod q`) comes out as infinity.
+    fn fixed_base_mul(&self, rows: &Rows<N>, digits: &[i8]) -> Aff<N> {
+        debug_assert_eq!(rows.len(), digits.len(), "one digit per row");
+        let (x, y) = self.signed_lookup(&rows[0], digits[0]);
+        let mut acc = self.jac(&x, &y);
+        for (row, &d) in rows.iter().zip(digits).skip(1) {
+            let (x, y) = self.signed_lookup(row, d);
+            acc = self.jac_add_affine(&acc, &x, &y);
         }
-        let mut acc: Option<Jacobian<N>> = None;
-        for col in (0..d).rev() {
-            if let Some(a) = acc {
-                acc = Some(self.jac_double(&a));
-            }
-            let j = (0..CombTable::WIDTH)
-                .filter(|i| k.bit(i * d + col))
-                .fold(0usize, |j, i| j | 1 << i);
-            // An infinity entry (only possible for small-order P)
-            // contributes the identity: nothing to add.
-            if let Some(Some((x, y))) = j.checked_sub(1).map(|j| &rows[j]) {
-                let m = self.jac(x, y);
-                acc = Some(match acc {
-                    None => m,
-                    Some(a) => self.jac_add(&a, &m),
-                });
-            }
-        }
-        self.jac_to_affine(&acc?)
+        self.jac_to_affine(&acc)
     }
 
     /// A uniformly random point of the full group `E(F_p)` (order `p+1`).
@@ -557,19 +603,20 @@ impl FpCtx {
         at_width!(self, |f| Point::from_aff(&f.point_mul_binary(&p.at(), k)))
     }
 
-    /// Builds a width-4 fixed-base comb table for `p`, sized for scalars of
-    /// up to `bits` bits.
-    pub(crate) fn comb_table(&self, p: &Point, bits: u32) -> CombTable {
-        let d = bits.max(1).div_ceil(CombTable::WIDTH);
-        let table = at_width!(wide, self, |f| f.comb_rows(&p.at(), d));
-        CombTable { d, table }
+    /// Builds the [`FixedBase`] table of the finite point `p` for scalars
+    /// recoded into `windows` regular digits.
+    pub(crate) fn fixed_base(&self, p: &Point, windows: u32) -> FixedBase {
+        FixedBase(at_width!(wide, self, |f| {
+            let (x, y) = p.at().expect("a fixed base is a finite point");
+            f.fixed_base_rows(&x, &y, windows)
+        }))
     }
 
-    /// Fixed-base multiplication `k·P` through a [`CombTable`] built by
-    /// this context.
-    pub(crate) fn comb_mul(&self, t: &CombTable, k: &FpW) -> Point {
-        at_width!(self, &t.table, |f, rows| Point::from_aff(
-            &f.comb_mul(t.d, rows, k)
+    /// `k·P` through a [`FixedBase`] built by this context, `digits` the
+    /// regular recoding of `k`.
+    pub(crate) fn fixed_base_mul(&self, t: &FixedBase, digits: &[i8]) -> Point {
+        at_width!(self, &t.0, |f, rows| Point::from_aff(
+            &f.fixed_base_mul(rows, digits)
         ))
     }
 
@@ -763,36 +810,6 @@ mod tests {
                 assert_eq!(f.mul_is_infinity(p, k), want.is_none(), "{p:?} · {k:?}");
             }
         }
-    }
-
-    #[test]
-    fn comb_matches_binary_ladder() {
-        let f = FpCtx(crate::Wide::W3(field()));
-        let mut rng = rng();
-        let p = f.random_curve_point(&mut rng);
-        let order = field().modulus().wrapping_add(&FpW::ONE);
-        let table = f.comb_table(&p, order.bits());
-        assert!(CombTable::WIDTH * table.d >= order.bits());
-        let mut scalars = vec![FpW::ZERO, FpW::ONE, FpW::from_u64(2)];
-        for k in [3u64, 255, 256, 0xdead_beef] {
-            scalars.push(FpW::from_u64(k));
-        }
-        scalars.push(order.wrapping_sub(&FpW::ONE));
-        scalars.push(order); // annihilates: comb must return infinity
-        for k in &scalars {
-            assert_eq!(f.comb_mul(&table, k), f.point_mul_binary(&p, k), "k");
-        }
-        // Wider-than-table scalar takes the fallback and still agrees.
-        let wide = order
-            .wrapping_mul(&FpW::from_u64(3))
-            .wrapping_add(&FpW::ONE);
-        assert_eq!(f.comb_mul(&table, &wide), f.point_mul_binary(&p, &wide));
-        // Degenerate base point.
-        let inf_table = f.comb_table(&Point::Infinity, 64);
-        assert_eq!(
-            f.comb_mul(&inf_table, &FpW::from_u64(1234)),
-            Point::Infinity
-        );
     }
 
     #[test]

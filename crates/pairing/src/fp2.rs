@@ -108,57 +108,8 @@ impl<const N: usize> Field<N> {
         Some(self.fp2(self.mul(&a.c0, &ninv), self.neg(&self.mul(&a.c1, &ninv))))
     }
 
-    /// `a^e` in `F_p²` via a width-4 sliding window (the default path).
-    ///
-    /// Uses 8 precomputed odd powers `a, a³, …, a¹⁵`, cutting the expected
-    /// multiplication count from `bits/2` to about `bits/5`. Bit-identical
-    /// to [`Self::fp2_pow_binary`] (asserted by the cross-check tests).
-    pub(crate) fn fp2_pow(&self, a: &Fe2<N>, e: &FpW) -> Fe2<N> {
-        const W: i64 = 4;
-        let bits = e.bits() as i64;
-        if bits <= W {
-            return self.fp2_pow_binary(a, e);
-        }
-        // Odd powers a^1, a^3, …, a^15.
-        let a2 = self.fp2_sqr(a);
-        let mut odd = [*a; 1 << (W - 1)];
-        for i in 1..odd.len() {
-            odd[i] = self.fp2_mul(&odd[i - 1], &a2);
-        }
-        let mut acc: Option<Fe2<N>> = None;
-        let mut i = bits - 1;
-        while i >= 0 {
-            if !e.bit(i as u32) {
-                if let Some(v) = acc {
-                    acc = Some(self.fp2_sqr(&v));
-                }
-                i -= 1;
-            } else {
-                // Largest window [j, i] of width ≤ W ending on a set bit.
-                let mut j = (i - W + 1).max(0);
-                while !e.bit(j as u32) {
-                    j += 1;
-                }
-                let mut val = 0usize;
-                for k in (j..=i).rev() {
-                    val = (val << 1) | e.bit(k as u32) as usize;
-                }
-                if let Some(mut v) = acc {
-                    for _ in 0..(i - j + 1) {
-                        v = self.fp2_sqr(&v);
-                    }
-                    acc = Some(self.fp2_mul(&v, &odd[(val - 1) / 2]));
-                } else {
-                    acc = Some(odd[(val - 1) / 2]);
-                }
-                i = j - 1;
-            }
-        }
-        acc.unwrap_or_else(|| self.fp2_one())
-    }
-
-    /// `a^e` in `F_p²` by plain square-and-multiply — the pre-optimization
-    /// reference path kept for cross-checks and the benchmark baseline.
+    /// `a^e` in `F_p²` by plain square-and-multiply — the reference path
+    /// the regular and wNAF exponentiations are checked against.
     pub(crate) fn fp2_pow_binary(&self, a: &Fe2<N>, e: &FpW) -> Fe2<N> {
         let mut acc = self.fp2_one();
         for i in (0..e.bits()).rev() {
@@ -180,13 +131,12 @@ impl<const N: usize> Field<N> {
     /// [`Self::fp2_pow_binary`] on unitary inputs.
     ///
     /// Debug builds assert the norm; release builds silently compute a
-    /// wrong value for non-unitary inputs.
+    /// wrong value for non-unitary inputs. `e` must leave the recoding 4
+    /// bits of headroom (`h` does: `PairingCtx::from_params` refuses a
+    /// `q` below 16).
     pub(crate) fn fp2_pow_unitary(&self, a: &Fe2<N>, e: &FpW) -> Fe2<N> {
         const W: u32 = 4;
         debug_assert_eq!(self.fp2_norm(a), self.one(), "input must be unitary");
-        if e.bits() + W > FpW::BITS {
-            return self.fp2_pow(a, e);
-        }
         if e.is_zero() {
             return self.fp2_one();
         }
@@ -212,6 +162,36 @@ impl<const N: usize> Field<N> {
         }
         acc.unwrap_or_else(|| self.fp2_one())
     }
+
+    /// `a^k` for a unitary `a`, `digits` the regular recoding of `k`
+    /// ([`crate::naf::regular_digits`]): the powers `a, a³, …, a¹⁵`, then
+    /// per digit below the top four squarings and one product with a
+    /// masked scan of them, conjugated for a negative digit. The squarings,
+    /// products and table reads are the same for every `k`. Debug builds
+    /// assert the norm.
+    pub(crate) fn fp2_pow_regular(&self, a: &Fe2<N>, digits: &[i8]) -> Fe2<N> {
+        debug_assert_eq!(self.fp2_norm(a), self.one(), "input must be unitary");
+        let a2 = self.fp2_sqr(a);
+        let mut odd = [(a.c0, a.c1); 8];
+        let mut power = *a;
+        for entry in odd.iter_mut().skip(1) {
+            power = self.fp2_mul(&power, &a2);
+            *entry = (power.c0, power.c1);
+        }
+        let lookup = |d: i8| {
+            let (c0, c1) = self.signed_lookup(&odd, d);
+            self.fp2(c0, c1)
+        };
+        let (top, rest) = digits.split_last().expect("at least one digit");
+        let mut acc = lookup(*top);
+        for &d in rest.iter().rev() {
+            for _ in 0..4 {
+                acc = self.fp2_sqr(&acc);
+            }
+            acc = self.fp2_mul(&acc, &lookup(d));
+        }
+        acc
+    }
 }
 
 impl FpCtx {
@@ -225,9 +205,11 @@ impl FpCtx {
         at_width!(self, |f| Fp2::from_fe(&f.fp2_sqr(&a.at())))
     }
 
-    /// `a^e` in `F_p²` via a width-4 sliding window (the default path).
-    pub fn fp2_pow(&self, a: &Fp2, e: &FpW) -> Fp2 {
-        at_width!(self, |f| Fp2::from_fe(&f.fp2_pow(&a.at(), e)))
+    /// `a^e` in `F_p²` by plain square-and-multiply — the reference path
+    /// kept as the oracle of [`crate::PairingCtx::gt_pow`] and the final
+    /// exponentiation.
+    pub fn fp2_pow_binary(&self, a: &Fp2, e: &FpW) -> Fp2 {
+        at_width!(self, |f| Fp2::from_fe(&f.fp2_pow_binary(&a.at(), e)))
     }
 
     /// Canonical serialization: `c0 ‖ c1` big-endian.
@@ -299,7 +281,7 @@ mod tests {
     fn conj_is_frobenius() {
         let f = field();
         let a = f.fp2(f.import_u64(31337), f.import_u64(271828));
-        let frob = f.fp2_pow(&a, f.modulus());
+        let frob = f.fp2_pow_binary(&a, f.modulus());
         assert_eq!(frob, f.fp2_conj(&a));
     }
 
@@ -310,26 +292,6 @@ mod tests {
         let b = f.fp2(f.import_u64(7), f.import_u64(11));
         let nab = f.fp2_norm(&f.fp2_mul(&a, &b));
         assert_eq!(nab, f.mul(&f.fp2_norm(&a), &f.fp2_norm(&b)));
-    }
-
-    #[test]
-    fn windowed_pow_matches_binary() {
-        let f = field();
-        let a = f.fp2(f.import_u64(31337), f.import_u64(271828));
-        let mut exps = vec![
-            FpW::ZERO,
-            FpW::ONE,
-            FpW::from_u64(2),
-            FpW::from_u64(15),
-            FpW::from_u64(16),
-            FpW::from_u64(0xdead_beef_cafe_f00d),
-        ];
-        exps.push(f.modulus().wrapping_sub(&FpW::ONE));
-        exps.push(*f.modulus());
-        exps.push(f.modulus().wrapping_add(&FpW::ONE));
-        for e in &exps {
-            assert_eq!(f.fp2_pow(&a, e), f.fp2_pow_binary(&a, e));
-        }
     }
 
     #[test]
@@ -347,17 +309,41 @@ mod tests {
     }
 
     #[test]
+    fn regular_pow_matches_binary() {
+        let f = field();
+        let z = f.fp2(f.import_u64(987654321), f.import_u64(1234567));
+        let u = f.fp2_mul(&f.fp2_conj(&z), &f.fp2_inv(&z).unwrap());
+        let mut exps = vec![
+            FpW::ONE,
+            FpW::from_u64(3),
+            FpW::from_u64(17),
+            FpW::from_u64(0xdead_beef),
+        ];
+        exps.push(f.modulus().wrapping_sub(&FpW::from_u64(2)));
+        for e in &exps {
+            for windows in [e.bits().div_ceil(4), 33] {
+                let digits = crate::naf::odd_digits(e, windows);
+                assert_eq!(
+                    f.fp2_pow_regular(&u, &digits),
+                    f.fp2_pow_binary(&u, e),
+                    "{e:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn pow_edge_cases() {
         let f = field();
         let a = f.fp2(f.import_u64(5), f.import_u64(9));
-        assert_eq!(f.fp2_pow(&a, &FpW::ZERO), f.fp2_one());
-        assert_eq!(f.fp2_pow(&a, &FpW::ONE), a);
-        assert_eq!(f.fp2_pow(&a, &FpW::from_u64(2)), f.fp2_sqr(&a));
+        assert_eq!(f.fp2_pow_binary(&a, &FpW::ZERO), f.fp2_one());
+        assert_eq!(f.fp2_pow_binary(&a, &FpW::ONE), a);
+        assert_eq!(f.fp2_pow_binary(&a, &FpW::from_u64(2)), f.fp2_sqr(&a));
         // Lagrange: a^(p²−1) = 1 for a ≠ 0. p²−1 = (p−1)(p+1); compute in
         // two steps to stay within the width.
         let pm1 = f.modulus().wrapping_sub(&FpW::ONE);
         let pp1 = f.modulus().wrapping_add(&FpW::ONE);
-        let step = f.fp2_pow(&a, &pm1);
-        assert_eq!(f.fp2_pow(&step, &pp1), f.fp2_one());
+        let step = f.fp2_pow_binary(&a, &pm1);
+        assert_eq!(f.fp2_pow_binary(&step, &pp1), f.fp2_one());
     }
 }

@@ -20,8 +20,9 @@
 //!   inversion is `mws-bigint`'s constant-time safegcd.
 //! * [`fp2`] — the quadratic extension `F_p[i]/(i²+1)`.
 //! * [`curve`] — point arithmetic on `E(F_p)`: the x-only Montgomery
-//!   ladder for every variable-base `k·P`, a fixed-base comb, and the
-//!   Jacobian formulas the comb and the Miller loops share.
+//!   ladder for every variable-base `k·P`, the generator's signed-window
+//!   fixed-base table, and the Jacobian formulas the table and the Miller
+//!   loops share.
 //! * `pairing` — Miller's algorithm and the final exponentiation.
 //! * [`prepared`] — cached Miller tapes for fixed first arguments.
 //! * [`maptopoint`] — hash-to-point (the `MapToPoint` of BF-IBE).
@@ -39,8 +40,8 @@
 //! ([`PairingCtx::pairing`], [`PairingCtx::mul`],
 //! [`PairingCtx::hash_to_point`], …) matches on it once and runs its whole
 //! Miller loop, ladder or exponentiation at that width. Crossing the API is
-//! a copy of `N` limbs; prepared tapes and comb tables are stored at width
-//! `N`.
+//! a copy of `N` limbs; prepared tapes and fixed-base tables are stored at
+//! width `N`.
 //!
 //! # Example
 //!
@@ -71,7 +72,7 @@ mod pairing;
 pub mod params;
 pub mod prepared;
 
-pub use curve::{CombTable, Point};
+pub use curve::Point;
 pub use fp::{Fp, FpCtx};
 pub use fp2::Fp2;
 pub use params::{PairingCtx, PairingParams, SecurityLevel};

@@ -27,7 +27,7 @@ use crate::curve::Point;
 use crate::fp::{Fe, Field};
 use crate::params::PairingCtx;
 use crate::{at_width, FpW};
-use mws_crypto::{kdf, Sha256};
+use mws_crypto::kdf;
 
 /// Deterministically maps an arbitrary byte string to a point of the
 /// order-`q` subgroup (never the point at infinity): `h·Q` for the first
@@ -67,7 +67,7 @@ pub(crate) fn candidate_at<const N: usize>(
     let mut input = Vec::with_capacity(msg.len() + 4);
     input.extend_from_slice(msg);
     input.extend_from_slice(&counter.to_be_bytes());
-    let okm = kdf::<Sha256>(&input, "mws-map-to-point", 8 * crate::FP_LIMBS);
+    let okm = kdf(&input, "mws-map-to-point", 8 * crate::FP_LIMBS);
     let xi = FpW::from_be_bytes(&okm).expect("exact width");
     let x = f.import(&xi);
     let rhs = f.curve_rhs(&x);
@@ -153,7 +153,7 @@ mod tests {
     fn takes_x_branch(c: &PairingCtx, msg: &[u8]) -> bool {
         let mut input = msg.to_vec();
         input.extend_from_slice(&0u32.to_be_bytes());
-        let okm = kdf::<Sha256>(&input, "mws-map-to-point", 8 * crate::FP_LIMBS);
+        let okm = kdf(&input, "mws-map-to-point", 8 * crate::FP_LIMBS);
         let xi = FpW::from_be_bytes(&okm).unwrap();
         at_width!(c.field(), |f| {
             let x = f.import(&xi);

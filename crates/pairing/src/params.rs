@@ -6,13 +6,16 @@
 //! over `q` is all doublings plus two additions. The cofactor search and
 //! the generator are independent of that shape.
 
-use crate::curve::{CombTable, Point};
+use crate::curve::{FixedBase, Point};
 use crate::fp::FpCtx;
 use crate::fp2::Fp2;
+use crate::naf::regular_digits;
 use crate::pairing::TatePairing;
 use crate::prepared::PreparedPoint;
-use crate::{at_width, FpW, PairingError};
-use mws_bigint::{is_prime, random_below, random_nonzero_below, MillerRabinRounds};
+use crate::{at_width, FpW, PairingError, FP_LIMBS};
+use mws_bigint::{
+    is_prime, mont_mul_limbs, mont_neg_inv, random_below, random_nonzero_below, MillerRabinRounds,
+};
 use mws_crypto::{HmacDrbg, Rng};
 use std::sync::{Arc, OnceLock};
 
@@ -47,6 +50,52 @@ fn solinas_prime<R: Rng + ?Sized>(rng: &mut R, qbits: u32) -> Option<FpW> {
         }
     }
     None
+}
+
+/// `h·k mod q` as one Montgomery product modulo `q`: `(h·R mod q)·k·R⁻¹`
+/// with `R = 2^(64·limbs)`, through `mws-bigint`'s one CIOS body — a fixed
+/// sequence of word operations, where `mul_mod`'s schoolbook product skips
+/// zero limbs and its division branches on the value.
+#[derive(Clone, Debug)]
+struct CofactorModQ {
+    q: FpW,
+    /// `h·R mod q`.
+    h_r: FpW,
+    /// `−q⁻¹ mod 2^64`.
+    n0: u64,
+    /// Active limbs of `q`.
+    limbs: usize,
+}
+
+impl CofactorModQ {
+    fn new(q: &FpW, h: &FpW) -> Self {
+        let limbs = q.bits().div_ceil(64) as usize;
+        let wide = |v: &FpW| v.widen::<{ 2 * FP_LIMBS }>();
+        let h_r = wide(&h.rem(q))
+            .wrapping_shl(64 * limbs as u32)
+            .rem(&wide(q))
+            .narrow()
+            .expect("below q");
+        Self {
+            q: *q,
+            h_r,
+            n0: mont_neg_inv(q.as_u64()),
+            limbs,
+        }
+    }
+
+    /// `h·k mod q` for `k < q`.
+    fn times(&self, k: &FpW) -> FpW {
+        debug_assert!(*k < self.q, "a reduced scalar");
+        let product = mont_mul_limbs(
+            self.limbs,
+            self.h_r.limbs(),
+            k.limbs(),
+            self.q.limbs(),
+            self.n0,
+        );
+        FpW::from_limbs(product)
+    }
 }
 
 /// Raw curve parameters: `p + 1 = q·h`, `E : y² = x³ + x` over `F_p`,
@@ -97,7 +146,7 @@ impl SecurityLevel {
 /// whole operation there.
 ///
 /// Carries lazily built, `Arc`-shared generator precomputations (a
-/// fixed-base comb table and a prepared Miller tape), so cloned contexts —
+/// fixed-base table and a prepared Miller tape), so cloned contexts —
 /// including every clone handed out by [`PairingCtx::named`] — reuse one
 /// copy per process.
 #[derive(Clone, Debug)]
@@ -106,7 +155,8 @@ pub struct PairingCtx {
     tate: TatePairing,
     generator: Point,
     params: PairingParams,
-    gen_comb: Arc<OnceLock<CombTable>>,
+    cofactor_mod_q: CofactorModQ,
+    gen_table: Arc<OnceLock<FixedBase>>,
     gen_prepared: Arc<OnceLock<PreparedPoint>>,
 }
 
@@ -114,11 +164,13 @@ impl PairingCtx {
     /// Builds a context from raw parameters, validating their consistency.
     pub fn from_params(params: &PairingParams) -> Result<Self, PairingError> {
         // p ≡ 3 (mod 4), q·h = p + 1, and q narrow enough for the Miller
-        // loop's signed-digit recoding.
+        // loop's signed-digit recoding. q > 15 keeps the odd multiples in
+        // the fixed-base table finite (and h short enough for the final
+        // exponentiation's wNAF).
         if params.p.is_even() || params.p.as_u64() & 3 != 3 {
             return Err(PairingError::BadParameters);
         }
-        if params.q.bits() + 2 > FpW::BITS {
+        if params.q.bits() + 2 > FpW::BITS || params.q < FpW::from_u64(16) {
             return Err(PairingError::BadParameters);
         }
         let (qh, overflow) = {
@@ -146,14 +198,20 @@ impl PairingCtx {
         if !fp.mul_is_infinity(&generator, &params.q) {
             return Err(PairingError::InvalidPoint);
         }
-        Ok(Self {
+        Ok(Self::assemble(fp, generator, params.clone()))
+    }
+
+    /// A context over checked parameters, its caches empty.
+    fn assemble(fp: FpCtx, generator: Point, params: PairingParams) -> Self {
+        Self {
             fp,
             tate: TatePairing::new(params.q, params.h),
             generator,
-            params: params.clone(),
-            gen_comb: Arc::new(OnceLock::new()),
+            cofactor_mod_q: CofactorModQ::new(&params.q, &params.h),
+            params,
+            gen_table: Arc::new(OnceLock::new()),
             gen_prepared: Arc::new(OnceLock::new()),
-        })
+        }
     }
 
     /// Generates fresh parameters: a `qbits`-bit Solinas prime subgroup
@@ -222,14 +280,7 @@ impl PairingCtx {
             h,
             generator: fp.point_to_bytes(&generator),
         };
-        Self {
-            fp,
-            tate: TatePairing::new(q, h),
-            generator,
-            params,
-            gen_comb: Arc::new(OnceLock::new()),
-            gen_prepared: Arc::new(OnceLock::new()),
-        }
+        Self::assemble(fp, generator, params)
     }
 
     /// Returns the deterministic named parameter set (cached per process).
@@ -286,17 +337,46 @@ impl PairingCtx {
         self.fp.point_mul(p, k, self.tate.q.bits())
     }
 
-    /// The generator's comb table (built on first use, shared across
+    /// The generator's fixed-base table (built on first use, shared across
     /// clones).
-    fn generator_comb(&self) -> &CombTable {
-        self.gen_comb
-            .get_or_init(|| self.fp.comb_table(&self.generator, self.tate.q.bits()))
+    fn generator_table(&self) -> &FixedBase {
+        self.gen_table.get_or_init(|| {
+            let windows = crate::naf::windows(&self.tate.q);
+            self.fp.fixed_base(&self.generator, windows)
+        })
     }
 
     /// Fixed-base multiplication `k·P` of the generator through the cached
-    /// comb table (built on first use, shared across clones).
+    /// signed-window table (built on first use, shared across clones).
+    ///
+    /// `k` is recoded into `⌈(bits(q)+1)/4⌉` odd digits (`k mod q`, or
+    /// `k mod q + q` when that is even), and each digit costs one masked
+    /// scan of its row and one mixed addition, then one inversion: the
+    /// same operations for every scalar below `q` (DESIGN D8). Larger
+    /// scalars are reduced first.
     pub fn mul_generator(&self, k: &FpW) -> Point {
-        self.fp.comb_mul(self.generator_comb(), k)
+        let digits = regular_digits(k, &self.tate.q);
+        self.fp.fixed_base_mul(self.generator_table(), &digits)
+    }
+
+    /// `g^k` for a pairing value `g` (an element of the order-`q` group
+    /// `μ_q`): a regular signed 4-bit window over the same odd digits as
+    /// [`Self::mul_generator`], conjugation for negative digits and a
+    /// masked scan of `g, g³, …, g¹⁵` — four squarings and one product per
+    /// digit whatever `k` is. The compose raises `ê(sP, Q)` to its secret
+    /// `h·r mod q` here.
+    pub fn gt_pow(&self, g: &Fp2, k: &FpW) -> Fp2 {
+        let digits = regular_digits(k, &self.tate.q);
+        at_width!(self.fp, |f| Fp2::from_fe(
+            &f.fp2_pow_regular(&g.at(), &digits)
+        ))
+    }
+
+    /// `h·k mod q` for a scalar `k < q`: one Montgomery product against
+    /// the cached `h·R mod q`, the same word operations whatever `k` is —
+    /// the exponent the compose folds the cofactor into (DESIGN D7).
+    pub fn cofactor_times(&self, k: &FpW) -> FpW {
+        self.cofactor_mod_q.times(k)
     }
 
     /// The generator with its Miller tape precomputed (built on first use,
@@ -323,11 +403,12 @@ impl PairingCtx {
         ))
     }
 
-    /// Eagerly builds the generator caches (comb table + prepared tape).
+    /// Eagerly builds the generator caches (fixed-base table + prepared
+    /// tape).
     /// Long-lived services call this at construction so the first request
     /// doesn't pay the one-time cost.
     pub fn warm_caches(&self) {
-        let _ = self.generator_comb();
+        let _ = self.generator_table();
         let _ = self.prepared_generator();
     }
 
@@ -558,10 +639,13 @@ mod tests {
         let g = c.generator();
         let e = c.pairing(&g, &g);
         assert_ne!(e, c.field().fp2_one());
-        assert_eq!(c.field().fp2_pow(&e, c.group_order()), c.field().fp2_one());
+        assert_eq!(
+            c.field().fp2_pow_binary(&e, c.group_order()),
+            c.field().fp2_one()
+        );
     }
 
-    /// Comb, the Montgomery ladder and binary double-and-add must agree
+    /// The fixed-base table, the Montgomery ladder and binary double-and-add must agree
     /// bit-for-bit on the generator, including the edge scalars `0`, `1`,
     /// `q−1`, `q`.
     fn scalar_mul_cross_check(level: SecurityLevel) {
@@ -583,7 +667,7 @@ mod tests {
         for k in &scalars {
             let reference = f.point_mul_binary(&g, k);
             assert_eq!(c.mul(&g, k), reference, "ladder vs binary");
-            assert_eq!(c.mul_generator(k), reference, "comb vs binary");
+            assert_eq!(c.mul_generator(k), reference, "table vs binary");
         }
         assert_eq!(c.mul_generator(&q), Point::Infinity);
         // Hashed points through the ladder.
@@ -600,6 +684,52 @@ mod tests {
     #[test]
     fn scalar_mul_cross_check_light() {
         scalar_mul_cross_check(SecurityLevel::Light);
+    }
+
+    /// The fixed-base table and the regular `G_T` exponent against their
+    /// binary references on every cross-check set: the edge scalars, powers
+    /// of two, even and odd random scalars, scalars at and above `q`, and
+    /// the two that meet the mixed addition's one branch. With
+    /// `t = 16^(windows−1)`, `k = t − q` recodes to digits whose partial
+    /// sum reaches `−q` one window early (the accumulator is infinity
+    /// before the last addition), and `k = 2t − 2q` to a last addition of
+    /// a point to itself (a doubling) — whenever those values lie in
+    /// `(0, q)`.
+    #[test]
+    fn fixed_base_matches_binary() {
+        let mut branch_hits = 0;
+        for (name, c) in cross_check_sets() {
+            let (g, f, q) = (c.generator(), c.field(), *c.group_order());
+            let e = c.pairing(&g, &g);
+            let mut rng = HmacDrbg::from_u64(0x4649_5845);
+            let pow2 = |j: u32| {
+                let mut k = FpW::ZERO;
+                k.set_bit(j, true);
+                k
+            };
+            let mut scalars = vec![FpW::ZERO, FpW::ONE, FpW::from_u64(2), pow2(7)];
+            scalars.extend([pow2(q.bits() - 1), q.wrapping_sub(&FpW::ONE), q]);
+            scalars.extend([q.wrapping_add(&FpW::ONE), q.wrapping_add(&q)]);
+            for _ in 0..8 {
+                scalars.push(c.random_scalar(&mut rng));
+            }
+            let t = pow2(4 * (crate::naf::windows(&q) - 1));
+            for k in [
+                t.wrapping_sub(&q),
+                t.wrapping_add(&t).wrapping_sub(&q).wrapping_sub(&q),
+            ] {
+                if !k.is_zero() && k < q {
+                    branch_hits += 1;
+                    scalars.push(k);
+                }
+            }
+            for k in &scalars {
+                let want = f.point_mul_binary(&g, k);
+                assert_eq!(c.mul_generator(k), want, "{name}: {k:?}");
+                assert_eq!(c.gt_pow(&e, k), f.fp2_pow_binary(&e, k), "{name}: {k:?}");
+            }
+        }
+        assert!(branch_hits >= 4, "the collision scalars apply to few sets");
     }
 
     #[test]

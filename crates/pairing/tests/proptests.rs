@@ -73,7 +73,6 @@ fn scalar_mul_mod_group_order() {
 fn pairing_bilinearity() {
     cases(24, |g| (g.int(1..1_000_000_007), g.int(1..1_000_000_007))).check(|(a, b)| {
         let c = ctx();
-        let f = c.field();
         let g = c.generator();
         let ka = FpW::from_u64(a);
         let kb = FpW::from_u64(b);
@@ -81,7 +80,7 @@ fn pairing_bilinearity() {
         let lhs = c.pairing(&c.mul(&g, &ka), &c.mul(&g, &kb));
         let base = c.pairing(&g, &g);
         let ab = ka.wrapping_mul(&kb).rem(c.group_order());
-        assert_eq!(lhs, f.fp2_pow(&base, &ab));
+        assert_eq!(lhs, c.gt_pow(&base, &ab));
     });
 }
 
@@ -92,7 +91,7 @@ fn pairing_values_in_mu_q() {
         let f = c.field();
         let p = c.mul(&c.generator(), &FpW::from_u64(k));
         let e = c.pairing(&p, &c.generator());
-        assert_eq!(f.fp2_pow(&e, c.group_order()), f.fp2_one());
+        assert_eq!(f.fp2_pow_binary(&e, c.group_order()), f.fp2_one());
     });
 }
 
@@ -120,7 +119,8 @@ fn hash_to_point_subgroup() {
 
 /// The cofactor-free compose's identity: for a full-group point `Q`
 /// outside the order-`q` subgroup, `ê(sP, Q)^(h·r mod q) = ê(sP, h·Q)^r`,
-/// at every named level, with `sP`'s prepared tape as the device uses it.
+/// at every named level, with `sP`'s prepared tape, `cofactor_times` and
+/// `gt_pow` as the device uses them, against square-and-multiply.
 #[test]
 fn pairing_folds_the_cofactor_into_the_exponent() {
     for level in [
@@ -141,8 +141,10 @@ fn pairing_folds_the_cofactor_into_the_exponent() {
                 }
             };
             let h = c.cofactor();
-            let folded = f.fp2_pow(&c.pairing_with(&s_p, &q), &h.mul_mod(&r, c.group_order()));
-            let cleared = f.fp2_pow(&c.pairing_with(&s_p, &c.mul(&q, h)), &r);
+            let hr = c.cofactor_times(&r);
+            assert_eq!(hr, h.mul_mod(&r, c.group_order()));
+            let folded = c.gt_pow(&c.pairing_with(&s_p, &q), &hr);
+            let cleared = f.fp2_pow_binary(&c.pairing_with(&s_p, &c.mul(&q, h)), &r);
             assert_eq!(folded, cleared, "{level:?}");
         });
     }

@@ -109,6 +109,8 @@ struct ConnState {
     /// Bytes for the socket, written before each read.
     out: Vec<u8>,
     read_buf: Box<[u8]>,
+    /// The read and write timeout the socket carries, once set.
+    timeout: Option<Duration>,
 }
 
 impl ConnState {
@@ -136,6 +138,7 @@ impl ConnState {
             link,
             out,
             read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
+            timeout: None,
         };
         conn.set_io_timeout(io_timeout)?;
         while matches!(conn.link, Link::Handshaking(_)) {
@@ -163,11 +166,19 @@ impl ConnState {
         }
     }
 
+    /// Sets the socket's read and write timeouts to `t`: two `setsockopt`
+    /// calls, skipped when the socket already carries `t` (every exchange
+    /// of a client whose deadline outlasts its request timeout).
     fn set_io_timeout(&mut self, t: Duration) -> Result<(), NetError> {
+        if self.timeout == Some(t) {
+            return Ok(());
+        }
         self.stream
             .set_read_timeout(Some(t))
             .and_then(|()| self.stream.set_write_timeout(Some(t)))
-            .map_err(|e| NetError::Io(e.to_string()))
+            .map_err(|e| NetError::Io(e.to_string()))?;
+        self.timeout = Some(t);
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<(), NetError> {
@@ -579,6 +590,53 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, NetError::Timeout);
         assert!(t0.elapsed() < Duration::from_millis(400), "bounded wait");
+        hold.join().unwrap();
+    }
+
+    /// The socket timeout is re-applied only when it changes. With a
+    /// deadline shorter than the request timeout, each exchange's timeout
+    /// is what is left of the deadline — a little different on every call —
+    /// and an exchange on a connection an earlier one set up must still
+    /// give up on a silent server within what is left.
+    #[test]
+    fn a_nearly_spent_deadline_still_bounds_a_silent_exchange() {
+        // Answers the first request on its one connection, then holds the
+        // connection open and silent.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let hold = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let (mut link, mut buf, mut out) = (Link::plain(), [0u8; 512], Vec::new());
+            while out.is_empty() {
+                let n = s.read(&mut buf).unwrap();
+                link.feed(&buf[..n], &mut out).unwrap();
+                let frame = match link.next_frame().unwrap() {
+                    Some(Inbound::Frame(frame)) => frame.into_owned(),
+                    _ => continue,
+                };
+                link.send(frame, &mut out).unwrap();
+            }
+            s.write_all(&out).unwrap();
+            std::thread::sleep(Duration::from_millis(1500));
+        });
+        let client = TcpClient::with_config(
+            addr,
+            ClientConfig {
+                request_timeout: Duration::from_secs(5),
+                deadline: Some(Duration::from_millis(300)),
+                attempts: 1,
+                ..ClientConfig::default()
+            },
+        );
+        let frame = mws_wire::encode_envelope(&Pdu::ParamsRequest);
+        assert_eq!(client.round_trip(&frame).unwrap(), frame);
+        let t0 = Instant::now();
+        assert_eq!(client.round_trip(&frame).unwrap_err(), NetError::Timeout);
+        let took = t0.elapsed();
+        assert!(
+            took >= Duration::from_millis(250) && took < Duration::from_millis(1000),
+            "the silent exchange gave up after {took:?}, not at the 300 ms deadline"
+        );
         hold.join().unwrap();
     }
 

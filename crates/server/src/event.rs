@@ -206,7 +206,15 @@ impl<S: Service> EventLoop<S> {
                 }
                 match s.stream.read(&mut self.read_buf) {
                     Ok(0) => s.conn.on_eof(),
-                    Ok(n) => s.conn.feed(&self.read_buf[..n]),
+                    Ok(n) => {
+                        s.conn.feed(&self.read_buf[..n]);
+                        // A short read took in everything the socket held:
+                        // a further read would only return `WouldBlock`,
+                        // and level-triggered epoll reports later bytes.
+                        if n < READ_CHUNK {
+                            break;
+                        }
+                    }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(_) => s.conn.on_eof(),

@@ -343,6 +343,37 @@ mod tests {
         assert_eq!(reply, frame);
     }
 
+    /// A read shorter than the buffer ends a connection's reads for that
+    /// readiness event. A frame split by a pause still completes when its
+    /// second part arrives, two frames in one write both get replies, and
+    /// a frame longer than one read still arrives whole.
+    #[test]
+    fn short_reads_still_assemble_split_pipelined_and_long_frames() {
+        on_both_drivers(ServerConfig::default(), echo(), |driver, server| {
+            let mut s = TcpStream::connect(server.local_addr()).unwrap();
+            s.set_nodelay(true).unwrap();
+            let long = Pdu::Error {
+                code: 2,
+                detail: "x".repeat(10_000),
+            };
+            let requests = [acks(2), vec![long]].concat();
+            for req in &requests {
+                let frame = encode_envelope(req);
+                let (head, tail) = frame.split_at(frame.len() / 2);
+                s.write_all(head).unwrap();
+                std::thread::sleep(Duration::from_millis(20));
+                s.write_all(tail).unwrap();
+                assert_eq!(
+                    read_replies(&mut s, 1),
+                    std::slice::from_ref(req),
+                    "{driver}"
+                );
+            }
+            s.write_all(&frames(&requests)).unwrap();
+            assert_eq!(read_replies(&mut s, requests.len()), requests, "{driver}");
+        });
+    }
+
     /// Runs `HealthRequest` on the event loop and everything else on the
     /// pool. Echoes every request, logging the name of the thread that ran
     /// it, and holds a `ParamsRequest` for `slow` first.

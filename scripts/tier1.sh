@@ -24,7 +24,7 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo doc --no-deps --workspace (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
 
-echo "==> crypto_bench --smoke (release build: projective and prepared pairings equal the affine reference per level; AES-128-GCM SP 800-38D cases 2-4 + pinned seal; Montgomery cross-width agreement; 64 cofactor-free composes per level open under the PKG's extract_point; per level, 64 Montgomery-ladder k·P match binary double-and-add and 64 safegcd inversions match Fermat)"
+echo "==> crypto_bench --smoke (release build: projective and prepared pairings equal the affine reference per level; AES-128-GCM SP 800-38D cases 2-4 + pinned seal; Montgomery cross-width agreement; 64 cofactor-free composes per level open under the PKG's extract_point; per level, 64 Montgomery-ladder k·P match binary double-and-add, 64 safegcd inversions match Fermat, and 64 fixed-base-table k·P and regular G_T powers match binary double-and-add and square-and-multiply)"
 cargo run --release -p mws-bench --bin crypto_bench -- --smoke
 
 # `cargo test` compiles the examples but never runs them; each one asserts

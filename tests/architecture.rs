@@ -377,11 +377,13 @@ fn every_public_item_has_a_non_test_caller() {
         ("crates/cluster/src/router.rs::hint_board", "cluster suites inspect queued hints"),
         ("crates/cluster/src/router.rs::node_states", "cluster suites read router liveness"),
         ("crates/core/src/device.rs::compose_deposit_batch", "the chaos suite hand-sends a batch"),
+        ("crates/crypto/src/cost.rs::HashCost", "tests/cost_model.rs reads the counts"),
         ("crates/core/src/protocol.rs::disable_device", "§III revocation; no daemon flag yet"),
         ("crates/net/src/bus.rs::unbind", "cluster tests take a node off the bus"),
         ("crates/net/src/transport.rs::FaultyTransport", "the chaos suite's lossy links"),
         ("crates/obs/src/log.rs::RingSink", "tests capture log events in it"),
         ("crates/pairing/src/curve.rs::point_mul_binary", "the ladder's oracle in ladder_matches_binary_on_full_group_points"),
+        ("crates/pairing/src/fp2.rs::fp2_pow_binary", "gt_pow's oracle in fixed_base_matches_binary"),
         ("crates/server/src/chaos.rs::ChaosConfig", "the chaos suite's fault schedule"),
         ("crates/server/src/chaos.rs::ChaosProxy", "the chaos suite's faulty TCP relay"),
         ("crates/server/src/cost.rs::FrameCost", "tests/cost_model.rs reads the counts"),

@@ -1,31 +1,37 @@
 //! The workspace's cost model, counted rather than timed so the figures do
 //! not drift with the host: field products, inversions and square roots
 //! per pairing operation at Toy, Light and Standard (`mws-bigint`'s
-//! [`Cost`]), WAL appends and fsyncs per deposit and per replica push
-//! (`mws-store`'s [`WalCost`]), and envelope frames per client exchange
-//! (`mws-server`'s [`FrameCost`]), all thread-local debug-build counters.
+//! [`Cost`]), SHA-256 compressions per DRBG draw, KDF call and compose
+//! (`mws-crypto`'s [`HashCost`]), WAL appends and fsyncs per deposit and
+//! per replica push (`mws-store`'s [`WalCost`]), and envelope frames per
+//! client exchange (`mws-server`'s [`FrameCost`]), all thread-local
+//! debug-build counters.
 //!
 //! [`PINNED`] is each pairing operation's exact count now that every
-//! variable-base `k·P` is the x-only Montgomery ladder and every inversion
-//! the constant-time safegcd (DESIGN D8). [`PARENT`] is the count at the
-//! commit before them (`2beb55e`: width-4 wNAF and Fermat inversion), and
-//! no pinned figure may exceed it. A change may lower a figure here;
-//! raising one needs a sentence in DESIGN.
+//! variable-base `k·P` is the x-only Montgomery ladder, every inversion
+//! the constant-time safegcd, and the generator's `k·P` a signed-window
+//! fixed-base table (DESIGN D8). [`PARENT`] is the count at the commit
+//! before the table (`ea14019`: the fixed-base comb and the sliding-window
+//! `g^(h·r)`), and no pinned figure may exceed it. A change may lower a
+//! figure here; raising one needs a sentence in DESIGN.
 //!
-//! [`scalar_cost_is_independent_of_the_scalar`] holds the ladder to its
-//! promise: the PKG's extraction, a variable-base multiplication and an
-//! IBS signature cost the same whatever the secret scalar is. The WAL and
-//! frame rows are ceilings at the counts they had when they were added.
+//! [`scalar_cost_is_independent_of_the_scalar`] holds the ladder and the
+//! fixed-base table to their promise: the PKG's extraction, a
+//! variable-base multiplication, an IBS signature, the generator's `k·P`
+//! and the device's `encrypt_attr` cost the same whatever the secret
+//! scalar is. The WAL and frame rows are ceilings at the counts they had
+//! when they were added.
 
 #![cfg(debug_assertions)]
 
 use mws::bigint::cost::Cost;
 use mws::bigint::Rng;
 use mws::core::clock::{LogicalClock, ReplayPolicy};
-use mws::core::protocol::{replica_key, MwsService};
+use mws::core::protocol::{replica_key, Deployment, DeploymentConfig, MwsService};
 use mws::core::registry::DeviceRegistry;
 use mws::core::sda::{deposit_mac, DeviceAuthVerifier};
-use mws::crypto::{Digest, Hmac, HmacDrbg, Sha1, Sha256};
+use mws::crypto::cost::HashCost;
+use mws::crypto::{kdf, Digest, Hmac, HmacDrbg, Sha1, Sha256};
 use mws::ibe::{CipherAlgo, IbeSystem};
 use mws::net::Service;
 use mws::pairing::{FpW, SecurityLevel};
@@ -60,7 +66,7 @@ const PINNED: [(&str, [Counts; 3]); 10] = [
     ("mul", [(733, 1, 0), (1165, 1, 0), (1453, 1, 0)]),
     ("extract_point", [(733, 1, 0), (1165, 1, 0), (1453, 1, 0)]),
     ("in_subgroup", [(723, 0, 0), (1155, 0, 0), (1443, 0, 0)]),
-    ("encrypt_attr", [(1581, 2, 1), (2565, 2, 1), (3927, 2, 1)]),
+    ("encrypt_attr", [(1408, 2, 1), (2195, 2, 1), (3479, 2, 1)]),
     ("decrypt_attr", [(1701, 1, 0), (2687, 1, 0), (3854, 1, 0)]),
     (
         "collect_message",
@@ -68,20 +74,21 @@ const PINNED: [(&str, [Counts; 3]); 10] = [
     ),
 ];
 
-/// The same rows at `2beb55e`, before the ladder and safegcd.
+/// The same rows at `ea14019`, before the fixed-base table. (The counts
+/// at `2beb55e`, before the ladder and safegcd, are in DESIGN D8.)
 const PARENT: [(&str, [Counts; 3]); 10] = [
-    ("pairing", [(1901, 1, 0), (3005, 1, 0), (4493, 1, 0)]),
-    ("pairing_with", [(926, 1, 0), (1454, 1, 0), (2558, 1, 0)]),
-    ("hash_to_point", [(1466, 1, 1), (2271, 1, 1), (5694, 1, 1)]),
-    ("cofactor", [(1252, 1, 0), (1944, 1, 0), (5042, 1, 0)]),
-    ("mul", [(1157, 1, 0), (1892, 1, 0), (2647, 1, 0)]),
-    ("extract_point", [(1141, 1, 0), (1835, 1, 0), (2500, 1, 0)]),
-    ("in_subgroup", [(795, 0, 0), (1227, 0, 0), (1515, 0, 0)]),
-    ("encrypt_attr", [(1991, 2, 1), (3211, 2, 1), (5215, 2, 1)]),
-    ("decrypt_attr", [(1906, 1, 0), (3010, 1, 0), (4498, 1, 0)]),
+    ("pairing", [(1696, 1, 0), (2682, 1, 0), (3849, 1, 0)]),
+    ("pairing_with", [(721, 1, 0), (1131, 1, 0), (1914, 1, 0)]),
+    ("hash_to_point", [(956, 1, 1), (1501, 1, 1), (3842, 1, 1)]),
+    ("cofactor", [(742, 1, 0), (1174, 1, 0), (3190, 1, 0)]),
+    ("mul", [(733, 1, 0), (1165, 1, 0), (1453, 1, 0)]),
+    ("extract_point", [(733, 1, 0), (1165, 1, 0), (1453, 1, 0)]),
+    ("in_subgroup", [(723, 0, 0), (1155, 0, 0), (1443, 0, 0)]),
+    ("encrypt_attr", [(1581, 2, 1), (2565, 2, 1), (3927, 2, 1)]),
+    ("decrypt_attr", [(1701, 1, 0), (2687, 1, 0), (3854, 1, 0)]),
     (
         "collect_message",
-        [(4943, 3, 3), (7772, 3, 3), (13998, 3, 3)],
+        [(3820, 3, 3), (6009, 3, 3), (10455, 3, 3)],
     ),
 ];
 
@@ -183,11 +190,12 @@ fn costs_per_operation() {
     assert!(off.is_empty(), "costs moved:\n{}", off.join("\n"));
 }
 
-/// No pinned figure rises over the parent's, and the read path's saving
-/// is the one DESIGN D8 states: one `collect` message at Light is at most
-/// 6,200 products (the parent's 7,772 less 20 %) with its inversions and
-/// square roots unchanged, and a variable-base multiplication or an
-/// extraction at most 1,200.
+/// No pinned figure rises over the parent's, and the savings are the ones
+/// DESIGN D8 states: one `collect` message at Light is at most 6,200
+/// products (`2beb55e`'s 7,772 less 20 %) with its inversions and square
+/// roots unchanged, a variable-base multiplication or an extraction at most
+/// 1,200, and `encrypt_attr` at most 1,420 / 2,200 / 3,500 products
+/// (Toy / Light / Standard), down from 1,581 / 2,565 / 3,927.
 #[test]
 fn no_row_rises_over_the_parent() {
     for ((name, pinned), (parent_name, parent)) in PINNED.iter().zip(PARENT) {
@@ -206,6 +214,13 @@ fn no_row_rises_over_the_parent() {
         (3, 3)
     );
     assert!(light("mul").0 <= 1200 && light("extract_point").0 <= 1200);
+    let compose = PINNED.iter().find(|(n, _)| *n == "encrypt_attr").unwrap().1;
+    for (got, ceiling) in compose.iter().zip([1420, 2200, 3500]) {
+        assert!(
+            got.0 <= ceiling,
+            "encrypt_attr: {got:?} over {ceiling} products"
+        );
+    }
 }
 
 /// The compose's saving over `e2a8533` is the cofactor multiplication:
@@ -250,11 +265,15 @@ impl Rng for Scripted {
 }
 
 /// A variable-base multiplication, the PKG's extraction (`s` the master
-/// secret) and an IBS signature (`r` its nonce) cost the same products,
-/// inversions and square roots for the scalars 1, 2^7, 2^(bits(q)−1),
-/// `q − 1` and a random one, at every level: the ladder's step count is
-/// fixed by `q`, its swaps are masked, and `k·P = O` or `(k+1)·P = O`
-/// still pays the inversion.
+/// secret), an IBS signature (`r` its nonce), the generator's fixed-base
+/// multiplication and the device's `encrypt_attr` (`r` its scalar, drawn
+/// through `random_scalar`) cost the same products, inversions and square
+/// roots for the scalars 1, 2, 2^7, 2^(bits(q)−1), `q − 1` and a random
+/// one, even and odd, at every level. The ladder's step count is fixed by
+/// `q`, its swaps are masked, and `k·P = O` or `(k+1)·P = O` still pays the
+/// inversion; the fixed-base table and `g^(h·r)` run one masked scan and
+/// one addition or product per regular digit, and the digit count is
+/// fixed by `q`.
 #[test]
 fn scalar_cost_is_independent_of_the_scalar() {
     for level in LEVELS {
@@ -272,12 +291,15 @@ fn scalar_cost_is_independent_of_the_scalar() {
         };
         let scalars = [
             FpW::ONE,
+            FpW::from_u64(2),
             pow2(7),
             pow2(q.bits() - 1),
             q.wrapping_sub(&FpW::ONE),
             ctx.random_scalar(&mut rng),
         ];
-        let costs: Vec<[Counts; 3]> = scalars
+        let (_, mpk) = ibe.setup(&mut rng);
+        mpk.prepared(ctx);
+        let costs: Vec<[Counts; 5]> = scalars
             .iter()
             .map(|k| {
                 let (msk, _) = ibe.setup(&mut Scripted::drawing(k, q));
@@ -287,16 +309,68 @@ fn scalar_cost_is_independent_of_the_scalar() {
                     ibe.ibs_sign(&mut Scripted::drawing(k, q), b"meter-7", &d_id, b"m")
                 })
                 .1;
-                [triple(&mul), triple(&extract), triple(&sign)]
+                let fixed_base = Cost::of(|| ctx.mul_generator(k)).1;
+                let compose = Cost::of(|| {
+                    let r = &mut Scripted::drawing(k, q);
+                    ibe.encrypt_attr(r, &mpk, ATTRIBUTE, NONCE, CipherAlgo::Aes128, b"aad", b"m")
+                })
+                .1;
+                [mul, extract, sign, fixed_base, compose].map(|c| triple(&c))
             })
             .collect();
         for (k, cost) in scalars.iter().zip(&costs) {
             assert_eq!(
                 *cost, costs[0],
-                "{level:?}: [mul, extract_point, ibs_sign] at k = {k:?} != at k = 1"
+                "{level:?}: [mul, extract_point, ibs_sign, mul_generator, encrypt_attr] \
+                 at k = {k:?} != at k = 1"
             );
         }
     }
+}
+
+/// SHA-256 compressions `(operation, ceiling, parent)`: ceilings at the
+/// counts since `Hmac` keeps its keyed states (the DRBG keys each `K`
+/// once, the KDF its salt once per process and its PRK once per call), and
+/// the counts at `ea14019`, when every HMAC re-keyed from the raw key. A
+/// DRBG draw of up to 32 bytes is `V = HMAC_K(V)` plus the state update;
+/// the KDF row derives 64 bytes from a 128-byte `G_T` encoding; the
+/// compose is a Toy meter's whole `compose_deposit` (nonce, `r`, the
+/// MapToPoint candidates' KDF, the hybrid key, the deposit MAC), the most
+/// of eight.
+const COMPRESSIONS: [(&str, u64, u64); 3] = [
+    ("HmacDrbg::generate, 32 B", 8, 12),
+    ("kdf, 64 B", 10, 14),
+    ("compose_deposit", 86, 122),
+];
+
+#[test]
+fn sha256_compressions_per_operation() {
+    let mut drbg = HmacDrbg::from_u64(0x5a);
+    let mut out = [0u8; 32];
+    let generate = HashCost::of(|| drbg.generate(&mut out)).1;
+    kdf(b"warm the salt", "", 1);
+    let derive = HashCost::of(|| kdf(&[7; 128], "mws-attr-hybrid", 64)).1;
+    let mut dep = Deployment::new(DeploymentConfig::test_default());
+    dep.register_device("meter-1");
+    let mut meter = dep.device("meter-1");
+    let compose = (0..8)
+        .map(|_| HashCost::of(|| meter.compose_deposit("A", b"reading")).1)
+        .max_by_key(|c| c.compressions)
+        .unwrap();
+    let measured = [generate, derive, compose].map(|c| c.compressions);
+    let over: Vec<_> = COMPRESSIONS
+        .iter()
+        .zip(measured)
+        .filter(|((_, ceiling, parent), got)| got > ceiling || ceiling >= parent)
+        .map(|((name, ceiling, parent), got)| {
+            format!("{name}: {got} (ceiling {ceiling}, parent {parent})")
+        })
+        .collect();
+    assert!(
+        over.is_empty(),
+        "compressions over their ceilings:\n{}",
+        over.join("\n")
+    );
 }
 
 const DEVICE: &str = "meter-wal";
