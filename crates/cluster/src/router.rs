@@ -1316,8 +1316,9 @@ enum ItemEnd<A> {
 /// hint must round-trip byte-identical — the replayed deposit carries
 /// the device's original MAC, which covers these exact fields.
 fn hint_payload(pdu: &Pdu) -> Vec<u8> {
-    let mut out = vec![pdu.type_byte()];
-    out.extend(pdu.encode_body());
+    let mut out = Vec::with_capacity(1 + pdu.encoded_len());
+    out.push(pdu.type_byte());
+    pdu.encode_body(&mut out);
     out
 }
 

@@ -45,9 +45,12 @@ pub fn compose_rc_auth<R: Rng + ?Sized>(
 ) -> Vec<u8> {
     let mut nonce = [0u8; 16];
     rng.fill_bytes(&mut nonce);
-    let mut w = WireWriter::new();
-    w.string(rc_id).u64(timestamp).bytes(&nonce);
-    seal_blob(rng, hash_password, AUTH_LABEL, &w.finish())
+    let mut plain = Vec::new();
+    WireWriter::new(&mut plain)
+        .string(rc_id)
+        .u64(timestamp)
+        .bytes(&nonce);
+    seal_blob(rng, hash_password, AUTH_LABEL, &plain)
 }
 
 /// The gatekeeper: RC registry + authentication.

@@ -53,9 +53,9 @@ pub fn compose_authenticator<R: mws_crypto::Rng + ?Sized>(
     rc_id: &str,
     timestamp: u64,
 ) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.string(rc_id).u64(timestamp);
-    seal_blob(rng, session_key, AUTHENTICATOR_LABEL, &w.finish())
+    let mut plain = Vec::new();
+    WireWriter::new(&mut plain).string(rc_id).u64(timestamp);
+    seal_blob(rng, session_key, AUTHENTICATOR_LABEL, &plain)
 }
 
 struct PkgSession {
@@ -258,13 +258,11 @@ impl PkgInner {
         let session_id = self.next_session;
         self.next_session += 1;
         // Confirmation proves knowledge of the session key: E(K, T+1).
-        let mut w = WireWriter::new();
-        w.u64(t.wrapping_add(1));
         let confirmation = seal_blob(
             &mut self.rng,
             &content.session_key,
             CONFIRM_LABEL,
-            &w.finish(),
+            &t.wrapping_add(1).to_le_bytes(),
         );
         self.sessions.insert(
             session_id,

@@ -56,7 +56,8 @@ impl TokenGenerator {
 
     /// Seals a ticket for the PKG.
     pub fn build_ticket<R: Rng + ?Sized>(&self, rng: &mut R, content: &TicketContent) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut plain = Vec::new();
+        let mut w = WireWriter::new(&mut plain);
         w.string(&content.rc_id)
             .bytes(&content.session_key)
             .u64(content.issued_at)
@@ -64,7 +65,7 @@ impl TokenGenerator {
         for (aid, attr) in &content.table {
             w.u64(*aid).string(attr);
         }
-        seal_blob(rng, &self.mws_pkg_secret, TICKET_LABEL, &w.finish())
+        seal_blob(rng, &self.mws_pkg_secret, TICKET_LABEL, &plain)
     }
 
     /// PKG-side: opens and parses a ticket. `None` on auth/codec failure.
@@ -101,9 +102,9 @@ impl TokenGenerator {
         ticket: &[u8],
     ) -> Result<Vec<u8>, mws_crypto::RsaError> {
         let wrapped = rc_public.encrypt_pkcs1(rng, session_key)?;
-        let mut w = WireWriter::new();
-        w.bytes(&wrapped).bytes(ticket);
-        Ok(w.finish())
+        let mut token = Vec::new();
+        WireWriter::new(&mut token).bytes(&wrapped).bytes(ticket);
+        Ok(token)
     }
 
     /// RC-side: recovers `(session_key, ticket)` from a token.

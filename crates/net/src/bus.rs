@@ -7,9 +7,7 @@ use crate::metrics::LinkMetrics;
 use crate::transport::{BusTransport, Transport};
 use crate::NetError;
 use mws_obs::sync::lock;
-use mws_wire::{
-    decode_envelope, decode_envelope_traced, encode_envelope, encode_envelope_traced, Pdu,
-};
+use mws_wire::{decode_envelope, decode_envelope_traced, encode_frame, Pdu};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -101,11 +99,9 @@ impl Network {
                             endpoint = target, pdu = request.type_name());
             ep.service.handle(request)
         };
-        // The reply travels back in the same trace scope it arrived in.
-        let reply_frame = match trace {
-            Some(ctx) => encode_envelope_traced(&reply, ctx),
-            None => encode_envelope(&reply),
-        };
+        // A reply carries its request's context.
+        let mut reply_frame = Vec::new();
+        encode_frame(&reply, trace, &mut reply_frame);
         ep.metrics.requests += 1;
         ep.metrics.bytes_in += frame.len() as u64;
         ep.metrics.bytes_out += reply_frame.len() as u64;
@@ -131,14 +127,14 @@ impl Client {
 
     /// Sends a request and waits for the reply.
     ///
-    /// When the calling thread has a trace scope entered, the frame
-    /// carries that trace id with a fresh span id for this hop — this
-    /// is the single choke point where trace context leaves a client.
+    /// A request carries a child of the calling thread's trace scope: the
+    /// scope's trace id with a fresh span id for this hop, and no context
+    /// when no scope is entered. This is the single choke point where
+    /// trace context leaves a client.
     pub fn call(&self, request: &Pdu) -> Result<Pdu, NetError> {
-        let frame = match mws_obs::trace::current() {
-            Some(ctx) => encode_envelope_traced(request, mws_obs::trace::child_of(ctx)),
-            None => encode_envelope(request),
-        };
+        let trace = mws_obs::trace::current().map(mws_obs::trace::child_of);
+        let mut frame = Vec::new();
+        encode_frame(request, trace, &mut frame);
         let reply_frame = self.transport.round_trip(&frame)?;
         let (reply, _) = decode_envelope(&reply_frame)?;
         Ok(reply)

@@ -32,7 +32,7 @@ FLAGS:\n  --addr <host:port>      front door to order (default 127.0.0.1:7103)\n
 \x20 --seed <u64>            deployment master seed, must match the daemons (default 42)\n\
 \x20 --device <sd_id>        provisioned device, repeatable, same order as the daemons\n\
 \x20 --client <rc:pw[:a,b]>  provisioned client, repeatable, same order as the daemons\n\
-\x20 --transport <mode>      'plain' (default) or 'secure' (IBS handshake + AES-GCM; env MWS_TRANSPORT=secure also selects it)\n\
+\x20 --transport <mode>      'plain' (default) or 'secure' (IBS handshake + AES-GCM)\n\
 \x20 --wait <secs>           after join/drain, poll status until the transfer finishes";
 
 struct Ctl {
@@ -57,7 +57,7 @@ fn parse(mut args: std::env::Args) -> Result<(String, Option<String>, Ctl), Stri
         seed: 42,
         devices: Vec::new(),
         clients: Vec::new(),
-        transport: TransportMode::from_env(),
+        transport: TransportMode::Plain,
         wait: None,
     };
     let mut node = None;

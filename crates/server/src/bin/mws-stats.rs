@@ -3,9 +3,9 @@
 //!
 //! USAGE: `mws-stats [--shards] [--cluster] [--transport secure]
 //! [--seed <u64>] [addr ...]` — defaults to the three fixed ports (7101
-//! MMS, 7102 PKG, 7103 Gatekeeper). With `--transport secure` (or
-//! `MWS_TRANSPORT=secure`) every scrape authenticates as `mws/ops` over
-//! an encrypted session (DESIGN.md §12). Unreachable
+//! MMS, 7102 PKG, 7103 Gatekeeper). With `--transport secure` every
+//! scrape authenticates as `mws/ops` over an encrypted session
+//! (DESIGN.md §12). Unreachable
 //! daemons are reported and skipped; the exit code is the number of scrape
 //! failures. With `--shards`, a warehouse section is followed by a
 //! per-shard summary table built from the `mws_store_shard_*` series
@@ -172,7 +172,7 @@ fn main() {
              USAGE: mws-stats [--shards] [--cluster] [--transport <mode>] [--seed <u64>] [addr ...]   (default: the three fixed ports)\n\n\
              FLAGS:\n  --shards            append a per-shard warehouse summary table per section\n\
              \x20 --cluster           append a per-node cluster membership table per section\n\
-             \x20 --transport <mode>  'plain' (default) or 'secure' (IBS handshake + AES-GCM; env MWS_TRANSPORT=secure also selects it)\n\
+             \x20 --transport <mode>  'plain' (default) or 'secure' (IBS handshake + AES-GCM)\n\
              \x20 --seed <u64>        deployment master seed for the secure credential, must match the daemons (default 42)"
         );
         return;
@@ -180,7 +180,7 @@ fn main() {
     let shards = targets.iter().any(|a| a == "--shards");
     let cluster = targets.iter().any(|a| a == "--cluster");
     targets.retain(|a| a != "--shards" && a != "--cluster");
-    let mut transport = TransportMode::from_env();
+    let mut transport = TransportMode::Plain;
     let mut seed: u64 = 42;
     let mut i = 0;
     while i < targets.len() {

@@ -14,6 +14,7 @@
 
 use crate::blocking::is_timeout;
 use mws_crypto::HmacDrbg;
+use mws_wire::read_header;
 use mws_wire::secure::{RECORD_HEADER, WIRE_VERSION_SECURE};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -175,24 +176,21 @@ impl Drop for ChaosProxy {
 
 /// Pulls the next complete unit out of a reassembly buffer: an envelope
 /// frame, or a secure record. Garbage is the upstream's problem — only the
-/// declared length is trusted, and only for splitting; bytes that start
-/// with an unknown version byte are relayed as they are, for the real
-/// endpoint to reject.
+/// declared length is trusted, and only for splitting; bytes whose header
+/// fails the envelope checks (an unknown version byte, a body over the
+/// bound) are relayed as they are, for the real endpoint to reject.
 fn extract_frame(buf: &mut Vec<u8>) -> Option<Vec<u8>> {
-    // v2 envelopes carry trace words after the `version ‖ type ‖ len`
-    // prefix that v1 envelopes and secure records share.
-    let header = match *buf.first()? {
-        WIRE_VERSION_SECURE => RECORD_HEADER,
-        version => match mws_wire::header_len(version) {
-            Ok(header) => header,
+    let total = if buf.first() == Some(&WIRE_VERSION_SECURE) {
+        let [_, _, l0, l1, l2, l3, ..] = buf[..] else {
+            return None;
+        };
+        RECORD_HEADER.checked_add(u32::from_le_bytes([l0, l1, l2, l3]) as usize)?
+    } else {
+        match read_header(buf) {
+            Ok(header) => header?.frame_len,
             Err(_) => return Some(std::mem::take(buf)),
-        },
+        }
     };
-    if buf.len() < header {
-        return None;
-    }
-    let len = u32::from_le_bytes(buf[2..6].try_into().expect("4 bytes")) as usize;
-    let total = header.checked_add(len)?;
     if buf.len() < total {
         return None;
     }
@@ -366,8 +364,10 @@ mod tests {
             trace_id: 1,
             span_id: 2,
         };
+        let mut traced = Vec::new();
+        mws_wire::encode_frame(&Pdu::ParamsRequest, Some(ctx), &mut traced);
         let units = [
-            mws_wire::encode_envelope_traced(&Pdu::ParamsRequest, ctx),
+            traced,
             // A secure DATA record (type 4): `0x03 ‖ rtype ‖ len(4 LE) ‖ payload`.
             [
                 &[WIRE_VERSION_SECURE, 4],

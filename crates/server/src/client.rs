@@ -153,7 +153,8 @@ impl ConnState {
     /// completes — one read, unless the reply outgrows it or arrives split.
     fn exchange(&mut self, frame: &[u8], io_timeout: Duration) -> Result<Vec<u8>, NetError> {
         self.set_io_timeout(io_timeout)?;
-        self.link.send(frame.to_vec(), &mut self.out)?;
+        self.link
+            .send(&mut self.out, |out| out.extend_from_slice(frame))?;
         self.flush()?;
         loop {
             match self.link.next_frame()? {
@@ -476,7 +477,8 @@ mod tests {
                     let mut tail: &[u8] = &[];
                     while let Some(Inbound::Frame(frame)) = link.next_frame().unwrap() {
                         let frame = frame.into_owned();
-                        link.send(frame, &mut out).unwrap();
+                        link.send(&mut out, |out| out.extend_from_slice(&frame))
+                            .unwrap();
                         tail = stray;
                     }
                     if let Some((&last, head)) = out.split_last() {
@@ -614,7 +616,8 @@ mod tests {
                     Some(Inbound::Frame(frame)) => frame.into_owned(),
                     _ => continue,
                 };
-                link.send(frame, &mut out).unwrap();
+                link.send(&mut out, |out| out.extend_from_slice(&frame))
+                    .unwrap();
             }
             s.write_all(&out).unwrap();
             std::thread::sleep(Duration::from_millis(1500));

@@ -30,12 +30,12 @@ use crate::server::ServerConfig;
 use crate::stats::stats;
 use mws_obs::trace::TraceContext;
 use mws_wire::secure::SecureError;
-use mws_wire::{decode_envelope_traced, encode_envelope, Pdu};
+use mws_wire::{decode_envelope_traced, encode_frame, Pdu};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// A decoded request plus the trace context from its envelope.
-pub(crate) type Request = (Pdu, Option<TraceContext>);
+/// A request, or a reply, with the trace context its envelope carries.
+pub(crate) type Traced = (Pdu, Option<TraceContext>);
 
 /// One connection's state machine.
 pub(crate) struct Conn {
@@ -45,10 +45,11 @@ pub(crate) struct Conn {
     /// How long a secure handshake may run; `None` on plaintext.
     handshake_timeout: Option<Duration>,
     /// Decoded requests not yet handed out, in arrival order.
-    pending: VecDeque<Request>,
+    pending: VecDeque<Traced>,
     /// A request is out; its [`Conn::complete`] lets the next one go.
     busy: bool,
-    /// Bytes for the driver to write, in order.
+    /// Bytes for the driver to write, in order. Replies are encoded (and
+    /// sealed) straight into it, and its capacity lasts across requests.
     out: Vec<u8>,
     depth: usize,
     idle_timeout: Option<Duration>,
@@ -112,10 +113,11 @@ impl Conn {
                     // in its own protocol so the operator sees the
                     // misconfiguration.
                     stats().secure_downgrades.inc();
-                    self.out = encode_envelope(&Pdu::Error {
+                    let refusal = Pdu::Error {
                         code: 426,
                         detail: "secure transport required (--transport secure)".into(),
-                    });
+                    };
+                    encode_frame(&refusal, None, &mut self.out);
                 }
                 mws_obs::warn!(target: "mws_server", "secure handshake failed",
                     error = e.to_string(),);
@@ -133,7 +135,7 @@ impl Conn {
     }
 
     /// The next request to run, unless one is already out.
-    pub(crate) fn next_job(&mut self) -> Option<Request> {
+    pub(crate) fn next_job(&mut self) -> Option<Traced> {
         if self.busy || self.closing {
             return None;
         }
@@ -145,10 +147,11 @@ impl Conn {
         Some(request)
     }
 
-    /// The encoded reply to the request [`Conn::next_job`] handed out.
-    pub(crate) fn complete(&mut self, frame: Vec<u8>) {
+    /// The reply to the request [`Conn::next_job`] handed out, with the
+    /// context its frame carries.
+    pub(crate) fn complete(&mut self, (reply, trace): Traced) {
         self.busy = false;
-        self.push_reply(frame);
+        self.push_reply(&reply, trace);
         self.advance();
     }
 
@@ -235,14 +238,14 @@ impl Conn {
             stats().wire_errors.inc();
             mws_obs::warn!(target: "mws_server", "stream desynchronized, dropping connection",
                 error = detail.clone(),);
-            self.push_reply(encode_envelope(&Pdu::Error { code: 400, detail }));
+            self.push_reply(&Pdu::Error { code: 400, detail }, None);
             self.closing = true;
         }
     }
 
     /// The next complete request, if one is buffered. `Err` is a desync:
     /// the stream (or record sequence) can no longer be trusted.
-    fn decode(&mut self) -> Result<Option<Request>, String> {
+    fn decode(&mut self) -> Result<Option<Traced>, String> {
         match self.link.next_frame().map_err(|e| e.to_string())? {
             None => Ok(None),
             // A plaintext frame decodes where it lies in the read buffer;
@@ -260,12 +263,14 @@ impl Conn {
         }
     }
 
-    /// Queues one reply frame, sealed on a secure connection. A seal
-    /// failure is unrecoverable for the session: drop the reply and close.
-    fn push_reply(&mut self, frame: Vec<u8>) {
-        if self.link.send(frame, &mut self.out).is_err() {
-            self.closing = true;
-        }
+    /// Encodes one reply frame onto the output, sealed on a secure
+    /// connection. A seal failure is unrecoverable for the session: drop
+    /// the reply and close.
+    fn push_reply(&mut self, reply: &Pdu, trace: Option<TraceContext>) {
+        let sent = self
+            .link
+            .send(&mut self.out, |out| encode_frame(reply, trace, out));
+        self.closing |= sent.is_err();
     }
 }
 
@@ -273,8 +278,8 @@ impl Conn {
 mod tests {
     use super::*;
     use crate::secure::SecureSettings;
-    use mws_wire::decode_envelope;
     use mws_wire::secure::{Opened, PskAuth, SessionConfig};
+    use mws_wire::{decode_envelope, encode_envelope};
     use std::sync::Arc;
 
     const PSK: &[u8] = b"conn-test-psk";
@@ -327,7 +332,7 @@ mod tests {
     fn serve_all(conn: &mut Conn) -> Vec<Pdu> {
         let mut served = Vec::new();
         while let Some((pdu, _)) = conn.next_job() {
-            conn.complete(encode_envelope(&pdu));
+            conn.complete((pdu.clone(), None));
             served.push(pdu);
         }
         served
@@ -387,7 +392,7 @@ mod tests {
         assert!(!conn.wants_read());
         let (first, _) = conn.next_job().unwrap();
         assert!(conn.next_job().is_none(), "one request out at a time");
-        conn.complete(encode_envelope(&first));
+        conn.complete((first.clone(), None));
         assert_eq!(conn.in_pipeline(), 2, "decode refilled from the buffer");
         assert!(!conn.wants_read());
         let mut served = vec![first];
@@ -430,7 +435,9 @@ mod tests {
     fn finish_and_first_request_in_one_read() {
         let mut conn = secure(Duration::from_secs(5));
         let (mut chunk, mut client) = client_until_finish(&mut conn);
-        client.send(encode_envelope(&req(1)), &mut chunk).unwrap();
+        client
+            .send(&mut chunk, |out| encode_frame(&req(1), None, out))
+            .unwrap();
         conn.feed(&chunk);
         assert_eq!(serve_all(&mut conn), vec![req(1)]);
         let out = drain(&mut conn);
@@ -445,14 +452,16 @@ mod tests {
         let (mut conn, mut client) = open_session();
         let mut wire = Vec::new();
         for id in 0..3 {
-            client.send(encode_envelope(&req(id)), &mut wire).unwrap();
+            client
+                .send(&mut wire, |out| encode_frame(&req(id), None, out))
+                .unwrap();
         }
         wire.extend(client.close_record().unwrap());
         conn.feed(&wire);
         let (first, _) = conn.next_job().unwrap();
         assert!(!conn.wants_read(), "nothing counts after CLOSE");
         assert!(!conn.should_close(), "requests still owed");
-        conn.complete(encode_envelope(&first));
+        conn.complete((first, None));
         assert_eq!(serve_all(&mut conn), vec![req(1), req(2)]);
         assert!(!conn.should_close(), "replies not written yet");
         let mut out = drain(&mut conn);
@@ -472,12 +481,14 @@ mod tests {
     fn seal_failure_drops_the_reply_and_closes() {
         let (mut conn, mut client) = open_session();
         let mut wire = Vec::new();
-        client.send(encode_envelope(&req(1)), &mut wire).unwrap();
+        client
+            .send(&mut wire, |out| encode_frame(&req(1), None, out))
+            .unwrap();
         conn.feed(&wire);
         let (pdu, _) = conn.next_job().unwrap();
         // The send half is shut, so the reply cannot seal.
         conn.close_record().unwrap();
-        conn.complete(encode_envelope(&pdu));
+        conn.complete((pdu, None));
         assert!(conn.output().is_empty(), "nothing leaks unsealed");
         assert!(conn.should_close());
     }
@@ -503,7 +514,7 @@ mod tests {
         let (pdu, _) = conn.next_job().unwrap();
         conn.on_tick(later());
         assert!(!conn.should_close(), "a request is out");
-        conn.complete(encode_envelope(&pdu));
+        conn.complete((pdu, None));
         conn.on_tick(later());
         assert!(!conn.should_close(), "a reply is unwritten");
         drain(&mut conn);
@@ -556,7 +567,7 @@ mod tests {
                 // The worker answers every `lag` steps.
                 if step % lag == 0 {
                     if let Some(pdu) = out_for.take() {
-                        conn.complete(encode_envelope(&pdu));
+                        conn.complete((pdu, None));
                     }
                 }
                 replies.extend(frames(&drain(&mut conn)));

@@ -158,7 +158,7 @@ impl DaemonOpts {
             event_loops: 1,
             max_connections: None,
             idle_timeout_ms: None,
-            transport: TransportMode::from_env(),
+            transport: TransportMode::Plain,
             shards: 1,
             devices: Vec::new(),
             clients: Vec::new(),
@@ -207,7 +207,7 @@ pub fn usage(role: Role) -> String {
          \x20 --event-loops <n>       event-loop threads, Linux (default 1)\n\
          \x20 --max-connections <n>   open-connection ceiling; extra peers get an explicit 503 close (default: unlimited)\n\
          \x20 --idle-timeout-ms <n>   reap connections idle this long (default: never)\n\
-         \x20 --transport <mode>      wire protocol: 'plain' (default) or 'secure' (IBS handshake + AES-GCM records; env MWS_TRANSPORT=secure also selects it)\n\
+         \x20 --transport <mode>      wire protocol: 'plain' (default) or 'secure' (IBS handshake + AES-GCM records)\n\
          \x20 --shards <n>            message-warehouse shards (default 1)\n\
          \x20 --device <sd_id>        provision a smart device (repeatable, order matters)\n\
          \x20 --client <id:pw[:a,b]>  provision an RC with attribute grants (repeatable, order matters){extra}\n\

@@ -29,14 +29,14 @@
 //! same epoll set, so there is no polling hot loop. A periodic sweep runs
 //! every connection's deadlines ([`Conn::on_tick`]).
 
-use crate::conn::{Conn, Request};
+use crate::conn::{Conn, Traced};
 use crate::queue;
 use crate::server::{admit, handle, over_capacity_close, release, Running, ServerConfig};
 use crate::sys::{
     Epoll, EpollEvent, EPOLLERR, EPOLLEXCLUSIVE, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use mws_net::Service;
-use mws_wire::{encode_envelope, Pdu};
+use mws_wire::Pdu;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -63,13 +63,13 @@ const EVENTS_PER_TICK: usize = 1024;
 struct Job {
     loop_id: usize,
     token: u64,
-    request: Request,
+    request: Traced,
 }
 
-/// A handled request on its way back: the encoded reply frame.
+/// A handled request on its way back, to be encoded into its connection.
 struct Completion {
     token: u64,
-    frame: Vec<u8>,
+    reply: Traced,
 }
 
 /// The cross-thread face of one event loop: where workers post
@@ -247,10 +247,11 @@ impl<S: Service> EventLoop<S> {
             }
             // Every worker is gone: answer rather than leave the
             // connection waiting for a completion that cannot come.
-            s.conn.complete(encode_envelope(&Pdu::Error {
+            let unavailable = Pdu::Error {
                 code: 503,
                 detail: "worker pool unavailable".into(),
-            }));
+            };
+            s.conn.complete((unavailable, None));
         }
         if !flush(s) || s.conn.should_close() {
             self.close(token);
@@ -274,7 +275,7 @@ impl<S: Service> EventLoop<S> {
             // tokens are never reused, so a late reply cannot land on a
             // different client's socket.
             if let Some(s) = self.conns.get_mut(&c.token) {
-                s.conn.complete(c.frame);
+                s.conn.complete(c.reply);
                 self.service(c.token);
             }
         }
@@ -329,17 +330,17 @@ fn flush(s: &mut Socket) -> bool {
     true
 }
 
-/// Worker side: decoded request in, encoded reply frame out, back to the
-/// loop that owns the connection.
+/// Worker side: decoded request in, reply out, back to the loop that owns
+/// the connection.
 fn worker_loop<S: Service>(jobs: &queue::Receiver<Job>, handles: &[LoopHandle], service: &mut S) {
     while let Some(job) = jobs.recv() {
         let (pdu, trace) = job.request;
-        let frame = handle(service, pdu, trace);
+        let reply = handle(service, pdu, trace);
         let h = &handles[job.loop_id];
         if h.completions
             .send(Completion {
                 token: job.token,
-                frame,
+                reply,
             })
             .is_ok()
         {

@@ -170,20 +170,19 @@ impl Link {
         }
     }
 
-    /// Queues one outgoing envelope frame on `out`, sealed once keys are
-    /// up; it moves into an empty `out` without a copy. Nothing but
-    /// handshake records goes out before keys.
-    pub(crate) fn send(&mut self, frame: Vec<u8>, out: &mut Vec<u8>) -> Result<(), LinkError> {
-        let bytes = match self {
-            Link::Plain(_) => frame,
-            Link::Sealed { send, .. } => send.seal_frame(&frame).map_err(LinkError::Secure)?,
+    /// Queues one outgoing envelope frame at the end of `out`: `write`
+    /// appends it there, and once keys are up it is sealed where it lies.
+    /// Nothing but handshake records goes out before keys.
+    pub(crate) fn send(
+        &mut self,
+        out: &mut Vec<u8>,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), LinkError> {
+        match self {
+            Link::Plain(_) => write(out),
+            Link::Sealed { send, .. } => send.seal_into(out, write).map_err(LinkError::Secure)?,
             // Closing beats leaking plaintext.
             Link::Handshaking(_) => return Err(LinkError::Secure(SecureError::Closed)),
-        };
-        if out.is_empty() {
-            *out = bytes;
-        } else {
-            out.extend_from_slice(&bytes);
         }
         #[cfg(debug_assertions)]
         crate::cost::tally(|n| n.written += 1);

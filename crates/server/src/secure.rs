@@ -53,15 +53,6 @@ impl TransportMode {
         }
     }
 
-    /// Reads `MWS_TRANSPORT` (the test-harness override); anything but
-    /// `secure` means plain.
-    pub fn from_env() -> Self {
-        match std::env::var("MWS_TRANSPORT") {
-            Ok(v) if v == "secure" => Self::Secure,
-            _ => Self::Plain,
-        }
-    }
-
     /// True when secure records are required.
     pub fn is_secure(self) -> bool {
         matches!(self, Self::Secure)
@@ -179,10 +170,11 @@ impl ChannelAuth for IbsAuth {
             )
         };
         let f = self.ibe.pairing().field();
-        let mut w = WireWriter::new();
-        w.bytes(&f.point_to_bytes(&sig.u))
+        let mut bytes = Vec::new();
+        WireWriter::new(&mut bytes)
+            .bytes(&f.point_to_bytes(&sig.u))
             .bytes(&f.point_to_bytes(&sig.v));
-        w.finish()
+        bytes
     }
 
     fn verify(

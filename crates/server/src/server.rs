@@ -18,11 +18,12 @@
 //! close instead of unbounded queueing. Shutdown sets a shared flag, wakes
 //! every driver thread to observe it, and joins them all.
 
+use crate::conn::Traced;
 use crate::secure::SecureSettings;
 use crate::stats::{handle_us, stats};
 use mws_net::Service;
 use mws_obs::trace::TraceContext;
-use mws_wire::{encode_envelope, encode_envelope_auto, Pdu};
+use mws_wire::{encode_envelope, Pdu};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -230,20 +231,16 @@ pub(crate) fn over_capacity_close(stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Runs one request through `service` and encodes the reply. The request's
-/// trace scope wraps both, so handler events and the reply envelope itself
-/// carry the caller's trace id.
-pub(crate) fn handle<S: Service>(
-    service: &mut S,
-    pdu: Pdu,
-    trace: Option<TraceContext>,
-) -> Vec<u8> {
+/// Runs one request through `service` inside the request's trace scope,
+/// so handler events carry the caller's trace id. The reply carries its
+/// request's context back.
+pub(crate) fn handle<S: Service>(service: &mut S, pdu: Pdu, trace: Option<TraceContext>) -> Traced {
     let _span = trace.map(mws_obs::trace::enter);
     let name = pdu.type_name();
     let started = Instant::now();
     let reply = service.handle(pdu);
     handle_us(name).record_duration(started.elapsed());
-    encode_envelope_auto(&reply)
+    (reply, trace)
 }
 
 #[cfg(test)]
@@ -314,15 +311,16 @@ mod tests {
                 span_id: 0x5eed_5eed_5eed_5eed,
             };
             let req = Pdu::DepositAck { message_id: 7 };
-            s.write_all(&mws_wire::encode_envelope_traced(&req, ctx))
-                .unwrap();
+            let mut frame = Vec::new();
+            mws_wire::encode_frame(&req, Some(ctx), &mut frame);
+            s.write_all(&frame).unwrap();
             let frame = read_frame(&mut s, &mut StreamDecoder::new()).unwrap();
             let (reply, _, trace) = mws_wire::decode_envelope_traced(&frame).unwrap();
             assert_eq!(reply, req);
             assert_eq!(
-                trace.map(|t| t.trace_id),
-                Some(ctx.trace_id),
-                "{driver}: the reply frame must carry the request's trace id"
+                trace,
+                Some(ctx),
+                "{driver}: the reply frame must carry the request's context"
             );
         });
     }

@@ -103,8 +103,9 @@ fn origin_key(sd_id: &str, nonce: &[u8]) -> Vec<u8> {
 fn encode(id: MessageId, row: &PendingDeposit) -> Vec<u8> {
     // Two u64s, the algo byte and five u32 length prefixes, then the fields.
     let fields = row.attribute.len() + row.nonce.len() + row.u.len() + row.sealed.len();
-    let mut w = WireWriter::with_capacity(8 + 8 + 1 + 5 * 4 + fields + row.sd_id.len());
-    w.u64(id)
+    let mut bytes = Vec::with_capacity(8 + 8 + 1 + 5 * 4 + fields + row.sd_id.len());
+    WireWriter::new(&mut bytes)
+        .u64(id)
         .string(&row.attribute)
         .bytes(&row.nonce)
         .bytes(&row.u)
@@ -112,7 +113,7 @@ fn encode(id: MessageId, row: &PendingDeposit) -> Vec<u8> {
         .bytes(&row.sealed)
         .string(&row.sd_id)
         .u64(row.timestamp);
-    w.finish()
+    bytes
 }
 
 fn decode(row: &[u8]) -> Result<StoredMessage> {

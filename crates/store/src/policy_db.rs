@@ -45,11 +45,12 @@ fn key_of(aid: AttributeId) -> Vec<u8> {
 }
 
 fn encode(row: &PolicyRow) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(row.attribute_id)
+    let mut bytes = Vec::new();
+    WireWriter::new(&mut bytes)
+        .u64(row.attribute_id)
         .string(&row.identity)
         .string(&row.attribute);
-    w.finish()
+    bytes
 }
 
 fn decode(bytes: &[u8]) -> Result<PolicyRow> {

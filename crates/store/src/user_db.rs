@@ -91,11 +91,12 @@ impl UserDb {
 }
 
 fn encode(rec: &UserRecord) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.string(&rec.identity)
+    let mut bytes = Vec::new();
+    WireWriter::new(&mut bytes)
+        .string(&rec.identity)
         .bytes(&rec.hash_password)
         .bytes(&rec.public_key);
-    w.finish()
+    bytes
 }
 
 fn decode(row: &[u8]) -> Result<UserRecord> {

@@ -4,24 +4,17 @@
 
 use crate::WireError;
 
-/// Field writer.
-#[derive(Debug, Default)]
-pub struct WireWriter {
-    buf: Vec<u8>,
+/// Field writer: appends to a buffer its caller owns, so an encoding
+/// lands where it will be used, with no buffer of its own to copy from.
+#[derive(Debug)]
+pub struct WireWriter<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl WireWriter {
-    /// New empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// New writer with room for `bytes` of output, so a body whose size
-    /// is known up front is encoded in one allocation.
-    pub fn with_capacity(bytes: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(bytes),
-        }
+impl<'a> WireWriter<'a> {
+    /// A writer appending to `buf`.
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        Self { buf }
     }
 
     /// Length-prefixed bytes.
@@ -59,11 +52,6 @@ impl WireWriter {
         self.buf.push(v);
         self
     }
-
-    /// Finishes and returns the encoded body.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
 }
 
 /// Field reader: a cursor over an encoded body.
@@ -78,25 +66,22 @@ impl<'a> WireReader<'a> {
         Self { rest: data }
     }
 
-    /// Takes the next `n` bytes; a declared length is checked against what
-    /// is actually there before anything is allocated for it.
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.rest.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, rest) = self.rest.split_at(n);
-        self.rest = rest;
-        Ok(head)
-    }
-
     fn fixed<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+        let (head, rest) = self.rest.split_first_chunk().ok_or(WireError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
-    /// Length-prefixed bytes.
+    /// Length-prefixed bytes. The declared length is checked against what
+    /// is actually there before anything is allocated for it.
     pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        let (head, rest) = self
+            .rest
+            .split_at_checked(len)
+            .ok_or(WireError::Truncated)?;
+        self.rest = rest;
+        Ok(head.to_vec())
     }
 
     /// Length-prefixed UTF-8 string.
@@ -139,8 +124,13 @@ impl<'a> WireReader<'a> {
 pub(crate) trait Field: Sized {
     /// The fewest bytes an encoding takes.
     const MIN: usize;
+    /// The bytes [`Field::put`] appends; a fixed-width type's are its
+    /// [`Field::MIN`].
+    fn encoded_len(&self) -> usize {
+        Self::MIN
+    }
     /// Appends the encoding.
-    fn put(&self, w: &mut WireWriter);
+    fn put(&self, w: &mut WireWriter<'_>);
     /// Reads one encoding.
     fn get(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 }
@@ -152,7 +142,7 @@ macro_rules! fixed_width {
     ($($int:ident),*) => {$(
         impl Field for $int {
             const MIN: usize = core::mem::size_of::<$int>();
-            fn put(&self, w: &mut WireWriter) {
+            fn put(&self, w: &mut WireWriter<'_>) {
                 w.$int(*self);
             }
             fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -167,7 +157,7 @@ fixed_width!(u8, u16, u32, u64);
 /// One byte, nonzero for `true`.
 impl Field for bool {
     const MIN: usize = 1;
-    fn put(&self, w: &mut WireWriter) {
+    fn put(&self, w: &mut WireWriter<'_>) {
         w.u8(u8::from(*self));
     }
     fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -177,7 +167,10 @@ impl Field for bool {
 
 impl Field for Vec<u8> {
     const MIN: usize = 4;
-    fn put(&self, w: &mut WireWriter) {
+    fn encoded_len(&self) -> usize {
+        Self::MIN + self.len()
+    }
+    fn put(&self, w: &mut WireWriter<'_>) {
         w.bytes(self);
     }
     fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -187,7 +180,10 @@ impl Field for Vec<u8> {
 
 impl Field for String {
     const MIN: usize = 4;
-    fn put(&self, w: &mut WireWriter) {
+    fn encoded_len(&self) -> usize {
+        Self::MIN + self.len()
+    }
+    fn put(&self, w: &mut WireWriter<'_>) {
         w.string(self);
     }
     fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -198,7 +194,10 @@ impl Field for String {
 /// A `u32` count, then each record.
 impl<T: Record> Field for Vec<T> {
     const MIN: usize = 4;
-    fn put(&self, w: &mut WireWriter) {
+    fn encoded_len(&self) -> usize {
+        Self::MIN + self.iter().map(T::encoded_len).sum::<usize>()
+    }
+    fn put(&self, w: &mut WireWriter<'_>) {
         write_list(w, self);
     }
 
@@ -221,7 +220,7 @@ impl<T: Record> Field for Vec<T> {
 
 /// Appends `list` as a `Vec<T>` field encodes: its `u32` count, then each
 /// record. Takes a slice, so a MAC input over borrowed rows copies nothing.
-pub(crate) fn write_list<T: Record>(w: &mut WireWriter, list: &[T]) {
+pub(crate) fn write_list<T: Record>(w: &mut WireWriter<'_>, list: &[T]) {
     w.u32(list.len() as u32);
     for item in list {
         item.put(w);
@@ -234,9 +233,14 @@ mod tests {
 
     #[test]
     fn roundtrip_all_field_kinds() {
-        let mut w = WireWriter::new();
-        w.string("id").bytes(&[1, 2]).u64(9).u32(8).u16(7).u8(6);
-        let body = w.finish();
+        let mut body = Vec::new();
+        WireWriter::new(&mut body)
+            .string("id")
+            .bytes(&[1, 2])
+            .u64(9)
+            .u32(8)
+            .u16(7)
+            .u8(6);
         let mut r = WireReader::new(&body);
         assert_eq!(r.string().unwrap(), "id");
         assert_eq!(r.bytes().unwrap(), vec![1, 2]);
@@ -249,9 +253,11 @@ mod tests {
 
     #[test]
     fn every_truncation_point_errors() {
-        let mut w = WireWriter::new();
-        w.string("hello").u64(1).bytes(&[9; 10]);
-        let body = w.finish();
+        let mut body = Vec::new();
+        WireWriter::new(&mut body)
+            .string("hello")
+            .u64(1)
+            .bytes(&[9; 10]);
         for cut in 0..body.len() {
             let mut r = WireReader::new(&body[..cut]);
             let result = r.string().and_then(|_| r.u64()).and_then(|_| r.bytes());
@@ -269,9 +275,8 @@ mod tests {
 
     #[test]
     fn invalid_utf8_rejected() {
-        let mut w = WireWriter::new();
-        w.bytes(&[0xff, 0xfe]);
-        let body = w.finish();
+        let mut body = Vec::new();
+        WireWriter::new(&mut body).bytes(&[0xff, 0xfe]);
         assert_eq!(
             WireReader::new(&body).string().unwrap_err(),
             WireError::BadField("utf-8")
@@ -280,10 +285,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut w = WireWriter::new();
-        w.u8(1);
-        let mut body = w.finish();
-        body.push(0);
+        let body = [1, 0];
         let mut r = WireReader::new(&body);
         r.u8().unwrap();
         assert!(r.finish().is_err());

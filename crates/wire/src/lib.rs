@@ -17,7 +17,8 @@
 //!
 //! * [`codec`] — primitive readers/writers (length-prefixed fields).
 //! * [`pdu`] — typed protocol data units with symmetric encode/decode.
-//! * [`envelope`] — the outer frame: `version ‖ type ‖ len ‖ body`.
+//! * [`envelope`] — the outer frame, `version ‖ type ‖ len ‖ body`: its
+//!   one writer and its one header reader.
 //! * [`stream`] — incremental decoding of envelopes arriving in arbitrary
 //!   split chunks (TCP transports).
 //! * [`secure`] — authenticated, encrypted sessions wrapping envelope
@@ -35,8 +36,7 @@ pub mod stream;
 
 pub use codec::{WireReader, WireWriter};
 pub use envelope::{
-    decode_envelope, decode_envelope_traced, encode_envelope, encode_envelope_auto,
-    encode_envelope_traced, header_len,
+    decode_envelope, decode_envelope_traced, encode_envelope, encode_frame, read_header, Header,
 };
 pub use hash::fnv1a64;
 pub use pdu::{
@@ -55,8 +55,8 @@ pub const WIRE_VERSION: u8 = 1;
 
 /// Envelope version whose header additionally carries a trace context
 /// (`trace_id ‖ span_id`, 8 bytes each, LE) between type/len and body.
-/// Both versions decode everywhere; clients emit v2 only when a trace
-/// scope is active, so untraced traffic stays bit-identical to v1.
+/// Both versions decode everywhere; a frame is v2 only when its writer
+/// passes a context, so untraced traffic stays bit-identical to v1.
 pub const WIRE_VERSION_TRACED: u8 = 2;
 
 /// Maximum envelope body (4 MiB) — bounds allocation on decode.

@@ -3,7 +3,8 @@
 //! Each PDU is declared once, in the table that [`Pdu`] is generated
 //! from: its variant, type byte, metric name and fields in wire order.
 //! `pdus!` turns the table into the enum, [`Pdu::type_byte`],
-//! [`Pdu::type_name`], [`Pdu::encode_body`] and [`Pdu::decode_body`];
+//! [`Pdu::type_name`], [`Pdu::encoded_len`], [`Pdu::encode_body`] and
+//! [`Pdu::decode_body`];
 //! `records!` does the same for the records the PDUs carry in lists. A
 //! field encodes by its type (`codec::Field`): integers little-endian, `bool`
 //! as one byte, `String` and `Vec<u8>` `u32`-length-prefixed, and a list
@@ -29,7 +30,10 @@ macro_rules! records {
 
         impl Field for $record {
             const MIN: usize = 0 $(+ <$ty as Field>::MIN)*;
-            fn put(&self, w: &mut WireWriter) {
+            fn encoded_len(&self) -> usize {
+                0 $(+ self.$field.encoded_len())*
+            }
+            fn put(&self, w: &mut WireWriter<'_>) {
                 $(self.$field.put(w);)*
             }
             fn get(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -87,15 +91,21 @@ macro_rules! pdus {
                 }
             }
 
-            /// Encodes the body (without the envelope).
-            pub fn encode_body(&self) -> Vec<u8> {
-                let mut w = WireWriter::new();
+            /// The bytes [`Pdu::encode_body`] appends: the body's length.
+            pub fn encoded_len(&self) -> usize {
+                match self {
+                    $($pdu::$variant { $($($field,)*)? } => 0 $($(+ $field.encoded_len())*)?,)*
+                }
+            }
+
+            /// Appends the body (without the envelope) to `out`.
+            pub fn encode_body(&self, out: &mut Vec<u8>) {
+                let mut w = WireWriter::new(out);
                 match self {
                     $($pdu::$variant { $($($field,)*)? } => {
                         $($($field.put(&mut w);)*)?
                     })*
                 }
-                w.finish()
             }
 
             /// Decodes a body of the given type byte. Unknown types, short
@@ -516,23 +526,25 @@ pub const MEMBER_DRAINING: u8 = 2;
 /// or vice versa), the length-prefixed rows exactly as framed on the wire,
 /// and the `done` flag (`false` for pushes, which have none).
 fn replica_plane_bytes(type_byte: u8, rows: &[RelayEntry], done: bool) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let mut bytes = Vec::new();
+    let mut w = WireWriter::new(&mut bytes);
     w.u8(type_byte);
     write_list(&mut w, rows);
     w.u8(u8::from(done));
-    w.finish()
+    bytes
 }
 
 /// MAC input of a [`Pdu::ReplicaPull`] request: the type byte and every
 /// request field. The reply to it binds these same bytes.
 pub fn replica_pull_bytes(attribute: &str, after: u64, max: u32, nonce: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(type_byte::ReplicaPull)
+    let mut bytes = Vec::new();
+    WireWriter::new(&mut bytes)
+        .u8(type_byte::ReplicaPull)
         .string(attribute)
         .u64(after)
         .u32(max)
         .bytes(nonce);
-    w.finish()
+    bytes
 }
 
 /// MAC input of a [`Pdu::ReplicaRows`] reply to the request whose
@@ -555,9 +567,12 @@ pub fn replica_push_bytes(rows: &[RelayEntry]) -> Vec<u8> {
 /// single-use — once the ring moves, a captured order verifies but no
 /// longer matches the current epoch and is refused.
 pub fn cluster_admin_bytes(type_byte: u8, node: &str, epoch: u64) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(type_byte).string(node).u64(epoch);
-    w.finish()
+    let mut bytes = Vec::new();
+    WireWriter::new(&mut bytes)
+        .u8(type_byte)
+        .string(node)
+        .u64(epoch);
+    bytes
 }
 
 /// MAC input of a [`Pdu::ClusterJoin`] order.
@@ -581,6 +596,13 @@ pub fn replica_evict_bytes(attribute: &str, epoch: u64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn body(pdu: &Pdu) -> Vec<u8> {
+        let mut body = Vec::new();
+        pdu.encode_body(&mut body);
+        assert_eq!(body.len(), pdu.encoded_len(), "{}", pdu.type_name());
+        body
+    }
 
     fn samples() -> Vec<Pdu> {
         vec![
@@ -782,12 +804,17 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn envelopes_match_the_golden_bytes() {
-        let golden: Vec<&str> = include_str!("../tests/golden/pdu_envelopes.hex")
+    /// The golden file's lines, one `type_name hex` line per sample.
+    fn golden() -> Vec<&'static str> {
+        include_str!("../tests/golden/pdu_envelopes.hex")
             .lines()
             .filter(|line| !line.starts_with('#'))
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn envelopes_match_the_golden_bytes() {
+        let golden = golden();
         let samples = samples();
         assert_eq!(golden.len(), samples.len(), "one golden line per sample");
         for (pdu, line) in samples.iter().zip(golden) {
@@ -795,6 +822,36 @@ mod tests {
             let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(format!("{} {hex}", pdu.type_name()), line);
             assert_eq!(crate::decode_envelope(&frame).unwrap().0, *pdu);
+        }
+    }
+
+    /// A v2 frame is its v1 golden line with byte 0 set to `02` and the
+    /// 16 trace bytes (`trace_id ‖ span_id`, little-endian) spliced in at
+    /// offset 6.
+    #[test]
+    fn traced_envelopes_are_the_golden_bytes_with_the_trace_spliced_in() {
+        let ctx = mws_obs::trace::TraceContext {
+            trace_id: 0x0102_0304_0506_0708,
+            span_id: 0x1112_1314_1516_1718,
+        };
+        let samples = samples();
+        assert_eq!(golden().len(), samples.len(), "one golden line per sample");
+        for (pdu, line) in samples.iter().zip(golden()) {
+            let (_, hex) = line.split_once(' ').unwrap();
+            let mut want: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            want[0] = 0x02;
+            want.splice(
+                6..6,
+                [
+                    8, 7, 6, 5, 4, 3, 2, 1, 0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,
+                ],
+            );
+            let mut frame = Vec::new();
+            crate::encode_frame(pdu, Some(ctx), &mut frame);
+            assert_eq!(frame, want, "{}", pdu.type_name());
         }
     }
 
@@ -810,7 +867,7 @@ mod tests {
     #[test]
     fn all_pdus_roundtrip() {
         for pdu in samples() {
-            let body = pdu.encode_body();
+            let body = body(&pdu);
             let decoded = Pdu::decode_body(pdu.type_byte(), &body).unwrap();
             assert_eq!(decoded, pdu);
         }
@@ -842,7 +899,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut body = Pdu::DepositAck { message_id: 1 }.encode_body();
+        let mut body = body(&Pdu::DepositAck { message_id: 1 });
         body.push(0);
         assert!(Pdu::decode_body(0x02, &body).is_err());
     }
@@ -850,7 +907,7 @@ mod tests {
     #[test]
     fn truncation_never_panics() {
         for pdu in samples() {
-            let body = pdu.encode_body();
+            let body = body(&pdu);
             for cut in 0..body.len() {
                 let _ = Pdu::decode_body(pdu.type_byte(), &body[..cut]);
             }
@@ -860,23 +917,20 @@ mod tests {
     #[test]
     fn hostile_message_count_bounded() {
         // A RetrieveResponse declaring 2^32-1 messages must fail fast.
-        let mut w = WireWriter::new();
-        w.bytes(b"token").u32(u32::MAX);
-        let body = w.finish();
+        let mut body = Vec::new();
+        WireWriter::new(&mut body).bytes(b"token").u32(u32::MAX);
         assert!(Pdu::decode_body(0x11, &body).is_err());
     }
 
     #[test]
     fn hostile_batch_counts_bounded() {
         // A DepositBatch declaring 2^32-1 items must fail fast...
-        let mut w = WireWriter::new();
-        w.string("meter").u32(u32::MAX);
-        let body = w.finish();
+        let mut body = Vec::new();
+        WireWriter::new(&mut body).string("meter").u32(u32::MAX);
         assert!(Pdu::decode_body(0x03, &body).is_err());
         // ...and so must its ack.
-        let mut w = WireWriter::new();
-        w.u32(u32::MAX);
-        let body = w.finish();
+        let mut body = Vec::new();
+        WireWriter::new(&mut body).u32(u32::MAX);
         assert!(Pdu::decode_body(0x04, &body).is_err());
     }
 
@@ -884,9 +938,8 @@ mod tests {
     fn hostile_replica_row_counts_bounded() {
         // ReplicaRows and ReplicaPush declaring 2^32-1 rows must fail fast.
         for type_byte in [0x61u8, 0x62] {
-            let mut w = WireWriter::new();
-            w.u32(u32::MAX);
-            let body = w.finish();
+            let mut body = Vec::new();
+            WireWriter::new(&mut body).u32(u32::MAX);
             assert!(Pdu::decode_body(type_byte, &body).is_err());
         }
     }
@@ -894,9 +947,8 @@ mod tests {
     #[test]
     fn hostile_member_count_bounded() {
         // A RebalanceReport declaring 2^32-1 members must fail fast.
-        let mut w = WireWriter::new();
-        w.u64(1).u8(0).u32(u32::MAX);
-        let body = w.finish();
+        let mut body = Vec::new();
+        WireWriter::new(&mut body).u64(1).u8(0).u32(u32::MAX);
         assert!(Pdu::decode_body(0x68, &body).is_err());
     }
 

@@ -282,21 +282,17 @@ impl Default for SessionConfig {
     }
 }
 
-/// Starts a record of `payload_len` payload bytes: a buffer sized for the
-/// whole record, holding the header `0x03 ‖ rtype ‖ len(4 LE)`.
-fn begin_record(rtype: u8, payload_len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload_len);
-    out.push(WIRE_VERSION_SECURE);
-    out.push(rtype);
-    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    out
+/// Appends one secure record, `0x03 ‖ rtype ‖ len(4 LE) ‖ payload`, to
+/// `out`.
+fn encode_record(rtype: u8, payload: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(&record_header(rtype, payload.len()));
+    out.extend_from_slice(payload);
 }
 
-/// Encodes one secure record: `0x03 ‖ rtype ‖ len(4 LE) ‖ payload`.
-fn encode_record(rtype: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = begin_record(rtype, payload.len());
-    out.extend_from_slice(payload);
-    out
+/// A record header, `0x03 ‖ rtype ‖ len(4 LE)`.
+fn record_header(rtype: u8, payload_len: usize) -> [u8; RECORD_HEADER] {
+    let [l0, l1, l2, l3] = (payload_len as u32).to_le_bytes();
+    [WIRE_VERSION_SECURE, rtype, l0, l1, l2, l3]
 }
 
 /// Incremental secure-record splitter, the record-layer analog of
@@ -324,18 +320,10 @@ impl RecordDecoder {
         }
     }
 
-    /// Switches a post-handshake decoder to data-record bounds.
-    pub fn established(&mut self) {
-        self.handshake_only = false;
-    }
-
     /// Appends raw bytes from the transport.
     pub fn feed(&mut self, bytes: &[u8]) {
         // Same amortized-compaction policy as the stream decoder.
-        if self.pos > 0 && (self.pos >= self.buf.len() || self.pos >= 64 * 1024) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
+        crate::stream::compact(&mut self.buf, &mut self.pos);
         self.buf.extend_from_slice(bytes);
     }
 
@@ -347,9 +335,8 @@ impl RecordDecoder {
     /// Drains any buffered-but-unparsed bytes (handshake → data phase
     /// handoff between decoders).
     fn take_buffered(&mut self) -> Vec<u8> {
-        let rest = self.buf[self.pos..].to_vec();
-        self.buf.clear();
-        self.pos = 0;
+        let rest = self.buf.split_off(self.pos);
+        *self = Self::default();
         rest
     }
 
@@ -361,17 +348,15 @@ impl RecordDecoder {
     /// any length is trusted.
     pub fn next_record(&mut self) -> Result<Option<(u8, &[u8])>, SecureError> {
         let avail = &self.buf[self.pos..];
-        if avail.is_empty() {
+        match avail.first() {
+            None => return Ok(None),
+            Some(&WIRE_VERSION_SECURE) => {}
+            Some(&other) => return Err(SecureError::PlaintextPeer(other)),
+        }
+        let [_, rtype, l0, l1, l2, l3, ..] = *avail else {
             return Ok(None);
-        }
-        if avail[0] != WIRE_VERSION_SECURE {
-            return Err(SecureError::PlaintextPeer(avail[0]));
-        }
-        if avail.len() < RECORD_HEADER {
-            return Ok(None);
-        }
-        let rtype = avail[1];
-        let len = u32::from_le_bytes(avail[2..6].try_into().expect("4 bytes")) as usize;
+        };
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
         let max = if self.handshake_only {
             MAX_HANDSHAKE_PAYLOAD
         } else {
@@ -444,6 +429,8 @@ impl DirectionState {
     fn derive(secret: &[u8]) -> (Gcm<Aes128>, [u8; 12]) {
         let key = hkdf_expand::<Sha256>(secret, b"mws-sec key", 16);
         let ivv = hkdf_expand::<Sha256>(secret, b"mws-sec iv", 12);
+        // Infallible: `hkdf_expand` returns the 16 key bytes asked for, and
+        // AES blocks are the 128 bits GCM needs.
         let gcm = Gcm::new(Aes128::new(&key).expect("16-byte key")).expect("128-bit block");
         let mut iv = [0u8; 12];
         iv.copy_from_slice(&ivv);
@@ -485,18 +472,23 @@ impl DirectionState {
         }
     }
 
-    /// Seals `plaintext` into one record, written once into one buffer:
-    /// header, then the plaintext encrypted where it lies, then the tag.
-    fn seal(&mut self, rtype: u8, plaintext: &[u8]) -> Vec<u8> {
-        let mut out = begin_record(rtype, plaintext.len() + GCM_TAG_LEN);
-        out.extend_from_slice(plaintext);
+    /// Appends one sealed record to `out`, in place: the header, then the
+    /// plaintext `write` appends, encrypted where it lies, then the tag;
+    /// the header's length is filled in last.
+    fn seal(&mut self, rtype: u8, out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = out.len();
+        out.extend_from_slice(&record_header(rtype, 0));
+        write(out);
+        let payload = start + RECORD_HEADER;
+        // Infallible: the nonce is 12 bytes, an IV length GCM always takes.
         let tag = self
             .gcm
-            .seal_in_place(&self.nonce(), &self.aad(rtype), &mut out[RECORD_HEADER..])
+            .seal_in_place(&self.nonce(), &self.aad(rtype), &mut out[payload..])
             .expect("12-byte nonce");
         out.extend_from_slice(&tag);
+        let header = record_header(rtype, out.len() - payload);
+        out[start..payload].copy_from_slice(&header);
         self.advance();
-        out
     }
 
     /// Opens a record payload into one fresh buffer, the plaintext.
@@ -518,12 +510,20 @@ pub struct SendHalf {
 }
 
 impl SendHalf {
-    /// Seals one envelope frame into a `DATA` record.
-    pub fn seal_frame(&mut self, frame: &[u8]) -> Result<Vec<u8>, SecureError> {
+    /// Appends one `DATA` record to `out`, sealing in place the envelope
+    /// frame that `write` appends: nothing is copied, and a buffer with
+    /// room takes the record without allocating. A closed half writes
+    /// nothing.
+    pub fn seal_into(
+        &mut self,
+        out: &mut Vec<u8>,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), SecureError> {
         if self.closed {
             return Err(SecureError::Closed);
         }
-        Ok(self.dir.seal(record::DATA, frame))
+        self.dir.seal(record::DATA, out, write);
+        Ok(())
     }
 
     /// Produces the authenticated `CLOSE` record and marks the half shut.
@@ -532,7 +532,9 @@ impl SendHalf {
             return Err(SecureError::Closed);
         }
         self.closed = true;
-        Ok(self.dir.seal(record::CLOSE, b""))
+        let mut record = Vec::with_capacity(RECORD_HEADER + GCM_TAG_LEN);
+        self.dir.seal(record::CLOSE, &mut record, |_| {});
+        Ok(record)
     }
 }
 
@@ -612,9 +614,13 @@ impl SecureSession {
         (self.send, self.recv)
     }
 
-    /// Seals one envelope frame (convenience over [`SendHalf`]).
+    /// Seals a copy of one envelope frame into a fresh `DATA` record, in
+    /// one allocation (a wrapper over [`SendHalf::seal_into`]).
     pub fn seal_frame(&mut self, frame: &[u8]) -> Result<Vec<u8>, SecureError> {
-        self.send.seal_frame(frame)
+        let mut record = Vec::with_capacity(RECORD_HEADER + frame.len() + GCM_TAG_LEN);
+        self.send
+            .seal_into(&mut record, |out| out.extend_from_slice(frame))?;
+        Ok(record)
     }
 
     /// Opens one record (convenience over [`RecvHalf`]).
@@ -654,7 +660,7 @@ enum HsState {
     ServerAccept {
         client_identity: String,
         confirm_key: Vec<u8>,
-        session: Option<SecureSession>,
+        session: SecureSession,
     },
     /// Terminal (success or failure).
     Done,
@@ -685,15 +691,16 @@ impl Handshaker {
     ) -> Self {
         let (eph_secret, eph_public) = auth.eph_keypair();
         let nonce = eph_nonce(&*auth, &eph_public);
-        let mut w = WireWriter::new();
-        w.u8(SECURE_PROTO_V1)
+        let mut hello = Vec::new();
+        WireWriter::new(&mut hello)
+            .u8(SECURE_PROTO_V1)
             .string(auth.identity())
             .bytes(&nonce)
             .bytes(&eph_public);
-        let hello = w.finish();
         let mut transcript = Transcript::new();
         transcript.absorb(b"hello", &hello);
-        let out = encode_record(record::HELLO, &hello);
+        let mut out = Vec::new();
+        encode_record(record::HELLO, &hello, &mut out);
         Self {
             auth,
             expect_peer,
@@ -785,12 +792,9 @@ impl Handshaker {
                 let th_keys = self.transcript.hash(b"keys");
                 let (session, confirm_key) = SecureSession::derive(&dh, &th_keys, true, &self.cfg);
                 let confirm = Hmac::<Sha256>::mac(&confirm_key, &th_c);
-                let mut w = WireWriter::new();
-                w.bytes(&sig_c).bytes(&confirm);
-                let finish = w.finish();
-                self.out
-                    .extend_from_slice(&encode_record(record::FINISH, &finish));
-                self.records.established();
+                let mut finish = Vec::new();
+                WireWriter::new(&mut finish).bytes(&sig_c).bytes(&confirm);
+                encode_record(record::FINISH, &finish, &mut self.out);
                 Ok(Some(Established {
                     session,
                     peer: server_id,
@@ -813,35 +817,33 @@ impl Handshaker {
                 self.transcript.absorb(b"hello", payload);
                 let (eph_secret, eph_public) = self.auth.eph_keypair();
                 let nonce = eph_nonce(&*self.auth, &eph_public);
-                let mut w = WireWriter::new();
-                w.u8(SECURE_PROTO_V1)
+                let mut core = Vec::new();
+                WireWriter::new(&mut core)
+                    .u8(SECURE_PROTO_V1)
                     .string(self.auth.identity())
                     .bytes(&nonce)
                     .bytes(&eph_public);
-                let core = w.finish();
                 self.transcript.absorb(b"accept-core", &core);
                 let th_s = self.transcript.hash(b"server-auth");
                 let sig = self.auth.sign(&th_s);
                 self.transcript.absorb(b"accept-sig", &sig);
-                let mut w = WireWriter::new();
-                w.bytes(&core).bytes(&sig);
-                let accept = w.finish();
-                self.out
-                    .extend_from_slice(&encode_record(record::ACCEPT, &accept));
+                let mut accept = Vec::new();
+                WireWriter::new(&mut accept).bytes(&core).bytes(&sig);
+                encode_record(record::ACCEPT, &accept, &mut self.out);
                 let dh = self.auth.agree(&eph_secret, &client_eph)?;
                 let th_keys = self.transcript.hash(b"keys");
                 let (session, confirm_key) = SecureSession::derive(&dh, &th_keys, false, &self.cfg);
                 self.state = HsState::ServerAccept {
                     client_identity: client_id,
                     confirm_key,
-                    session: Some(session),
+                    session,
                 };
                 Ok(None)
             }
             HsState::ServerAccept {
                 client_identity,
                 confirm_key,
-                mut session,
+                session,
             } => {
                 if rtype != record::FINISH {
                     return Err(SecureError::UnexpectedRecord(rtype));
@@ -856,9 +858,8 @@ impl Handshaker {
                 if !ct_eq(&expect, &confirm) {
                     return Err(SecureError::BadConfirm);
                 }
-                self.records.established();
                 Ok(Some(Established {
-                    session: session.take().expect("session set at ACCEPT"),
+                    session,
                     peer: client_identity,
                     leftover: self.records.take_buffered(),
                 }))

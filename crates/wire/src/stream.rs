@@ -1,6 +1,6 @@
 //! Incremental envelope decoding for byte-stream transports.
 //!
-//! [`decode_envelope`](crate::decode_envelope) needs a complete frame in one
+//! [`decode_envelope`] needs a complete frame in one
 //! contiguous slice; a TCP connection delivers bytes in arbitrary split
 //! chunks. [`StreamDecoder`] buffers fed bytes and yields each PDU as soon
 //! as its frame completes, validating the header fields (version, declared
@@ -18,14 +18,9 @@
 //! assert_eq!(dec.next_pdu().unwrap(), Some(Pdu::DepositAck { message_id: 7 }));
 //! ```
 
-use crate::envelope::{decode_envelope_traced, header_len};
+use crate::envelope::{decode_envelope, read_header, Header};
 use crate::pdu::Pdu;
-use crate::{WireError, MAX_BODY};
-use mws_obs::trace::TraceContext;
-
-/// The shortest possible header (`version ‖ type ‖ len`, a v1 frame);
-/// enough to know the full header size of either version.
-const MIN_HEADER: usize = 6;
+use crate::WireError;
 
 /// An incremental decoder over a stream of envelope frames.
 #[derive(Debug, Default)]
@@ -33,27 +28,29 @@ pub struct StreamDecoder {
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by decoded frames.
     pos: usize,
-    max_body: usize,
+}
+
+/// The one compaction policy of this decoder and the `RecordDecoder`, run
+/// before new bytes are appended: the consumed prefix `..pos` goes once it
+/// is at least half the buffer, so a move copies no more bytes than were
+/// consumed since the last (feeds stay amortized O(1)).
+pub(crate) fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
+    if *pos > 0 && *pos * 2 >= buf.len() {
+        buf.drain(..*pos);
+        *pos = 0;
+    }
 }
 
 impl StreamDecoder {
-    /// A decoder enforcing the protocol-wide [`MAX_BODY`] bound.
+    /// A decoder enforcing the protocol-wide [`MAX_BODY`](crate::MAX_BODY)
+    /// bound.
     pub fn new() -> Self {
-        Self::with_max_body(MAX_BODY)
-    }
-
-    /// A decoder with a custom body bound (servers may enforce a tighter
-    /// per-connection limit than the protocol maximum).
-    fn with_max_body(max_body: usize) -> Self {
-        Self {
-            buf: Vec::new(),
-            pos: 0,
-            max_body: max_body.min(MAX_BODY),
-        }
+        Self::default()
     }
 
     /// Appends received bytes (any split: single bytes up to whole frames).
     pub fn feed(&mut self, bytes: &[u8]) {
+        compact(&mut self.buf, &mut self.pos);
         self.buf.extend_from_slice(bytes);
     }
 
@@ -81,6 +78,7 @@ impl StreamDecoder {
         reader: &mut R,
         max: usize,
     ) -> std::io::Result<usize> {
+        compact(&mut self.buf, &mut self.pos);
         let old = self.buf.len();
         self.buf.resize(old + max, 0);
         match reader.read(&mut self.buf[old..]) {
@@ -106,58 +104,29 @@ impl StreamDecoder {
     /// practice: a framing error means the stream has lost sync and the
     /// connection should be dropped.
     pub fn next_pdu(&mut self) -> Result<Option<Pdu>, WireError> {
-        Ok(self.next_traced()?.map(|(pdu, _)| pdu))
-    }
-
-    /// Like [`next_pdu`](Self::next_pdu), but also yields the trace
-    /// context when the frame was a traced (v2) envelope.
-    fn next_traced(&mut self) -> Result<Option<(Pdu, Option<TraceContext>)>, WireError> {
         let Some(frame) = self.next_frame()? else {
             return Ok(None);
         };
-        let (pdu, _, trace) = decode_envelope_traced(frame)?;
-        Ok(Some((pdu, trace)))
+        Ok(Some(decode_envelope(frame)?.0))
     }
 
     /// The next complete frame, header and body, lent from the decoder's
     /// buffer; `Ok(None)` when more bytes are needed. Every pull checks the
-    /// header here, as early as its fields arrive.
+    /// header ([`read_header`]) as early as its fields arrive.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
-        self.compact();
-        let avail = &self.buf[self.pos..];
-        let Some(&version) = avail.first() else {
+        let start = self.pos;
+        let Some(Header { frame_len, .. }) = read_header(&self.buf[start..])? else {
             return Ok(None);
         };
-        let header = header_len(version)?;
-        if avail.len() < MIN_HEADER {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[2..6].try_into().expect("4 bytes")) as usize;
-        if len > self.max_body {
-            return Err(WireError::BadLength);
-        }
-        if avail.len() < header + len {
-            return Ok(None);
-        }
-        let start = self.pos;
-        self.pos += header + len;
+        self.pos += frame_len;
         Ok(Some(&self.buf[start..self.pos]))
-    }
-
-    /// Reclaims consumed prefix space once it dominates the buffer, keeping
-    /// feeds amortized O(1). Runs before a pull, so a lent frame stays put.
-    fn compact(&mut self) {
-        if self.pos > 0 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{encode_envelope, encode_envelope_traced, WIRE_VERSION};
+    use crate::{encode_envelope, encode_frame, WIRE_VERSION};
 
     fn sample_frames() -> Vec<u8> {
         let mut stream = Vec::new();
@@ -218,30 +187,21 @@ mod tests {
     }
 
     #[test]
-    fn tighter_custom_bound_enforced() {
-        let frame = encode_envelope(&Pdu::Error {
-            code: 1,
-            detail: "x".repeat(100),
-        });
-        let mut dec = StreamDecoder::with_max_body(16);
-        dec.feed(&frame);
-        assert_eq!(dec.next_pdu().unwrap_err(), WireError::BadLength);
-    }
-
-    #[test]
     fn traced_frames_stream_byte_at_a_time() {
-        let ctx = TraceContext {
+        let ctx = mws_obs::trace::TraceContext {
             trace_id: 0x1122_3344_5566_7788,
             span_id: 0x99aa_bbcc_ddee_ff00,
         };
-        let mut stream = encode_envelope_traced(&Pdu::DepositAck { message_id: 7 }, ctx);
-        stream.extend_from_slice(&encode_envelope(&Pdu::ParamsRequest));
+        let mut stream = Vec::new();
+        encode_frame(&Pdu::DepositAck { message_id: 7 }, Some(ctx), &mut stream);
+        encode_frame(&Pdu::ParamsRequest, None, &mut stream);
         let mut dec = StreamDecoder::new();
         let mut got = Vec::new();
         for b in &stream {
             dec.feed(&[*b]);
-            while let Some(item) = dec.next_traced().unwrap() {
-                got.push(item);
+            while let Some(frame) = dec.next_frame().unwrap() {
+                let (pdu, _, trace) = crate::decode_envelope_traced(frame).unwrap();
+                got.push((pdu, trace));
             }
         }
         assert_eq!(

@@ -2,16 +2,21 @@
 //! bytes per thread, so the test harness's own threads cannot disturb the
 //! count:
 //!
+//! * the envelope writer: a frame of either version goes into a buffer
+//!   with room without allocating, and into an empty one with exactly one
+//!   allocation, for every PDU in the golden file;
 //! * the secure record layer: sealing a frame and opening a record each
 //!   allocate once — the buffer they return, and nothing at all for an
-//!   empty plaintext — however long the frame;
+//!   empty plaintext — however long the frame, and sealing in place into
+//!   a buffer with room allocates nothing;
 //! * PDU decoding: a list whose declared count the rest of the body cannot
 //!   hold is refused before anything is reserved for it.
 
+use mws_obs::trace::TraceContext;
 use mws_wire::secure::{
     ChannelAuth, Handshaker, Opened, PskAuth, RecordDecoder, SecureSession, SessionConfig,
 };
-use mws_wire::Pdu;
+use mws_wire::{decode_envelope, encode_frame, Pdu};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -117,5 +122,73 @@ fn hostile_list_counts_allocate_nothing() {
         let (bytes, decoded) = bytes_allocated_in(|| Pdu::decode_body(type_byte, &body));
         assert!(decoded.is_err(), "{name}: {decoded:?}");
         assert!(bytes < 1024, "{name}: {bytes} bytes allocated");
+    }
+}
+
+/// Every PDU of the golden envelope file, decoded.
+fn golden_pdus() -> Vec<Pdu> {
+    include_str!("golden/pdu_envelopes.hex")
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            let (_, hex) = line.split_once(' ').unwrap();
+            let frame: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            decode_envelope(&frame).unwrap().0
+        })
+        .collect()
+}
+
+#[test]
+fn encode_frame_allocates_once_into_an_empty_buffer_and_never_into_room() {
+    let pdus = golden_pdus();
+    assert!(pdus.len() > 20, "read the golden file");
+    let ctx = TraceContext {
+        trace_id: 1,
+        span_id: 2,
+    };
+    let mut room = Vec::with_capacity(64 << 10);
+    for pdu in &pdus {
+        for trace in [None, Some(ctx)] {
+            let name = pdu.type_name();
+            let (fresh, frame) = allocations_in(|| {
+                let mut frame = Vec::new();
+                encode_frame(pdu, trace, &mut frame);
+                frame
+            });
+            assert_eq!(fresh, 1, "{name} into an empty buffer, trace {trace:?}");
+            room.clear();
+            let (appended, ()) = allocations_in(|| encode_frame(pdu, trace, &mut room));
+            assert_eq!(
+                appended, 0,
+                "{name} into a buffer with room, trace {trace:?}"
+            );
+            assert_eq!(room, frame);
+        }
+    }
+}
+
+#[test]
+fn sealing_in_place_into_a_buffer_with_room_allocates_nothing() {
+    let (mut sender, mut receiver) = sessions(1 << 20);
+    let mut decoder = RecordDecoder::new();
+    let mut out = Vec::with_capacity(64 << 10);
+    for pdu in golden_pdus() {
+        out.clear();
+        let (sealing, sealed) = allocations_in(|| {
+            sender
+                .send
+                .seal_into(&mut out, |out| encode_frame(&pdu, None, out))
+        });
+        sealed.unwrap();
+        assert_eq!(sealing, 0, "{}", pdu.type_name());
+        decoder.feed(&out);
+        let (rtype, payload) = decoder.next_record().unwrap().unwrap();
+        let Opened::Frame(frame) = receiver.open_record(rtype, payload).unwrap() else {
+            panic!("a DATA record");
+        };
+        assert_eq!(decode_envelope(&frame).unwrap(), (pdu, frame.len()));
     }
 }

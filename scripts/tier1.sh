@@ -36,9 +36,6 @@ for example in examples/*.rs; do
   cargo run -q --release --example "${name}" </dev/null >/dev/null
 done
 
-echo "==> MWS_TRANSPORT=secure loopback deployment (every link handshaked + sealed)"
-MWS_TRANSPORT=secure cargo test -q -p mws --test tcp_deployment
-
 echo "==> MWS_LOG=warn smoke (happy path emits no error-level events)"
 SMOKE_OUT="$(MWS_LOG=warn cargo test -q -p mws --test observability -- --nocapture 2>&1)"
 if grep -q " ERROR " <<<"${SMOKE_OUT}"; then

@@ -542,7 +542,9 @@ fn every_public_item_has_a_non_test_caller() {
 /// network (`mws-wire`), serves the warehouse (`mws-core`'s `protocol.rs`)
 /// or drives connections and daemons (`mws-server`): a hostile frame must
 /// not panic a loop thread. A fallible site returns a typed error; one that
-/// cannot fail says why in an `expect` message.
+/// cannot fail says why in an `expect` message. In `mws-wire`, the codec
+/// every hostile byte meets first, an `expect` also needs a proof: a
+/// `// Infallible: …` comment right above the statement that holds it.
 #[test]
 fn no_bare_unwrap_on_the_network_path() {
     let files = non_test_code(&[
@@ -557,6 +559,35 @@ fn no_bare_unwrap_on_the_network_path() {
         .filter(|(_, line)| line.contains(".unwrap()"))
         .collect();
     assert!(bare.is_empty(), "bare unwraps: {bare:#?}");
+
+    let mut proved = 0;
+    let mut unproved = Vec::new();
+    for path in rust_files(&["crates/wire/src"]) {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let code = text.split("\n#[cfg(test)]").next().unwrap();
+        // A proof covers the statement below it, however many lines that
+        // statement (or the proof) wraps onto.
+        let mut proof = false;
+        for line in code.lines().map(str::trim) {
+            if line.starts_with("//") {
+                proof |= line.starts_with("// Infallible: ");
+                continue;
+            }
+            if line.contains(".expect(") && proof {
+                proved += 1;
+            } else if line.contains(".expect(") {
+                unproved.push(format!("{}: {line}", path.display()));
+            }
+            if line.ends_with(';') || line.ends_with('{') || line.ends_with('}') {
+                proof = false;
+            }
+        }
+    }
+    assert!(proved > 0, "found the wire crate's proved expects");
+    assert!(
+        unproved.is_empty(),
+        "an expect in mws-wire without a `// Infallible:` proof above it: {unproved:#?}"
+    );
 }
 
 /// One deposit path: the warehouse stores every deposit through the

@@ -7,11 +7,10 @@
 //! the deposit → ticket → key-issue → retrieve flow crosses a real TCP
 //! connection. Shutdown must join every server thread.
 //!
-//! The whole suite honors `MWS_TRANSPORT=secure`: every link then runs
-//! the IBS-authenticated handshake + AES-GCM record layer of DESIGN.md
-//! §12, with no change to a single assertion. Dedicated tests below also
-//! pin the secure flow, the downgrade paths, and rekey under load
-//! regardless of the environment.
+//! The four-server flow and the replay test run twice, over plaintext
+//! envelopes and with every link on the IBS-authenticated handshake +
+//! AES-GCM record layer of DESIGN.md §12, with the same assertions. The
+//! tests below them pin the downgrade paths and rekey under load.
 
 use mws_core::clock::ReplayPolicy;
 use mws_core::protocol::{Deployment, DeploymentConfig};
@@ -102,11 +101,10 @@ impl TcpTopology {
     }
 }
 
-fn spawn_topology() -> TcpTopology {
-    spawn_topology_with(TransportMode::from_env())
-}
+/// Both transports, for the tests that run the same flow over each.
+const MODES: [TransportMode; 2] = [TransportMode::Plain, TransportMode::Secure];
 
-fn spawn_topology_with(mode: TransportMode) -> TcpTopology {
+fn spawn_topology(mode: TransportMode) -> TcpTopology {
     let mut dep = Deployment::new(DeploymentConfig::test_default());
     dep.register_device("meter-1");
     dep.register_client("utility", "pw", &["ELECTRIC-APT9"]);
@@ -147,9 +145,10 @@ fn spawn_topology_with(mode: TransportMode) -> TcpTopology {
     }
 }
 
-#[test]
-fn four_server_flow_over_real_sockets() {
-    let mut topo = spawn_topology();
+/// The end-to-end deposit → ticket → key-issue → retrieve flow, the
+/// front door's password check and a graceful shutdown, over `mode`.
+fn full_flow(mode: TransportMode) {
+    let mut topo = spawn_topology(mode);
 
     // SD side: deposits go directly to the warehouse (§V.D phase 1).
     let (mms_c, pkg_c) = (topo.mms_client(), topo.pkg_client());
@@ -199,39 +198,34 @@ fn four_server_flow_over_real_sockets() {
 }
 
 #[test]
-fn deposit_replay_rejected_over_tcp() {
-    let mut topo = spawn_topology();
-    let mws = topo.mms_client();
-    let pkg = topo.pkg_client();
-    let mut meter = topo.dep.device_with("meter-1", mws.clone(), &pkg).unwrap();
-    let pdu = meter.compose_deposit("ELECTRIC-APT9", b"reading");
-    assert!(matches!(
-        mws.call(&pdu).unwrap(),
-        mws_wire::Pdu::DepositAck { .. }
-    ));
-    // An attacker replaying the captured frame is refused.
-    assert!(matches!(
-        mws.call(&pdu).unwrap(),
-        mws_wire::Pdu::Error { code: 409, .. }
-    ));
+fn four_server_flow_over_real_sockets() {
+    full_flow(TransportMode::Plain);
 }
 
 #[test]
 fn secure_transport_full_flow() {
-    // The end-to-end deposit → ticket → key-issue → retrieve flow with
-    // every link handshaked and sealed, whatever the environment says.
-    let mut topo = spawn_topology_with(TransportMode::Secure);
-    let (mms_c, pkg_c) = (topo.mms_client(), topo.pkg_client());
-    let mut meter = topo
-        .dep
-        .device_with("meter-1", mms_c, &pkg_c)
-        .expect("bootstrap over secure sessions");
-    meter.deposit("ELECTRIC-APT9", b"kwh=7.7").unwrap();
-    let (gk_c, pkg_c) = (topo.gatekeeper_client(), topo.pkg_client());
-    let mut rc = topo.dep.client_with("utility", "pw", gk_c, pkg_c);
-    let msgs = rc.retrieve_and_decrypt(0).unwrap();
-    assert_eq!(msgs.len(), 1);
-    assert_eq!(msgs[0].plaintext, b"kwh=7.7");
+    // The same flow with every link handshaked and sealed.
+    full_flow(TransportMode::Secure);
+}
+
+#[test]
+fn deposit_replay_rejected_over_tcp() {
+    for mode in MODES {
+        let mut topo = spawn_topology(mode);
+        let mws = topo.mms_client();
+        let pkg = topo.pkg_client();
+        let mut meter = topo.dep.device_with("meter-1", mws.clone(), &pkg).unwrap();
+        let pdu = meter.compose_deposit("ELECTRIC-APT9", b"reading");
+        assert!(matches!(
+            mws.call(&pdu).unwrap(),
+            mws_wire::Pdu::DepositAck { .. }
+        ));
+        // An attacker replaying the captured frame is refused.
+        assert!(matches!(
+            mws.call(&pdu).unwrap(),
+            mws_wire::Pdu::Error { code: 409, .. }
+        ));
+    }
 }
 
 #[test]
